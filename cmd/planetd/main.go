@@ -28,10 +28,9 @@
 //
 //	planetd &
 //	curl -s 'localhost:8480/v1/read?key=demo'
-//	curl -s -X POST localhost:8480/v1/txn \
+//	curl -s -X POST 'localhost:8480/v1/txn?wait=1&waitms=3000' \
 //	     -d '{"ops":[{"kind":"add","key":"demo-counter","delta":1}],"speculateAt":0.95}'
-//	curl -s 'localhost:8480/v1/txn/txn-1?wait=1'
-//	curl -s 'localhost:8480/v1/txn/txn-1/trace'
+//	curl -s 'localhost:8480/v1/txn/<txn from the reply>/trace'
 //	curl -s 'localhost:8480/v1/stats'
 //	curl -s 'localhost:8480/v1/metrics'
 //
@@ -420,7 +419,6 @@ func runRealnet(f *flags) error {
 
 	gw := httpapi.NewServer(db, sess)
 	gw.EnableRealNet(c.RealNet, c.Replica(region))
-	registerRealnetMetrics(reg, c.RealNet)
 
 	fmt.Printf("planetd: node %s up, transport on %s, gateway on %s, %d-region deployment\n",
 		region, c.RealNet.ListenAddr(), f.addr, len(peers))
@@ -538,38 +536,4 @@ func recordLeaseEvent(reg *obs.Registry, tracer *obs.Tracer, observer string, ev
 		Region: observer,
 		Note:   fmt.Sprintf("lease %s: %s epoch %d holder %s", ev.Keyspace, ev.Kind, ev.Epoch, ev.Holder),
 	})
-}
-
-// registerRealnetMetrics exposes the transport's counters and peer health
-// through the gateway's /v1/metrics.
-func registerRealnetMetrics(reg *obs.Registry, tr *realnet.Transport) {
-	snap := func(pick func(realnet.StatsSnapshot) uint64) func() float64 {
-		return func() float64 { return float64(pick(tr.StatsSnapshot())) }
-	}
-	reg.GaugeFunc("planet_realnet_sent_total",
-		"Payloads handed to the transport for delivery.",
-		snap(func(s realnet.StatsSnapshot) uint64 { return s.Sent }))
-	reg.GaugeFunc("planet_realnet_delivered_total",
-		"Payloads delivered to local handlers.",
-		snap(func(s realnet.StatsSnapshot) uint64 { return s.Delivered }))
-	reg.GaugeFunc("planet_realnet_dropped_total",
-		"Payloads dropped (cut links, full queues, dead peers).",
-		snap(func(s realnet.StatsSnapshot) uint64 { return s.Dropped }))
-	reg.GaugeFunc("planet_realnet_decode_errors_total",
-		"Inbound frames rejected as malformed (connection closed).",
-		snap(func(s realnet.StatsSnapshot) uint64 { return s.DecodeErrors }))
-	reg.GaugeFunc("planet_realnet_reconnects_total",
-		"Peer connections re-established after a drop.",
-		snap(func(s realnet.StatsSnapshot) uint64 { return s.Reconnects }))
-	reg.GaugeFunc("planet_realnet_peers_down",
-		"Remote peers currently marked down.",
-		func() float64 {
-			n := 0
-			for _, st := range tr.PeerStates() {
-				if st == realnet.PeerDown {
-					n++
-				}
-			}
-			return float64(n)
-		})
 }

@@ -142,11 +142,7 @@ func (c *Client) status(id string, wait bool) (Status, error) {
 // wait expired (the server's 504) rather than folding it into an opaque
 // error: callers distinguish "not resolved yet" from "request failed".
 func (c *Client) WaitBounded(id string, bound time.Duration) (st Status, timedOut bool, err error) {
-	ms := bound.Milliseconds()
-	if ms <= 0 {
-		ms = 1
-	}
-	u := fmt.Sprintf("%s/v1/txn/%s?wait=1&waitms=%d", c.Base, url.PathEscape(id), ms)
+	u := fmt.Sprintf("%s/v1/txn/%s?wait=1&waitms=%d", c.Base, url.PathEscape(id), waitMillis(bound))
 	resp, err := c.httpc().Get(u)
 	if err != nil {
 		return Status{}, false, fmt.Errorf("httpapi: status: %w", err)
@@ -251,48 +247,78 @@ func (c *Client) Metrics() (string, error) {
 // submitWaitChunk; between chunks (and after transport errors) the client
 // backs off from the base to the cap so a flapping gateway is not hammered.
 const (
-	submitWaitChunk     = 10 * time.Second
-	submitRetryBase     = time.Millisecond
-	submitRetryMax      = 50 * time.Millisecond
-	submitNotDoneBudget = 3
+	submitRetryBase = time.Millisecond
+	submitRetryMax  = 50 * time.Millisecond
 )
 
-// SubmitAndWait is the blocking convenience path: it submits, then rides
-// bounded server-side waits until the transaction resolves or timeout
-// passes. A transaction that can never resolve — its coordinator's peers
-// are down — surfaces as an error wrapping ErrWaitTimeout instead of
-// polling until the caller gives up.
-func (c *Client) SubmitAndWait(req SubmitRequest, timeout time.Duration) (Status, error) {
-	id, err := c.Submit(req)
+// submitWaitChunk is a variable only so tests can shrink it.
+var submitWaitChunk = 10 * time.Second
+
+// waitChunk is the server-side bound for the next wait request: what is left
+// of the caller's budget, capped at submitWaitChunk.
+func waitChunk(remaining time.Duration) time.Duration {
+	if remaining > submitWaitChunk {
+		return submitWaitChunk
+	}
+	return remaining
+}
+
+// waitMillis renders a wait bound as the waitms query value (at least 1).
+func waitMillis(bound time.Duration) int64 {
+	if ms := bound.Milliseconds(); ms > 0 {
+		return ms
+	}
+	return 1
+}
+
+// submitWait posts a transaction with wait=1&waitms=bound. The returned
+// status is final (Done) when the transaction resolved within the bound —
+// the server's 200; otherwise it carries only the id of the still-running
+// transaction — the server's 202.
+func (c *Client) submitWait(req SubmitRequest, bound time.Duration) (Status, error) {
+	body, err := json.Marshal(req)
 	if err != nil {
+		return Status{}, fmt.Errorf("httpapi: marshal: %w", err)
+	}
+	u := fmt.Sprintf("%s/v1/txn?wait=1&waitms=%d", c.Base, waitMillis(bound))
+	resp, err := c.httpc().Post(u, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return Status{}, fmt.Errorf("httpapi: submit: %w", err)
+	}
+	// Both bodies carry "txn"; only the 200's carries the rest.
+	var st Status
+	if err := decode(resp, &st); err != nil {
 		return Status{}, err
 	}
+	return st, nil
+}
+
+// SubmitAndWait is the blocking convenience path: one request submits the
+// transaction and waits server-side for its final callback, so a commit
+// costs one HTTP round trip. Only when that wait expires first (a slow
+// transaction, or a caller budget beyond submitWaitChunk) does it go on to
+// ride bounded status waits until the transaction resolves or timeout
+// passes. A transaction that can never resolve — its coordinator's peers are
+// down — surfaces as an error wrapping ErrWaitTimeout (the returned status
+// names the transaction) instead of polling until the caller gives up.
+func (c *Client) SubmitAndWait(req SubmitRequest, timeout time.Duration) (Status, error) {
 	clk := vclock.Default(c.Clock)
 	deadline := clk.Now().Add(timeout)
+	st, err := c.submitWait(req, waitChunk(timeout))
+	if err != nil || st.Done {
+		return st, err
+	}
+	id := st.Txn
 	delay := submitRetryBase
-	notDone := 0
 	for {
 		remaining := clk.Until(deadline)
 		if remaining <= 0 {
-			return Status{}, fmt.Errorf("httpapi: transaction %s not resolved within %v: %w",
+			return Status{Txn: id}, fmt.Errorf("httpapi: transaction %s not resolved within %v: %w",
 				id, timeout, ErrWaitTimeout)
 		}
-		chunk := remaining
-		if chunk > submitWaitChunk {
-			chunk = submitWaitChunk
-		}
-		st, timedOut, err := c.WaitBounded(id, chunk)
+		st, timedOut, err := c.WaitBounded(id, waitChunk(remaining))
 		if err == nil && !timedOut {
-			if st.Done {
-				return st, nil
-			}
-			// wait=1 returned before the final callback ran (it resolves on
-			// the handle, the outcome lands a beat later). A couple of
-			// immediate re-waits close the gap; persisting beyond that
-			// means something is genuinely wrong.
-			if notDone++; notDone > submitNotDoneBudget {
-				return st, fmt.Errorf("httpapi: transaction %s wait returned undone status", id)
-			}
+			return st, nil
 		}
 		// Timed out chunk or transport error: back off briefly. The sleep
 		// runs on the client's clock so tests on a virtual cluster advance

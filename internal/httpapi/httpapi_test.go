@@ -16,7 +16,14 @@ import (
 // California and returns a client against it.
 func newGateway(t *testing.T, pcfg planet.Config) (*Client, *Server, *planet.DB) {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{TimeScale: 0.01, Seed: 21,
+	return newGatewayAt(t, pcfg, 0.01)
+}
+
+// newGatewayAt is newGateway at a chosen WAN time scale: 0.01 commits in a
+// millisecond or two, 1.0 takes a real cross-continent round trip.
+func newGatewayAt(t *testing.T, pcfg planet.Config, timeScale float64) (*Client, *Server, *planet.DB) {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{TimeScale: timeScale, Seed: 21,
 		CommitTimeout: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)

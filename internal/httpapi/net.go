@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"planet/internal/mdcc"
+	"planet/internal/obs"
 	"planet/internal/realnet"
 	"planet/internal/simnet"
 )
@@ -66,12 +67,57 @@ type NetLeaseResponse struct {
 }
 
 // EnableRealNet attaches the deployment transport (and the local replica,
-// for the decisions audit) to the gateway, activating the /v1/net/* routes.
-// Call before serving traffic.
+// for the decisions audit) to the gateway, activating the /v1/net/* routes
+// and, when the gateway has a registry, the planet_realnet_* series of
+// /v1/metrics. Call before serving traffic.
 func (s *Server) EnableRealNet(tr *realnet.Transport, replica *mdcc.Replica) {
 	s.mu.Lock()
 	s.net = &netAdmin{transport: tr, replica: replica}
 	s.mu.Unlock()
+	if s.reg != nil {
+		registerRealnetMetrics(s.reg, tr)
+	}
+}
+
+// registerRealnetMetrics exposes the transport's counters and peer health.
+// Frames and socket calls are counted separately: sent/writes (and
+// delivered/reads) is how many frames one syscall carries.
+func registerRealnetMetrics(reg *obs.Registry, tr *realnet.Transport) {
+	snap := func(pick func(realnet.StatsSnapshot) uint64) func() float64 {
+		return func() float64 { return float64(pick(tr.StatsSnapshot())) }
+	}
+	reg.GaugeFunc("planet_realnet_sent_total",
+		"Frames written to peer sockets.",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.Sent }))
+	reg.GaugeFunc("planet_realnet_writes_total",
+		"Socket writes to peers (each carries one or more frames).",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.Writes }))
+	reg.GaugeFunc("planet_realnet_reads_total",
+		"Socket reads from peers (each returns zero or more frames).",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.Reads }))
+	reg.GaugeFunc("planet_realnet_delivered_total",
+		"Payloads delivered to local handlers.",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.Delivered }))
+	reg.GaugeFunc("planet_realnet_dropped_total",
+		"Payloads dropped (cut links, full queues, dead peers).",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.Dropped }))
+	reg.GaugeFunc("planet_realnet_decode_errors_total",
+		"Inbound frames rejected as malformed (connection closed).",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.DecodeErrors }))
+	reg.GaugeFunc("planet_realnet_reconnects_total",
+		"Peer connections re-established after a drop.",
+		snap(func(s realnet.StatsSnapshot) uint64 { return s.Reconnects }))
+	reg.GaugeFunc("planet_realnet_peers_down",
+		"Remote peers currently marked down.",
+		func() float64 {
+			n := 0
+			for _, st := range tr.PeerStates() {
+				if st == realnet.PeerDown {
+					n++
+				}
+			}
+			return float64(n)
+		})
 }
 
 // netAdminState returns the attached transport admin, if any.

@@ -5,7 +5,10 @@
 // outcome are polled (or awaited) on a status resource.
 //
 //	GET  /v1/read?key=K[&quorum=1]     read committed state
-//	POST /v1/txn                       submit a transaction (JSON body)
+//	POST /v1/txn[?wait=1[&waitms=N]]   submit a transaction (JSON body);
+//	                                   202 {txn} at once, or with wait=1
+//	                                   200 with the final status (202 {txn}
+//	                                   when waitms expires first)
 //	GET  /v1/txn/{id}[?wait=1[&waitms=N]]  stage/likelihood/outcome; waitms
 //	                                   bounds the server-side wait and
 //	                                   returns 504 when it expires
@@ -110,6 +113,9 @@ type tracked struct {
 	deadlineHit bool
 	start       time.Time
 	outcome     *txn.Outcome
+	// final is closed by OnFinal once outcome is set: a server-side wait
+	// that resolves on it always reports done.
+	final chan struct{}
 }
 
 // Server serves one region's sessions over HTTP. Create with NewServer and
@@ -131,6 +137,10 @@ type Server struct {
 	// draining refuses new transactions with 503 while graceful shutdown
 	// waits for in-flight ones (planetd's SIGTERM path).
 	draining atomic.Bool
+
+	// waitTimeouts counts server-side waits that hit their waitms bound
+	// (nil without a registry).
+	waitTimeouts *obs.Counter
 }
 
 // NewServer builds a gateway for one region of db. When the DB carries an
@@ -145,6 +155,10 @@ func NewServer(db *planet.DB, session *planet.Session) *Server {
 		tracer:  db.Tracer(),
 		txns:    make(map[string]*tracked),
 		maxTxn:  4096,
+	}
+	if s.reg != nil {
+		s.waitTimeouts = s.reg.Counter("planet_http_wait_timeouts_total",
+			"Server-side waits that hit their waitms bound before the transaction resolved.")
 	}
 	s.mux.HandleFunc("/v1/read", s.route("/v1/read", s.handleRead))
 	s.mux.HandleFunc("/v1/txn", s.route("/v1/txn", s.handleSubmit))
@@ -182,13 +196,35 @@ func (s *Server) route(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	hist := s.reg.Histogram("planet_http_request_duration_seconds",
 		"Gateway request latency by route.", obs.L("route", route))
+	counter := func(code int) *obs.Counter {
+		return s.reg.Counter("planet_http_requests_total", "Gateway requests by route and status code.",
+			obs.L("route", route), obs.L("code", strconv.Itoa(code)))
+	}
+	// The two codes of the commit path are resolved once per route, on
+	// first use (a series exists only for codes the route has answered);
+	// every other code pays the registry lookup.
+	var ok, accepted atomic.Pointer[obs.Counter]
+	cached := func(slot *atomic.Pointer[obs.Counter], code int) *obs.Counter {
+		c := slot.Load()
+		if c == nil {
+			c = counter(code)
+			slot.Store(c)
+		}
+		return c
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		hist.Observe(time.Since(start))
-		s.reg.Counter("planet_http_requests_total", "Gateway requests by route and status code.",
-			obs.L("route", route), obs.L("code", strconv.Itoa(sw.code))).Inc()
+		switch sw.code {
+		case http.StatusOK:
+			cached(&ok, sw.code).Inc()
+		case http.StatusAccepted:
+			cached(&accepted, sw.code).Inc()
+		default:
+			counter(sw.code).Inc()
+		}
 	}
 }
 
@@ -245,7 +281,11 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSubmit serves POST /v1/txn.
+// handleSubmit serves POST /v1/txn[?wait=1[&waitms=N]]. A plain POST answers
+// 202 with the transaction id as soon as commit processing has started;
+// wait=1 holds the request until the final callback has run and answers 200
+// with the full status, falling back to the same 202 when waitms expires
+// first (the transaction keeps running and stays queryable by id).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
@@ -253,6 +293,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "shutting down: not accepting new transactions")
+		return
+	}
+	wait, bound, ok := parseWait(w, r)
+	if !ok {
 		return
 	}
 	var req SubmitRequest
@@ -278,7 +322,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	tr := &tracked{start: time.Now()}
+	tr := &tracked{start: time.Now(), final: make(chan struct{})}
 	opts := planet.CommitOptions{
 		SpeculateAt: req.SpeculateAt,
 		OnSpeculative: func(planet.Progress) {
@@ -290,6 +334,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			tr.mu.Lock()
 			tr.outcome = &o
 			tr.mu.Unlock()
+			close(tr.final)
 		},
 	}
 	if req.DeadlineMs > 0 {
@@ -318,10 +363,83 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
+	if wait {
+		switch s.awaitFinal(r, tr, bound) {
+		case waitResolved:
+			writeJSON(w, http.StatusOK, s.statusOf(id, tr))
+			return
+		case waitClientGone:
+			writeErr(w, http.StatusRequestTimeout, "client gave up")
+			return
+		}
+	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{Txn: id})
 }
 
-// handleStatus serves GET /v1/txn/{id}[?wait=1] and /v1/txn/{id}/trace.
+// waitResult is how a server-side wait ended.
+type waitResult int
+
+const (
+	waitResolved   waitResult = iota // the final callback has run
+	waitExpired                      // the waitms bound passed first
+	waitClientGone                   // the request was abandoned
+)
+
+// parseWait reads the wait=1[&waitms=N] query shared by POST /v1/txn and
+// GET /v1/txn/{id}. bound is zero when the wait is unbounded; a malformed
+// waitms answers 400 and reports !ok.
+func parseWait(w http.ResponseWriter, r *http.Request) (wait bool, bound time.Duration, ok bool) {
+	if r.URL.RawQuery == "" {
+		return false, 0, true
+	}
+	q := r.URL.Query()
+	if q.Get("wait") != "1" {
+		return false, 0, true
+	}
+	if raw := q.Get("waitms"); raw != "" {
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms <= 0 {
+			writeErr(w, http.StatusBadRequest, "bad waitms %q", raw)
+			return false, 0, false
+		}
+		bound = time.Duration(ms) * time.Millisecond
+	}
+	return true, bound, true
+}
+
+// awaitFinal blocks until tr's final callback has run, bound (when positive)
+// expires, or the client abandons the request. The bound exists for
+// transactions that can never resolve (coordinator's peers down): the caller
+// gets a definitive answer instead of a hung request. The timer is real wall
+// time on purpose — this goroutine belongs to net/http, not the DB's
+// (possibly virtual) scheduler.
+func (s *Server) awaitFinal(r *http.Request, tr *tracked, bound time.Duration) waitResult {
+	select {
+	case <-tr.final:
+		return waitResolved // already decided: no timer to arm
+	default:
+	}
+	var expired <-chan time.Time
+	if bound > 0 {
+		timer := time.NewTimer(bound)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case <-tr.final:
+		return waitResolved
+	case <-expired:
+		if s.waitTimeouts != nil {
+			s.waitTimeouts.Inc()
+		}
+		return waitExpired
+	case <-r.Context().Done():
+		return waitClientGone
+	}
+}
+
+// handleStatus serves GET /v1/txn/{id}[?wait=1[&waitms=N]] and
+// /v1/txn/{id}/trace.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
@@ -339,33 +457,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown transaction %q", id)
 		return
 	}
-	if r.URL.Query().Get("wait") == "1" {
-		// An optional waitms bounds the server-side wait: when a
-		// transaction can never resolve (coordinator's peers down), the
-		// client gets a definitive 504 instead of a hung request. The
-		// timer is real wall time on purpose — this goroutine belongs to
-		// net/http, not the DB's (possibly virtual) scheduler.
-		var bound <-chan time.Time
-		if raw := r.URL.Query().Get("waitms"); raw != "" {
-			ms, err := strconv.ParseInt(raw, 10, 64)
-			if err != nil || ms <= 0 {
-				writeErr(w, http.StatusBadRequest, "bad waitms %q", raw)
-				return
-			}
-			timer := time.NewTimer(time.Duration(ms) * time.Millisecond)
-			defer timer.Stop()
-			bound = timer.C
-		}
-		select {
-		case <-tr.handle.Done():
-		case <-bound:
-			if s.reg != nil {
-				s.reg.Counter("planet_http_wait_timeouts_total",
-					"Status waits that hit their waitms bound before the transaction resolved.").Inc()
-			}
+	wait, bound, ok := parseWait(w, r)
+	if !ok {
+		return
+	}
+	if wait {
+		switch s.awaitFinal(r, tr, bound) {
+		case waitExpired:
 			writeErr(w, http.StatusGatewayTimeout, "transaction %s not resolved within wait bound", id)
 			return
-		case <-r.Context().Done():
+		case waitClientGone:
 			writeErr(w, http.StatusRequestTimeout, "client gave up")
 			return
 		}

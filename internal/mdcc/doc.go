@@ -40,8 +40,12 @@
 //
 // # Simplifications relative to the MDCC paper
 //
-//   - Masters do not fail over; experiments that partition regions keep
-//     masters reachable or use the fast path.
+//   - Mastership is static by default: a key's master does not move, and
+//     experiments that partition regions keep masters reachable or use the
+//     fast path. With leases enabled (Replica.EnableLeases; planetd
+//     -leases) mastership of a keyspace is a time-bounded, epoch-fenced
+//     lease instead, and a survivor takes over a dead master's keyspace
+//     once its lease lapses (see lease.go).
 //   - Paxos instances are tracked per key rather than per record version;
 //     once a key's promised ballot rises above the fast ballot the key stays
 //     classic-owned (MDCC likewise demotes contended records to classic).

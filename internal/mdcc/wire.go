@@ -50,6 +50,15 @@ func (WireCodec) Decode(data []byte) (any, error) {
 	return decodeMessage(data)
 }
 
+// Deferrable reports whether m is bookkeeping no protocol step waits on — a
+// span report today — so a byte transport may hold it briefly and send it
+// with the next message to the same destination instead of on its own
+// (realnet does; simnet never asks).
+func (WireCodec) Deferrable(m any) bool {
+	_, ok := m.(spanReportMsg)
+	return ok
+}
+
 // Wire tags, one per message type. The order is frozen: appending new types
 // is fine, renumbering is a protocol break.
 const (

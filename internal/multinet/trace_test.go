@@ -161,12 +161,25 @@ func TestRealnetTraceContinuityAcrossCrash(t *testing.T) {
 	sess := n.Session(gw, 8*time.Second)
 	keys := acctKeys()
 
+	var last string
 	for i := 0; i < 5; i++ {
 		committed, id, err := sess.Transfer(keys[i%len(keys)], keys[(i+2)%len(keys)], 1)
 		if err != nil || !committed {
 			t.Fatalf("transfer %s: committed=%v err=%v", id, committed, err)
 		}
+		last = id
 	}
+	// Span reports are deferrable: the victim may hold its last one for a
+	// couple of milliseconds after the commit is acknowledged, and kill -9
+	// would take it along (lost telemetry, by design). Let it land first.
+	pollTrace(t, n, gw, last, 10*time.Second, func(spans []httpapi.SpanJSON) bool {
+		for _, sp := range spansByStage(spans, "option_rpc") {
+			if sp.Region == string(victim) {
+				return true
+			}
+		}
+		return false
+	})
 
 	if err := n.Kill(victim); err != nil {
 		t.Fatal(err)

@@ -41,9 +41,10 @@ func (s PeerState) String() string {
 }
 
 // peer manages the outbound connection to one remote region: a bounded
-// frame queue, a writer goroutine that dials lazily, and reconnect with
-// jittered exponential backoff mirroring internal/core/retry.go (base
-// doubling per attempt to a cap, jitter factor in [0.5, 1.5)).
+// frame queue, a writer goroutine that dials lazily and sends whatever is
+// queued with one write, and reconnect with jittered exponential backoff
+// mirroring internal/core/retry.go (base doubling per attempt to a cap,
+// jitter factor in [0.5, 1.5)).
 type peer struct {
 	t      *Transport
 	region simnet.Region // remote region
@@ -51,6 +52,14 @@ type peer struct {
 
 	queue chan []byte // encoded frames awaiting write
 	state atomic.Int32
+
+	// Deferrable frames park here until the writer next sends to this peer;
+	// parkTimer wakes it through flush when nothing else does within
+	// deferBound. parkMu guards all three.
+	parkMu    sync.Mutex
+	parked    [][]byte
+	parkTimer *time.Timer
+	flush     chan struct{} // capacity 1: parked frames are due
 
 	// connMu guards conn so CutPeer/Close can sever a live connection from
 	// outside the writer goroutine.
@@ -61,6 +70,8 @@ type peer struct {
 	fails     int
 	connected bool // a dial has succeeded at least once
 	rng       *rand.Rand
+	batch     [][]byte    // scratch for gather
+	iov       net.Buffers // scratch for vectored writes
 }
 
 func (p *peer) stateVal() PeerState { return PeerState(p.state.Load()) }
@@ -88,23 +99,102 @@ func (p *peer) enqueue(frame []byte) {
 	}
 }
 
-// run is the writer loop: pull a frame, write it, retrying with backoff
-// through transient failures; while the peer is down, probe periodically so
-// health recovers even when no traffic is flowing.
+// park holds a deferrable frame for the writer's next send to this peer,
+// arming the flush timer when it is the first one waiting. Parked frames
+// share the queue's depth bound and its overflow policy.
+func (p *peer) park(frame []byte) {
+	select {
+	case <-p.t.done:
+		p.t.stats.Dropped.Add(1) // closed: no writer is left to flush it
+		return
+	default:
+	}
+	p.parkMu.Lock()
+	if len(p.parked) >= p.t.cfg.QueueDepth {
+		p.parkMu.Unlock()
+		p.t.stats.Dropped.Add(1)
+		return
+	}
+	p.parked = append(p.parked, frame)
+	p.t.parked.Add(1)
+	if len(p.parked) == 1 {
+		if p.parkTimer == nil {
+			p.parkTimer = time.AfterFunc(deferBound, p.kick)
+		} else {
+			p.parkTimer.Reset(deferBound)
+		}
+	}
+	p.parkMu.Unlock()
+}
+
+// kick wakes the writer to flush parked frames.
+func (p *peer) kick() {
+	select {
+	case p.flush <- struct{}{}:
+	default:
+	}
+}
+
+// takeParked appends the parked frames to dst for the writer (their count
+// is the growth of dst) and disarms the timer.
+func (p *peer) takeParked(dst [][]byte) [][]byte {
+	p.parkMu.Lock()
+	defer p.parkMu.Unlock()
+	if len(p.parked) == 0 {
+		return dst
+	}
+	dst = append(dst, p.parked...)
+	clear(p.parked)
+	p.parked = p.parked[:0]
+	p.parkTimer.Stop()
+	return dst
+}
+
+// gather collects what one writer wake-up sends: first (nil on a flush
+// wake-up), whatever else is already queued up to maxCoalesce frames, then
+// every parked frame. parked is how many of the trailing frames count toward
+// Transport.parked. The slice is the writer's scratch, valid until the next
+// gather.
+func (p *peer) gather(first []byte) (frames [][]byte, parked int) {
+	frames = p.batch[:0]
+	if first != nil {
+		frames = append(frames, first)
+	drain:
+		for len(frames) < maxCoalesce {
+			select {
+			case f := <-p.queue:
+				frames = append(frames, f)
+			default:
+				break drain
+			}
+		}
+	}
+	queued := len(frames)
+	frames = p.takeParked(frames)
+	p.batch = frames
+	return frames, len(frames) - queued
+}
+
+// run is the writer loop: pull what is queued, write it, retrying with
+// backoff through transient failures; while the peer is down, probe
+// periodically so health recovers even when no traffic is flowing.
 func (p *peer) run() {
 	defer p.t.wg.Done()
 	for {
-		var frame []byte
+		var first []byte
 		if p.stateVal() == PeerUp {
 			select {
-			case frame = <-p.queue:
+			case first = <-p.queue:
+			case <-p.flush:
 			case <-p.t.done:
 				return
 			}
 		} else {
 			probe := time.NewTimer(p.t.cfg.BackoffMax)
 			select {
-			case frame = <-p.queue:
+			case first = <-p.queue:
+				probe.Stop()
+			case <-p.flush:
 				probe.Stop()
 			case <-probe.C:
 				// Idle redial probe: no frame to carry, just a health check.
@@ -117,15 +207,21 @@ func (p *peer) run() {
 				return
 			}
 		}
-		p.write(frame)
+		if frames, parked := p.gather(first); len(frames) > 0 {
+			p.write(frames)
+			p.t.parked.Add(-int64(parked))
+		}
 	}
 }
 
-// write delivers one frame, dialing and retrying with jittered exponential
-// backoff. A frame is abandoned (dropped, counted) when the peer reaches
-// PeerDown or is administratively cut; the queue is drained along with it so
-// a long outage doesn't replay stale protocol traffic on reconnect.
-func (p *peer) write(frame []byte) {
+// write delivers a batch of frames with one socket write, dialing and
+// retrying with jittered exponential backoff. After a failed write, frames
+// the socket took whole are not sent again (delivery stays at-most-once);
+// the rest are retried on a fresh connection. The batch is abandoned
+// (dropped, counted) when the peer reaches PeerDown or is administratively
+// cut; the queue is drained along with it so a long outage doesn't replay
+// stale protocol traffic on reconnect.
+func (p *peer) write(frames [][]byte) {
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-p.t.done:
@@ -133,14 +229,14 @@ func (p *peer) write(frame []byte) {
 		default:
 		}
 		if p.t.isCut(p.region) {
-			p.t.stats.Dropped.Add(1)
+			p.t.stats.Dropped.Add(uint64(len(frames)))
 			return
 		}
 		conn := p.currentConn()
 		if conn == nil {
 			if conn = p.dial(); conn == nil {
 				if p.stateVal() == PeerDown {
-					p.abandon(frame)
+					p.abandon(frames)
 					return
 				}
 				if !p.sleepBackoff(attempt) {
@@ -150,17 +246,21 @@ func (p *peer) write(frame []byte) {
 			}
 		}
 		conn.SetWriteDeadline(time.Now().Add(p.t.cfg.WriteTimeout))
-		_, err := conn.Write(frame)
+		n, err := p.writeFrames(conn, frames)
+		p.t.stats.Writes.Add(1)
 		if err == nil {
 			p.noteSuccess()
-			p.t.stats.Sent.Add(1)
+			p.t.stats.Sent.Add(uint64(len(frames)))
 			return
 		}
+		whole := wholeFrames(frames, n)
+		p.t.stats.Sent.Add(uint64(whole))
+		frames = frames[whole:]
 		p.t.logf("realnet: write to %s: %v", p.region, err)
 		p.closeConn()
 		p.noteFailure()
 		if p.stateVal() == PeerDown {
-			p.abandon(frame)
+			p.abandon(frames)
 			return
 		}
 		if !p.sleepBackoff(attempt) {
@@ -169,9 +269,41 @@ func (p *peer) write(frame []byte) {
 	}
 }
 
-// abandon drops the current frame and everything queued behind it.
-func (p *peer) abandon(frame []byte) {
-	p.t.stats.Dropped.Add(1)
+// writeFrames sends frames with one write call — vectored when there are
+// several — and reports how many bytes the socket took.
+func (p *peer) writeFrames(conn net.Conn, frames [][]byte) (int64, error) {
+	if len(frames) == 1 {
+		n, err := conn.Write(frames[0])
+		return int64(n), err
+	}
+	// WriteTo consumes the slice it is called on; frames must survive for a
+	// retry, so it works on the scratch copy.
+	p.iov = append(p.iov[:0], frames...)
+	bufs := p.iov
+	return bufs.WriteTo(conn)
+}
+
+// wholeFrames counts the leading frames fully covered by n written bytes.
+func wholeFrames(frames [][]byte, n int64) int {
+	whole := 0
+	for _, f := range frames {
+		if n < int64(len(f)) {
+			break
+		}
+		n -= int64(len(f))
+		whole++
+	}
+	return whole
+}
+
+// abandon drops the frames in hand and everything queued or parked behind
+// them.
+func (p *peer) abandon(frames [][]byte) {
+	p.t.stats.Dropped.Add(uint64(len(frames)))
+	if parked := len(p.takeParked(nil)); parked > 0 {
+		p.t.stats.Dropped.Add(uint64(parked))
+		p.t.parked.Add(-int64(parked))
+	}
 	for {
 		select {
 		case <-p.queue:

@@ -6,11 +6,18 @@
 // validated — a truncated or corrupt frame closes the connection without
 // panicking the receiver, and the sender reconnects. Outbound connections
 // are managed per peer with jittered exponential backoff (the semantics of
-// internal/core/retry.go), per-frame write deadlines, and a three-state
+// internal/core/retry.go), per-write deadlines, and a three-state
 // health model (up/suspect/down) surfaced through PeerState and the
 // OnPeerState callback so the layers above can shed speculation — and the
 // coordinator can degrade straight to classic Paxos — when a fast-quorum
 // peer is unreachable.
+//
+// Syscalls are the cost center on a loopback or LAN deployment, so both
+// directions batch: a peer's writer sends everything already queued with one
+// vectored write, inbound connections are read through a buffer that takes
+// as many frames per read as the kernel has, and frames whose payloads the
+// codec declares deferrable (see Deferrer) wait on the peer for the next
+// write to it — at most deferBound — instead of costing their own.
 //
 // The transport deliberately promises no more than simnet does: delivery is
 // at-most-once, unordered across frames, and frames are dropped when a peer
@@ -19,6 +26,7 @@
 package realnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -34,11 +42,33 @@ import (
 
 // Codec serializes protocol payloads. mdcc.WireCodec implements it; the
 // interface lives here (structurally typed) so realnet stays independent of
-// the protocol package.
+// the protocol package. Decode must not retain data: the transport hands it
+// a window of a connection's read buffer.
 type Codec interface {
 	Append(dst []byte, m any) ([]byte, error)
 	Decode(data []byte) (any, error)
 }
+
+// Deferrer is optionally implemented by a Codec. A payload it reports
+// deferrable is fire-and-forget bookkeeping nothing waits on: a frame made
+// only of such payloads is parked on its peer and leaves with the next write
+// to that peer, or after deferBound on an idle link, and on Quiesce and
+// Close. Nothing else about its delivery changes.
+type Deferrer interface {
+	Deferrable(m any) bool
+}
+
+const (
+	// deferBound is the longest a deferrable frame waits for company.
+	deferBound = 2 * time.Millisecond
+	// maxCoalesce bounds the frames one vectored write carries.
+	maxCoalesce = 64
+	// readBufSize is each inbound connection's read buffer; frames that fit
+	// are decoded in place.
+	readBufSize = 32 << 10
+	// closeFlushBound is how long Close waits for parked frames to leave.
+	closeFlushBound = 100 * time.Millisecond
+)
 
 // Config parameterizes a Transport.
 type Config struct {
@@ -90,6 +120,8 @@ type Config struct {
 // Stats counts transport activity (all fields atomic).
 type Stats struct {
 	Sent         atomic.Uint64 // frames written to a socket
+	Writes       atomic.Uint64 // socket writes (each carries one or more frames)
+	Reads        atomic.Uint64 // socket reads (each returns zero or more frames)
 	Delivered    atomic.Uint64 // payloads handed to a handler
 	Dropped      atomic.Uint64 // payloads or frames discarded
 	DecodeErrors atomic.Uint64 // corrupt frames (each closed a connection)
@@ -99,6 +131,8 @@ type Stats struct {
 // StatsSnapshot is a plain-value copy of Stats for APIs and logs.
 type StatsSnapshot struct {
 	Sent         uint64 `json:"sent"`
+	Writes       uint64 `json:"writes"`
+	Reads        uint64 `json:"reads"`
 	Delivered    uint64 `json:"delivered"`
 	Dropped      uint64 `json:"dropped"`
 	DecodeErrors uint64 `json:"decode_errors"`
@@ -111,6 +145,9 @@ type Transport struct {
 	cfg    Config
 	clk    vclock.Clock
 	lnAddr string // resolved listen address (meaningful with Listen ":0")
+	// deferrable reports whether a payload may wait for the next write to
+	// its peer (nil when the codec is not a Deferrer).
+	deferrable func(m any) bool
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -132,6 +169,9 @@ type Transport struct {
 	lbQueue   []localDelivery
 	lbClosed  bool
 	pendingLB atomic.Int64
+	// parked counts deferrable frames waiting on a peer or in its writer's
+	// hands: Quiesce and Close wait for it to reach zero.
+	parked atomic.Int64
 
 	stats Stats
 }
@@ -186,6 +226,9 @@ func New(cfg Config) (*Transport, error) {
 		done:     make(chan struct{}),
 	}
 	t.lbCond = sync.NewCond(&t.lbMu)
+	if d, ok := cfg.Codec.(Deferrer); ok {
+		t.deferrable = d.Deferrable
+	}
 	if cfg.Listen != "" {
 		ln, err := net.Listen("tcp", cfg.Listen)
 		if err != nil {
@@ -206,6 +249,7 @@ func New(cfg Config) (*Transport, error) {
 			region: region,
 			addr:   addr,
 			queue:  make(chan []byte, cfg.QueueDepth),
+			flush:  make(chan struct{}, 1),
 			rng:    rand.New(rand.NewSource(seed)),
 		}
 		t.peers[region] = p
@@ -235,6 +279,8 @@ func (t *Transport) ListenAddr() string { return t.lnAddr }
 func (t *Transport) StatsSnapshot() StatsSnapshot {
 	return StatsSnapshot{
 		Sent:         t.stats.Sent.Load(),
+		Writes:       t.stats.Writes.Load(),
+		Reads:        t.stats.Reads.Load(),
 		Delivered:    t.stats.Delivered.Load(),
 		Dropped:      t.stats.Dropped.Load(),
 		DecodeErrors: t.stats.DecodeErrors.Load(),
@@ -301,7 +347,24 @@ func (t *Transport) route(from, to simnet.Addr, payload any, batch []any) {
 		t.stats.Dropped.Add(1)
 		return
 	}
+	if t.canDefer(payloads) {
+		p.park(frame)
+		return
+	}
 	p.enqueue(frame)
+}
+
+// canDefer reports whether every payload of a frame is deferrable.
+func (t *Transport) canDefer(payloads []any) bool {
+	if t.deferrable == nil {
+		return false
+	}
+	for _, m := range payloads {
+		if !t.deferrable(m) {
+			return false
+		}
+	}
+	return true
 }
 
 func (t *Transport) peerFor(region simnet.Region) (*peer, bool) {
@@ -404,6 +467,17 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 	}
 }
 
+// countingReader counts the reads a buffered reader issues on a socket.
+type countingReader struct {
+	r io.Reader
+	n *atomic.Uint64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.r.Read(p)
+}
+
 // readLoop consumes frames from one inbound connection. Any framing or
 // decode error closes the connection — the stream position is unknowable
 // after a bad frame, and the sender will reconnect — without ever panicking
@@ -416,19 +490,34 @@ func (t *Transport) readLoop(c net.Conn) {
 		delete(t.conns, c)
 		t.mu.Unlock()
 	}()
-	hdr := make([]byte, frameHeaderLen)
+	br := bufio.NewReaderSize(countingReader{c, &t.stats.Reads}, readBufSize)
+	var big []byte // scratch for frames larger than the read buffer
 	for {
-		if _, err := io.ReadFull(c, hdr); err != nil {
+		hdr, err := br.Peek(frameHeaderLen)
+		if err != nil {
 			return // EOF or severed connection: normal churn
 		}
-		n := binary.BigEndian.Uint32(hdr)
-		if n == 0 || n > uint32(t.cfg.MaxFrame) {
+		n := int(binary.BigEndian.Uint32(hdr))
+		if n == 0 || n > t.cfg.MaxFrame {
 			t.stats.DecodeErrors.Add(1)
 			t.logf("realnet: inbound frame length %d out of range; closing connection", n)
 			return
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(c, body); err != nil {
+		br.Discard(frameHeaderLen)
+		// A frame that fits the buffer is decoded where it lies (the codec
+		// copies what it keeps) and consumed afterwards.
+		var body []byte
+		inPlace := n <= br.Size()
+		if inPlace {
+			body, err = br.Peek(n)
+		} else {
+			if cap(big) < n {
+				big = make([]byte, n)
+			}
+			body = big[:n]
+			_, err = io.ReadFull(br, body)
+		}
+		if err != nil {
 			return
 		}
 		from, to, payloads, err := t.decodeFrame(body)
@@ -436,6 +525,9 @@ func (t *Transport) readLoop(c net.Conn) {
 			t.stats.DecodeErrors.Add(1)
 			t.logf("realnet: %v; closing connection", err)
 			return
+		}
+		if inPlace {
+			br.Discard(n)
 		}
 		if t.isCut(from.Region) {
 			t.stats.Dropped.Add(uint64(len(payloads)))
@@ -562,13 +654,22 @@ func (t *Transport) Unreachable(region simnet.Region) bool {
 	return p != nil && p.stateVal() == PeerDown
 }
 
-// Quiesce waits until the loopback queue drains (remote traffic cannot be
-// quiesced — the wire has no global view), up to timeout. Matches
-// simnet.Network's signature so Cluster can call either.
+// Quiesce waits until the loopback queue drains and every parked deferrable
+// frame has been written or dropped (it flushes them rather than sitting out
+// their bound), up to timeout. Other remote traffic cannot be quiesced — the
+// wire has no global view. Matches simnet.Network's signature so Cluster can
+// call either.
 func (t *Transport) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
+	if t.parked.Load() != 0 {
+		t.mu.Lock()
+		for _, p := range t.peers {
+			p.kick()
+		}
+		t.mu.Unlock()
+	}
 	for {
-		if t.pendingLB.Load() == 0 {
+		if t.pendingLB.Load() == 0 && t.parked.Load() == 0 {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -579,8 +680,19 @@ func (t *Transport) Quiesce(timeout time.Duration) bool {
 }
 
 // Close shuts the transport down: listener, inbound connections, peer
-// writers, and the loopback dispatcher. Idempotent.
+// writers, and the loopback dispatcher. Parked deferrable frames are flushed
+// first (bounded by closeFlushBound). Idempotent.
 func (t *Transport) Close() {
+	t.mu.Lock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
+		return
+	}
+	if t.parked.Load() != 0 {
+		t.Quiesce(closeFlushBound)
+	}
+
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

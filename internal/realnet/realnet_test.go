@@ -3,6 +3,7 @@ package realnet
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,13 @@ func (testCodec) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("testCodec: bad payload")
 	}
 	return string(data[1:]), nil
+}
+
+// Deferrable marks payloads prefixed "defer:" as fire-and-forget bookkeeping
+// (the role span reports play for mdcc.WireCodec).
+func (testCodec) Deferrable(m any) bool {
+	s, ok := m.(string)
+	return ok && strings.HasPrefix(s, "defer:")
 }
 
 // collector is a handler that records messages and signals arrivals.
@@ -301,9 +309,9 @@ func TestRealnetCorruptFrame(t *testing.T) {
 	b.Register(addrB, col.handle)
 
 	for _, garbage := range [][]byte{
-		{0xff, 0xff, 0xff, 0xff},                         // absurd length
-		{0x00, 0x00, 0x00, 0x00},                         // zero length
-		{0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x03},       // undecodable body
+		{0xff, 0xff, 0xff, 0xff},                          // absurd length
+		{0x00, 0x00, 0x00, 0x00},                          // zero length
+		{0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x03},        // undecodable body
 		{0x00, 0x00, 0x00, 0x05, 0x01, 'a', 0x01, 'b', 9}, // truncated payloads
 	} {
 		c, err := net.Dial("tcp", b.ListenAddr())

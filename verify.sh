@@ -70,6 +70,12 @@ go test -count=10 -timeout 120s -run 'TestAttributionDeterminism|TestTraceSpans'
 # fleet through the multinet scenario driver.
 go test -count=1 -timeout 240s -run 'TestRealnet' ./internal/multinet/
 go test -count=1 -timeout 60s -run 'TestWire' ./internal/mdcc/
+# Syscall gate: 300 commits through SubmitAndWait on an in-process
+# three-node realnet deployment, judged from /v1/metrics alone (parsed
+# strictly): exactly one HTTP request per commit, and fewer socket writes
+# than frames fleet-wide. A change that reintroduces the second round trip
+# or a write per frame fails here.
+go test -count=1 -timeout 120s -run TestOneRequestCommitGate ./internal/httpapi/
 # Transport equivalence gate: the same seeded workloads must produce the
 # same verdicts and final state over simnet and over real TCP.
 go test -count=1 -timeout 120s -run TestTransportEquivalence ./internal/cluster/
