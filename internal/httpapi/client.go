@@ -247,18 +247,22 @@ func (c *Client) Metrics() (string, error) {
 // submitWaitChunk; between chunks (and after transport errors) the client
 // backs off from the base to the cap so a flapping gateway is not hammered.
 const (
+	submitWaitChunk = 10 * time.Second
 	submitRetryBase = time.Millisecond
 	submitRetryMax  = 50 * time.Millisecond
 )
 
-// submitWaitChunk is a variable only so tests can shrink it.
-var submitWaitChunk = 10 * time.Second
-
-// waitChunk is the server-side bound for the next wait request: what is left
-// of the caller's budget, capped at submitWaitChunk.
-func waitChunk(remaining time.Duration) time.Duration {
-	if remaining > submitWaitChunk {
-		return submitWaitChunk
+// waitBound is the server-side bound for the next wait request: what is left
+// of the caller's budget, capped at chunk and — when the HTTP client has a
+// Timeout of its own — at half of that, so the client never cuts off a
+// request the server is still holding; the server's bound expires first and
+// answers with the transaction's id.
+func (c *Client) waitBound(remaining, chunk time.Duration) time.Duration {
+	if t := c.httpc().Timeout / 2; t > 0 && t < chunk {
+		chunk = t
+	}
+	if remaining > chunk {
+		return chunk
 	}
 	return remaining
 }
@@ -283,7 +287,7 @@ func (c *Client) submitWait(req SubmitRequest, bound time.Duration) (Status, err
 	u := fmt.Sprintf("%s/v1/txn?wait=1&waitms=%d", c.Base, waitMillis(bound))
 	resp, err := c.httpc().Post(u, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return Status{}, fmt.Errorf("httpapi: submit: %w", err)
+		return Status{}, fmt.Errorf("httpapi: submit (outcome unknown, the transaction may be running): %w", err)
 	}
 	// Both bodies carry "txn"; only the 200's carries the rest.
 	var st Status
@@ -301,10 +305,21 @@ func (c *Client) submitWait(req SubmitRequest, bound time.Duration) (Status, err
 // passes. A transaction that can never resolve — its coordinator's peers are
 // down — surfaces as an error wrapping ErrWaitTimeout (the returned status
 // names the transaction) instead of polling until the caller gives up.
+//
+// The submitting request is never retried. If it fails in transit — the
+// connection breaks while the server holds it — no id came back and the
+// error leaves the outcome unknown: the transaction may be running and may
+// commit, so a caller must not resubmit operations that are not idempotent.
 func (c *Client) SubmitAndWait(req SubmitRequest, timeout time.Duration) (Status, error) {
+	return c.submitAndWait(req, timeout, submitWaitChunk)
+}
+
+// submitAndWait is SubmitAndWait with the wait chunk as a parameter, so
+// tests can force the fallback without a slow transaction.
+func (c *Client) submitAndWait(req SubmitRequest, timeout, chunk time.Duration) (Status, error) {
 	clk := vclock.Default(c.Clock)
 	deadline := clk.Now().Add(timeout)
-	st, err := c.submitWait(req, waitChunk(timeout))
+	st, err := c.submitWait(req, c.waitBound(timeout, chunk))
 	if err != nil || st.Done {
 		return st, err
 	}
@@ -316,7 +331,7 @@ func (c *Client) SubmitAndWait(req SubmitRequest, timeout time.Duration) (Status
 			return Status{Txn: id}, fmt.Errorf("httpapi: transaction %s not resolved within %v: %w",
 				id, timeout, ErrWaitTimeout)
 		}
-		st, timedOut, err := c.WaitBounded(id, waitChunk(remaining))
+		st, timedOut, err := c.WaitBounded(id, c.waitBound(remaining, chunk))
 		if err == nil && !timedOut {
 			return st, nil
 		}

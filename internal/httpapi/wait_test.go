@@ -197,9 +197,8 @@ func TestSubmitWaitBoundFallsBack(t *testing.T) {
 		t.Fatalf("transaction behind the 202: %+v, %v", st, err)
 	}
 
-	defer func(d time.Duration) { submitWaitChunk = d }(submitWaitChunk)
-	submitWaitChunk = 10 * time.Millisecond
-	st, err := cl.SubmitAndWait(SubmitRequest{Ops: []Op{{Kind: "add", Key: "stock", Delta: -1}}}, 30*time.Second)
+	st, err := cl.submitAndWait(SubmitRequest{Ops: []Op{{Kind: "add", Key: "stock", Delta: -1}}},
+		30*time.Second, 10*time.Millisecond)
 	if err != nil || !st.Done || !st.Committed {
 		t.Fatalf("fallback path: %+v, %v", st, err)
 	}
@@ -211,6 +210,65 @@ func TestSubmitWaitBoundFallsBack(t *testing.T) {
 	}
 	if v, _ := reg.Value("planet_http_wait_timeouts_total"); v < 2 {
 		t.Fatalf("planet_http_wait_timeouts_total = %v, want the two expired submit waits counted", v)
+	}
+}
+
+// TestSubmitWaitUnderClientTimeout gives the HTTP client a Timeout shorter
+// than both the transaction and the wait chunk: the held request must be
+// bounded below it, so the client sees a 202 and falls back — never its own
+// timeout firing on a transaction that then commits.
+func TestSubmitWaitUnderClientTimeout(t *testing.T) {
+	cl, srv, db := newGatewayAt(t, planet.Config{}, 1.0)
+	db.Cluster().SeedInt("stock", 10, 0, 100)
+	cl.HTTP = &http.Client{Timeout: 40 * time.Millisecond}
+
+	st, err := cl.SubmitAndWait(SubmitRequest{Ops: []Op{{Kind: "add", Key: "stock", Delta: -1}}}, 30*time.Second)
+	if err != nil || !st.Done || !st.Committed {
+		t.Fatalf("commit slower than the client timeout: %+v, %v", st, err)
+	}
+	if got := srv.TrackedCount(); got != 1 {
+		t.Fatalf("%d transactions tracked, want 1", got)
+	}
+}
+
+// cutTransport breaks every POST after a delay, like a connection reset
+// while the server holds the request.
+type cutTransport struct{ after time.Duration }
+
+func (c cutTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost {
+		ctx, cancel := context.WithTimeout(r.Context(), c.after)
+		defer cancel()
+		r = r.WithContext(ctx)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestSubmitWaitTransportError breaks the connection under the held POST.
+// No id came back, so SubmitAndWait must return the error at once, say that
+// the outcome is unknown, and not submit again: exactly one transaction is
+// tracked, and it is the caller's to find.
+func TestSubmitWaitTransportError(t *testing.T) {
+	cl, srv, db := newGateway(t, planet.Config{})
+	db.Cluster().SeedInt("stock", 10, 0, 100)
+	hangRegions(db)
+	cl.HTTP = &http.Client{Transport: cutTransport{after: 30 * time.Millisecond}}
+
+	start := time.Now()
+	st, err := cl.SubmitAndWait(SubmitRequest{Ops: []Op{{Kind: "add", Key: "stock", Delta: -1}}}, 5*time.Second)
+	if err == nil || errors.Is(err, ErrWaitTimeout) || !strings.Contains(err.Error(), "outcome unknown") {
+		t.Fatalf("broken held POST: %+v, %v; want an outcome-unknown transport error", st, err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("transport error surfaced after %v", took)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.TrackedCount() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a resubmission would land by now
+	if got := srv.TrackedCount(); got != 1 {
+		t.Fatalf("%d transactions tracked, want exactly the one submitted", got)
 	}
 }
 

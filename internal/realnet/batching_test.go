@@ -137,8 +137,8 @@ func feed(tr *Transport, stream []byte, chunks []int) {
 // TestRealnetReaderSplitFrames feeds the buffered reader a stream of frames
 // cut at every byte boundary — each two-way split, then one byte at a time
 // — and requires every frame to decode, in order, every time. One frame is
-// larger than the read buffer, so both the in-place and the copied path see
-// every split.
+// larger than the read buffer, so a body that spans several fills of the
+// buffer sees every split too.
 func TestRealnetReaderSplitFrames(t *testing.T) {
 	tr, err := New(fastCfg("", nil))
 	if err != nil {

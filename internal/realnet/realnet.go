@@ -42,8 +42,7 @@ import (
 
 // Codec serializes protocol payloads. mdcc.WireCodec implements it; the
 // interface lives here (structurally typed) so realnet stays independent of
-// the protocol package. Decode must not retain data: the transport hands it
-// a window of a connection's read buffer.
+// the protocol package.
 type Codec interface {
 	Append(dst []byte, m any) ([]byte, error)
 	Decode(data []byte) (any, error)
@@ -63,8 +62,7 @@ const (
 	deferBound = 2 * time.Millisecond
 	// maxCoalesce bounds the frames one vectored write carries.
 	maxCoalesce = 64
-	// readBufSize is each inbound connection's read buffer; frames that fit
-	// are decoded in place.
+	// readBufSize is each inbound connection's read buffer.
 	readBufSize = 32 << 10
 	// closeFlushBound is how long Close waits for parked frames to leave.
 	closeFlushBound = 100 * time.Millisecond
@@ -491,7 +489,6 @@ func (t *Transport) readLoop(c net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(countingReader{c, &t.stats.Reads}, readBufSize)
-	var big []byte // scratch for frames larger than the read buffer
 	for {
 		hdr, err := br.Peek(frameHeaderLen)
 		if err != nil {
@@ -504,20 +501,9 @@ func (t *Transport) readLoop(c net.Conn) {
 			return
 		}
 		br.Discard(frameHeaderLen)
-		// A frame that fits the buffer is decoded where it lies (the codec
-		// copies what it keeps) and consumed afterwards.
-		var body []byte
-		inPlace := n <= br.Size()
-		if inPlace {
-			body, err = br.Peek(n)
-		} else {
-			if cap(big) < n {
-				big = make([]byte, n)
-			}
-			body = big[:n]
-			_, err = io.ReadFull(br, body)
-		}
-		if err != nil {
+		// A fresh body per frame: the codec may keep slices of what it decodes.
+		body := make([]byte, n)
+		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
 		from, to, payloads, err := t.decodeFrame(body)
@@ -525,9 +511,6 @@ func (t *Transport) readLoop(c net.Conn) {
 			t.stats.DecodeErrors.Add(1)
 			t.logf("realnet: %v; closing connection", err)
 			return
-		}
-		if inPlace {
-			br.Discard(n)
 		}
 		if t.isCut(from.Region) {
 			t.stats.Dropped.Add(uint64(len(payloads)))
