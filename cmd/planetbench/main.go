@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"syscall"
 	"time"
 
 	"planet/internal/cluster"
@@ -212,9 +213,12 @@ func runOpenLoop(quick bool, seed int64, scale float64) int {
 }
 
 // runParallelSweep runs the selected experiments once per GOMAXPROCS setting
-// (1, 2, 4, NumCPU — deduplicated), reporting per-setting wall time, and
-// verifies the partitioned scheduler's headline claim: every run's metrics
-// are bit-identical to the GOMAXPROCS=1 run's.
+// (1, 2, 4, NumCPU — deduplicated) and verifies the determinism claim of
+// both levels of parallelism — arms across cores, partitions inside an arm:
+// every run's metrics are bit-identical to the GOMAXPROCS=1 run's. Beside
+// the verdict it reports what the cores bought: each pass's wall time, its
+// speedup over the GOMAXPROCS=1 pass, and process CPU time ÷ wall time (how
+// many processors the pass kept busy).
 func runParallelSweep(cfg experiments.Config, ids []string) int {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -234,10 +238,11 @@ func runParallelSweep(cfg experiments.Config, ids []string) int {
 	// reference metrics from the first (GOMAXPROCS=1) pass, keyed by id.
 	reference := make(map[string]map[string]float64)
 	identical := true
-	fmt.Printf("%-10s %12s   %s\n", "gomaxprocs", "wall", "metrics vs GOMAXPROCS=1")
+	var wallOne time.Duration
+	fmt.Printf("%-10s %12s %8s %9s   %s\n", "gomaxprocs", "wall", "speedup", "cpu/wall", "metrics vs GOMAXPROCS=1")
 	for pass, gmp := range gmps {
 		runtime.GOMAXPROCS(gmp)
-		start := time.Now()
+		start, cpu0 := time.Now(), processCPU()
 		diverged := []string{}
 		for _, id := range ids {
 			run, ok := experiments.Find(id)
@@ -258,22 +263,34 @@ func runParallelSweep(cfg experiments.Config, ids []string) int {
 				diverged = append(diverged, id)
 			}
 		}
-		wall := time.Since(start).Round(time.Millisecond)
+		wall, cpu := time.Since(start), processCPU()-cpu0
 		verdict := "reference"
-		if pass > 0 {
+		if pass == 0 {
+			wallOne = wall
+		} else {
 			verdict = "bit-identical"
 			if len(diverged) > 0 {
 				verdict = fmt.Sprintf("DIVERGED: %v", diverged)
 				identical = false
 			}
 		}
-		fmt.Printf("%-10d %12s   %s\n", gmp, wall, verdict)
+		fmt.Printf("%-10d %12s %7.2fx %9.2f   %s\n", gmp, wall.Round(time.Millisecond),
+			float64(wallOne)/float64(wall), float64(cpu)/float64(wall), verdict)
 	}
 	if !identical {
 		fmt.Fprintln(os.Stderr, "planetbench: determinism violation — metrics changed with GOMAXPROCS")
 		return 1
 	}
 	return 0
+}
+
+// processCPU is the user + system CPU time this process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // sameMetrics reports whether two metric maps are bit-identical.

@@ -17,52 +17,41 @@ import (
 // contention grows it pays fallback penalties while the master-sequenced
 // classic path degrades more gracefully.
 func A1FastVsClassic(cfg Config) (Result, error) {
+	modes := []mdcc.Mode{mdcc.ModeFast, mdcc.ModeClassic}
 	hotProbs := []float64{0.0, 0.3, 0.6, 0.9}
 	perClient := cfg.pick(40, 12)
+	scale := cfg.scale()
 
-	var b strings.Builder
-	out := make(map[string]float64)
-	fmt.Fprintf(&b, "%-8s %8s %10s %10s %10s %12s\n",
+	header := fmt.Sprintf("%-8s %8s %10s %10s %10s %12s\n",
 		"mode", "hotprob", "commit", "p50", "p95", "fallbacks")
-	for _, mode := range []mdcc.Mode{mdcc.ModeFast, mdcc.ModeClassic} {
-		for _, hp := range hotProbs {
-			ccfg := cluster.Config{Seed: cfg.Seed + 73}
-			if mode == mdcc.ModeClassic {
-				ccfg.MasterRegion = regions.Virginia
-			}
-			db, cleanup, err := openDB(cfg, ccfg, planet.Config{Mode: mode})
-			if err != nil {
-				return Result{}, err
-			}
-			scale := db.Cluster().TimeScale()
-			rep, err := workload.Closed{
-				Options: workload.Options{
-					DB: db,
-					Template: workload.ReadModifyWrite{
-						Keys: workload.Hotspot{Prefix: "ab-", HotKeys: 4, ColdKeys: 2000, HotProb: hp},
-					},
-					Seed: cfg.Seed + 79,
+	return sweep("A1 fast vs classic under conflicts", header, len(modes)*len(hotProbs), func(i int) (arm, error) {
+		mode, hp := modes[i/len(hotProbs)], hotProbs[i%len(hotProbs)]
+		ccfg := cluster.Config{Seed: cfg.Seed + 73}
+		if mode == mdcc.ModeClassic {
+			ccfg.MasterRegion = regions.Virginia
+		}
+		return closedArm(cfg, ccfg, planet.Config{Mode: mode}, workload.Closed{
+			Options: workload.Options{
+				Template: workload.ReadModifyWrite{
+					Keys: workload.Hotspot{Prefix: "ab-", HotKeys: 4, ColdKeys: 2000, HotProb: hp},
 				},
-				Clients: 16, PerClient: perClient,
-			}.Run()
+				Seed: cfg.Seed + 79,
+			},
+			Clients: 16, PerClient: perClient,
+		}, func(a *arm, db *planet.DB, rep *workload.Report) {
 			var fallbacks uint64
 			for _, r := range db.Cluster().Regions() {
 				fallbacks += db.Cluster().Coordinator(r).Fallbacks
 			}
-			cleanup()
-			if err != nil {
-				return Result{}, err
-			}
 			f := rep.Final.Summarize()
-			fmt.Fprintf(&b, "%-8s %8.1f %10.3f %10s %10s %12d\n",
+			a.printf("%-8s %8.1f %10.3f %10s %10s %12d\n",
 				mode, hp, rep.CommitRate(), wan(f.P50, scale), wan(f.P95, scale), fallbacks)
 			key := fmt.Sprintf("%s_hp_%02.0f", mode, hp*10)
-			out[key+"_commit_rate"] = rep.CommitRate()
-			out[key+"_p50_ms"] = ms(f.P50, scale)
-			out[key+"_fallbacks"] = float64(fallbacks)
-		}
-	}
-	return Result{Name: "A1 fast vs classic under conflicts", Text: b.String(), Metrics: out}, nil
+			a.set(key+"_commit_rate", rep.CommitRate())
+			a.set(key+"_p50_ms", ms(f.P50, scale))
+			a.set(key+"_fallbacks", float64(fallbacks))
+		})
+	})
 }
 
 // A3Commutative reproduces the demarcation ablation: on the same hot
@@ -71,75 +60,51 @@ func A1FastVsClassic(cfg Config) (Result, error) {
 // bound runs out, at which point bound violations are rejected up front.
 func A3Commutative(cfg Config) (Result, error) {
 	perClient := cfg.pick(40, 12)
-	clients := 16
+	stock := int64(cfg.pick(100, 40))
 
-	var b strings.Builder
-	out := make(map[string]float64)
-
-	// Plentiful stock: commutativity should carry everything.
-	for _, tc := range []struct {
-		name string
-		tmpl workload.Template
+	arms := []struct {
+		name                  string
+		clusterSeed, loadSeed int64
+		tmpl                  workload.Template
 	}{
-		{"commutative-buy", workload.Buy{
+		// Plentiful stock: commutativity should carry everything.
+		{"commutative-buy", 83, 89, workload.Buy{
 			Products: workload.Uniform{Prefix: "pr-", N: 2}, Stock: 1 << 30,
 		}},
-		{"physical-rmw", workload.ReadModifyWrite{
+		{"physical-rmw", 83, 89, workload.ReadModifyWrite{
 			Keys: workload.Uniform{Prefix: "pw-", N: 2},
 		}},
-	} {
-		db, cleanup, err := openDB(cfg, cluster.Config{Seed: cfg.Seed + 83}, planet.Config{})
-		if err != nil {
-			return Result{}, err
-		}
-		rep, err := workload.Closed{
-			Options: workload.Options{DB: db, Template: tc.tmpl, Seed: cfg.Seed + 89},
-			Clients: clients, PerClient: perClient,
-		}.Run()
-		cleanup()
-		if err != nil {
-			return Result{}, err
-		}
-		fmt.Fprintf(&b, "%-18s commit-rate=%.3f committed=%d aborted=%d\n",
-			tc.name, rep.CommitRate(), rep.Committed.Load(), rep.Aborted.Load())
-		out[strings.ReplaceAll(tc.name, "-", "_")+"_commit_rate"] = rep.CommitRate()
+		// Scarce stock: exactly Stock units can ever sell; demarcation must
+		// cap committed buys at the bound with zero oversell.
+		{"scarce", 97, 101, workload.Buy{
+			Products: workload.Fixed{List: []string{"scarce"}}, Stock: stock,
+		}},
 	}
-
-	// Scarce stock: exactly Stock units can ever sell; demarcation must
-	// cap committed buys at the bound with zero oversell.
-	stock := int64(cfg.pick(100, 40))
-	db, cleanup, err := openDB(cfg, cluster.Config{Seed: cfg.Seed + 97}, planet.Config{})
-	if err != nil {
-		return Result{}, err
-	}
-	rep, err := workload.Closed{
-		Options: workload.Options{
-			DB: db,
-			Template: workload.Buy{
-				Products: workload.Fixed{List: []string{"scarce"}},
-				Stock:    stock,
-			},
-			Seed: cfg.Seed + 101,
-		},
-		Clients: clients, PerClient: perClient,
-	}.Run()
-	if err != nil {
-		cleanup()
-		return Result{}, err
-	}
-	db.Cluster().Quiesce(cfg.quiesceBudget())
-	var remaining int64 = -1
-	if s, err := db.Session(regions.California); err == nil {
-		if v, _, err := s.ReadInt("scarce"); err == nil {
-			remaining = v
-		}
-	}
-	cleanup()
-	sold := stock - remaining
-	fmt.Fprintf(&b, "scarce stock: initial=%d sold=%d remaining=%d committed=%d oversell=%v\n",
-		stock, sold, remaining, rep.Committed.Load(), remaining < 0)
-	out["scarce_sold"] = float64(sold)
-	out["scarce_remaining"] = float64(remaining)
-	out["scarce_committed"] = float64(rep.Committed.Load())
-	return Result{Name: "A3 commutative updates (demarcation)", Text: b.String(), Metrics: out}, nil
+	return sweep("A3 commutative updates (demarcation)", "", len(arms), func(i int) (arm, error) {
+		name := arms[i].name
+		return closedArm(cfg, cluster.Config{Seed: cfg.Seed + arms[i].clusterSeed}, planet.Config{}, workload.Closed{
+			Options: workload.Options{Template: arms[i].tmpl, Seed: cfg.Seed + arms[i].loadSeed},
+			Clients: 16, PerClient: perClient,
+		}, func(a *arm, db *planet.DB, rep *workload.Report) {
+			if name != "scarce" {
+				a.printf("%-18s commit-rate=%.3f committed=%d aborted=%d\n",
+					name, rep.CommitRate(), rep.Committed.Load(), rep.Aborted.Load())
+				a.set(strings.ReplaceAll(name, "-", "_")+"_commit_rate", rep.CommitRate())
+				return
+			}
+			db.Cluster().Quiesce(cfg.quiesceBudget())
+			var remaining int64 = -1
+			if s, err := db.Session(regions.California); err == nil {
+				if v, _, err := s.ReadInt("scarce"); err == nil {
+					remaining = v
+				}
+			}
+			sold := stock - remaining
+			a.printf("scarce stock: initial=%d sold=%d remaining=%d committed=%d oversell=%v\n",
+				stock, sold, remaining, rep.Committed.Load(), remaining < 0)
+			a.set("scarce_sold", float64(sold))
+			a.set("scarce_remaining", float64(remaining))
+			a.set("scarce_committed", float64(rep.Committed.Load()))
+		})
+	})
 }

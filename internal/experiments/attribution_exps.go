@@ -7,7 +7,6 @@ import (
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
-	"planet/internal/regions"
 	"planet/internal/workload"
 )
 
@@ -22,15 +21,9 @@ import (
 // remaining votes still fit the budget. Calibration error (MAE between
 // predicted likelihood and realized outcome) is the scorecard.
 func E3AttributionFeed(cfg Config) (Result, error) {
-	// The same gentler compression E2 uses, for the same reason: this
-	// experiment lives in the latency tail.
+	// The same time compression as E2, for the same reason.
 	if cfg.TimeScale < 0.1 {
 		cfg.TimeScale = 0.1
-	}
-	regionSet := regions.Five().Regions
-	topo, err := jitterTopology(regionSet, 0.8)
-	if err != nil {
-		return Result{}, err
 	}
 
 	variants := []struct {
@@ -40,11 +33,14 @@ func E3AttributionFeed(cfg Config) (Result, error) {
 		{"no-feed", false},
 		{"attribution-feed", true},
 	}
-	var b strings.Builder
-	out := make(map[string]float64)
-	var dominant string
-	for _, v := range variants {
-		db, cleanup, err := openDB(cfg, cluster.Config{
+	var dominant string // written by the feed arm alone, read after sweep returns
+	res, err := sweep("E3 attribution feed vs predictor calibration (extension)", "", len(variants), func(i int) (arm, error) {
+		v := variants[i]
+		topo, err := jitterTopology(0.8)
+		if err != nil {
+			return arm{}, err
+		}
+		return closedArm(cfg, cluster.Config{
 			Topology: topo, Seed: cfg.Seed + 211,
 			// Tight budget: the jittered quorum tail must actually blow it,
 			// or timeliness has nothing to predict. ~p75 of the quorum wait
@@ -54,45 +50,41 @@ func E3AttributionFeed(cfg Config) (Result, error) {
 			Calibrate:       true,
 			Trace:           true,
 			AttributionFeed: v.feed,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		// Uncontended uniform keys: every miss is a timeout, not a
-		// conflict, so calibration error isolates the timeliness term.
-		rep, err := workload.Closed{
+		}, workload.Closed{
+			// Uncontended uniform keys: every miss is a timeout, not a
+			// conflict, so calibration error isolates the timeliness term.
 			Options: workload.Options{
-				DB:       db,
 				Template: workload.Buy{Products: workload.Uniform{Prefix: "at-", N: 4000}},
 				Seed:     cfg.Seed + 223,
 			},
 			Clients: 16, PerClient: cfg.pick(60, 15),
-		}.Run()
-		if err != nil {
-			cleanup()
-			return Result{}, err
-		}
-		mae := db.Calibration().MeanAbsoluteError()
-		snap := db.Attribution().Snapshot()
-		cleanup()
-
-		key := strings.ReplaceAll(v.name, "-", "_")
-		out[key+"_mae"] = mae
-		out[key+"_commit_rate"] = rep.CommitRate()
-		fmt.Fprintf(&b, "%-18s mae=%.4f commit_rate=%.3f\n", v.name, mae, rep.CommitRate())
-		if v.feed {
-			dominant = snap.Dominant
-			fmt.Fprintf(&b, "\nper-stage attribution (feed variant):\n%s", snap.Table())
-		}
+		}, func(a *arm, db *planet.DB, rep *workload.Report) {
+			mae := db.Calibration().MeanAbsoluteError()
+			key := strings.ReplaceAll(v.name, "-", "_")
+			a.set(key+"_mae", mae)
+			a.set(key+"_commit_rate", rep.CommitRate())
+			a.printf("%-18s mae=%.4f commit_rate=%.3f\n", v.name, mae, rep.CommitRate())
+			if v.feed {
+				// The last transactions' decide broadcasts and span reports
+				// are still in flight when the driver returns; drain them, or
+				// the table's counts depend on how far the partitions ran.
+				db.Cluster().Quiesce(cfg.quiesceBudget())
+				snap := db.Attribution().Snapshot()
+				dominant = snap.Dominant
+				a.printf("\nper-stage attribution (feed variant):\n%s", snap.Table())
+			}
+		})
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if out["no_feed_mae"] > 0 {
-		out["mae_improvement"] = 1 - out["attribution_feed_mae"]/out["no_feed_mae"]
+	if base := res.Metrics["no_feed_mae"]; base > 0 {
+		res.Metrics["mae_improvement"] = 1 - res.Metrics["attribution_feed_mae"]/base
 	}
-	fmt.Fprintf(&b, "\ncalibration MAE improvement with feed: %.1f%%\n",
-		out["mae_improvement"]*100)
+	res.Text += fmt.Sprintf("\ncalibration MAE improvement with feed: %.1f%%\n",
+		res.Metrics["mae_improvement"]*100)
 	if dominant != "" {
-		fmt.Fprintf(&b, "dominant variance stage under jitter: %s\n", dominant)
+		res.Text += fmt.Sprintf("dominant variance stage under jitter: %s\n", dominant)
 	}
-	return Result{Name: "E3 attribution feed vs predictor calibration (extension)",
-		Text: b.String(), Metrics: out}, nil
+	return res, nil
 }

@@ -25,12 +25,6 @@ type Config struct {
 	Seed int64
 	// Quick shrinks workload sizes for CI and go-test runs.
 	Quick bool
-	// RealTime opts out of the virtual clock: the emulator runs against
-	// the wall clock as it did before discrete-event scheduling existed.
-	// The default (false) runs every experiment in virtual time — the
-	// whole evaluation executes at CPU speed and is deterministic for a
-	// fixed Seed.
-	RealTime bool
 	// EarlyAbort turns on optimistic abort propagation at every
 	// coordinator (see cluster.Config.EarlyAbort). Off by default so the
 	// published tables keep measuring the paper's baseline protocol;
@@ -89,44 +83,50 @@ func (r Result) FormatMetrics() string {
 	return b.String()
 }
 
-// openDB builds a cluster and DB for an experiment, returning a cleanup.
+// openDB builds a cluster on the partitioned parallel scheduler (one
+// partition per region, deterministic cross-partition merge) and a DB on
+// it, returning the teardown an arm defers.
 func openDB(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, func(), error) {
+	ccfg.ParallelTime = true
+	return openCluster(cfg, ccfg, pcfg)
+}
+
+// openCluster is openDB on whichever scheduler ccfg names: F9 mutates
+// topology mid-run, which only the serialized global-order scheduler makes
+// deterministic. Always in virtual time — the evaluation executes at CPU
+// speed and is a pure function of Seed.
+func openCluster(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, func(), error) {
 	if ccfg.Topology.Matrix == nil {
 		ccfg.Topology = regions.Five()
 	}
 	ccfg.TimeScale = cfg.scale()
-	ccfg.VirtualTime = !cfg.RealTime
+	ccfg.VirtualTime = true
 	ccfg.EarlyAbort = cfg.EarlyAbort
-	// Virtual-time experiments run on the partitioned parallel scheduler:
-	// one partition per region, deterministic cross-partition merge. (The
-	// chaos harness keeps the serialized scheduler — it mutates topology
-	// mid-run, which only the global-order scheduler makes deterministic.)
-	ccfg.ParallelTime = ccfg.VirtualTime
 	if ccfg.Seed == 0 {
 		ccfg.Seed = cfg.Seed + 1
 	}
 	if ccfg.CommitTimeout == 0 {
-		// A generous commit timeout: at the default scale the production
-		// 5s maps to only 100ms of real time, so a loaded machine could
-		// turn scheduling delays into spurious timeout-aborts and distort
-		// the measured commit rates.
+		// Generous, so that timeout-aborts appear only where an experiment
+		// sets a tighter budget on purpose.
 		ccfg.CommitTimeout = 30 * time.Second
 	}
 	c, err := cluster.New(ccfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	// Close stops the scheduler, Quiesce waits out deliveries already
+	// running: a torn-down arm leaves nothing beside its siblings.
+	teardown := func() {
+		c.Close()
+		c.Quiesce(cfg.quiesceBudget())
+	}
 	pcfg.Cluster = c
 	db, err := planet.Open(pcfg)
 	if err != nil {
-		c.Close()
+		teardown()
 		return nil, nil, err
 	}
-	cleanup := func() {
-		c.Close()
-		c.Quiesce(5 * time.Second)
-	}
-	return db, cleanup, nil
+	return db, teardown, nil
 }
 
 // wan converts a measured emulator duration to WAN time for reporting.

@@ -1,0 +1,72 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"testing"
+)
+
+// The fingerprint file holds, for seeds 1–3 in quick mode, a hash of every
+// registry experiment's Metrics (float bit patterns) and of its Text. It was
+// recorded at commit a58065b, before any experiment ran its arms through
+// forArms, and pins "same numbers as before": a later change that moves a
+// number on purpose regenerates it with -update-fingerprints and says so.
+//
+// One entry is not the parent's: the three text hashes of E3. At a58065b E3
+// printed its attribution table while the last span reports were still in
+// flight, so the table's counts changed from run to run at GOMAXPROCS > 1
+// (its metrics never did). E3 now drains the network first, and its text
+// hashes were re-recorded from the drained table.
+const fingerprintFile = "testdata/quick_fingerprints.txt"
+
+var updateFingerprints = flag.Bool("update-fingerprints", false,
+	"rewrite "+fingerprintFile+" from this tree's results")
+
+func metricsHash(r Result) string {
+	h := sha256.New()
+	for _, k := range r.MetricKeys() {
+		fmt.Fprintf(h, "%s=%016x\n", k, math.Float64bits(r.Metrics[k]))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+func textHash(r Result) string {
+	sum := sha256.Sum256([]byte(r.Name + "\n" + r.Text))
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+func TestQuickFingerprints(t *testing.T) {
+	var got strings.Builder
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, e := range Registry {
+			r, err := e.Run(Config{Quick: true, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", e.ID, seed, err)
+			}
+			fmt.Fprintf(&got, "%d %s metrics=%s text=%s\n", seed, e.ID, metricsHash(r), textHash(r))
+		}
+	}
+	if *updateFingerprints {
+		if err := os.WriteFile(fingerprintFile, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(fingerprintFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines, recorded %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("got %q, recorded %q", gotLines[i], wantLines[i])
+		}
+	}
+}

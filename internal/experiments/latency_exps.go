@@ -59,20 +59,21 @@ func T1RTTMatrix(cfg Config) (Result, error) {
 // path (master in Virginia), on an uncontended uniform workload.
 func F1CommitCDF(cfg Config) (Result, error) {
 	perClient := cfg.pick(40, 10)
-	out := make(map[string]float64)
-	var b strings.Builder
-
-	for _, mode := range []mdcc.Mode{mdcc.ModeFast, mdcc.ModeClassic} {
+	scale := cfg.scale()
+	modes := []mdcc.Mode{mdcc.ModeFast, mdcc.ModeClassic}
+	return sweep("F1 commit-latency CDF (fast vs classic)", "", len(modes), func(i int) (arm, error) {
+		mode := modes[i]
 		ccfg := cluster.Config{Seed: cfg.Seed + 5}
 		if mode == mdcc.ModeClassic {
 			ccfg.MasterRegion = regions.Virginia
 		}
-		db, cleanup, err := openDB(cfg, ccfg, planet.Config{Mode: mode})
+		db, teardown, err := openDB(cfg, ccfg, planet.Config{Mode: mode})
 		if err != nil {
-			return Result{}, err
+			return arm{}, err
 		}
-		scale := db.Cluster().TimeScale()
+		defer teardown()
 
+		var a arm
 		// One driver per origin region so latencies stay attributable.
 		var californiaFinal *metrics.Histogram
 		for _, origin := range db.Cluster().Regions() {
@@ -88,30 +89,28 @@ func F1CommitCDF(cfg Config) (Result, error) {
 				Clients: 4, PerClient: perClient,
 			}.Run()
 			if err != nil {
-				cleanup()
-				return Result{}, err
+				return arm{}, err
 			}
 			if origin == regions.California {
 				californiaFinal = rep.Final
 			}
 			s := rep.Final.Summarize()
-			fmt.Fprintf(&b, "%-8s origin=%-14s n=%4d  p50=%8s  p95=%8s  p99=%8s\n",
+			a.printf("%-8s origin=%-14s n=%4d  p50=%8s  p95=%8s  p99=%8s\n",
 				mode, origin, s.Count, wan(s.P50, scale), wan(s.P95, scale), wan(s.P99, scale))
-			out[fmt.Sprintf("%s_%s_p50_ms", mode, origin)] = ms(s.P50, scale)
-			out[fmt.Sprintf("%s_%s_p95_ms", mode, origin)] = ms(s.P95, scale)
+			a.set(fmt.Sprintf("%s_%s_p50_ms", mode, origin), ms(s.P50, scale))
+			a.set(fmt.Sprintf("%s_%s_p95_ms", mode, origin), ms(s.P95, scale))
 		}
 		// The figure itself is a CDF; print deciles for the California
 		// origin so the curve can be plotted directly.
 		if californiaFinal != nil {
-			fmt.Fprintf(&b, "%-8s origin=us-west CDF:", mode)
+			a.printf("%-8s origin=us-west CDF:", mode)
 			for _, p := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99} {
-				fmt.Fprintf(&b, " p%02.0f=%s", p*100, wan(californiaFinal.Quantile(p), scale))
+				a.printf(" p%02.0f=%s", p*100, wan(californiaFinal.Quantile(p), scale))
 			}
-			b.WriteByte('\n')
+			a.printf("\n")
 		}
-		cleanup()
-	}
-	return Result{Name: "F1 commit-latency CDF (fast vs classic)", Text: b.String(), Metrics: out}, nil
+		return a, nil
+	})
 }
 
 // F7Stages reproduces the stage-latency table: per origin datacenter, the
@@ -164,29 +163,21 @@ func F7Stages(cfg Config) (Result, error) {
 func F8Scale(cfg Config) (Result, error) {
 	topos := []struct {
 		name string
-		topo regions.Topology
+		topo func() regions.Topology
 	}{
-		{"3-dc", regions.Three()},
-		{"5-dc", regions.Five()},
-		{"7-dc", regions.Seven()},
+		{"3-dc", regions.Three},
+		{"5-dc", regions.Five},
+		{"7-dc", regions.Seven},
 	}
 	perClient := cfg.pick(40, 12)
+	scale := cfg.scale()
 
-	var b strings.Builder
-	out := make(map[string]float64)
-	fmt.Fprintf(&b, "%-6s %3s %6s %6s %10s %10s %12s\n",
+	header := fmt.Sprintf("%-6s %3s %6s %6s %10s %10s %12s\n",
 		"topo", "n", "cq", "fq", "p50", "p95", "goodput/s")
-	for _, tc := range topos {
-		db, cleanup, err := openDB(cfg, cluster.Config{
-			Topology: tc.topo, Seed: cfg.Seed + 11,
-		}, planet.Config{})
-		if err != nil {
-			return Result{}, err
-		}
-		scale := db.Cluster().TimeScale()
-		rep, err := workload.Closed{
+	return sweep("F8 datacenter scaling", header, len(topos), func(i int) (arm, error) {
+		name, topo := topos[i].name, topos[i].topo()
+		return closedArm(cfg, cluster.Config{Topology: topo, Seed: cfg.Seed + 11}, planet.Config{}, workload.Closed{
 			Options: workload.Options{
-				DB: db,
 				Template: workload.ReadModifyWrite{
 					Keys: workload.Uniform{Prefix: "sc-", N: 5000}, NKeys: 1,
 				},
@@ -194,18 +185,14 @@ func F8Scale(cfg Config) (Result, error) {
 				Seed:    cfg.Seed + 13,
 			},
 			Clients: 4, PerClient: perClient,
-		}.Run()
-		cleanup()
-		if err != nil {
-			return Result{}, err
-		}
-		n := len(tc.topo.Regions)
-		s := rep.Final.Summarize()
-		fmt.Fprintf(&b, "%-6s %3d %6d %6d %10s %10s %12.1f\n",
-			tc.name, n, mdcc.ClassicQuorum(n), mdcc.FastQuorum(n),
-			wan(s.P50, scale), wan(s.P95, scale), rep.GoodputPerSec())
-		out[tc.name+"_p50_ms"] = ms(s.P50, scale)
-		out[tc.name+"_p95_ms"] = ms(s.P95, scale)
-	}
-	return Result{Name: "F8 datacenter scaling", Text: b.String(), Metrics: out}, nil
+		}, func(a *arm, _ *planet.DB, rep *workload.Report) {
+			n := len(topo.Regions)
+			s := rep.Final.Summarize()
+			a.printf("%-6s %3d %6d %6d %10s %10s %12.1f\n",
+				name, n, mdcc.ClassicQuorum(n), mdcc.FastQuorum(n),
+				wan(s.P50, scale), wan(s.P95, scale), rep.GoodputPerSec())
+			a.set(name+"_p50_ms", ms(s.P50, scale))
+			a.set(name+"_p95_ms", ms(s.P95, scale))
+		})
+	})
 }

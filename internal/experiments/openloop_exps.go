@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"planet/internal/cluster"
@@ -59,36 +58,18 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 		}},
 	}
 
-	var b strings.Builder
-	out := make(map[string]float64)
-	fmt.Fprintf(&b, "%-10s %10s %12s %10s %10s %10s %10s\n",
+	header := fmt.Sprintf("%-10s %10s %12s %10s %10s %10s %10s\n",
 		"policy", "injected", "goodput/s", "commit", "rejected", "p50-final", "p99-final")
-	for _, arm := range arms {
-		// The surge mutates topology mid-run (replica crash + rejoin), so
-		// the cluster is built directly on the serialized virtual scheduler
-		// rather than through openDB's partitioned one — global event order
-		// is what makes a mid-run membership change deterministic.
-		ccfg := cluster.Config{
-			Topology:      regions.Five(),
-			TimeScale:     cfg.scale(),
-			Seed:          cfg.Seed + 83,
-			VirtualTime:   !cfg.RealTime,
-			EarlyAbort:    cfg.EarlyAbort,
-			CommitTimeout: 30 * time.Second,
-		}
-		c, err := cluster.New(ccfg)
+	return sweep("F9 open-loop surge: static vs adaptive admission", header, len(arms), func(i int) (arm, error) {
+		name := arms[i].name
+		// The surge mutates topology mid-run (replica crash + rejoin), which
+		// needs the serialized scheduler; the two arms overlap all the same.
+		db, teardown, err := openCluster(cfg, cluster.Config{Seed: cfg.Seed + 83}, arms[i].pcfg)
 		if err != nil {
-			return Result{}, err
+			return arm{}, err
 		}
-		pcfg := arm.pcfg
-		pcfg.Cluster = c
-		db, err := planet.Open(pcfg)
-		if err != nil {
-			c.Close()
-			return Result{}, err
-		}
-		clk := c.Clock()
-		scale := c.TimeScale()
+		defer teardown()
+		c, scale := db.Cluster(), cfg.scale()
 
 		// Scale-in at peak surge, scale-out during recovery: Virginia's
 		// replica crashes a third of the way into the surge window (the
@@ -101,8 +82,8 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 		crashAt := phaseDur + phaseDur/3
 		restartAt := 2*phaseDur + phaseDur/2
 		var crashErr, restartErr error
-		clk.AfterFunc(crashAt, func() { crashErr = c.CrashReplica(victim) })
-		clk.AfterFunc(restartAt, func() { restartErr = c.RestartReplica(victim) })
+		c.Clock().AfterFunc(crashAt, func() { crashErr = c.CrashReplica(victim) })
+		c.Clock().AfterFunc(restartAt, func() { restartErr = c.RestartReplica(victim) })
 
 		ledger := &workload.Ledger{}
 		rep, err := workload.Open{
@@ -117,42 +98,41 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 			Ledger:      ledger,
 			SampleEvery: 256,
 		}.Run()
-		adm := db.AdmissionState(regions.California)
-		c.Close()
-		c.Quiesce(cfg.quiesceBudget())
 		if err != nil {
-			return Result{}, err
+			return arm{}, err
 		}
+		adm := db.AdmissionState(regions.California)
 		if crashErr != nil || restartErr != nil {
-			return Result{}, fmt.Errorf("f9: scale event failed: crash=%v restart=%v", crashErr, restartErr)
+			return arm{}, fmt.Errorf("f9: scale event failed: crash=%v restart=%v", crashErr, restartErr)
 		}
 		for _, s := range ledger.Samples() {
 			if err := s.Check(); err != nil {
-				return Result{}, fmt.Errorf("f9 %s arm: %w", arm.name, err)
+				return arm{}, fmt.Errorf("f9 %s arm: %w", name, err)
 			}
 		}
 		final := ledger.Final()
 		if final.InFlight != 0 {
-			return Result{}, fmt.Errorf("f9 %s arm: %d transactions still in flight", arm.name, final.InFlight)
+			return arm{}, fmt.Errorf("f9 %s arm: %d transactions still in flight", name, final.InFlight)
 		}
 
 		f := rep.Final.Summarize()
 		rejFrac := float64(rep.Rejected.Load()) / float64(rep.Total())
-		fmt.Fprintf(&b, "%-10s %10d %12.1f %10.3f %10.3f %10s %10s\n",
-			arm.name, final.Injected, rep.GoodputPerSec(), rep.CommitRate(), rejFrac,
+		var a arm
+		a.printf("%-10s %10d %12.1f %10.3f %10.3f %10s %10s\n",
+			name, final.Injected, rep.GoodputPerSec(), rep.CommitRate(), rejFrac,
 			wan(f.P50, scale), wan(f.P99, scale))
-		out[arm.name+"_injected"] = float64(final.Injected)
-		out[arm.name+"_goodput"] = rep.GoodputPerSec()
-		out[arm.name+"_commit_rate"] = rep.CommitRate()
-		out[arm.name+"_reject_frac"] = rejFrac
-		out[arm.name+"_p50_final_ms"] = ms(f.P50, scale)
-		out[arm.name+"_p95_final_ms"] = ms(f.P95, scale)
-		out[arm.name+"_p99_final_ms"] = ms(f.P99, scale)
-		if arm.name == "adaptive" {
-			out["adaptive_epochs"] = float64(adm.Epochs)
-			out["adaptive_final_max_inflight"] = float64(adm.MaxInFlight)
-			out["adaptive_final_min_likelihood"] = adm.MinLikelihood
+		a.set(name+"_injected", float64(final.Injected))
+		a.set(name+"_goodput", rep.GoodputPerSec())
+		a.set(name+"_commit_rate", rep.CommitRate())
+		a.set(name+"_reject_frac", rejFrac)
+		a.set(name+"_p50_final_ms", ms(f.P50, scale))
+		a.set(name+"_p95_final_ms", ms(f.P95, scale))
+		a.set(name+"_p99_final_ms", ms(f.P99, scale))
+		if name == "adaptive" {
+			a.set("adaptive_epochs", float64(adm.Epochs))
+			a.set("adaptive_final_max_inflight", float64(adm.MaxInFlight))
+			a.set("adaptive_final_min_likelihood", adm.MinLikelihood)
 		}
-	}
-	return Result{Name: "F9 open-loop surge: static vs adaptive admission", Text: b.String(), Metrics: out}, nil
+		return a, nil
+	})
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -207,9 +208,6 @@ func F3Trajectory(cfg Config) (Result, error) {
 // cross-checks the analytic model against Monte-Carlo simulation on
 // synthetic in-flight states.
 func A2PredictorAblation(cfg Config) (Result, error) {
-	var b strings.Builder
-	out := make(map[string]float64)
-
 	variants := []struct {
 		name             string
 		disableConflicts bool
@@ -217,38 +215,38 @@ func A2PredictorAblation(cfg Config) (Result, error) {
 		{"full-model", false},
 		{"latency-only", true},
 	}
-	for _, v := range variants {
-		db, cleanup, err := openDB(cfg, cluster.Config{Seed: cfg.Seed + 37}, planet.Config{
+	return sweep("A2 predictor ablation", "", len(variants)+1, func(i int) (arm, error) {
+		if i == len(variants) {
+			return monteCarloCheck(cfg), nil
+		}
+		v := variants[i]
+		return closedArm(cfg, cluster.Config{Seed: cfg.Seed + 37}, planet.Config{
 			Calibrate:           true,
 			DisableConflictTerm: v.disableConflicts,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		tmpl := workload.ReadModifyWrite{
-			Keys: workload.Hotspot{Prefix: "a-", HotKeys: 2, ColdKeys: 2000, HotProb: 0.5},
-		}
-		_, err = workload.Closed{
-			Options: workload.Options{DB: db, Template: tmpl, Seed: cfg.Seed + 41,
-				Deadline: db.Cluster().ScaleDuration(2 * time.Second)},
+		}, workload.Closed{
+			Options: workload.Options{
+				Template: workload.ReadModifyWrite{
+					Keys: workload.Hotspot{Prefix: "a-", HotKeys: 2, ColdKeys: 2000, HotProb: 0.5},
+				},
+				Seed:     cfg.Seed + 41,
+				Deadline: time.Duration(float64(2*time.Second) * cfg.scale()), // Cluster.ScaleDuration, before there is a cluster
+			},
 			Clients: 20, PerClient: cfg.pick(50, 15),
-		}.Run()
-		if err != nil {
-			cleanup()
-			return Result{}, err
-		}
-		mae := db.Calibration().MeanAbsoluteError()
-		fmt.Fprintf(&b, "%-14s mean abs calibration error = %.4f\n", v.name, mae)
-		out[strings.ReplaceAll(v.name, "-", "_")+"_mae"] = mae
-		cleanup()
-	}
+		}, func(a *arm, db *planet.DB, _ *workload.Report) {
+			mae := db.Calibration().MeanAbsoluteError()
+			a.printf("%-14s mean abs calibration error = %.4f\n", v.name, mae)
+			a.set(strings.ReplaceAll(v.name, "-", "_")+"_mae", mae)
+		})
+	})
+}
 
-	// Monte-Carlo agreement on synthetic flights. The predictor's conflict
-	// and latency terms decay against its clock; the default (real) clock
-	// would make the decayed rates depend on wall time elapsed between
-	// ObserveVote and Likelihood, so pin a virtual clock — it never
-	// advances here, making every decay timestamp a pure function of the
-	// call sequence.
+// monteCarloCheck is A2's third arm: Monte-Carlo agreement with the analytic
+// model on synthetic flights. The predictor's conflict and latency terms
+// decay against its clock; the default (real) clock would make the decayed
+// rates depend on wall time elapsed between ObserveVote and Likelihood, so
+// pin a virtual clock — it never advances here, making every decay
+// timestamp a pure function of the call sequence.
+func monteCarloCheck(cfg Config) arm {
 	topo := regions.Five()
 	mcClk := vclock.NewVirtual()
 	defer mcClk.Shutdown()
@@ -270,18 +268,14 @@ func A2PredictorAblation(cfg Config) (Result, error) {
 	for _, f := range flights {
 		analytic := pred.Likelihood(f)
 		mc := pred.MonteCarlo(f, cfg.pick(20000, 4000), rng)
-		diff := analytic - mc
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > maxDiff {
+		if diff := math.Abs(analytic - mc); diff > maxDiff {
 			maxDiff = diff
 		}
 	}
-	fmt.Fprintf(&b, "analytic vs monte-carlo: max |diff| over %d flights = %.4f\n",
-		len(flights), maxDiff)
-	out["mc_max_abs_diff"] = maxDiff
-	return Result{Name: "A2 predictor ablation", Text: b.String(), Metrics: out}, nil
+	var a arm
+	a.printf("analytic vs monte-carlo: max |diff| over %d flights = %.4f\n", len(flights), maxDiff)
+	a.set("mc_max_abs_diff", maxDiff)
+	return a
 }
 
 // syntheticFlights builds representative in-flight states for the

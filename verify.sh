@@ -33,6 +33,13 @@ GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
 # process and fails unless every pass's metric maps are bit-identical to
 # the GOMAXPROCS=1 reference.
 go run ./cmd/planetbench -quick -parallel all
+# Arm-pool gate: the experiments run their independent arms on up to
+# GOMAXPROCS workers. Under the race detector on four processors, every
+# registry experiment must give the same text and bit-identical metrics
+# with one worker and with four, and forArms must keep its contract
+# (index order, lowest-index error, panics re-raised after the pool drains,
+# no goroutine left behind by a failing arm).
+GOMAXPROCS=4 go test -race -short -run 'TestArmsEquivalence|TestForArms' ./internal/experiments/
 # Lease determinism gate: the same seed on the virtual clock with master
 # leases ENABLED must produce bit-identical txn outcomes, final state, and
 # lease views (leases default off; this is the only gate that turns them on
