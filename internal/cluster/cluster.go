@@ -74,10 +74,11 @@ type Config struct {
 	// conservatively through the latency matrix's per-link delay floors and
 	// exchange cross-region messages through a deterministic merge layer, so
 	// same-seed runs stay bit-identical at any GOMAXPROCS. Requires
-	// VirtualTime; ignored when an explicit Clock is supplied. Prefer the
-	// serialized scheduler (ParallelTime=false) for scenarios that mutate
-	// global topology mid-run (loss bursts, delay spikes) when exact
-	// cross-run timestamps matter — see PROTOCOL.md "Time model".
+	// VirtualTime; ignored when an explicit Clock is supplied. Without it
+	// the control partition is the scheduler's only one and execution is
+	// serialized; prefer that for scenarios that mutate global topology
+	// mid-run (loss bursts, delay spikes) when exact cross-run timestamps
+	// matter — see PROTOCOL.md "Time model".
 	ParallelTime bool
 	// PerOptionMessages runs the commit protocol on the legacy
 	// one-message-per-option wire format instead of per-destination
@@ -101,15 +102,14 @@ type Cluster struct {
 	RealNet  *realnet.Transport
 	Topology regions.Topology
 
-	replicas   map[simnet.Region]*mdcc.Replica
-	coords     map[simnet.Region]*mdcc.Coordinator
-	wals       map[simnet.Region]*mdcc.WAL
-	scale      float64
-	timeout    time.Duration // effective (scaled) commit timeout
-	clk        vclock.Clock
-	ownedClk   *vclock.Virtual // non-nil when the cluster created a serialized clock
-	ownedWorld *vclock.World   // non-nil when the cluster created a partitioned scheduler
-	partClks   map[simnet.Region]vclock.Clock
+	replicas map[simnet.Region]*mdcc.Replica
+	coords   map[simnet.Region]*mdcc.Coordinator
+	wals     map[simnet.Region]*mdcc.WAL
+	scale    float64
+	timeout  time.Duration // effective (scaled) commit timeout
+	clk      vclock.Clock
+	world    *vclock.World                  // non-nil when the cluster created its virtual scheduler
+	partClks map[simnet.Region]vclock.Clock // per-region partitions (ParallelTime); empty when clk is the only clock
 
 	leaseMgrs []*leaseManager
 	leaseTerm time.Duration // effective (scaled) lease term, 0 without leases
@@ -147,26 +147,17 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	clk := cfg.Clock
-	var owned *vclock.Virtual
 	var world *vclock.World
 	var partClks map[simnet.Region]vclock.Clock
 	if clk == nil && cfg.VirtualTime {
-		if cfg.ParallelTime {
-			var err error
-			world, partClks, clk, err = buildWorld(cfg)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			owned = vclock.NewVirtual()
-			clk = owned
+		var err error
+		world, partClks, clk, err = buildWorld(cfg)
+		if err != nil {
+			return nil, err
 		}
 	}
 	clk = vclock.Default(clk)
 	stopClk := func() {
-		if owned != nil {
-			owned.Shutdown()
-		}
 		if world != nil {
 			world.Shutdown()
 		}
@@ -213,17 +204,16 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		Net:        net,
-		Topology:   cfg.Topology,
-		replicas:   make(map[simnet.Region]*mdcc.Replica, len(regionList)),
-		coords:     make(map[simnet.Region]*mdcc.Coordinator, len(regionList)),
-		wals:       make(map[simnet.Region]*mdcc.WAL, len(regionList)),
-		scale:      cfg.TimeScale,
-		timeout:    time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
-		clk:        clk,
-		ownedClk:   owned,
-		ownedWorld: world,
-		partClks:   partClks,
+		Net:      net,
+		Topology: cfg.Topology,
+		replicas: make(map[simnet.Region]*mdcc.Replica, len(regionList)),
+		coords:   make(map[simnet.Region]*mdcc.Coordinator, len(regionList)),
+		wals:     make(map[simnet.Region]*mdcc.WAL, len(regionList)),
+		scale:    cfg.TimeScale,
+		timeout:  time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
+		clk:      clk,
+		world:    world,
+		partClks: partClks,
 	}
 
 	var keyspaces []simnet.Region
@@ -287,18 +277,25 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// ctlPartition names the control partition of a partitioned scheduler: the
+// ctlPartition names the control partition of the virtual scheduler: the
 // harness side (workload drivers, experiment timelines, chaos scenarios)
-// runs there, beside the per-region partitions the protocol runs on.
+// runs there — beside the per-region partitions the protocol runs on under
+// ParallelTime, and together with the protocol otherwise.
 const ctlPartition = "ctl"
 
-// buildWorld constructs the partitioned scheduler for cfg: one partition per
-// region plus the control partition, with the lookahead matrix taken from
-// the latency matrix's per-link delay floors (scaled like every delay).
-// Every sampled cross-region delay is ≥ its link's floor, so a partition may
-// safely run ahead until the earliest instant a peer could still reach it.
+// buildWorld constructs the virtual scheduler for cfg. Under ParallelTime
+// that is one partition per region plus the control partition, with the
+// lookahead matrix taken from the latency matrix's per-link delay floors
+// (scaled like every delay): every sampled cross-region delay is ≥ its
+// link's floor, so a partition may safely run ahead until the earliest
+// instant a peer could still reach it. Otherwise the control partition is
+// the whole world, no region has a clock of its own, and execution is
+// serialized.
 func buildWorld(cfg Config) (*vclock.World, map[simnet.Region]vclock.Clock, vclock.Clock, error) {
-	regionList := cfg.Topology.Regions
+	var regionList []simnet.Region
+	if cfg.ParallelTime {
+		regionList = cfg.Topology.Regions
+	}
 	names := make([]string, 0, len(regionList)+1)
 	names = append(names, ctlPartition)
 	for _, r := range regionList {
@@ -485,11 +482,8 @@ func (c *Cluster) Close() {
 	if c.RealNet != nil {
 		c.RealNet.Close()
 	}
-	if c.ownedClk != nil {
-		c.ownedClk.Shutdown()
-	}
-	if c.ownedWorld != nil {
-		c.ownedWorld.Shutdown()
+	if c.world != nil {
+		c.world.Shutdown()
 	}
 }
 

@@ -91,9 +91,9 @@ func openDB(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, fu
 	return openCluster(cfg, ccfg, pcfg)
 }
 
-// openCluster is openDB on whichever scheduler ccfg names: F9 mutates
-// topology mid-run, which only the serialized global-order scheduler makes
-// deterministic. Always in virtual time — the evaluation executes at CPU
+// openCluster is openDB with the partitioning ccfg names: F9 mutates
+// topology mid-run, which only a one-partition world, with its single
+// global order, makes deterministic. Always in virtual time — the evaluation executes at CPU
 // speed and is a pure function of Seed.
 func openCluster(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, func(), error) {
 	if ccfg.Topology.Matrix == nil {

@@ -139,8 +139,8 @@ type Config struct {
 	// LossRate drops messages uniformly at random, in [0,1).
 	LossRate float64
 	// Clock drives delivery timers, send timestamps, and Quiesce. Nil means
-	// the real system clock; a *vclock.Virtual runs the network at CPU
-	// speed with deterministic delivery order.
+	// the real system clock; a virtual clock (a vclock.World partition)
+	// runs the network at CPU speed with deterministic delivery order.
 	Clock vclock.Clock
 	// Clocks optionally maps each region to its own scheduler partition
 	// (a vclock.World partition). When set, a send samples its delay on the

@@ -8,27 +8,26 @@ import (
 
 // Event is a one-shot broadcast ("happened / not yet"). Construct through
 // Clock.NewEvent so the event knows which world it lives in: under a
-// Virtual clock, Fire moves every registered waiter onto the scheduler's
+// virtual clock, Fire moves every registered waiter onto its partition's
 // run queue in the order they began waiting, so wake-ups are granted
 // deterministically and the scheduler can never advance time through the
 // handoff. Under the Real clock it degenerates to a closed channel. Fire
 // is idempotent; Wait after Fire returns immediately.
 //
-// Under a World partition the event is homed on the creating partition:
-// Fire must be called from code executing on that partition, and waiters
-// parked on other partitions are woken through the deterministic merge
-// layer at fire time + lookahead. (Firing from a foreign partition is
-// tolerated — the wake is immediate rather than merge-ordered — but it is
-// only deterministic at teardown, when ordering no longer matters.) A
-// goroutine on a different partition must wait with WaitFrom /
-// WaitTimeoutFrom, passing its own clock.
+// A virtual event is homed on the partition that created it: Fire must be
+// called from code executing on that partition, and waiters parked on other
+// partitions are woken through the deterministic merge layer at fire time +
+// lookahead. (Firing from a foreign partition is tolerated — the wake is
+// immediate rather than merge-ordered — but it is only deterministic at
+// teardown, when ordering no longer matters.) A goroutine on a different
+// partition must wait with WaitFrom / WaitTimeoutFrom, passing its own
+// clock.
 type Event struct {
-	v       *Virtual   // non-nil for serialized-virtual semantics
-	p       *Partition // non-nil for partitioned-world semantics (the home)
-	mu      sync.Mutex // guards fired in real mode (virtual modes use the scheduler lock)
+	p       *Partition // home partition; nil under the Real clock
+	mu      sync.Mutex // guards fired under the Real clock (virtual events use the world lock)
 	ch      chan struct{}
 	fired   bool
-	waiters []*grant // virtual modes: parked waiters in arrival order
+	waiters []*grant // virtual events: parked waiters in arrival order
 }
 
 // Fire releases all current and future waiters. Safe to call from any
@@ -44,19 +43,6 @@ func (e *Event) Fire() {
 			e.waiters = nil
 		}
 		w.mu.Unlock()
-		return
-	}
-	if v := e.v; v != nil {
-		v.mu.Lock()
-		if !e.fired {
-			e.fired = true
-			close(e.ch)
-			for _, g := range e.waiters {
-				v.wakeLocked(g, causeEvent)
-			}
-			e.waiters = nil
-		}
-		v.mu.Unlock()
 		return
 	}
 	e.mu.Lock()
@@ -81,11 +67,6 @@ func (e *Event) Fired() bool {
 		defer p.w.mu.Unlock()
 		return e.fired
 	}
-	if v := e.v; v != nil {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		return e.fired
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.fired
@@ -93,8 +74,8 @@ func (e *Event) Fired() bool {
 
 // Wait blocks until the event fires. Under a virtual clock the caller's
 // execution slot is released while blocked and regained in run-queue order
-// after Fire. Under a World the caller must be executing on the event's
-// home partition (use WaitFrom elsewhere).
+// after Fire, and the caller must be executing on the event's home
+// partition (use WaitFrom elsewhere).
 func (e *Event) Wait() { e.WaitFrom(nil) }
 
 // WaitFrom is Wait for a caller executing on the partition of from (which
@@ -116,24 +97,12 @@ func (e *Event) WaitFrom(from Clock) {
 		waiter.parkLocked(g)
 		return
 	}
-	v := e.v
-	if v == nil {
-		<-e.ch
-		return
-	}
-	v.mu.Lock()
-	if e.fired || v.stopped {
-		v.mu.Unlock()
-		return
-	}
-	g := &grant{ch: make(chan struct{})}
-	e.waiters = append(e.waiters, g)
-	v.parkLocked(g)
+	<-e.ch
 }
 
 // WaitTimeout blocks until the event fires or d elapses, reporting whether
-// the event fired. Under a World the caller must be executing on the
-// event's home partition (use WaitTimeoutFrom elsewhere).
+// the event fired. Under a virtual clock the caller must be executing on
+// the event's home partition (use WaitTimeoutFrom elsewhere).
 func (e *Event) WaitTimeout(d time.Duration) bool { return e.WaitTimeoutFrom(nil, d) }
 
 // WaitTimeoutFrom is WaitTimeout for a caller executing on the partition
@@ -154,47 +123,25 @@ func (e *Event) WaitTimeoutFrom(from Clock, d time.Duration) bool {
 			w.mu.Unlock()
 			return false
 		}
-		g := &grant{ch: make(chan struct{}), p: waiter}
-		t := waiter.newTimerLocked(d)
-		t.g = g
-		g.wt = t
+		g := waiter.timedGrantLocked(d)
 		e.waiters = append(e.waiters, g)
 		waiter.parkLocked(g)
 		return g.cause == causeEvent
 	}
-	v := e.v
-	if v == nil {
-		e.mu.Lock()
-		fired := e.fired
-		e.mu.Unlock()
-		if fired {
-			return true
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-e.ch:
-			return true
-		case <-t.C:
-			return false
-		}
-	}
-	v.mu.Lock()
-	if e.fired {
-		v.mu.Unlock()
+	e.mu.Lock()
+	fired := e.fired
+	e.mu.Unlock()
+	if fired {
 		return true
 	}
-	if v.stopped {
-		v.mu.Unlock()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-e.ch:
+		return true
+	case <-t.C:
 		return false
 	}
-	g := &grant{ch: make(chan struct{})}
-	t := v.newTimerLocked(d)
-	t.g = g
-	g.timer = t
-	e.waiters = append(e.waiters, g)
-	v.parkLocked(g)
-	return g.cause == causeEvent
 }
 
 // WaitCtx blocks until the event fires or ctx is done. Returns nil when
@@ -221,7 +168,7 @@ func (e *Event) WaitCtx(ctx context.Context) error {
 		// readies the waiter with a ctx wake.
 		stop := context.AfterFunc(ctx, func() {
 			w.mu.Lock()
-			p.wakeLocked(g, causeCtx)
+			g.wakeLocked(causeCtx)
 			w.mu.Unlock()
 		})
 		w.mu.Lock()
@@ -232,35 +179,12 @@ func (e *Event) WaitCtx(ctx context.Context) error {
 		}
 		return nil
 	}
-	v := e.v
-	if v == nil {
-		select {
-		case <-e.ch:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	v.mu.Lock()
-	if e.fired || v.stopped {
-		v.mu.Unlock()
+	select {
+	case <-e.ch:
 		return nil
-	}
-	g := &grant{ch: make(chan struct{})}
-	e.waiters = append(e.waiters, g)
-	v.mu.Unlock()
-	stop := context.AfterFunc(ctx, func() {
-		v.mu.Lock()
-		v.wakeLocked(g, causeCtx)
-		v.mu.Unlock()
-	})
-	v.mu.Lock()
-	v.parkLocked(g)
-	stop()
-	if g.cause == causeCtx {
+	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return nil
 }
 
 // Group is a sync.WaitGroup replacement whose Wait participates in the

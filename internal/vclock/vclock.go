@@ -1,8 +1,11 @@
 // Package vclock abstracts time for the PLANET stack. Two implementations
 // share one interface: Real, a thin wrapper over package time with the
-// current wall-clock behavior, and Virtual, a deterministic discrete-event
+// current wall-clock behavior, and Partition, a deterministic discrete-event
 // scheduler that advances a simulated clock straight to the next pending
-// deadline the moment every participant is blocked.
+// deadline the moment every participant is blocked. Partitions live in a
+// World; a World of one partition (NewVirtual) is the serialized virtual
+// clock, and further partitions add only the lookahead and merge rules
+// stated on World.
 //
 // Under the virtual clock the entire evaluation runs at CPU speed — a
 // WAN-shaped experiment that used to spend 85% of its wall time asleep in
@@ -11,17 +14,19 @@
 //
 // # Serialized execution
 //
-// Determinism comes from two rules, FoundationDB-style. First, the
-// scheduler may only advance time while no tracked goroutine is runnable.
+// Determinism comes from two rules, FoundationDB-style. First, a partition
+// may only advance time while none of its tracked goroutines is runnable.
 // Second — and this is what makes same-seed runs bit-identical rather than
-// merely fast — at most one tracked goroutine executes at a time: every
-// blocked goroutine waits for the single execution slot, and the scheduler
-// grants the slot in strict FIFO order of when each waiter became runnable.
-// Since wake-ups (timer fires, event broadcasts, spawns, queued tickets)
-// are themselves produced by serialized execution, the grant order is a
-// pure function of the initial state; the OS scheduler never gets a vote.
+// merely fast — at most one tracked goroutine per partition executes at a
+// time: every blocked goroutine waits for the partition's single execution
+// slot, and the partition grants the slot in strict FIFO order of when each
+// waiter became runnable. Since wake-ups (timer fires, event broadcasts,
+// spawns, queued tickets) are themselves produced by serialized execution,
+// the grant order is a pure function of the initial state; the OS scheduler
+// never gets a vote. Timers due at the same instant fire in the order they
+// were created.
 //
-//   - timer callbacks run one at a time on the scheduler goroutine;
+//   - timer callbacks run one at a time on the partition's goroutine;
 //   - Sleep and Event waits release the caller's slot and re-enter the run
 //     queue when their wake condition fires;
 //   - Go enqueues the new goroutine at the point of the call, so spawns
@@ -29,7 +34,7 @@
 //   - Ticket reserves an execution slot at creation (fixing its order) for
 //     work a plain goroutine will perform later — the mechanism behind
 //     in-order callback dispatch;
-//   - AddWork/WorkDone pin the world for untracked goroutines poking it
+//   - AddWork/WorkDone pin the partition for untracked goroutines poking it
 //     from outside (tests, real-clock bridges).
 //
 // The Real clock implements the same interface with every scheduling

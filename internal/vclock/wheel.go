@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// This file implements the hierarchical timer wheel that backs both
-// schedulers (Virtual and World partitions). The binary heaps it replaced
+// This file implements the hierarchical timer wheel that backs every
+// World partition. The binary heaps it replaced
 // cost O(log n) per insert/remove; with open-loop traffic the schedulers
 // carry hundreds of thousands of outstanding deadlines (one per in-flight
 // virtual user plus one per pending protocol timeout), and the heap's
@@ -62,7 +62,7 @@ const (
 	localKeyBit = uint64(1) << 63
 )
 
-// wheelNode is the per-timer state embedded in vtimer and wtimer. gen
+// wheelNode is the per-timer state embedded in wtimer. gen
 // invalidates stale wheel entries after a cancel or re-key; queued reports
 // whether the timer is currently scheduled.
 type wheelNode struct {

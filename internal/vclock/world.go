@@ -12,10 +12,40 @@ import (
 // maxDur is the "no pending work" sentinel for partition bases.
 const maxDur = time.Duration(math.MaxInt64)
 
-// World is a partitioned deterministic discrete-event scheduler: a set of
-// Partition clocks — one per region, plus a control partition for driver
-// code — each running the serialized Virtual discipline locally while
-// executing concurrently with the others on real cores.
+// epoch is the fixed origin of every virtual clock. A constant origin (and
+// never the host's wall clock) is what makes timestamps recorded during a
+// run — WAL entries, outcome brackets, decay horizons — identical across
+// same-seed runs on any machine.
+var epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// Wake causes for a parked grant, recorded before the grant is readied so
+// the woken goroutine can tell why it resumed.
+const (
+	causeNone = iota
+	causeTimer
+	causeEvent
+	causeCtx
+	causeShutdown
+)
+
+// grant is one execution slot in a partition's run queue. Either a parked
+// goroutine waits on ch for the slot to be granted, or fn is a scheduler
+// callback (AfterFunc) executed inline when the slot comes up.
+type grant struct {
+	p     *Partition    // partition whose run queue the slot belongs to
+	ch    chan struct{} // closed when granted (nil for fn grants)
+	fn    func()        // AfterFunc body (nil for parked goroutines)
+	timer *wtimer       // companion timeout timer, descheduled on other wakes
+	cause int           // why a parked grant was woken; causeNone = still parked
+}
+
+// World is the deterministic discrete-event scheduler: a set of Partition
+// clocks, each running the serialized discipline of the package comment
+// locally while executing concurrently with the others on real cores. A
+// world of one partition (NewVirtual; a cluster's control partition alone)
+// is the serialized virtual clock: with no peers the horizon below is
+// unbounded and only the local rules remain. A cluster under ParallelTime
+// has one partition per region plus a control partition for driver code.
 //
 // Determinism under parallelism comes from conservative lookahead
 // synchronization. Every ordered partition pair (S, P) has a lookahead
@@ -68,8 +98,11 @@ type World struct {
 // la[i][j] is the minimum virtual delay of any cross-partition effect from
 // partition i to partition j, and must be positive for i != j. The matrix
 // is closed under the triangle inequality internally. The constructing
-// goroutine holds partition 0's execution slot (like NewVirtual) and must
-// block only through clock primitives.
+// goroutine holds partition 0's execution slot and must block only through
+// clock primitives (Sleep, Event waits, Group.Wait). Timer callbacks and
+// enqueued Ticket work run one at a time per partition and must not block
+// through the clock either — they may freely create timers, fire events,
+// spawn via Go, and create Tickets.
 func NewWorld(names []string, la [][]time.Duration) (*World, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("vclock: world needs at least one partition")
@@ -77,8 +110,13 @@ func NewWorld(names []string, la [][]time.Duration) (*World, error) {
 	if len(la) != len(names) {
 		return nil, fmt.Errorf("vclock: lookahead matrix is %dx, want %d rows", len(la), len(names))
 	}
+	seen := make(map[string]bool, len(names))
 	closed := make([][]time.Duration, len(names))
-	for i := range names {
+	for i, name := range names {
+		if seen[name] {
+			return nil, fmt.Errorf("vclock: duplicate partition name %q", name)
+		}
+		seen[name] = true
 		if len(la[i]) != len(names) {
 			return nil, fmt.Errorf("vclock: lookahead row %d has %d entries, want %d", i, len(la[i]), len(names))
 		}
@@ -105,11 +143,14 @@ func NewWorld(names []string, la [][]time.Duration) (*World, error) {
 			}
 		}
 	}
+	return newWorld(names, closed), nil
+}
+
+// newWorld starts a world over validated names and a closed lookahead
+// matrix, which it keeps.
+func newWorld(names []string, closed [][]time.Duration) *World {
 	w := &World{byName: make(map[string]*Partition, len(names)), la: closed}
 	for i, name := range names {
-		if _, dup := w.byName[name]; dup {
-			return nil, fmt.Errorf("vclock: duplicate partition name %q", name)
-		}
 		p := &Partition{w: w, id: i, name: name}
 		p.cond = sync.NewCond(&w.mu)
 		w.parts = append(w.parts, p)
@@ -121,7 +162,7 @@ func NewWorld(names []string, la [][]time.Duration) (*World, error) {
 	for _, p := range w.parts {
 		go p.run()
 	}
-	return w, nil
+	return w
 }
 
 // Partition returns the named partition's clock, or nil if unknown.
@@ -142,10 +183,14 @@ func (w *World) Shutdown() {
 	w.mu.Unlock()
 }
 
-// Partition is one region's serialized scheduler inside a World. It
-// implements Clock: within a partition at most one tracked goroutine runs
-// at a time and the local rules are exactly Virtual's; across partitions,
-// execution is concurrent and ordered by the conservative horizon.
+// Partition is one serialized scheduler inside a World, and the only
+// virtual Clock implementation. Within a partition at most one tracked
+// goroutine runs at a time: the partition hands its single execution slot to
+// waiters in strict FIFO order of when they became runnable, and advances
+// its time only when the run queue is empty and nothing is running, jumping
+// straight to the earliest pending deadline, so a run spends zero wall time
+// asleep. Across partitions, execution is concurrent and ordered by the
+// conservative horizon.
 //
 // Cross-partition scheduling must go through ScheduleCross / RunOn /
 // Group.GoOn (or an Event homed on the firing partition) so the effect
@@ -162,7 +207,7 @@ type Partition struct {
 	horizonWait bool       // loop is asleep blocked by its horizon
 	active      bool       // counted in w.activeParts
 	now         time.Duration
-	running     int // granted execution slots (see Virtual.running)
+	running     int // granted execution slots (1 in steady state; AddWork pins add)
 	ready       []*grant
 	timers      wheel[*wtimer]
 	seq         uint64 // local insertion order (timer ties)
@@ -187,6 +232,10 @@ func (p *Partition) syncActiveLocked() {
 
 // Name returns the partition's name.
 func (p *Partition) Name() string { return p.name }
+
+// Shutdown is World.Shutdown on the world p belongs to, for holders of a
+// one-partition world's clock (NewVirtual), who never see the World.
+func (p *Partition) Shutdown() { p.w.Shutdown() }
 
 // run is the partition loop: grant ready work, and pop the timer heap only
 // while the head is inside the conservative horizon.
@@ -357,44 +406,46 @@ func (p *Partition) exitLocked() {
 	p.baseRaisedLocked()
 }
 
-// wakeLocked readies a parked grant with the given cause, descheduling its
-// companion timer. A no-op when the grant was already woken. Caller holds
-// w.mu. The grant is readied on the partition it parked on (g.p).
-func (p *Partition) wakeLocked(g *grant, cause int) {
+// wakeLocked readies a parked grant, on the partition it parked on, with the
+// given cause, descheduling its companion timer. A no-op when the grant was
+// already woken. Caller holds w.mu.
+func (g *grant) wakeLocked(cause int) {
 	if g.cause != causeNone {
 		return
 	}
 	g.cause = cause
-	if g.wt != nil && g.wt.p != nil {
-		g.wt.p.cancelTimerLocked(g.wt)
+	if g.timer != nil {
+		g.timer.p.cancelTimerLocked(g.timer)
 	}
-	home := g.p
-	if home == nil {
-		home = p
-	}
-	if p.w.stopped {
+	if g.p.w.stopped {
 		// The partition loops have exited; release the waiter directly
 		// instead of queueing it on a dead run queue.
-		if g.ch != nil {
-			close(g.ch)
-		}
+		close(g.ch)
 		return
 	}
-	home.readyLocked(g)
+	g.p.readyLocked(g)
 }
 
-// scheduleLocked inserts t into p's timer wheel under the packed ordering
-// key: cross deliveries keep their small sender-id first word, local timers
-// set localKeyBit, so the wheel's unsigned key compare reproduces the
-// (when, cross-before-local, k1, k2) order exactly. Caller holds w.mu.
-func (p *Partition) scheduleLocked(t *wtimer) {
-	a := t.k1
-	if !t.cross {
-		a |= localKeyBit
-	}
-	p.timers.schedule(t.when, a, t.k2, t)
+// scheduleLocked inserts t into p's timer wheel under the ordering key
+// (t.when, a, b). A cross delivery's (a, b) is (sender id, sender seq), a
+// local timer's is (insertion seq with localKeyBit set, 0), so the wheel's
+// unsigned compare fires same-instant entries cross before local, crosses by
+// sender then send order, locals in creation order. Caller holds w.mu.
+func (p *Partition) scheduleLocked(t *wtimer, a, b uint64) {
+	p.timers.schedule(t.when, a, b, t)
 	p.syncActiveLocked()
 	p.cond.Signal()
+}
+
+// armLocked schedules t as a local timer of p firing at now+d. Caller holds
+// w.mu.
+func (p *Partition) armLocked(t *wtimer, d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	t.when = p.now + d
+	p.scheduleLocked(t, localKeyBit|p.seq, 0)
+	p.seq++
 }
 
 // cancelTimerLocked lazily removes t from p's wheel, propagating a possible
@@ -410,13 +461,32 @@ func (p *Partition) cancelTimerLocked(t *wtimer) bool {
 
 // newTimerLocked registers a local timer firing at now+d. Caller holds w.mu.
 func (p *Partition) newTimerLocked(d time.Duration) *wtimer {
-	if d < 0 {
-		d = 0
-	}
-	t := &wtimer{p: p, when: p.now + d, k1: p.seq, cause: causeTimer}
-	p.seq++
-	p.scheduleLocked(t)
+	t := &wtimer{p: p, cause: causeTimer}
+	p.armLocked(t, d)
 	return t
+}
+
+// timedGrantLocked returns a grant for the caller to park on, with a
+// companion timer that wakes it after d unless something else does first.
+// Caller holds w.mu.
+func (p *Partition) timedGrantLocked(d time.Duration) *grant {
+	g := &grant{ch: make(chan struct{}), p: p}
+	g.timer = p.newTimerLocked(d)
+	g.timer.g = g
+	return g
+}
+
+// sleepGrantLocked returns the grant a sleep of d parks on: timed, or for
+// d <= 0 a yield to the back of the run queue. Caller holds w.mu.
+func (p *Partition) sleepGrantLocked(d time.Duration) *grant {
+	if d > 0 {
+		return p.timedGrantLocked(d)
+	}
+	// A yield is woken the moment it is queued. Recording that keeps a
+	// context cancelled before the slot comes up from readying it again.
+	g := &grant{ch: make(chan struct{}), p: p, cause: causeTimer}
+	p.readyLocked(g)
+	return g
 }
 
 // crossLocked stamps t with (src.now + max(d, la), src, seq) and merges it
@@ -428,11 +498,8 @@ func (w *World) crossLocked(src, dst *Partition, d time.Duration, t *wtimer) {
 	}
 	t.p = dst
 	t.when = src.now + d
-	t.cross = true
-	t.k1 = uint64(src.id)
-	t.k2 = src.xseq
+	dst.scheduleLocked(t, uint64(src.id), src.xseq)
 	src.xseq++
-	dst.scheduleLocked(t)
 }
 
 // partitionOf unwraps clk to its World partition, or nil.
@@ -445,8 +512,8 @@ func partitionOf(clk Clock) *Partition {
 // clamped up to the src→dst lookahead and delivered through the merge
 // layer, so same-seed runs execute it at an identical point regardless of
 // thread interleaving. The caller must be executing on src. When src and
-// dst are not two distinct partitions of one World (serialized or real
-// clocks), it degenerates to dst.AfterFunc(d, f).
+// dst are not two distinct partitions of one World (a one-partition world,
+// or real clocks), it degenerates to dst.AfterFunc(d, f).
 func ScheduleCross(src, dst Clock, d time.Duration, f func()) Timer {
 	sp, dp := partitionOf(src), partitionOf(dst)
 	if sp == nil || dp == nil || sp == dp || sp.w != dp.w {
@@ -457,7 +524,7 @@ func ScheduleCross(src, dst Clock, d time.Duration, f func()) Timer {
 	if w.stopped {
 		w.mu.Unlock()
 		go f()
-		return &wtimer{p: dp, fired: true}
+		return &wtimer{p: dp}
 	}
 	t := &wtimer{fn: f, cause: causeTimer}
 	w.crossLocked(sp, dp, d, t)
@@ -519,7 +586,10 @@ func (p *Partition) Since(t time.Time) time.Duration { return p.Now().Sub(t) }
 // Until implements Clock.
 func (p *Partition) Until(t time.Time) time.Duration { return t.Sub(p.Now()) }
 
-// Sleep implements Clock (see Virtual.Sleep).
+// Sleep implements Clock: the caller's slot is released for the duration,
+// so the partition may advance straight to the wake-up (or any earlier
+// work) with zero wall-clock cost. Sleep(0) yields: the caller goes to the
+// back of the run queue.
 func (p *Partition) Sleep(d time.Duration) {
 	w := p.w
 	w.mu.Lock()
@@ -527,14 +597,7 @@ func (p *Partition) Sleep(d time.Duration) {
 		w.mu.Unlock()
 		return
 	}
-	g := &grant{ch: make(chan struct{}), p: p}
-	if d <= 0 {
-		p.readyLocked(g)
-	} else {
-		t := p.newTimerLocked(d)
-		t.g = g
-	}
-	p.parkLocked(g)
+	p.parkLocked(p.sleepGrantLocked(d))
 }
 
 // SleepCtx implements Clock. Cancellation comes from outside the virtual
@@ -554,18 +617,11 @@ func (p *Partition) SleepCtx(ctx context.Context, d time.Duration) error {
 		w.mu.Unlock()
 		return ctx.Err()
 	}
-	g := &grant{ch: make(chan struct{}), p: p}
-	if d <= 0 {
-		p.readyLocked(g)
-	} else {
-		t := p.newTimerLocked(d)
-		t.g = g
-		g.wt = t
-	}
+	g := p.sleepGrantLocked(d)
 	w.mu.Unlock()
 	stop := context.AfterFunc(ctx, func() {
 		w.mu.Lock()
-		p.wakeLocked(g, causeCtx)
+		g.wakeLocked(causeCtx)
 		w.mu.Unlock()
 	})
 	w.mu.Lock()
@@ -585,7 +641,7 @@ func (p *Partition) AfterFunc(d time.Duration, f func()) Timer {
 	if w.stopped {
 		w.mu.Unlock()
 		go f()
-		return &wtimer{p: p, fired: true}
+		return &wtimer{p: p}
 	}
 	t := p.newTimerLocked(d)
 	t.fn = f
@@ -593,12 +649,16 @@ func (p *Partition) AfterFunc(d time.Duration, f func()) Timer {
 	return t
 }
 
-// NewTimer implements Clock (see Virtual.NewTimer for the channel caveats).
+// NewTimer implements Clock. The returned timer delivers the fire into a
+// buffered channel with no run-queue participation, so a tracked goroutine
+// must not bare-receive from C (it would hold the execution slot and wedge
+// the world); C is for select loops in real-clock-domain code that happen
+// to hold a virtual clock. Tracked code should use Sleep or Events.
 func (p *Partition) NewTimer(d time.Duration) Timer {
 	w := p.w
 	w.mu.Lock()
 	if w.stopped {
-		t := &wtimer{p: p, fired: true, ch: make(chan time.Time, 1)}
+		t := &wtimer{p: p, ch: make(chan time.Time, 1)}
 		t.ch <- epoch.Add(p.now)
 		w.mu.Unlock()
 		return t
@@ -639,7 +699,9 @@ func (p *Partition) Go(f func()) {
 	}()
 }
 
-// Ticket implements Clock (see Virtual.Ticket).
+// Ticket implements Clock: the slot is queued now (establishing its
+// deterministic position), granted when the partition reaches it, and
+// occupied for the duration of Run's callback.
 func (p *Partition) Ticket() Ticket {
 	w := p.w
 	w.mu.Lock()
@@ -709,40 +771,29 @@ func (p *Partition) PendingTimers() int {
 // deterministic; within one partition it is). Caller holds w.mu.
 func (p *Partition) fireEventLocked(waiters []*grant) {
 	w := p.w
-	sort.SliceStable(waiters, func(i, j int) bool {
-		pi, pj := p, p
-		if waiters[i].p != nil {
-			pi = waiters[i].p
-		}
-		if waiters[j].p != nil {
-			pj = waiters[j].p
-		}
-		return pi.id < pj.id
-	})
+	if len(waiters) > 1 {
+		sort.SliceStable(waiters, func(i, j int) bool { return waiters[i].p.id < waiters[j].p.id })
+	}
 	for _, g := range waiters {
-		dst := g.p
-		if dst == nil || dst == p || w.stopped {
-			p.wakeLocked(g, causeEvent)
+		if g.p == p || w.stopped {
+			g.wakeLocked(causeEvent)
 			continue
 		}
 		wt := &wtimer{g: g, cause: causeEvent}
-		w.crossLocked(p, dst, 0, wt)
+		w.crossLocked(p, g.p, 0, wt)
 	}
 }
 
 // wtimer is one scheduled entry in a partition's timer wheel: a local
 // timer, a cross-partition delivery, or a shipped wake-up.
 type wtimer struct {
-	p      *Partition
-	when   time.Duration
-	cross  bool   // merged from another partition: sorts before local at equal when
-	k1, k2 uint64 // cross: (sender id, sender seq); local: (insertion seq, 0)
-	fn     func()
-	ch     chan time.Time
-	g      *grant
-	cause  int // wake cause delivered to g
-	fired  bool
-	node   wheelNode
+	p     *Partition
+	when  time.Duration
+	fn    func()
+	ch    chan time.Time
+	g     *grant
+	cause int // wake cause delivered to g
+	node  wheelNode
 }
 
 // wheelState exposes the wheel bookkeeping node.
@@ -751,12 +802,11 @@ func (t *wtimer) wheelState() *wheelNode { return &t.node }
 // fireLocked delivers the timer. Caller holds w.mu; the timer was just
 // popped from p's wheel.
 func (t *wtimer) fireLocked() {
-	t.fired = true
 	switch {
 	case t.g != nil:
-		t.p.wakeLocked(t.g, t.cause)
+		t.g.wakeLocked(t.cause)
 	case t.fn != nil:
-		t.p.readyLocked(&grant{fn: t.fn})
+		t.p.readyLocked(&grant{p: t.p, fn: t.fn})
 	case t.ch != nil:
 		select {
 		case t.ch <- epoch.Add(t.when):
@@ -778,7 +828,7 @@ func (t *wtimer) Stop() bool {
 
 // stopLocked is Stop under w.mu.
 func (t *wtimer) stopLocked() bool {
-	if t.p != nil && t.p.cancelTimerLocked(t) {
+	if t.p.cancelTimerLocked(t) {
 		return true
 	}
 	if t.ch != nil {
@@ -793,23 +843,13 @@ func (t *wtimer) stopLocked() bool {
 // Reset implements Timer. The timer is re-keyed as a local timer of its
 // partition (delivery timers are never reset).
 func (t *wtimer) Reset(d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
-	p := t.p
-	w := p.w
+	w := t.p.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.stopped {
 		return false
 	}
 	wasPending := t.stopLocked()
-	t.fired = false
-	t.cross = false
-	t.when = p.now + d
-	t.k1 = p.seq
-	t.k2 = 0
-	p.seq++
-	p.scheduleLocked(t)
+	t.p.armLocked(t, d)
 	return wasPending
 }

@@ -1,35 +1,74 @@
 package vclock
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 // stormClocks abstracts "one clock per partition" so the same storm can run
-// on a partitioned World and on a serialized Virtual (where every partition
-// maps to the one clock and the cross-partition helpers degenerate to plain
-// local scheduling at identical virtual times).
+// on a partitioned World and on a one-partition world (where every storm
+// partition maps to the one clock and the cross-partition helpers
+// degenerate to plain local scheduling at identical virtual times).
 type stormClocks struct {
 	ctl   Clock
 	parts []Clock
+	la    [][]time.Duration // lookahead by storm partition index; nil when all share one clock
+}
+
+// lookahead is the promised minimum delay of an effect from storm partition
+// src to dst.
+func (c stormClocks) lookahead(src, dst int) time.Duration {
+	if c.la == nil || src == dst {
+		return 0
+	}
+	return c.la[src][dst]
+}
+
+// stormRec is one delivered action and the virtual instant it ran at.
+type stormRec struct {
+	what string
+	at   time.Duration
 }
 
 // stormLog collects delivered actions per partition. Appends happen only
 // from the owning partition's serialized execution; the mutex makes the
 // collection robust regardless.
 type stormLog struct {
+	t    *testing.T
 	mu   sync.Mutex
-	recs [][]string
+	recs [][]stormRec
+	last []time.Duration // latest instant observed on each partition
 }
 
-func (l *stormLog) add(part int, kind string, actor, step int, clk Clock) {
+// observe reads clk, the clock of partition part, from code executing on it,
+// and fails the test if that partition's time ran backwards.
+func (l *stormLog) observe(part int, clk Clock) time.Duration {
+	now := clk.Since(epoch)
 	l.mu.Lock()
-	l.recs[part] = append(l.recs[part],
-		fmt.Sprintf("%s a%d s%d @%d", kind, actor, step, clk.Now().UnixNano()))
+	if now < l.last[part] {
+		l.t.Errorf("partition %d: time ran backwards, %v after %v", part, now, l.last[part])
+	}
+	l.last[part] = now
+	l.mu.Unlock()
+	return now
+}
+
+// add logs an action delivered on partition part, which must not run before
+// notBefore: the instant it was sent plus the lookahead it crossed.
+func (l *stormLog) add(part int, kind string, actor, step int, clk Clock, notBefore time.Duration) {
+	now := l.observe(part, clk)
+	if now < notBefore {
+		l.t.Errorf("partition %d: %s a%d s%d ran at %v, before %v", part, kind, actor, step, now, notBefore)
+	}
+	l.mu.Lock()
+	l.recs[part] = append(l.recs[part], stormRec{fmt.Sprintf("%s a%d s%d", kind, actor, step), now})
 	l.mu.Unlock()
 }
 
@@ -59,18 +98,23 @@ func stormLA(n int) [][]time.Duration {
 	return la
 }
 
-// runStorm drives a seeded cross-partition timer/send/call storm: actors on
-// every region partition schedule local timers, cross-partition deliveries,
-// and synchronous cross-partition calls from independent per-actor RNG
-// streams. It returns the per-partition delivered order.
-func runStorm(t *testing.T, seed int64, clks stormClocks, regions int) [][]string {
+// runStorm drives a seeded cross-partition timer/send storm: actors on
+// every region partition schedule local timers and cross-partition
+// deliveries from independent per-actor RNG streams. With hops it adds the
+// effects whose timing is set by the lookahead — sends below the lookahead
+// floor and synchronous RunOn round trips — which take different virtual
+// time on worlds with different matrices, so the merge gate leaves them out.
+// It returns the per-partition delivered order. Every run checks, free of
+// golden values, that no partition's time runs backwards and that no
+// delivery runs before its send instant plus the lookahead it crossed.
+func runStorm(t *testing.T, seed int64, clks stormClocks, regions int, hops bool) [][]stormRec {
 	t.Helper()
 	const (
 		actorsPerPart = 3
 		steps         = 25
 		startAt       = 50 * time.Millisecond
 	)
-	log := &stormLog{recs: make([][]string, regions+1)}
+	log := &stormLog{t: t, recs: make([][]stormRec, regions+1), last: make([]time.Duration, regions+1)}
 	g := NewGroup(clks.ctl)
 	start := clks.ctl.Now().Add(startAt)
 	for pi := 1; pi <= regions; pi++ {
@@ -88,26 +132,45 @@ func runStorm(t *testing.T, seed int64, clks stormClocks, regions int) [][]strin
 					// is exactly time order.
 					uniq := time.Duration(pi*100_000+ai*1_000+s) * time.Nanosecond
 					d := 11*time.Millisecond + time.Duration(rng.Intn(7_000_000)) + uniq
-					switch rng.Intn(4) {
+					sent := log.observe(pi, clk)
+					kinds := 4
+					if hops {
+						kinds = 6
+					}
+					switch rng.Intn(kinds) {
 					case 0:
-						clk.AfterFunc(d, func() { log.add(pi, "local", pi*100+ai, s, clk) })
+						clk.AfterFunc(d, func() { log.add(pi, "local", pi*100+ai, s, clk, sent+d) })
 					case 1:
 						dst := 1 + rng.Intn(regions)
 						dclk := clks.parts[dst-1]
-						ScheduleCross(clk, dclk, d, func() { log.add(dst, "cross", pi*100+ai, s, dclk) })
+						ScheduleCross(clk, dclk, d, func() { log.add(dst, "cross", pi*100+ai, s, dclk, sent+d) })
 					case 2:
 						// A second cross flavor with a different delay
 						// range, so merged streams overlap heavily.
-						// (RunOn is deliberately absent here: its shipped
-						// round trip takes 2×lookahead of virtual time on a
-						// World but zero on the serialized reference; its
-						// determinism is gated separately below.)
 						dst := 1 + rng.Intn(regions)
 						dclk := clks.parts[dst-1]
 						ScheduleCross(clk, dclk, d+20*time.Millisecond,
-							func() { log.add(dst, "cross2", pi*100+ai, s, dclk) })
-					default:
+							func() { log.add(dst, "cross2", pi*100+ai, s, dclk, sent+d+20*time.Millisecond) })
+					case 3:
 						clk.Sleep(d / 4)
+					case 4:
+						// Asks for less than the link's lookahead: the
+						// delivery must be held back to the floor.
+						dst := 1 + rng.Intn(regions)
+						dclk := clks.parts[dst-1]
+						ScheduleCross(clk, dclk, uniq,
+							func() { log.add(dst, "hop", pi*100+ai, s, dclk, sent+clks.lookahead(pi, dst)) })
+					case 5:
+						dst := 1 + rng.Intn(regions)
+						dclk := clks.parts[dst-1]
+						var ran time.Duration
+						RunOn(clk, dclk, func() {
+							log.add(dst, "call", pi*100+ai, s, dclk, sent+clks.lookahead(pi, dst))
+							ran = dclk.Since(epoch)
+						})
+						if back := log.observe(pi, clk); back < ran+clks.lookahead(dst, pi) {
+							t.Errorf("RunOn %d->%d returned at %v, callee ran at %v", pi, dst, back, ran)
+						}
 					}
 					clk.Sleep(500*time.Microsecond + time.Duration(rng.Intn(2_000_000)))
 				}
@@ -139,28 +202,56 @@ func worldStormClocks(t *testing.T, regions int) (stormClocks, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clks := stormClocks{ctl: w.Partition("ctl")}
+	clks := stormClocks{ctl: w.Partition("ctl"), la: w.la}
 	for i := 0; i < regions; i++ {
 		clks.parts = append(clks.parts, w.Partition(fmt.Sprintf("r%d", i)))
 	}
 	return clks, w.Shutdown
 }
 
-func compareStorms(t *testing.T, wantName, gotName string, want, got [][]string) {
+// byInstant returns a copy of recs sorted by (instant, action): a canonical
+// form of the multiset, and — the storm keeps every instant distinct — the
+// one order a correct scheduler may deliver it in.
+func byInstant(recs []stormRec) []stormRec {
+	out := append([]stormRec(nil), recs...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].at != out[j].at {
+			return out[i].at < out[j].at
+		}
+		return out[i].what < out[j].what
+	})
+	return out
+}
+
+// compareStorms is the oracle over two runs of one storm, with no reference
+// scheduler behind it: each destination's log must be in time order on both
+// sides, and hold the same multiset of (action, instant) records.
+func compareStorms(t *testing.T, wantName, gotName string, want, got [][]stormRec) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("partition count differs: %s=%d %s=%d", wantName, len(want), gotName, len(got))
 	}
+	inTimeOrder := func(name string, p int, recs []stormRec) {
+		for i := 1; i < len(recs); i++ {
+			if recs[i].at < recs[i-1].at {
+				t.Errorf("partition %d under %s: delivery %d %v ran before delivery %d %v",
+					p, name, i, recs[i], i-1, recs[i-1])
+				return
+			}
+		}
+	}
 	for p := range want {
+		inTimeOrder(wantName, p, want[p])
+		inTimeOrder(gotName, p, got[p])
 		if len(want[p]) != len(got[p]) {
 			t.Errorf("partition %d: %d deliveries under %s, %d under %s",
 				p, len(want[p]), wantName, len(got[p]), gotName)
 			continue
 		}
-		for i := range want[p] {
-			if want[p][i] != got[p][i] {
-				t.Errorf("partition %d delivery %d: %s=%q %s=%q",
-					p, i, wantName, want[p][i], gotName, got[p][i])
+		w, g := byInstant(want[p]), byInstant(got[p])
+		for i := range w {
+			if w[i] != g[i] {
+				t.Errorf("partition %d record %d by instant: %s=%v %s=%v", p, i, wantName, w[i], gotName, g[i])
 				break
 			}
 		}
@@ -169,19 +260,20 @@ func compareStorms(t *testing.T, wantName, gotName string, want, got [][]string)
 
 // TestWorldMatchesSerializedReference is the merge-layer gate: a seeded
 // cross-partition storm delivered by the parallel partitioned scheduler
-// must land in exactly the order the serialized Virtual reference delivers
-// it (per destination, with every instant distinct, that order is pure time
-// order — any merge bug shows up as a reordering).
+// must land exactly as a one-partition world delivers it. Per destination,
+// with every instant distinct, the right order is pure time order, so the
+// gate is compareStorms' oracle rather than trust in either side — any
+// merge bug shows up as a reordering or a record at the wrong instant.
 func TestWorldMatchesSerializedReference(t *testing.T) {
 	const regions = 4
 	for _, seed := range []int64{1, 42, 1789} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			vc, vstop := virtualStormClocks(regions)
-			ref := runStorm(t, seed, vc, regions)
+			ref := runStorm(t, seed, vc, regions, false)
 			vstop()
 			wc, wstop := worldStormClocks(t, regions)
-			got := runStorm(t, seed, wc, regions)
+			got := runStorm(t, seed, wc, regions, false)
 			wstop()
 			total := 0
 			for _, rs := range ref {
@@ -190,7 +282,58 @@ func TestWorldMatchesSerializedReference(t *testing.T) {
 			if total < 100 {
 				t.Fatalf("storm too small to be meaningful: %d deliveries", total)
 			}
-			compareStorms(t, "virtual", "world", ref, got)
+			compareStorms(t, "one-partition", "world", ref, got)
+		})
+	}
+}
+
+// TestWorldMonotonicAndCausal runs the storm with its lookahead-bound hops
+// on a partitioned world for the invariants runStorm checks as it goes: per
+// partition Now never decreases across consecutive callbacks, every
+// ScheduleCross delivery runs at or after its send instant plus la[src][dst],
+// and RunOn returns at or after the instant its callee ran plus the lookahead
+// back. At GOMAXPROCS 1 partitions interleave on one thread; at 4 they race.
+func TestWorldMonotonicAndCausal(t *testing.T) {
+	const regions = 4
+	for _, procs := range []int{1, 4} {
+		procs := procs
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			wc, stop := worldStormClocks(t, regions)
+			defer stop()
+			hops := 0
+			for _, recs := range runStorm(t, 7, wc, regions, true) {
+				for _, r := range recs {
+					if strings.HasPrefix(r.what, "hop") || strings.HasPrefix(r.what, "call") {
+						hops++
+					}
+				}
+			}
+			if hops < 50 {
+				t.Fatalf("storm too small to be meaningful: %d lookahead-bound deliveries", hops)
+			}
+		})
+	}
+}
+
+// TestSleepCtxYieldCancelled is the regression test for a double grant: a
+// zero-length SleepCtx whose context is cancelled while the yield is still
+// queued used to put the same grant on the run queue twice, and the
+// partition loop panicked closing its channel a second time.
+func TestSleepCtxYieldCancelled(t *testing.T) {
+	for _, regions := range []int{0, 1} {
+		regions := regions
+		t.Run(fmt.Sprintf("partitions%d", regions+1), func(t *testing.T) {
+			for i := 0; i < 200; i++ {
+				wc, stop := worldStormClocks(t, regions)
+				ctx, cancel := context.WithCancel(context.Background())
+				wc.ctl.Go(cancel)
+				if err := wc.ctl.SleepCtx(ctx, 0); err != nil && err != context.Canceled {
+					t.Fatalf("SleepCtx = %v", err)
+				}
+				wc.ctl.Sleep(time.Second)
+				stop()
+			}
 		})
 	}
 }
@@ -201,12 +344,12 @@ func TestWorldMatchesSerializedReference(t *testing.T) {
 // simulated order.
 func TestWorldGOMAXPROCSInvariance(t *testing.T) {
 	const regions = 4
-	run := func(procs int) [][]string {
+	run := func(procs int) [][]stormRec {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		wc, stop := worldStormClocks(t, regions)
 		defer stop()
-		return runStorm(t, 7, wc, regions)
+		return runStorm(t, 7, wc, regions, false)
 	}
 	serial := run(1)
 	parallel := run(runtime.NumCPU())
@@ -264,7 +407,8 @@ func TestWorldGroupCountsInFlight(t *testing.T) {
 	}
 }
 
-// TestWorldShutdownReleasesSleepers mirrors the Virtual shutdown contract.
+// TestWorldShutdownReleasesSleepers is the shutdown contract with peers
+// present (TestVirtualShutdownWakesSleepers checks it on one partition).
 func TestWorldShutdownReleasesSleepers(t *testing.T) {
 	wc, stop := worldStormClocks(t, 2)
 	ctl := wc.ctl

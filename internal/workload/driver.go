@@ -75,8 +75,8 @@ func (c Closed) Run() (*Report, error) {
 
 	// Each client lives on its origin region's scheduler partition (GoOn),
 	// so every clock read and timer it takes is partition-local and the
-	// run is deterministic under the parallel scheduler. Under a serialized
-	// or real clock GoOn degenerates to Go.
+	// run is deterministic under the parallel scheduler. Under a
+	// one-partition or real clock GoOn degenerates to Go.
 	g := vclock.NewGroup(clk)
 	errs := make(chan error, c.Clients)
 	for i := 0; i < c.Clients; i++ {

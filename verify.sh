@@ -9,6 +9,11 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
+# benchmark/ is its own module (replace planet => ../), so the three lines
+# above never compile it: without these an API deletion under internal/
+# breaks the frozen benchmark unnoticed.
+go vet -C benchmark ./...
+go test -C benchmark -short ./...
 go test -race -short ./internal/core ./internal/mdcc ./internal/obs
 # Chaos soak gate: fault schedules (partition + crash/WAL-recovery +
 # latency spike) must preserve the safety invariants under the race
