@@ -437,7 +437,8 @@ func (db *DB) Session(region simnet.Region) (*Session, error) {
 
 // Session is a per-region client. Under a partitioned scheduler its
 // goroutines execute on the region's partition (spawn them with
-// Clock().Go or vclock.Group.GoOn).
+// Clock().Go or vclock.Group.GoOn; start a body that never blocks with
+// vclock.Group.StartOn).
 type Session struct {
 	db      *DB
 	region  simnet.Region

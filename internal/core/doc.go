@@ -34,7 +34,8 @@
 // transaction reported a speculative commit and then aborted. OnFinal fires
 // for every transaction exactly once (including admission rejections), and
 // callback order is always accept ≤ progress* ≤ speculative ≤ final ≤
-// apology.
+// apology. Under a virtual clock callbacks run on the scheduler's own loop
+// and must not block through the clock; see CommitOptions.
 //
 // # Prediction and admission
 //

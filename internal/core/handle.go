@@ -38,9 +38,14 @@ func (p Progress) String() string {
 }
 
 // CommitOptions configures one staged commit. All callbacks are optional;
-// they run on a per-transaction dispatch goroutine in stage order
-// (accept ≤ progress* ≤ speculative ≤ deadline? ≤ final ≤ apology), so a
-// slow callback delays later callbacks of the same transaction only.
+// a transaction's callbacks run one at a time in stage order
+// (accept ≤ progress* ≤ speculative ≤ deadline? ≤ final ≤ apology), never
+// on the protocol's own call stack. Under the real clock each transaction
+// drains its callbacks on a goroutine of its own, so a slow callback delays
+// later callbacks of the same transaction only. Under a virtual clock they
+// run on the home partition's scheduler loop, in run-queue order with every
+// other transaction's, and must not block through the clock (no Sleep, no
+// Wait).
 type CommitOptions struct {
 	// SpeculateAt, in (0,1], fires OnSpeculative once the predicted
 	// commit likelihood reaches the threshold. Zero disables speculation.
@@ -102,21 +107,12 @@ type Handle struct {
 	start      time.Time
 	timer      vclock.Timer
 
-	// Callback dispatch: an unbounded queue of (callback, ticket) pairs
-	// drained in order by a per-handle goroutine. The ticket is reserved at
-	// enqueue time, which fixes each callback's position in the virtual
-	// scheduler's run queue — dispatch order across all handles is then
-	// deterministic, not a race between dispatch goroutines.
-	cbmu   sync.Mutex
-	cbcond *sync.Cond
-	cbq    []cbItem
-	done   *vclock.Event
-}
-
-// cbItem is one queued callback; a nil f is the termination sentinel.
-type cbItem struct {
-	f func()
-	t vclock.Ticket
+	// Callback dispatch: callbacks are posted to the clock's serial queue in
+	// stage order, and done.Fire is posted last. Under a virtual clock a
+	// post takes its run-queue position at the point of the call, so
+	// dispatch order across all handles is deterministic.
+	cbq  vclock.Queue
+	done *vclock.Event
 }
 
 // maxCalibSamples caps per-transaction calibration samples.
@@ -174,6 +170,7 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		regions: regionList,
 		tracks:  make([]optTrack, len(ops)),
 		start:   s.clk.Now(),
+		cbq:     s.clk.NewQueue(),
 		done:    s.clk.NewEvent(),
 	}
 	for i, op := range ops {
@@ -185,8 +182,6 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	if h.spans != nil {
 		h.span = obs.NewSpanID()
 	}
-	h.cbcond = sync.NewCond(&h.cbmu)
-	go h.dispatch()
 
 	db.tracer.Begin(h.id)
 	subEv := obs.Event{Kind: obs.EvSubmitted}
@@ -292,6 +287,13 @@ func (h *Handle) Progress() Progress {
 	return h.progressLocked()
 }
 
+// OnDone registers f to run once every callback has run — the point where
+// Wait returns — without a goroutine parked there. Under a virtual clock f
+// runs on the home partition's scheduler loop and must not block through the
+// clock; under the real clock it runs on the callbacks' goroutine, behind the
+// last of them. If the handle is already done, f runs at once.
+func (h *Handle) OnDone(f func()) { h.done.OnFire(f) }
+
 // Wait blocks until every callback has run and returns the outcome.
 func (h *Handle) Wait() txn.Outcome {
 	h.done.Wait()
@@ -331,22 +333,12 @@ func (h *Handle) progressLocked() Progress {
 	}
 }
 
-// push appends one callback (nil = sentinel) with a freshly reserved
-// ticket and wakes the dispatch goroutine.
-func (h *Handle) push(f func()) {
-	t := h.clk.Ticket()
-	h.cbmu.Lock()
-	h.cbq = append(h.cbq, cbItem{f: f, t: t})
-	h.cbmu.Unlock()
-	h.cbcond.Signal()
-}
-
 // enqueue schedules one callback invocation; nil callbacks are skipped.
 func (h *Handle) enqueue(cb func(Progress), p Progress) {
 	if cb == nil {
 		return
 	}
-	h.push(func() { cb(p) })
+	h.cbq.Post(func() { cb(p) })
 }
 
 // enqueueOutcome schedules an outcome callback.
@@ -354,27 +346,7 @@ func (h *Handle) enqueueOutcome(cb func(txn.Outcome), o txn.Outcome) {
 	if cb == nil {
 		return
 	}
-	h.push(func() { cb(o) })
-}
-
-// dispatch runs callbacks in order until the sentinel, then releases Wait.
-// Each callback runs inside its reserved ticket; callbacks must not block
-// through the clock.
-func (h *Handle) dispatch() {
-	for {
-		h.cbmu.Lock()
-		for len(h.cbq) == 0 {
-			h.cbcond.Wait()
-		}
-		it := h.cbq[0]
-		h.cbq = h.cbq[1:]
-		h.cbmu.Unlock()
-		if it.f == nil {
-			it.t.Run(func() { h.done.Fire() })
-			return
-		}
-		it.t.Run(it.f)
-	}
+	h.cbq.Post(func() { cb(o) })
 }
 
 // reject finalizes an admission rejection.
@@ -395,7 +367,7 @@ func (h *Handle) reject() {
 	h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvFinal, Note: ErrAdmission.Error()})
 	h.db.tracer.Finish(h.id, outcomeRejected, false)
 	h.enqueueOutcome(h.opts.OnFinal, h.outcome)
-	h.push(nil)
+	h.cbq.Post(h.done.Fire)
 }
 
 // onDeadline fires the deadline callback if the transaction is still open.
@@ -602,14 +574,14 @@ func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 	if h.span != 0 && !submitFailed {
 		// The root span closes at the decision; the client-notify span then
 		// measures how long the outcome takes to reach the application
-		// (callback queue drain), recorded from the dispatch goroutine after
-		// OnFinal and OnApology have run.
+		// (callback queue drain), recorded behind OnFinal and OnApology on
+		// the callback queue.
 		decided := h.outcome.Decided
 		h.spans.Add(obs.Span{
 			Txn: h.id, ID: h.span, Stage: obs.StageTotal,
 			Region: string(h.session.region), Start: h.start, End: decided,
 		})
-		h.push(func() { h.recordSpan(obs.StageClientNotify, decided, "") })
+		h.cbq.Post(func() { h.recordSpan(obs.StageClientNotify, decided, "") })
 	}
-	h.push(nil)
+	h.cbq.Post(h.done.Fire)
 }

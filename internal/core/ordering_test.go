@@ -2,13 +2,17 @@ package planet_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
+	"planet/internal/regions"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 	"planet/internal/workload"
 )
 
@@ -155,4 +159,152 @@ func indexOf(names []string, want string) int {
 		}
 	}
 	return -1
+}
+
+// TestVirtualCallbacksHoldNoGoroutines runs one open-loop round by hand on
+// a one-partition virtual cluster — every arrival started inline with
+// Group.StartOn, finished through Handle.OnDone — and samples the process's
+// goroutine count from OnAccept, when the whole round is in flight. Neither
+// a handle nor a waiting arrival may cost a goroutine: the count stays
+// within a small constant of what it was before the round.
+func TestVirtualCallbacksHoldNoGoroutines(t *testing.T) {
+	db := openTestDB(t, planet.Config{}, cluster.Config{
+		Topology:      regions.Three(),
+		VirtualTime:   true,
+		CommitTimeout: 2 * time.Second,
+	})
+	c := db.Cluster()
+	const n = 2500
+	for i := 0; i < n; i++ {
+		c.SeedInt(fmt.Sprintf("g-%d", i), 10, 0, 1000)
+	}
+	s := session(t, db, c.Regions()[0])
+
+	before := runtime.NumGoroutine()
+	var maxGoroutines int
+	var maxInFlight int64
+	committed := 0
+	g := vclock.NewGroup(c.Clock())
+	for i := 0; i < n; i++ {
+		i := i
+		g.StartOn(s.Clock(), func(done func()) {
+			tx := s.Begin()
+			tx.Add(fmt.Sprintf("g-%d", i), -1)
+			h, err := tx.Commit(planet.CommitOptions{
+				// Callbacks of one partition run one at a time: no lock.
+				OnAccept: func(planet.Progress) {
+					maxGoroutines = max(maxGoroutines, runtime.NumGoroutine())
+					maxInFlight = max(maxInFlight, db.InFlight())
+				},
+				OnFinal: func(o txn.Outcome) {
+					if o.Committed {
+						committed++
+					}
+				},
+			})
+			if err != nil {
+				t.Error(err)
+				done()
+				return
+			}
+			h.OnDone(done)
+		})
+	}
+	g.Wait()
+
+	if committed != n {
+		t.Fatalf("%d of %d transactions committed", committed, n)
+	}
+	if maxInFlight < 2000 {
+		t.Fatalf("at most %d transactions were in flight at once, want >= 2000", maxInFlight)
+	}
+	if extra := maxGoroutines - before; extra > 8 {
+		t.Fatalf("%d goroutines with %d transactions in flight, %d before the round: %d extra, want a small constant",
+			maxGoroutines, maxInFlight, before, extra)
+	}
+}
+
+// TestOnDoneAfterFinish: OnDone on a handle that already finished runs its
+// function at once, on the caller's goroutine.
+func TestOnDoneAfterFinish(t *testing.T) {
+	db := openTestDB(t, planet.Config{}, cluster.Config{})
+	db.Cluster().SeedInt("done-k", 0, 0, 100)
+	s := session(t, db, regions.California)
+	tx := s.Begin()
+	tx.Add("done-k", 1)
+	h, err := tx.Commit(planet.CommitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Wait()
+	ran := false
+	h.OnDone(func() { ran = true })
+	if !ran {
+		t.Fatal("OnDone on a finished handle did not run inline")
+	}
+}
+
+// TestRealClockCallbacksPerHandle pins the real-clock half of the callback
+// contract: one handle's callbacks run one at a time in stage order, and a
+// callback that blocks holds back its own handle only — a second handle
+// submitted behind it runs to its final callback and finishes meanwhile.
+func TestRealClockCallbacksPerHandle(t *testing.T) {
+	db := openTestDB(t, planet.Config{}, cluster.Config{})
+	db.Cluster().SeedInt("slow-k", 0, 0, 100)
+	db.Cluster().SeedInt("fast-k", 0, 0, 100)
+	s := session(t, db, regions.California)
+
+	release := make(chan struct{})
+	var running atomic.Int32
+	slowLog := &callbackLog{}
+	step := func(name string) {
+		if running.Add(1) != 1 {
+			t.Errorf("callback %s overlapped another of the same handle", name)
+		}
+		slowLog.add(name)
+		if name == "accept" {
+			<-release // a slow callback: blocks until the other handle is done
+		}
+		running.Add(-1)
+	}
+	slowTx := s.Begin()
+	slowTx.Add("slow-k", 1)
+	slow, err := slowTx.Commit(planet.CommitOptions{
+		OnAccept:   func(planet.Progress) { step("accept") },
+		OnProgress: func(planet.Progress) { step("progress") },
+		OnFinal:    func(txn.Outcome) { step("final") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fastTx := s.Begin()
+	fastTx.Add("fast-k", 1)
+	fast, err := fastTx.Commit(planet.CommitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fast.Done():
+	case <-time.After(20 * time.Second):
+		t.Fatal("a blocked callback on one handle delayed another handle")
+	}
+	select {
+	case <-slow.Done():
+		t.Fatal("handle finished while its accept callback was still blocked")
+	default:
+	}
+	close(release)
+	if o := slow.Wait(); !o.Committed {
+		t.Fatalf("slow handle: %+v", o)
+	}
+	names := slowLog.snapshot()
+	if len(names) < 3 || names[0] != "accept" || names[len(names)-1] != "final" {
+		t.Fatalf("stage order = %v, want accept, progress..., final", names)
+	}
+	for _, name := range names[1 : len(names)-1] {
+		if name != "progress" {
+			t.Fatalf("stage order = %v, want accept, progress..., final", names)
+		}
+	}
 }

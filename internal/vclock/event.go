@@ -12,7 +12,9 @@ import (
 // run queue in the order they began waiting, so wake-ups are granted
 // deterministically and the scheduler can never advance time through the
 // handoff. Under the Real clock it degenerates to a closed channel. Fire
-// is idempotent; Wait after Fire returns immediately.
+// is idempotent; Wait after Fire returns immediately. A waiter is either a
+// goroutine parked in one of the Wait methods or a function registered with
+// OnFire; both kinds share one arrival order.
 //
 // A virtual event is homed on the partition that created it: Fire must be
 // called from code executing on that partition, and waiters parked on other
@@ -24,10 +26,10 @@ import (
 // clock.
 type Event struct {
 	p       *Partition // home partition; nil under the Real clock
-	mu      sync.Mutex // guards fired under the Real clock (virtual events use the world lock)
+	mu      sync.Mutex // guards fired and waiters under the Real clock (virtual events use the world lock)
 	ch      chan struct{}
 	fired   bool
-	waiters []*grant // virtual events: parked waiters in arrival order
+	waiters []*grant // in arrival order: parked and function waiters (virtual), function waiters only (Real)
 }
 
 // Fire releases all current and future waiters. Safe to call from any
@@ -46,10 +48,45 @@ func (e *Event) Fire() {
 		return
 	}
 	e.mu.Lock()
+	var waiters []*grant
 	if !e.fired {
 		e.fired = true
 		close(e.ch)
+		waiters, e.waiters = e.waiters, nil
 	}
+	e.mu.Unlock()
+	for _, g := range waiters {
+		g.fn()
+	}
+}
+
+// OnFire registers f to run once the event has fired, without a goroutine
+// to wait for it. Under a virtual clock Fire readies f on the home
+// partition's run queue exactly where it would ready a goroutine parked at
+// this point, and f runs on the partition loop (it must not block through
+// the clock); the caller must be executing on the home partition. Under the
+// Real clock f runs on the goroutine that calls Fire. If the event has
+// already fired, f runs at once on the caller's.
+func (e *Event) OnFire(f func()) {
+	if p := e.p; p != nil {
+		w := p.w
+		w.mu.Lock()
+		if e.fired || w.stopped {
+			w.mu.Unlock()
+			f()
+			return
+		}
+		e.waiters = append(e.waiters, &grant{p: p, fn: f})
+		w.mu.Unlock()
+		return
+	}
+	e.mu.Lock()
+	if e.fired {
+		e.mu.Unlock()
+		f()
+		return
+	}
+	e.waiters = append(e.waiters, &grant{fn: f})
 	e.mu.Unlock()
 }
 
@@ -258,33 +295,47 @@ func (g *Group) GoOn(clk Clock, f func()) {
 		defer g.doneFrom(clk)
 		f()
 	}
-	home, worker := partitionOf(g.clk), partitionOf(clk)
-	if home == nil || worker == nil || home == worker || home.w != worker.w {
+	if !distinctPartitions(g.clk, clk) {
 		clk.Go(body)
 		return
 	}
 	ScheduleCross(g.clk, clk, 0, func() { clk.Go(body) })
 }
 
+// StartOn is GoOn for a worker that never blocks: f is posted on clk where
+// GoOn would spawn a goroutine, so under a virtual clock it runs inline on
+// clk's partition loop and must not block through the clock. The worker
+// counts as running until it calls done, which f may hand to a callback
+// (Event.OnFire) that outlives it; done must be called exactly once, from
+// code executing on clk.
+func (g *Group) StartOn(clk Clock, f func(done func())) {
+	clk = Default(clk)
+	g.Add(1)
+	q := clk.NewQueue()
+	body := func() { f(func() { g.doneFrom(clk) }) }
+	if !distinctPartitions(g.clk, clk) {
+		q.Post(body)
+		return
+	}
+	ScheduleCross(g.clk, clk, 0, func() { q.Post(body) })
+}
+
 // doneFrom ships a Done from a worker's partition back to the home
 // partition through the merge layer.
 func (g *Group) doneFrom(clk Clock) {
-	home, worker := partitionOf(g.clk), partitionOf(clk)
-	if home == nil || worker == nil || home == worker || home.w != worker.w {
+	if !distinctPartitions(g.clk, clk) {
 		g.Done()
 		return
 	}
 	ScheduleCross(clk, g.clk, 0, g.Done)
 }
 
-// N reports the current worker count: workers spawned and not yet finished
-// (for GoOn workers, not yet finished *as observed at the home partition* —
-// the completion signal takes one lookahead to ship). Open-loop drivers use
-// it as their deterministic in-flight gauge.
-func (g *Group) N() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
+// distinctPartitions reports whether a and b are two different partitions of
+// one World — the case in which an effect from one on the other must cross
+// the merge layer.
+func distinctPartitions(a, b Clock) bool {
+	pa, pb := partitionOf(a), partitionOf(b)
+	return pa != nil && pb != nil && pa != pb && pa.w == pb.w
 }
 
 // Wait blocks until the worker count reaches zero. Must be called from the

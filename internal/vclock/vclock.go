@@ -21,7 +21,7 @@
 // time: every blocked goroutine waits for the partition's single execution
 // slot, and the partition grants the slot in strict FIFO order of when each
 // waiter became runnable. Since wake-ups (timer fires, event broadcasts,
-// spawns, queued tickets) are themselves produced by serialized execution,
+// spawns, posted callbacks) are themselves produced by serialized execution,
 // the grant order is a pure function of the initial state; the OS scheduler
 // never gets a vote. Timers due at the same instant fire in the order they
 // were created.
@@ -31,19 +31,25 @@
 //     queue when their wake condition fires;
 //   - Go enqueues the new goroutine at the point of the call, so spawns
 //     are ordered deterministically;
-//   - Ticket reserves an execution slot at creation (fixing its order) for
-//     work a plain goroutine will perform later — the mechanism behind
-//     in-order callback dispatch;
+//   - Queue.Post and Event.OnFire enqueue a function the same way, and the
+//     partition's goroutine runs it inline when its slot comes up — no
+//     goroutine per callback, which is how a transaction's staged callbacks
+//     and an open-loop arrival's body run;
 //   - AddWork/WorkDone pin the partition for untracked goroutines poking it
 //     from outside (tests, real-clock bridges).
 //
+// Whatever runs on the partition's goroutine (timer callbacks, posted
+// functions, function waiters) must not block through the clock.
+//
 // The Real clock implements the same interface with every scheduling
 // operation a no-op, so production code paths (planetd, the HTTP gateway)
-// pay nothing.
+// pay nothing; its Queue is a slice drained in order by a goroutine that
+// exists only while the queue is non-empty.
 package vclock
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -73,10 +79,9 @@ type Clock interface {
 	// Go runs f on a new goroutine tracked by the scheduler; the spawn is
 	// ordered at the point of the call.
 	Go(f func())
-	// Ticket reserves an execution slot in the run queue, fixing the order
-	// of work an untracked goroutine will run later via Ticket.Run. Under
-	// the Real clock, Run simply invokes its callback.
-	Ticket() Ticket
+	// NewQueue returns a serial callback queue for one owner (a transaction
+	// handle, a worker body).
+	NewQueue() Queue
 	// AddWork declares n units of pending work performed by an untracked
 	// goroutine; each must be balanced by one WorkDone. While pending, the
 	// virtual world neither advances time nor grants execution slots.
@@ -85,11 +90,15 @@ type Clock interface {
 	WorkDone()
 }
 
-// Ticket is a reserved execution slot. Run blocks until the scheduler
-// grants the slot, executes f (which must not block through the clock),
-// and releases the slot.
-type Ticket interface {
-	Run(f func())
+// Queue runs the functions posted to it one at a time, in post order. Under
+// a virtual clock a post takes its place in the partition's run queue at the
+// point of the call — so the order across all queues of a partition is the
+// deterministic call order — and the function runs on the partition's
+// goroutine, where it must not block through the clock. Under the Real clock
+// each queue drains on its own goroutine, so a slow function delays only the
+// functions posted behind it on the same queue.
+type Queue interface {
+	Post(f func())
 }
 
 // Timer is the subset of *time.Timer the stack needs, satisfiable by the
@@ -164,14 +173,46 @@ func (Real) NewEvent() *Event { return &Event{ch: make(chan struct{})} }
 // Go implements Clock.
 func (Real) Go(f func()) { go f() }
 
-// realTicket is the Real clock's Ticket: no reservation, Run is immediate.
-type realTicket struct{}
+// realQueue is the Real clock's Queue. The drainer goroutine exits when it
+// finds the queue empty, so an idle queue costs no goroutine.
+type realQueue struct {
+	mu       sync.Mutex
+	fns      []func()
+	draining bool
+}
 
-// Run implements Ticket.
-func (realTicket) Run(f func()) { f() }
+// NewQueue implements Clock.
+func (Real) NewQueue() Queue { return &realQueue{} }
 
-// Ticket implements Clock.
-func (Real) Ticket() Ticket { return realTicket{} }
+// Post implements Queue.
+func (q *realQueue) Post(f func()) {
+	q.mu.Lock()
+	q.fns = append(q.fns, f)
+	start := !q.draining
+	q.draining = true
+	q.mu.Unlock()
+	if start {
+		go q.drain()
+	}
+}
+
+// drain runs posted functions in order until none is left.
+func (q *realQueue) drain() {
+	for {
+		q.mu.Lock()
+		fns := q.fns
+		q.fns = nil
+		if len(fns) == 0 {
+			q.draining = false
+			q.mu.Unlock()
+			return
+		}
+		q.mu.Unlock()
+		for _, f := range fns {
+			f()
+		}
+	}
+}
 
 // AddWork implements Clock (no-op).
 func (Real) AddWork(int) {}

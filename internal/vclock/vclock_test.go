@@ -2,6 +2,8 @@ package vclock
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -250,32 +252,82 @@ func TestVirtualAddWorkBlocksAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualTicketOrder(t *testing.T) {
+// TestVirtualRunQueueOrder interleaves every way of entering a partition's
+// run queue — posts, Go spawns, AfterFunc(0) bodies, parked Event waiters and
+// function Event waiters — and requires them to run in exactly call/wait
+// order, whether a goroutine or the partition loop carries them.
+func TestVirtualRunQueueOrder(t *testing.T) {
 	v := newTestClock(t)
-	var order []int
-	// Reserve tickets 1 and 2, then an AfterFunc at +0 — the tickets were
-	// queued first and must run first even though their consumer
-	// goroutines attach late and in reverse.
-	t1 := v.Ticket()
-	t2 := v.Ticket()
-	v.AfterFunc(0, func() { order = append(order, 3) })
-	done := make(chan struct{})
-	go func() {
-		t2.Run(func() { order = append(order, 2) })
-		close(done)
-	}()
-	go func() {
-		t1.Run(func() { order = append(order, 1) })
-	}()
-	v.Sleep(time.Millisecond)
-	<-done
-	want := []int{1, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
+	q := v.NewQueue()
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+
+	// Waiters on ev are readied by Fire in the order they began waiting.
+	ev := v.NewEvent()
+	g := NewGroup(v)
+	g.Go(func() { ev.Wait(); note("wait1")() })
+	v.Sleep(0) // let wait1 park
+	ev.OnFire(note("fn2"))
+	g.Go(func() { ev.Wait(); note("wait3")() })
+	v.Sleep(0) // let wait3 park
+	ev.OnFire(note("fn4"))
+
+	var want []string
+	for round := 0; round < 3; round++ {
+		tag := func(s string) string { return fmt.Sprintf("%s/%d", s, round) }
+		q.Post(note(tag("post")))
+		g.Go(note(tag("go")))
+		q.Post(note(tag("post2")))
+		v.NewQueue().Post(note(tag("other-queue")))
+		want = append(want, tag("post"), tag("go"), tag("post2"), tag("other-queue"))
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	q.Post(ev.Fire)
+	q.Post(note("after-fire"))
+	want = append(want, "after-fire", "wait1", "fn2", "wait3", "fn4")
+	// Zero-delay timers fire once the run queue is dry, in creation order,
+	// and whatever a body enqueues runs before the next timer fires.
+	v.AfterFunc(0, func() {
+		note("timer1")()
+		q.Post(note("timer1-post"))
+		g.Go(note("timer1-go"))
+	})
+	v.AfterFunc(0, note("timer2"))
+	want = append(want, "timer1", "timer1-post", "timer1-go", "timer2")
+
+	g.Wait()
+	v.Sleep(time.Millisecond) // past the zero-delay timers
+	g.Wait()
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v\nwant    %v", order, want)
+	}
+
+	// A function waiter registered after the fire runs at once, inline.
+	ran := false
+	ev.OnFire(func() { ran = true })
+	if !ran {
+		t.Fatal("OnFire on a fired event did not run inline")
+	}
+}
+
+// TestVirtualFunctionsAfterShutdown: a stopped world has no run queue, so a
+// post runs off it (as AfterFunc and Go do), and a Fire releases a function
+// waiter registered before the shutdown instead of panicking on its nil
+// channel.
+func TestVirtualFunctionsAfterShutdown(t *testing.T) {
+	v := NewVirtual()
+	ev := v.NewEvent()
+	ran := make(chan string, 2) // one send per function below
+	ev.OnFire(func() { ran <- "waiter" })
+	v.Shutdown()
+	ev.Fire()
+	v.NewQueue().Post(func() { ran <- "post" })
+	got := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		select {
+		case s := <-ran:
+			got[s] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("after Shutdown only %v ran", got)
 		}
 	}
 }
@@ -318,10 +370,30 @@ func TestRealClockBasics(t *testing.T) {
 	if !ev.WaitTimeout(time.Second) {
 		t.Fatal("fired event reported timeout")
 	}
-	ran := false
-	clk.Ticket().Run(func() { ran = true })
-	if !ran {
-		t.Fatal("real ticket did not run inline")
+	// A Real queue runs its posts in order, one at a time, off the caller.
+	q := clk.NewQueue()
+	var order []int
+	drained := make(chan struct{})
+	for i := 0; i < 100; i++ {
+		i := i
+		q.Post(func() { order = append(order, i) })
+	}
+	q.Post(func() { close(drained) })
+	<-drained
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("real queue ran post %d at position %d", v, i)
+		}
+	}
+	var fnRan atomic.Bool
+	ev2 := clk.NewEvent()
+	ev2.OnFire(func() { fnRan.Store(true) })
+	if fnRan.Load() {
+		t.Fatal("function waiter ran before the fire")
+	}
+	ev2.Fire()
+	if !fnRan.Load() {
+		t.Fatal("Fire did not run the function waiter")
 	}
 	g := NewGroup(clk)
 	var n atomic.Int32

@@ -29,12 +29,13 @@ const (
 )
 
 // grant is one execution slot in a partition's run queue. Either a parked
-// goroutine waits on ch for the slot to be granted, or fn is a scheduler
-// callback (AfterFunc) executed inline when the slot comes up.
+// goroutine waits on ch for the slot to be granted, or fn is a function
+// (AfterFunc body, Queue.Post, Event.OnFire) executed inline when the slot
+// comes up.
 type grant struct {
 	p     *Partition    // partition whose run queue the slot belongs to
 	ch    chan struct{} // closed when granted (nil for fn grants)
-	fn    func()        // AfterFunc body (nil for parked goroutines)
+	fn    func()        // function to run inline (nil for parked goroutines)
 	timer *wtimer       // companion timeout timer, descheduled on other wakes
 	cause int           // why a parked grant was woken; causeNone = still parked
 }
@@ -99,10 +100,10 @@ type World struct {
 // partition i to partition j, and must be positive for i != j. The matrix
 // is closed under the triangle inequality internally. The constructing
 // goroutine holds partition 0's execution slot and must block only through
-// clock primitives (Sleep, Event waits, Group.Wait). Timer callbacks and
-// enqueued Ticket work run one at a time per partition and must not block
-// through the clock either — they may freely create timers, fire events,
-// spawn via Go, and create Tickets.
+// clock primitives (Sleep, Event waits, Group.Wait). Timer callbacks, posted
+// functions and function waiters run one at a time per partition and must
+// not block through the clock either — they may freely create timers, fire
+// events, spawn via Go, and post.
 func NewWorld(names []string, la [][]time.Duration) (*World, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("vclock: world needs at least one partition")
@@ -171,9 +172,10 @@ func (w *World) Partition(name string) *Partition { return w.byName[name] }
 // Partitions returns the partitions in construction (tie-break) order.
 func (w *World) Partitions() []*Partition { return append([]*Partition(nil), w.parts...) }
 
-// Shutdown stops every partition loop, discards pending callbacks, and
-// wakes parked sleepers (their Sleep returns early, WaitTimeout reports
-// false). Call once the simulated world is drained.
+// Shutdown stops every partition loop, discards pending callbacks (timers,
+// and functions still waiting on a run queue), and wakes parked sleepers
+// (their Sleep returns early, WaitTimeout reports false). Call once the
+// simulated world is drained.
 func (w *World) Shutdown() {
 	w.mu.Lock()
 	w.stopped = true
@@ -406,9 +408,9 @@ func (p *Partition) exitLocked() {
 	p.baseRaisedLocked()
 }
 
-// wakeLocked readies a parked grant, on the partition it parked on, with the
-// given cause, descheduling its companion timer. A no-op when the grant was
-// already woken. Caller holds w.mu.
+// wakeLocked readies a waiting grant — a parked goroutine or a function
+// waiter — on its partition, with the given cause, descheduling its companion
+// timer. A no-op when the grant was already woken. Caller holds w.mu.
 func (g *grant) wakeLocked(cause int) {
 	if g.cause != causeNone {
 		return
@@ -420,7 +422,11 @@ func (g *grant) wakeLocked(cause int) {
 	if g.p.w.stopped {
 		// The partition loops have exited; release the waiter directly
 		// instead of queueing it on a dead run queue.
-		close(g.ch)
+		if g.fn != nil {
+			go g.fn()
+		} else {
+			close(g.ch)
+		}
 		return
 	}
 	g.p.readyLocked(g)
@@ -699,35 +705,23 @@ func (p *Partition) Go(f func()) {
 	}()
 }
 
-// Ticket implements Clock: the slot is queued now (establishing its
-// deterministic position), granted when the partition reaches it, and
-// occupied for the duration of Run's callback.
-func (p *Partition) Ticket() Ticket {
+// NewQueue implements Clock. The partition's run queue is already serial,
+// so every owner's queue is the partition itself.
+func (p *Partition) NewQueue() Queue { return p }
+
+// Post implements Queue: f takes a run-queue slot now and runs on p's
+// partition loop when the slot comes up — the path AfterFunc bodies take.
+// The caller must be executing on p.
+func (p *Partition) Post(f func()) {
 	w := p.w
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
-		return realTicket{}
+		go f()
+		return
 	}
-	g := &grant{ch: make(chan struct{}), p: p}
-	p.readyLocked(g)
+	p.readyLocked(&grant{p: p, fn: f})
 	w.mu.Unlock()
-	return &wticket{p: p, g: g}
-}
-
-// wticket is a Partition execution slot reserved by Ticket.
-type wticket struct {
-	p *Partition
-	g *grant
-}
-
-// Run implements Ticket.
-func (t *wticket) Run(f func()) {
-	<-t.g.ch
-	f()
-	t.p.w.mu.Lock()
-	t.p.exitLocked()
-	t.p.w.mu.Unlock()
 }
 
 // AddWork implements Clock: the n units pin this partition at its current

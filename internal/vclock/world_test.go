@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -316,6 +318,77 @@ func TestWorldMonotonicAndCausal(t *testing.T) {
 	}
 }
 
+// TestWorldRunQueueOrder is TestVirtualRunQueueOrder across partitions: the
+// control partition starts inline workers (StartOn) and goroutine workers
+// (GoOn) on two region partitions, and each inline worker fills its
+// partition's run queue with posts, a parked and a function Event waiter, a
+// zero-delay timer and a post shipped to its peer. Every partition must run
+// them in call/wait order — the order below, read off the rules: shipped
+// starts land in send order and each one's consequences drain before the
+// next lands; local timers fire after same-instant arrivals; the peer's
+// posts arrive one lookahead later — at GOMAXPROCS 1, where the partitions
+// interleave on one thread, and at 4, where they race.
+func TestWorldRunQueueOrder(t *testing.T) {
+	const rounds = 3
+	var want []string
+	for r := 0; r < rounds; r++ {
+		for _, s := range []string{"start", "post", "after-fire", "parked", "fn", "go"} {
+			want = append(want, fmt.Sprintf("%s/%d", s, r))
+		}
+	}
+	for _, s := range []string{"timer", "from-peer"} {
+		for r := 0; r < rounds; r++ {
+			want = append(want, fmt.Sprintf("%s/%d", s, r))
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		procs := procs
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			wc, stop := worldStormClocks(t, 2)
+			defer stop()
+			var mu sync.Mutex
+			var logs [2][]string
+			note := func(pi int, what string, r int) func() {
+				return func() {
+					mu.Lock()
+					logs[pi] = append(logs[pi], fmt.Sprintf("%s/%d", what, r))
+					mu.Unlock()
+				}
+			}
+			g := NewGroup(wc.ctl)
+			for r := 0; r < rounds; r++ {
+				for pi := 0; pi < 2; pi++ {
+					r, pi := r, pi
+					clk, peer := wc.parts[pi], wc.parts[1-pi]
+					g.StartOn(clk, func(done func()) {
+						note(pi, "start", r)()
+						q, ev := clk.NewQueue(), clk.NewEvent()
+						clk.Go(func() { ev.Wait(); note(pi, "parked", r)() })
+						q.Post(func() { ev.OnFire(note(pi, "fn", r)) }) // behind the parked waiter
+						q.Post(note(pi, "post", r))
+						clk.AfterFunc(0, note(pi, "timer", r))
+						ScheduleCross(clk, peer, 0, func() { peer.NewQueue().Post(note(1-pi, "from-peer", r)) })
+						q.Post(ev.Fire)
+						q.Post(note(pi, "after-fire", r))
+						q.Post(done)
+					})
+					g.GoOn(clk, note(pi, "go", r))
+				}
+			}
+			g.Wait()
+			wc.ctl.Sleep(time.Second) // past the timers and the peer posts
+			mu.Lock()
+			defer mu.Unlock()
+			for pi := range logs {
+				if !reflect.DeepEqual(logs[pi], want) {
+					t.Errorf("partition %d ran\n  %v\nwant\n  %v", pi, logs[pi], want)
+				}
+			}
+		})
+	}
+}
+
 // TestSleepCtxYieldCancelled is the regression test for a double grant: a
 // zero-length SleepCtx whose context is cancelled while the yield is still
 // queued used to put the same grant on the run queue twice, and the
@@ -386,24 +459,25 @@ func TestWorldEventCrossPartition(t *testing.T) {
 	}
 }
 
-// TestWorldGroupCountsInFlight checks the deterministic in-flight gauge the
-// open-loop driver uses: N reflects spawned-minus-completed as observed at
-// the home partition.
+// TestWorldGroupCountsInFlight checks that a Group counts workers on other
+// partitions as observed at the home partition: Wait returns only after
+// every GoOn worker's completion has shipped back.
 func TestWorldGroupCountsInFlight(t *testing.T) {
 	wc, stop := worldStormClocks(t, 2)
 	defer stop()
 	ctl := wc.ctl
 	g := NewGroup(ctl)
+	var finished atomic.Int32
 	for i := 0; i < 4; i++ {
 		clk := wc.parts[i%2]
-		g.GoOn(clk, func() { clk.Sleep(5 * time.Millisecond) })
-	}
-	if n := g.N(); n != 4 {
-		t.Fatalf("in-flight after spawn = %d, want 4", n)
+		g.GoOn(clk, func() {
+			clk.Sleep(5 * time.Millisecond)
+			finished.Add(1)
+		})
 	}
 	g.Wait()
-	if n := g.N(); n != 0 {
-		t.Fatalf("in-flight after Wait = %d, want 0", n)
+	if n := finished.Load(); n != 4 {
+		t.Fatalf("Wait returned with %d of 4 workers finished", n)
 	}
 }
 

@@ -126,7 +126,9 @@ type RatePhase struct {
 // regardless of completion — the load shape under which admission control
 // earns its keep. Either a flat Rate/Count or a Phases schedule paces the
 // arrivals; child RNGs come from a pool of O(1)-reseed generators so a
-// million-arrival run doesn't allocate a fresh generator per arrival.
+// million-arrival run doesn't allocate a fresh generator per arrival, and
+// an arrival in flight holds its handle and no goroutine (Closed, whose
+// clients are sequential loops, keeps one goroutine per client).
 type Open struct {
 	Options
 	// Rate is the mean arrival rate, transactions per second. Ignored
@@ -193,10 +195,13 @@ func (o Open) Run() (*Report, error) {
 	}
 
 	// Arrivals are paced on the driving (control) partition; each arrival's
-	// build+commit+wait runs on its session's region partition (GoOn) with a
-	// child RNG seeded from the pacing RNG, so key choices stay a pure
-	// function of the arrival index and every clock access is
-	// partition-local. Group.N is the deterministic in-flight gauge.
+	// build+commit is posted on its session's region partition
+	// (Group.StartOn) with a child RNG seeded from the pacing RNG, so key
+	// choices stay a pure function of the arrival index and every clock
+	// access is partition-local. An arrival has no goroutine: under a
+	// virtual clock the body runs inline on the partition loop and the
+	// handle's OnDone — not a parked h.Wait — marks it finished, so a
+	// million arrivals in flight hold a million handles and nothing else.
 	start := clk.Now()
 	g := vclock.NewGroup(clk)
 	var errMu sync.Mutex
@@ -214,7 +219,7 @@ func (o Open) Run() (*Report, error) {
 		if o.Ledger != nil {
 			o.Ledger.inject()
 		}
-		g.GoOn(rclk, func() {
+		g.StartOn(rclk, func(done func()) {
 			crng := pooledRNG(childSeed)
 			tx, err := o.Template.Build(s, crng)
 			putRNG(crng)
@@ -223,6 +228,7 @@ func (o Open) Run() (*Report, error) {
 					o.Ledger.abandon()
 				}
 				setErr(fmt.Errorf("workload: build: %w", err))
+				done()
 				return
 			}
 			opts := report.callbacks(rclk, s.Region(), o.SpeculateAt, o.Deadline)
@@ -239,9 +245,10 @@ func (o Open) Run() (*Report, error) {
 					o.Ledger.abandon()
 				}
 				setErr(fmt.Errorf("workload: commit: %w", err))
+				done()
 				return
 			}
-			h.Wait()
+			h.OnDone(done)
 		})
 	}
 

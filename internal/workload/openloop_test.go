@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -34,6 +35,54 @@ func virtualDB(t *testing.T, seed int64, pcfg planet.Config) (*cluster.Cluster, 
 		t.Fatal(err)
 	}
 	return c, db
+}
+
+// goroutineProbe is a Template that records, at every Build, the process's
+// goroutine count and the database's in-flight count. Open calls Build from
+// the arrival's body, right before the Commit that posts OnAccept, so the
+// samples see every earlier arrival still in flight.
+type goroutineProbe struct {
+	Template
+	db            *planet.DB
+	maxGoroutines int
+	maxInFlight   int64
+}
+
+func (p *goroutineProbe) Build(s *planet.Session, rng *rand.Rand) (*planet.Txn, error) {
+	// Bodies of one partition run one at a time: no lock.
+	p.maxGoroutines = max(p.maxGoroutines, runtime.NumGoroutine())
+	p.maxInFlight = max(p.maxInFlight, p.db.InFlight())
+	return p.Template.Build(s, rng)
+}
+
+// TestOpenLoopHoldsNoGoroutinePerArrival: an open-loop round on a
+// one-partition virtual cluster keeps thousands of transactions in flight
+// without a goroutine for any of them — no dispatcher per handle, no parked
+// waiter per arrival — so the goroutine count stays within a small constant
+// of what it was before the round.
+func TestOpenLoopHoldsNoGoroutinePerArrival(t *testing.T) {
+	_, db := virtualDB(t, 11, planet.Config{})
+	probe := &goroutineProbe{Template: Buy{Products: Uniform{Prefix: "p-", N: 10_000}}, db: db}
+	before := runtime.NumGoroutine()
+	rep, err := Open{
+		Options: Options{DB: db, Template: probe, Seed: 3},
+		Rate:    5e6, // all 3000 arrive within a millisecond, before the first commit lands
+		Count:   3000,
+		Batch:   200 * time.Microsecond,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Committed.Load(); got != 3000 {
+		t.Fatalf("committed %d of 3000", got)
+	}
+	if probe.maxInFlight < 2000 {
+		t.Fatalf("at most %d transactions in flight at once, want >= 2000", probe.maxInFlight)
+	}
+	if extra := probe.maxGoroutines - before; extra > 8 {
+		t.Fatalf("%d goroutines with %d transactions in flight, %d before the round: %d extra, want a small constant",
+			probe.maxGoroutines, probe.maxInFlight, before, extra)
+	}
 }
 
 // TestOpenLoopMillion drives one million-plus open-loop virtual users

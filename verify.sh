@@ -33,6 +33,13 @@ go test -race -run Soak -short ./internal/chaos/
 # on four. Each invocation compares two same-seed runs internally.
 GOMAXPROCS=1 go test -count=10 -run TestVirtualTimeDeterminism .
 GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
+# Run-queue order gate: everything that enters a partition's run queue —
+# posts (a transaction's staged callbacks), Go spawns, AfterFunc(0) bodies,
+# parked and function Event waiters — must run in exactly call/wait order,
+# on one partition and across two, whether a goroutine or the partition loop
+# carries it. The bit-identical fingerprints above rest on this order.
+GOMAXPROCS=1 go test -count=10 -run 'TestVirtualRunQueueOrder|TestWorldRunQueueOrder' ./internal/vclock
+GOMAXPROCS=4 go test -count=10 -run 'TestVirtualRunQueueOrder|TestWorldRunQueueOrder' ./internal/vclock
 # Cross-GOMAXPROCS comparison: planetbench -parallel runs the whole
 # experiment registry once per GOMAXPROCS setting (1/2/4/NumCPU) in ONE
 # process and fails unless every pass's metric maps are bit-identical to
