@@ -40,8 +40,14 @@
 // # Prediction and admission
 //
 // Each region's coordinator feeds a predictor with vote round-trip times
-// and per-record contention statistics; the handle recomputes the commit
-// likelihood on every protocol event. Admission control consults the same
+// and per-record contention statistics on every vote. The handle computes
+// the commit likelihood from them at a protocol event when something
+// consumes it there — a speculation threshold not yet crossed, OnProgress,
+// a deadline, calibration, the lifecycle tracer — and at every fallback and
+// learn; a vote that nothing consumes only marks the likelihood stale, and
+// Handle.Likelihood or Handle.Progress computes it when read. Either way
+// the predictor's state, and so every later estimate, is the same (the
+// rule is at handleSink.Progress). Admission control consults the same
 // predictor before any protocol work: transactions whose prior commit
 // likelihood is below the policy threshold are rejected immediately,
 // converting doomed work into instant feedback and protecting goodput

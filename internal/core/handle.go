@@ -57,7 +57,8 @@ type CommitOptions struct {
 	// OnAccept fires when the system takes responsibility for the
 	// transaction (admission passed, commit processing started).
 	OnAccept func(Progress)
-	// OnProgress fires on every protocol event (vote, fallback, learn).
+	// OnProgress fires on every protocol event (vote, fallback, learn) with
+	// the likelihood computed at that event.
 	OnProgress func(Progress)
 	// OnSpeculative fires at most once, when likelihood ≥ SpeculateAt.
 	OnSpeculative func(Progress)
@@ -94,9 +95,13 @@ type Handle struct {
 	// masters — descends from it.
 	span uint64
 
-	mu         sync.Mutex
-	stage      txn.Stage
+	mu    sync.Mutex
+	stage txn.Stage
+	// likelihood is the commit likelihood as of the last event that computed
+	// it; stale marks a vote since then that nothing consumed, so the next
+	// reader (likelihoodLocked) computes it.
 	likelihood float64
+	stale      bool
 	tracks     []optTrack // per-option vote state, in submission order
 	votes      int
 	learnedN   int
@@ -273,11 +278,44 @@ func (h *Handle) Stage() txn.Stage {
 	return h.stage
 }
 
-// Likelihood returns the latest predicted commit likelihood.
+// Likelihood returns the latest predicted commit likelihood. The handle
+// computes it at a protocol event only when something consumes it there (see
+// consumedLocked); after a vote nobody consumed, the first read computes it.
 func (h *Handle) Likelihood() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.likelihoodLocked()
+}
+
+// likelihoodLocked returns the likelihood, computing it first if votes have
+// arrived since it was last computed. Caller holds h.mu.
+func (h *Handle) likelihoodLocked() float64 {
+	if h.stale {
+		h.stale = false
+		h.likelihood = h.session.pred.Likelihood(h.flightLocked())
+	}
 	return h.likelihood
+}
+
+// consumedLocked reports whether anything reads the likelihood at a protocol
+// event: a speculation threshold still to cross, a progress callback, a
+// deadline (whose callback reports the likelihood of the last event before
+// it), calibration samples, or the lifecycle tracer. Caller holds h.mu.
+func (h *Handle) consumedLocked() bool {
+	return h.opts.OnProgress != nil || (h.opts.SpeculateAt > 0 && !h.speculated) ||
+		h.opts.Deadline > 0 || h.db.calib != nil || h.db.tracer != nil
+}
+
+// settledBut reports whether every option other than tr is learned, so a
+// likelihood evaluation would consult the predictor for tr alone. Caller
+// holds h.mu.
+func (h *Handle) settledBut(tr *optTrack) bool {
+	for i := range h.tracks {
+		if o := &h.tracks[i]; o != tr && o.learned == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Progress returns a live snapshot.
@@ -324,7 +362,7 @@ func (h *Handle) progressLocked() Progress {
 	return Progress{
 		Txn:            h.id,
 		Stage:          h.stage,
-		Likelihood:     h.likelihood,
+		Likelihood:     h.likelihoodLocked(),
 		Elapsed:        h.clk.Since(h.start),
 		VotesReceived:  h.votes,
 		VotesExpected:  len(h.regions) * len(h.tracks),
@@ -380,7 +418,7 @@ func (h *Handle) onDeadline() {
 	if h.db.inst != nil {
 		h.db.inst.deadlines.Inc()
 	}
-	h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvDeadline, Likelihood: h.likelihood})
+	h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvDeadline, Likelihood: h.likelihoodLocked()})
 	h.enqueue(h.opts.OnDeadline, h.progressLocked())
 }
 
@@ -458,6 +496,17 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 			h.db.inst.stage(txn.StageInFlight)
 		}
 		h.session.pred.ObserveVote(e.Key, e.Region, e.Accept, e.Elapsed)
+		// Evaluating the likelihood ages the predictor's decayed counters to
+		// now as a side effect, and later estimates depend on when they were
+		// aged. ObserveVote has just aged the store-wide counter and this
+		// key's to now, so when the evaluation would touch no other counter —
+		// the option is on the fast path (the classic rate is a counter of
+		// its own) and no other option is open — it can wait for a reader
+		// without changing any later number.
+		if !tr.fellBack && h.settledBut(tr) && !h.consumedLocked() {
+			h.stale = true
+			return
+		}
 		evKind = obs.EvVote
 	case mdcc.KindFallback:
 		if tr := h.track(e.Key); tr != nil {
@@ -481,6 +530,7 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 		evKind = obs.EvLearned
 	}
 
+	h.stale = false
 	h.likelihood = h.session.pred.Likelihood(h.flightLocked())
 	if h.db.calib != nil && len(h.samples) < maxCalibSamples {
 		h.samples = append(h.samples, h.likelihood)
@@ -503,7 +553,9 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 		h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvSpeculative, Likelihood: h.likelihood})
 		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
 	}
-	h.enqueue(h.opts.OnProgress, h.progressLocked())
+	if h.opts.OnProgress != nil {
+		h.enqueue(h.opts.OnProgress, h.progressLocked())
+	}
 }
 
 // Decided implements mdcc.ProgressSink.
@@ -522,6 +574,7 @@ func (hs *handleSink) Decided(_ txn.ID, committed bool, err error) {
 // submitFailed marks the rare synchronous-submit failure path.
 func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 	h.terminal = true
+	h.stale = false // the outcome settles the likelihood below
 	if h.timer != nil {
 		h.timer.Stop()
 	}

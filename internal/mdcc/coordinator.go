@@ -267,9 +267,10 @@ func (c *Coordinator) SubmitTraced(id txn.ID, ops []txn.Op, mode Mode, sink Prog
 	case ModeClassic:
 		c.sendClassic(id, span, ops)
 	default:
-		tc := c.traceCtx(span)
+		// Boxed once: every replica is sent the same immutable message.
+		var m any = proposeMsg{Txn: id, Coord: c.cfg.Addr, Options: ops, TC: c.traceCtx(span)}
 		for _, rep := range c.cfg.Replicas {
-			c.cfg.Net.Send(c.cfg.Addr, rep, proposeMsg{Txn: id, Coord: c.cfg.Addr, Options: ops, TC: tc})
+			c.cfg.Net.Send(c.cfg.Addr, rep, m)
 		}
 	}
 	return nil
@@ -602,8 +603,9 @@ func (c *Coordinator) decideLocked(s *commitState, commit bool, err error) {
 		d.TC = TraceCtx{Span: s.span, SentUnixNano: now.UnixNano()}
 		d.Coord = c.cfg.Addr
 	}
+	var m any = d // boxed once for the whole broadcast
 	for _, rep := range c.cfg.Replicas {
-		c.cfg.Net.Send(c.cfg.Addr, rep, d)
+		c.cfg.Net.Send(c.cfg.Addr, rep, m)
 	}
 	if c.obs != nil {
 		c.obs.Decided(commit, c.clk.Since(s.start))

@@ -20,7 +20,12 @@ type record struct {
 	// the key; 0 means the key is still fast-eligible.
 	promised uint64
 
-	pending []*pendingOption
+	// pending holds the options by value: the backing array is reused across
+	// propose/decide cycles, so a steady-state accept allocates nothing.
+	// Every shrink goes through truncatePending, which zeroes the vacated
+	// slots — an evicted Set's Value would otherwise stay reachable from the
+	// spare capacity until overwritten.
+	pending []pendingOption
 }
 
 // pendingOption is an accepted, undecided option held by a replica.
@@ -54,12 +59,19 @@ func (r *record) evictStale(now time.Time, ttl time.Duration) {
 		return
 	}
 	kept := r.pending[:0]
-	for _, p := range r.pending {
-		if now.Sub(p.accepted) < ttl {
-			kept = append(kept, p)
+	for i := range r.pending {
+		if now.Sub(r.pending[i].accepted) < ttl {
+			kept = append(kept, r.pending[i])
 		}
 	}
-	r.pending = kept
+	r.truncatePending(len(kept))
+}
+
+// truncatePending shortens pending to its first n entries and zeroes the
+// slots it vacates.
+func (r *record) truncatePending(n int) {
+	clear(r.pending[n:])
+	r.pending = r.pending[:n]
 }
 
 // validate checks op against committed state and pendings from other
@@ -74,8 +86,8 @@ func (r *record) validate(op txn.Op, ballot uint64, owner txn.ID) RejectReason {
 		if r.version != op.ReadVersion {
 			return ReasonVersion
 		}
-		for _, p := range r.pending {
-			if p.txn != owner {
+		for i := range r.pending {
+			if r.pending[i].txn != owner {
 				return ReasonPending
 			}
 		}
@@ -85,7 +97,8 @@ func (r *record) validate(op txn.Op, ballot uint64, owner txn.ID) RejectReason {
 		// upper bound is checked as if only the positive deltas land and
 		// the lower bound as if only the negative ones do.
 		sumHi, sumLo := r.ival, r.ival
-		for _, p := range r.pending {
+		for i := range r.pending {
+			p := &r.pending[i]
 			if p.txn == owner {
 				continue
 			}
@@ -113,20 +126,21 @@ func (r *record) validate(op txn.Op, ballot uint64, owner txn.ID) RejectReason {
 // addPending records an accepted option, replacing any existing pending
 // entry from the same transaction.
 func (r *record) addPending(id txn.ID, op txn.Op, ballot uint64, now time.Time) {
-	for _, p := range r.pending {
-		if p.txn == id {
+	for i := range r.pending {
+		if p := &r.pending[i]; p.txn == id {
 			p.op, p.ballot, p.accepted = op, ballot, now
 			return
 		}
 	}
-	r.pending = append(r.pending, &pendingOption{txn: id, op: op, ballot: ballot, accepted: now})
+	r.pending = append(r.pending, pendingOption{txn: id, op: op, ballot: ballot, accepted: now})
 }
 
 // removePending drops the pending option owned by id, if present.
 func (r *record) removePending(id txn.ID) {
-	for i, p := range r.pending {
-		if p.txn == id {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+	for i := range r.pending {
+		if r.pending[i].txn == id {
+			copy(r.pending[i:], r.pending[i+1:])
+			r.truncatePending(len(r.pending) - 1)
 			return
 		}
 	}
@@ -137,13 +151,13 @@ func (r *record) removePending(id txn.ID) {
 // overrides leftover fast-ballot options.
 func (r *record) evictConflictingBelow(op txn.Op, ballot uint64, owner txn.ID) {
 	kept := r.pending[:0]
-	for _, p := range r.pending {
-		if p.txn != owner && p.ballot < ballot && conflicts(p.op, op) {
+	for i := range r.pending {
+		if p := &r.pending[i]; p.txn != owner && p.ballot < ballot && conflicts(p.op, op) {
 			continue
 		}
-		kept = append(kept, p)
+		kept = append(kept, r.pending[i])
 	}
-	r.pending = kept
+	r.truncatePending(len(kept))
 }
 
 // apply installs a decided option into committed state.

@@ -1,6 +1,7 @@
 package mdcc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -292,5 +293,46 @@ func TestMasterForDeterministic(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Errorf("masters used %d of 3 regions", len(seen))
+	}
+}
+
+// TestRecordPendingShrinkClearsSlots: pendings live by value in a backing
+// array that outlives them, so each way of shrinking the slice must zero the
+// slots it vacates — an evicted Set's Value would otherwise stay reachable
+// from the spare capacity until a later accept overwrote it.
+func TestRecordPendingShrinkClearsSlots(t *testing.T) {
+	now := time.Now()
+	old := now.Add(-time.Hour)
+	big := func() txn.Op { return txn.Op{Kind: txn.OpSet, Key: "k", Value: make([]byte, 1024)} }
+	cases := []struct {
+		name   string
+		shrink func(r *record)
+		left   []txn.ID
+	}{
+		{"removePending", func(r *record) { r.removePending(2) }, []txn.ID{1, 3}},
+		{"evictStale", func(r *record) { r.evictStale(now, time.Minute) }, []txn.ID{3}},
+		{"evictConflictingBelow", func(r *record) { r.evictConflictingBelow(big(), 5, 3) }, []txn.ID{3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := &record{}
+			r.addPending(1, big(), 1, old)
+			r.addPending(2, big(), 2, old)
+			r.addPending(3, big(), 3, now)
+			c.shrink(r)
+			if len(r.pending) != len(c.left) {
+				t.Fatalf("kept %+v, want txns %v", r.pending, c.left)
+			}
+			for i, id := range c.left {
+				if r.pending[i].txn != id || len(r.pending[i].op.Value) != 1024 {
+					t.Fatalf("kept %+v, want txns %v with their values", r.pending, c.left)
+				}
+			}
+			for i, p := range r.pending[len(r.pending):cap(r.pending)] {
+				if !reflect.DeepEqual(p, pendingOption{}) {
+					t.Errorf("slot %d past len still holds %+v", len(r.pending)+i, p)
+				}
+			}
+		})
 	}
 }

@@ -66,8 +66,10 @@ func (d *decayed) rate(now time.Time, hl time.Duration, prior float64, priorWeig
 }
 
 // ConflictTracker learns per-key vote-accept probabilities with exponential
-// decay, falling back to a global rate for keys without history.
-// Safe for concurrent use.
+// decay, falling back to a global rate for keys without history. Per-key
+// state is capped at maxKeys and nothing is ever evicted: once that many
+// keys are tracked, a key not among them is never tracked and is estimated
+// at the global rate for good. Safe for concurrent use.
 type ConflictTracker struct {
 	mu       sync.Mutex
 	clk      vclock.Clock
@@ -79,8 +81,8 @@ type ConflictTracker struct {
 
 // NewConflictTracker returns a tracker whose observations decay with the
 // given half-life (in emulator time). halfLife <= 0 disables decay.
-// The tracker caps per-key state at a fixed size and falls back to the
-// global rate for evicted keys.
+// The tracker keeps per-key state for the first 65 536 keys it sees and
+// estimates every other key at the global rate.
 func NewConflictTracker(halfLife time.Duration) *ConflictTracker {
 	return newConflictTracker(halfLife, vclock.System)
 }

@@ -506,6 +506,9 @@ func (n *Network) send(from, to Addr, payload any, batch []any) {
 	// Under per-region partitions this ships through the deterministic merge
 	// layer (clamping the delay up to the link's lookahead floor if a delay
 	// override pushed it below); otherwise it degenerates to a local timer.
+	// Either way no handle to the timer exists, so a virtual clock reuses it
+	// for a later delivery: with the pooled record above, a steady-state send
+	// allocates nothing.
 	vclock.ScheduleCross(srcClk, n.ClockFor(to.Region), scaled, d.fn)
 }
 

@@ -26,7 +26,9 @@
 // never gets a vote. Timers due at the same instant fire in the order they
 // were created.
 //
-//   - timer callbacks run one at a time on the partition's goroutine;
+//   - timer callbacks run one at a time on the partition's goroutine, each
+//     where its timer is popped: timers pop only once the run queue is dry,
+//     and whatever a callback enqueues runs before the next timer fires;
 //   - Sleep and Event waits release the caller's slot and re-enter the run
 //     queue when their wake condition fires;
 //   - Go enqueues the new goroutine at the point of the call, so spawns

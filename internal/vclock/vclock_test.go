@@ -284,15 +284,19 @@ func TestVirtualRunQueueOrder(t *testing.T) {
 	q.Post(ev.Fire)
 	q.Post(note("after-fire"))
 	want = append(want, "after-fire", "wait1", "fn2", "wait3", "fn4")
-	// Zero-delay timers fire once the run queue is dry, in creation order,
-	// and whatever a body enqueues runs before the next timer fires.
+	// Zero-delay timers fire once the run queue is dry, in creation order —
+	// each body runs where its timer is popped — and whatever a body enqueues
+	// runs before the next timer fires.
 	v.AfterFunc(0, func() {
 		note("timer1")()
 		q.Post(note("timer1-post"))
 		g.Go(note("timer1-go"))
 	})
-	v.AfterFunc(0, note("timer2"))
-	want = append(want, "timer1", "timer1-post", "timer1-go", "timer2")
+	v.AfterFunc(0, func() {
+		note("timer2")()
+		q.Post(note("timer2-post"))
+	})
+	want = append(want, "timer1", "timer1-post", "timer1-go", "timer2", "timer2-post")
 
 	g.Wait()
 	v.Sleep(time.Millisecond) // past the zero-delay timers

@@ -19,9 +19,10 @@ import (
 // is 1<<(wheelShift0 + ℓ*wheelBits) nanoseconds, so level 0 resolves
 // ~1.024µs and the top level spans years; deadlines beyond the last level
 // land in a plain overflow heap (never in practice — the emulator's horizon
-// is minutes). Slots are unsorted slices (insert is an append), and each
-// level keeps a one-word occupancy bitmap so "first non-empty slot at or
-// after the cursor" is two bit ops.
+// is minutes). Slots are unsorted slices (insert is an append) until a
+// level-0 slot becomes the earliest bin, and each level keeps a one-word
+// occupancy bitmap so "first non-empty slot at or after the cursor" is two
+// bit ops.
 //
 // cur is the wheel's clock: the deadline of the last pop (pops come out in
 // nondecreasing key order, and schedulers only insert at or after their own
@@ -38,16 +39,21 @@ import (
 // slot's entries into finer levels — each lands at least one level down,
 // so an entry moves at most wheelLevels-1 times in its life. Once the
 // earliest bin is a level-0 slot, that slot contains every live entry with
-// when < binstart + 1.024µs, and a linear scan of it under the full
-// (when, a, b) key — against the overflow heap's top — yields exactly the
-// heap's pop order. Correctness of the spill placement: after cur advances
-// to the bin start, every entry in the slot has when - cur < slot width,
-// which places it at a strictly finer level with cursor distance <= 63.
+// when < binstart + 1.024µs. It is then exposed: heap-ordered once under the
+// full (when, a, b) key, and kept a heap — pops take its top, late arrivals
+// into the bin sift in — until it empties, so k timers inside one bin cost
+// O(k log k), not a rescan per pop. Its top against the overflow heap's top
+// yields exactly the replaced heaps' pop order. While the exposed slot is
+// non-empty cur stays inside its bin, so it remains the earliest bin and
+// every deadline at or before cur lands in it. Correctness of the spill
+// placement: after cur advances to the bin start, every entry in the slot
+// has when - cur < slot width, which places it at a strictly finer level
+// with cursor distance <= 63.
 //
 // Cancellation is lazy: Stop/Reset bump the timer's generation and drop
-// the live count; the stale entry stays behind and is discarded when a
-// scan or spill meets it. peekMin shares findMin, so partition base
-// computations never see a dead minimum.
+// the live count; the stale entry stays behind and is discarded when it
+// reaches the top of the exposed slot or of the overflow heap. peekMin
+// shares findMin, so partition base computations never see a dead minimum.
 
 const (
 	wheelShift0 = 10 // level-0 slot width: 1.024µs of virtual time
@@ -104,8 +110,36 @@ func entryLess[T wheelTimer](x, y *wentry[T]) bool {
 }
 
 // bucket holds entries. Wheel slots use it as an unsorted slice; the
-// overflow uses hpush/hpop to keep it heap-ordered by entryLess.
+// overflow and the exposed level-0 slot use hinit/hpush/hpop to keep it
+// heap-ordered by entryLess.
 type bucket[T wheelTimer] []wentry[T]
+
+// hinit heap-orders an unsorted bucket in place.
+func (h bucket[T]) hinit() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+// siftDown restores the heap order below i.
+func (h bucket[T]) siftDown(i int) {
+	n := len(h)
+	for {
+		l, r := 2*i+1, 2*i+2
+		if l >= n {
+			return
+		}
+		c := l
+		if r < n && entryLess(&h[r], &h[l]) {
+			c = r
+		}
+		if !entryLess(&h[c], &h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
 func (h *bucket[T]) hpush(e wentry[T]) {
 	*h = append(*h, e)
@@ -129,22 +163,7 @@ func (h *bucket[T]) hpop() wentry[T] {
 	old[n] = zero // release the payload pointer
 	old = old[:n]
 	*h = old
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		c := l
-		if r < n && entryLess(&old[r], &old[l]) {
-			c = r
-		}
-		if !entryLess(&old[c], &old[i]) {
-			break
-		}
-		old[i], old[c] = old[c], old[i]
-		i = c
-	}
+	old.siftDown(0)
 	return top
 }
 
@@ -163,22 +182,28 @@ type wheel[T wheelTimer] struct {
 	levels [wheelLevels]wheelLevel[T]
 	over   bucket[T] // deadlines beyond the top level's reach (heap-ordered)
 
+	// The exposed slot: the level-0 slot findMin last resolved as the
+	// earliest bin, heap-ordered from then until it empties.
+	exposed     bool
+	exposedSlot int
+
 	// Cached result of the last findMin, valid while minNode != nil: the
-	// location and key of the current global minimum. The heaps this wheel
+	// location and key of the current global minimum (the top of the exposed
+	// slot, or with minOver of the overflow heap). The heaps this wheel
 	// replaced had a free peek (h[0]), and the partition merge layer peeks
 	// the horizon on every fire — without the cache each peek repays the
 	// full cascade. Inserts keep the cache unless they undercut the cached
 	// key; popping, cancelling, or rescheduling the cached timer drops it.
-	minNode         *wheelNode
-	minWhen         time.Duration
-	minA, minB      uint64
-	minSlot, minIdx int
-	minOver         bool
+	minNode    *wheelNode
+	minWhen    time.Duration
+	minA, minB uint64
+	minOver    bool
 }
 
 // place computes the (level, slot) for a deadline. Deadlines at or before
 // cur share the cursor's level-0 slot (the scan starts there, and the
-// full-key slot scan keeps them first). ok=false means overflow.
+// full-key order of the exposed slot keeps them first). ok=false means
+// overflow.
 func (w *wheel[T]) place(when time.Duration) (int, int, bool) {
 	k := when
 	if k < w.cur {
@@ -218,6 +243,10 @@ func (w *wheel[T]) insert(e wentry[T]) {
 		return
 	}
 	lv := &w.levels[level]
+	if level == 0 && w.exposed && slot == w.exposedSlot {
+		lv.slots[slot].hpush(e)
+		return
+	}
 	lv.slots[slot] = append(lv.slots[slot], e)
 	lv.occupied |= 1 << uint(slot)
 }
@@ -255,8 +284,8 @@ func (w *wheel[T]) cancel(t T) bool {
 // advanced cur so that the slot's bin start is at or behind cur; every
 // entry then satisfies when - cur < slot width and lands at least one
 // level down. Stale entries ride along unexamined — touching their timers
-// here would cost a cache miss per entry, and the level-0 compaction
-// discards them anyway.
+// here would cost a cache miss per entry, and purgeTop discards them when
+// they surface.
 func (w *wheel[T]) spill(level, slot int) {
 	lv := &w.levels[level]
 	h := lv.slots[slot]
@@ -269,25 +298,25 @@ func (w *wheel[T]) spill(level, slot int) {
 	}
 }
 
-// purgeOver drops stale entries off the overflow heap top, returning the
-// live top or nil.
-func (w *wheel[T]) purgeOver() *wentry[T] {
-	for len(w.over) > 0 {
-		if top := &w.over[0]; w.stales == 0 || !top.stale() {
+// purgeTop drops stale entries off the top of a heap-ordered bucket (skipped
+// entirely while no cancellation is outstanding — the common case pays no
+// timer dereference), returning the live top or nil.
+func (w *wheel[T]) purgeTop(h *bucket[T]) *wentry[T] {
+	for len(*h) > 0 {
+		if top := &(*h)[0]; w.stales == 0 || !top.stale() {
 			return top
 		}
-		w.over.hpop()
+		h.hpop()
 		w.stales--
 	}
 	return nil
 }
 
-// findMin cascades until the earliest live entry is exposed in a level-0
-// slot (or the overflow heap) and returns its location: the slot index and
-// position for a wheel hit, or fromOver for an overflow hit.
-func (w *wheel[T]) findMin() (slot, idx int, fromOver, ok bool) {
+// findMin cascades until the earliest live entry is the top of the exposed
+// level-0 slot or, with fromOver, of the overflow heap.
+func (w *wheel[T]) findMin() (fromOver, ok bool) {
 	if w.minNode != nil {
-		return w.minSlot, w.minIdx, w.minOver, true
+		return w.minOver, true
 	}
 	for {
 		// Earliest occupied bin across levels, preferring the coarsest
@@ -311,11 +340,11 @@ func (w *wheel[T]) findMin() (slot, idx int, fromOver, ok bool) {
 			}
 		}
 		if bestLevel < 0 {
-			if w.purgeOver() == nil {
-				return 0, 0, false, false
+			if w.purgeTop(&w.over) == nil {
+				return false, false
 			}
-			w.cacheMin(0, 0, true)
-			return 0, 0, true, true
+			w.cacheMin(true)
+			return true, true
 		}
 		// No live deadline precedes the earliest occupied bin, so jumping
 		// cur to its start preserves every placement invariant.
@@ -326,95 +355,70 @@ func (w *wheel[T]) findMin() (slot, idx int, fromOver, ok bool) {
 			w.spill(bestLevel, bestSlot)
 			continue
 		}
-		// Level-0 slot: compact stale entries (skipped entirely while no
-		// cancellation is outstanding — the common case pays no timer
-		// dereference), then scan for the key min.
+		// Level-0 slot: heap-order it the first time it is the earliest bin.
 		h := &w.levels[0].slots[bestSlot]
-		if w.stales > 0 {
-			live := (*h)[:0]
-			for i := range *h {
-				if !(*h)[i].stale() {
-					live = append(live, (*h)[i])
-				}
-			}
-			w.stales -= len(*h) - len(live)
-			var zero wentry[T]
-			for i := len(live); i < len(*h); i++ {
-				(*h)[i] = zero
-			}
-			*h = live
+		if !w.exposed || w.exposedSlot != bestSlot {
+			h.hinit()
+			w.exposed, w.exposedSlot = true, bestSlot
 		}
-		if len(*h) == 0 {
+		top := w.purgeTop(h)
+		if top == nil {
 			w.levels[0].occupied &^= 1 << uint(bestSlot)
+			w.exposed = false
 			continue
-		}
-		minIdx := 0
-		for i := 1; i < len(*h); i++ {
-			if entryLess(&(*h)[i], &(*h)[minIdx]) {
-				minIdx = i
-			}
 		}
 		// The slot holds every live wheel entry with when < binstart+width;
 		// only the overflow heap can still undercut it.
-		if ov := w.purgeOver(); ov != nil && entryLess(ov, &(*h)[minIdx]) {
-			w.cacheMin(0, 0, true)
-			return 0, 0, true, true
+		if ov := w.purgeTop(&w.over); ov != nil && entryLess(ov, top) {
+			w.cacheMin(true)
+			return true, true
 		}
-		w.cacheMin(bestSlot, minIdx, false)
-		return bestSlot, minIdx, false, true
+		w.cacheMin(false)
+		return false, true
 	}
+}
+
+// minBucket returns the heap whose top findMin resolved as the minimum.
+func (w *wheel[T]) minBucket(fromOver bool) *bucket[T] {
+	if fromOver {
+		return &w.over
+	}
+	return &w.levels[0].slots[w.exposedSlot]
 }
 
 // cacheMin records the location and key findMin resolved, so subsequent
 // peeks skip the cascade until something disturbs the minimum.
-func (w *wheel[T]) cacheMin(slot, idx int, fromOver bool) {
-	var e *wentry[T]
-	if fromOver {
-		e = &w.over[0]
-	} else {
-		e = &w.levels[0].slots[slot][idx]
-	}
+func (w *wheel[T]) cacheMin(fromOver bool) {
+	e := &(*w.minBucket(fromOver))[0]
 	w.minNode = e.node
 	w.minWhen, w.minA, w.minB = e.when, e.a, e.b
-	w.minSlot, w.minIdx, w.minOver = slot, idx, fromOver
+	w.minOver = fromOver
 }
 
 // peekMin reports the earliest scheduled timer without removing it.
 func (w *wheel[T]) peekMin() (T, time.Duration, bool) {
-	slot, idx, fromOver, ok := w.findMin()
+	fromOver, ok := w.findMin()
 	if !ok {
 		var zero T
 		return zero, 0, false
 	}
-	if fromOver {
-		return w.over[0].t, w.over[0].when, true
-	}
-	e := &w.levels[0].slots[slot][idx]
+	e := &(*w.minBucket(fromOver))[0]
 	return e.t, e.when, true
 }
 
 // popMin removes and returns the earliest scheduled timer, advancing cur to
 // its deadline.
 func (w *wheel[T]) popMin() (T, bool) {
-	slot, idx, fromOver, ok := w.findMin()
+	fromOver, ok := w.findMin()
 	if !ok {
 		var zero T
 		return zero, false
 	}
-	var e wentry[T]
-	if fromOver {
-		e = w.over.hpop()
-	} else {
-		h := &w.levels[0].slots[slot]
-		e = (*h)[idx]
-		last := len(*h) - 1
-		(*h)[idx] = (*h)[last]
-		var zero wentry[T]
-		(*h)[last] = zero
-		*h = (*h)[:last]
-		if last == 0 {
-			w.levels[0].occupied &^= 1 << uint(slot)
-		}
+	h := w.minBucket(fromOver)
+	e := h.hpop()
+	if !fromOver && len(*h) == 0 {
+		w.levels[0].occupied &^= 1 << uint(w.exposedSlot)
+		w.exposed = false
 	}
 	e.node.queued = false
 	w.live--
@@ -454,5 +458,6 @@ func (w *wheel[T]) reset() {
 	w.over = nil
 	w.live = 0
 	w.stales = 0
+	w.exposed = false
 	w.minNode = nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -204,16 +205,26 @@ type Partition struct {
 	id   int
 	name string
 
+	// clock mirrors now for Now, which every send, vote and callback calls:
+	// the partition loop is now's only writer and stores both under w.mu, so
+	// readers need no lock.
+	clock atomic.Int64
+
 	// All fields below are guarded by w.mu.
 	cond        *sync.Cond // wakes this partition's loop only
 	horizonWait bool       // loop is asleep blocked by its horizon
 	active      bool       // counted in w.activeParts
 	now         time.Duration
 	running     int // granted execution slots (1 in steady state; AddWork pins add)
-	ready       []*grant
-	timers      wheel[*wtimer]
-	seq         uint64 // local insertion order (timer ties)
-	xseq        uint64 // cross-partition send order (merge-layer ties)
+	// The run queue is ready[head:]. Taking a grant advances head, and the
+	// slice rewinds to its start whenever the queue drains (a partition's time
+	// advances only then), so steady-state appends reuse one backing array.
+	ready  []*grant
+	head   int
+	timers wheel[*wtimer]
+	free   []*wtimer // spent delivery timers (ScheduleCross), for reuse
+	seq    uint64    // local insertion order (timer ties)
+	xseq   uint64    // cross-partition send order (merge-layer ties)
 }
 
 // syncActiveLocked reconciles p's membership in w.activeParts after any
@@ -239,8 +250,10 @@ func (p *Partition) Name() string { return p.name }
 // one-partition world's clock (NewVirtual), who never see the World.
 func (p *Partition) Shutdown() { p.w.Shutdown() }
 
-// run is the partition loop: grant ready work, and pop the timer heap only
-// while the head is inside the conservative horizon.
+// run is the partition loop: grant ready work, and pop the timer wheel only
+// while the head is inside the conservative horizon. A popped timer's body
+// runs right there: the run queue is empty at a pop, so that is the slot a
+// grant appended for it would have been given next.
 func (p *Partition) run() {
 	w := p.w
 	w.mu.Lock()
@@ -255,18 +268,16 @@ func (p *Partition) run() {
 			continue
 		}
 		if len(p.ready) > 0 {
-			g := p.ready[0]
-			p.ready = p.ready[1:]
-			p.running++
+			g := p.ready[p.head]
+			p.ready[p.head] = nil
+			p.head++
+			if p.head == len(p.ready) {
+				p.ready, p.head = p.ready[:0], 0
+			}
 			if g.fn != nil {
-				fn := g.fn
-				w.mu.Unlock()
-				fn()
-				w.mu.Lock()
-				p.running--
-				p.syncActiveLocked()
-				p.baseRaisedLocked()
+				p.callLocked(g.fn)
 			} else {
+				p.running++
 				close(g.ch)
 			}
 			continue
@@ -279,10 +290,19 @@ func (p *Partition) run() {
 			// the head is strictly inside the conservative horizon.
 			if when <= p.now || (w.activeParts == 1 && p.active) || when < p.horizonLocked() {
 				p.timers.popMin()
-				p.syncActiveLocked()
 				if when > p.now {
 					p.now = when
+					p.clock.Store(int64(when))
 				}
+				if fn := t.fn; fn != nil {
+					if t.recycle {
+						t.fn = nil
+						p.free = append(p.free, t)
+					}
+					p.callLocked(fn)
+					continue
+				}
+				p.syncActiveLocked()
 				t.fireLocked()
 				// Popping the head can only raise base(p): it was the head's
 				// time and is now p.now (equal, if the fire readied local
@@ -299,6 +319,18 @@ func (p *Partition) run() {
 		}
 		p.cond.Wait()
 	}
+}
+
+// callLocked runs fn on the partition loop, holding p's execution slot for
+// the call. Caller holds w.mu, released while fn runs.
+func (p *Partition) callLocked(fn func()) {
+	p.running++
+	p.w.mu.Unlock()
+	fn()
+	p.w.mu.Lock()
+	p.running--
+	p.syncActiveLocked()
+	p.baseRaisedLocked()
 }
 
 // baseRaisedLocked propagates a possible base(p) increase — p just released
@@ -359,12 +391,12 @@ func (p *Partition) horizonLocked() time.Duration {
 
 // drainLocked wakes everything at shutdown. Caller holds w.mu.
 func (p *Partition) drainLocked() {
-	for _, g := range p.ready {
+	for _, g := range p.ready[p.head:] {
 		if g.ch != nil {
 			close(g.ch)
 		}
 	}
-	p.ready = nil
+	p.ready, p.head = nil, 0
 	p.timers.forEach(func(t *wtimer) {
 		if t.g != nil && t.g.cause == causeNone {
 			t.g.cause = causeShutdown
@@ -517,25 +549,38 @@ func partitionOf(clk Clock) *Partition {
 // ScheduleCross schedules f to run on dst's partition at src's now + d,
 // clamped up to the src→dst lookahead and delivered through the merge
 // layer, so same-seed runs execute it at an identical point regardless of
-// thread interleaving. The caller must be executing on src. When src and
-// dst are not two distinct partitions of one World (a one-partition world,
-// or real clocks), it degenerates to dst.AfterFunc(d, f).
-func ScheduleCross(src, dst Clock, d time.Duration, f func()) Timer {
+// thread interleaving. The caller must be executing on src. Within one
+// partition it is dst.AfterFunc(d, f), and so it is when src and dst are
+// not partitions of one World (real clocks). It is fire-and-forget: no
+// handle to the delivery exists, which is what lets a partition reuse the
+// timer of one delivery for a later one.
+func ScheduleCross(src, dst Clock, d time.Duration, f func()) {
 	sp, dp := partitionOf(src), partitionOf(dst)
-	if sp == nil || dp == nil || sp == dp || sp.w != dp.w {
-		return Default(dst).AfterFunc(d, f)
+	if sp == nil || dp == nil || sp.w != dp.w {
+		Default(dst).AfterFunc(d, f)
+		return
 	}
 	w := sp.w
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.stopped {
-		w.mu.Unlock()
 		go f()
-		return &wtimer{p: dp}
+		return
 	}
-	t := &wtimer{fn: f, cause: causeTimer}
-	w.crossLocked(sp, dp, d, t)
-	w.mu.Unlock()
-	return t
+	var t *wtimer
+	if n := len(sp.free); n > 0 {
+		t, sp.free[n-1] = sp.free[n-1], nil
+		sp.free = sp.free[:n-1]
+	} else {
+		t = &wtimer{cause: causeTimer, recycle: true}
+	}
+	t.fn = f
+	if sp == dp {
+		t.p = dp
+		dp.armLocked(t, d)
+	} else {
+		w.crossLocked(sp, dp, d, t)
+	}
 }
 
 // RunOn executes f synchronously on dst's partition: the call ships to dst
@@ -580,11 +625,7 @@ func RunOn(src, dst Clock, f func()) {
 }
 
 // Now implements Clock.
-func (p *Partition) Now() time.Time {
-	p.w.mu.Lock()
-	defer p.w.mu.Unlock()
-	return epoch.Add(p.now)
-}
+func (p *Partition) Now() time.Time { return epoch.Add(time.Duration(p.clock.Load())) }
 
 // Since implements Clock.
 func (p *Partition) Since(t time.Time) time.Duration { return p.Now().Sub(t) }
@@ -710,7 +751,7 @@ func (p *Partition) Go(f func()) {
 func (p *Partition) NewQueue() Queue { return p }
 
 // Post implements Queue: f takes a run-queue slot now and runs on p's
-// partition loop when the slot comes up — the path AfterFunc bodies take.
+// partition loop when the slot comes up.
 // The caller must be executing on p.
 func (p *Partition) Post(f func()) {
 	w := p.w
@@ -781,26 +822,25 @@ func (p *Partition) fireEventLocked(waiters []*grant) {
 // wtimer is one scheduled entry in a partition's timer wheel: a local
 // timer, a cross-partition delivery, or a shipped wake-up.
 type wtimer struct {
-	p     *Partition
-	when  time.Duration
-	fn    func()
-	ch    chan time.Time
-	g     *grant
-	cause int // wake cause delivered to g
-	node  wheelNode
+	p       *Partition
+	when    time.Duration
+	fn      func() // body, run by the partition loop where the timer is popped
+	ch      chan time.Time
+	g       *grant
+	cause   int  // wake cause delivered to g
+	recycle bool // a ScheduleCross delivery: nothing else holds it once popped
+	node    wheelNode
 }
 
 // wheelState exposes the wheel bookkeeping node.
 func (t *wtimer) wheelState() *wheelNode { return &t.node }
 
-// fireLocked delivers the timer. Caller holds w.mu; the timer was just
-// popped from p's wheel.
+// fireLocked delivers a timer that has no body: a wake-up or a channel
+// send. Caller holds w.mu; the timer was just popped from p's wheel.
 func (t *wtimer) fireLocked() {
 	switch {
 	case t.g != nil:
 		t.g.wakeLocked(t.cause)
-	case t.fn != nil:
-		t.p.readyLocked(&grant{p: t.p, fn: t.fn})
 	case t.ch != nil:
 		select {
 		case t.ch <- epoch.Add(t.when):

@@ -325,8 +325,9 @@ func TestWorldMonotonicAndCausal(t *testing.T) {
 // zero-delay timer and a post shipped to its peer. Every partition must run
 // them in call/wait order — the order below, read off the rules: shipped
 // starts land in send order and each one's consequences drain before the
-// next lands; local timers fire after same-instant arrivals; the peer's
-// posts arrive one lookahead later — at GOMAXPROCS 1, where the partitions
+// next lands; local timers fire after same-instant arrivals, and what a
+// timer's body posts runs before the next timer fires; the peer's posts
+// arrive one lookahead later — at GOMAXPROCS 1, where the partitions
 // interleave on one thread, and at 4, where they race.
 func TestWorldRunQueueOrder(t *testing.T) {
 	const rounds = 3
@@ -336,10 +337,11 @@ func TestWorldRunQueueOrder(t *testing.T) {
 			want = append(want, fmt.Sprintf("%s/%d", s, r))
 		}
 	}
-	for _, s := range []string{"timer", "from-peer"} {
-		for r := 0; r < rounds; r++ {
-			want = append(want, fmt.Sprintf("%s/%d", s, r))
-		}
+	for r := 0; r < rounds; r++ {
+		want = append(want, fmt.Sprintf("timer/%d", r), fmt.Sprintf("timer-post/%d", r))
+	}
+	for r := 0; r < rounds; r++ {
+		want = append(want, fmt.Sprintf("from-peer/%d", r))
 	}
 	for _, procs := range []int{1, 4} {
 		procs := procs
@@ -367,7 +369,10 @@ func TestWorldRunQueueOrder(t *testing.T) {
 						clk.Go(func() { ev.Wait(); note(pi, "parked", r)() })
 						q.Post(func() { ev.OnFire(note(pi, "fn", r)) }) // behind the parked waiter
 						q.Post(note(pi, "post", r))
-						clk.AfterFunc(0, note(pi, "timer", r))
+						clk.AfterFunc(0, func() {
+							note(pi, "timer", r)()
+							q.Post(note(pi, "timer-post", r))
+						})
 						ScheduleCross(clk, peer, 0, func() { peer.NewQueue().Post(note(1-pi, "from-peer", r)) })
 						q.Post(ev.Fire)
 						q.Post(note(pi, "after-fire", r))
@@ -502,4 +507,63 @@ func TestWorldShutdownReleasesSleepers(t *testing.T) {
 	}()
 	g.Wait() // released by shutdown: the hour-long sleep returns early
 	close(waited)
+}
+
+// TestDeliveryTimerRecycled: a ScheduleCross delivery has no handle, so the
+// partition that pops its timer keeps it for the next delivery it sends. A
+// chain of 10 000 deliveries — each body sending the next, within one
+// partition and bouncing between two — must run every body once, at the
+// right instant, on one timer. The -race pass of this package checks that
+// the reuse is properly ordered.
+func TestDeliveryTimerRecycled(t *testing.T) {
+	const (
+		hops = 10000
+		step = 2 * time.Millisecond // the storm matrix's region-to-region lookahead
+	)
+	for _, regions := range []int{1, 2} {
+		regions := regions
+		t.Run(fmt.Sprintf("partitions%d", regions), func(t *testing.T) {
+			wc, stop := worldStormClocks(t, regions)
+			defer stop()
+			parts := wc.parts
+			var start time.Time
+			ran := 0
+			done := parts[0].NewEvent()
+			var hop func()
+			hop = func() {
+				here := parts[ran%regions]
+				ran++
+				if got, want := here.Now().Sub(start), time.Duration(ran)*step; got != want {
+					t.Errorf("delivery %d ran at +%v, want +%v", ran, got, want)
+				}
+				next := hop
+				if ran == hops {
+					next = done.Fire
+				}
+				ScheduleCross(here, parts[ran%regions], step, next)
+			}
+			g := NewGroup(wc.ctl)
+			g.StartOn(parts[0], func(finished func()) {
+				start = parts[0].Now()
+				ScheduleCross(parts[0], parts[0], step, hop)
+				done.OnFire(finished)
+			})
+			g.Wait()
+			if ran != hops {
+				t.Fatalf("%d of %d deliveries ran", ran, hops)
+			}
+			w := partitionOf(parts[0]).w
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			free := 0
+			for _, p := range w.parts {
+				free += len(p.free)
+			}
+			// One timer carried the chain; the Group's shipped start and
+			// completion left one each.
+			if free < 1 || free > 3 {
+				t.Fatalf("%d spent delivery timers after %d deliveries, want the chain's one and the Group's two", free, hops)
+			}
+		})
+	}
 }

@@ -109,3 +109,13 @@ allocs=$(go test -run '^$' -bench BenchmarkCoordinatorCommit -benchtime 1000x -b
 	echo "verify: BenchmarkCoordinatorCommit allocs/op=$allocs exceeds ceiling 80" >&2
 	exit 1
 }
+# The simulated commit path's rung of the same ladder (ROADMAP item 6): every
+# heap allocation of an open-loop round on the virtual clock — scheduler,
+# simnet, coordinator, replicas, handle, driver — per committed transaction.
+# 51.17 when the rung was added (130.7 before that change), gated at +15 %.
+allocs=$(go test -run '^$' -bench BenchmarkOpenLoopCommit -benchtime 20x ./internal/workload/ |
+	awk '/^BenchmarkOpenLoopCommit/ {for (i = 1; i <= NF; i++) if ($i == "allocs/commit") print $(i-1)}')
+[ -n "$allocs" ] && awk -v a="$allocs" 'BEGIN {exit !(a <= 59)}' || {
+	echo "verify: BenchmarkOpenLoopCommit allocs/commit=$allocs exceeds ceiling 59" >&2
+	exit 1
+}
