@@ -218,9 +218,10 @@ func runOpenLoop(quick bool, seed int64, scale float64) int {
 }
 
 // runParallelSweep runs the selected experiments once per GOMAXPROCS setting
-// (1, 2, 4, NumCPU — deduplicated) and verifies the determinism claim of
-// both levels of parallelism — arms across cores, partitions inside an arm:
-// every run's metrics are bit-identical to the GOMAXPROCS=1 run's. Beside
+// (1, 2, 4, NumCPU — deduplicated) and verifies the determinism claim of the
+// arm pool, the one level of parallelism (independent arms, each on its own
+// virtual clock, across cores): every run's metrics are bit-identical to the
+// GOMAXPROCS=1 run's. Beside
 // the verdict it reports what the cores bought: each pass's wall time, its
 // speedup over the GOMAXPROCS=1 pass, and process CPU time ÷ wall time (how
 // many processors the pass kept busy).

@@ -57,29 +57,18 @@ type Config struct {
 	PendingTTL time.Duration
 	// WAL enables per-replica write-ahead logs (memory-backed).
 	WAL bool
-	// VirtualTime runs the cluster on a discrete-event virtual clock: all
-	// delivery timers, timeouts, and sleeps advance simulated time straight
-	// to the next deadline instead of waiting in real time, so experiments
-	// run at CPU speed and are deterministic for a given Seed. The clock is
-	// owned by the cluster; Close shuts it down. Server binaries (planetd)
-	// keep the default real clock.
+	// VirtualTime runs the cluster on one discrete-event virtual clock
+	// (vclock.Virtual): every region's replica, coordinator, lease manager
+	// and delivery timers, and the harness driving them, share its single
+	// serialized event order. Timeouts and sleeps advance simulated time
+	// straight to the next deadline instead of waiting in real time, so
+	// experiments run at CPU speed and are deterministic for a given Seed.
+	// The clock is owned by the cluster; Close shuts it down. Server binaries
+	// (planetd) keep the default real clock.
 	VirtualTime bool
 	// Clock overrides the time source outright (tests). Takes precedence
 	// over VirtualTime; the caller keeps ownership.
 	Clock vclock.Clock
-	// ParallelTime partitions the virtual scheduler by region: each region's
-	// replica, coordinator, lease manager, and delivery timers run on that
-	// region's own scheduler partition, concurrently on real cores, with a
-	// control partition for the harness. Partitions synchronize
-	// conservatively through the latency matrix's per-link delay floors and
-	// exchange cross-region messages through a deterministic merge layer, so
-	// same-seed runs stay bit-identical at any GOMAXPROCS. Requires
-	// VirtualTime; ignored when an explicit Clock is supplied. Without it
-	// the control partition is the scheduler's only one and execution is
-	// serialized; prefer that for scenarios that mutate global topology
-	// mid-run (loss bursts, delay spikes) when exact cross-run timestamps
-	// matter — see PROTOCOL.md "Time model".
-	ParallelTime bool
 	// PerOptionMessages runs the commit protocol on the legacy
 	// one-message-per-option wire format instead of per-destination
 	// batches. The batching equivalence tests use it; leave false
@@ -108,8 +97,7 @@ type Cluster struct {
 	scale    float64
 	timeout  time.Duration // effective (scaled) commit timeout
 	clk      vclock.Clock
-	world    *vclock.World                  // non-nil when the cluster created its virtual scheduler
-	partClks map[simnet.Region]vclock.Clock // per-region partitions (ParallelTime); empty when clk is the only clock
+	virt     *vclock.Virtual // non-nil when the cluster created its virtual clock
 
 	leaseMgrs []*leaseManager
 	leaseTerm time.Duration // effective (scaled) lease term, 0 without leases
@@ -147,19 +135,15 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	clk := cfg.Clock
-	var world *vclock.World
-	var partClks map[simnet.Region]vclock.Clock
+	var virt *vclock.Virtual
 	if clk == nil && cfg.VirtualTime {
-		var err error
-		world, partClks, clk, err = buildWorld(cfg)
-		if err != nil {
-			return nil, err
-		}
+		virt = vclock.NewVirtual()
+		clk = virt
 	}
 	clk = vclock.Default(clk)
 	stopClk := func() {
-		if world != nil {
-			world.Shutdown()
+		if virt != nil {
+			virt.Shutdown()
 		}
 	}
 
@@ -169,7 +153,6 @@ func New(cfg Config) (*Cluster, error) {
 		Seed:      cfg.Seed,
 		LossRate:  cfg.LossRate,
 		Clock:     clk,
-		Clocks:    partClks,
 	})
 	if err != nil {
 		stopClk()
@@ -212,8 +195,7 @@ func New(cfg Config) (*Cluster, error) {
 		scale:    cfg.TimeScale,
 		timeout:  time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
 		clk:      clk,
-		world:    world,
-		partClks: partClks,
+		virt:     virt,
 	}
 
 	var keyspaces []simnet.Region
@@ -271,79 +253,10 @@ func New(cfg Config) (*Cluster, error) {
 		ranked := rankedRegions(regionList)
 		for _, r := range regionList {
 			c.leaseMgrs = append(c.leaseMgrs,
-				newLeaseManager(c.replicas[r], c.ClockFor(r), c.leaseTerm, keyspaces, ranked, r))
+				newLeaseManager(c.replicas[r], clk, c.leaseTerm, keyspaces, ranked, r))
 		}
 	}
 	return c, nil
-}
-
-// ctlPartition names the control partition of the virtual scheduler: the
-// harness side (workload drivers, experiment timelines, chaos scenarios)
-// runs there — beside the per-region partitions the protocol runs on under
-// ParallelTime, and together with the protocol otherwise.
-const ctlPartition = "ctl"
-
-// buildWorld constructs the virtual scheduler for cfg. Under ParallelTime
-// that is one partition per region plus the control partition, with the
-// lookahead matrix taken from the latency matrix's per-link delay floors
-// (scaled like every delay): every sampled cross-region delay is ≥ its
-// link's floor, so a partition may safely run ahead until the earliest
-// instant a peer could still reach it. Otherwise the control partition is
-// the whole world, no region has a clock of its own, and execution is
-// serialized.
-func buildWorld(cfg Config) (*vclock.World, map[simnet.Region]vclock.Clock, vclock.Clock, error) {
-	var regionList []simnet.Region
-	if cfg.ParallelTime {
-		regionList = cfg.Topology.Regions
-	}
-	names := make([]string, 0, len(regionList)+1)
-	names = append(names, ctlPartition)
-	for _, r := range regionList {
-		names = append(names, string(r))
-	}
-	n := len(names)
-	la := make([][]time.Duration, n)
-	for i := range la {
-		la[i] = make([]time.Duration, n)
-	}
-	var maxLA time.Duration
-	for i, ri := range regionList {
-		for j, rj := range regionList {
-			if i == j {
-				continue
-			}
-			floor := time.Duration(float64(cfg.Topology.Matrix.Link(ri, rj).Quantile(0)) * cfg.TimeScale)
-			if floor < time.Nanosecond {
-				floor = time.Nanosecond
-			}
-			la[i+1][j+1] = floor
-			if floor > maxLA {
-				maxLA = floor
-			}
-		}
-	}
-	if maxLA == 0 {
-		maxLA = time.Nanosecond
-	}
-	for i := range regionList {
-		// ctl → region: the harness dispatch latency (spawning a session,
-		// pacing an arrival). Tiny, so driver pacing is essentially exact.
-		la[0][i+1] = time.Microsecond
-		// region → ctl: completion signals ride back with the largest
-		// region-pair lookahead, which keeps the metric closure from
-		// shortcutting any region→region floor through the control
-		// partition.
-		la[i+1][0] = maxLA
-	}
-	w, err := vclock.NewWorld(names, la)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: %w", err)
-	}
-	clocks := make(map[simnet.Region]vclock.Clock, len(regionList))
-	for _, r := range regionList {
-		clocks[r] = w.Partition(string(r))
-	}
-	return w, clocks, w.Partition(ctlPartition), nil
 }
 
 // Regions returns the cluster's regions in topology order.
@@ -357,18 +270,9 @@ func (c *Cluster) TimeScale() float64 { return c.scale }
 // stage costs against it.
 func (c *Cluster) CommitTimeout() time.Duration { return c.timeout }
 
-// Clock returns the cluster's time source (the control partition under a
-// partitioned scheduler).
+// Clock returns the cluster's time source, shared by every region and by
+// the code driving the cluster.
 func (c *Cluster) Clock() vclock.Clock { return c.clk }
-
-// ClockFor returns the scheduler partition owning region r. Without
-// ParallelTime every region shares Clock().
-func (c *Cluster) ClockFor(r simnet.Region) vclock.Clock {
-	if clk, ok := c.partClks[r]; ok {
-		return clk
-	}
-	return c.clk
-}
 
 // LeaseTerm returns the effective (already time-scaled) lease term, or zero
 // when master leases are disabled.
@@ -482,8 +386,8 @@ func (c *Cluster) Close() {
 	if c.RealNet != nil {
 		c.RealNet.Close()
 	}
-	if c.world != nil {
-		c.world.Shutdown()
+	if c.virt != nil {
+		c.virt.Shutdown()
 	}
 }
 

@@ -37,10 +37,10 @@ import (
 //     window multiplicatively and drops the shed fraction — the
 //     controller never wedges itself shut.
 //
-// Determinism: the epoch timer chains on the region's own partition
-// clock, every counter below is fed from handle code that runs on that
-// same partition, and the quantile sketches are insertion-order-free —
-// so identically-seeded virtual-time runs make identical decisions.
+// Determinism: the epoch timer chains on the cluster's clock, every
+// counter below is fed from handle code serialized on that same clock, and
+// the quantile sketches are insertion-order-free — so identically-seeded
+// virtual-time runs make identical decisions.
 type AdaptiveAdmission struct {
 	// Enabled turns the controller on.
 	Enabled bool
@@ -166,7 +166,7 @@ func newAdmissionCtl(clk vclock.Clock, cfg AdaptiveAdmission, static AdmissionPo
 	return c
 }
 
-// start schedules the first epoch tick on the region's partition clock.
+// start schedules the first epoch tick.
 func (c *admissionCtl) start() {
 	c.mu.Lock()
 	c.timer = c.clk.AfterFunc(c.cfg.Epoch, c.step)

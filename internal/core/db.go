@@ -113,14 +113,11 @@ type Stats struct {
 	Apologies  uint64
 }
 
-// regionRT is a region's private runtime: the scheduler partition its
-// sessions execute on, its transaction-ID namespace, and its RNG for
-// jitter/probe draws. Keeping all three region-local means the parallel
-// scheduler's real-time interleaving can never leak into IDs, backoff
-// delays, or admission probes — every draw happens on the region's own
-// serialized partition.
+// regionRT is a region's private runtime: its transaction-ID namespace and
+// its RNG for jitter/probe draws. Keeping both region-local means one
+// region's traffic never shifts another region's IDs, backoff delays, or
+// admission probes.
 type regionRT struct {
-	clk vclock.Clock
 	ids *txn.IDSpace
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -172,7 +169,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	for i, r := range regionList {
 		db.rts[r] = &regionRT{
-			clk: cfg.Cluster.ClockFor(r),
 			ids: txn.NewIDSpace(i),
 			rng: rand.New(rand.NewSource(1 + int64(i))),
 		}
@@ -199,9 +195,7 @@ func Open(cfg Config) (*DB, error) {
 		}
 		// One span shard per region: every protocol actor records into (or
 		// flushes to) its own region's shard — remote actors' spans arrive
-		// as spanReportMsg and land at the transaction's home coordinator —
-		// so each shard's add order is serialized by its region's scheduler
-		// partition.
+		// as spanReportMsg and land at the transaction's home coordinator.
 		db.spans = obs.NewSpanStores(obs.SpanStoreConfig{Capacity: cfg.TraceCapacity}, names)
 		db.attr = db.spans.Attribution()
 		for _, r := range regionList {
@@ -218,17 +212,14 @@ func Open(cfg Config) (*DB, error) {
 	}
 	for _, r := range regionList {
 		// The feed is the region's own shard: a predictor only ever learns
-		// from spans its own coordinator recorded, which keeps its reads on
-		// the region's partition (a merged cross-region feed would read
-		// other partitions' half-updated statistics at nondeterministic
-		// points).
+		// from spans its own coordinator recorded.
 		var feed predictor.StageFeed
 		if cfg.AttributionFeed && db.spans != nil {
 			feed = db.spans.For(string(r)).Attribution()
 		}
 		db.preds[r] = predictor.New(predictor.Config{
 			Regions:          regionList,
-			Clock:            db.rts[r].clk,
+			Clock:            clk,
 			FastQuorum:       mdcc.FastQuorum(len(regionList)),
 			ConflictHalfLife: cfg.ConflictHalfLife,
 			UseConflicts:     !cfg.DisableConflictTerm,
@@ -242,7 +233,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Adaptive.Enabled {
 		db.adm = make(map[simnet.Region]*admissionCtl, len(regionList))
 		for _, r := range regionList {
-			db.adm[r] = newAdmissionCtl(db.rts[r].clk, cfg.Adaptive, cfg.Admission)
+			db.adm[r] = newAdmissionCtl(clk, cfg.Adaptive, cfg.Admission)
 		}
 	}
 	if reg := cfg.Registry; reg != nil {
@@ -392,14 +383,6 @@ func (db *DB) SpeculationShed() uint64 { return db.specShed.Load() }
 // rt returns the region's runtime (nil for unknown regions).
 func (db *DB) rt(r simnet.Region) *regionRT { return db.rts[r] }
 
-// clockFor returns the scheduler partition region r's sessions run on.
-func (db *DB) clockFor(r simnet.Region) vclock.Clock {
-	if rt := db.rts[r]; rt != nil {
-		return rt.clk
-	}
-	return db.clk
-}
-
 // jitter draws a multiplier in [0.5, 1.5) for retry backoff, from the
 // region's private stream.
 func (db *DB) jitter(r simnet.Region) float64 {
@@ -431,25 +414,23 @@ func (db *DB) Session(region simnet.Region) (*Session, error) {
 	}
 	return &Session{
 		db: db, region: region, coord: coord, replica: replica,
-		pred: db.preds[region], clk: db.clockFor(region),
+		pred: db.preds[region],
 	}, nil
 }
 
-// Session is a per-region client. Under a partitioned scheduler its
-// goroutines execute on the region's partition (spawn them with
-// Clock().Go or vclock.Group.GoOn; start a body that never blocks with
-// vclock.Group.StartOn).
+// Session is a per-region client. Under a virtual clock, spawn its
+// goroutines with Clock().Go or vclock.Group.Go, and start a body that never
+// blocks with vclock.Group.Start.
 type Session struct {
 	db      *DB
 	region  simnet.Region
 	coord   *mdcc.Coordinator
 	replica *mdcc.Replica
 	pred    *predictor.Predictor
-	clk     vclock.Clock
 }
 
-// Clock returns the scheduler partition the session's region runs on.
-func (s *Session) Clock() vclock.Clock { return s.clk }
+// Clock returns the DB's time source.
+func (s *Session) Clock() vclock.Clock { return s.db.clk }
 
 // Region returns the session's home region.
 func (s *Session) Region() simnet.Region { return s.region }

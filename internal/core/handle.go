@@ -43,7 +43,7 @@ func (p Progress) String() string {
 // on the protocol's own call stack. Under the real clock each transaction
 // drains its callbacks on a goroutine of its own, so a slow callback delays
 // later callbacks of the same transaction only. Under a virtual clock they
-// run on the home partition's scheduler loop, in run-queue order with every
+// run on the clock's scheduler loop, in run-queue order with every
 // other transaction's, and must not block through the clock (no Sleep, no
 // Wait).
 type CommitOptions struct {
@@ -86,7 +86,7 @@ type Handle struct {
 	id      txn.ID
 	db      *DB
 	session *Session
-	clk     vclock.Clock   // the home region's scheduler partition
+	clk     vclock.Clock   // the session's clock
 	spans   *obs.SpanStore // the home region's span shard (nil untraced)
 	opts    CommitOptions
 	regions []simnet.Region
@@ -169,14 +169,14 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		id:      db.rt(s.region).ids.NewID(),
 		db:      db,
 		session: s,
-		clk:     s.clk,
+		clk:     s.db.clk,
 		spans:   db.spans.For(string(s.region)),
 		opts:    opts,
 		regions: regionList,
 		tracks:  make([]optTrack, len(ops)),
-		start:   s.clk.Now(),
-		cbq:     s.clk.NewQueue(),
-		done:    s.clk.NewEvent(),
+		start:   s.db.clk.Now(),
+		cbq:     s.db.clk.NewQueue(),
+		done:    s.db.clk.NewEvent(),
 	}
 	for i, op := range ops {
 		h.tracks[i] = optTrack{
@@ -242,9 +242,9 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	}
 
 	if opts.Deadline > 0 {
-		h.timer = s.clk.AfterFunc(opts.Deadline, h.onDeadline)
+		h.timer = s.db.clk.AfterFunc(opts.Deadline, h.onDeadline)
 	}
-	preSubmit := s.clk.Now()
+	preSubmit := s.db.clk.Now()
 	if err := s.coord.SubmitTraced(h.id, ops, db.cfg.Mode, (*handleSink)(h), h.span); err != nil {
 		// Unreachable for well-formed ops, but fail closed.
 		db.inFlight[s.region].Add(-1)
@@ -327,7 +327,7 @@ func (h *Handle) Progress() Progress {
 
 // OnDone registers f to run once every callback has run — the point where
 // Wait returns — without a goroutine parked there. Under a virtual clock f
-// runs on the home partition's scheduler loop and must not block through the
+// runs on the clock's scheduler loop and must not block through the
 // clock; under the real clock it runs on the callbacks' goroutine, behind the
 // last of them. If the handle is already done, f runs at once.
 func (h *Handle) OnDone(f func()) { h.done.OnFire(f) }

@@ -64,8 +64,7 @@ func (r *staleReader) MessageDelivered(from, to simnet.Region) {
 
 // likelihoodRun drives one seeded stream of transactions — single adds,
 // blind sets colliding on a hot key, and two-option transactions whose first
-// option is that hot set — from two regions of a one-partition virtual
-// cluster. With consumer set every transaction has an OnProgress callback, so
+// option is that hot set — from two regions of a virtual cluster. With consumer set every transaction has an OnProgress callback, so
 // the handle computes the likelihood at every event, as it always used to.
 // Without, only the blind hot sets have one (what they report after falling
 // back is the classic success rate, the one counter no prior reads); with

@@ -162,8 +162,8 @@ func indexOf(names []string, want string) int {
 }
 
 // TestVirtualCallbacksHoldNoGoroutines runs one open-loop round by hand on
-// a one-partition virtual cluster — every arrival started inline with
-// Group.StartOn, finished through Handle.OnDone — and samples the process's
+// a virtual cluster — every arrival started inline with
+// Group.Start, finished through Handle.OnDone — and samples the process's
 // goroutine count from OnAccept, when the whole round is in flight. Neither
 // a handle nor a waiting arrival may cost a goroutine: the count stays
 // within a small constant of what it was before the round.
@@ -187,11 +187,11 @@ func TestVirtualCallbacksHoldNoGoroutines(t *testing.T) {
 	g := vclock.NewGroup(c.Clock())
 	for i := 0; i < n; i++ {
 		i := i
-		g.StartOn(s.Clock(), func(done func()) {
+		g.Start(func(done func()) {
 			tx := s.Begin()
 			tx.Add(fmt.Sprintf("g-%d", i), -1)
 			h, err := tx.Commit(planet.CommitOptions{
-				// Callbacks of one partition run one at a time: no lock.
+				// Callbacks of one clock run one at a time: no lock.
 				OnAccept: func(planet.Progress) {
 					maxGoroutines = max(maxGoroutines, runtime.NumGoroutine())
 					maxInFlight = max(maxInFlight, db.InFlight())

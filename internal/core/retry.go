@@ -86,7 +86,7 @@ func (s *Session) RunCtx(ctx context.Context, attempts int, fn func(*Txn) error)
 			if i+1 >= attempts {
 				continue
 			}
-			if err := s.clk.SleepCtx(ctx, s.backoff(i)); err != nil {
+			if err := s.db.clk.SleepCtx(ctx, s.backoff(i)); err != nil {
 				return last, err
 			}
 		default:

@@ -164,7 +164,6 @@ func TestAttributionDeterminism(t *testing.T) {
 			TimeScale:     0.05,
 			Seed:          1789,
 			VirtualTime:   true,
-			ParallelTime:  true,
 			WAL:           true,
 			CommitTimeout: 30 * time.Second,
 		})

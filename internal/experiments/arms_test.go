@@ -145,7 +145,7 @@ func TestForArmsPanicReraisedAfterDrain(t *testing.T) {
 	t.Error("forArms returned instead of panicking")
 }
 
-// A failing arm must take its cluster down with it: the partition and
+// A failing arm must take its cluster down with it: the scheduler and
 // network goroutines it started are gone when forArms returns, siblings
 // included.
 func TestForArmsNoGoroutinesAfterFailingArm(t *testing.T) {

@@ -67,7 +67,7 @@ func E3AttributionFeed(cfg Config) (Result, error) {
 			if v.feed {
 				// The last transactions' decide broadcasts and span reports
 				// are still in flight when the driver returns; drain them, or
-				// the table's counts depend on how far the partitions ran.
+				// the table's counts depend on when the driver returned.
 				db.Cluster().Quiesce(cfg.quiesceBudget())
 				snap := db.Attribution().Snapshot()
 				dominant = snap.Dominant

@@ -83,19 +83,10 @@ func (r Result) FormatMetrics() string {
 	return b.String()
 }
 
-// openDB builds a cluster on the partitioned parallel scheduler (one
-// partition per region, deterministic cross-partition merge) and a DB on
-// it, returning the teardown an arm defers.
+// openDB builds a cluster and a DB on it, returning the teardown an arm
+// defers. Always in virtual time — the evaluation executes at CPU speed and
+// is a pure function of Seed.
 func openDB(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, func(), error) {
-	ccfg.ParallelTime = true
-	return openCluster(cfg, ccfg, pcfg)
-}
-
-// openCluster is openDB with the partitioning ccfg names: F9 mutates
-// topology mid-run, which only a one-partition world, with its single
-// global order, makes deterministic. Always in virtual time — the evaluation executes at CPU
-// speed and is a pure function of Seed.
-func openCluster(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, func(), error) {
 	if ccfg.Topology.Matrix == nil {
 		ccfg.Topology = regions.Five()
 	}

@@ -62,9 +62,7 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 		"policy", "injected", "goodput/s", "commit", "rejected", "p50-final", "p99-final")
 	return sweep("F9 open-loop surge: static vs adaptive admission", header, len(arms), func(i int) (arm, error) {
 		name := arms[i].name
-		// The surge mutates topology mid-run (replica crash + rejoin), which
-		// needs the one-partition scheduler; the two arms overlap all the same.
-		db, teardown, err := openCluster(cfg, cluster.Config{Seed: cfg.Seed + 83}, arms[i].pcfg)
+		db, teardown, err := openDB(cfg, cluster.Config{Seed: cfg.Seed + 83}, arms[i].pcfg)
 		if err != nil {
 			return arm{}, err
 		}

@@ -112,19 +112,18 @@ func F3Trajectory(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Pace arrivals from the driving partition; each transaction's
-	// build+commit+wait runs on the session's region partition (a child RNG
-	// per arrival keeps key choices a pure function of the arrival index).
+	// Pace arrivals from this goroutine; each transaction's
+	// build+commit+wait runs on a worker of its own (a child RNG per arrival
+	// keeps key choices a pure function of the arrival index).
 	rng := rand.New(rand.NewSource(cfg.Seed + 29))
 	total := cfg.pick(300, 80)
 	clk := db.Cluster().Clock()
-	rclk := s.Clock()
 	g := vclock.NewGroup(clk)
 	var errMu sync.Mutex
 	var runErr error
 	for i := 0; i < total; i++ {
 		childSeed := rng.Int63()
-		g.GoOn(rclk, func() {
+		g.Go(func() {
 			crng := rand.New(rand.NewSource(childSeed))
 			tx, err := tmpl.Build(s, crng)
 			if err != nil {

@@ -205,8 +205,23 @@ func TestSubmitWaitBoundFallsBack(t *testing.T) {
 	if got := srv.TrackedCount(); got != 2 {
 		t.Fatalf("%d transactions tracked, want 2 (one per submission)", got)
 	}
-	if r, _ := cl.Read("stock"); r.Int != 8 {
-		t.Fatalf("stock = %d, want 8: the fallback must not resubmit", r.Int)
+	// The local replica learns the decide by message, which may still be in
+	// flight when the status reports the commit: poll until it reads 8. It
+	// must never read less — that would be a second submission.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		r, err := cl.Read("stock")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Int < 8 {
+			t.Fatalf("stock = %d, want 8: the fallback must not resubmit", r.Int)
+		}
+		if r.Int == 8 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stock = %d after 10s, want 8", r.Int)
+		}
 	}
 	if v, _ := reg.Value("planet_http_wait_timeouts_total"); v < 2 {
 		t.Fatalf("planet_http_wait_timeouts_total = %v, want the two expired submit waits counted", v)

@@ -166,7 +166,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Net == nil || len(cfg.Replicas) == 0 || cfg.MasterFor == nil {
 		return nil, fmt.Errorf("mdcc: coordinator config incomplete")
 	}
-	c := &Coordinator{cfg: cfg, clk: cfg.Net.ClockFor(cfg.Addr.Region), active: make(map[txn.ID]*commitState)}
+	c := &Coordinator{cfg: cfg, clk: cfg.Net.Clock(), active: make(map[txn.ID]*commitState)}
 	cfg.Net.Register(cfg.Addr, c.recv)
 	return c, nil
 }

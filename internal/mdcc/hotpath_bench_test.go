@@ -1,9 +1,9 @@
 package mdcc_test
 
 // Hot-path microbenchmarks for the commit pipeline, run with -benchmem.
-// BENCH_pr5.json records their before/after numbers for the batched-routing
-// and allocation-diet work; verify.sh gates allocs/op regressions on
-// BenchmarkCoordinatorCommit.
+// docs/bench/BENCH_pr5.json records their before/after numbers for the
+// batched-routing and allocation-diet work; verify.sh gates allocs/op
+// regressions on BenchmarkCoordinatorCommit.
 
 import (
 	"fmt"

@@ -212,7 +212,6 @@ func leaseFingerprint(t *testing.T, seed int64) string {
 	c, err := cluster.New(cluster.Config{
 		Seed:         seed,
 		VirtualTime:  true,
-		ParallelTime: true,
 		MasterRegion: regions.Virginia,
 		MasterLeases: true,
 		WAL:          true,
@@ -235,20 +234,12 @@ func leaseFingerprint(t *testing.T, seed int64) string {
 			mode = mdcc.ModeClassic
 		}
 		from := froms[i%len(froms)]
-		// The coordinator lives on its region's scheduler partition: home
-		// the decision event there (Decided fires from that partition) and
-		// ship the Submit through the merge layer.
-		rclk := c.ClockFor(from)
-		sink := &vsink{ev: rclk.NewEvent()}
+		sink := &vsink{ev: clk.NewEvent()}
 		ops := []txn.Op{{Kind: txn.OpAdd, Key: keys[i%len(keys)], Delta: int64(i%7 - 3)}}
-		var subErr error
-		vclock.RunOn(clk, rclk, func() {
-			subErr = c.Coordinator(from).Submit(txn.NewID(), ops, mode, sink)
-		})
-		if subErr != nil {
-			t.Fatal(subErr)
+		if err := c.Coordinator(from).Submit(txn.NewID(), ops, mode, sink); err != nil {
+			t.Fatal(err)
 		}
-		if !sink.ev.WaitTimeoutFrom(clk, 5*time.Minute) {
+		if !sink.ev.WaitTimeout(5 * time.Minute) {
 			t.Fatalf("txn %d never decided within 5 virtual minutes", i)
 		}
 		fmt.Fprintf(&b, "txn%d:%v/%v\n", i, sink.committed, sink.err != nil)

@@ -128,7 +128,7 @@ func (r *Replica) evictTracesLocked(now time.Time) {
 func NewReplica(cfg ReplicaConfig) *Replica {
 	r := &Replica{
 		cfg:      cfg,
-		clk:      cfg.Net.ClockFor(cfg.Addr.Region),
+		clk:      cfg.Net.Clock(),
 		records:  newRecordStore(),
 		decided:  make(map[txn.ID]bool),
 		masters:  make(map[string]*masterKey),

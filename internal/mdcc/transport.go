@@ -37,9 +37,7 @@ type Transport interface {
 	Deregister(addr simnet.Addr)
 	// Clock is the time source shared by every layer above the transport.
 	Clock() vclock.Clock
-	// ClockFor is the time source owning region r. Under a partitioned
-	// scheduler each region has its own partition and protocol actors pin
-	// their timers to their region's clock; single-clock transports return
-	// Clock().
+	// ClockFor returns Clock() for every region. Nothing in the stack calls
+	// it; it stays because the benchmark's transport decorator forwards it.
 	ClockFor(r simnet.Region) vclock.Clock
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // SpanStores shards span retention and attribution by home region, one
-// SpanStore per region. Under the partitioned scheduler every span of a
-// transaction is recorded from its home region's partition (the handle and
-// coordinator run there, and remote replica/master spans flow back to that
-// coordinator), so each shard sees a serialized, deterministic add order no
-// matter how partitions interleave in real time. Readers get a merged view:
+// SpanStore per region. Every span of a transaction lands in its home
+// region's shard (the handle and coordinator record there, and remote
+// replica/master spans flow back to that coordinator), so a region's shard
+// holds its own transactions only. Readers get a merged view:
 // Spans concatenates shards in the fixed region order and the attribution
 // set pools the shards' statistics with an exact mean/variance merge.
 //

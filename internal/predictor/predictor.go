@@ -36,7 +36,7 @@ type Config struct {
 	// UseLatency toggles deadline-awareness; without a deadline the term
 	// is inert either way.
 	UseLatency bool
-	// Clock timestamps decay horizons. Nil means the real system clock.
+	// Clock timestamps decay windows. Nil means the real system clock.
 	Clock vclock.Clock
 	// StageFeed, when non-nil, supplies attribution statistics (option-RPC
 	// and vote-return EWMA/jitter) and enables the timeliness term: the

@@ -266,8 +266,7 @@ func (t *Transport) logf(format string, args ...any) {
 // Clock returns the transport's time source (mdcc.Transport contract).
 func (t *Transport) Clock() vclock.Clock { return t.clk }
 
-// ClockFor returns the transport's single time source for any region: a
-// realnet process hosts one region, so there is nothing to partition.
+// ClockFor returns Clock() for any region (mdcc.Transport contract).
 func (t *Transport) ClockFor(simnet.Region) vclock.Clock { return t.clk }
 
 // ListenAddr returns the resolved listen address ("" when outbound-only).

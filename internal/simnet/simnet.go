@@ -139,24 +139,16 @@ type Config struct {
 	// LossRate drops messages uniformly at random, in [0,1).
 	LossRate float64
 	// Clock drives delivery timers, send timestamps, and Quiesce. Nil means
-	// the real system clock; a virtual clock (a vclock.World partition)
-	// runs the network at CPU speed with deterministic delivery order.
+	// the real system clock; a vclock.Virtual runs the network at CPU speed
+	// with a deterministic delivery order.
 	Clock vclock.Clock
-	// Clocks optionally maps each region to its own scheduler partition
-	// (a vclock.World partition). When set, a send samples its delay on the
-	// sender region's serialized stream, stamps SentAt with the sender
-	// partition's time, and ships delivery through the deterministic
-	// cross-partition merge layer, so regions simulate concurrently on real
-	// cores with a bit-identical delivery order. Regions absent from the map
-	// fall back to Clock.
-	Clocks map[Region]vclock.Clock
 }
 
 // rngShard is one independently-seeded sampling stream. Each region owns a
-// shard: all sends from a region are serialized on that region's scheduler
-// partition, so the shard's draw order — and thus every sampled delay — is
-// deterministic even when partitions run concurrently on real cores.
-// Unknown regions share a fallback shard.
+// shard, so a region's sampled delays depend only on the order of that
+// region's own sends — deterministic under a virtual clock — and concurrent
+// senders in different regions do not contend on one lock under the real
+// clock. Unknown regions share a fallback shard.
 type rngShard struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -202,8 +194,8 @@ type Network struct {
 	cfg    Config
 	scale  float64
 	clk    vclock.Clock
-	mu     sync.Mutex                // serializes topology mutations only
-	topo   atomic.Pointer[topology]  // current routing snapshot
+	mu     sync.Mutex               // serializes topology mutations only
+	topo   atomic.Pointer[topology] // current routing snapshot
 	closed atomic.Bool
 
 	lossBits atomic.Uint64 // current loss rate as float64 bits (lock-free read on send)
@@ -278,14 +270,9 @@ func New(cfg Config) (*Network, error) {
 // Clock returns the network's time source.
 func (n *Network) Clock() vclock.Clock { return n.clk }
 
-// ClockFor returns the scheduler partition owning region r (the shared clock
-// when no per-region partitions are configured).
-func (n *Network) ClockFor(r Region) vclock.Clock {
-	if c, ok := n.cfg.Clocks[r]; ok {
-		return c
-	}
-	return n.clk
-}
+// ClockFor returns the network's one clock, whatever the region. It exists
+// for transport decorators that forward the mdcc.Transport method set.
+func (n *Network) ClockFor(Region) vclock.Clock { return n.clk }
 
 // mutate clones the routing snapshot, applies f, and swaps it in. Mutations
 // are rare (startup registration, fault injection); sends never wait on them.
@@ -498,18 +485,14 @@ func (n *Network) send(from, to Addr, payload any, batch []any) {
 		obs.MessageSent(from.Region, to.Region, scaled)
 	}
 	n.pending.Add(1)
-	srcClk := n.ClockFor(from.Region)
 	d := deliveryPool.Get().(*delivery)
 	d.n = n
-	d.msg = Message{From: from, To: to, Payload: payload, SentAt: srcClk.Now()}
+	d.msg = Message{From: from, To: to, Payload: payload, SentAt: n.clk.Now()}
 	d.batch = batch
-	// Under per-region partitions this ships through the deterministic merge
-	// layer (clamping the delay up to the link's lookahead floor if a delay
-	// override pushed it below); otherwise it degenerates to a local timer.
-	// Either way no handle to the timer exists, so a virtual clock reuses it
+	// No handle to the delivery's timer exists, so a virtual clock reuses it
 	// for a later delivery: with the pooled record above, a steady-state send
 	// allocates nothing.
-	vclock.ScheduleCross(srcClk, n.ClockFor(to.Region), scaled, d.fn)
+	vclock.Schedule(n.clk, scaled, d.fn)
 }
 
 // deliveryDone retires one in-flight message and wakes Quiesce waiters when

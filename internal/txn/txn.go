@@ -25,10 +25,10 @@ var nextID atomic.Uint64
 // NewID returns a process-unique transaction ID.
 func NewID() ID { return ID(nextID.Add(1)) }
 
-// IDSpace hands out transaction IDs from a private namespace. A partitioned
-// deployment gives each region its own space: allocation order across
-// regions then never leaks into the IDs themselves, so same-seed runs mint
-// identical IDs no matter how scheduler partitions interleave in real time.
+// IDSpace hands out transaction IDs from a private namespace. A deployment
+// gives each region its own space: allocation order across regions then
+// never leaks into the IDs themselves, so one region's traffic never shifts
+// another's IDs.
 type IDSpace struct {
 	base ID
 	next atomic.Uint64

@@ -1,32 +1,32 @@
 // Package vclock abstracts time for the PLANET stack. Two implementations
 // share one interface: Real, a thin wrapper over package time with the
-// current wall-clock behavior, and Partition, a deterministic discrete-event
+// current wall-clock behavior, and Virtual, a deterministic discrete-event
 // scheduler that advances a simulated clock straight to the next pending
-// deadline the moment every participant is blocked. Partitions live in a
-// World; a World of one partition (NewVirtual) is the serialized virtual
-// clock, and further partitions add only the lookahead and merge rules
-// stated on World.
+// deadline the moment every participant is blocked. A simulated cluster
+// runs on one Virtual, so each run has a single global event order.
 //
 // Under the virtual clock the entire evaluation runs at CPU speed — a
 // WAN-shaped experiment that used to spend 85% of its wall time asleep in
 // scaled timers finishes as fast as the hardware can execute its handlers,
 // and every seeded run is bit-for-bit reproducible regardless of host load.
+// The parallelism that pays is across clocks: independent experiment arms,
+// each on its own Virtual, run on separate cores.
 //
 // # Serialized execution
 //
-// Determinism comes from two rules, FoundationDB-style. First, a partition
+// Determinism comes from two rules, FoundationDB-style. First, the clock
 // may only advance time while none of its tracked goroutines is runnable.
 // Second — and this is what makes same-seed runs bit-identical rather than
-// merely fast — at most one tracked goroutine per partition executes at a
-// time: every blocked goroutine waits for the partition's single execution
-// slot, and the partition grants the slot in strict FIFO order of when each
-// waiter became runnable. Since wake-ups (timer fires, event broadcasts,
-// spawns, posted callbacks) are themselves produced by serialized execution,
-// the grant order is a pure function of the initial state; the OS scheduler
-// never gets a vote. Timers due at the same instant fire in the order they
-// were created.
+// merely fast — at most one tracked goroutine executes at a time: every
+// blocked goroutine waits for the clock's single execution slot, and the
+// clock grants the slot in strict FIFO order of when each waiter became
+// runnable. Since wake-ups (timer fires, event broadcasts, spawns, posted
+// callbacks) are themselves produced by serialized execution, the grant
+// order is a pure function of the initial state; the OS scheduler never
+// gets a vote. Timers due at the same instant fire in the order they were
+// created.
 //
-//   - timer callbacks run one at a time on the partition's goroutine, each
+//   - timer callbacks run one at a time on the scheduler's goroutine, each
 //     where its timer is popped: timers pop only once the run queue is dry,
 //     and whatever a callback enqueues runs before the next timer fires;
 //   - Sleep and Event waits release the caller's slot and re-enter the run
@@ -34,13 +34,13 @@
 //   - Go enqueues the new goroutine at the point of the call, so spawns
 //     are ordered deterministically;
 //   - Queue.Post and Event.OnFire enqueue a function the same way, and the
-//     partition's goroutine runs it inline when its slot comes up — no
+//     scheduler's goroutine runs it inline when its slot comes up — no
 //     goroutine per callback, which is how a transaction's staged callbacks
 //     and an open-loop arrival's body run;
-//   - AddWork/WorkDone pin the partition for untracked goroutines poking it
+//   - AddWork/WorkDone pin the clock for untracked goroutines poking it
 //     from outside (tests, real-clock bridges).
 //
-// Whatever runs on the partition's goroutine (timer callbacks, posted
+// Whatever runs on the scheduler's goroutine (timer callbacks, posted
 // functions, function waiters) must not block through the clock.
 //
 // The Real clock implements the same interface with every scheduling
@@ -93,9 +93,9 @@ type Clock interface {
 }
 
 // Queue runs the functions posted to it one at a time, in post order. Under
-// a virtual clock a post takes its place in the partition's run queue at the
-// point of the call — so the order across all queues of a partition is the
-// deterministic call order — and the function runs on the partition's
+// a virtual clock a post takes its place in the clock's run queue at the
+// point of the call — so the order across all queues of a clock is the
+// deterministic call order — and the function runs on the scheduler's
 // goroutine, where it must not block through the clock. Under the Real clock
 // each queue drains on its own goroutine, so a slow function delays only the
 // functions posted behind it on the same queue.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -418,4 +419,172 @@ func TestDefaultNilCoalesces(t *testing.T) {
 	if Default(v) != Clock(v) {
 		t.Fatal("Default(v) did not pass through")
 	}
+}
+
+// TestWorldRunQueueOrder is TestVirtualRunQueueOrder for the Group's two
+// kinds of worker: inline workers (Start), each filling the run queue with
+// posts, a parked and a function Event waiter and a zero-delay timer, and
+// goroutine workers (Go). The clock must run them in call/wait order — the
+// order below, read off the rules: starts and spawns run as they were
+// queued, each start's posts queue behind the later starts, a fire readies
+// its waiters at the back of the queue in wait order, and timers fire once
+// the queue is dry, what a timer's body posts running before the next timer
+// fires — at GOMAXPROCS 1 and at 4, where the goroutines could race.
+func TestWorldRunQueueOrder(t *testing.T) {
+	const rounds = 3
+	var want []string
+	for _, pair := range [][2]string{{"start", "go"}, {"post", "after-fire"}, {"parked", "fn"}, {"timer", "timer-post"}} {
+		for r := 0; r < rounds; r++ {
+			want = append(want, fmt.Sprintf("%s/%d", pair[0], r), fmt.Sprintf("%s/%d", pair[1], r))
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		procs := procs
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			v := newTestClock(t)
+			// No mutex around order: serialized execution means the appends
+			// cannot race, and -race verifies that claim.
+			var order []string
+			note := func(what string, r int) func() {
+				return func() { order = append(order, fmt.Sprintf("%s/%d", what, r)) }
+			}
+			g := NewGroup(v)
+			for r := 0; r < rounds; r++ {
+				r := r
+				g.Start(func(done func()) {
+					note("start", r)()
+					q, ev := v.NewQueue(), v.NewEvent()
+					v.Go(func() { ev.Wait(); note("parked", r)() })
+					q.Post(func() { ev.OnFire(note("fn", r)) }) // behind the parked waiter
+					q.Post(note("post", r))
+					v.AfterFunc(0, func() {
+						note("timer", r)()
+						q.Post(note("timer-post", r))
+					})
+					q.Post(ev.Fire)
+					q.Post(note("after-fire", r))
+					q.Post(done)
+				})
+				g.Go(note("go", r))
+			}
+			g.Wait()
+			v.Sleep(time.Second) // past the timers
+			if !reflect.DeepEqual(order, want) {
+				t.Errorf("ran\n  %v\nwant\n  %v", order, want)
+			}
+		})
+	}
+}
+
+// TestSleepCtxYieldCancelled is the regression test for a double grant: a
+// zero-length SleepCtx whose context is cancelled while the yield is still
+// queued used to put the same grant on the run queue twice, and the
+// scheduler loop panicked closing its channel a second time.
+// The subtest keeps the name it had when a two-partition case ran beside it.
+func TestSleepCtxYieldCancelled(t *testing.T) {
+	t.Run("partitions1", func(t *testing.T) {
+		for i := 0; i < 200; i++ {
+			v := NewVirtual()
+			ctx, cancel := context.WithCancel(context.Background())
+			v.Go(cancel)
+			if err := v.SleepCtx(ctx, 0); err != nil && err != context.Canceled {
+				t.Fatalf("SleepCtx = %v", err)
+			}
+			v.Sleep(time.Second)
+			v.Shutdown()
+		}
+	})
+}
+
+// TestWorldGroupCountsInFlight checks that a Group counts both kinds of
+// worker until they finish: goroutines parked in a sleep, and inline workers
+// whose done runs from a timer long after the worker body returned. Wait
+// returns only after all of them have.
+func TestWorldGroupCountsInFlight(t *testing.T) {
+	v := newTestClock(t)
+	g := NewGroup(v)
+	var finished atomic.Int32
+	for i := 0; i < 4; i++ {
+		d := time.Duration(i+1) * time.Millisecond
+		g.Go(func() {
+			v.Sleep(d)
+			finished.Add(1)
+		})
+		g.Start(func(done func()) {
+			v.AfterFunc(d, func() {
+				finished.Add(1)
+				done()
+			})
+		})
+	}
+	g.Wait()
+	if n := finished.Load(); n != 8 {
+		t.Fatalf("Wait returned with %d of 8 workers finished", n)
+	}
+}
+
+// TestWorldShutdownReleasesSleepers is the shutdown contract for tracked
+// goroutines (TestVirtualShutdownWakesSleepers checks it for an outside
+// waiter): with an outsider's pin holding time still, a worker parked in an
+// hour-long sleep and the clock's creator parked in Group.Wait are both
+// released by Shutdown.
+func TestWorldShutdownReleasesSleepers(t *testing.T) {
+	v := NewVirtual()
+	g := NewGroup(v)
+	g.Go(func() { v.Sleep(time.Hour) })
+	v.Sleep(0)   // let the sleeper park
+	v.AddWork(1) // the pin: the hour can never pass
+	go func() {
+		time.Sleep(10 * time.Millisecond) // let the creator park
+		v.Shutdown()
+	}()
+	waited := make(chan struct{})
+	go func() {
+		select {
+		case <-waited:
+		case <-time.After(10 * time.Second):
+			panic("vclock: shutdown did not release a parked sleeper")
+		}
+	}()
+	g.Wait() // released by shutdown: the hour-long sleep returns early
+	close(waited)
+}
+
+// TestDeliveryTimerRecycled: a Schedule call has no handle, so the clock
+// keeps the timer it pops for the next Schedule. A chain of 10 000 calls —
+// each body scheduling the next — must run every body once, at the right
+// instant, on one timer. The -race pass of this package checks that the
+// reuse is properly ordered.
+// The subtest keeps the name it had when a two-partition case ran beside it.
+func TestDeliveryTimerRecycled(t *testing.T) {
+	const (
+		hops = 10000
+		step = 2 * time.Millisecond
+	)
+	t.Run("partitions1", func(t *testing.T) {
+		v := newTestClock(t)
+		start := v.Now()
+		ran := 0
+		var hop func()
+		hop = func() {
+			ran++
+			if got, want := v.Since(start), time.Duration(ran)*step; got != want {
+				t.Errorf("call %d ran at +%v, want +%v", ran, got, want)
+			}
+			if ran < hops {
+				Schedule(v, step, hop)
+			}
+		}
+		Schedule(v, step, hop)
+		v.Sleep(time.Duration(hops+1) * step)
+		if ran != hops {
+			t.Fatalf("%d of %d calls ran", ran, hops)
+		}
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		if n := len(v.free); n != 1 {
+			t.Fatalf("%d spent timers after %d calls, want the chain's one", n, hops)
+		}
+	})
 }

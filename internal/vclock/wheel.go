@@ -5,27 +5,27 @@ import (
 	"time"
 )
 
-// This file implements the hierarchical timer wheel that backs every
-// World partition. The binary heaps it replaced
-// cost O(log n) per insert/remove; with open-loop traffic the schedulers
-// carry hundreds of thousands of outstanding deadlines (one per in-flight
-// virtual user plus one per pending protocol timeout), and the heap's
-// pointer-chasing sift dominated the hot path. The wheel makes insert and
-// cancel O(1) and pop amortized O(1), while reproducing the heaps' fire
-// order *exactly* — the same (when, tie-break) total order — which is what
-// lets the determinism gates stay bit-identical across the swap.
+// This file implements the hierarchical timer wheel that backs the Virtual
+// clock. The binary heap it replaced cost O(log n) per insert/remove; with
+// open-loop traffic the scheduler carries hundreds of thousands of
+// outstanding deadlines (one per in-flight virtual user plus one per pending
+// protocol timeout), and the heap's pointer-chasing sift dominated the hot
+// path. The wheel makes insert and cancel O(1) and pop amortized O(1), while
+// reproducing the heap's fire order *exactly* — the same (when, seq) total
+// order — which is what lets the determinism gates stay bit-identical across
+// the swap.
 //
 // Shape: wheelLevels levels of wheelSlots slots each. Level ℓ's slot width
 // is 1<<(wheelShift0 + ℓ*wheelBits) nanoseconds, so level 0 resolves
 // ~1.024µs and the top level spans years; deadlines beyond the last level
-// land in a plain overflow heap (never in practice — the emulator's horizon
-// is minutes). Slots are unsorted slices (insert is an append) until a
+// land in a plain overflow heap (never in practice — an emulated run spans
+// minutes). Slots are unsorted slices (insert is an append) until a
 // level-0 slot becomes the earliest bin, and each level keeps a one-word
 // occupancy bitmap so "first non-empty slot at or after the cursor" is two
 // bit ops.
 //
 // cur is the wheel's clock: the deadline of the last pop (pops come out in
-// nondecreasing key order, and schedulers only insert at or after their own
+// nondecreasing key order, and the scheduler only inserts at or after its
 // now >= cur, so every live entry satisfies when >= cur at all times).
 // Placement guarantees a live entry's slot, read circularly from the
 // cursor's slot at its level, is at distance bin(when)-bin(cur) in [0,63],
@@ -40,10 +40,10 @@ import (
 // so an entry moves at most wheelLevels-1 times in its life. Once the
 // earliest bin is a level-0 slot, that slot contains every live entry with
 // when < binstart + 1.024µs. It is then exposed: heap-ordered once under the
-// full (when, a, b) key, and kept a heap — pops take its top, late arrivals
+// full (when, seq) key, and kept a heap — pops take its top, late arrivals
 // into the bin sift in — until it empties, so k timers inside one bin cost
 // O(k log k), not a rescan per pop. Its top against the overflow heap's top
-// yields exactly the replaced heaps' pop order. While the exposed slot is
+// yields exactly the replaced heap's pop order. While the exposed slot is
 // non-empty cur stays inside its bin, so it remains the earliest bin and
 // every deadline at or before cur lands in it. Correctness of the spill
 // placement: after cur advances to the bin start, every entry in the slot
@@ -52,8 +52,7 @@ import (
 //
 // Cancellation is lazy: Stop/Reset bump the timer's generation and drop
 // the live count; the stale entry stays behind and is discarded when it
-// reaches the top of the exposed slot or of the overflow heap. peekMin
-// shares findMin, so partition base computations never see a dead minimum.
+// reaches the top of the exposed slot or of the overflow heap.
 
 const (
 	wheelShift0 = 10 // level-0 slot width: 1.024µs of virtual time
@@ -61,11 +60,6 @@ const (
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 8
-
-	// localKeyBit packs the wtimer "cross sorts before local" flag into the
-	// first tie-break word: cross senders use small ids, local timers set
-	// the top bit, so unsigned compare reproduces cross-before-local.
-	localKeyBit = uint64(1) << 63
 )
 
 // wheelNode is the per-timer state embedded in wtimer. gen
@@ -83,11 +77,11 @@ type wheelTimer interface {
 }
 
 // wentry is one scheduled deadline, stored by value inside slots.
-// (when, a, b) is the full scheduling key. node caches t.wheelState() so
+// (when, seq) is the full scheduling key. node caches t.wheelState() so
 // staleness checks are a direct load instead of a generic-dictionary call.
 type wentry[T wheelTimer] struct {
 	when time.Duration
-	a, b uint64
+	seq  uint64
 	gen  uint32
 	node *wheelNode
 	t    T
@@ -98,15 +92,12 @@ func (e *wentry[T]) stale() bool {
 	return !e.node.queued || e.node.gen != e.gen
 }
 
-// entryLess is the total order shared with the replaced heaps.
+// entryLess is the total order shared with the replaced heap.
 func entryLess[T wheelTimer](x, y *wentry[T]) bool {
 	if x.when != y.when {
 		return x.when < y.when
 	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
+	return x.seq < y.seq
 }
 
 // bucket holds entries. Wheel slots use it as an unsorted slice; the
@@ -186,18 +177,6 @@ type wheel[T wheelTimer] struct {
 	// earliest bin, heap-ordered from then until it empties.
 	exposed     bool
 	exposedSlot int
-
-	// Cached result of the last findMin, valid while minNode != nil: the
-	// location and key of the current global minimum (the top of the exposed
-	// slot, or with minOver of the overflow heap). The heaps this wheel
-	// replaced had a free peek (h[0]), and the partition merge layer peeks
-	// the horizon on every fire — without the cache each peek repays the
-	// full cascade. Inserts keep the cache unless they undercut the cached
-	// key; popping, cancelling, or rescheduling the cached timer drops it.
-	minNode    *wheelNode
-	minWhen    time.Duration
-	minA, minB uint64
-	minOver    bool
 }
 
 // place computes the (level, slot) for a deadline. Deadlines at or before
@@ -233,10 +212,6 @@ func (w *wheel[T]) place(when time.Duration) (int, int, bool) {
 
 // insert files e at its (level, slot) or into the overflow heap.
 func (w *wheel[T]) insert(e wentry[T]) {
-	if w.minNode != nil && (e.when < w.minWhen ||
-		(e.when == w.minWhen && (e.a < w.minA || (e.a == w.minA && e.b < w.minB)))) {
-		w.minNode = nil // the new entry undercuts the cached minimum
-	}
 	level, slot, ok := w.place(e.when)
 	if !ok {
 		w.over.hpush(e)
@@ -251,17 +226,14 @@ func (w *wheel[T]) insert(e wentry[T]) {
 	lv.occupied |= 1 << uint(slot)
 }
 
-// schedule inserts t with deadline when and tie-break key (a, b). The
-// timer's generation is advanced so any previous entry for t goes stale.
-func (w *wheel[T]) schedule(when time.Duration, a, b uint64, t T) {
+// schedule inserts t with deadline when and tie-break key seq. The timer's
+// generation is advanced so any previous entry for t goes stale.
+func (w *wheel[T]) schedule(when time.Duration, seq uint64, t T) {
 	n := t.wheelState()
-	if n == w.minNode {
-		w.minNode = nil // rescheduling stales the cached entry
-	}
 	n.gen++
 	n.queued = true
 	w.live++
-	w.insert(wentry[T]{when: when, a: a, b: b, gen: n.gen, node: n, t: t})
+	w.insert(wentry[T]{when: when, seq: seq, gen: n.gen, node: n, t: t})
 }
 
 // cancel lazily removes t. Reports whether t was scheduled.
@@ -269,9 +241,6 @@ func (w *wheel[T]) cancel(t T) bool {
 	n := t.wheelState()
 	if !n.queued {
 		return false
-	}
-	if n == w.minNode {
-		w.minNode = nil
 	}
 	n.queued = false
 	n.gen++
@@ -315,9 +284,6 @@ func (w *wheel[T]) purgeTop(h *bucket[T]) *wentry[T] {
 // findMin cascades until the earliest live entry is the top of the exposed
 // level-0 slot or, with fromOver, of the overflow heap.
 func (w *wheel[T]) findMin() (fromOver, ok bool) {
-	if w.minNode != nil {
-		return w.minOver, true
-	}
 	for {
 		// Earliest occupied bin across levels, preferring the coarsest
 		// level on ties: a coarse slot sharing a fine bin's start may hide
@@ -340,11 +306,7 @@ func (w *wheel[T]) findMin() (fromOver, ok bool) {
 			}
 		}
 		if bestLevel < 0 {
-			if w.purgeTop(&w.over) == nil {
-				return false, false
-			}
-			w.cacheMin(true)
-			return true, true
+			return true, w.purgeTop(&w.over) != nil
 		}
 		// No live deadline precedes the earliest occupied bin, so jumping
 		// cur to its start preserves every placement invariant.
@@ -370,10 +332,8 @@ func (w *wheel[T]) findMin() (fromOver, ok bool) {
 		// The slot holds every live wheel entry with when < binstart+width;
 		// only the overflow heap can still undercut it.
 		if ov := w.purgeTop(&w.over); ov != nil && entryLess(ov, top) {
-			w.cacheMin(true)
 			return true, true
 		}
-		w.cacheMin(false)
 		return false, true
 	}
 }
@@ -384,26 +344,6 @@ func (w *wheel[T]) minBucket(fromOver bool) *bucket[T] {
 		return &w.over
 	}
 	return &w.levels[0].slots[w.exposedSlot]
-}
-
-// cacheMin records the location and key findMin resolved, so subsequent
-// peeks skip the cascade until something disturbs the minimum.
-func (w *wheel[T]) cacheMin(fromOver bool) {
-	e := &(*w.minBucket(fromOver))[0]
-	w.minNode = e.node
-	w.minWhen, w.minA, w.minB = e.when, e.a, e.b
-	w.minOver = fromOver
-}
-
-// peekMin reports the earliest scheduled timer without removing it.
-func (w *wheel[T]) peekMin() (T, time.Duration, bool) {
-	fromOver, ok := w.findMin()
-	if !ok {
-		var zero T
-		return zero, 0, false
-	}
-	e := &(*w.minBucket(fromOver))[0]
-	return e.t, e.when, true
 }
 
 // popMin removes and returns the earliest scheduled timer, advancing cur to
@@ -422,7 +362,6 @@ func (w *wheel[T]) popMin() (T, bool) {
 	}
 	e.node.queued = false
 	w.live--
-	w.minNode = nil
 	if e.when > w.cur {
 		w.cur = e.when
 	}
@@ -459,5 +398,4 @@ func (w *wheel[T]) reset() {
 	w.live = 0
 	w.stales = 0
 	w.exposed = false
-	w.minNode = nil
 }

@@ -11,7 +11,7 @@ import (
 type testTimer struct {
 	id   int
 	when time.Duration
-	a, b uint64
+	seq  uint64
 	node wheelNode
 }
 
@@ -19,7 +19,7 @@ func (t *testTimer) wheelState() *wheelNode { return &t.node }
 
 // refHeap is the binary heap the wheel replaced, kept here as the reference
 // implementation for the equivalence test and the arrivals benchmark. Keys
-// are the same (when, a, b) total order.
+// are the same (when, seq) total order.
 type refHeap []*testTimer
 
 func (h refHeap) Len() int { return len(h) }
@@ -27,10 +27,7 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
-	}
-	return h[i].b < h[j].b
+	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(*testTimer)) }
@@ -54,6 +51,15 @@ func popLiveRef(h *refHeap, cancelled map[int]bool) *testTimer {
 	return nil
 }
 
+// peekWheel reports the wheel's earliest live timer without removing it.
+func peekWheel(w *wheel[*testTimer]) (*testTimer, bool) {
+	fromOver, ok := w.findMin()
+	if !ok {
+		return nil, false
+	}
+	return (*w.minBucket(fromOver))[0].t, true
+}
+
 // peekLiveRef purges cancelled tops and peeks the next live entry.
 func peekLiveRef(h *refHeap, cancelled map[int]bool) *testTimer {
 	for h.Len() > 0 {
@@ -69,8 +75,8 @@ func peekLiveRef(h *refHeap, cancelled map[int]bool) *testTimer {
 // heap through one seeded schedule of inserts, cancels, peeks, and pops —
 // spanning every wheel level, deadline ties, and the overflow heap — and
 // requires identical fire order. This is the scheduler-determinism argument
-// in miniature: the wheel must reproduce the heap's (when, a, b) total
-// order exactly, or same-seed runs would diverge across the swap.
+// in miniature: the wheel must reproduce the heap's (when, seq) total order
+// exactly, or same-seed runs would diverge across the swap.
 func TestWheelHeapEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var w wheel[*testTimer]
@@ -91,17 +97,14 @@ func TestWheelHeapEquivalence(t *testing.T) {
 
 	insert := func() {
 		d := deltas[rng.Intn(len(deltas))]
-		// Quantize some deadlines so ties exercise the (a, b) order.
+		// Quantize some deadlines so ties exercise the seq order.
 		if rng.Intn(3) == 0 {
 			d = d.Round(time.Millisecond)
 		}
-		tt := &testTimer{id: nextID, when: now + d, a: seq}
-		if rng.Intn(4) == 0 {
-			tt.a = seq | localKeyBit // mix in wtimer-style local keys
-		}
+		tt := &testTimer{id: nextID, when: now + d, seq: seq}
 		nextID++
 		seq++
-		w.schedule(tt.when, tt.a, tt.b, tt)
+		w.schedule(tt.when, tt.seq, tt)
 		heap.Push(&ref, tt)
 		live = append(live, tt)
 	}
@@ -121,13 +124,13 @@ func TestWheelHeapEquivalence(t *testing.T) {
 			live = append(live[:j], live[j+1:]...)
 		case op < 8:
 			// Peek must agree with the purged reference top.
-			wt, when, ok := w.peekMin()
+			wt, ok := peekWheel(&w)
 			rt := peekLiveRef(&ref, cancelled)
 			if (rt != nil) != ok {
 				t.Fatalf("peek mismatch: wheel ok=%v ref=%v", ok, rt != nil)
 			}
-			if ok && (wt != rt || when != rt.when) {
-				t.Fatalf("peek mismatch: wheel id=%d@%v ref id=%d@%v", wt.id, when, rt.id, rt.when)
+			if ok && wt != rt {
+				t.Fatalf("peek mismatch: wheel id=%d@%v ref id=%d@%v", wt.id, wt.when, rt.id, rt.when)
 			}
 		default:
 			wt, ok := w.popMin()
@@ -178,8 +181,8 @@ func TestWheelForEachVisitsLive(t *testing.T) {
 	var w wheel[*testTimer]
 	var all []*testTimer
 	for i := 0; i < 100; i++ {
-		tt := &testTimer{id: i, when: time.Duration(i) * time.Millisecond, a: uint64(i)}
-		w.schedule(tt.when, tt.a, 0, tt)
+		tt := &testTimer{id: i, when: time.Duration(i) * time.Millisecond, seq: uint64(i)}
+		w.schedule(tt.when, tt.seq, tt)
 		all = append(all, tt)
 	}
 	for i := 0; i < 100; i += 2 {
@@ -211,7 +214,7 @@ func BenchmarkOpenLoopArrivals(b *testing.B) {
 			ts[i] = &testTimer{
 				id:   i,
 				when: time.Duration(rng.Int63n(int64(10 * time.Second))),
-				a:    uint64(i),
+				seq:  uint64(i),
 			}
 		}
 		return ts
@@ -221,16 +224,16 @@ func BenchmarkOpenLoopArrivals(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		var w wheel[*testTimer]
 		for _, tt := range newTimers(rng) {
-			w.schedule(tt.when, tt.a, 0, tt)
+			w.schedule(tt.when, tt.seq, tt)
 		}
 		var seq uint64 = outstanding
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tt, _ := w.popMin()
 			tt.when = w.cur + time.Duration(rng.Int63n(int64(10*time.Second)))
-			tt.a = seq
+			tt.seq = seq
 			seq++
-			w.schedule(tt.when, tt.a, 0, tt)
+			w.schedule(tt.when, tt.seq, tt)
 		}
 	})
 
@@ -249,7 +252,7 @@ func BenchmarkOpenLoopArrivals(b *testing.B) {
 				now = tt.when
 			}
 			tt.when = now + time.Duration(rng.Int63n(int64(10*time.Second)))
-			tt.a = seq
+			tt.seq = seq
 			seq++
 			heap.Push(&h, tt)
 		}

@@ -73,17 +73,12 @@ func (c Closed) Run() (*Report, error) {
 	report := NewReport()
 	start := clk.Now()
 
-	// Each client lives on its origin region's scheduler partition (GoOn),
-	// so every clock read and timer it takes is partition-local and the
-	// run is deterministic under the parallel scheduler. Under a
-	// one-partition or real clock GoOn degenerates to Go.
 	g := vclock.NewGroup(clk)
 	errs := make(chan error, c.Clients)
 	for i := 0; i < c.Clients; i++ {
 		region := c.Regions[i%len(c.Regions)]
-		rclk := c.DB.Cluster().ClockFor(region)
 		rng := rand.New(rand.NewSource(c.Seed + int64(i)*7919))
-		g.GoOn(rclk, func() {
+		g.Go(func() {
 			s, err := c.DB.Session(region)
 			if err != nil {
 				errs <- err
@@ -95,7 +90,7 @@ func (c Closed) Run() (*Report, error) {
 					errs <- fmt.Errorf("workload: build: %w", err)
 					return
 				}
-				h, err := tx.Commit(report.callbacks(rclk, region, c.SpeculateAt, c.Deadline))
+				h, err := tx.Commit(report.callbacks(clk, region, c.SpeculateAt, c.Deadline))
 				if err != nil {
 					errs <- fmt.Errorf("workload: commit: %w", err)
 					return
@@ -194,14 +189,13 @@ func (o Open) Run() (*Report, error) {
 		sessions[i] = s
 	}
 
-	// Arrivals are paced on the driving (control) partition; each arrival's
-	// build+commit is posted on its session's region partition
-	// (Group.StartOn) with a child RNG seeded from the pacing RNG, so key
-	// choices stay a pure function of the arrival index and every clock
-	// access is partition-local. An arrival has no goroutine: under a
-	// virtual clock the body runs inline on the partition loop and the
-	// handle's OnDone — not a parked h.Wait — marks it finished, so a
-	// million arrivals in flight hold a million handles and nothing else.
+	// Arrivals are paced by this goroutine; each arrival's build+commit is
+	// posted (Group.Start) with a child RNG seeded from the pacing RNG, so
+	// key choices stay a pure function of the arrival index. An arrival has
+	// no goroutine: under a virtual clock the body runs inline on the
+	// scheduler loop and the handle's OnDone — not a parked h.Wait — marks
+	// it finished, so a million arrivals in flight hold a million handles
+	// and nothing else.
 	start := clk.Now()
 	g := vclock.NewGroup(clk)
 	var errMu sync.Mutex
@@ -215,11 +209,10 @@ func (o Open) Run() (*Report, error) {
 	}
 
 	inject := func(s *planet.Session, childSeed int64) {
-		rclk := s.Clock()
 		if o.Ledger != nil {
 			o.Ledger.inject()
 		}
-		g.StartOn(rclk, func(done func()) {
+		g.Start(func(done func()) {
 			crng := pooledRNG(childSeed)
 			tx, err := o.Template.Build(s, crng)
 			putRNG(crng)
@@ -231,7 +224,7 @@ func (o Open) Run() (*Report, error) {
 				done()
 				return
 			}
-			opts := report.callbacks(rclk, s.Region(), o.SpeculateAt, o.Deadline)
+			opts := report.callbacks(clk, s.Region(), o.SpeculateAt, o.Deadline)
 			if l := o.Ledger; l != nil {
 				inner := opts.OnFinal
 				opts.OnFinal = func(out txn.Outcome) {
@@ -254,7 +247,7 @@ func (o Open) Run() (*Report, error) {
 
 	// The pacer draws (gap, childSeed) pairs in a fixed order, batches
 	// arrivals when asked, and samples the conservation ledger on a fixed
-	// arrival stride — all on the control partition, so the whole arrival
+	// arrival stride — all on this goroutine, so the whole arrival
 	// sequence is a pure function of the seed.
 	type arrival struct {
 		s    *planet.Session

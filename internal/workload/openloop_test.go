@@ -49,14 +49,14 @@ type goroutineProbe struct {
 }
 
 func (p *goroutineProbe) Build(s *planet.Session, rng *rand.Rand) (*planet.Txn, error) {
-	// Bodies of one partition run one at a time: no lock.
+	// Bodies of one clock run one at a time: no lock.
 	p.maxGoroutines = max(p.maxGoroutines, runtime.NumGoroutine())
 	p.maxInFlight = max(p.maxInFlight, p.db.InFlight())
 	return p.Template.Build(s, rng)
 }
 
 // TestOpenLoopHoldsNoGoroutinePerArrival: an open-loop round on a
-// one-partition virtual cluster keeps thousands of transactions in flight
+// virtual cluster keeps thousands of transactions in flight
 // without a goroutine for any of them — no dispatcher per handle, no parked
 // waiter per arrival — so the goroutine count stays within a small constant
 // of what it was before the round.

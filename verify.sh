@@ -5,7 +5,7 @@
 set -eux
 
 # Static analysis first (go vet has been part of this gate since the seed;
-# the parallel scheduler work leans on it for copylocks/loopclosure checks).
+# the arm pool and the scheduler lean on it for copylocks/loopclosure checks).
 go vet ./...
 go build ./...
 go test ./...
@@ -27,17 +27,19 @@ go test -race -run Soak -short ./internal/chaos/
 # the scheduler itself). Budget: the full experiment suite runs on the
 # virtual clock and must finish inside a wall-time budget a real-clock
 # run could never meet (it needs ~10s of sleeping per run alone).
-# Since the partitioned scheduler landed, the gate runs at GOMAXPROCS=1
-# AND GOMAXPROCS=4: the parallel merge layer must produce bit-identical
-# metrics whether partitions interleave on one OS thread or truly race
-# on four. Each invocation compares two same-seed runs internally.
+# The gate runs at GOMAXPROCS=1 AND GOMAXPROCS=4: the experiments' arm
+# pool runs independent clusters on several cores, and each cluster's
+# virtual clock hands its one execution slot between the scheduler loop
+# (inline run queue) and tracked goroutines; both must give bit-identical
+# metrics whether they interleave on one OS thread or truly race on four.
+# Each invocation compares two same-seed runs internally.
 GOMAXPROCS=1 go test -count=10 -run TestVirtualTimeDeterminism .
 GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
-# Run-queue order gate: everything that enters a partition's run queue —
-# posts (a transaction's staged callbacks), Go spawns, AfterFunc(0) bodies,
-# parked and function Event waiters — must run in exactly call/wait order,
-# on one partition and across two, whether a goroutine or the partition loop
-# carries it. The bit-identical fingerprints above rest on this order.
+# Run-queue order gate: everything that enters the virtual clock's run
+# queue — posts (a transaction's staged callbacks), Go spawns, AfterFunc(0)
+# bodies, parked and function Event waiters, Group workers of both kinds —
+# must run in exactly call/wait order, whether a goroutine or the scheduler
+# loop carries it. The bit-identical fingerprints above rest on this order.
 GOMAXPROCS=1 go test -count=10 -run 'TestVirtualRunQueueOrder|TestWorldRunQueueOrder' ./internal/vclock
 GOMAXPROCS=4 go test -count=10 -run 'TestVirtualRunQueueOrder|TestWorldRunQueueOrder' ./internal/vclock
 # Cross-GOMAXPROCS comparison: planetbench -parallel runs the whole
@@ -101,7 +103,8 @@ go test -count=1 -timeout 120s -run TestTransportEquivalence ./internal/cluster/
 # Benchmark smoke gate: every benchmark in the tree must complete one
 # iteration cleanly (catches panics on bench-only paths), and the commit
 # hot path is held to its recorded allocation budget: 60 allocs/op when the
-# batched wire format landed (BENCH_pr5.json), gated at 80 to absorb noise.
+# batched wire format landed (docs/bench/BENCH_pr5.json), gated at 80 to
+# absorb noise.
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 allocs=$(go test -run '^$' -bench BenchmarkCoordinatorCommit -benchtime 1000x -benchmem ./internal/mdcc/ |
 	awk '/^BenchmarkCoordinatorCommit/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
