@@ -40,18 +40,6 @@ func TestChaosSoakInvariants(t *testing.T) {
 	}
 }
 
-// TestChaosSoakInvariantsPerOptionWire repeats the soak on the legacy
-// one-message-per-option wire format: the safety invariants must hold
-// identically under both framings of the commit protocol.
-func TestChaosSoakInvariantsPerOptionWire(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosSoak(t, seed, soakOpts{perOptionWire: true})
-		})
-	}
-}
-
 // TestChaosSoakLeaseFailover repeats the soak with epoch-fenced master
 // leases enabled and a short term, so the scheduled replica crash kills a
 // live lease holder mid-run: at least one survivor must take the dead
@@ -69,8 +57,7 @@ func TestChaosSoakLeaseFailover(t *testing.T) {
 
 // soakOpts selects protocol variants for one soak run.
 type soakOpts struct {
-	perOptionWire bool // legacy one-message-per-option wire format
-	leases        bool // epoch-fenced master leases instead of static masters
+	leases bool // epoch-fenced master leases instead of static masters
 }
 
 func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
@@ -87,9 +74,8 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
 		WAL:       true,
 		// Generous relative to the injected latency spikes, small enough
 		// that a blackout-stalled transaction resolves within the test.
-		CommitTimeout:     30 * time.Second,
-		PerOptionMessages: opts.perOptionWire,
-		MasterLeases:      opts.leases,
+		CommitTimeout: 30 * time.Second,
+		MasterLeases:  opts.leases,
 		// Short relative to the generated crash durations (1.5s--7.5s
 		// unscaled), so a crashed holder's lease lapses and fails over
 		// well inside the fault window.

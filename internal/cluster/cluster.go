@@ -69,11 +69,6 @@ type Config struct {
 	// Clock overrides the time source outright (tests). Takes precedence
 	// over VirtualTime; the caller keeps ownership.
 	Clock vclock.Clock
-	// PerOptionMessages runs the commit protocol on the legacy
-	// one-message-per-option wire format instead of per-destination
-	// batches. The batching equivalence tests use it; leave false
-	// otherwise.
-	PerOptionMessages bool
 }
 
 // Defaults used when Config fields are zero.
@@ -213,12 +208,11 @@ func New(cfg Config) (*Cluster, error) {
 			c.wals[r] = wal
 		}
 		c.replicas[r] = mdcc.NewReplica(mdcc.ReplicaConfig{
-			Net:               net,
-			Addr:              replicaAddrs[i],
-			Peers:             replicaAddrs,
-			PendingTTL:        time.Duration(float64(cfg.PendingTTL) * cfg.TimeScale),
-			WAL:               wal,
-			PerOptionMessages: cfg.PerOptionMessages,
+			Net:        net,
+			Addr:       replicaAddrs[i],
+			Peers:      replicaAddrs,
+			PendingTTL: time.Duration(float64(cfg.PendingTTL) * cfg.TimeScale),
+			WAL:        wal,
 		})
 		mfor := masterFor
 		if cfg.MasterLeases {
@@ -236,13 +230,12 @@ func New(cfg Config) (*Cluster, error) {
 			mfor = leaseMasterFor(c.replicas[r], keyspaceOf)
 		}
 		coord, err := mdcc.NewCoordinator(mdcc.CoordinatorConfig{
-			Net:               net,
-			Addr:              simnet.Addr{Region: r, Name: coordName},
-			Replicas:          replicaAddrs,
-			MasterFor:         mfor,
-			CommitTimeout:     time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
-			PerOptionMessages: cfg.PerOptionMessages,
-			EarlyAbort:        cfg.EarlyAbort,
+			Net:           net,
+			Addr:          simnet.Addr{Region: r, Name: coordName},
+			Replicas:      replicaAddrs,
+			MasterFor:     mfor,
+			CommitTimeout: time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
+			EarlyAbort:    cfg.EarlyAbort,
 		})
 		if err != nil {
 			return nil, err

@@ -1,21 +1,20 @@
 package mdcc_test
 
-// Tests for the per-destination message batching introduced with the
-// PrepareBatch/VoteBatch wire forms: per-option semantics on mixed batches,
-// resilience to losing a whole batch message, message-count reduction and
-// its determinism, and outcome equivalence against the legacy
-// one-message-per-option wire format.
+// Tests for the per-destination message batching of the commit protocol:
+// per-option semantics on mixed batches, resilience to losing a whole batch
+// message, the exact and deterministic message count of a commit, and the
+// outcomes and final state the per-option protocol rules derive for a fixed
+// transaction sequence.
 
 import (
+	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
 	"planet/internal/cluster"
 	"planet/internal/mdcc"
 	"planet/internal/regions"
-	"planet/internal/simnet"
 	"planet/internal/txn"
 )
 
@@ -118,12 +117,12 @@ func TestBatchPartialLossClassicQuorum(t *testing.T) {
 }
 
 func TestBatchMessageCountDeterministic(t *testing.T) {
-	// Batching exists to cut messages per commit; that reduction must be
-	// deterministic. Two identical runs send identical message counts, and
-	// the batched wire format sends strictly fewer messages than the
-	// per-option one for a multi-option transaction.
-	count := func(perOption bool) uint64 {
-		c := newTestCluster(t, cluster.Config{PerOptionMessages: perOption})
+	// A fast commit costs one message per replica per protocol step, however
+	// many options it carries: a 4-option commit from California on five
+	// regions is one propose, one vote batch and one decide per replica,
+	// 3 × 5 = 15 messages. Two identical runs send identical counts.
+	count := func() uint64 {
+		c := newTestCluster(t, cluster.Config{})
 		ops := multiOps(c, t, "count", 4)
 		before := c.Net.Sent.Load()
 		committed, err, _ := submit(t, c, regions.California, ops, mdcc.ModeFast)
@@ -136,83 +135,111 @@ func TestBatchMessageCountDeterministic(t *testing.T) {
 		return c.Net.Sent.Load() - before
 	}
 
-	batched := count(false)
-	if again := count(false); again != batched {
-		t.Errorf("batched message count not deterministic: %d vs %d", batched, again)
+	const want = 3 * 5
+	first := count()
+	if first != want {
+		t.Errorf("4-option fast commit sent %d messages, want %d (propose + vote batch + decide per replica)", first, want)
 	}
-	perOption := count(true)
-	if batched >= perOption {
-		t.Errorf("batched run sent %d messages, per-option sent %d; want a reduction", batched, perOption)
+	if again := count(); again != first {
+		t.Errorf("message count not deterministic: %d vs %d", first, again)
 	}
 }
 
-// TestBatchPerOptionEquivalence drives the same transaction sequence
-// through a batched-wire cluster and a per-option-wire cluster for several
-// seeds and demands identical outcomes and identical final replica state.
-// The mix includes multi-key sets spanning masters, bounded adds, a bound
-// violation, and a stale read version.
+// TestBatchPerOptionEquivalence pins the batched wire format to the
+// per-option protocol rules: every item of a batch is judged as a lone
+// option would be, so a fixed transaction sequence must end in the outcomes
+// and the final replica state those rules derive, on every replica and for
+// every seed. The expected values below are worked out from the rules, not
+// recorded from a run. The mix includes multi-key sets spanning masters,
+// bounded adds, a bound violation, and a stale read version. Each seed runs
+// on the virtual clock, so it is one deterministic schedule.
 func TestBatchPerOptionEquivalence(t *testing.T) {
-	type outcome struct {
-		committed bool
-		errText   string
-	}
-	run := func(seed int64, perOption bool) ([]outcome, map[simnet.Region]map[string]mdcc.Value) {
-		c := newTestCluster(t, cluster.Config{Seed: seed, PerOptionMessages: perOption})
-		for i := 0; i < 4; i++ {
-			c.SeedBytes(fmt.Sprintf("eq-b-%d", i), []byte("v0"))
-		}
-		for i := 0; i < 4; i++ {
-			c.SeedInt(fmt.Sprintf("eq-i-%d", i), 10, 0, 100)
-		}
-		txns := [][]txn.Op{
-			{ // multi-key fast-path set, masters spread by key hash
+	txns := []struct {
+		ops  []txn.Op
+		want error // nil: the transaction commits
+	}{
+		{ // multi-key fast-path set at the seeded version 0, masters spread
+			// by key hash: every replica validates every option, so each
+			// reaches its fast quorum and the transaction commits
+			ops: []txn.Op{
 				{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a"), ReadVersion: 0},
 				{Kind: txn.OpSet, Key: "eq-b-1", Value: []byte("b"), ReadVersion: 0},
 				{Kind: txn.OpSet, Key: "eq-b-2", Value: []byte("c"), ReadVersion: 0},
 			},
-			{ // commutative adds within bounds
+		},
+		{ // commutative adds that stay inside [0, 100]: 10+5 and 10-3 commit
+			ops: []txn.Op{
 				{Kind: txn.OpAdd, Key: "eq-i-0", Delta: 5},
 				{Kind: txn.OpAdd, Key: "eq-i-1", Delta: -3},
 			},
-			{ // bound violation: 10-50 < 0 is a fatal reject
-				{Kind: txn.OpAdd, Key: "eq-i-2", Delta: -50},
-			},
-			{ // stale read version: fatal reject
-				{Kind: txn.OpSet, Key: "eq-b-3", Value: []byte("x"), ReadVersion: 7},
-			},
-			{ // second write to an already-written key, correct version
-				{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a2"), ReadVersion: 1},
-			},
-		}
-		var outs []outcome
-		for _, ops := range txns {
-			committed, err, _ := submit(t, c, regions.Ireland, ops, mdcc.ModeFast)
-			o := outcome{committed: committed}
-			if err != nil {
-				o.errText = err.Error()
-			}
-			outs = append(outs, o)
-		}
-		if !c.Quiesce(5 * time.Second) {
-			t.Fatal("network did not quiesce")
-		}
-		state := make(map[simnet.Region]map[string]mdcc.Value)
-		for _, r := range c.Regions() {
-			state[r] = c.Replica(r).Snapshot()
-		}
-		return outs, state
+		},
+		{ // 10-50 < 0: every replica refuses with a bound reject, which is fatal
+			ops:  []txn.Op{{Kind: txn.OpAdd, Key: "eq-i-2", Delta: -50}},
+			want: mdcc.ErrBound,
+		},
+		{ // read version 7 against version 0: a version reject, also fatal
+			ops:  []txn.Op{{Kind: txn.OpSet, Key: "eq-b-3", Value: []byte("x"), ReadVersion: 7}},
+			want: mdcc.ErrConflict,
+		},
+		{ // second write to eq-b-0 at the version the first commit left: commits
+			ops: []txn.Op{{Kind: txn.OpSet, Key: "eq-b-0", Value: []byte("a2"), ReadVersion: 1}},
+		},
+	}
+	// Final state on every replica: a committed option bumps its key's
+	// version by one, an aborted transaction leaves its keys as seeded.
+	wantState := map[string]mdcc.Value{
+		"eq-b-0": {Bytes: []byte("a2"), Version: 2},
+		"eq-b-1": {Bytes: []byte("b"), Version: 1},
+		"eq-b-2": {Bytes: []byte("c"), Version: 1},
+		"eq-b-3": {Bytes: []byte("v0"), Version: 0},
+		"eq-i-0": {Int: 15, IsInt: true, Version: 1},
+		"eq-i-1": {Int: 7, IsInt: true, Version: 1},
+		"eq-i-2": {Int: 10, IsInt: true, Version: 0},
+		"eq-i-3": {Int: 10, IsInt: true, Version: 0},
 	}
 
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			batchOuts, batchState := run(seed, false)
-			legacyOuts, legacyState := run(seed, true)
-			if !reflect.DeepEqual(batchOuts, legacyOuts) {
-				t.Errorf("outcomes diverge:\nbatched:    %+v\nper-option: %+v", batchOuts, legacyOuts)
+			c := newTestCluster(t, cluster.Config{Seed: seed, VirtualTime: true})
+			clk := c.Clock()
+			for i := 0; i < 4; i++ {
+				c.SeedBytes(fmt.Sprintf("eq-b-%d", i), []byte("v0"))
 			}
-			if !reflect.DeepEqual(batchState, legacyState) {
-				t.Errorf("final replica state diverges between wire formats")
+			for i := 0; i < 4; i++ {
+				c.SeedInt(fmt.Sprintf("eq-i-%d", i), 10, 0, 100)
+			}
+			for i, tx := range txns {
+				sink := &vsink{ev: clk.NewEvent()}
+				if err := c.Coordinator(regions.Ireland).Submit(txn.NewID(), tx.ops, mdcc.ModeFast, sink); err != nil {
+					t.Fatal(err)
+				}
+				if !sink.ev.WaitTimeout(5 * time.Minute) {
+					t.Fatalf("txn %d never decided within 5 virtual minutes", i)
+				}
+				if tx.want == nil && (!sink.committed || sink.err != nil) {
+					t.Errorf("txn %d: committed=%v err=%v, want commit", i, sink.committed, sink.err)
+				}
+				if tx.want != nil && (sink.committed || !errors.Is(sink.err, tx.want)) {
+					t.Errorf("txn %d: committed=%v err=%v, want abort with %v", i, sink.committed, sink.err, tx.want)
+				}
+			}
+			if !c.Quiesce(5 * time.Second) {
+				t.Fatal("network did not quiesce")
+			}
+			for _, r := range c.Regions() {
+				snap := c.Replica(r).Snapshot()
+				if len(snap) != len(wantState) {
+					t.Errorf("%s holds %d keys, want %d", r, len(snap), len(wantState))
+				}
+				for key, w := range wantState {
+					got := snap[key]
+					if string(got.Bytes) != string(w.Bytes) || got.Int != w.Int ||
+						got.IsInt != w.IsInt || got.Version != w.Version {
+						t.Errorf("%s/%s = %q int=%d/%v v%d, want %q int=%d/%v v%d", r, key,
+							got.Bytes, got.Int, got.IsInt, got.Version, w.Bytes, w.Int, w.IsInt, w.Version)
+					}
+				}
 			}
 		})
 	}

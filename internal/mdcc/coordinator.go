@@ -25,10 +25,6 @@ type CoordinatorConfig struct {
 	// CommitTimeout bounds a transaction's in-flight time (already
 	// time-scaled). Zero disables the timeout.
 	CommitTimeout time.Duration
-	// PerOptionMessages restores the legacy wire protocol: one classic
-	// propose message per option instead of one batch per master.
-	// Equivalence tests use it; see ReplicaConfig.PerOptionMessages.
-	PerOptionMessages bool
 	// Unreachable, when non-nil, reports whether a replica region is
 	// currently unreachable over the transport (realnet peer health).
 	// When so many replicas are unreachable that the fast quorum cannot
@@ -287,17 +283,10 @@ func (c *Coordinator) traceCtx(span uint64) TraceCtx {
 }
 
 // sendClassic routes options to their masters: one classicProposeBatchMsg
-// per master normally (grouped in option order, never map order, so routing
-// is deterministic), one classicProposeMsg per option in compat mode.
+// per master, options grouped in option order (never map order, so routing
+// is deterministic).
 func (c *Coordinator) sendClassic(id txn.ID, span uint64, ops []txn.Op) {
 	tc := c.traceCtx(span)
-	if c.cfg.PerOptionMessages {
-		for _, op := range ops {
-			c.cfg.Net.Send(c.cfg.Addr, c.cfg.MasterFor(op.Key),
-				classicProposeMsg{Txn: id, Coord: c.cfg.Addr, Option: op, TC: tc})
-		}
-		return
-	}
 	type masterGroup struct {
 		to  simnet.Addr
 		ops []txn.Op
@@ -341,12 +330,8 @@ func (c *Coordinator) recv(m simnet.Message) {
 		return
 	}
 	switch p := m.Payload.(type) {
-	case voteMsg:
-		c.onVote(p)
 	case voteBatchMsg:
 		c.onVoteBatch(p)
-	case classicResultMsg:
-		c.onClassicResult(p)
 	case classicResultBatchMsg:
 		c.onClassicResultBatch(p)
 	case spanReportMsg:
@@ -373,26 +358,11 @@ func (c *Coordinator) recordReturnLegLocked(id txn.ID, tc TraceCtx, region simne
 	})
 }
 
-// onVote processes one fast-path vote (compat wire format).
-func (c *Coordinator) onVote(v voteMsg) {
-	c.mu.Lock()
-	s := c.active[v.Txn]
-	if s == nil || s.decided {
-		c.mu.Unlock()
-		return
-	}
-	c.recordReturnLegLocked(v.Txn, v.TC, v.Region)
-	if op, fell := c.applyVoteLocked(s, v.Key, v.Region, v.Accept, v.Reason); fell {
-		c.sendClassic(s.id, s.span, []txn.Op{op})
-	}
-	c.mu.Unlock()
-}
-
 // onVoteBatch processes one replica's votes on every option of a proposal
 // under a single lock acquisition. Votes are applied in batch order — the
-// proposal's submission order — so sinks observe the same event sequence the
-// per-option protocol produces. Options whose fast quorum became unreachable
-// are re-routed to their masters together, grouped per destination.
+// proposal's submission order — so sinks observe one vote event per option
+// in that order. Options whose fast quorum became unreachable are re-routed
+// to their masters together, grouped per destination.
 func (c *Coordinator) onVoteBatch(b voteBatchMsg) {
 	c.mu.Lock()
 	s := c.active[b.Txn]
@@ -405,8 +375,7 @@ func (c *Coordinator) onVoteBatch(b voteBatchMsg) {
 	for _, v := range b.Votes {
 		if s.decided {
 			// A fatal reject earlier in the batch decided the transaction;
-			// the remaining votes are moot, as they would be if they
-			// arrived as separate messages.
+			// the remaining votes are moot.
 			break
 		}
 		if op, fell := c.applyVoteLocked(s, v.Key, b.Region, v.Accept, v.Reason); fell {
@@ -484,20 +453,6 @@ func (c *Coordinator) applyVoteLocked(s *commitState, key string, region simnet.
 		return st.op, true
 	}
 	return txn.Op{}, false
-}
-
-// onClassicResult processes a master's verdict for one option (compat wire
-// format).
-func (c *Coordinator) onClassicResult(r classicResultMsg) {
-	c.mu.Lock()
-	s := c.active[r.Txn]
-	if s == nil || s.decided {
-		c.mu.Unlock()
-		return
-	}
-	c.recordReturnLegLocked(r.Txn, r.TC, "")
-	c.applyClassicResultLocked(s, r.Key, r.Accepted, r.Reason)
-	c.mu.Unlock()
 }
 
 // onClassicResultBatch processes a master's coalesced verdicts for several

@@ -39,7 +39,7 @@ func (s *recordSink) state() (bool, bool, error) {
 }
 
 // newLoneCoordinator builds a coordinator whose replicas are unregistered
-// addresses, so vote messages are injected directly via onVote.
+// addresses, so vote messages are injected directly via onVoteBatch.
 func newLoneCoordinator(t *testing.T, n int) *Coordinator {
 	t.Helper()
 	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
@@ -64,9 +64,16 @@ func newLoneCoordinator(t *testing.T, n int) *Coordinator {
 	return c
 }
 
-func vote(id txn.ID, key string, region int, accept bool, reason RejectReason) voteMsg {
-	return voteMsg{Txn: id, Key: key, Accept: accept, Reason: reason,
-		Region: simnet.Region(string(rune('a' + region)))}
+// vote is one replica's one-option vote batch.
+func vote(id txn.ID, key string, region int, accept bool, reason RejectReason) voteBatchMsg {
+	return voteBatchMsg{Txn: id, Region: simnet.Region(string(rune('a' + region))),
+		Votes: []optionVote{{Key: key, Accept: accept, Reason: reason}}}
+}
+
+// result is a master's one-option result batch.
+func result(id txn.ID, key string, accepted bool, reason RejectReason) classicResultBatchMsg {
+	return classicResultBatchMsg{Txn: id,
+		Results: []optionResult{{Key: key, Accepted: accepted, Reason: reason}}}
 }
 
 func TestCoordinatorFastQuorumCommits(t *testing.T) {
@@ -77,18 +84,18 @@ func TestCoordinatorFastQuorumCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		c.onVote(vote(id, "k", i, true, ReasonNone))
+		c.onVoteBatch(vote(id, "k", i, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided with 3 of 4 needed accepts")
 	}
-	c.onVote(vote(id, "k", 3, true, ReasonNone))
+	c.onVoteBatch(vote(id, "k", 3, true, ReasonNone))
 	decided, commit, err := sink.state()
 	if !decided || !commit || err != nil {
 		t.Fatalf("decided=%v commit=%v err=%v", decided, commit, err)
 	}
 	// Late vote is harmless.
-	c.onVote(vote(id, "k", 4, true, ReasonNone))
+	c.onVoteBatch(vote(id, "k", 4, true, ReasonNone))
 }
 
 func TestCoordinatorDuplicateVotesIgnored(t *testing.T) {
@@ -100,7 +107,7 @@ func TestCoordinatorDuplicateVotesIgnored(t *testing.T) {
 	}
 	// The same region voting four times must not fake a quorum.
 	for i := 0; i < 4; i++ {
-		c.onVote(vote(id, "k", 0, true, ReasonNone))
+		c.onVoteBatch(vote(id, "k", 0, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("duplicate votes reached quorum")
@@ -114,8 +121,8 @@ func TestCoordinatorFatalRejectAborts(t *testing.T) {
 	if err := c.Submit(id, []txn.Op{setOp("k", 0)}, ModeFast, sink); err != nil {
 		t.Fatal(err)
 	}
-	c.onVote(vote(id, "k", 0, true, ReasonNone))
-	c.onVote(vote(id, "k", 1, false, ReasonVersion))
+	c.onVoteBatch(vote(id, "k", 0, true, ReasonNone))
+	c.onVoteBatch(vote(id, "k", 1, false, ReasonVersion))
 	decided, commit, err := sink.state()
 	if !decided || commit {
 		t.Fatalf("fatal reject: decided=%v commit=%v", decided, commit)
@@ -135,21 +142,21 @@ func TestCoordinatorAmbiguityFallsBackOnce(t *testing.T) {
 	// Two pending-conflict rejects: accepts can still reach 4? votes so
 	// far 2 rejects, 3 outstanding, max accepts 3 < 4 → ambiguous after
 	// the second reject.
-	c.onVote(vote(id, "k", 0, false, ReasonPending))
+	c.onVoteBatch(vote(id, "k", 0, false, ReasonPending))
 	if c.Fallbacks != 0 {
 		t.Fatal("fell back too early")
 	}
-	c.onVote(vote(id, "k", 1, false, ReasonPending))
+	c.onVoteBatch(vote(id, "k", 1, false, ReasonPending))
 	if c.Fallbacks != 1 {
 		t.Fatalf("fallbacks=%d, want 1", c.Fallbacks)
 	}
 	// Stale fast votes after the fallback change nothing.
-	c.onVote(vote(id, "k", 2, true, ReasonNone))
+	c.onVoteBatch(vote(id, "k", 2, true, ReasonNone))
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided from stale fast votes after fallback")
 	}
 	// The classic result settles it.
-	c.onClassicResult(classicResultMsg{Txn: id, Key: "k", Accepted: true})
+	c.onClassicResultBatch(result(id, "k", true, ReasonNone))
 	decided, commit, _ := sink.state()
 	if !decided || !commit {
 		t.Fatalf("classic result ignored: decided=%v commit=%v", decided, commit)
@@ -166,13 +173,13 @@ func TestCoordinatorMultiOptionAllMustAccept(t *testing.T) {
 	}
 	// k1 reaches its quorum.
 	for i := 0; i < 4; i++ {
-		c.onVote(vote(id, "k1", i, true, ReasonNone))
+		c.onVoteBatch(vote(id, "k1", i, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided with k2 still open")
 	}
 	// k2 hits a fatal conflict: abort.
-	c.onVote(vote(id, "k2", 0, false, ReasonBound))
+	c.onVoteBatch(vote(id, "k2", 0, false, ReasonBound))
 	decided, commit, err := sink.state()
 	if !decided || commit || !errors.Is(err, ErrBound) {
 		t.Fatalf("decided=%v commit=%v err=%v", decided, commit, err)
@@ -229,12 +236,12 @@ func TestCoordinatorClassicModeSkipsVotes(t *testing.T) {
 	}
 	// Fast votes for a classic-mode option are ignored.
 	for i := 0; i < 4; i++ {
-		c.onVote(vote(id, "k", i, true, ReasonNone))
+		c.onVoteBatch(vote(id, "k", i, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("classic option decided by fast votes")
 	}
-	c.onClassicResult(classicResultMsg{Txn: id, Key: "k", Accepted: false, Reason: ReasonVersion})
+	c.onClassicResultBatch(result(id, "k", false, ReasonVersion))
 	decided, commit, err := sink.state()
 	if !decided || commit || !errors.Is(err, ErrConflict) {
 		t.Fatalf("decided=%v commit=%v err=%v", decided, commit, err)
@@ -296,14 +303,14 @@ func TestCoordinatorEarlyAbortOnConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One pending reject leaves the fast quorum reachable: no decision.
-	c.onVote(vote(id, "k", 0, false, ReasonPending))
+	c.onVoteBatch(vote(id, "k", 0, false, ReasonPending))
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided while the fast quorum was still reachable")
 	}
 	// The second conflict reject makes the quorum unreachable. Without
 	// EarlyAbort this falls back to classic; with it, the option is
 	// learned rejected on the spot and the abort is decided.
-	c.onVote(vote(id, "k", 1, false, ReasonPending))
+	c.onVoteBatch(vote(id, "k", 1, false, ReasonPending))
 	decided, commit, err := sink.state()
 	if !decided || commit {
 		t.Fatalf("early abort: decided=%v commit=%v", decided, commit)
@@ -325,15 +332,15 @@ func TestCoordinatorEarlyAbortSparesClassicBound(t *testing.T) {
 	if err := c.Submit(id, []txn.Op{setOp("k", 0)}, ModeFast, sink); err != nil {
 		t.Fatal(err)
 	}
-	c.onVote(vote(id, "k", 0, false, ReasonClassicOwned))
-	c.onVote(vote(id, "k", 1, false, ReasonClassicOwned))
+	c.onVoteBatch(vote(id, "k", 0, false, ReasonClassicOwned))
+	c.onVoteBatch(vote(id, "k", 1, false, ReasonClassicOwned))
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("classic-owned rejects were early-aborted")
 	}
 	if c.Fallbacks != 1 || c.EarlyAborts != 0 {
 		t.Fatalf("Fallbacks=%d EarlyAborts=%d, want 1/0", c.Fallbacks, c.EarlyAborts)
 	}
-	c.onClassicResult(classicResultMsg{Txn: id, Key: "k", Accepted: true})
+	c.onClassicResultBatch(result(id, "k", true, ReasonNone))
 	if decided, commit, _ := sink.state(); !decided || !commit {
 		t.Fatal("classic path did not settle the option")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"planet/internal/latency"
 	"planet/internal/simnet"
+	"planet/internal/txn"
 )
 
 // leaseEventLog records lease transitions delivered to the OnEvent observer.
@@ -252,10 +253,10 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 		t.Fatalf("LeaseFenced = %d, want 1", fenced)
 	}
 
-	// Fencing layer 2: stale-epoch phase 2a (single and batched) is refused.
-	r.onPhase2a(phase2aMsg{Txn: 1, Key: "k", Ballot: 9, Option: setOp("k", 1), Master: master, Epoch: 1})
-	r.onPhase2aBatch(phase2aBatchMsg{Master: master, Epoch: 1,
-		Items: []phase2aItem{{Txn: 2, Key: "k", Ballot: 9, Option: setOp("k", 2)}}})
+	// Fencing layer 2: stale-epoch phase 2a is refused, and fenced per item.
+	r.onPhase2aBatch(phase2aBatchMsg{Master: master, Epoch: 1, Items: []phase2aItem{
+		{Txn: 1, Key: "k", Ballot: 9, Option: setOp("k", 1)},
+		{Txn: 2, Key: "k", Ballot: 9, Option: setOp("k", 2)}}})
 	r.mu.Lock()
 	pendings := len(r.rec("k").pending)
 	fenced = r.LeaseFenced
@@ -280,7 +281,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 
 	// And the deposed master itself bounces proposals instead of sequencing:
 	// the coordinator is told NotMaster and no per-key mastership starts.
-	r.onClassicPropose(classicProposeMsg{Txn: 3, Coord: coord, Option: setOp("k", 3)})
+	r.onClassicProposeBatch(classicProposeBatchMsg{Txn: 3, Coord: coord, Options: []txn.Op{setOp("k", 3)}})
 	r.mu.Lock()
 	ks := r.masters["k"]
 	r.mu.Unlock()

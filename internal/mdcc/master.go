@@ -74,17 +74,6 @@ func (r *Replica) masterFor(key string) *masterKey {
 	return ks
 }
 
-// onClassicPropose handles a coordinator's classic-path request for one
-// option (compat wire format).
-func (r *Replica) onClassicPropose(p classicProposeMsg) {
-	r.mu.Lock()
-	leg, out := r.masterLegLocked(p.Txn, p.Coord, p.TC, r.clk.Now())
-	p.TC = TraceCtx{Span: leg}
-	out = append(out, r.classicProposeLocked(p)...)
-	r.mu.Unlock()
-	r.flush(out)
-}
-
 // onClassicProposeBatch handles every option of one transaction routed to
 // this master: all of them are sequenced under a single lock acquisition,
 // and everything they produce — results back to the coordinator, phase-1/2
@@ -172,20 +161,13 @@ type envelope struct {
 	payload any
 }
 
-// flush sends staged messages after the lock is released. In batch mode it
-// groups envelopes by destination — in staged (deterministic) order, never
-// map order — so one handler invocation costs at most one wire message per
-// destination; per-option classic results and phase-2a proposals are folded
-// into their batch forms on the way out. Compat mode sends one message per
-// envelope, preserving the legacy wire format exactly.
+// flush sends staged messages after the lock is released. It groups
+// envelopes by destination — in staged (deterministic) order, never map
+// order — so one handler invocation costs at most one wire message per
+// destination; staged classic results and phase-2a proposals are folded
+// into their batch forms on the way out.
 func (r *Replica) flush(out []envelope) {
 	if len(out) == 0 {
-		return
-	}
-	if r.cfg.PerOptionMessages {
-		for _, e := range out {
-			r.send(e.to, e.payload)
-		}
 		return
 	}
 	// Group by destination in first-seen order. Quadratic in envelope count,
@@ -207,9 +189,11 @@ func (r *Replica) flush(out []envelope) {
 }
 
 // sendCoalesced ships one destination's staged payloads as a single wire
-// message, first folding adjacent per-option messages into their batch
+// message, first folding the staged per-option values into their batch
 // forms: classic results of the same transaction become one
 // classicResultBatchMsg, phase-2a proposals become one phase2aBatchMsg.
+// Every staged classicResultMsg and phase2aMsg is folded here, so neither
+// type ever reaches the transport.
 func (r *Replica) sendCoalesced(to simnet.Addr, payloads []any) {
 	merged := payloads[:0]
 	for _, p := range payloads {
@@ -457,18 +441,9 @@ func (r *Replica) proposeAtMasterLocked(ks *masterKey, key string, id txn.ID, op
 	return out
 }
 
-// onPhase2a is the acceptor side of phase 2 (compat wire format): obey the
-// master if the ballot is current.
-func (r *Replica) onPhase2a(m phase2aMsg) {
-	r.mu.Lock()
-	it := r.phase2aLocked(phase2aItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Option: m.Option}, m.Epoch)
-	r.mu.Unlock()
-	r.send(m.Master, phase2bMsg{Txn: it.Txn, Key: it.Key, Ballot: it.Ballot,
-		Accept: it.Accept, Region: r.Region()})
-}
-
-// onPhase2aBatch processes a master's batched phase-2a proposals under one
-// lock acquisition and replies with one coalesced phase-2b batch.
+// onPhase2aBatch is the acceptor side of phase 2: it processes a master's
+// batched phase-2a proposals under one lock acquisition, obeying each whose
+// ballot is current, and replies with one coalesced phase-2b batch.
 func (r *Replica) onPhase2aBatch(b phase2aBatchMsg) {
 	items := make([]phase2bItem, 0, len(b.Items))
 	r.mu.Lock()
@@ -501,18 +476,10 @@ func (r *Replica) phase2aLocked(m phase2aItem, epoch uint64) phase2bItem {
 	return phase2bItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Accept: accept}
 }
 
-// onPhase2b is the master side of phase 2 quorum counting (compat wire
-// format).
-func (r *Replica) onPhase2b(b phase2bMsg) {
-	r.mu.Lock()
-	out := r.phase2bLocked(phase2bItem{Txn: b.Txn, Key: b.Key, Ballot: b.Ballot, Accept: b.Accept}, b.Region)
-	r.mu.Unlock()
-	r.flush(out)
-}
-
-// onPhase2bBatch folds an acceptor's batched phase-2b verdicts into the
-// in-flight options under one lock acquisition. Options that become
-// conclusive together have their coordinator results coalesced by flush.
+// onPhase2bBatch is the master side of phase 2 quorum counting: it folds an
+// acceptor's batched phase-2b verdicts into the in-flight options under one
+// lock acquisition. Options that become conclusive together have their
+// coordinator results coalesced by flush.
 func (r *Replica) onPhase2bBatch(b phase2bBatchMsg) {
 	var out []envelope
 	r.mu.Lock()

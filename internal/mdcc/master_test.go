@@ -33,7 +33,7 @@ func TestMasterPhase1TakesOwnership(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.onClassicPropose(classicProposeMsg{Txn: 1, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicProposeBatchMsg{Txn: 1, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 
 	r.mu.Lock()
 	ks := r.masters["k"]
@@ -78,7 +78,7 @@ func TestMasterRecoveryReproposesPossiblyChosen(t *testing.T) {
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
 	// A client proposal for txn 7 arrives and starts phase 1.
-	r.onClassicPropose(classicProposeMsg{Txn: 7, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicProposeBatchMsg{Txn: 7, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -115,7 +115,7 @@ func TestMasterRecoveryIgnoresBelowThreshold(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.onClassicPropose(classicProposeMsg{Txn: 7, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicProposeBatchMsg{Txn: 7, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -142,7 +142,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.onClassicPropose(classicProposeMsg{Txn: 9, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicProposeBatchMsg{Txn: 9, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -151,7 +151,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 
 	// Master already counts itself (1 accept); one more phase-2b reaches
 	// nothing, two reach the classic quorum of 3.
-	r.onPhase2b(phase2bMsg{Txn: 9, Key: "k", Ballot: ballot, Accept: true, Region: regionOf(1)})
+	r.onPhase2bBatch(phase2bBatchMsg{Region: regionOf(1), Items: []phase2bItem{{Txn: 9, Key: "k", Ballot: ballot, Accept: true}}})
 	r.mu.Lock()
 	mo := r.masters["k"].inflight[9]
 	done := mo.done
@@ -159,7 +159,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 	if done {
 		t.Fatal("quorum declared with 2 of 3 accepts")
 	}
-	r.onPhase2b(phase2bMsg{Txn: 9, Key: "k", Ballot: ballot, Accept: true, Region: regionOf(2)})
+	r.onPhase2bBatch(phase2bBatchMsg{Region: regionOf(2), Items: []phase2bItem{{Txn: 9, Key: "k", Ballot: ballot, Accept: true}}})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !mo.done {
@@ -170,7 +170,7 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 func TestMasterStaleBallotPhase1bIgnored(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
-	r.onClassicPropose(classicProposeMsg{Txn: 1, Coord: coord, Option: setOp("k", 0)})
+	r.onClassicProposeBatch(classicProposeBatchMsg{Txn: 1, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	r.mu.Lock()
 	ballot := r.masters["k"].ballot
 	r.mu.Unlock()
@@ -213,17 +213,17 @@ func TestAcceptorPhase2aObeysBallot(t *testing.T) {
 
 	// Promise at 5; a phase-2a at 4 must be refused (no pending added).
 	r.onPhase1a(phase1aMsg{Key: "k", Ballot: 5, Master: master})
-	r.onPhase2a(phase2aMsg{Txn: 3, Key: "k", Ballot: 4, Option: setOp("k", 0), Master: master})
+	r.onPhase2aBatch(phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 3, Key: "k", Ballot: 4, Option: setOp("k", 0)}}})
 	if r.PendingCount("k") != 0 {
 		t.Error("stale-ballot phase2a accepted")
 	}
 	// At 5 it is accepted.
-	r.onPhase2a(phase2aMsg{Txn: 3, Key: "k", Ballot: 5, Option: setOp("k", 0), Master: master})
+	r.onPhase2aBatch(phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 3, Key: "k", Ballot: 5, Option: setOp("k", 0)}}})
 	if r.PendingCount("k") != 1 {
 		t.Error("current-ballot phase2a refused")
 	}
 	// A higher-ballot conflicting phase2a evicts the lower one.
-	r.onPhase2a(phase2aMsg{Txn: 4, Key: "k", Ballot: 6, Option: setOp("k", 0), Master: master})
+	r.onPhase2aBatch(phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 4, Key: "k", Ballot: 6, Option: setOp("k", 0)}}})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rc := r.rec("k")

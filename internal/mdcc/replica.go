@@ -24,11 +24,6 @@ type ReplicaConfig struct {
 	PendingTTL time.Duration
 	// WAL, when non-nil, receives an entry for every decided transaction.
 	WAL *WAL
-	// PerOptionMessages restores the legacy wire protocol: one vote, one
-	// classic result, and one phase-2 message per option instead of
-	// per-destination batches. Equivalence tests use it to pin the batched
-	// protocol's semantics to the per-option ones.
-	PerOptionMessages bool
 }
 
 // Replica is one region's full copy of the store. It plays three protocol
@@ -432,20 +427,14 @@ func (r *Replica) recv(m simnet.Message) {
 		r.onPropose(p)
 	case decideMsg:
 		r.onDecide(p)
-	case classicProposeMsg:
-		r.onClassicPropose(p)
 	case classicProposeBatchMsg:
 		r.onClassicProposeBatch(p)
 	case phase1aMsg:
 		r.onPhase1a(p)
 	case phase1bMsg:
 		r.onPhase1b(p)
-	case phase2aMsg:
-		r.onPhase2a(p)
 	case phase2aBatchMsg:
 		r.onPhase2aBatch(p)
-	case phase2bMsg:
-		r.onPhase2b(p)
 	case phase2bBatchMsg:
 		r.onPhase2bBatch(p)
 	case readReq:
@@ -464,7 +453,7 @@ func (r *Replica) recv(m simnet.Message) {
 // onPropose handles a fast-path proposal: validate each option against
 // committed state and pendings, record accepted options, and vote. All
 // options are validated under one lock acquisition and the verdicts leave
-// as one coalesced vote batch (one voteMsg per option in compat mode).
+// as one coalesced vote batch.
 func (r *Replica) onPropose(p proposeMsg) {
 	now := r.clk.Now()
 	votes := make([]optionVote, 0, len(p.Options))
@@ -526,23 +515,15 @@ func (r *Replica) beginTraceLocked(id txn.ID, coord simnet.Addr, tc TraceCtx, no
 	return leg.ID
 }
 
-// sendVotes replies with the replica's verdicts on a proposal: one
-// voteBatchMsg normally, one voteMsg per option in compat mode. Votes are in
-// proposal (submission) order either way. span, when non-zero, is the
-// option-RPC leg the coordinator's vote-return span should parent to.
+// sendVotes replies with the replica's verdicts on a proposal as one
+// voteBatchMsg, votes in proposal (submission) order. span, when non-zero,
+// is the option-RPC leg the coordinator's vote-return span should parent to.
 func (r *Replica) sendVotes(id txn.ID, coord simnet.Addr, votes []optionVote, span uint64) {
 	var tc TraceCtx
 	if span != 0 {
 		tc = TraceCtx{Span: span, SentUnixNano: r.clk.Now().UnixNano()}
 	}
-	if !r.cfg.PerOptionMessages {
-		r.send(coord, voteBatchMsg{Txn: id, Region: r.Region(), Votes: votes, TC: tc})
-		return
-	}
-	for _, v := range votes {
-		r.send(coord, voteMsg{Txn: id, Key: v.Key, Accept: v.Accept,
-			Reason: v.Reason, Region: r.Region(), TC: tc})
-	}
+	r.send(coord, voteBatchMsg{Txn: id, Region: r.Region(), Votes: votes, TC: tc})
 }
 
 // onDecide applies or discards a transaction's options. Decides are

@@ -136,7 +136,7 @@ func TestLateVoteAfterTimeoutIgnored(t *testing.T) {
 	// A full fast quorum of accepts straggles in after the timeout. None
 	// of it may flip the decision, reach the sink, or count as votes.
 	for _, r := range raceRegions {
-		coord.onVote(voteMsg{Txn: id, Key: "k", Accept: true, Region: r})
+		coord.onVoteBatch(voteBatchMsg{Txn: id, Region: r, Votes: []optionVote{{Key: "k", Accept: true}}})
 	}
 	// And a second timeout firing (stopped-timer race) must be a no-op.
 	coord.onTimeout(id)
@@ -170,13 +170,13 @@ func TestLateVoteAfterDecisionIgnored(t *testing.T) {
 
 	// FastQuorum(5) = 4 accepts decide the transaction...
 	for _, r := range raceRegions[:4] {
-		coord.onVote(voteMsg{Txn: id, Key: "k", Accept: true, Region: r})
+		coord.onVoteBatch(voteBatchMsg{Txn: id, Region: r, Votes: []optionVote{{Key: "k", Accept: true}}})
 	}
 	if sink.decided != 1 || !sink.commit {
 		t.Fatalf("after quorum: decided=%d commit=%v", sink.decided, sink.commit)
 	}
 	// ...so the fifth replica's reject arrives too late to matter.
-	coord.onVote(voteMsg{Txn: id, Key: "k", Accept: false, Reason: ReasonVersion, Region: raceRegions[4]})
+	coord.onVoteBatch(voteBatchMsg{Txn: id, Region: raceRegions[4], Votes: []optionVote{{Key: "k", Reason: ReasonVersion}}})
 	// As does a timeout racing the decision.
 	coord.onTimeout(id)
 
@@ -201,7 +201,7 @@ func TestDuplicateVoteNotDoubleCounted(t *testing.T) {
 	// The same region votes three times (retransmission); only the first
 	// may count, so the transaction must remain undecided.
 	for i := 0; i < 3; i++ {
-		coord.onVote(voteMsg{Txn: id, Key: "k", Accept: true, Region: raceRegions[0]})
+		coord.onVoteBatch(voteBatchMsg{Txn: id, Region: raceRegions[0], Votes: []optionVote{{Key: "k", Accept: true}}})
 	}
 	if sink.decided != 0 {
 		t.Fatal("duplicate votes decided the transaction")

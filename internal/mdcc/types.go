@@ -211,30 +211,6 @@ type proposeMsg struct {
 	TC      TraceCtx
 }
 
-type voteMsg struct {
-	Txn    txn.ID
-	Key    string
-	Accept bool
-	Reason RejectReason
-	Region simnet.Region
-	TC     TraceCtx
-}
-
-type classicProposeMsg struct {
-	Txn    txn.ID
-	Coord  simnet.Addr
-	Option txn.Op
-	TC     TraceCtx
-}
-
-type classicResultMsg struct {
-	Txn      txn.ID
-	Key      string
-	Accepted bool
-	Reason   RejectReason
-	TC       TraceCtx
-}
-
 type phase1aMsg struct {
 	Key    string
 	Ballot uint64
@@ -262,24 +238,6 @@ type pendingSnapshot struct {
 	Ballot uint64
 }
 
-type phase2aMsg struct {
-	Txn    txn.ID
-	Key    string
-	Ballot uint64
-	Option txn.Op
-	Master simnet.Addr
-	// Epoch is the master's lease epoch (see phase1aMsg.Epoch).
-	Epoch uint64
-}
-
-type phase2bMsg struct {
-	Txn    txn.ID
-	Key    string
-	Ballot uint64
-	Accept bool
-	Region simnet.Region
-}
-
 type decideMsg struct {
 	Txn     txn.ID
 	Commit  bool
@@ -296,11 +254,8 @@ type decideMsg struct {
 //
 // The batch forms carry everything a handler produces for one destination in
 // a single network message: one loss draw, one sampled delay, one delivery.
-// Per-option semantics are unchanged — each item is processed exactly as its
-// per-option counterpart would be, just under one lock acquisition at the
-// receiver. The per-option messages above remain the compatibility protocol,
-// selected by the PerOptionMessages config knobs, which the equivalence
-// tests use to pin batch behavior to the classic wire format.
+// The receiver processes each item on its own, in batch order, under one
+// lock acquisition.
 
 // optionVote is one option's verdict inside a voteBatchMsg.
 type optionVote struct {
@@ -383,4 +338,42 @@ type phase2bItem struct {
 type phase2bBatchMsg struct {
 	Region simnet.Region
 	Items  []phase2bItem
+}
+
+// --- staged per-option values ---
+//
+// A master sequences options one at a time under its lock. These are the
+// per-option values it queues and stages there; flush folds every staged
+// result and phase-2a proposal into the batch forms above before sending.
+// They never reach a transport, so the wire codec has no case for them.
+
+// classicProposeMsg is one option of a classicProposeBatchMsg as the master
+// queues and sequences it.
+type classicProposeMsg struct {
+	Txn    txn.ID
+	Coord  simnet.Addr
+	Option txn.Op
+	TC     TraceCtx
+}
+
+// classicResultMsg is a master's staged verdict on one option, folded into
+// a classicResultBatchMsg to its coordinator.
+type classicResultMsg struct {
+	Txn      txn.ID
+	Key      string
+	Accepted bool
+	Reason   RejectReason
+	TC       TraceCtx
+}
+
+// phase2aMsg is a master's staged phase-2a proposal of one option to one
+// peer, folded into a phase2aBatchMsg.
+type phase2aMsg struct {
+	Txn    txn.ID
+	Key    string
+	Ballot uint64
+	Option txn.Op
+	Master simnet.Addr
+	// Epoch is the master's lease epoch (see phase1aMsg.Epoch).
+	Epoch uint64
 }

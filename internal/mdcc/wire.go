@@ -60,16 +60,19 @@ func (WireCodec) Deferrable(m any) bool {
 }
 
 // Wire tags, one per message type. The order is frozen: appending new types
-// is fine, renumbering is a protocol break.
+// is fine, renumbering is a protocol break. Tags 2, 3, 4, 7 and 8 carried the
+// retired one-message-per-option forms of the vote, classic propose, classic
+// result, phase 2a and phase 2b; they stay reserved, and a frame carrying
+// one decodes as an unknown tag.
 const (
 	tagPropose uint8 = 1 + iota
-	tagVote
-	tagClassicPropose
-	tagClassicResult
+	_                // 2: retired per-option vote
+	_                // 3: retired per-option classic propose
+	_                // 4: retired per-option classic result
 	tagPhase1a
 	tagPhase1b
-	tagPhase2a
-	tagPhase2b
+	_ // 7: retired per-option phase 2a
+	_ // 8: retired per-option phase 2b
 	tagDecide
 	tagVoteBatch
 	tagClassicProposeBatch
@@ -195,27 +198,6 @@ func appendMessage(dst []byte, m any) ([]byte, error) {
 		e.addr(p.Coord)
 		e.ops(p.Options)
 		e.tc(p.TC)
-	case voteMsg:
-		e.u8(tagVote)
-		e.uvarint(uint64(p.Txn))
-		e.str(p.Key)
-		e.bool(p.Accept)
-		e.u8(uint8(p.Reason))
-		e.str(string(p.Region))
-		e.tc(p.TC)
-	case classicProposeMsg:
-		e.u8(tagClassicPropose)
-		e.uvarint(uint64(p.Txn))
-		e.addr(p.Coord)
-		e.op(p.Option)
-		e.tc(p.TC)
-	case classicResultMsg:
-		e.u8(tagClassicResult)
-		e.uvarint(uint64(p.Txn))
-		e.str(p.Key)
-		e.bool(p.Accepted)
-		e.u8(uint8(p.Reason))
-		e.tc(p.TC)
 	case phase1aMsg:
 		e.u8(tagPhase1a)
 		e.str(p.Key)
@@ -233,21 +215,6 @@ func appendMessage(dst []byte, m any) ([]byte, error) {
 			e.op(ps.Option)
 			e.uvarint(ps.Ballot)
 		}
-		e.str(string(p.Region))
-	case phase2aMsg:
-		e.u8(tagPhase2a)
-		e.uvarint(uint64(p.Txn))
-		e.str(p.Key)
-		e.uvarint(p.Ballot)
-		e.op(p.Option)
-		e.addr(p.Master)
-		e.epoch(p.Epoch)
-	case phase2bMsg:
-		e.u8(tagPhase2b)
-		e.uvarint(uint64(p.Txn))
-		e.str(p.Key)
-		e.uvarint(p.Ballot)
-		e.bool(p.Accept)
 		e.str(string(p.Region))
 	case decideMsg:
 		e.u8(tagDecide)
@@ -605,30 +572,6 @@ func decodeMessage(data []byte) (any, error) {
 		p.Options = d.ops()
 		p.TC = d.tc()
 		m = p
-	case tagVote:
-		var p voteMsg
-		p.Txn = txn.ID(d.uvarint())
-		p.Key = d.str()
-		p.Accept = d.bool()
-		p.Reason = d.reason()
-		p.Region = simnet.Region(d.str())
-		p.TC = d.tc()
-		m = p
-	case tagClassicPropose:
-		var p classicProposeMsg
-		p.Txn = txn.ID(d.uvarint())
-		p.Coord = d.addr()
-		p.Option = d.op()
-		p.TC = d.tc()
-		m = p
-	case tagClassicResult:
-		var p classicResultMsg
-		p.Txn = txn.ID(d.uvarint())
-		p.Key = d.str()
-		p.Accepted = d.bool()
-		p.Reason = d.reason()
-		p.TC = d.tc()
-		m = p
 	case tagPhase1a:
 		var p phase1aMsg
 		p.Key = d.str()
@@ -649,23 +592,6 @@ func decodeMessage(data []byte) (any, error) {
 				p.Pending[i].Ballot = d.uvarint()
 			}
 		}
-		p.Region = simnet.Region(d.str())
-		m = p
-	case tagPhase2a:
-		var p phase2aMsg
-		p.Txn = txn.ID(d.uvarint())
-		p.Key = d.str()
-		p.Ballot = d.uvarint()
-		p.Option = d.op()
-		p.Master = d.addr()
-		p.Epoch = d.epoch()
-		m = p
-	case tagPhase2b:
-		var p phase2bMsg
-		p.Txn = txn.ID(d.uvarint())
-		p.Key = d.str()
-		p.Ballot = d.uvarint()
-		p.Accept = d.bool()
 		p.Region = simnet.Region(d.str())
 		m = p
 	case tagDecide:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,16 +27,16 @@ func wireSamples() []any {
 	return []any{
 		proposeMsg{Txn: 1, Coord: coord, Options: ops},
 		proposeMsg{Txn: 2, Coord: simnet.Addr{}},
-		voteMsg{Txn: 3, Key: "k", Accept: true, Reason: ReasonNone, Region: "us-east"},
-		voteMsg{Txn: 4, Key: "k", Accept: false, Reason: ReasonBallot, Region: ""},
-		classicProposeMsg{Txn: 5, Coord: coord, Option: ops[1]},
-		classicResultMsg{Txn: 6, Key: "k", Accepted: false, Reason: ReasonBound},
+		voteBatchMsg{Txn: 3, Region: "us-east", Votes: []optionVote{{Key: "k", Accept: true}}},
+		voteBatchMsg{Txn: 4, Region: "", Votes: []optionVote{{Key: "k", Reason: ReasonBallot}}},
+		classicProposeBatchMsg{Txn: 5, Coord: coord, Options: ops[1:2]},
+		classicResultBatchMsg{Txn: 6, Results: []optionResult{{Key: "k", Reason: ReasonNotMaster}}},
 		phase1aMsg{Key: "k", Ballot: 9, Master: master},
 		phase1bMsg{Key: "k", Ballot: 9, OK: true, Region: "eu-west",
 			Pending: []pendingSnapshot{{Txn: 7, Option: ops[0], Ballot: 2}, {Txn: 8, Option: ops[1]}}},
 		phase1bMsg{Key: "k", OK: false},
-		phase2aMsg{Txn: 9, Key: "k", Ballot: 3, Option: ops[2], Master: master},
-		phase2bMsg{Txn: 10, Key: "k", Ballot: 3, Accept: true, Region: "us-west"},
+		phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 9, Key: "k", Ballot: 3, Option: ops[2]}}},
+		phase2bBatchMsg{Region: "us-west", Items: []phase2bItem{{Txn: 10, Key: "k", Ballot: 3, Accept: true}}},
 		decideMsg{Txn: 11, Commit: true, Options: ops},
 		decideMsg{Txn: 12, Commit: false},
 		voteBatchMsg{Txn: 13, Region: "us-east", Votes: []optionVote{
@@ -66,11 +67,11 @@ func wireSamples() []any {
 		// Traced variants: the optional trailing trace context present.
 		proposeMsg{Txn: 18, Coord: coord, Options: ops[:1],
 			TC: TraceCtx{Span: 0xabc0001, SentUnixNano: 1_700_000_000_000_000_001}},
-		voteMsg{Txn: 19, Key: "k", Accept: true, Region: "us-east",
+		voteBatchMsg{Txn: 19, Region: "us-east", Votes: []optionVote{{Key: "k", Accept: true}},
 			TC: TraceCtx{Span: 0xabc0002, SentUnixNano: -5}},
-		classicProposeMsg{Txn: 20, Coord: coord, Option: ops[0],
+		classicProposeBatchMsg{Txn: 20, Coord: coord, Options: ops[:1],
 			TC: TraceCtx{Span: 3, SentUnixNano: 9}},
-		classicResultMsg{Txn: 21, Key: "k", Accepted: true,
+		classicResultBatchMsg{Txn: 21, Results: []optionResult{{Key: "k", Accepted: true}},
 			TC: TraceCtx{Span: 4, SentUnixNano: 10}},
 		decideMsg{Txn: 22, Commit: true, Options: ops[:1], Coord: coord,
 			TC: TraceCtx{Span: 5, SentUnixNano: 11}},
@@ -92,7 +93,8 @@ func wireSamples() []any {
 		spanReportMsg{Txn: 27},
 		// Lease-epoch-stamped variants: the optional trailing epoch present.
 		phase1aMsg{Key: "k", Ballot: 9, Master: master, Epoch: 3},
-		phase2aMsg{Txn: 28, Key: "k", Ballot: 3, Option: ops[0], Master: master, Epoch: 1 << 33},
+		phase2aBatchMsg{Master: master, Epoch: 1 << 33, Items: []phase2aItem{
+			{Txn: 28, Key: "k", Ballot: 3, Option: ops[0]}}},
 		phase2aBatchMsg{Master: master, Epoch: 2, Items: []phase2aItem{
 			{Txn: 29, Key: "a", Ballot: 1, Option: ops[0]}}},
 		// Lease round messages.
@@ -170,17 +172,12 @@ func TestWireEpochVersionTolerance(t *testing.T) {
 
 	plainMsgs := []any{
 		phase1aMsg{Key: "k", Ballot: 9, Master: master},
-		phase2aMsg{Txn: 1, Key: "k", Ballot: 3,
-			Option: txn.Op{Kind: txn.OpAdd, Key: "k", Delta: 1}, Master: master},
 		phase2aBatchMsg{Master: master, Items: []phase2aItem{
 			{Txn: 2, Key: "a", Ballot: 1, Option: txn.Op{Kind: txn.OpAdd, Key: "a"}}}},
 	}
 	stamp := func(m any) any {
 		switch p := m.(type) {
 		case phase1aMsg:
-			p.Epoch = 6
-			return p
-		case phase2aMsg:
 			p.Epoch = 6
 			return p
 		case phase2aBatchMsg:
@@ -192,8 +189,6 @@ func TestWireEpochVersionTolerance(t *testing.T) {
 	epochOf := func(m any) uint64 {
 		switch p := m.(type) {
 		case phase1aMsg:
-			return p.Epoch
-		case phase2aMsg:
 			return p.Epoch
 		case phase2aBatchMsg:
 			return p.Epoch
@@ -270,7 +265,8 @@ func TestWireDeterministic(t *testing.T) {
 func TestWireAppendExtends(t *testing.T) {
 	var c WireCodec
 	prefix := []byte{0xde, 0xad}
-	buf, err := c.Append(prefix, voteMsg{Txn: 1, Key: "k", Accept: true, Region: "r"})
+	buf, err := c.Append(prefix, voteBatchMsg{Txn: 1, Region: "r",
+		Votes: []optionVote{{Key: "k", Accept: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,14 +383,91 @@ func TestWireHostileLengths(t *testing.T) {
 	hostile := [][]byte{
 		// propose with an options count of 2^40.
 		append([]byte{tagPropose, 1, 0, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40),
-		// vote with a key length of 2^30.
-		{tagVote, 1, 0x80, 0x80, 0x80, 0x80, 0x04},
+		// vote batch (empty region, one vote) with a key length of 2^30.
+		{tagVoteBatch, 1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x04},
 		// syncResp with a huge record count and no data.
 		{tagSyncResp, 1, 0xff, 0xff, 0xff, 0x7f},
 	}
 	for _, buf := range hostile {
 		if _, err := c.Decode(buf); err == nil {
 			t.Errorf("hostile frame %x decoded without error", buf)
+		}
+	}
+}
+
+// TestWireRetiredTags pins the five tags of the retired one-message-per-option
+// wire format: a frame that older senders encoded as a per-option vote,
+// classic propose, classic result, phase 2a or phase 2b now decodes as an
+// unknown tag, without panicking, and the tags around them keep their frozen
+// numbers.
+func TestWireRetiredTags(t *testing.T) {
+	coord := simnet.Addr{Region: "us-west", Name: "coord"}
+	op := txn.Op{Kind: txn.OpSet, Key: "k", Value: []byte("v"), ReadVersion: 1}
+	// Each body writes the fields its tag carried, in their frozen order.
+	retired := map[uint8]func(e *wireEnc){
+		2: func(e *wireEnc) { // vote: txn, key, accept, reason, region
+			e.uvarint(3)
+			e.str("k")
+			e.bool(true)
+			e.u8(uint8(ReasonNone))
+			e.str("us-east")
+		},
+		3: func(e *wireEnc) { // classic propose: txn, coord, option
+			e.uvarint(5)
+			e.addr(coord)
+			e.op(op)
+		},
+		4: func(e *wireEnc) { // classic result: txn, key, accepted, reason
+			e.uvarint(6)
+			e.str("k")
+			e.bool(false)
+			e.u8(uint8(ReasonBound))
+		},
+		7: func(e *wireEnc) { // phase 2a: txn, key, ballot, option, master
+			e.uvarint(9)
+			e.str("k")
+			e.uvarint(3)
+			e.op(op)
+			e.addr(coord)
+		},
+		8: func(e *wireEnc) { // phase 2b: txn, key, ballot, accept, region
+			e.uvarint(10)
+			e.str("k")
+			e.uvarint(3)
+			e.bool(true)
+			e.str("us-west")
+		},
+	}
+	var c WireCodec
+	for tag, body := range retired {
+		e := &wireEnc{}
+		e.u8(tag)
+		body(e)
+		buf := e.buf
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("retired tag %d: decode panicked: %v", tag, r)
+				}
+			}()
+			m, err := c.Decode(buf)
+			if err == nil {
+				t.Errorf("retired tag %d: decoded to %T, want an unknown-tag error", tag, m)
+				return
+			}
+			if !strings.Contains(err.Error(), "unknown tag") {
+				t.Errorf("retired tag %d: err = %v, want an unknown-tag error", tag, err)
+			}
+		}()
+	}
+
+	frozen := []struct {
+		tag  uint8
+		want uint8
+	}{{tagPropose, 1}, {tagPhase1a, 5}, {tagPhase1b, 6}, {tagDecide, 9}, {tagVoteBatch, 10}, {tagLeaseGrant, 21}}
+	for _, f := range frozen {
+		if f.tag != f.want {
+			t.Errorf("frozen tag moved: got %d, want %d", f.tag, f.want)
 		}
 	}
 }

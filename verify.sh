@@ -90,7 +90,11 @@ go test -count=10 -timeout 120s -run 'TestAttributionDeterminism|TestTraceSpans'
 # TestRealnetScenarioDriver replays a seeded chaos preset against the live
 # fleet through the multinet scenario driver.
 go test -count=1 -timeout 240s -run 'TestRealnet' ./internal/multinet/
-go test -count=1 -timeout 60s -run 'TestWire' ./internal/mdcc/
+# Wire gate: the codec property tests, the retired per-option tags decoding
+# as unknown, and the batching tests — a 4-option fast commit is exactly 15
+# messages, and a fixed transaction sequence ends in the outcomes and replica
+# state the protocol rules derive.
+go test -count=1 -timeout 60s -run 'TestWire|TestBatch' ./internal/mdcc/
 # Syscall gate: 300 commits through SubmitAndWait on an in-process
 # three-node realnet deployment, judged from /v1/metrics alone (parsed
 # strictly): exactly one HTTP request per commit, and fewer socket writes
