@@ -126,7 +126,7 @@ func parseFlags() *flags {
 	flag.Float64Var(&f.admission, "admission", 0, "admission MinLikelihood (0 disables)")
 	flag.DurationVar(&f.slowtxn, "slowtxn", 0, "log traces of transactions at least this slow (0 disables)")
 	flag.BoolVar(&f.logaborted, "logaborted", false, "log every aborted transaction's trace")
-	flag.IntVar(&f.traceCap, "tracecap", 512, "completed traces retained for /v1/traces")
+	flag.IntVar(&f.traceCap, "tracecap", 512, "transactions each region's trace store retains, spans and lifecycle (and faults the fault log keeps)")
 	flag.StringVar(&f.chaosRun, "chaos", "", "run a fault scenario at boot: preset name or seed:<N> (implies -chaosapi; simulation mode)")
 	flag.BoolVar(&f.chaosAPI, "chaosapi", false, "enable runtime fault injection via POST /v1/chaos/* (simulation mode)")
 	flag.Float64Var(&f.shedAt, "shedat", 0.5, "shed speculation in a region whose recent timeout rate reaches this (0 disables)")
@@ -205,15 +205,31 @@ func attrLogger(db *planet.DB, every time.Duration, stop <-chan struct{}) {
 	}
 }
 
+// openDB opens the DB both modes serve, with tracing, attribution and the
+// flag-driven policies.
+func openDB(f *flags, c *cluster.Cluster, reg *obs.Registry) (*planet.DB, error) {
+	mode, _ := commitMode(f.mode)
+	return planet.Open(planet.Config{
+		Cluster:       c,
+		Mode:          mode,
+		Admission:     planet.AdmissionPolicy{MinLikelihood: f.admission, ProbeFraction: 0.05},
+		Health:        planet.HealthPolicy{MaxTimeoutRate: f.shedAt},
+		Registry:      reg,
+		Trace:         true,
+		TraceCapacity: f.traceCap,
+		TraceLog: obs.TraceLog{
+			SlowThreshold: f.slowtxn,
+			LogAborted:    f.logaborted,
+			Logf:          log.Printf,
+		},
+		AttributionFeed: true,
+	})
+}
+
 // runSimnet boots the whole cluster in-process over the simulated WAN.
 func runSimnet(f *flags) error {
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TracerConfig{
-		Capacity:      f.traceCap,
-		SlowThreshold: f.slowtxn,
-		LogAborted:    f.logaborted,
-		Logf:          log.Printf,
-	})
+	var dbPtr atomic.Pointer[planet.DB]
 
 	// WAL on: crash/restart chaos faults recover replica state by replay.
 	c, err := cluster.New(cluster.Config{
@@ -222,7 +238,7 @@ func runSimnet(f *flags) error {
 		MasterLeases: f.leases,
 		LeaseTerm:    f.leaseterm,
 		OnLeaseEvent: func(r simnet.Region, ev mdcc.LeaseEvent) {
-			recordLeaseEvent(reg, tracer, string(r), ev)
+			recordLeaseEvent(reg, &dbPtr, string(r), ev)
 		},
 	})
 	if err != nil {
@@ -230,20 +246,11 @@ func runSimnet(f *flags) error {
 	}
 	defer c.Close()
 
-	mode, _ := commitMode(f.mode)
-	db, err := planet.Open(planet.Config{
-		Cluster:         c,
-		Mode:            mode,
-		Admission:       planet.AdmissionPolicy{MinLikelihood: f.admission, ProbeFraction: 0.05},
-		Health:          planet.HealthPolicy{MaxTimeoutRate: f.shedAt},
-		Registry:        reg,
-		Tracer:          tracer,
-		Trace:           true,
-		AttributionFeed: true,
-	})
+	db, err := openDB(f, c, reg)
 	if err != nil {
 		return err
 	}
+	dbPtr.Store(db)
 	region := simnet.Region(f.region)
 	sess, err := db.Session(region)
 	if err != nil {
@@ -257,7 +264,7 @@ func runSimnet(f *flags) error {
 		eng, err = chaos.New(chaos.Config{
 			Cluster:  c,
 			Registry: reg,
-			Tracer:   tracer,
+			Faults:   db.Spans().Faults(),
 			Logf:     log.Printf,
 		})
 		if err != nil {
@@ -309,12 +316,6 @@ func runRealnet(f *flags) error {
 	}
 
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.TracerConfig{
-		Capacity:      f.traceCap,
-		SlowThreshold: f.slowtxn,
-		LogAborted:    f.logaborted,
-		Logf:          log.Printf,
-	})
 
 	// Peer health feeds speculation shedding: when so many peer links are
 	// down that the fast quorum is unreachable, force the local region
@@ -347,17 +348,13 @@ func runRealnet(f *flags) error {
 		peerStates[r] = st
 		peerMu.Unlock()
 		log.Printf("planetd: peer %s -> %s", r, st)
-		// Every transition lands in the metrics (rate of flapping) and, as a
-		// fault event, in all in-flight traces — so a trace of a transaction
-		// that stalled shows the peer going down mid-flight.
+		// Every transition lands in the metrics (rate of flapping) and in the
+		// fault log — so a trace of a transaction that stalled shows the peer
+		// going down mid-flight.
 		reg.Counter("planet_realnet_peer_transitions_total",
 			"Peer health transitions observed by the transport.",
 			obs.L("peer", string(r)), obs.L("state", st.String())).Inc()
-		tracer.Broadcast(obs.Event{
-			Kind:   obs.EvFault,
-			Region: string(r),
-			Note:   fmt.Sprintf("peer %s -> %s", r, st),
-		})
+		recordFault(&dbPtr, string(r), fmt.Sprintf("peer %s -> %s", r, st))
 		recompute()
 	}
 
@@ -375,7 +372,7 @@ func runRealnet(f *flags) error {
 			if ev.Kind != mdcc.LeaseRenewed {
 				log.Printf("planetd: lease %s: %s epoch %d holder %s", ev.Keyspace, ev.Kind, ev.Epoch, ev.Holder)
 			}
-			recordLeaseEvent(reg, tracer, f.region, ev)
+			recordLeaseEvent(reg, &dbPtr, f.region, ev)
 		},
 		OnPeerState: onPeerState,
 		Logf:        log.Printf,
@@ -385,17 +382,7 @@ func runRealnet(f *flags) error {
 	}
 	defer c.Close()
 
-	mode, _ := commitMode(f.mode)
-	db, err := planet.Open(planet.Config{
-		Cluster:         c,
-		Mode:            mode,
-		Admission:       planet.AdmissionPolicy{MinLikelihood: f.admission, ProbeFraction: 0.05},
-		Health:          planet.HealthPolicy{MaxTimeoutRate: f.shedAt},
-		Registry:        reg,
-		Tracer:          tracer,
-		Trace:           true,
-		AttributionFeed: true,
-	})
+	db, err := openDB(f, c, reg)
 	if err != nil {
 		return err
 	}
@@ -517,9 +504,9 @@ func parsePeers(s string) (map[simnet.Region]string, error) {
 
 // recordLeaseEvent lands one lease transition in the metrics — the epoch
 // gauge per keyspace and the takeover counter — and, for everything but a
-// routine renewal, broadcasts a fault-style event into all in-flight traces:
-// a trace of a transaction stalled across a failover shows the lease moving.
-func recordLeaseEvent(reg *obs.Registry, tracer *obs.Tracer, observer string, ev mdcc.LeaseEvent) {
+// routine renewal, in the fault log: a trace of a transaction stalled across
+// a failover shows the lease moving.
+func recordLeaseEvent(reg *obs.Registry, dbp *atomic.Pointer[planet.DB], observer string, ev mdcc.LeaseEvent) {
 	reg.Gauge("planet_lease_epoch",
 		"Latest lease epoch observed, per keyspace.",
 		obs.L("keyspace", string(ev.Keyspace))).Set(float64(ev.Epoch))
@@ -531,9 +518,14 @@ func recordLeaseEvent(reg *obs.Registry, tracer *obs.Tracer, observer string, ev
 	if ev.Kind == mdcc.LeaseRenewed {
 		return
 	}
-	tracer.Broadcast(obs.Event{
-		Kind:   obs.EvFault,
-		Region: observer,
-		Note:   fmt.Sprintf("lease %s: %s epoch %d holder %s", ev.Keyspace, ev.Kind, ev.Epoch, ev.Holder),
-	})
+	recordFault(dbp, observer, fmt.Sprintf("lease %s: %s epoch %d holder %s", ev.Keyspace, ev.Kind, ev.Epoch, ev.Holder))
+}
+
+// recordFault logs one fault in the deployment's fault log on the cluster
+// clock. Before the DB is open there is no log, and no transaction to
+// overlap, so the fault is dropped.
+func recordFault(dbp *atomic.Pointer[planet.DB], region, note string) {
+	if db := dbp.Load(); db != nil {
+		db.Spans().Faults().Record(db.Cluster().Clock().Now(), region, note)
+	}
 }

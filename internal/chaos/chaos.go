@@ -2,8 +2,9 @@
 // clusters. It turns the simulated WAN's failure knobs — region blackouts,
 // directional link cuts, loss bursts, latency spikes, node crashes with
 // WAL-replay recovery — into first-class, observable fault events: every
-// injection lands in the metrics registry, is broadcast into in-flight
-// transaction traces, and is recorded in a queryable history.
+// injection lands in the metrics registry and the deployment's fault log
+// (which traces of the transactions in flight at that instant show), and is
+// recorded in a queryable history.
 //
 // Faults can be injected one at a time (the Engine's injector methods,
 // exposed over the HTTP API) or scheduled as a seeded Scenario whose
@@ -42,10 +43,11 @@ type Config struct {
 	// Registry, when non-nil, counts injections and heals per fault kind
 	// (planet_chaos_faults_total / planet_chaos_heals_total).
 	Registry *obs.Registry
-	// Tracer, when non-nil, receives an EvFault broadcast into every
-	// in-flight transaction trace at each injection and heal, so a slow
-	// trace shows exactly which fault it overlapped.
-	Tracer *obs.Tracer
+	// Faults, when non-nil, logs each injection and heal once, on the
+	// cluster clock; every trace whose transaction was in flight at that
+	// instant shows it, so a slow trace shows exactly which fault it
+	// overlapped.
+	Faults *obs.FaultLog
 	// Logf, when non-nil, logs every injection and heal (e.g. log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -98,10 +100,11 @@ func New(cfg Config) (*Engine, error) {
 // Cluster returns the deployment under attack.
 func (e *Engine) Cluster() *cluster.Cluster { return e.cfg.Cluster }
 
-// record logs one injection into history, metrics, traces, and the log.
+// record logs one injection into history, metrics, the fault log, and the
+// log, stamped on the cluster clock (the one scenario timelines run on).
 func (e *Engine) record(kind FaultKind, heal bool, format string, args ...any) {
 	detail := fmt.Sprintf(format, args...)
-	entry := Injection{At: time.Now(), Kind: kind, Detail: detail, Heal: heal}
+	entry := Injection{At: e.cfg.Cluster.Clock().Now(), Kind: kind, Detail: detail, Heal: heal}
 
 	e.mu.Lock()
 	e.history = append(e.history, entry)
@@ -115,7 +118,7 @@ func (e *Engine) record(kind FaultKind, heal bool, format string, args ...any) {
 	if heal {
 		note = "heal: " + detail
 	}
-	e.cfg.Tracer.Broadcast(obs.Event{Kind: obs.EvFault, Note: note})
+	e.cfg.Faults.Record(entry.At, "", note)
 	if e.cfg.Logf != nil {
 		verb := "inject"
 		if heal {

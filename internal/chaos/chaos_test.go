@@ -8,6 +8,7 @@ import (
 
 	"planet/internal/chaos"
 	"planet/internal/cluster"
+	planet "planet/internal/core"
 	"planet/internal/obs"
 	"planet/internal/regions"
 )
@@ -266,5 +267,129 @@ func TestScenarioRunHealsEverything(t *testing.T) {
 	bad := chaos.Scenario{Faults: []chaos.Fault{{Kind: chaos.FaultRegionDown, Region: "nowhere"}}}
 	if err := eng.Run(bad); err == nil {
 		t.Fatal("Run accepted an unknown region")
+	}
+}
+
+// newVirtualCluster builds a compressed-time cluster on the virtual clock.
+func newVirtualCluster(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{TimeScale: 0.01, Seed: 3, VirtualTime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		c.Quiesce(2 * time.Second)
+	})
+	return c
+}
+
+// TestHistoryOnClusterClock: the engine stamps its history on the cluster
+// clock its timelines run on, so on a virtual clock each entry's At is the
+// run's start plus the fault's scheduled (scaled) offset, to the
+// nanosecond.
+func TestHistoryOnClusterClock(t *testing.T) {
+	c := newVirtualCluster(t)
+	eng, err := chaos.New(chaos.Config{Cluster: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := c.Regions()
+	sc := chaos.Scenario{Name: "clock", Faults: []chaos.Fault{
+		{At: 1 * time.Second, Duration: 2 * time.Second, Kind: chaos.FaultLatencySpike, From: rl[0], To: rl[1], Factor: 3},
+		{At: 4 * time.Second, Duration: 500 * time.Millisecond, Kind: chaos.FaultRegionDown, Region: rl[2]},
+	}}
+	start := c.Clock().Now()
+	if err := eng.Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	eng.Wait()
+	want := []time.Duration{1 * time.Second, 3 * time.Second, 4 * time.Second, 4500 * time.Millisecond}
+	hist := eng.Injected()
+	if len(hist) != len(want) {
+		t.Fatalf("history has %d entries, want %d: %+v", len(hist), len(want), hist)
+	}
+	for i, h := range hist {
+		if at := start.Add(c.ScaleDuration(want[i])); !h.At.Equal(at) {
+			t.Errorf("entry %d (%s heal=%v) at %v, want start+%v = %v", i, h.Kind, h.Heal, h.At, c.ScaleDuration(want[i]), at)
+		}
+	}
+}
+
+// TestFaultReachesTrace injects a fault while one transaction is in flight
+// and requires its trace to carry exactly that fault, at the injection
+// instant, while a transaction decided before the fault carries none.
+func TestFaultReachesTrace(t *testing.T) {
+	c := newVirtualCluster(t)
+	db, err := planet.Open(planet.Config{Cluster: c, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := chaos.New(chaos.Config{Cluster: c, Faults: db.Spans().Faults()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := c.Regions()
+	c.SeedInt("n", 0, 0, 1000)
+	s, err := db.Session(rl[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func() *planet.Handle {
+		tx := s.Begin()
+		tx.Add("n", 1)
+		h, err := tx.Commit(planet.CommitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	faults := func(h *planet.Handle) []obs.Event {
+		tr, ok := db.Spans().Trace(h.ID())
+		if !ok {
+			t.Fatalf("no trace for %s", h.ID())
+		}
+		var out []obs.Event
+		for _, e := range tr.Events {
+			if e.Kind == obs.EvFault {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	before := commit()
+	before.Wait()
+	clk := c.Clock()
+	clk.Sleep(time.Millisecond)
+	inFlight := commit()
+	clk.Sleep(100 * time.Microsecond)
+	select {
+	case <-inFlight.Done():
+		t.Fatal("transaction decided before the fault")
+	default:
+	}
+	injected := clk.Now()
+	if err := eng.SpikeLatency(rl[0], rl[1], 2); err != nil {
+		t.Fatal(err)
+	}
+	o := inFlight.Wait()
+	clk.Sleep(time.Millisecond)
+	if err := eng.ClearLatency(rl[0], rl[1]); err != nil { // after the decision: in no trace
+		t.Fatal(err)
+	}
+
+	got := faults(inFlight)
+	if len(got) != 1 {
+		t.Fatalf("in-flight trace carries %d faults, want 1: %+v", len(got), got)
+	}
+	if !got[0].At.Equal(injected) || got[0].At.Sub(o.Submitted) != 100*time.Microsecond {
+		t.Errorf("fault at +%v, want +100µs (the injection)", got[0].At.Sub(o.Submitted))
+	}
+	if !strings.Contains(got[0].Note, "latency") {
+		t.Errorf("fault note %q", got[0].Note)
+	}
+	if got := faults(before); len(got) != 0 {
+		t.Errorf("trace decided before the fault carries %+v", got)
 	}
 }

@@ -78,17 +78,20 @@ type Config struct {
 	// (stage counters, vote latencies, simnet traffic) for Prometheus
 	// exposition.
 	Registry *obs.Registry
-	// Tracer, when non-nil, records per-transaction lifecycle traces.
-	Tracer *obs.Tracer
-	// Trace enables cross-process causal tracing: every commit gets a root
-	// span, protocol messages carry trace context, and spans recorded at
-	// replicas and masters flow back to the coordinator's span store, where
-	// they stitch into one causal tree per transaction and feed the
-	// attribution engine.
+	// Trace enables per-transaction tracing: every commit gets a root span
+	// and a lifecycle event list in its home region's trace store, protocol
+	// messages carry trace context, and spans recorded at replicas and
+	// masters flow back to the coordinator's store, where they stitch into
+	// one causal tree per transaction and feed the attribution engine.
 	Trace bool
-	// TraceCapacity bounds retained per-transaction traces (default 512,
-	// FIFO eviction). Attribution statistics survive eviction.
+	// TraceCapacity bounds the transactions each region's trace store
+	// retains, spans and lifecycle alike (default 512, FIFO eviction), and
+	// the faults the deployment's fault log keeps. Attribution statistics
+	// survive eviction.
 	TraceCapacity int
+	// TraceLog marks and logs slow and aborted transactions' traces as
+	// they finish (requires Trace).
+	TraceLog obs.TraceLog
 	// AttributionFeed feeds the attribution engine's per-stage EWMA and
 	// jitter into the likelihood predictors: with a commit timeout known,
 	// the predictor discounts outstanding votes by whether the learned
@@ -126,15 +129,14 @@ type regionRT struct {
 // DB is a PLANET database handle over a cluster. Open one per deployment,
 // then create per-region Sessions for clients.
 type DB struct {
-	cfg    Config
-	clk    vclock.Clock
-	rts    map[simnet.Region]*regionRT
-	preds  map[simnet.Region]*predictor.Predictor
-	calib  *metrics.Calibration
-	tracer *obs.Tracer
-	inst   *dbInstruments
-	spans  *obs.SpanStores     // nil unless Config.Trace
-	attr   *obs.AttributionSet // nil unless Config.Trace
+	cfg   Config
+	clk   vclock.Clock
+	rts   map[simnet.Region]*regionRT
+	preds map[simnet.Region]*predictor.Predictor
+	calib *metrics.Calibration
+	inst  *dbInstruments
+	spans *obs.SpanStores     // nil unless Config.Trace
+	attr  *obs.AttributionSet // nil unless Config.Trace
 
 	inFlight map[simnet.Region]*atomic.Int64
 	health   map[simnet.Region]*regionHealth // nil entries when disabled
@@ -165,7 +167,6 @@ func Open(cfg Config) (*DB, error) {
 		inFlight: make(map[simnet.Region]*atomic.Int64, len(regionList)),
 		health:   make(map[simnet.Region]*regionHealth, len(regionList)),
 		forced:   make(map[simnet.Region]*atomic.Bool, len(regionList)),
-		tracer:   cfg.Tracer,
 	}
 	for i, r := range regionList {
 		db.rts[r] = &regionRT{
@@ -196,7 +197,7 @@ func Open(cfg Config) (*DB, error) {
 		// One span shard per region: every protocol actor records into (or
 		// flushes to) its own region's shard — remote actors' spans arrive
 		// as spanReportMsg and land at the transaction's home coordinator.
-		db.spans = obs.NewSpanStores(obs.SpanStoreConfig{Capacity: cfg.TraceCapacity}, names)
+		db.spans = obs.NewSpanStores(obs.SpanStoreConfig{Capacity: cfg.TraceCapacity, Log: cfg.TraceLog}, names)
 		db.attr = db.spans.Attribution()
 		for _, r := range regionList {
 			if coord := cfg.Cluster.Coordinator(r); coord != nil {
@@ -321,11 +322,8 @@ func (db *DB) Calibration() *metrics.Calibration { return db.calib }
 // Registry returns the metrics registry (nil unless configured).
 func (db *DB) Registry() *obs.Registry { return db.cfg.Registry }
 
-// Tracer returns the lifecycle tracer (nil unless configured).
-func (db *DB) Tracer() *obs.Tracer { return db.tracer }
-
-// Spans returns the causal span stores, sharded by home region (nil unless
-// Config.Trace).
+// Spans returns the trace store — spans, lifecycles and the fault log,
+// sharded by home region (nil unless Config.Trace).
 func (db *DB) Spans() *obs.SpanStores { return db.spans }
 
 // Attribution returns the merged per-stage latency attribution view over

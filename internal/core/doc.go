@@ -43,15 +43,21 @@
 // and per-record contention statistics on every vote. The handle computes
 // the commit likelihood from them at a protocol event when something
 // consumes it there — a speculation threshold not yet crossed, OnProgress,
-// a deadline, calibration, the lifecycle tracer — and at every fallback and
-// learn; a vote that nothing consumes only marks the likelihood stale, and
-// Handle.Likelihood or Handle.Progress computes it when read. Either way
+// a deadline, calibration, the vote events of a traced transaction — and at
+// every fallback and learn; a vote that nothing consumes only marks the
+// likelihood stale, and Handle.Likelihood or Handle.Progress computes it
+// when read. Either way
 // the predictor's state, and so every later estimate, is the same (the
 // rule is at handleSink.Progress). Admission control consults the same
 // predictor before any protocol work: transactions whose prior commit
 // likelihood is below the policy threshold are rejected immediately,
 // converting doomed work into instant feedback and protecting goodput
 // under contention.
+//
+// With Config.Trace, each transaction's spans and the lifecycle events its
+// handle records (admission, votes with their likelihood updates,
+// speculation, final, apology) go to its home region's shard of the trace
+// store (DB.Spans), stamped on the cluster clock.
 //
 // The package name is planet (not the directory name core): this is the
 // system's public API and call sites should read planet.Open, planet.Txn.

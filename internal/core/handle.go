@@ -186,14 +186,14 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	}
 	if h.spans != nil {
 		h.span = obs.NewSpanID()
+		h.spans.Begin(h.id, h.start)
 	}
 
-	db.tracer.Begin(h.id)
 	subEv := obs.Event{Kind: obs.EvSubmitted}
 	if shedSpec {
 		subEv.Note = "speculation shed: region degraded"
 	}
-	db.tracer.Record(h.id, subEv)
+	h.event(subEv)
 
 	// Admission control: consult the predictor before any protocol work.
 	prior := s.pred.LikelihoodAtSubmit(t.Keys())
@@ -207,15 +207,13 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		inFlight := db.inFlight[s.region]
 		if pol.MinLikelihood > 0 && prior < pol.MinLikelihood && !db.probe(s.region, pol.ProbeFraction) {
 			db.rejected.Add(1)
-			db.tracer.Record(h.id, obs.Event{Kind: obs.EvAdmission,
-				Likelihood: prior, Note: "below-min-likelihood"})
+			h.event(obs.Event{Kind: obs.EvAdmission, Likelihood: prior, Note: "below-min-likelihood"})
 			h.reject()
 			return h, nil
 		}
 		if pol.MaxInFlight > 0 && inFlight.Load() >= int64(pol.MaxInFlight) {
 			db.rejected.Add(1)
-			db.tracer.Record(h.id, obs.Event{Kind: obs.EvAdmission,
-				Likelihood: prior, Note: "max-in-flight"})
+			h.event(obs.Event{Kind: obs.EvAdmission, Likelihood: prior, Note: "max-in-flight"})
 			h.reject()
 			return h, nil
 		}
@@ -225,7 +223,7 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	db.inFlight[s.region].Add(1)
 	h.stage = txn.StageAccepted
 	db.inst.stage(txn.StageAccepted)
-	db.tracer.Record(h.id, obs.Event{Kind: obs.EvAdmission, Accept: true, Likelihood: prior})
+	h.event(obs.Event{Kind: obs.EvAdmission, Accept: true, Likelihood: prior})
 	h.recordSpan(obs.StageAdmit, h.start, "")
 	h.enqueue(h.opts.OnAccept, h.progressLocked())
 
@@ -237,7 +235,7 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		h.stage = txn.StageSpeculative
 		db.speculated.Add(1)
 		db.inst.stage(txn.StageSpeculative)
-		db.tracer.Record(h.id, obs.Event{Kind: obs.EvSpeculative, Likelihood: prior})
+		h.event(obs.Event{Kind: obs.EvSpeculative, Likelihood: prior})
 		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
 	}
 
@@ -266,6 +264,16 @@ func (h *Handle) recordSpan(st obs.Stage, start time.Time, note string) {
 		Region: string(h.session.region), Note: note,
 		Start: start, End: h.clk.Now(),
 	})
+}
+
+// event records one lifecycle event in the transaction's trace, stamped
+// now. No-op when the transaction is untraced.
+func (h *Handle) event(e obs.Event) {
+	if h.span == 0 {
+		return
+	}
+	e.At = h.clk.Now()
+	h.spans.Record(h.id, e)
 }
 
 // ID returns the transaction ID.
@@ -300,10 +308,10 @@ func (h *Handle) likelihoodLocked() float64 {
 // consumedLocked reports whether anything reads the likelihood at a protocol
 // event: a speculation threshold still to cross, a progress callback, a
 // deadline (whose callback reports the likelihood of the last event before
-// it), calibration samples, or the lifecycle tracer. Caller holds h.mu.
+// it), calibration samples, or the trace's vote events. Caller holds h.mu.
 func (h *Handle) consumedLocked() bool {
 	return h.opts.OnProgress != nil || (h.opts.SpeculateAt > 0 && !h.speculated) ||
-		h.opts.Deadline > 0 || h.db.calib != nil || h.db.tracer != nil
+		h.opts.Deadline > 0 || h.db.calib != nil || h.span != 0
 }
 
 // settledBut reports whether every option other than tr is learned, so a
@@ -402,8 +410,8 @@ func (h *Handle) reject() {
 	}
 	h.db.inst.stage(txn.StageRejected)
 	h.db.inst.finished(outcomeRejected, h.outcome.Duration())
-	h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvFinal, Note: ErrAdmission.Error()})
-	h.db.tracer.Finish(h.id, outcomeRejected, false)
+	h.event(obs.Event{Kind: obs.EvFinal, Note: ErrAdmission.Error()})
+	h.spans.Finish(h.id, h.outcome.Decided, outcomeRejected, false)
 	h.enqueueOutcome(h.opts.OnFinal, h.outcome)
 	h.cbq.Post(h.done.Fire)
 }
@@ -418,7 +426,7 @@ func (h *Handle) onDeadline() {
 	if h.db.inst != nil {
 		h.db.inst.deadlines.Inc()
 	}
-	h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvDeadline, Likelihood: h.likelihoodLocked()})
+	h.event(obs.Event{Kind: obs.EvDeadline, Likelihood: h.likelihoodLocked()})
 	h.enqueue(h.opts.OnDeadline, h.progressLocked())
 }
 
@@ -535,12 +543,12 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 	if h.db.calib != nil && len(h.samples) < maxCalibSamples {
 		h.samples = append(h.samples, h.likelihood)
 	}
-	if h.db.tracer != nil {
+	if h.span != 0 {
 		note := ""
 		if e.Reason != mdcc.ReasonNone {
 			note = e.Reason.String()
 		}
-		h.db.tracer.Record(h.id, obs.Event{Kind: evKind, Key: e.Key,
+		h.event(obs.Event{Kind: evKind, Key: e.Key,
 			Region: string(e.Region), Accept: e.Accept,
 			Likelihood: h.likelihood, Note: note})
 	}
@@ -550,7 +558,7 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 		h.stage = txn.StageSpeculative
 		h.db.speculated.Add(1)
 		h.db.inst.stage(txn.StageSpeculative)
-		h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvSpeculative, Likelihood: h.likelihood})
+		h.event(obs.Event{Kind: obs.EvSpeculative, Likelihood: h.likelihood})
 		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
 	}
 	if h.opts.OnProgress != nil {
@@ -607,12 +615,12 @@ func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 			h.db.calib.Record(s, committed)
 		}
 	}
-	if h.db.tracer != nil {
+	if h.span != 0 {
 		note := ""
 		if err != nil {
 			note = err.Error()
 		}
-		h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvFinal, Accept: committed, Note: note})
+		h.event(obs.Event{Kind: obs.EvFinal, Accept: committed, Note: note})
 	}
 	h.enqueueOutcome(h.opts.OnFinal, h.outcome)
 	if h.speculated && !committed {
@@ -620,10 +628,10 @@ func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 		if h.db.inst != nil {
 			h.db.inst.apologies.Inc()
 		}
-		h.db.tracer.Record(h.id, obs.Event{Kind: obs.EvApology})
+		h.event(obs.Event{Kind: obs.EvApology})
 		h.enqueueOutcome(h.opts.OnApology, h.outcome)
 	}
-	h.db.tracer.Finish(h.id, outcome, h.speculated)
+	h.spans.Finish(h.id, h.outcome.Decided, outcome, h.speculated)
 	if h.span != 0 && !submitFailed {
 		// The root span closes at the decision; the client-notify span then
 		// measures how long the outcome takes to reach the application

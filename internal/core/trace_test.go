@@ -1,6 +1,8 @@
 package planet_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +204,85 @@ func TestAttributionDeterminism(t *testing.T) {
 	for _, stage := range []string{"option_rpc", "vote_return", "decide_broadcast", "replica_wal", "total"} {
 		if !strings.Contains(t1, stage) {
 			t.Errorf("table missing stage %s:\n%s", stage, t1)
+		}
+	}
+}
+
+// TestTraceDeterminism runs the same seeded workload twice on the virtual
+// clock with tracing on and requires identical per-transaction traces:
+// every lifecycle event's kind, offset, key, region, verdict, likelihood
+// (bit for bit) and note, and the span tree's shape — each span's stage,
+// its parent's stage and its region, in recording order — span ids aside.
+func TestTraceDeterminism(t *testing.T) {
+	const txns = 80
+	run := func() string {
+		c, err := cluster.New(cluster.Config{
+			TimeScale:     0.05,
+			Seed:          1789,
+			VirtualTime:   true,
+			WAL:           true,
+			CommitTimeout: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			c.Close()
+			c.Quiesce(5 * time.Second)
+		}()
+		db, err := planet.Open(planet.Config{Cluster: c, Trace: true, TraceCapacity: txns})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (workload.Closed{
+			Options: workload.Options{
+				DB:          db,
+				Template:    workload.ReadModifyWrite{Keys: workload.Hotspot{Prefix: "td-", HotKeys: 2, ColdKeys: 500, HotProb: 0.3}},
+				SpeculateAt: 0.9,
+				Deadline:    8 * time.Millisecond,
+				Seed:        4242,
+			},
+			Clients: 8, PerClient: txns / 8,
+		}).Run(); err != nil {
+			t.Fatal(err)
+		}
+		c.Quiesce(5 * time.Second)
+
+		traces := db.Spans().Recent(obs.TraceFilter{})
+		if len(traces) != txns {
+			t.Fatalf("%d finished traces, want %d", len(traces), txns)
+		}
+		var b strings.Builder
+		for _, tr := range traces {
+			fmt.Fprintf(&b, "%s %s speculated=%v slow=%v +%d\n", tr.ID, tr.Outcome, tr.Speculated, tr.Slow, tr.End.Sub(tr.Start))
+			for _, e := range tr.Events {
+				fmt.Fprintf(&b, "  %s +%d key=%s region=%s accept=%v likelihood=%x %s\n", e.Kind,
+					e.At.Sub(tr.Start), e.Key, e.Region, e.Accept, math.Float64bits(e.Likelihood), e.Note)
+			}
+			spans := db.Spans().Spans(tr.ID)
+			stages := make(map[uint64]string, len(spans))
+			for _, sp := range spans {
+				stages[sp.ID] = sp.Stage.String()
+			}
+			for _, sp := range spans {
+				parent := "-"
+				if sp.Parent != 0 {
+					if parent = stages[sp.Parent]; parent == "" {
+						parent = "?"
+					}
+				}
+				fmt.Fprintf(&b, "  span %s<%s region=%s %s\n", sp.Stage, parent, sp.Region, sp.Note)
+			}
+		}
+		return b.String()
+	}
+	t1, t2 := run(), run()
+	if t1 != t2 {
+		t.Errorf("same-seed runs recorded different traces:\n--- run 1\n%s--- run 2\n%s", t1, t2)
+	}
+	for _, kind := range []string{"submitted", "admission", "vote", "learned", "speculative", "deadline", "final"} {
+		if !strings.Contains(t1, "  "+kind+" +") {
+			t.Errorf("no %s event in any trace:\n%s", kind, t1)
 		}
 	}
 }

@@ -16,11 +16,11 @@ func newObsGateway(t *testing.T) (*Client, *Server, *planet.DB) {
 	t.Helper()
 	return newGateway(t, planet.Config{
 		Registry: obs.NewRegistry(),
-		Tracer:   obs.NewTracer(obs.TracerConfig{}),
+		Trace:    true,
 	})
 }
 
-// TestTraceSpeculatedThenAborted is the acceptance check for the tracer: a
+// TestTraceSpeculatedThenAborted is the acceptance check for the trace store: a
 // transaction that speculates and then aborts must expose an ordered event
 // list ending final(abort) then apology, with non-decreasing timestamps.
 func TestTraceSpeculatedThenAborted(t *testing.T) {
@@ -299,7 +299,7 @@ func TestErrorPaths(t *testing.T) {
 }
 
 // TestObsDisabled404s confirms trace/metrics resources report themselves
-// absent when the DB runs without a registry or tracer.
+// absent when the DB runs without a registry or tracing.
 func TestObsDisabled404s(t *testing.T) {
 	cl, _, _ := newGateway(t, planet.Config{})
 	for _, path := range []string{"/v1/metrics", "/v1/traces", "/v1/txn/txn-1/trace"} {

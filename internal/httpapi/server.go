@@ -13,8 +13,9 @@
 //	                                   bounds the server-side wait and
 //	                                   returns 504 when it expires
 //	GET  /v1/txn/{id}/trace            recorded lifecycle events + causal
-//	                                   span tree (spans require Config.Trace)
+//	                                   span tree (requires Config.Trace)
 //	GET  /v1/traces[?aborted=1&slow=1&limit=N]  recent completed traces
+//	                                   (requires Config.Trace)
 //	GET  /v1/attribution[?format=table]  per-stage latency variance
 //	                                   attribution (requires Config.Trace)
 //	GET  /v1/stats                     DB-wide outcome counters
@@ -25,8 +26,8 @@
 //	                                   decisions (see net.go; requires
 //	                                   EnableRealNet, else 404)
 //
-// The trace and metrics resources require the DB to be opened with an
-// obs.Tracer / obs.Registry; without one they return 404. Every response —
+// The trace and metrics resources require the DB to be opened with
+// Config.Trace / an obs.Registry; without one they return 404. Every response —
 // including errors — is JSON, except /v1/metrics which is Prometheus text.
 //
 // The package also provides the matching Client. Both sides are pure
@@ -125,7 +126,6 @@ type Server struct {
 	db      *planet.DB
 	mux     *http.ServeMux
 	reg     *obs.Registry
-	tracer  *obs.Tracer
 
 	mu     sync.Mutex
 	txns   map[string]*tracked
@@ -152,7 +152,6 @@ func NewServer(db *planet.DB, session *planet.Session) *Server {
 		db:      db,
 		mux:     http.NewServeMux(),
 		reg:     db.Registry(),
-		tracer:  db.Tracer(),
 		txns:    make(map[string]*tracked),
 		maxTxn:  4096,
 	}
@@ -608,15 +607,20 @@ type TracesResponse struct {
 	Traces []TraceResponse `json:"traces"`
 }
 
-// traceJSON converts a recorded trace to its wire form.
-func traceJSON(tr obs.Trace) TraceResponse {
+// traceJSON converts a recorded trace to its wire form. An unfinished
+// trace's duration runs to now on the cluster clock.
+func (s *Server) traceJSON(tr obs.Trace) TraceResponse {
+	end := tr.End
+	if !tr.Done {
+		end = s.db.Cluster().Clock().Now()
+	}
 	resp := TraceResponse{
 		Txn:        tr.ID.String(),
 		Done:       tr.Done,
 		Outcome:    tr.Outcome,
 		Speculated: tr.Speculated,
 		Slow:       tr.Slow,
-		DurationMs: float64(tr.Duration()) / float64(time.Millisecond),
+		DurationMs: float64(end.Sub(tr.Start)) / float64(time.Millisecond),
 		Events:     make([]TraceEvent, 0, len(tr.Events)),
 	}
 	for _, e := range tr.Events {
@@ -653,7 +657,7 @@ func spansJSON(spans []obs.Span) []SpanJSON {
 // handleTrace serves GET /v1/txn/{id}/trace (dispatched by handleStatus).
 func (s *Server) handleTrace(w http.ResponseWriter, rawID string) {
 	store := s.db.Spans()
-	if s.tracer == nil && store == nil {
+	if store == nil {
 		writeErr(w, http.StatusNotFound, "tracing is not enabled on this deployment")
 		return
 	}
@@ -662,26 +666,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, rawID string) {
 		writeErr(w, http.StatusBadRequest, "bad transaction id %q", rawID)
 		return
 	}
-	var resp TraceResponse
-	found := false
-	if s.tracer != nil {
-		if tr, ok := s.tracer.Lookup(id); ok {
-			resp = traceJSON(tr)
-			found = true
-		}
-	}
-	if store != nil {
-		if spans := store.Spans(id); len(spans) > 0 {
-			if !found {
-				resp.Txn = id.String()
-				found = true
-			}
-			resp.Spans = spansJSON(spans)
-		}
-	}
-	if !found {
-		writeErr(w, http.StatusNotFound, "no trace for %q (evicted, unsampled, or unknown)", rawID)
+	// A transaction submitted elsewhere has spans here but no lifecycle (a
+	// replica's replayed WAL span, say).
+	tr, found := store.Trace(id)
+	spans := store.Spans(id)
+	if !found && len(spans) == 0 {
+		writeErr(w, http.StatusNotFound, "no trace for %q (evicted or unknown)", rawID)
 		return
+	}
+	resp := TraceResponse{Txn: id.String()}
+	if found {
+		resp = s.traceJSON(tr)
+	}
+	if len(spans) > 0 {
+		resp.Spans = spansJSON(spans)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -715,7 +713,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if s.tracer == nil {
+	store := s.db.Spans()
+	if store == nil {
 		writeErr(w, http.StatusNotFound, "tracing is not enabled on this deployment")
 		return
 	}
@@ -734,8 +733,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		filter.Limit = n
 	}
 	resp := TracesResponse{Traces: make([]TraceResponse, 0, filter.Limit)}
-	for _, tr := range s.tracer.Recent(filter) {
-		resp.Traces = append(resp.Traces, traceJSON(tr))
+	for _, tr := range store.Recent(filter) {
+		resp.Traces = append(resp.Traces, s.traceJSON(tr))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

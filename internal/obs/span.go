@@ -133,42 +133,70 @@ var (
 // NewSpanID returns a fresh span id, unique within the deployment.
 func NewSpanID() uint64 { return spanBase | spanSeq.Add(1) }
 
-// SpanStoreConfig parameterizes NewSpanStore. The zero value retains spans
-// for 512 transactions and aggregates into a fresh Attribution.
-type SpanStoreConfig struct {
-	// Capacity bounds the number of transactions whose spans are retained
-	// (FIFO eviction). Default 512.
-	Capacity int
-	// Attr receives every added span's duration; nil creates one.
-	Attr *Attribution
+// TraceLog is the log policy a store applies to each trace as it finishes.
+type TraceLog struct {
+	// SlowThreshold marks (and logs) transactions at least this slow;
+	// zero disables.
+	SlowThreshold time.Duration
+	// LogAborted also logs every aborted transaction's trace.
+	LogAborted bool
+	// Logf receives slow/aborted trace logs (e.g. log.Printf). Nil
+	// disables logging but still marks Trace.Slow.
+	Logf func(format string, args ...any)
 }
 
-// SpanStore retains the spans of recent transactions, keyed by transaction
-// id, and folds every added span into a per-stage Attribution. All methods
-// are safe on a nil receiver (no-ops), giving instrumented code a zero-cost
-// disabled path.
-type SpanStore struct {
-	mu    sync.Mutex
-	cap   int
-	txns  map[txn.ID][]Span
-	order []txn.ID // FIFO eviction ring, order[next] oldest
-	next  int
-	attr  *Attribution
+// SpanStoreConfig parameterizes NewSpanStore. The zero value retains 512
+// transactions and logs nothing.
+type SpanStoreConfig struct {
+	// Capacity bounds the number of transactions whose spans and lifecycle
+	// are retained (FIFO eviction by first record). Default 512.
+	Capacity int
+	// Log is applied to every finished trace.
+	Log TraceLog
 }
+
+// defaultCapacity is SpanStoreConfig.Capacity's default.
+const defaultCapacity = 512
+
+// txnRecord is one transaction's entry in a store: its spans and, when the
+// transaction was submitted against this store (tr.ID set), its lifecycle.
+type txnRecord struct {
+	spans []Span
+	tr    Trace
+}
+
+// SpanStore is the per-transaction trace record of one home region: each
+// recent transaction's spans plus its lifecycle events and outcome, keyed
+// by transaction id. Every added span folds into a per-stage Attribution;
+// lifecycle events never do. All methods are safe on a nil receiver
+// (no-ops), giving instrumented code a zero-cost disabled path.
+type SpanStore struct {
+	mu     sync.Mutex
+	cap    int
+	log    TraceLog
+	txns   map[txn.ID]*txnRecord
+	order  []txn.ID // FIFO eviction ring, order[next] oldest
+	next   int
+	attr   *Attribution
+	faults *FaultLog // the deployment's, shared by every shard (nil standalone)
+}
+
+// initialEventCap preallocates each trace's event slice: submit, admission,
+// 2×5 votes, learns, and the terminal events fit without growing for a
+// typical 2-key transaction on a 5-region cluster.
+const initialEventCap = 16
 
 // NewSpanStore builds a span store from cfg.
 func NewSpanStore(cfg SpanStoreConfig) *SpanStore {
 	if cfg.Capacity <= 0 {
-		cfg.Capacity = 512
-	}
-	if cfg.Attr == nil {
-		cfg.Attr = NewAttribution()
+		cfg.Capacity = defaultCapacity
 	}
 	return &SpanStore{
 		cap:   cfg.Capacity,
-		txns:  make(map[txn.ID][]Span, cfg.Capacity),
+		log:   cfg.Log,
+		txns:  make(map[txn.ID]*txnRecord, cfg.Capacity),
 		order: make([]txn.ID, 0, cfg.Capacity),
-		attr:  cfg.Attr,
+		attr:  NewAttribution(),
 	}
 }
 
@@ -207,33 +235,122 @@ func (s *SpanStore) AddBatch(sps []Span) {
 }
 
 func (s *SpanStore) addLocked(sp Span) {
-	if _, ok := s.txns[sp.Txn]; !ok {
-		if len(s.order) < s.cap {
-			s.order = append(s.order, sp.Txn)
-		} else {
-			delete(s.txns, s.order[s.next])
-			s.order[s.next] = sp.Txn
-			s.next = (s.next + 1) % s.cap
-		}
-	}
-	s.txns[sp.Txn] = append(s.txns[sp.Txn], sp)
+	rec := s.recordLocked(sp.Txn)
+	rec.spans = append(rec.spans, sp)
 }
 
-// Spans returns a copy of id's recorded spans (nil if unknown or evicted).
+// recordLocked returns id's entry, creating it (and evicting the oldest
+// entry when full) if absent. Caller holds s.mu.
+func (s *SpanStore) recordLocked(id txn.ID) *txnRecord {
+	if rec := s.txns[id]; rec != nil {
+		return rec
+	}
+	if len(s.order) < s.cap {
+		s.order = append(s.order, id)
+	} else {
+		delete(s.txns, s.order[s.next])
+		s.order[s.next] = id
+		s.next = (s.next + 1) % s.cap
+	}
+	rec := &txnRecord{}
+	s.txns[id] = rec
+	return rec
+}
+
+// Begin opens id's lifecycle, submitted at at.
+func (s *SpanStore) Begin(id txn.ID, at time.Time) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.recordLocked(id).tr = Trace{ID: id, Start: at, Events: make([]Event, 0, initialEventCap)}
+	s.mu.Unlock()
+}
+
+// Record appends one event, stamped by the caller, to id's lifecycle. Ids
+// never begun here, evicted, or already finished are ignored. Events are
+// only ever appended, never rewritten, so readers may share a trace's
+// events up to the length they copied under the lock.
+func (s *SpanStore) Record(id txn.ID, e Event) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if rec := s.txns[id]; rec != nil && rec.tr.ID != 0 && !rec.tr.Done {
+		rec.tr.Events = append(rec.tr.Events, e)
+	}
+	s.mu.Unlock()
+}
+
+// Finish seals id's lifecycle with its outcome, decided at at, and applies
+// the slow/aborted log policy.
+func (s *SpanStore) Finish(id txn.ID, at time.Time, outcome string, speculated bool) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	rec := s.txns[id]
+	if rec == nil || rec.tr.ID == 0 || rec.tr.Done {
+		s.mu.Unlock()
+		return
+	}
+	tr := &rec.tr
+	tr.Done, tr.End, tr.Outcome, tr.Speculated = true, at, outcome, speculated
+	tr.Slow = s.log.SlowThreshold > 0 && at.Sub(tr.Start) >= s.log.SlowThreshold
+	done := *tr
+	s.mu.Unlock()
+
+	if s.log.Logf == nil {
+		return
+	}
+	switch {
+	case done.Slow:
+		s.log.Logf("obs: slow transaction: %s", s.faults.attach(done))
+	case s.log.LogAborted && outcome == "aborted":
+		s.log.Logf("obs: aborted transaction: %s", s.faults.attach(done))
+	}
+}
+
+// trace returns id's lifecycle, if it began here, its events shared (see
+// Record).
+func (s *SpanStore) trace(id txn.ID) (Trace, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec := s.txns[id]; rec != nil && rec.tr.ID != 0 {
+		return rec.tr, true
+	}
+	return Trace{}, false
+}
+
+// finished appends the store's finished traces matching f to out, oldest
+// entry first, their events shared (see Record).
+func (s *SpanStore) finished(out []Trace, f TraceFilter) []Trace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range s.order {
+		tr := s.txns[id].tr
+		if tr.Done && (!f.AbortedOnly || tr.Outcome == "aborted") && (!f.SlowOnly || tr.Slow) {
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
+// Spans returns a copy of id's recorded spans (nil if none, or evicted).
 func (s *SpanStore) Spans(id txn.ID) []Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sps := s.txns[id]
-	if sps == nil {
+	rec := s.txns[id]
+	if rec == nil || rec.spans == nil {
 		return nil
 	}
-	return append([]Span(nil), sps...)
+	return append([]Span(nil), rec.spans...)
 }
 
-// TxnCount reports how many transactions currently have retained spans.
+// TxnCount reports how many transactions currently have a retained entry.
 func (s *SpanStore) TxnCount() int {
 	if s == nil {
 		return 0

@@ -2,37 +2,49 @@ package obs
 
 import (
 	"math"
+	"sort"
+	"sync"
 	"time"
 
 	"planet/internal/txn"
 )
 
-// SpanStores shards span retention and attribution by home region, one
-// SpanStore per region. Every span of a transaction lands in its home
-// region's shard (the handle and coordinator record there, and remote
-// replica/master spans flow back to that coordinator), so a region's shard
-// holds its own transactions only. Readers get a merged view:
-// Spans concatenates shards in the fixed region order and the attribution
-// set pools the shards' statistics with an exact mean/variance merge.
+// SpanStores is a deployment's one trace store: one SpanStore per home
+// region plus one deployment-wide FaultLog. Every span and lifecycle event
+// of a transaction lands in its home region's shard (the handle and
+// coordinator record there, and remote replica/master spans flow back to
+// that coordinator), so a region's shard holds its own transactions only.
+// Readers get a merged view: Spans concatenates shards in the fixed region
+// order, Trace and Recent attach the faults each transaction overlapped,
+// and the attribution set pools the shards' statistics with an exact
+// mean/variance merge.
 //
 // All methods are safe on a nil receiver (tracing disabled).
 type SpanStores struct {
 	order  []string
 	stores map[string]*SpanStore
 	attrs  *AttributionSet
+	faults *FaultLog
 }
 
 // NewSpanStores builds one store per region (cfg.Capacity transactions
-// retained per shard; cfg.Attr is ignored — each shard aggregates into its
-// own Attribution).
+// retained per shard, and as many faults in the fault log).
 func NewSpanStores(cfg SpanStoreConfig, regions []string) *SpanStores {
-	f := &SpanStores{stores: make(map[string]*SpanStore, len(regions))}
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = defaultCapacity
+	}
+	f := &SpanStores{
+		stores: make(map[string]*SpanStore, len(regions)),
+		faults: &FaultLog{cap: cfg.Capacity},
+	}
 	for _, r := range regions {
 		if _, ok := f.stores[r]; ok {
 			continue
 		}
 		f.order = append(f.order, r)
-		f.stores[r] = NewSpanStore(SpanStoreConfig{Capacity: cfg.Capacity})
+		st := NewSpanStore(SpanStoreConfig{Capacity: cfg.Capacity, Log: cfg.Log})
+		st.faults = f.faults
+		f.stores[r] = st
 	}
 	attrs := make([]*Attribution, len(f.order))
 	for i, r := range f.order {
@@ -65,17 +77,107 @@ func (f *SpanStores) Spans(id txn.ID) []Span {
 	return out
 }
 
-// TxnCount reports how many transactions currently have retained spans
-// across all shards.
-func (f *SpanStores) TxnCount() int {
+// Trace returns id's lifecycle from the shard it began in, with the faults
+// it overlapped attached, and whether one was found.
+func (f *SpanStores) Trace(id txn.ID) (Trace, bool) {
 	if f == nil {
-		return 0
+		return Trace{}, false
 	}
-	n := 0
 	for _, r := range f.order {
-		n += f.stores[r].TxnCount()
+		if tr, ok := f.stores[r].trace(id); ok {
+			return f.faults.attach(tr), true
+		}
 	}
-	return n
+	return Trace{}, false
+}
+
+// TraceFilter selects finished traces for Recent.
+type TraceFilter struct {
+	// AbortedOnly keeps only traces with outcome "aborted".
+	AbortedOnly bool
+	// SlowOnly keeps only traces marked slow.
+	SlowOnly bool
+	// Limit caps the result length; <= 0 means no cap.
+	Limit int
+}
+
+// Recent returns the finished traces matching f across every shard, newest
+// decision first, ties broken by ascending txn id, with faults attached.
+func (f *SpanStores) Recent(filter TraceFilter) []Trace {
+	if f == nil {
+		return nil
+	}
+	var out []Trace
+	for _, r := range f.order {
+		out = f.stores[r].finished(out, filter)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if !out[i].End.Equal(out[j].End) {
+			return out[i].End.After(out[j].End)
+		}
+		return out[i].ID < out[j].ID
+	})
+	if filter.Limit > 0 && len(out) > filter.Limit {
+		out = out[:filter.Limit]
+	}
+	for i := range out {
+		out[i] = f.faults.attach(out[i])
+	}
+	return out
+}
+
+// Faults returns the deployment's fault log (nil on a nil receiver).
+func (f *SpanStores) Faults() *FaultLog {
+	if f == nil {
+		return nil
+	}
+	return f.faults
+}
+
+// FaultLog is a deployment's bounded log of faults — chaos injections and
+// heals, transport peer transitions, lease moves — appended once per fault,
+// oldest overwritten when full. Trace reads attach each fault whose instant
+// falls inside the transaction's [start, end] as an EvFault event. Safe on
+// a nil receiver (no-op).
+type FaultLog struct {
+	mu     sync.Mutex
+	cap    int
+	events []Event // oldest first
+}
+
+// Record logs one fault observed at at (stamped on the cluster clock, like
+// the traces it lands in); region may be empty.
+func (l *FaultLog) Record(at time.Time, region, note string) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.events = append(l.events, Event{At: at, Kind: EvFault, Region: region, Note: note})
+	if len(l.events) > l.cap {
+		l.events = l.events[1:]
+	}
+	l.mu.Unlock()
+}
+
+// attach returns tr with a fresh event slice: its own events plus the
+// faults inside [tr.Start, tr.End] — no upper bound while it is in flight —
+// in time order, a fault after any event of the same instant.
+func (l *FaultLog) attach(tr Trace) Trace {
+	evs := append([]Event(nil), tr.Events...)
+	if l != nil {
+		l.mu.Lock()
+		for _, e := range l.events {
+			if !e.At.Before(tr.Start) && (!tr.Done || !e.At.After(tr.End)) {
+				evs = append(evs, e)
+			}
+		}
+		l.mu.Unlock()
+	}
+	if len(evs) > len(tr.Events) {
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At.Before(evs[j].At) })
+	}
+	tr.Events = evs
+	return tr
 }
 
 // Attribution returns the merged per-stage statistics view over every
@@ -95,11 +197,6 @@ func (f *SpanStores) Attribution() *AttributionSet {
 // deterministic and tracks the same scale. Safe on a nil receiver.
 type AttributionSet struct {
 	attrs []*Attribution
-}
-
-// MergeAttributions builds a set over the given engines (reporting helper).
-func MergeAttributions(attrs ...*Attribution) *AttributionSet {
-	return &AttributionSet{attrs: attrs}
 }
 
 // merged returns the pooled accumulators.

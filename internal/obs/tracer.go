@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"planet/internal/txn"
@@ -33,8 +31,8 @@ const (
 	EvFinal
 	// EvApology: the transaction speculated and then aborted.
 	EvApology
-	// EvFault: a fault was injected into the deployment while the
-	// transaction was in flight (chaos engine broadcast). Note carries the
+	// EvFault: a fault hit the deployment while the transaction was in
+	// flight (a FaultLog entry inside its [start, end]). Note carries the
 	// fault description, so a trace shows *why* a transaction stalled,
 	// fell back, or timed out.
 	EvFault
@@ -95,23 +93,16 @@ type Trace struct {
 	Done       bool
 	Outcome    string
 	Speculated bool
-	// Slow marks traces whose duration reached the tracer's threshold.
+	// Slow marks traces whose duration reached the store's slow threshold.
 	Slow   bool
 	Events []Event
 }
 
-// Duration returns the submit-to-finish time (time so far if unfinished).
-func (tr Trace) Duration() time.Duration {
-	if !tr.Done {
-		return time.Since(tr.Start)
-	}
-	return tr.End.Sub(tr.Start)
-}
-
-// String renders the trace as an indented event log for slow-txn logging.
+// String renders a finished trace as an indented event log for slow-txn
+// logging.
 func (tr Trace) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s in %s (%d events)", tr.ID, tr.Outcome, tr.Duration(), len(tr.Events))
+	fmt.Fprintf(&b, "%s %s in %s (%d events)", tr.ID, tr.Outcome, tr.End.Sub(tr.Start), len(tr.Events))
 	for _, e := range tr.Events {
 		fmt.Fprintf(&b, "\n  +%-12s %-11s", e.At.Sub(tr.Start), e.Kind)
 		if e.Key != "" {
@@ -132,247 +123,4 @@ func (tr Trace) String() string {
 		}
 	}
 	return b.String()
-}
-
-// TracerConfig parameterizes NewTracer. The zero value keeps 256 completed
-// traces, traces every transaction, and logs nothing.
-type TracerConfig struct {
-	// Capacity bounds the ring buffer of completed traces (default 256).
-	Capacity int
-	// SampleEvery traces one in every N transactions; values <= 1 trace
-	// all of them.
-	SampleEvery int
-	// SlowThreshold marks (and logs) transactions at least this slow;
-	// zero disables.
-	SlowThreshold time.Duration
-	// LogAborted also logs every aborted transaction's trace.
-	LogAborted bool
-	// Logf receives slow/aborted trace logs (e.g. log.Printf). Nil
-	// disables logging but still marks Trace.Slow.
-	Logf func(format string, args ...any)
-}
-
-// activeTrace is a trace still receiving events. Its own mutex keeps event
-// appends off the tracer-wide lock.
-type activeTrace struct {
-	mu sync.Mutex
-	tr Trace
-}
-
-// Tracer records transaction lifecycles. All methods are safe on a nil
-// receiver (no-ops), giving instrumented code a zero-cost disabled path.
-type Tracer struct {
-	cfg TracerConfig
-
-	seq atomic.Uint64 // sampling counter
-
-	mu     sync.RWMutex
-	active map[txn.ID]*activeTrace
-	ring   []Trace // completed traces, ring[next-1] newest
-	next   int
-}
-
-// initialEventCap preallocates each trace's event slice: submit, admission,
-// 2×5 votes, learns, and the terminal events fit without growing for a
-// typical 2-key transaction on a 5-region cluster.
-const initialEventCap = 16
-
-// NewTracer builds a tracer from cfg.
-func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
-	return &Tracer{
-		cfg:    cfg,
-		active: make(map[txn.ID]*activeTrace),
-		ring:   make([]Trace, 0, cfg.Capacity),
-	}
-}
-
-// Begin starts (subject to sampling) a trace for id. Returns whether the
-// transaction is being traced.
-func (t *Tracer) Begin(id txn.ID) bool {
-	if t == nil {
-		return false
-	}
-	if n := t.cfg.SampleEvery; n > 1 && t.seq.Add(1)%uint64(n) != 0 {
-		return false
-	}
-	at := &activeTrace{tr: Trace{
-		ID:     id,
-		Start:  time.Now(),
-		Events: make([]Event, 0, initialEventCap),
-	}}
-	t.mu.Lock()
-	t.active[id] = at
-	t.mu.Unlock()
-	return true
-}
-
-// Record appends one event to id's trace; unknown (unsampled or already
-// finished) ids are ignored. A zero e.At is stamped with the current time.
-func (t *Tracer) Record(id txn.ID, e Event) {
-	if t == nil {
-		return
-	}
-	t.mu.RLock()
-	at := t.active[id]
-	t.mu.RUnlock()
-	if at == nil {
-		return
-	}
-	at.mu.Lock()
-	// Stamp under the trace lock so timestamps are non-decreasing in
-	// event order even when events race in from different goroutines.
-	if e.At.IsZero() {
-		e.At = time.Now()
-	}
-	at.tr.Events = append(at.tr.Events, e)
-	at.mu.Unlock()
-}
-
-// Broadcast appends e to every in-flight trace. Fault injectors use it to
-// mark which transactions were exposed to a fault, without knowing ids.
-func (t *Tracer) Broadcast(e Event) {
-	if t == nil {
-		return
-	}
-	t.mu.RLock()
-	active := make([]*activeTrace, 0, len(t.active))
-	for _, at := range t.active {
-		active = append(active, at)
-	}
-	t.mu.RUnlock()
-	for _, at := range active {
-		ev := e
-		at.mu.Lock()
-		// Stamp per trace, under its lock, for the same monotonicity
-		// guarantee Record gives.
-		if ev.At.IsZero() {
-			ev.At = time.Now()
-		}
-		at.tr.Events = append(at.tr.Events, ev)
-		at.mu.Unlock()
-	}
-}
-
-// Finish seals id's trace with its outcome, moves it into the completed
-// ring, and applies the slow/aborted log policy.
-func (t *Tracer) Finish(id txn.ID, outcome string, speculated bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	at := t.active[id]
-	delete(t.active, id)
-	t.mu.Unlock()
-	if at == nil {
-		return
-	}
-
-	at.mu.Lock()
-	tr := at.tr
-	at.mu.Unlock()
-	tr.Done = true
-	tr.End = time.Now()
-	tr.Outcome = outcome
-	tr.Speculated = speculated
-	tr.Slow = t.cfg.SlowThreshold > 0 && tr.Duration() >= t.cfg.SlowThreshold
-
-	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, tr)
-	} else {
-		t.ring[t.next] = tr
-	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.mu.Unlock()
-
-	if t.cfg.Logf != nil {
-		switch {
-		case tr.Slow:
-			t.cfg.Logf("obs: slow transaction: %s", tr)
-		case t.cfg.LogAborted && outcome == "aborted":
-			t.cfg.Logf("obs: aborted transaction: %s", tr)
-		}
-	}
-}
-
-// Lookup returns id's trace — in-flight or completed — and whether it was
-// found. The returned copy is safe to retain.
-func (t *Tracer) Lookup(id txn.ID) (Trace, bool) {
-	if t == nil {
-		return Trace{}, false
-	}
-	t.mu.RLock()
-	at := t.active[id]
-	t.mu.RUnlock()
-	if at != nil {
-		at.mu.Lock()
-		tr := at.tr
-		tr.Events = append([]Event(nil), tr.Events...)
-		at.mu.Unlock()
-		return tr, true
-	}
-	for _, tr := range t.completed() {
-		if tr.ID == id {
-			return tr, true
-		}
-	}
-	return Trace{}, false
-}
-
-// completed snapshots the ring newest-first.
-func (t *Tracer) completed() []Trace {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := len(t.ring)
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		// Walk backwards from the newest entry.
-		idx := ((t.next-1-i)%n + n) % n
-		out = append(out, t.ring[idx])
-	}
-	return out
-}
-
-// TraceFilter selects completed traces for Recent.
-type TraceFilter struct {
-	// AbortedOnly keeps only traces with outcome "aborted".
-	AbortedOnly bool
-	// SlowOnly keeps only traces marked slow.
-	SlowOnly bool
-	// Limit caps the result length; <= 0 means no cap.
-	Limit int
-}
-
-// Recent returns completed traces, newest first, matching f.
-func (t *Tracer) Recent(f TraceFilter) []Trace {
-	if t == nil {
-		return nil
-	}
-	var out []Trace
-	for _, tr := range t.completed() {
-		if f.AbortedOnly && tr.Outcome != "aborted" {
-			continue
-		}
-		if f.SlowOnly && !tr.Slow {
-			continue
-		}
-		out = append(out, tr)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
-		}
-	}
-	return out
-}
-
-// ActiveCount reports in-flight traced transactions (tests, gauges).
-func (t *Tracer) ActiveCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.active)
 }

@@ -70,11 +70,13 @@ go test -count=1 -timeout 60s -run 'TestExperimentsRunClean|TestEvaluationShapes
 # published thresholds) is part of the deterministic simulation.
 go run ./cmd/planetbench -quick -openloop
 go test -count=10 -timeout 120s -run TestAdaptiveAdmissionDeterminism ./internal/core/
-# Observability gates. Attribution determinism: the same seed on the
-# virtual clock must produce bit-identical per-stage variance tables
-# (twice per test invocation, ten invocations), or the span pipeline has
-# grown a nondeterminism bug. The causal-tree shape check rides along.
-go test -count=10 -timeout 120s -run 'TestAttributionDeterminism|TestTraceSpans' ./internal/core/
+# Observability gates. Attribution and trace determinism: the same seed on
+# the virtual clock must produce bit-identical per-stage variance tables
+# and identical per-transaction traces (events, offsets, likelihood bits,
+# span tree shape; twice per test invocation, ten invocations), or the
+# trace store has grown a nondeterminism bug. The causal-tree shape check
+# rides along.
+go test -count=10 -timeout 120s -run 'TestAttributionDeterminism|TestTraceDeterminism|TestTraceSpans' ./internal/core/
 # Realnet smoke gate: build planetd, boot a 3-process loopback cluster,
 # commit transfers, SIGKILL one master mid-load, restart it, and require
 # WAL replay, rejoin, cross-node agreement, and conservation — all inside
