@@ -68,7 +68,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -317,36 +316,8 @@ func runRealnet(f *flags) error {
 
 	reg := obs.NewRegistry()
 
-	// Peer health feeds speculation shedding: when so many peer links are
-	// down that the fast quorum is unreachable, force the local region
-	// degraded so sessions stop speculating on commits that must take the
-	// classic path anyway. Peers with no recorded transition are up.
-	var (
-		dbPtr      atomic.Pointer[planet.DB]
-		peerMu     sync.Mutex
-		peerStates = make(map[simnet.Region]realnet.PeerState, len(peers)-1)
-	)
-	recompute := func() {
-		peerMu.Lock()
-		up := 1 // self
-		for r := range peers {
-			if r == region {
-				continue
-			}
-			if peerStates[r] != realnet.PeerDown {
-				up++
-			}
-		}
-		degraded := up < mdcc.FastQuorum(len(peers))
-		peerMu.Unlock()
-		if db := dbPtr.Load(); db != nil {
-			db.SetRegionForcedDegraded(region, degraded)
-		}
-	}
+	var dbPtr atomic.Pointer[planet.DB]
 	onPeerState := func(r simnet.Region, st realnet.PeerState) {
-		peerMu.Lock()
-		peerStates[r] = st
-		peerMu.Unlock()
 		log.Printf("planetd: peer %s -> %s", r, st)
 		// Every transition lands in the metrics (rate of flapping) and in the
 		// fault log — so a trace of a transaction that stalled shows the peer
@@ -355,7 +326,6 @@ func runRealnet(f *flags) error {
 			"Peer health transitions observed by the transport.",
 			obs.L("peer", string(r)), obs.L("state", st.String())).Inc()
 		recordFault(&dbPtr, string(r), fmt.Sprintf("peer %s -> %s", r, st))
-		recompute()
 	}
 
 	c, err := cluster.NewNode(cluster.NodeConfig{
@@ -387,7 +357,6 @@ func runRealnet(f *flags) error {
 		return err
 	}
 	dbPtr.Store(db)
-	recompute()
 	sess, err := db.Session(region)
 	if err != nil {
 		return err

@@ -93,14 +93,11 @@ type Config struct {
 	// they finish (requires Trace).
 	TraceLog obs.TraceLog
 	// AttributionFeed feeds the attribution engine's per-stage EWMA and
-	// jitter into the likelihood predictors: with a commit timeout known,
-	// the predictor discounts outstanding votes by whether the learned
-	// option-RPC + vote-return cost still fits the remaining budget.
-	// Requires Trace.
+	// jitter into the likelihood predictors: the predictor discounts
+	// outstanding votes by whether the learned option-RPC + vote-return cost
+	// still fits what is left of the cluster's commit timeout. Requires
+	// Trace.
 	AttributionFeed bool
-	// CommitTimeout is the commit budget AttributionFeed measures against.
-	// Defaults to 30s (the coordinator's own default).
-	CommitTimeout time.Duration
 	// Health configures per-region degradation tracking; degraded regions
 	// shed speculation. The zero value disables tracking.
 	Health HealthPolicy
@@ -140,7 +137,6 @@ type DB struct {
 
 	inFlight map[simnet.Region]*atomic.Int64
 	health   map[simnet.Region]*regionHealth // nil entries when disabled
-	forced   map[simnet.Region]*atomic.Bool  // operator/transport-forced degradation
 	adm      map[simnet.Region]*admissionCtl // nil unless Config.Adaptive.Enabled
 
 	submitted  atomic.Uint64
@@ -166,7 +162,6 @@ func Open(cfg Config) (*DB, error) {
 		preds:    make(map[simnet.Region]*predictor.Predictor, len(regionList)),
 		inFlight: make(map[simnet.Region]*atomic.Int64, len(regionList)),
 		health:   make(map[simnet.Region]*regionHealth, len(regionList)),
-		forced:   make(map[simnet.Region]*atomic.Bool, len(regionList)),
 	}
 	for i, r := range regionList {
 		db.rts[r] = &regionRT{
@@ -208,9 +203,6 @@ func Open(cfg Config) (*DB, error) {
 			}
 		}
 	}
-	if cfg.CommitTimeout <= 0 {
-		cfg.CommitTimeout = cfg.Cluster.CommitTimeout()
-	}
 	for _, r := range regionList {
 		// The feed is the region's own shard: a predictor only ever learns
 		// from spans its own coordinator recorded.
@@ -226,10 +218,9 @@ func Open(cfg Config) (*DB, error) {
 			UseConflicts:     !cfg.DisableConflictTerm,
 			UseLatency:       !cfg.DisableLatencyTerm,
 			StageFeed:        feed,
-			CommitTimeout:    cfg.CommitTimeout,
+			CommitTimeout:    cfg.Cluster.CommitTimeout(),
 		})
 		db.inFlight[r] = &atomic.Int64{}
-		db.forced[r] = &atomic.Bool{}
 	}
 	if cfg.Adaptive.Enabled {
 		db.adm = make(map[simnet.Region]*admissionCtl, len(regionList))
@@ -344,24 +335,14 @@ func (db *DB) Stats() Stats {
 
 // RegionDegraded reports whether the region currently sheds speculation:
 // either its health tracker judges it degraded (always false when
-// Config.Health is disabled) or degradation was forced via
-// SetRegionForcedDegraded (transport peer health, operator override).
+// Config.Health is disabled) or its coordinator cannot reach a fast quorum
+// (a node whose transport reports peers down or cut), in which case every
+// fast submit goes classic anyway.
 func (db *DB) RegionDegraded(r simnet.Region) bool {
-	if f := db.forced[r]; f != nil && f.Load() {
+	if coord := db.cfg.Cluster.Coordinator(r); coord != nil && !coord.FastQuorumReachable() {
 		return true
 	}
 	return db.health[r].degraded()
-}
-
-// SetRegionForcedDegraded forces (or clears) degradation for a region
-// independent of the timeout-rate tracker. The realnet deployment wires
-// transport peer health into it: when enough peers are down that the fast
-// quorum cannot form, speculation is pointless and sheds immediately.
-// Unknown regions are ignored.
-func (db *DB) SetRegionForcedDegraded(r simnet.Region, degraded bool) {
-	if f := db.forced[r]; f != nil {
-		f.Store(degraded)
-	}
 }
 
 // InFlight returns the number of transactions currently executing across

@@ -6,11 +6,13 @@ package planet
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"planet/internal/cluster"
 	"planet/internal/regions"
+	"planet/internal/simnet"
 )
 
 func TestRegionHealthWindow(t *testing.T) {
@@ -136,6 +138,89 @@ func TestSpeculationShedWhenDegraded(t *testing.T) {
 	}
 	if _, spec := commit(); !spec {
 		t.Fatal("recovered region did not speculate")
+	}
+}
+
+// TestSpeculationShedWhenPeerCut runs three cluster nodes over real TCP in
+// this process. A three-region fast quorum needs every replica, so once the
+// gateway's transport cuts one peer each fast submit goes classic, and the
+// gateway's region must count as degraded and shed speculation until the
+// link heals. No peer goes down: a cut drops frames without touching peer
+// health.
+func TestSpeculationShedWhenPeerCut(t *testing.T) {
+	regionList := []simnet.Region{"eu-west", "us-east", "us-west"}
+	const gwRegion, cutRegion = simnet.Region("us-west"), simnet.Region("eu-west")
+	peers := make(map[simnet.Region]string, len(regionList))
+	for _, r := range regionList {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[r] = l.Addr().String()
+		l.Close()
+	}
+	var gw *cluster.Cluster
+	for _, r := range regionList {
+		// The gateway masters every key, so the classic path needs only the
+		// gateway and us-east while eu-west is cut.
+		c, err := cluster.NewNode(cluster.NodeConfig{
+			Region: r, Peers: peers, MasterRegion: gwRegion, CommitTimeout: 20 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		for _, k := range []string{"k0", "k1", "k2"} {
+			c.SeedInt(k, 0, 0, 1<<30)
+		}
+		if r == gwRegion {
+			gw = c
+		}
+	}
+	db, err := Open(Config{Cluster: gw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.Session(gwRegion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(key string) {
+		t.Helper()
+		tx := s.Begin()
+		tx.Add(key, 1)
+		h, err := tx.Commit(CommitOptions{SpeculateAt: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if out, err := h.WaitCtx(ctx); err != nil || !out.Committed {
+			t.Fatalf("commit of %s: %+v, %v", key, out, err)
+		}
+	}
+
+	commit("k0")
+	if db.RegionDegraded(gwRegion) || db.SpeculationShed() != 0 {
+		t.Fatalf("healthy fleet: degraded=%v shed=%d, want false and 0", db.RegionDegraded(gwRegion), db.SpeculationShed())
+	}
+
+	gw.RealNet.CutPeer(cutRegion, true)
+	if !db.RegionDegraded(gwRegion) {
+		t.Fatal("gateway region not degraded with the fast quorum cut off")
+	}
+	commit("k1")
+	if got := db.SpeculationShed(); got != 1 {
+		t.Fatalf("SpeculationShed=%d after a submit with a peer cut, want 1", got)
+	}
+
+	gw.RealNet.CutPeer(cutRegion, false)
+	if db.RegionDegraded(gwRegion) {
+		t.Fatal("gateway region still degraded after the link healed")
+	}
+	commit("k2")
+	if got := db.SpeculationShed(); got != 1 {
+		t.Fatalf("SpeculationShed=%d after the link healed, want it to stay 1", got)
 	}
 }
 

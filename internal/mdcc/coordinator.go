@@ -203,18 +203,9 @@ func (c *Coordinator) SubmitTraced(id txn.ID, ops []txn.Op, mode Mode, sink Prog
 	// Graceful degradation: with the fast quorum known-unreachable, fast
 	// proposals can only time out. The classic path needs one master plus a
 	// majority, which may still be reachable, so go there directly.
-	degraded := false
-	if mode == ModeFast && c.cfg.Unreachable != nil && len(ops) > 0 {
-		reachable := 0
-		for _, rep := range c.cfg.Replicas {
-			if !c.cfg.Unreachable(rep.Region) {
-				reachable++
-			}
-		}
-		if reachable < FastQuorum(len(c.cfg.Replicas)) {
-			mode = ModeClassic
-			degraded = true
-		}
+	degraded := mode == ModeFast && len(ops) > 0 && !c.FastQuorumReachable()
+	if degraded {
+		mode = ModeClassic
 	}
 
 	s := &commitState{
@@ -270,6 +261,24 @@ func (c *Coordinator) SubmitTraced(id txn.ID, ops []txn.Op, mode Mode, sink Prog
 		}
 	}
 	return nil
+}
+
+// FastQuorumReachable reports whether enough replicas are reachable over the
+// transport for a fast quorum to form (see CoordinatorConfig.Unreachable).
+// A fast-path submit goes classic when it is false, and the DB sheds
+// speculation in the coordinator's region. Always true without an
+// Unreachable predicate (simnet).
+func (c *Coordinator) FastQuorumReachable() bool {
+	if c.cfg.Unreachable == nil {
+		return true
+	}
+	reachable := 0
+	for _, rep := range c.cfg.Replicas {
+		if !c.cfg.Unreachable(rep.Region) {
+			reachable++
+		}
+	}
+	return reachable >= FastQuorum(len(c.cfg.Replicas))
 }
 
 // traceCtx builds the outgoing trace context for a transaction's root span:

@@ -9,8 +9,10 @@ import (
 	"planet/internal/txn"
 )
 
-// FuzzReadWAL checks that the WAL decoder never panics on arbitrary input
-// and that encode→decode round-trips whatever it accepts.
+// FuzzReadWAL checks that the WAL decoder never panics on arbitrary input,
+// that the prefix it keeps — the bytes OpenWALFile truncates a torn log to —
+// decodes again to the same entries with no tear, and that encode→decode
+// round-trips whatever it accepts.
 func FuzzReadWAL(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWAL(&seed)
@@ -26,28 +28,34 @@ func FuzzReadWAL(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := ReadWAL(bytes.NewReader(data))
-		if err != nil {
-			return // rejection is fine; panics are not
+		entries, good, _ := readWAL(bytes.NewReader(data))
+		if good < 0 || good > int64(len(data)) {
+			t.Fatalf("good prefix ends at byte %d of %d", good, len(data))
 		}
+		same := func(what string, back []Entry, torn bool) {
+			t.Helper()
+			if torn {
+				t.Fatalf("%s decoded as torn", what)
+			}
+			if len(back) != len(entries) {
+				t.Fatalf("%s: %d -> %d entries", what, len(entries), len(back))
+			}
+			for i := range entries {
+				if back[i].Txn != entries[i].Txn || back[i].Commit != entries[i].Commit {
+					t.Fatalf("%s: entry %d changed: %+v vs %+v", what, i, entries[i], back[i])
+				}
+			}
+		}
+		kept, _, torn := readWAL(bytes.NewReader(data[:good]))
+		same("kept prefix", kept, torn)
 		// Whatever decoded must re-encode and decode to the same entries.
 		var buf bytes.Buffer
 		rt := NewWAL(&buf)
 		for _, e := range entries {
 			rt.Append(e)
 		}
-		back, err := ReadWAL(&buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(back) != len(entries) {
-			t.Fatalf("round trip %d -> %d entries", len(entries), len(back))
-		}
-		for i := range entries {
-			if back[i].Txn != entries[i].Txn || back[i].Commit != entries[i].Commit {
-				t.Fatalf("entry %d changed: %+v vs %+v", i, entries[i], back[i])
-			}
-		}
+		back, _, torn := readWAL(&buf)
+		same("round trip", back, torn)
 	})
 }
 

@@ -108,22 +108,7 @@ func OpenWALFile(path string) (w *WAL, recovered int, torn bool, err error) {
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("mdcc: open wal: %w", err)
 	}
-	dec := json.NewDecoder(f)
-	var entries []Entry
-	var good int64
-	for {
-		var e Entry
-		derr := dec.Decode(&e)
-		if derr == io.EOF {
-			break
-		}
-		if derr != nil {
-			torn = true
-			break
-		}
-		entries = append(entries, e)
-		good = dec.InputOffset()
-	}
+	entries, good, torn := readWAL(f)
 	if torn {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
@@ -166,39 +151,25 @@ func (w *WAL) Commits() []Entry {
 	return out
 }
 
-// ReadWAL decodes JSON-line entries from r, e.g. a log file written through
-// a WAL sink, reconstructing the entry stream for offline recovery.
-func ReadWAL(r io.Reader) ([]Entry, error) {
-	dec := json.NewDecoder(r)
-	var out []Entry
-	for {
-		var e Entry
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("mdcc: wal decode: %w", err)
-		}
-		out = append(out, e)
-	}
-}
-
-// RecoverWAL decodes entries from r, tolerating a torn tail: a process that
-// crashed mid-append leaves a final record cut short, and recovery must use
-// the complete prefix rather than fail. It returns the decodable prefix and
+// readWAL decodes the JSON-line entries a WAL sink wrote to r, tolerating a
+// torn tail: a process that crashed mid-append leaves a final record cut
+// short, and recovery must use the complete prefix rather than fail. It
+// returns the decodable prefix, the byte offset where that prefix ends, and
 // whether the stream ended in a torn (or otherwise malformed) record.
 //
 // A torn tail is indistinguishable from mid-file corruption in a JSON-line
-// stream, so any decode failure terminates the scan; everything before it
-// is trusted.
-func RecoverWAL(r io.Reader) (entries []Entry, torn bool) {
+// stream, so any decode failure ends the scan; everything before it is
+// trusted.
+func readWAL(r io.Reader) (entries []Entry, good int64, torn bool) {
 	dec := json.NewDecoder(r)
 	for {
 		var e Entry
 		if err := dec.Decode(&e); err == io.EOF {
-			return entries, false
+			return entries, good, false
 		} else if err != nil {
-			return entries, true
+			return entries, good, true
 		}
 		entries = append(entries, e)
+		good = dec.InputOffset()
 	}
 }

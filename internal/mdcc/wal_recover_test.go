@@ -39,15 +39,12 @@ func TestRecoverWALTornTail(t *testing.T) {
 	// Cut 10 bytes off the file: the final record is torn.
 	raw := crashFile(t, entries, 10)
 
-	// ReadWAL (strict) surfaces the corruption...
-	if _, err := ReadWAL(bytes.NewReader(raw)); err == nil {
-		t.Error("ReadWAL accepted a torn tail without error")
-	}
-
-	// ...RecoverWAL returns the trustworthy prefix.
-	got, torn := RecoverWAL(bytes.NewReader(raw))
+	// The decoder returns the trustworthy prefix, and the offset where it
+	// ends is where OpenWALFile truncates: the end of the third record (the
+	// newline after a record is not part of it).
+	got, good, torn := readWAL(bytes.NewReader(raw))
 	if !torn {
-		t.Error("RecoverWAL did not report the torn tail")
+		t.Error("readWAL did not report the torn tail")
 	}
 	if len(got) != 3 {
 		t.Fatalf("recovered %d entries, want 3", len(got))
@@ -57,11 +54,16 @@ func TestRecoverWALTornTail(t *testing.T) {
 			t.Errorf("entry %d: %+v != %+v", i, e, entries[i])
 		}
 	}
+	if want := len(crashFile(t, entries[:3], 0)) - 1; good != int64(want) {
+		t.Errorf("good prefix ends at byte %d, want %d", good, want)
+	}
 
 	// An intact file recovers fully and reports no tear.
-	full, torn := RecoverWAL(bytes.NewReader(crashFile(t, entries, 0)))
-	if torn || len(full) != len(entries) {
-		t.Errorf("intact file: %d entries torn=%v, want %d entries torn=false", len(full), torn, len(entries))
+	intact := crashFile(t, entries, 0)
+	full, good, torn := readWAL(bytes.NewReader(intact))
+	if torn || len(full) != len(entries) || good != int64(len(intact)-1) {
+		t.Errorf("intact file: %d entries up to byte %d torn=%v, want %d entries up to byte %d torn=false",
+			len(full), good, torn, len(entries), len(intact)-1)
 	}
 }
 
@@ -81,7 +83,7 @@ func TestWALCrashReplayConsistency(t *testing.T) {
 		{Txn: 14, Commit: true, Options: walOps(txn.Op{Kind: txn.OpSet, Key: "a", Value: []byte("v2"), ReadVersion: 1})},
 	}
 	raw := crashFile(t, entries, 5)
-	recovered, torn := RecoverWAL(bytes.NewReader(raw))
+	recovered, _, torn := readWAL(bytes.NewReader(raw))
 	if !torn || len(recovered) != 4 {
 		t.Fatalf("recovered %d entries torn=%v, want 4 torn=true", len(recovered), torn)
 	}

@@ -79,9 +79,9 @@ func TestWALSinkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := ReadWAL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	out, _, torn := readWAL(&buf)
+	if torn {
+		t.Fatal("an intact log decoded as torn")
 	}
 	if len(out) != len(in) {
 		t.Fatalf("decoded %d entries, want %d", len(out), len(in))
@@ -104,10 +104,16 @@ func TestWALSinkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadWALRejectsGarbage: a record that is not JSON ends the scan as a
+// torn tail, and the prefix before it is kept up to its last byte.
 func TestReadWALRejectsGarbage(t *testing.T) {
-	_, err := ReadWAL(strings.NewReader(`{"txn":1}{not json`))
-	if err == nil {
+	const prefix = `{"txn":1}`
+	entries, good, torn := readWAL(strings.NewReader(prefix + `{not json`))
+	if !torn {
 		t.Error("garbage accepted")
+	}
+	if len(entries) != 1 || entries[0].Txn != 1 || good != int64(len(prefix)) {
+		t.Errorf("kept %d entries up to byte %d, want txn 1 up to byte %d", len(entries), good, len(prefix))
 	}
 }
 

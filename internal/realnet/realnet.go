@@ -624,7 +624,8 @@ func (t *Transport) PeerStates() map[simnet.Region]PeerState {
 // Unreachable reports whether region is currently beyond reach: its link is
 // administratively cut or its peer health is down. The coordinator consults
 // it (CoordinatorConfig.Unreachable) to degrade fast-path submissions to
-// classic Paxos instead of timing them out.
+// classic Paxos instead of timing them out, and the DB to shed speculation
+// in the coordinator's region.
 func (t *Transport) Unreachable(region simnet.Region) bool {
 	t.mu.Lock()
 	cut := t.cut[region]

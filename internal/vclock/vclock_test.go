@@ -588,3 +588,36 @@ func TestDeliveryTimerRecycled(t *testing.T) {
 		}
 	})
 }
+
+// TestSameInstantTimersScaleLinearly: k timers sharing one deadline must not
+// cost a rescan per pop. The timer heap's per-timer cost grows with log k
+// only, so 50 000 same-deadline timers may cost at most 4x per timer what
+// 2 000 do, leaving room for cache effects. The two sizes are measured in
+// alternation and each keeps its best of five tries, so a slow phase of the
+// host hits both.
+func TestSameInstantTimersScaleLinearly(t *testing.T) {
+	perTimer := func(k int) time.Duration {
+		v := NewVirtual()
+		defer v.Shutdown()
+		fired := 0
+		for i := 0; i < k; i++ {
+			v.AfterFunc(time.Millisecond, func() { fired++ })
+		}
+		begin := time.Now()
+		v.Sleep(2 * time.Millisecond)
+		took := time.Since(begin)
+		if fired != k {
+			t.Fatalf("%d of %d same-deadline timers fired", fired, k)
+		}
+		return took / time.Duration(k)
+	}
+	small, large := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for try := 0; try < 5; try++ {
+		small = min(small, perTimer(2000))
+		large = min(large, perTimer(50000))
+	}
+	t.Logf("per timer: %v at 2 000, %v at 50 000", small, large)
+	if large > 4*small {
+		t.Fatalf("per-timer cost %v at 50 000 same-deadline timers vs %v at 2 000: more than 4x", large, small)
+	}
+}

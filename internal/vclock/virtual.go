@@ -57,9 +57,9 @@ type Virtual struct {
 	// only then), so steady-state appends reuse one backing array.
 	ready  []*grant
 	head   int
-	timers wheel[*wtimer]
+	timers timerHeap
 	free   []*wtimer // spent Schedule timers, for reuse
-	seq    uint64    // timer creation order (same-instant ties)
+	seq    uint64    // timer arm order (same-instant ties)
 }
 
 // NewVirtual returns a running virtual clock whose time starts at the fixed
@@ -113,8 +113,8 @@ func (v *Virtual) run() {
 				v.running++
 				close(g.ch)
 			}
-		case v.timers.live > 0:
-			t, _ := v.timers.popMin()
+		case len(v.timers) > 0:
+			t := v.timers.pop()
 			if t.when > v.now {
 				v.now = t.when
 				v.clock.Store(int64(t.when))
@@ -152,13 +152,13 @@ func (v *Virtual) drainLocked() {
 		}
 	}
 	v.ready, v.head = nil, 0
-	v.timers.forEach(func(t *wtimer) {
+	for _, t := range v.timers {
 		if t.g != nil && t.g.cause == causeNone {
 			t.g.cause = causeShutdown
 			close(t.g.ch)
 		}
-	})
-	v.timers.reset()
+	}
+	v.timers = nil
 }
 
 // readyLocked appends g to the run queue. Caller holds mu.
@@ -198,7 +198,7 @@ func (v *Virtual) wakeLocked(g *grant, cause int) {
 	}
 	g.cause = cause
 	if g.timer != nil {
-		v.timers.cancel(g.timer)
+		v.timers.remove(g.timer)
 	}
 	if v.stopped {
 		// The scheduler loop has exited; release the waiter directly instead
@@ -219,9 +219,9 @@ func (v *Virtual) armLocked(t *wtimer, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.when = v.now + d
-	v.timers.schedule(t.when, v.seq, t)
+	t.when, t.seq = v.now+d, v.seq
 	v.seq++
+	v.timers.push(t)
 	v.cond.Signal()
 }
 
@@ -438,23 +438,21 @@ func (v *Virtual) Running() int {
 	return v.running
 }
 
-// wtimer is one scheduled entry in the timer wheel: a timer with a body, a
+// wtimer is one entry of the clock's timer heap: a timer with a body, a
 // channel timer, or the companion timer of a parked grant.
 type wtimer struct {
 	v       *Virtual
 	when    time.Duration
+	seq     uint64 // arm order, the tie-break among timers due at one instant
+	index   int    // slot in the timer heap while queued
 	fn      func() // body, run by the scheduler loop where the timer is popped
 	ch      chan time.Time
 	g       *grant // parked grant this timer times out (timedGrantLocked)
 	recycle bool   // a Schedule timer: nothing else holds it once popped
-	node    wheelNode
 }
 
-// wheelState exposes the wheel bookkeeping node.
-func (t *wtimer) wheelState() *wheelNode { return &t.node }
-
 // fireLocked delivers a timer that has no body: a wake-up or a channel send.
-// Caller holds mu; t was just popped from the wheel.
+// Caller holds mu; t was just popped from the heap.
 func (v *Virtual) fireLocked(t *wtimer) {
 	switch {
 	case t.g != nil:
@@ -479,7 +477,7 @@ func (t *wtimer) Stop() bool {
 
 // stopLocked is Stop under mu.
 func (t *wtimer) stopLocked() bool {
-	if t.v.timers.cancel(t) {
+	if t.v.timers.remove(t) {
 		return true
 	}
 	if t.ch != nil {

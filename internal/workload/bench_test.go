@@ -53,7 +53,7 @@ func BenchmarkOpenLoopCommit(b *testing.B) {
 		}
 		return arrivals
 	}
-	round(0) // warm: record store, pools, run queue and wheel at their working size
+	round(0) // warm: record store, pools, run queue and timer heap at their working size
 
 	var before, after runtime.MemStats
 	var commits uint64

@@ -70,6 +70,19 @@ go test -count=1 -timeout 60s -run 'TestExperimentsRunClean|TestEvaluationShapes
 # published thresholds) is part of the deterministic simulation.
 go run ./cmd/planetbench -quick -openloop
 go test -count=10 -timeout 120s -run TestAdaptiveAdmissionDeterminism ./internal/core/
+# Timer-population fingerprint gate: the benchmark's sim_openloop_commit
+# workload holds about 12 000 live timers on its virtual clock, the only gate
+# that runs the timer heap at that population (the quick experiments peak near
+# 1 000). Its fingerprint hashes each round's arrival and outcome counts,
+# virtual elapsed time and commit-latency quantiles, so a change in event
+# order changes it. --seconds 0.1 is shorter than one round, so the warm-up
+# round and exactly one timed round run. Re-record the value only when the
+# protocol itself changes (ROADMAP item 1), never for a scheduler change.
+fp=$(bash benchmark/run.sh --workload sim_openloop_commit --seed 5 --seconds 0.1 | awk '$1 == "fingerprint" {print $2}')
+[ "$fp" = 19beec36eb41c5bc ] || {
+	echo "verify: sim_openloop_commit seed 5 fingerprint=$fp, want 19beec36eb41c5bc" >&2
+	exit 1
+}
 # Observability gates. Attribution and trace determinism: the same seed on
 # the virtual clock must produce bit-identical per-stage variance tables
 # and identical per-transaction traces (events, offsets, likelihood bits,
