@@ -1,6 +1,8 @@
-// Package cluster assembles a runnable PLANET deployment: a simulated WAN
-// over a region topology, one MDCC replica per region, and one transaction
-// coordinator per region. It is the composition root shared by the tests,
+// Package cluster assembles a runnable PLANET deployment out of one node per
+// region: the region's MDCC replica, transaction coordinator, write-ahead log
+// and lease manager. New builds every node in one process over a simulated
+// WAN; NewNode builds one over TCP, one process per region. Both use the
+// same node constructor. It is the composition root shared by the tests,
 // the examples, and the benchmark harness.
 package cluster
 
@@ -86,27 +88,16 @@ type Cluster struct {
 	RealNet  *realnet.Transport
 	Topology regions.Topology
 
-	replicas map[simnet.Region]*mdcc.Replica
-	coords   map[simnet.Region]*mdcc.Coordinator
-	wals     map[simnet.Region]*mdcc.WAL
-	scale    float64
-	timeout  time.Duration // effective (scaled) commit timeout
-	clk      vclock.Clock
-	virt     *vclock.Virtual // non-nil when the cluster created its virtual clock
-
-	leaseMgrs []*leaseManager
-	leaseTerm time.Duration // effective (scaled) lease term, 0 without leases
+	nodes map[simnet.Region]node // every region under New, the local one under NewNode
+	spec  spec
+	scale float64
+	clk   vclock.Clock
+	virt  *vclock.Virtual // non-nil when the cluster created its virtual clock
 
 	// Node-mode recovery report (NewNode with a data dir).
 	walRecovered int
 	walTorn      bool
 }
-
-// replicaName and coordName are the per-region node names.
-const (
-	replicaName = "replica"
-	coordName   = "coord"
-)
 
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
@@ -116,17 +107,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = DefaultTimeScale
 	}
-	if cfg.CommitTimeout == 0 {
-		cfg.CommitTimeout = DefaultCommitTimeout
-	}
-	switch {
-	case cfg.PendingTTL == 0:
-		cfg.PendingTTL = DefaultPendingTTL
-	case cfg.PendingTTL < 0:
-		cfg.PendingTTL = 0
-	}
-	if cfg.LeaseTerm == 0 {
-		cfg.LeaseTerm = DefaultLeaseTerm
+	s, err := newSpec(cfg, cfg.Topology.Regions)
+	if err != nil {
+		return nil, err
 	}
 
 	clk := cfg.Clock
@@ -136,11 +119,6 @@ func New(cfg Config) (*Cluster, error) {
 		clk = virt
 	}
 	clk = vclock.Default(clk)
-	stopClk := func() {
-		if virt != nil {
-			virt.Shutdown()
-		}
-	}
 
 	net, err := simnet.New(simnet.Config{
 		Latency:   cfg.Topology.Matrix,
@@ -150,105 +128,34 @@ func New(cfg Config) (*Cluster, error) {
 		Clock:     clk,
 	})
 	if err != nil {
-		stopClk()
+		if virt != nil {
+			virt.Shutdown()
+		}
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-
-	regionList := cfg.Topology.Regions
-	if cfg.MasterRegion != "" {
-		found := false
-		for _, r := range regionList {
-			if r == cfg.MasterRegion {
-				found = true
-				break
-			}
-		}
-		if !found {
-			stopClk()
-			return nil, fmt.Errorf("cluster: master region %q not in topology", cfg.MasterRegion)
-		}
-	}
-
-	replicaAddrs := make([]simnet.Addr, len(regionList))
-	for i, r := range regionList {
-		replicaAddrs[i] = simnet.Addr{Region: r, Name: replicaName}
-	}
-
-	masterFor := func(key string) simnet.Addr {
-		if cfg.MasterRegion != "" {
-			return simnet.Addr{Region: cfg.MasterRegion, Name: replicaName}
-		}
-		return simnet.Addr{Region: mdcc.MasterFor(key, regionList), Name: replicaName}
 	}
 
 	c := &Cluster{
 		Net:      net,
 		Topology: cfg.Topology,
-		replicas: make(map[simnet.Region]*mdcc.Replica, len(regionList)),
-		coords:   make(map[simnet.Region]*mdcc.Coordinator, len(regionList)),
-		wals:     make(map[simnet.Region]*mdcc.WAL, len(regionList)),
+		nodes:    make(map[simnet.Region]node, len(s.regions)),
+		spec:     s,
 		scale:    cfg.TimeScale,
-		timeout:  time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
 		clk:      clk,
 		virt:     virt,
 	}
-
-	var keyspaces []simnet.Region
-	var keyspaceOf func(string) simnet.Region
-	if cfg.MasterLeases {
-		c.leaseTerm = time.Duration(float64(cfg.LeaseTerm) * cfg.TimeScale)
-		keyspaces = keyspacesFor(cfg.MasterRegion, regionList)
-		keyspaceOf = keyspaceOfFunc(cfg.MasterRegion, regionList)
-	}
-
-	for i, r := range regionList {
+	for _, r := range s.regions {
 		var wal *mdcc.WAL
 		if cfg.WAL {
 			wal = mdcc.NewWAL(nil)
-			c.wals[r] = wal
 		}
-		c.replicas[r] = mdcc.NewReplica(mdcc.ReplicaConfig{
-			Net:        net,
-			Addr:       replicaAddrs[i],
-			Peers:      replicaAddrs,
-			PendingTTL: time.Duration(float64(cfg.PendingTTL) * cfg.TimeScale),
-			WAL:        wal,
-		})
-		mfor := masterFor
-		if cfg.MasterLeases {
-			region := r
-			c.replicas[r].EnableLeases(mdcc.LeaseConfig{
-				Term:       c.leaseTerm,
-				Keyspaces:  keyspaces,
-				KeyspaceOf: keyspaceOf,
-				OnEvent: func(ev mdcc.LeaseEvent) {
-					if cfg.OnLeaseEvent != nil {
-						cfg.OnLeaseEvent(region, ev)
-					}
-				},
-			})
-			mfor = leaseMasterFor(c.replicas[r], keyspaceOf)
-		}
-		coord, err := mdcc.NewCoordinator(mdcc.CoordinatorConfig{
-			Net:           net,
-			Addr:          simnet.Addr{Region: r, Name: coordName},
-			Replicas:      replicaAddrs,
-			MasterFor:     mfor,
-			CommitTimeout: time.Duration(float64(cfg.CommitTimeout) * cfg.TimeScale),
-			EarlyAbort:    cfg.EarlyAbort,
-		})
+		n, err := newNode(net, r, wal, &c.spec)
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
-		c.coords[r] = coord
+		c.nodes[r] = n
 	}
-	if cfg.MasterLeases {
-		ranked := rankedRegions(regionList)
-		for _, r := range regionList {
-			c.leaseMgrs = append(c.leaseMgrs,
-				newLeaseManager(c.replicas[r], clk, c.leaseTerm, keyspaces, ranked, r))
-		}
-	}
+	c.startLeases()
 	return c, nil
 }
 
@@ -261,7 +168,7 @@ func (c *Cluster) TimeScale() float64 { return c.scale }
 // CommitTimeout returns the effective (already time-scaled) commit budget
 // the coordinators run with. The attribution-fed predictor measures learned
 // stage costs against it.
-func (c *Cluster) CommitTimeout() time.Duration { return c.timeout }
+func (c *Cluster) CommitTimeout() time.Duration { return c.spec.commitTimeout }
 
 // Clock returns the cluster's time source, shared by every region and by
 // the code driving the cluster.
@@ -269,28 +176,29 @@ func (c *Cluster) Clock() vclock.Clock { return c.clk }
 
 // LeaseTerm returns the effective (already time-scaled) lease term, or zero
 // when master leases are disabled.
-func (c *Cluster) LeaseTerm() time.Duration { return c.leaseTerm }
+func (c *Cluster) LeaseTerm() time.Duration { return c.spec.leaseTerm }
 
 // Replica returns the region's replica, or nil for an unknown region.
-func (c *Cluster) Replica(r simnet.Region) *mdcc.Replica { return c.replicas[r] }
+func (c *Cluster) Replica(r simnet.Region) *mdcc.Replica { return c.nodes[r].replica }
 
 // Coordinator returns the region's coordinator, or nil for unknown regions.
-func (c *Cluster) Coordinator(r simnet.Region) *mdcc.Coordinator { return c.coords[r] }
+func (c *Cluster) Coordinator(r simnet.Region) *mdcc.Coordinator { return c.nodes[r].coord }
 
-// WALOf returns the region's write-ahead log (nil unless Config.WAL).
-func (c *Cluster) WALOf(r simnet.Region) *mdcc.WAL { return c.wals[r] }
+// WALOf returns the region's write-ahead log (nil under New without
+// Config.WAL, or for an unknown region).
+func (c *Cluster) WALOf(r simnet.Region) *mdcc.WAL { return c.nodes[r].wal }
 
 // SeedBytes installs key=value at every replica (setup path).
 func (c *Cluster) SeedBytes(key string, value []byte) {
-	for _, rep := range c.replicas {
-		rep.SeedBytes(key, value)
+	for _, n := range c.nodes {
+		n.replica.SeedBytes(key, value)
 	}
 }
 
 // SeedInt installs an integer record with integrity bounds at every replica.
 func (c *Cluster) SeedInt(key string, value, lo, hi int64) {
-	for _, rep := range c.replicas {
-		rep.SeedInt(key, value, lo, hi)
+	for _, n := range c.nodes {
+		n.replica.SeedInt(key, value, lo, hi)
 	}
 }
 
@@ -300,60 +208,49 @@ func (c *Cluster) SeedInt(key string, value, lo, hi int64) {
 // place, so the sharing is invisible to readers.
 func (c *Cluster) SeedBytesAll(keys []string, value []byte) {
 	v := append([]byte(nil), value...)
-	for _, rep := range c.replicas {
-		rep.SeedBytesAll(keys, v)
+	for _, n := range c.nodes {
+		n.replica.SeedBytesAll(keys, v)
 	}
 }
 
 // SeedIntAll installs the same integer record with integrity bounds under
 // every key at every replica (bulk form of SeedInt).
 func (c *Cluster) SeedIntAll(keys []string, value, lo, hi int64) {
-	for _, rep := range c.replicas {
-		rep.SeedIntAll(keys, value, lo, hi)
+	for _, n := range c.nodes {
+		n.replica.SeedIntAll(keys, value, lo, hi)
 	}
+}
+
+// onNode runs fn on region r's node, or reports that r has none.
+func (c *Cluster) onNode(r simnet.Region, fn func(node) error) error {
+	if n, ok := c.nodes[r]; ok {
+		return fn(n)
+	}
+	return fmt.Errorf("cluster: no node in region %q", r)
 }
 
 // CrashReplica simulates a replica process failure in region r: the node
 // leaves the network and loses its in-memory state. RestartReplica recovers
 // it from its seeded baseline and WAL.
 func (c *Cluster) CrashReplica(r simnet.Region) error {
-	rep := c.replicas[r]
-	if rep == nil {
-		return fmt.Errorf("cluster: no replica in region %q", r)
-	}
-	rep.Crash()
-	return nil
+	return c.onNode(r, func(n node) error { n.replica.Crash(); return nil })
 }
 
 // RestartReplica restores region r's crashed replica via WAL replay and
 // rejoins it to the network.
 func (c *Cluster) RestartReplica(r simnet.Region) error {
-	rep := c.replicas[r]
-	if rep == nil {
-		return fmt.Errorf("cluster: no replica in region %q", r)
-	}
-	return rep.Restore()
+	return c.onNode(r, func(n node) error { return n.replica.Restore() })
 }
 
 // CrashCoordinator simulates a coordinator process failure in region r:
 // every transaction it was coordinating fails with mdcc.ErrCrashed.
 func (c *Cluster) CrashCoordinator(r simnet.Region) error {
-	coord := c.coords[r]
-	if coord == nil {
-		return fmt.Errorf("cluster: no coordinator in region %q", r)
-	}
-	coord.Crash()
-	return nil
+	return c.onNode(r, func(n node) error { n.coord.Crash(); return nil })
 }
 
 // RestartCoordinator rejoins region r's crashed coordinator to the network.
 func (c *Cluster) RestartCoordinator(r simnet.Region) error {
-	coord := c.coords[r]
-	if coord == nil {
-		return fmt.Errorf("cluster: no coordinator in region %q", r)
-	}
-	coord.Restart()
-	return nil
+	return c.onNode(r, func(n node) error { n.coord.Restart(); return nil })
 }
 
 // ScaleDuration converts an unscaled WAN duration into emulator time.
@@ -366,18 +263,26 @@ func (c *Cluster) UnscaleDuration(d time.Duration) time.Duration {
 	return time.Duration(float64(d) / c.scale)
 }
 
-// Close shuts the network down, then stops the virtual scheduler if the
-// cluster owns one (in that order, so Quiesce calls racing Close observe
-// the closed network and return instead of parking on a dead clock).
+// Close stops the lease managers, shuts the network down, closes every
+// node's WAL, then stops the virtual scheduler if the cluster owns one (the
+// network before the clock, so Quiesce calls racing Close observe the closed
+// network and return instead of parking on a dead clock).
 func (c *Cluster) Close() {
-	for _, m := range c.leaseMgrs {
-		m.Stop()
+	for _, n := range c.nodes {
+		if n.lease != nil {
+			n.lease.Stop()
+		}
 	}
 	if c.Net != nil {
 		c.Net.Close()
 	}
 	if c.RealNet != nil {
 		c.RealNet.Close()
+	}
+	for _, n := range c.nodes {
+		if n.wal != nil {
+			n.wal.Close() // callers that need the log durable Sync it first
+		}
 	}
 	if c.virt != nil {
 		c.virt.Shutdown()

@@ -8,7 +8,6 @@ package cluster_test
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -135,26 +134,13 @@ func simnetOutcomes(t *testing.T, seed int64, steps []eqStep) ([]bool, map[strin
 // on loopback, a planet DB on the us-west gateway node.
 func realnetOutcomes(t *testing.T, steps []eqStep) ([]bool, map[string]int64) {
 	t.Helper()
-	peers := make(map[simnet.Region]string, len(eqRegions))
-	for _, r := range eqRegions {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[r] = l.Addr().String()
-		l.Close()
-	}
+	peers := freePeers(t, eqRegions)
 	nodes := make(map[simnet.Region]*cluster.Cluster, len(eqRegions))
 	for _, r := range eqRegions {
-		nc, err := cluster.NewNode(cluster.NodeConfig{
-			Region:        r,
-			Peers:         peers,
-			CommitTimeout: 20 * time.Second,
-		})
+		nc, err := startNode(t, peers, r, cluster.NodeConfig{CommitTimeout: 20 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(nc.Close)
 		for _, k := range eqKeys {
 			nc.SeedInt(k, 50, 0, 100)
 		}
@@ -167,17 +153,9 @@ func realnetOutcomes(t *testing.T, steps []eqStep) ([]bool, map[string]int64) {
 	// The wire has no global view; the barrier polls every node's replica
 	// until it has recorded the decision.
 	barrier := func(id txn.ID) error {
-		deadline := time.Now().Add(10 * time.Second)
 		for _, r := range eqRegions {
-			rep := nodes[r].Replica(r)
-			for {
-				if _, ok := rep.Decisions()[id]; ok {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("replica %s never saw decision for %s", r, id)
-				}
-				time.Sleep(time.Millisecond)
+			if !waitDecided(nodes[r].Replica(r), id, 10*time.Second) {
+				return fmt.Errorf("replica %s never saw decision for %s", r, id)
 			}
 		}
 		return nil

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,26 +10,6 @@ import (
 	"planet/internal/simnet"
 	"planet/internal/vclock"
 )
-
-// keyspacesFor returns the lease keyspaces of a deployment: under static
-// mastership every key lives in the master region's single keyspace; under
-// hash mastership each region names the keyspace of the keys it masters by
-// default.
-func keyspacesFor(master simnet.Region, regionList []simnet.Region) []simnet.Region {
-	if master != "" {
-		return []simnet.Region{master}
-	}
-	return append([]simnet.Region(nil), regionList...)
-}
-
-// keyspaceOfFunc maps a key to its keyspace under the same split.
-func keyspaceOfFunc(master simnet.Region, regionList []simnet.Region) func(string) simnet.Region {
-	if master != "" {
-		return func(string) simnet.Region { return master }
-	}
-	list := append([]simnet.Region(nil), regionList...)
-	return func(key string) simnet.Region { return mdcc.MasterFor(key, list) }
-}
 
 // leaseMasterFor builds a coordinator routing function that consults the
 // local replica's lease view: keys route to the keyspace's current lease
@@ -45,14 +25,6 @@ func leaseMasterFor(rep *mdcc.Replica, keyspaceOf func(string) simnet.Region) fu
 		}
 		return simnet.Addr{Region: ks, Name: replicaName}
 	}
-}
-
-// rankedRegions returns the regions in sorted order — the shared rank order
-// every manager uses to stagger takeover attempts.
-func rankedRegions(regionList []simnet.Region) []simnet.Region {
-	ranked := append([]simnet.Region(nil), regionList...)
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i] < ranked[j] })
-	return ranked
 }
 
 // leaseManager drives one replica's lease acquisition, renewal, and
@@ -92,9 +64,10 @@ type leaseManager struct {
 func newLeaseManager(rep *mdcc.Replica, clk vclock.Clock, term time.Duration, keyspaces, regions []simnet.Region, self simnet.Region) *leaseManager {
 	m := &leaseManager{
 		rep: rep, clk: clk, term: term,
-		keyspaces: keyspaces, regions: regions, self: self,
+		keyspaces: keyspaces, regions: slices.Clone(regions), self: self,
 		started: clk.Now(),
 	}
+	slices.Sort(m.regions)
 	m.mu.Lock()
 	m.timer = clk.AfterFunc(0, m.tick)
 	m.mu.Unlock()

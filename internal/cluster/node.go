@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -34,22 +34,16 @@ type NodeConfig struct {
 	// (wal-<region>.jsonl) and recovers it on startup. Empty keeps the WAL
 	// in memory — crash durability off, tests only.
 	DataDir string
-	// CommitTimeout bounds a transaction's in-flight time, in real time
-	// (node mode runs unscaled). Defaults to DefaultCommitTimeout.
+	// CommitTimeout, PendingTTL, MasterRegion, MasterLeases and LeaseTerm
+	// mean what they mean in Config, with the same defaults, in real time:
+	// node mode runs unscaled. With MasterLeases, transport peer-down
+	// transitions poke the local lease manager so a dead master's keyspaces
+	// are reclaimed as soon as their leases lapse.
 	CommitTimeout time.Duration
-	// PendingTTL evicts orphaned pending options, in real time. Defaults
-	// to DefaultPendingTTL; negative disables eviction.
-	PendingTTL time.Duration
-	// MasterRegion, when non-empty, makes one region master for every key.
-	MasterRegion simnet.Region
-	// MasterLeases replaces the static master assignment with epoch-fenced
-	// leases (see Config.MasterLeases). Transport peer-down transitions poke
-	// the local lease manager so a dead master's keyspaces are reclaimed as
-	// soon as their leases lapse.
-	MasterLeases bool
-	// LeaseTerm is the lease duration in real time (node mode runs
-	// unscaled). Defaults to DefaultLeaseTerm.
-	LeaseTerm time.Duration
+	PendingTTL    time.Duration
+	MasterRegion  simnet.Region
+	MasterLeases  bool
+	LeaseTerm     time.Duration
 	// OnLeaseEvent, when non-nil, observes local lease transitions.
 	OnLeaseEvent func(mdcc.LeaseEvent)
 	// InboundDelay artificially delays every delivery (tests widening
@@ -61,24 +55,31 @@ type NodeConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// NewNode builds and starts one deployment node: a realnet transport bound
-// to the local address, the local replica (recovering any on-disk WAL), and
-// the local coordinator wired for graceful degradation when the transport
-// reports fast-quorum peers unreachable.
-//
-// The returned Cluster exposes the node through the same API the simnet
-// composition does, with maps populated only for the local region; Net is
-// nil and RealNet set.
-func NewNode(cfg NodeConfig) (*Cluster, error) {
-	if cfg.Region == "" {
-		return nil, fmt.Errorf("cluster: NodeConfig.Region is required")
-	}
-	if _, ok := cfg.Peers[cfg.Region]; !ok {
-		return nil, fmt.Errorf("cluster: local region %q missing from Peers", cfg.Region)
-	}
-	if len(cfg.Peers) < 2 {
-		return nil, fmt.Errorf("cluster: a deployment needs at least 2 regions, got %d", len(cfg.Peers))
-	}
+// replicaName and coordName are the per-region endpoint names.
+const (
+	replicaName = "replica"
+	coordName   = "coord"
+)
+
+// spec is what every node of one deployment shares: the region list, the
+// mastership rule and the effective (already time-scaled) timeouts.
+type spec struct {
+	regions       []simnet.Region
+	replicaAddrs  []simnet.Addr
+	master        simnet.Region // "" for key-hash mastership
+	commitTimeout time.Duration
+	pendingTTL    time.Duration // 0 disables eviction
+	earlyAbort    bool
+	unreachable   func(simnet.Region) bool
+
+	leases       bool
+	leaseTerm    time.Duration // 0 without leases
+	onLeaseEvent func(simnet.Region, mdcc.LeaseEvent)
+}
+
+// newSpec fills cfg's zero timeouts with the defaults, checks its master
+// region against regionList, and scales the timeouts by cfg.TimeScale.
+func newSpec(cfg Config, regionList []simnet.Region) (spec, error) {
 	if cfg.CommitTimeout == 0 {
 		cfg.CommitTimeout = DefaultCommitTimeout
 	}
@@ -91,6 +92,130 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 	if cfg.LeaseTerm == 0 {
 		cfg.LeaseTerm = DefaultLeaseTerm
 	}
+	if cfg.MasterRegion != "" && !slices.Contains(regionList, cfg.MasterRegion) {
+		return spec{}, fmt.Errorf("cluster: master region %q not in topology", cfg.MasterRegion)
+	}
+	scale := func(d time.Duration) time.Duration { return time.Duration(float64(d) * cfg.TimeScale) }
+	s := spec{
+		regions:       regionList,
+		replicaAddrs:  make([]simnet.Addr, len(regionList)),
+		master:        cfg.MasterRegion,
+		commitTimeout: scale(cfg.CommitTimeout),
+		pendingTTL:    scale(cfg.PendingTTL),
+		earlyAbort:    cfg.EarlyAbort,
+		onLeaseEvent:  cfg.OnLeaseEvent,
+		leases:        cfg.MasterLeases,
+	}
+	for i, r := range regionList {
+		s.replicaAddrs[i] = simnet.Addr{Region: r, Name: replicaName}
+	}
+	if s.leases {
+		s.leaseTerm = scale(cfg.LeaseTerm)
+	}
+	return s, nil
+}
+
+// keyspaceOf names key's keyspace after the region that masters it
+// statically: the master region for every key, or the key's hash across the
+// regions.
+func (s *spec) keyspaceOf(key string) simnet.Region {
+	if s.master != "" {
+		return s.master
+	}
+	return mdcc.MasterFor(key, s.regions)
+}
+
+// masterFor routes key to its static master's replica.
+func (s *spec) masterFor(key string) simnet.Addr {
+	return simnet.Addr{Region: s.keyspaceOf(key), Name: replicaName}
+}
+
+// keyspaces lists the lease keyspaces: the master region's alone, or one
+// per region under hash mastership.
+func (s *spec) keyspaces() []simnet.Region {
+	if s.master != "" {
+		return []simnet.Region{s.master}
+	}
+	return slices.Clone(s.regions)
+}
+
+// node is one region's share of a deployment.
+type node struct {
+	replica *mdcc.Replica
+	coord   *mdcc.Coordinator
+	wal     *mdcc.WAL     // nil when the region logs nothing
+	lease   *leaseManager // nil until startLeases, and without master leases
+}
+
+// newNode registers region's replica on net, turns on its leases and lease
+// routing when s has them, then registers its coordinator. The lease
+// manager starts later, in startLeases.
+func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (node, error) {
+	n := node{wal: wal}
+	n.replica = mdcc.NewReplica(mdcc.ReplicaConfig{
+		Net:        net,
+		Addr:       simnet.Addr{Region: region, Name: replicaName},
+		Peers:      s.replicaAddrs,
+		PendingTTL: s.pendingTTL,
+		WAL:        wal,
+	})
+	masterFor := s.masterFor
+	if s.leases {
+		var onEvent func(mdcc.LeaseEvent)
+		if s.onLeaseEvent != nil {
+			onEvent = func(ev mdcc.LeaseEvent) { s.onLeaseEvent(region, ev) }
+		}
+		n.replica.EnableLeases(mdcc.LeaseConfig{
+			Term:       s.leaseTerm,
+			Keyspaces:  s.keyspaces(),
+			KeyspaceOf: s.keyspaceOf,
+			OnEvent:    onEvent,
+		})
+		masterFor = leaseMasterFor(n.replica, s.keyspaceOf)
+	}
+	var err error
+	n.coord, err = mdcc.NewCoordinator(mdcc.CoordinatorConfig{
+		Net:           net,
+		Addr:          simnet.Addr{Region: region, Name: coordName},
+		Replicas:      s.replicaAddrs,
+		MasterFor:     masterFor,
+		CommitTimeout: s.commitTimeout,
+		Unreachable:   s.unreachable,
+		EarlyAbort:    s.earlyAbort,
+	})
+	return n, err
+}
+
+// startLeases starts the lease manager of each node in region order, when
+// the deployment has master leases. Both constructors call it once every
+// node of the process is registered.
+func (c *Cluster) startLeases() {
+	for _, r := range c.spec.regions {
+		if n, ok := c.nodes[r]; ok && c.spec.leases {
+			n.lease = newLeaseManager(n.replica, c.clk, c.spec.leaseTerm, c.spec.keyspaces(), c.spec.regions, r)
+			c.nodes[r] = n
+		}
+	}
+}
+
+// NewNode builds and starts one deployment node: a realnet transport bound
+// to the local address, and the local region's node over it, with the WAL
+// recovered from disk and the coordinator wired for graceful degradation
+// when the transport reports fast-quorum peers unreachable.
+//
+// The returned Cluster exposes the node through the same API the simnet
+// composition does, holding only the local region's node; Net is nil and
+// RealNet set.
+func NewNode(cfg NodeConfig) (*Cluster, error) {
+	if cfg.Region == "" {
+		return nil, fmt.Errorf("cluster: NodeConfig.Region is required")
+	}
+	if _, ok := cfg.Peers[cfg.Region]; !ok {
+		return nil, fmt.Errorf("cluster: local region %q missing from Peers", cfg.Region)
+	}
+	if len(cfg.Peers) < 2 {
+		return nil, fmt.Errorf("cluster: a deployment needs at least 2 regions, got %d", len(cfg.Peers))
+	}
 
 	// The region list — and with it FastQuorum, ClassicQuorum, and
 	// MasterFor — must be identical on every node: derive it from the
@@ -99,11 +224,23 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 	for r := range cfg.Peers {
 		regionList = append(regionList, r)
 	}
-	sort.Slice(regionList, func(i, j int) bool { return regionList[i] < regionList[j] })
-	if cfg.MasterRegion != "" {
-		if _, ok := cfg.Peers[cfg.MasterRegion]; !ok {
-			return nil, fmt.Errorf("cluster: master region %q not in Peers", cfg.MasterRegion)
-		}
+	slices.Sort(regionList)
+	var onLeaseEvent func(simnet.Region, mdcc.LeaseEvent)
+	if cfg.OnLeaseEvent != nil {
+		onLeaseEvent = func(_ simnet.Region, ev mdcc.LeaseEvent) { cfg.OnLeaseEvent(ev) }
+	}
+	// Node mode runs unscaled: every timeout is real time.
+	s, err := newSpec(Config{
+		TimeScale:     1,
+		CommitTimeout: cfg.CommitTimeout,
+		PendingTTL:    cfg.PendingTTL,
+		MasterRegion:  cfg.MasterRegion,
+		MasterLeases:  cfg.MasterLeases,
+		LeaseTerm:     cfg.LeaseTerm,
+		OnLeaseEvent:  onLeaseEvent,
+	}, regionList)
+	if err != nil {
+		return nil, err
 	}
 
 	remote := make(map[simnet.Region]string, len(cfg.Peers)-1)
@@ -144,83 +281,37 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 		return nil, err
 	}
 
+	s.unreachable = rn.Unreachable
 	c := &Cluster{
 		RealNet:  rn,
 		Topology: regions.Topology{Regions: regionList},
-		replicas: make(map[simnet.Region]*mdcc.Replica, 1),
-		coords:   make(map[simnet.Region]*mdcc.Coordinator, 1),
-		wals:     make(map[simnet.Region]*mdcc.WAL, 1),
+		nodes:    make(map[simnet.Region]node, 1),
+		spec:     s,
 		scale:    1,
-		timeout:  cfg.CommitTimeout,
 		clk:      rn.Clock(),
 	}
 
-	var wal *mdcc.WAL
+	wal := mdcc.NewWAL(nil)
 	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			rn.Close()
 			return nil, fmt.Errorf("cluster: data dir: %w", err)
 		}
 		path := filepath.Join(cfg.DataDir, fmt.Sprintf("wal-%s.jsonl", cfg.Region))
-		w, recovered, torn, err := mdcc.OpenWALFile(path)
-		if err != nil {
+		if wal, c.walRecovered, c.walTorn, err = mdcc.OpenWALFile(path); err != nil {
 			rn.Close()
 			return nil, err
 		}
-		wal, c.walRecovered, c.walTorn = w, recovered, torn
-	} else {
-		wal = mdcc.NewWAL(nil)
 	}
-	c.wals[cfg.Region] = wal
-
-	replicaAddrs := make([]simnet.Addr, len(regionList))
-	for i, r := range regionList {
-		replicaAddrs[i] = simnet.Addr{Region: r, Name: replicaName}
-	}
-	masterFor := func(key string) simnet.Addr {
-		if cfg.MasterRegion != "" {
-			return simnet.Addr{Region: cfg.MasterRegion, Name: replicaName}
-		}
-		return simnet.Addr{Region: mdcc.MasterFor(key, regionList), Name: replicaName}
-	}
-
-	c.replicas[cfg.Region] = mdcc.NewReplica(mdcc.ReplicaConfig{
-		Net:        rn,
-		Addr:       simnet.Addr{Region: cfg.Region, Name: replicaName},
-		Peers:      replicaAddrs,
-		PendingTTL: cfg.PendingTTL,
-		WAL:        wal,
-	})
-	if cfg.MasterLeases {
-		c.leaseTerm = cfg.LeaseTerm
-		keyspaceOf := keyspaceOfFunc(cfg.MasterRegion, regionList)
-		c.replicas[cfg.Region].EnableLeases(mdcc.LeaseConfig{
-			Term:       cfg.LeaseTerm,
-			Keyspaces:  keyspacesFor(cfg.MasterRegion, regionList),
-			KeyspaceOf: keyspaceOf,
-			OnEvent:    cfg.OnLeaseEvent,
-		})
-		masterFor = leaseMasterFor(c.replicas[cfg.Region], keyspaceOf)
-	}
-	coord, err := mdcc.NewCoordinator(mdcc.CoordinatorConfig{
-		Net:           rn,
-		Addr:          simnet.Addr{Region: cfg.Region, Name: coordName},
-		Replicas:      replicaAddrs,
-		MasterFor:     masterFor,
-		CommitTimeout: cfg.CommitTimeout,
-		Unreachable:   rn.Unreachable,
-	})
+	n, err := newNode(rn, cfg.Region, wal, &c.spec)
 	if err != nil {
 		rn.Close()
+		wal.Close()
 		return nil, err
 	}
-	c.coords[cfg.Region] = coord
-	if cfg.MasterLeases {
-		m := newLeaseManager(c.replicas[cfg.Region], rn.Clock(), cfg.LeaseTerm,
-			keyspacesFor(cfg.MasterRegion, regionList), rankedRegions(regionList), cfg.Region)
-		leaseMgr.Store(m)
-		c.leaseMgrs = append(c.leaseMgrs, m)
-	}
+	c.nodes[cfg.Region] = n
+	c.startLeases()
+	leaseMgr.Store(c.nodes[cfg.Region].lease)
 	return c, nil
 }
 

@@ -1,8 +1,8 @@
-// Package latency provides the probability machinery under PLANET's
-// commit-likelihood predictor and the WAN emulator: parametric delay
-// distributions (log-normal with an offset floor), empirical distributions
-// built from streamed samples, quantile and CDF queries, moment fitting,
-// and convolution of independent delays.
+// Package latency provides the delay models under the WAN emulator and
+// PLANET's commit-likelihood predictor: parametric link delays the emulator
+// samples (log-normal with an offset floor, or constant), and a windowed
+// Recorder of observed delays the predictor queries for CDF values and
+// quantiles.
 //
 // All durations are expressed as time.Duration. Distributions are immutable
 // once constructed and safe for concurrent use; the streaming Recorder is
@@ -10,10 +10,8 @@
 package latency
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -21,12 +19,6 @@ import (
 type Dist interface {
 	// Sample draws one delay using rng.
 	Sample(rng *rand.Rand) time.Duration
-	// CDF returns P(X <= d).
-	CDF(d time.Duration) float64
-	// Quantile returns the smallest d with CDF(d) >= p, for p in [0,1].
-	Quantile(p float64) time.Duration
-	// Mean returns the expected delay.
-	Mean() time.Duration
 }
 
 // LogNormal is a log-normal delay distribution shifted by a constant Floor:
@@ -58,179 +50,8 @@ func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
 	return l.Floor + time.Duration(v)
 }
 
-// CDF implements Dist.
-func (l LogNormal) CDF(d time.Duration) float64 {
-	if d <= l.Floor {
-		return 0
-	}
-	if l.Sigma == 0 {
-		if float64(d-l.Floor) >= math.Exp(l.Mu) {
-			return 1
-		}
-		return 0
-	}
-	z := (math.Log(float64(d-l.Floor)) - l.Mu) / l.Sigma
-	return stdNormalCDF(z)
-}
-
-// Quantile implements Dist.
-func (l LogNormal) Quantile(p float64) time.Duration {
-	switch {
-	case p <= 0:
-		return l.Floor
-	case p >= 1:
-		// The support is unbounded; return a far-tail point.
-		p = 1 - 1e-9
-	}
-	z := stdNormalQuantile(p)
-	return l.Floor + time.Duration(math.Exp(l.Mu+l.Sigma*z))
-}
-
-// Mean implements Dist.
-func (l LogNormal) Mean() time.Duration {
-	return l.Floor + time.Duration(math.Exp(l.Mu+l.Sigma*l.Sigma/2))
-}
-
-// String implements fmt.Stringer.
-func (l LogNormal) String() string {
-	return fmt.Sprintf("lognormal(floor=%s, median=%s, sigma=%.2f)",
-		l.Floor, time.Duration(math.Exp(l.Mu)), l.Sigma)
-}
-
 // Constant is a degenerate distribution: every sample equals D.
 type Constant time.Duration
 
 // Sample implements Dist.
 func (c Constant) Sample(*rand.Rand) time.Duration { return time.Duration(c) }
-
-// CDF implements Dist.
-func (c Constant) CDF(d time.Duration) float64 {
-	if d >= time.Duration(c) {
-		return 1
-	}
-	return 0
-}
-
-// Quantile implements Dist.
-func (c Constant) Quantile(float64) time.Duration { return time.Duration(c) }
-
-// Mean implements Dist.
-func (c Constant) Mean() time.Duration { return time.Duration(c) }
-
-// Empirical is a distribution backed by a sorted sample set. It answers CDF
-// and quantile queries by interpolation over the samples, which is exactly
-// what the predictor wants when it has observed real message delays.
-type Empirical struct {
-	sorted []time.Duration // ascending
-	mean   time.Duration
-}
-
-// NewEmpirical builds an Empirical distribution from samples. It copies and
-// sorts the input. At least one sample is required.
-func NewEmpirical(samples []time.Duration) (*Empirical, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("latency: empirical distribution needs at least one sample")
-	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var sum float64
-	for _, d := range s {
-		sum += float64(d)
-	}
-	return &Empirical{sorted: s, mean: time.Duration(sum / float64(len(s)))}, nil
-}
-
-// N returns the number of samples backing the distribution.
-func (e *Empirical) N() int { return len(e.sorted) }
-
-// Sample implements Dist by drawing a uniform sample.
-func (e *Empirical) Sample(rng *rand.Rand) time.Duration {
-	return e.sorted[rng.Intn(len(e.sorted))]
-}
-
-// CDF implements Dist.
-func (e *Empirical) CDF(d time.Duration) float64 {
-	// Count of samples <= d, by binary search for the first sample > d.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > d })
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile implements Dist.
-func (e *Empirical) Quantile(p float64) time.Duration {
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	idx := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(e.sorted) {
-		idx = len(e.sorted) - 1
-	}
-	return e.sorted[idx]
-}
-
-// Mean implements Dist.
-func (e *Empirical) Mean() time.Duration { return e.mean }
-
-// FitLogNormal fits a shifted log-normal to samples by using the observed
-// minimum as the floor estimate (shrunk slightly so the minimum itself has
-// non-zero density) and moment matching on the log of the remainder.
-func FitLogNormal(samples []time.Duration) (LogNormal, error) {
-	if len(samples) < 2 {
-		return LogNormal{}, fmt.Errorf("latency: fit needs at least 2 samples, got %d", len(samples))
-	}
-	minS := samples[0]
-	for _, s := range samples {
-		if s < minS {
-			minS = s
-		}
-	}
-	floor := time.Duration(float64(minS) * 0.9)
-	var sum, sumSq float64
-	n := 0
-	for _, s := range samples {
-		v := float64(s - floor)
-		if v <= 0 {
-			continue
-		}
-		lv := math.Log(v)
-		sum += lv
-		sumSq += lv * lv
-		n++
-	}
-	if n < 2 {
-		return LogNormal{}, fmt.Errorf("latency: fit degenerate after floor subtraction")
-	}
-	mu := sum / float64(n)
-	variance := sumSq/float64(n) - mu*mu
-	if variance < 0 {
-		variance = 0
-	}
-	return LogNormal{Floor: floor, Mu: mu, Sigma: math.Sqrt(variance)}, nil
-}
-
-// stdNormalCDF is the standard normal CDF via the complementary error
-// function (math.Erfc), accurate over the full range.
-func stdNormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// stdNormalQuantile inverts stdNormalCDF with bisection; it is only used on
-// construction/lookup paths, never per message, so simplicity wins.
-func stdNormalQuantile(p float64) float64 {
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if stdNormalCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -3,8 +3,8 @@ package latency
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -18,41 +18,22 @@ func TestLogNormalSampleAboveFloor(t *testing.T) {
 	}
 }
 
+// The median of the samples is floor+median, as NewLogNormal documents.
 func TestLogNormalMedian(t *testing.T) {
 	d := NewLogNormal(10*time.Millisecond, 5*time.Millisecond, 0.4)
-	got := d.Quantile(0.5)
-	want := 15 * time.Millisecond
-	if diff := got - want; diff < -time.Millisecond || diff > time.Millisecond {
-		t.Errorf("median = %v, want ≈ %v", got, want)
+	rng := rand.New(rand.NewSource(2))
+	samples := make([]time.Duration, 20001)
+	for i := range samples {
+		samples[i] = d.Sample(rng)
+	}
+	slices.Sort(samples)
+	got, want := samples[len(samples)/2], 15*time.Millisecond
+	if diff := got - want; diff < -100*time.Microsecond || diff > 100*time.Microsecond {
+		t.Errorf("sample median = %v, want ≈ %v", got, want)
 	}
 }
 
-func TestLogNormalCDFQuantileInverse(t *testing.T) {
-	d := NewLogNormal(2*time.Millisecond, 3*time.Millisecond, 0.5)
-	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		q := d.Quantile(p)
-		back := d.CDF(q)
-		if math.Abs(back-p) > 0.01 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, back)
-		}
-	}
-}
-
-func TestLogNormalCDFMonotone(t *testing.T) {
-	d := NewLogNormal(time.Millisecond, 2*time.Millisecond, 0.7)
-	f := func(aMs, bMs uint16) bool {
-		a := time.Duration(aMs) * time.Millisecond / 4
-		b := time.Duration(bMs) * time.Millisecond / 4
-		if a > b {
-			a, b = b, a
-		}
-		return d.CDF(a) <= d.CDF(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
+// The mean of the samples is the log-normal mean, Floor + exp(Mu+Sigma²/2).
 func TestLogNormalMeanMatchesSamples(t *testing.T) {
 	d := NewLogNormal(8*time.Millisecond, 4*time.Millisecond, 0.3)
 	rng := rand.New(rand.NewSource(2))
@@ -62,8 +43,9 @@ func TestLogNormalMeanMatchesSamples(t *testing.T) {
 		sum += float64(d.Sample(rng))
 	}
 	sampleMean := time.Duration(sum / n)
-	if ratio := float64(sampleMean) / float64(d.Mean()); ratio < 0.98 || ratio > 1.02 {
-		t.Errorf("sample mean %v vs analytic mean %v (ratio %.3f)", sampleMean, d.Mean(), ratio)
+	mean := d.Floor + time.Duration(math.Exp(d.Mu+d.Sigma*d.Sigma/2))
+	if ratio := float64(sampleMean) / float64(mean); ratio < 0.98 || ratio > 1.02 {
+		t.Errorf("sample mean %v vs analytic mean %v (ratio %.3f)", sampleMean, mean, ratio)
 	}
 }
 
@@ -71,138 +53,5 @@ func TestConstant(t *testing.T) {
 	c := Constant(7 * time.Millisecond)
 	if c.Sample(nil) != 7*time.Millisecond {
 		t.Error("sample not constant")
-	}
-	if c.CDF(6*time.Millisecond) != 0 || c.CDF(7*time.Millisecond) != 1 {
-		t.Error("constant CDF wrong")
-	}
-	if c.Mean() != 7*time.Millisecond || c.Quantile(0.3) != 7*time.Millisecond {
-		t.Error("constant mean/quantile wrong")
-	}
-}
-
-func TestEmpiricalBasics(t *testing.T) {
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Fatal("empty sample set accepted")
-	}
-	samples := []time.Duration{5, 1, 3, 2, 4}
-	e, err := NewEmpirical(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.N() != 5 {
-		t.Errorf("N=%d", e.N())
-	}
-	if e.Mean() != 3 {
-		t.Errorf("mean=%v, want 3", e.Mean())
-	}
-	if got := e.CDF(3); got != 0.6 {
-		t.Errorf("CDF(3)=%v, want 0.6", got)
-	}
-	if got := e.Quantile(0.5); got != 3 {
-		t.Errorf("Quantile(0.5)=%v, want 3", got)
-	}
-	if got := e.Quantile(0); got != 1 {
-		t.Errorf("Quantile(0)=%v, want 1", got)
-	}
-	if got := e.Quantile(1); got != 5 {
-		t.Errorf("Quantile(1)=%v, want 5", got)
-	}
-}
-
-func TestEmpiricalDoesNotAliasInput(t *testing.T) {
-	samples := []time.Duration{3, 1, 2}
-	e, err := NewEmpirical(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples[0] = 100
-	if e.Quantile(1) == 100 {
-		t.Error("empirical aliases caller's slice")
-	}
-}
-
-func TestEmpiricalCDFProperty(t *testing.T) {
-	f := func(raw []uint16, probe uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]time.Duration, len(raw))
-		for i, r := range raw {
-			samples[i] = time.Duration(r)
-		}
-		e, err := NewEmpirical(samples)
-		if err != nil {
-			return false
-		}
-		// CDF equals exact fraction of samples <= probe.
-		count := 0
-		for _, s := range samples {
-			if s <= time.Duration(probe) {
-				count++
-			}
-		}
-		want := float64(count) / float64(len(samples))
-		return math.Abs(e.CDF(time.Duration(probe))-want) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFitLogNormalRecoversParameters(t *testing.T) {
-	orig := NewLogNormal(20*time.Millisecond, 10*time.Millisecond, 0.25)
-	rng := rand.New(rand.NewSource(3))
-	samples := make([]time.Duration, 5000)
-	for i := range samples {
-		samples[i] = orig.Sample(rng)
-	}
-	fit, err := FitLogNormal(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fitted median should be close to the original's.
-	gotMed, wantMed := fit.Quantile(0.5), orig.Quantile(0.5)
-	if ratio := float64(gotMed) / float64(wantMed); ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("fitted median %v vs original %v", gotMed, wantMed)
-	}
-	// And the p95 should be in the same ballpark.
-	got95, want95 := fit.Quantile(0.95), orig.Quantile(0.95)
-	if ratio := float64(got95) / float64(want95); ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("fitted p95 %v vs original %v", got95, want95)
-	}
-}
-
-func TestFitLogNormalErrors(t *testing.T) {
-	if _, err := FitLogNormal([]time.Duration{time.Second}); err == nil {
-		t.Error("single sample accepted")
-	}
-	// Constant samples fit to a (valid) zero-sigma distribution whose
-	// median matches the constant.
-	fit, err := FitLogNormal([]time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("constant fit: %v", err)
-	}
-	if fit.Sigma != 0 {
-		t.Errorf("constant fit sigma=%v, want 0", fit.Sigma)
-	}
-	if med := fit.Quantile(0.5); med < 4*time.Millisecond || med > 6*time.Millisecond {
-		t.Errorf("constant fit median=%v, want ≈5ms", med)
-	}
-}
-
-func TestStdNormal(t *testing.T) {
-	cases := []struct{ z, p float64 }{
-		{0, 0.5},
-		{1.6449, 0.95},
-		{-1.6449, 0.05},
-		{2.3263, 0.99},
-	}
-	for _, tc := range cases {
-		if got := stdNormalCDF(tc.z); math.Abs(got-tc.p) > 1e-3 {
-			t.Errorf("stdNormalCDF(%v)=%v, want %v", tc.z, got, tc.p)
-		}
-		if got := stdNormalQuantile(tc.p); math.Abs(got-tc.z) > 1e-3 {
-			t.Errorf("stdNormalQuantile(%v)=%v, want %v", tc.p, got, tc.z)
-		}
 	}
 }

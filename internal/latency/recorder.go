@@ -21,7 +21,6 @@ type Recorder struct {
 	next    int
 	filled  bool
 	count   uint64
-	sum     float64 // running sum over the whole history, for TotalMean
 	dirty   bool
 	sortedC []time.Duration // cached sorted copy of the window
 }
@@ -50,7 +49,6 @@ func (r *Recorder) Observe(d time.Duration) {
 		r.filled = true
 	}
 	r.count++
-	r.sum += float64(d)
 	r.dirty = true
 }
 
@@ -71,21 +69,6 @@ func (r *Recorder) sortedLocked() []time.Duration {
 		r.dirty = false
 	}
 	return r.sortedC
-}
-
-// Snapshot returns an immutable Empirical distribution over the current
-// window, or ok=false if no samples have been observed yet.
-func (r *Recorder) Snapshot() (*Empirical, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
-		return nil, false
-	}
-	e, err := NewEmpirical(r.ring)
-	if err != nil {
-		return nil, false
-	}
-	return e, true
 }
 
 // CDF returns the fraction of windowed samples <= d. With no samples it
@@ -128,30 +111,6 @@ func (r *Recorder) Quantile(p float64) (time.Duration, bool) {
 		idx = len(s) - 1
 	}
 	return s[idx], true
-}
-
-// WindowMean returns the mean of the current window; ok=false with no samples.
-func (r *Recorder) WindowMean() (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, d := range r.ring {
-		sum += float64(d)
-	}
-	return time.Duration(sum / float64(len(r.ring))), true
-}
-
-// TotalMean returns the mean over every sample ever observed.
-func (r *Recorder) TotalMean() (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.count == 0 {
-		return 0, false
-	}
-	return time.Duration(r.sum / float64(r.count)), true
 }
 
 // Sample draws a random sample from the window, or ok=false when empty.

@@ -13,12 +13,6 @@ func TestRecorderEmpty(t *testing.T) {
 	if _, ok := r.Quantile(0.5); ok {
 		t.Error("quantile on empty recorder")
 	}
-	if _, ok := r.WindowMean(); ok {
-		t.Error("mean on empty recorder")
-	}
-	if _, ok := r.Snapshot(); ok {
-		t.Error("snapshot on empty recorder")
-	}
 	if got := r.CDF(time.Second); got != 0 {
 		t.Errorf("CDF on empty = %v", got)
 	}
@@ -55,12 +49,6 @@ func TestRecorderWindowEviction(t *testing.T) {
 	if r.Count() != 32 {
 		t.Errorf("total count=%d, want 32", r.Count())
 	}
-	if m, _ := r.WindowMean(); m != time.Millisecond {
-		t.Errorf("window mean=%v", m)
-	}
-	if m, _ := r.TotalMean(); m != (time.Second+time.Millisecond)/2 {
-		t.Errorf("total mean=%v", m)
-	}
 }
 
 func TestRecorderNegativeClamped(t *testing.T) {
@@ -79,20 +67,6 @@ func TestRecorderSample(t *testing.T) {
 	r.Observe(3 * time.Millisecond)
 	if s, ok := r.Sample(rand.New(rand.NewSource(1))); !ok || s != 3*time.Millisecond {
 		t.Errorf("sample=%v ok=%v", s, ok)
-	}
-}
-
-func TestRecorderSnapshotMatchesWindow(t *testing.T) {
-	r := NewRecorder(32)
-	for i := 1; i <= 32; i++ {
-		r.Observe(time.Duration(i))
-	}
-	e, ok := r.Snapshot()
-	if !ok || e.N() != 32 {
-		t.Fatalf("snapshot N=%d ok=%v", e.N(), ok)
-	}
-	if e.Quantile(1) != 32 {
-		t.Errorf("snapshot max=%v", e.Quantile(1))
 	}
 }
 

@@ -51,6 +51,7 @@ type WAL struct {
 	sink    io.Writer
 	enc     *json.Encoder
 	err     error
+	closed  bool
 }
 
 // NewWAL returns a WAL. sink may be nil for memory-only logging.
@@ -92,10 +93,32 @@ func (w *WAL) Err() error {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.syncLocked()
+}
+
+func (w *WAL) syncLocked() error {
 	if s, ok := w.sink.(interface{ Sync() error }); ok {
 		return s.Sync()
 	}
 	return nil
+}
+
+// Close syncs the sink, then closes it when it is closable (an *os.File
+// is). A memory-only WAL has nothing to close, and a second Close is a
+// no-op. Appends after Close record an error (see Err).
+func (w *WAL) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	c, ok := w.sink.(io.Closer)
+	if !ok || w.closed {
+		return nil
+	}
+	w.closed = true
+	err := w.syncLocked()
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // OpenWALFile opens (creating if needed) a durable WAL at path, recovers the
@@ -109,15 +132,21 @@ func OpenWALFile(path string) (w *WAL, recovered int, torn bool, err error) {
 		return nil, 0, false, fmt.Errorf("mdcc: open wal: %w", err)
 	}
 	entries, good, torn := readWAL(f)
-	if torn {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, 0, false, fmt.Errorf("mdcc: truncate torn wal: %w", err)
-		}
+	// Cut the file back to the end of its last whole record, then end that
+	// record's line, so the next append starts a line of its own.
+	if err := f.Truncate(good); err != nil {
+		f.Close()
+		return nil, 0, false, fmt.Errorf("mdcc: truncate wal: %w", err)
 	}
 	if _, err := f.Seek(good, io.SeekStart); err != nil {
 		f.Close()
 		return nil, 0, false, fmt.Errorf("mdcc: seek wal: %w", err)
+	}
+	if good > 0 {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, 0, false, fmt.Errorf("mdcc: end wal line: %w", err)
+		}
 	}
 	w = NewWAL(f)
 	w.entries = entries

@@ -2,6 +2,11 @@ package mdcc
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"planet/internal/txn"
@@ -120,5 +125,89 @@ func TestWALCrashReplayConsistency(t *testing.T) {
 	}
 	if _, ok := decided[14]; ok {
 		t.Error("torn txn-14 leaked into the decided map")
+	}
+}
+
+// appendFile opens the WAL at path, appends entries and closes it.
+func appendFile(t *testing.T, path string, entries ...Entry) {
+	t.Helper()
+	w, _, _, err := OpenWALFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		w.Append(e)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkLines requires the file at path to hold want lines, each of them
+// exactly one Entry.
+func checkLines(t *testing.T, path string, want int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) != want {
+		t.Errorf("file has %d lines, want %d:\n%s", len(lines), want, raw)
+	}
+	for i, line := range lines {
+		dec := json.NewDecoder(strings.NewReader(line))
+		var e Entry
+		if err := dec.Decode(&e); err != nil || dec.More() {
+			t.Errorf("line %d is not exactly one entry (err=%v): %s", i+1, err, line)
+		}
+	}
+}
+
+// TestWALReopenAppendsOnAFreshLine: records appended after a reopen start a
+// line of their own, whether the file ended cleanly or in a torn record.
+func TestWALReopenAppendsOnAFreshLine(t *testing.T) {
+	e := func(id txn.ID) Entry {
+		return Entry{Txn: id, Commit: true, Options: walOps(txn.Op{Kind: txn.OpAdd, Key: "n", Delta: 1})}
+	}
+	t.Run("clean", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "wal.jsonl")
+		appendFile(t, path, e(1), e(2))
+		appendFile(t, path, e(3))
+		checkLines(t, path, 3)
+		appendFile(t, path)
+		appendFile(t, path, e(4))
+		checkLines(t, path, 4)
+	})
+	t.Run("torn", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "wal.jsonl")
+		if err := os.WriteFile(path, crashFile(t, []Entry{e(1), e(2), e(3)}, 10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		appendFile(t, path, e(4))
+		checkLines(t, path, 3)
+	})
+}
+
+func TestWALClose(t *testing.T) {
+	mem := NewWAL(nil)
+	if err := mem.Close(); err != nil {
+		t.Errorf("memory WAL Close = %v", err)
+	}
+	w, _, _, err := OpenWALFile(filepath.Join(t.TempDir(), "wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("Close = %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+	if err := w.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Sync after Close = %v, want os.ErrClosed", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count.
@@ -21,30 +20,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Throughput measures committed work over a wall-clock interval.
-type Throughput struct {
-	start time.Time
-	n     atomic.Uint64
-}
-
-// NewThroughput starts measuring now.
-func NewThroughput() *Throughput { return &Throughput{start: time.Now()} }
-
-// Record counts one completed unit.
-func (t *Throughput) Record() { t.n.Add(1) }
-
-// RatePerSec returns units per second since construction.
-func (t *Throughput) RatePerSec() float64 {
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.n.Load()) / el
-}
-
-// Count returns total recorded units.
-func (t *Throughput) Count() uint64 { return t.n.Load() }
 
 // Calibration is a reliability table for probability predictions: it buckets
 // predictions by value and tracks the realized positive rate per bucket.

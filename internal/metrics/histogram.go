@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives used by the PLANET
-// experiment harness: latency histograms with percentile and CDF queries,
-// simple counters, calibration (reliability) tables for the commit-likelihood
-// predictor, and throughput accounting.
+// experiment harness: latency histograms with percentile queries, simple
+// counters, and calibration (reliability) tables for the commit-likelihood
+// predictor.
 //
 // Everything here is safe for concurrent use unless documented otherwise,
 // because workload drivers record from many goroutines.
@@ -10,8 +10,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -190,32 +188,6 @@ func (h *Histogram) CumulativeBuckets() []BucketCount {
 	return out
 }
 
-// CDFPoints returns (duration, cumulative fraction) pairs suitable for
-// plotting the sample CDF, one point per non-empty bucket.
-func (h *Histogram) CDFPoints() []CDFPoint {
-	n := h.count.Load()
-	if n == 0 {
-		return nil
-	}
-	var pts []CDFPoint
-	var cum uint64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		pts = append(pts, CDFPoint{D: bucketMid(i), P: float64(cum) / float64(n)})
-	}
-	return pts
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	D time.Duration
-	P float64
-}
-
 // Summary is a fixed set of latency statistics for reporting.
 type Summary struct {
 	Count          uint64
@@ -255,17 +227,3 @@ func (s Summary) String() string {
 }
 
 func round(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
-
-// FormatCDF renders CDF points as a two-column table (for the harness).
-func FormatCDF(pts []CDFPoint, scale float64) string {
-	var b strings.Builder
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%12s  %.4f\n", time.Duration(float64(p.D)*scale).Round(time.Millisecond), p.P)
-	}
-	return b.String()
-}
-
-// SortDurations sorts a slice ascending (helper shared by reports).
-func SortDurations(s []time.Duration) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}

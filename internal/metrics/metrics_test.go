@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -14,9 +13,6 @@ func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram not zeroed")
-	}
-	if pts := h.CDFPoints(); pts != nil {
-		t.Errorf("CDF points on empty: %v", pts)
 	}
 }
 
@@ -57,28 +53,6 @@ func TestHistogramMeanExact(t *testing.T) {
 	}
 	if got := h.Mean(); got != 20*time.Millisecond {
 		t.Errorf("mean=%v, want 20ms", got)
-	}
-}
-
-func TestHistogramCDFPoints(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(i+1) * time.Millisecond)
-	}
-	pts := h.CDFPoints()
-	if len(pts) == 0 {
-		t.Fatal("no CDF points")
-	}
-	prevP := 0.0
-	prevD := time.Duration(0)
-	for _, pt := range pts {
-		if pt.P < prevP || pt.D < prevD {
-			t.Fatalf("CDF not monotone at %+v", pt)
-		}
-		prevP, prevD = pt.P, pt.D
-	}
-	if last := pts[len(pts)-1].P; math.Abs(last-1) > 1e-9 {
-		t.Errorf("final CDF point %v, want 1", last)
 	}
 }
 
@@ -163,20 +137,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	tp := NewThroughput()
-	for i := 0; i < 10; i++ {
-		tp.Record()
-	}
-	time.Sleep(10 * time.Millisecond)
-	if tp.Count() != 10 {
-		t.Errorf("count=%d", tp.Count())
-	}
-	if tp.RatePerSec() <= 0 {
-		t.Errorf("rate=%v", tp.RatePerSec())
-	}
-}
-
 func TestCalibrationDiagonal(t *testing.T) {
 	c := NewCalibration(10)
 	// Perfectly calibrated source: outcome ~ Bernoulli(p).
@@ -244,20 +204,5 @@ func TestLabeledSummaries(t *testing.T) {
 	bi := strings.Index(out, "b-series")
 	if ai < 0 || bi < 0 || ai > bi {
 		t.Errorf("labels not sorted:\n%s", out)
-	}
-}
-
-func TestFormatCDF(t *testing.T) {
-	out := FormatCDF([]CDFPoint{{D: time.Millisecond, P: 0.5}}, 2)
-	if !strings.Contains(out, "0.5000") || !strings.Contains(out, "2ms") {
-		t.Errorf("FormatCDF output %q", out)
-	}
-}
-
-func TestSortDurations(t *testing.T) {
-	s := []time.Duration{3, 1, 2}
-	SortDurations(s)
-	if s[0] != 1 || s[2] != 3 {
-		t.Errorf("sorted: %v", s)
 	}
 }

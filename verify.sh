@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the checks a change must pass before merging:
 # vet, full build, full test suite, then a race-detector pass over the
-# packages with the most concurrency (core, mdcc, obs).
+# packages with the most concurrency (core, mdcc, obs, and cluster, where a
+# node's transport goroutines reach its lease manager).
 set -eux
 
 # Static analysis first (go vet has been part of this gate since the seed;
@@ -14,7 +15,7 @@ go test ./...
 # breaks the frozen benchmark unnoticed.
 go vet -C benchmark ./...
 go test -C benchmark -short ./...
-go test -race -short ./internal/core ./internal/mdcc ./internal/obs
+go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/cluster
 # Chaos soak gate: fault schedules (partition + crash/WAL-recovery +
 # latency spike) must preserve the safety invariants under the race
 # detector, both under static mastership and under epoch-fenced master
