@@ -362,7 +362,7 @@ func runRealnet(f *flags) error {
 		return err
 	}
 
-	// Seed the baseline, then replay whatever the on-disk WAL recovered over
+	// Seed the image, then replay whatever the on-disk WAL recovered over
 	// it: a restarted node rejoins with every decision it had durably
 	// logged before the crash.
 	seedDemo(c)

@@ -266,7 +266,7 @@ func (e *Engine) CrashReplica(r simnet.Region) error {
 	return nil
 }
 
-// RestartReplica recovers region r's replica from its baseline and WAL.
+// RestartReplica recovers region r's replica from the seed image and its WAL.
 func (e *Engine) RestartReplica(r simnet.Region) error {
 	if err := e.cfg.Cluster.RestartReplica(r); err != nil {
 		return err

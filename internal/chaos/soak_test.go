@@ -11,7 +11,7 @@ package chaos_test
 //     within one replica's WAL or across replicas' WALs.
 //  3. Replay equality: for the same seed the generated schedule is
 //     identical, and every replica's live state equals the state rebuilt
-//     from its durable baseline + WAL replay (Restore).
+//     from the durable seed image + WAL replay (Restore).
 //
 // The harness runs a reduced size under -short (the verify.sh gate) but
 // never skips.
@@ -200,7 +200,7 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
 	}
 
 	// Invariant 3b — state replay equality: each replica's live state must
-	// equal the state rebuilt from its baseline + WAL (what a crash at
+	// equal the state rebuilt from the seed image + WAL (what a crash at
 	// this instant would recover to).
 	recoveries := uint64(0)
 	for _, r := range c.Regions() {
@@ -212,7 +212,7 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
 		}
 		after := replica.Snapshot()
 		if !reflect.DeepEqual(before, after) {
-			t.Errorf("%s: live state != baseline+WAL replay\nlive:     %+v\nreplayed: %+v", r, before, after)
+			t.Errorf("%s: live state != seed image + WAL replay\nlive:     %+v\nreplayed: %+v", r, before, after)
 		}
 	}
 

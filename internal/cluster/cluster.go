@@ -188,37 +188,28 @@ func (c *Cluster) Coordinator(r simnet.Region) *mdcc.Coordinator { return c.node
 // Config.WAL, or for an unknown region).
 func (c *Cluster) WALOf(r simnet.Region) *mdcc.WAL { return c.nodes[r].wal }
 
-// SeedBytes installs key=value at every replica (setup path).
+// SeedBytes installs key=value at every replica (setup path). It is written
+// once, into the deployment's seed image; each replica builds the key's
+// record from there when the protocol first touches it.
 func (c *Cluster) SeedBytes(key string, value []byte) {
-	for _, n := range c.nodes {
-		n.replica.SeedBytes(key, value)
-	}
+	c.spec.seeds.SeedBytes(key, value)
 }
 
 // SeedInt installs an integer record with integrity bounds at every replica.
 func (c *Cluster) SeedInt(key string, value, lo, hi int64) {
-	for _, n := range c.nodes {
-		n.replica.SeedInt(key, value, lo, hi)
-	}
+	c.spec.seeds.SeedInt(key, value, lo, hi)
 }
 
-// SeedBytesAll installs key=value for every key at every replica in one
-// lock acquisition per replica. A single private copy of value is shared
-// across all records and replicas; committed slices are never written in
-// place, so the sharing is invisible to readers.
+// SeedBytesAll installs key=value for every key at every replica (bulk form
+// of SeedBytes). One private copy of value is shared by every key.
 func (c *Cluster) SeedBytesAll(keys []string, value []byte) {
-	v := append([]byte(nil), value...)
-	for _, n := range c.nodes {
-		n.replica.SeedBytesAll(keys, v)
-	}
+	c.spec.seeds.SeedBytesAll(keys, value)
 }
 
 // SeedIntAll installs the same integer record with integrity bounds under
 // every key at every replica (bulk form of SeedInt).
 func (c *Cluster) SeedIntAll(keys []string, value, lo, hi int64) {
-	for _, n := range c.nodes {
-		n.replica.SeedIntAll(keys, value, lo, hi)
-	}
+	c.spec.seeds.SeedIntAll(keys, value, lo, hi)
 }
 
 // onNode runs fn on region r's node, or reports that r has none.
@@ -231,7 +222,7 @@ func (c *Cluster) onNode(r simnet.Region, fn func(node) error) error {
 
 // CrashReplica simulates a replica process failure in region r: the node
 // leaves the network and loses its in-memory state. RestartReplica recovers
-// it from its seeded baseline and WAL.
+// it from the seed image and its WAL.
 func (c *Cluster) CrashReplica(r simnet.Region) error {
 	return c.onNode(r, func(n node) error { n.replica.Crash(); return nil })
 }

@@ -62,7 +62,8 @@ const (
 )
 
 // spec is what every node of one deployment shares: the region list, the
-// mastership rule and the effective (already time-scaled) timeouts.
+// mastership rule, the effective (already time-scaled) timeouts and the seed
+// image every replica starts from.
 type spec struct {
 	regions       []simnet.Region
 	replicaAddrs  []simnet.Addr
@@ -71,6 +72,7 @@ type spec struct {
 	pendingTTL    time.Duration // 0 disables eviction
 	earlyAbort    bool
 	unreachable   func(simnet.Region) bool
+	seeds         *mdcc.SeedImage
 
 	leases       bool
 	leaseTerm    time.Duration // 0 without leases
@@ -105,6 +107,7 @@ func newSpec(cfg Config, regionList []simnet.Region) (spec, error) {
 		earlyAbort:    cfg.EarlyAbort,
 		onLeaseEvent:  cfg.OnLeaseEvent,
 		leases:        cfg.MasterLeases,
+		seeds:         new(mdcc.SeedImage),
 	}
 	for i, r := range regionList {
 		s.replicaAddrs[i] = simnet.Addr{Region: r, Name: replicaName}
@@ -158,6 +161,7 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 		Peers:      s.replicaAddrs,
 		PendingTTL: s.pendingTTL,
 		WAL:        wal,
+		Seeds:      s.seeds,
 	})
 	masterFor := s.masterFor
 	if s.leases {
@@ -317,7 +321,7 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 
 // WALRecovered reports how many decision entries the node recovered from
 // its on-disk WAL at startup (node mode; 0 otherwise). Callers seed the
-// baseline, then RestartReplica replays these over it.
+// image, then RestartReplica replays these over it.
 func (c *Cluster) WALRecovered() int { return c.walRecovered }
 
 // WALTorn reports whether the recovered WAL ended in a torn record that was

@@ -21,8 +21,9 @@ import (
 //   - mdcc.readSeq, mdcc.syncSeq and obs.spanSeq mint request and span ids:
 //     keys of a rendezvous map or a parent link, never ordered, sharded on or
 //     reported. A sibling arm only leaves gaps in a cluster's ids.
-//   - txn.NewID's global counter serves internal/baseline alone; a planet.DB
-//     mints transaction ids from its own per-region txn.IDSpace.
+//   - txn.NewID's global counter serves tests and the benchmark harness
+//     only; a planet.DB mints transaction ids from its own per-region
+//     txn.IDSpace.
 //   - simnet.deliveryPool and workload.rngPool hand out records that every
 //     Get fully rebinds (delivery) or reseeds (RNG).
 //

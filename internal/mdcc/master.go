@@ -257,14 +257,13 @@ func (r *Replica) startPhase1Locked(key string, ks *masterKey) []envelope {
 	ks.p1 = run
 
 	// Self-promise and self-report of pendings.
-	rc, sp := r.records.acquire(key)
+	rc := r.acquire(key)
 	if ks.ballot > rc.promised {
 		rc.promised = ks.ballot
 	}
 	for _, p := range rc.pending {
 		run.seen[p.txn] = &seenOption{op: p.op, count: 1}
 	}
-	sp.mu.Unlock()
 
 	var out []envelope
 	for _, peer := range r.cfg.Peers {
@@ -283,7 +282,7 @@ func (r *Replica) startPhase1Locked(key string, ks *masterKey) []envelope {
 // onPhase1a is the acceptor side of phase 1.
 func (r *Replica) onPhase1a(m phase1aMsg) {
 	r.mu.Lock()
-	rc, sp := r.records.acquire(m.Key)
+	rc := r.acquire(m.Key)
 	ok := m.Ballot >= rc.promised
 	if r.leaseFencedLocked(m.Key, m.Epoch) {
 		// The sender's lease epoch is older than the one this acceptor
@@ -300,7 +299,6 @@ func (r *Replica) onPhase1a(m phase1aMsg) {
 			resp.Pending = append(resp.Pending, pendingSnapshot{Txn: p.txn, Option: p.op, Ballot: p.ballot})
 		}
 	}
-	sp.mu.Unlock()
 	r.mu.Unlock()
 	r.send(m.Master, resp)
 }
@@ -398,10 +396,9 @@ func (r *Replica) sequenceLocked(ks *masterKey, p classicProposeMsg) []envelope 
 		}
 		return nil
 	}
-	rc, sp := r.records.acquire(key)
+	rc := r.acquire(key)
 	rc.evictStale(r.clk.Now(), r.cfg.PendingTTL)
 	reason := rc.validate(p.Option, ks.ballot, p.Txn)
-	sp.mu.Unlock()
 	if reason != ReasonNone {
 		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
 			Accepted: false, Reason: reason, TC: r.resultTC(p.TC.Span)}}}
@@ -413,10 +410,9 @@ func (r *Replica) sequenceLocked(ks *masterKey, p classicProposeMsg) []envelope 
 // locally, then asks its peers. Caller holds r.mu; returns staged messages.
 func (r *Replica) proposeAtMasterLocked(ks *masterKey, key string, id txn.ID, op txn.Op, coord *simnet.Addr, tc TraceCtx) []envelope {
 	now := r.clk.Now()
-	rc, sp := r.records.acquire(key)
+	rc := r.acquire(key)
 	rc.evictConflictingBelow(op, ks.ballot, id)
 	rc.addPending(id, op, ks.ballot, now)
-	sp.mu.Unlock()
 
 	selfBit, _ := r.regionBit(r.Region())
 	mo := &masterOption{
@@ -464,14 +460,13 @@ func (r *Replica) phase2aLocked(m phase2aItem, epoch uint64) phase2bItem {
 	} else if r.isDecided(m.Txn) {
 		accept = r.decided[m.Txn]
 	} else {
-		rc, sp := r.records.acquire(m.Key)
+		rc := r.acquire(m.Key)
 		if m.Ballot >= rc.promised {
 			rc.promised = m.Ballot
 			rc.evictConflictingBelow(m.Option, m.Ballot, m.Txn)
 			rc.addPending(m.Txn, m.Option, m.Ballot, r.clk.Now())
 			accept = true
 		}
-		sp.mu.Unlock()
 	}
 	return phase2bItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Accept: accept}
 }

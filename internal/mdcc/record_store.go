@@ -2,172 +2,149 @@ package mdcc
 
 import "sync"
 
-// recordStripes is the stripe count of the replica's record storage. 64
-// stripes keep a 1M-key keyspace from serializing every record touch on
-// one mutex: seeding, local reads, and snapshot scans each contend only
-// for the stripe a key hashes to, not the whole store.
-const recordStripes = 64
-
-// recordStore is the replica's key → record map, partitioned into
-// independently-locked stripes. Each stripe's RWMutex guards both the
-// stripe's map structure and the contents of every record in it, so
-// holding the stripe lock is necessary and sufficient to read or mutate a
-// record. Protocol handlers additionally hold the replica's protocol
-// mutex (r.mu) around multi-record critical sections, which preserves the
-// pre-stripe serialization of proposals against decides; the lock order
-// is always r.mu before stripe lock, and never two stripe locks at once.
-type recordStore struct {
-	stripes [recordStripes]recordStripe
+// SeedImage is a deployment's initial data, installed outside the protocol:
+// key → the committed value a replica's record starts from. Every replica
+// that starts from the same data shares one image (all regions of a
+// simulated cluster; the one replica of a node process), and the image
+// survives a replica crash, like a disk image. A replica builds a key's
+// record from the image the first time the protocol touches the key, so
+// seeding costs one image entry per key, not one record per key per replica.
+// The zero value is an empty image.
+type SeedImage struct {
+	mu       sync.RWMutex
+	seeds    map[string]record // value fields only: version 0, no pendings, no promise
+	replicas []*Replica        // replicas built from this image, refreshed by a re-seed
 }
 
-type recordStripe struct {
-	mu sync.RWMutex
-	m  map[string]*record
+// seed is one Seed call's effect on a record. A byte seed replaces the bytes
+// and marks the record non-integer; an integer seed replaces the integer and
+// its bounds. Other value fields, the version, the pendings and the promise
+// are kept, so re-seeding a key the protocol already touched leaves its
+// protocol state alone.
+type seed struct {
+	isInt  bool
+	bytes  []byte
+	ival   int64
+	lo, hi int64
 }
 
-func newRecordStore() *recordStore {
-	s := &recordStore{}
-	for i := range s.stripes {
-		s.stripes[i].m = make(map[string]*record)
-	}
-	return s
-}
-
-// stripeOf hashes key to its stripe (FNV-1a, folded to 6 bits).
-func stripeOf(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return (h ^ h>>16) % recordStripes
-}
-
-// acquire write-locks key's stripe and returns the record, creating it if
-// missing. The caller must Unlock the returned stripe's mu when done
-// touching the record.
-func (s *recordStore) acquire(key string) (*record, *recordStripe) {
-	sp := &s.stripes[stripeOf(key)]
-	sp.mu.Lock()
-	rc := sp.m[key]
-	if rc == nil {
-		rc = &record{}
-		sp.m[key] = rc
-	}
-	return rc, sp
-}
-
-// peek read-locks key's stripe and returns the record, or nil if the key
-// does not exist. The caller must RUnlock the returned stripe's mu.
-func (s *recordStore) peek(key string) (*record, *recordStripe) {
-	sp := &s.stripes[stripeOf(key)]
-	sp.mu.RLock()
-	return sp.m[key], sp
-}
-
-// forEach visits every record one stripe at a time under that stripe's
-// read lock. The view is per-stripe consistent, not a global cut —
-// callers that need cross-key atomicity (none do today: anti-entropy and
-// snapshots reconcile per key by version) must serialize writers
-// themselves.
-func (s *recordStore) forEach(f func(key string, rc *record)) {
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.RLock()
-		for k, rc := range sp.m {
-			f(k, rc)
-		}
-		sp.mu.RUnlock()
-	}
-}
-
-// seedAll bulk-installs records for keys, taking each stripe lock once
-// instead of once per key: indices are bucket-sorted by stripe (CSR
-// layout, two passes, one flat order array), then each stripe is locked
-// and all its keys inserted back to back. Fresh records come from one
-// contiguous array. apply initializes (or re-initializes) keys[i]'s
-// record; it runs under the key's stripe lock.
-func (s *recordStore) seedAll(keys []string, apply func(rc *record, i int)) {
-	n := len(keys)
-	if n == 0 {
+func (s *seed) applyTo(rc *record) {
+	if s.isInt {
+		rc.ival, rc.isInt, rc.bounded, rc.lo, rc.hi = s.ival, true, true, s.lo, s.hi
 		return
 	}
-	stripe := make([]uint8, n)
-	var count [recordStripes]int32
-	for i, k := range keys {
-		sp := uint8(stripeOf(k))
-		stripe[i] = sp
-		count[sp]++
+	rc.bytes, rc.isInt = s.bytes, false
+}
+
+// SeedBytes seeds key with a private copy of value.
+func (img *SeedImage) SeedBytes(key string, value []byte) {
+	img.SeedBytesAll([]string{key}, value)
+}
+
+// SeedInt seeds key with an integer value and its integrity bounds.
+func (img *SeedImage) SeedInt(key string, value, lo, hi int64) {
+	img.SeedIntAll([]string{key}, value, lo, hi)
+}
+
+// SeedBytesAll seeds every key with one private copy of value, shared by all
+// of them: committed slices are never written in place, so the sharing is
+// invisible to readers.
+func (img *SeedImage) SeedBytesAll(keys []string, value []byte) {
+	img.seed(keys, seed{bytes: append([]byte(nil), value...)})
+}
+
+// SeedIntAll seeds every key with the same integer value and bounds.
+func (img *SeedImage) SeedIntAll(keys []string, value, lo, hi int64) {
+	img.seed(keys, seed{isInt: true, ival: value, lo: lo, hi: hi})
+}
+
+// seed writes s under every key, then applies it to the records replicas
+// already built for those keys.
+func (img *SeedImage) seed(keys []string, s seed) {
+	img.mu.Lock()
+	if len(img.seeds) == 0 {
+		img.seeds = make(map[string]record, len(keys))
 	}
-	var off [recordStripes + 1]int32
-	for i := 0; i < recordStripes; i++ {
-		off[i+1] = off[i] + count[i]
+	for _, k := range keys {
+		rc := img.seeds[k]
+		s.applyTo(&rc)
+		img.seeds[k] = rc
 	}
-	order := make([]int32, n)
-	pos := off
-	for i := range keys {
-		sp := stripe[i]
-		order[pos[sp]] = int32(i)
-		pos[sp]++
-	}
-	recs := make([]record, n)
-	for spi := 0; spi < recordStripes; spi++ {
-		lo, hi := off[spi], off[spi+1]
-		if lo == hi {
-			continue
-		}
-		sp := &s.stripes[spi]
-		sp.mu.Lock()
-		for _, idx := range order[lo:hi] {
-			key := keys[idx]
-			rc := sp.m[key]
-			if rc == nil {
-				rc = &recs[idx]
-				sp.m[key] = rc
-			}
-			apply(rc, int(idx))
-		}
-		sp.mu.Unlock()
+	replicas := img.replicas
+	img.mu.Unlock()
+	for _, r := range replicas {
+		r.reseed(keys, &s)
 	}
 }
 
-// reserve pre-sizes every stripe for about n total keys ahead of a bulk
-// seed, so incremental map growth doesn't dominate setup. Only cold
-// (empty) stripes are replaced.
-func (s *recordStore) reserve(n int) {
-	if n <= 0 {
+// lookup returns key's seeded value, or the zero record when key is not
+// seeded.
+func (img *SeedImage) lookup(key string) (record, bool) {
+	img.mu.RLock()
+	rc, ok := img.seeds[key]
+	img.mu.RUnlock()
+	return rc, ok
+}
+
+// attach registers r as built from the image.
+func (img *SeedImage) attach(r *Replica) {
+	img.mu.Lock()
+	img.replicas = append(img.replicas, r)
+	img.mu.Unlock()
+}
+
+// recordSlab is how many records a replica allocates at once. Records are
+// built one key at a time, on first touch; carving them from a slab keeps
+// that from costing an allocation per key.
+const recordSlab = 64
+
+// acquire returns key's record, building it on first touch from the seed
+// image (empty, for a key the image lacks). Caller holds r.mu.
+func (r *Replica) acquire(key string) *record {
+	if rc := r.records[key]; rc != nil {
+		return rc
+	}
+	if len(r.slab) == 0 {
+		r.slab = make([]record, recordSlab)
+	}
+	rc := &r.slab[0]
+	r.slab = r.slab[1:]
+	*rc, _ = r.cfg.Seeds.lookup(key)
+	r.records[key] = rc
+	return rc
+}
+
+// reseed applies s to the records this replica already built for keys.
+// Untouched keys pick the seed up from the image when first touched.
+func (r *Replica) reseed(keys []string, s *seed) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.records) == 0 {
 		return
 	}
-	per := n/recordStripes + 1
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		if len(sp.m) == 0 {
-			sp.m = make(map[string]*record, per)
+	for _, k := range keys {
+		if rc := r.records[k]; rc != nil {
+			s.applyTo(rc)
 		}
-		sp.mu.Unlock()
 	}
 }
 
-// reset drops every record (crash / restore).
-func (s *recordStore) reset(hint int) {
-	per := hint/recordStripes + 1
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		sp.m = make(map[string]*record, per)
-		sp.mu.Unlock()
+// snapshotLocked returns the committed state of every key this replica
+// holds: its records, plus every seeded key it has not touched yet at
+// version 0. A crashed replica holds nothing. Caller holds r.mu.
+func (r *Replica) snapshotLocked() map[string]Value {
+	if r.crashed {
+		return map[string]Value{}
 	}
-}
-
-// count returns the total number of records across stripes.
-func (s *recordStore) count() int {
-	n := 0
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.RLock()
-		n += len(sp.m)
-		sp.mu.RUnlock()
+	img := r.cfg.Seeds
+	img.mu.RLock()
+	out := make(map[string]Value, max(len(img.seeds), len(r.records)))
+	for k, rc := range img.seeds {
+		out[k] = rc.value()
 	}
-	return n
+	img.mu.RUnlock()
+	for k, rc := range r.records {
+		out[k] = rc.value()
+	}
+	return out
 }

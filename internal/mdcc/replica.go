@@ -24,6 +24,10 @@ type ReplicaConfig struct {
 	PendingTTL time.Duration
 	// WAL, when non-nil, receives an entry for every decided transaction.
 	WAL *WAL
+	// Seeds is the seed image the replica builds its records from; replicas
+	// that start from the same data share one. Nil gives the replica a
+	// private image.
+	Seeds *SeedImage
 }
 
 // Replica is one region's full copy of the store. It plays three protocol
@@ -33,8 +37,10 @@ type Replica struct {
 	cfg ReplicaConfig
 	clk vclock.Clock // the network's clock
 
+	// mu guards all protocol state, the records included.
 	mu      sync.Mutex
-	records *recordStore
+	records map[string]*record // the keys the protocol has touched; see acquire
+	slab    []record           // unused records, carved by acquire
 	decided map[txn.ID]bool
 	masters map[string]*masterKey
 	syncs   map[uint64]*syncWaiter
@@ -52,11 +58,6 @@ type Replica struct {
 	spans  *obs.SpanStore
 	traces map[txn.ID]*replicaTrace
 
-	// baseline is the seeded initial state (the "disk image" installed
-	// before the protocol ran). Crash recovery rebuilds records from it
-	// before replaying the WAL.
-	baseline map[string]seedRecord
-
 	// Stats exported for tests and experiments.
 	FastAccepts  uint64
 	FastRejects  uint64
@@ -69,15 +70,6 @@ type Replica struct {
 	// LeaseFenced counts master-arbitrated messages rejected for carrying
 	// a stale lease epoch.
 	LeaseFenced uint64
-}
-
-// seedRecord is one key's seeded initial state.
-type seedRecord struct {
-	bytes   []byte
-	ival    int64
-	isInt   bool
-	bounded bool
-	lo, hi  int64
 }
 
 // replicaTrace is the trace state one replica keeps for one in-flight
@@ -121,14 +113,17 @@ func (r *Replica) evictTracesLocked(now time.Time) {
 
 // NewReplica constructs and registers a replica on cfg.Net.
 func NewReplica(cfg ReplicaConfig) *Replica {
-	r := &Replica{
-		cfg:      cfg,
-		clk:      cfg.Net.Clock(),
-		records:  newRecordStore(),
-		decided:  make(map[txn.ID]bool),
-		masters:  make(map[string]*masterKey),
-		baseline: make(map[string]seedRecord),
+	if cfg.Seeds == nil {
+		cfg.Seeds = new(SeedImage)
 	}
+	r := &Replica{
+		cfg:     cfg,
+		clk:     cfg.Net.Clock(),
+		records: make(map[string]*record),
+		decided: make(map[txn.ID]bool),
+		masters: make(map[string]*masterKey),
+	}
+	cfg.Seeds.attach(r)
 	cfg.Net.Register(cfg.Addr, r.recv)
 	return r
 }
@@ -139,111 +134,33 @@ func (r *Replica) Addr() simnet.Addr { return r.cfg.Addr }
 // Region returns the replica's region.
 func (r *Replica) Region() simnet.Region { return r.cfg.Addr.Region }
 
-// rec returns (creating if needed) the record for key, for white-box
-// tests that inspect record state on a quiesced replica. Live code paths
-// use records.acquire/peek and touch the record only under its stripe
-// lock.
-func (r *Replica) rec(key string) *record {
-	rc, sp := r.records.acquire(key)
-	sp.mu.Unlock()
-	return rc
-}
-
-// SeedBytes installs an initial byte value outside the protocol (setup).
-// One private copy of value is shared by the live record and the recovery
-// baseline: committed slices are never written in place, so sharing is safe.
+// SeedBytes seeds key=value in the replica's seed image (setup path), so
+// every replica sharing the image starts from it.
 func (r *Replica) SeedBytes(key string, value []byte) {
-	v := append([]byte(nil), value...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rc, sp := r.records.acquire(key)
-	rc.bytes = v
-	rc.isInt = false
-	sp.mu.Unlock()
-	r.baseline[key] = seedRecord{bytes: v}
+	r.cfg.Seeds.SeedBytes(key, value)
 }
 
-// SeedInt installs an initial integer value with integrity bounds.
+// SeedInt seeds an integer value with integrity bounds in the replica's seed
+// image.
 func (r *Replica) SeedInt(key string, value, lo, hi int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rc, sp := r.records.acquire(key)
-	rc.ival = value
-	rc.isInt = true
-	rc.bounded = true
-	rc.lo, rc.hi = lo, hi
-	sp.mu.Unlock()
-	r.baseline[key] = seedRecord{ival: value, isInt: true, bounded: true, lo: lo, hi: hi}
+	r.cfg.Seeds.SeedInt(key, value, lo, hi)
 }
 
-// reserve pre-sizes the record and baseline maps ahead of a bulk seed so
-// incremental map growth doesn't dominate setup. Caller holds r.mu; only
-// cold (empty) maps are replaced.
-func (r *Replica) reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	r.records.reserve(n)
-	if len(r.baseline) == 0 {
-		r.baseline = make(map[string]seedRecord, n)
-	}
-}
-
-// SeedBytesAll installs the same initial byte value under every key in one
-// lock acquisition, backing all records with a single array. The value slice
-// is adopted and shared by every record and baseline entry — callers must
-// treat it as immutable afterwards (Cluster.SeedBytesAll makes the one copy).
-func (r *Replica) SeedBytesAll(keys []string, value []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reserve(len(keys))
-	r.records.seedAll(keys, func(rc *record, _ int) {
-		rc.bytes = value
-		rc.isInt = false
-	})
-	for _, key := range keys {
-		r.baseline[key] = seedRecord{bytes: value}
-	}
-}
-
-// SeedIntAll installs the same initial integer value and bounds under every
-// key in one lock acquisition (bulk form of SeedInt).
-func (r *Replica) SeedIntAll(keys []string, value, lo, hi int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reserve(len(keys))
-	seed := seedRecord{ival: value, isInt: true, bounded: true, lo: lo, hi: hi}
-	r.records.seedAll(keys, func(rc *record, _ int) {
-		rc.ival = value
-		rc.isInt = true
-		rc.bounded = true
-		rc.lo, rc.hi = lo, hi
-	})
-	for _, key := range keys {
-		r.baseline[key] = seed
-	}
-}
-
-// ReadLocal returns the committed state of key at this replica.
-// The second result reports whether the key exists. Reads contend only
-// for the key's stripe, never the protocol mutex.
+// ReadLocal returns the committed state of key at this replica: its record,
+// or the seeded value at version 0 for a key the protocol has not touched.
+// The second result reports whether the key exists; a crashed replica holds
+// no key.
 func (r *Replica) ReadLocal(key string) (Value, bool) {
-	rc, sp := r.records.peek(key)
-	defer sp.mu.RUnlock()
-	if rc == nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rc := r.records[key]; rc != nil {
+		return rc.value(), true
+	}
+	if r.crashed {
 		return Value{}, false
 	}
-	return rc.value(), true
-}
-
-// PendingCount reports how many options are pending on key (tests).
-func (r *Replica) PendingCount(key string) int {
-	rc, sp := r.records.peek(key)
-	defer sp.mu.RUnlock()
-	if rc == nil {
-		return 0
-	}
-	return len(rc.pending)
+	rc, ok := r.cfg.Seeds.lookup(key)
+	return rc.value(), ok
 }
 
 // DecidedCount reports how many transaction decisions this replica retains
@@ -298,28 +215,25 @@ func (r *Replica) Decisions() map[txn.ID]bool {
 	return out
 }
 
-// Snapshot returns the committed state of every key this replica holds.
-// Used by anti-entropy checks and the chaos soak's replay-equality audit.
-// The view is per-stripe consistent (see recordStore.forEach); callers
-// snapshot quiesced or reconcile per key by version.
+// Snapshot returns the committed state of every key this replica holds,
+// seeded keys it has not touched included. Used by anti-entropy checks and
+// the chaos soak's replay-equality audit.
 func (r *Replica) Snapshot() map[string]Value {
-	out := make(map[string]Value, r.records.count())
-	r.records.forEach(func(k string, rc *record) {
-		out[k] = rc.value()
-	})
-	return out
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.snapshotLocked()
 }
 
 // Crash simulates a process failure: the replica leaves the network and
 // loses all in-memory state (records, pendings, decisions, master roles).
-// Only the seeded baseline and the WAL — the durable artifacts — survive
-// for Restore to rebuild from.
+// Only the seed image and the WAL — the durable artifacts — survive for
+// Restore to rebuild from.
 func (r *Replica) Crash() {
 	r.cfg.Net.Deregister(r.cfg.Addr)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.crashed = true
-	r.records.reset(0)
+	r.records = make(map[string]*record)
 	r.decided = make(map[txn.ID]bool)
 	r.masters = make(map[string]*masterKey)
 	r.syncs = nil
@@ -331,33 +245,22 @@ func (r *Replica) Crash() {
 	}
 }
 
-// Restore recovers a crashed replica: committed state is rebuilt from the
-// seeded baseline plus a WAL replay (repopulating the decided map so
-// straggler proposals and decides stay idempotent), then the replica
-// rejoins the network. Restoring a live replica is also safe — it reloads
-// state from the same durable sources, which the soak harness uses to
-// assert replay equality. Decisions whose decide message was lost before
-// it reached this replica are not in its WAL and stay missing until
-// anti-entropy (SyncFrom) repairs them, exactly like a healed partition.
+// Restore recovers a crashed replica: committed state is the seed image plus
+// a WAL replay (repopulating the decided map so straggler proposals and
+// decides stay idempotent), then the replica rejoins the network. Only the
+// keys the WAL names get records, so a restart costs O(WAL), not O(keys).
+// Restoring a live replica is also safe — it reloads state from the same
+// durable sources, which the soak harness uses to assert replay equality.
+// Decisions whose decide message was lost before it reached this replica
+// are not in its WAL and stay missing until anti-entropy (SyncFrom) repairs
+// them, exactly like a healed partition.
 func (r *Replica) Restore() error {
 	r.mu.Lock()
-	r.records.reset(len(r.baseline))
+	r.records = make(map[string]*record)
 	r.decided = make(map[txn.ID]bool)
 	r.masters = make(map[string]*masterKey)
 	if r.leases != nil {
 		r.leases = make(map[simnet.Region]*leaseState)
-	}
-	for key, s := range r.baseline {
-		rc, sp := r.records.acquire(key)
-		if s.isInt {
-			rc.ival, rc.isInt = s.ival, true
-			rc.bounded, rc.lo, rc.hi = s.bounded, s.lo, s.hi
-		} else {
-			// The baseline slice is immutable and apply never writes a
-			// committed slice in place, so the record can adopt it.
-			rc.bytes = s.bytes
-		}
-		sp.mu.Unlock()
 	}
 	var err error
 	var replaySpans []obs.Span
@@ -374,9 +277,7 @@ func (r *Replica) Restore() error {
 			r.decided[e.Txn] = e.Commit
 			if e.Commit {
 				for _, op := range e.Options {
-					rc, sp := r.records.acquire(op.Key)
-					rc.apply(op)
-					sp.mu.Unlock()
+					r.acquire(op.Key).apply(op)
 					r.Applied++
 				}
 			}
@@ -471,7 +372,7 @@ func (r *Replica) onPropose(p proposeMsg) {
 	}
 	span := r.beginTraceLocked(p.Txn, p.Coord, p.TC, now)
 	for _, op := range p.Options {
-		rc, sp := r.records.acquire(op.Key)
+		rc := r.acquire(op.Key)
 		rc.evictStale(now, r.cfg.PendingTTL)
 		reason := rc.validate(op, 0, p.Txn)
 		if reason == ReasonNone {
@@ -480,7 +381,6 @@ func (r *Replica) onPropose(p proposeMsg) {
 		} else {
 			r.FastRejects++
 		}
-		sp.mu.Unlock()
 		votes = append(votes, optionVote{Key: op.Key,
 			Accept: reason == ReasonNone, Reason: reason})
 	}
@@ -552,13 +452,12 @@ func (r *Replica) onDecide(d decideMsg) {
 	}
 	r.decided[d.Txn] = d.Commit
 	for _, op := range d.Options {
-		rc, sp := r.records.acquire(op.Key)
+		rc := r.acquire(op.Key)
 		rc.removePending(d.Txn)
 		if d.Commit {
 			rc.apply(op)
 			r.Applied++
 		}
-		sp.mu.Unlock()
 		if ks := r.masters[op.Key]; ks != nil {
 			delete(ks.inflight, d.Txn)
 		}

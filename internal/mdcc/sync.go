@@ -72,13 +72,17 @@ func (r *Replica) SyncFrom(peer simnet.Addr, timeout time.Duration) (int, error)
 	return r.applySnapshot(resp.Records), nil
 }
 
-// applySnapshot adopts fresher committed records.
+// applySnapshot adopts fresher committed records. A donor value at version 0
+// is never fresher, so it builds no record.
 func (r *Replica) applySnapshot(records map[string]Value) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	repaired := 0
 	for key, v := range records {
-		rc, sp := r.records.acquire(key)
+		if v.Version == 0 {
+			continue
+		}
+		rc := r.acquire(key)
 		if v.Version > rc.version {
 			rc.version = v.Version
 			rc.isInt = v.IsInt
@@ -89,17 +93,15 @@ func (r *Replica) applySnapshot(records map[string]Value) int {
 			rc.bytes = v.Bytes
 			repaired++
 		}
-		sp.mu.Unlock()
 	}
 	return repaired
 }
 
 // onSyncReq is the donor side: snapshot committed state and reply.
 func (r *Replica) onSyncReq(q syncReq) {
-	snapshot := make(map[string]Value, r.records.count())
-	r.records.forEach(func(key string, rc *record) {
-		snapshot[key] = rc.value()
-	})
+	r.mu.Lock()
+	snapshot := r.snapshotLocked()
+	r.mu.Unlock()
 	r.send(q.From, syncResp{ReqID: q.ReqID, Records: snapshot})
 }
 

@@ -73,13 +73,6 @@ func (w *WAL) Append(e Entry) {
 	}
 }
 
-// Len returns the number of logged entries.
-func (w *WAL) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.entries)
-}
-
 // Err reports the first sink write error, if any.
 func (w *WAL) Err() error {
 	w.mu.Lock()

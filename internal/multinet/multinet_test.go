@@ -187,7 +187,7 @@ func TestRealnetKillRestartMaster(t *testing.T) {
 		t.Errorf("only %d/6 transfers committed during the outage; degraded path should sustain load", committedDuringOutage)
 	}
 
-	// Phase 3: restart. The node replays its WAL over the seeded baseline,
+	// Phase 3: restart. The node replays its WAL over the seed image,
 	// rejoins, and keys it masters become writable again.
 	if err := n.Restart(victim); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package vclock
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -589,35 +590,31 @@ func TestDeliveryTimerRecycled(t *testing.T) {
 	})
 }
 
-// TestSameInstantTimersScaleLinearly: k timers sharing one deadline must not
-// cost a rescan per pop. The timer heap's per-timer cost grows with log k
-// only, so 50 000 same-deadline timers may cost at most 4x per timer what
-// 2 000 do, leaving room for cache effects. The two sizes are measured in
-// alternation and each keeps its best of five tries, so a slow phase of the
-// host hits both.
+// TestSameInstantTimersScaleLinearly: k timers sharing one deadline cost the
+// same per timer at any k. Arming and firing a timer allocates a fixed
+// number of objects, so the allocations per timer of one arm-and-fire cycle
+// (heap growth is kept by the warm-up run) must round to the same count at
+// 2 000 and at 50 000 same-deadline timers. Counting allocations instead of
+// timing the cycle keeps a loaded host from failing the test.
 func TestSameInstantTimersScaleLinearly(t *testing.T) {
-	perTimer := func(k int) time.Duration {
+	perTimer := func(k int) float64 {
 		v := NewVirtual()
 		defer v.Shutdown()
 		fired := 0
-		for i := 0; i < k; i++ {
-			v.AfterFunc(time.Millisecond, func() { fired++ })
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < k; i++ {
+				v.AfterFunc(time.Millisecond, func() { fired++ })
+			}
+			v.Sleep(2 * time.Millisecond)
+		})
+		if fired != 2*k { // AllocsPerRun runs the cycle once more to warm up
+			t.Fatalf("%d of %d same-deadline timers fired", fired, 2*k)
 		}
-		begin := time.Now()
-		v.Sleep(2 * time.Millisecond)
-		took := time.Since(begin)
-		if fired != k {
-			t.Fatalf("%d of %d same-deadline timers fired", fired, k)
-		}
-		return took / time.Duration(k)
+		return allocs / float64(k)
 	}
-	small, large := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for try := 0; try < 5; try++ {
-		small = min(small, perTimer(2000))
-		large = min(large, perTimer(50000))
-	}
-	t.Logf("per timer: %v at 2 000, %v at 50 000", small, large)
-	if large > 4*small {
-		t.Fatalf("per-timer cost %v at 50 000 same-deadline timers vs %v at 2 000: more than 4x", large, small)
+	small, large := perTimer(2000), perTimer(50000)
+	t.Logf("allocations per timer: %.4f at 2 000, %.4f at 50 000", small, large)
+	if math.Round(small) != math.Round(large) {
+		t.Fatalf("allocations per timer %.4f at 50 000 same-deadline timers vs %.4f at 2 000", large, small)
 	}
 }

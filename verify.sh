@@ -142,3 +142,14 @@ allocs=$(go test -run '^$' -bench BenchmarkOpenLoopCommit -benchtime 20x ./inter
 	echo "verify: BenchmarkOpenLoopCommit allocs/commit=$allocs exceeds ceiling 59" >&2
 	exit 1
 }
+# Seeding rung: 100 000 keys SeedIntAll'd into a five-region cluster.New are
+# written once, into the deployment's shared seed image; no replica builds a
+# record until the protocol touches the key. 260 allocs/op when the image
+# landed (3 229 before, when every replica installed every key twice), gated
+# at +15 %.
+allocs=$(go test -run '^$' -bench BenchmarkSeedCluster -benchtime 5x -benchmem ./internal/cluster/ |
+	awk '/^BenchmarkSeedCluster/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+[ -n "$allocs" ] && [ "$allocs" -le 299 ] || {
+	echo "verify: BenchmarkSeedCluster allocs/op=$allocs exceeds ceiling 299" >&2
+	exit 1
+}
