@@ -200,16 +200,17 @@ func (c *Cluster) SeedInt(key string, value, lo, hi int64) {
 	c.spec.seeds.SeedInt(key, value, lo, hi)
 }
 
-// SeedBytesAll installs key=value for every key at every replica (bulk form
-// of SeedBytes). One private copy of value is shared by every key.
-func (c *Cluster) SeedBytesAll(keys []string, value []byte) {
-	c.spec.seeds.SeedBytesAll(keys, value)
+// SeedBytesRange installs value under keyspace.Key(prefix, i) for every
+// 0 ≤ i < n at every replica, in constant time: the seed image keeps the
+// range, not its keys. One private copy of value is shared by every key.
+func (c *Cluster) SeedBytesRange(prefix string, n int, value []byte) {
+	c.spec.seeds.SeedBytesRange(prefix, n, value)
 }
 
-// SeedIntAll installs the same integer record with integrity bounds under
-// every key at every replica (bulk form of SeedInt).
-func (c *Cluster) SeedIntAll(keys []string, value, lo, hi int64) {
-	c.spec.seeds.SeedIntAll(keys, value, lo, hi)
+// SeedIntRange installs the same integer record with integrity bounds under
+// keyspace.Key(prefix, i) for every 0 ≤ i < n at every replica.
+func (c *Cluster) SeedIntRange(prefix string, n int, value, lo, hi int64) {
+	c.spec.seeds.SeedIntRange(prefix, n, value, lo, hi)
 }
 
 // onNode runs fn on region r's node, or reports that r has none.
@@ -247,11 +248,6 @@ func (c *Cluster) RestartCoordinator(r simnet.Region) error {
 // ScaleDuration converts an unscaled WAN duration into emulator time.
 func (c *Cluster) ScaleDuration(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.scale)
-}
-
-// UnscaleDuration converts a measured emulator duration back to WAN time.
-func (c *Cluster) UnscaleDuration(d time.Duration) time.Duration {
-	return time.Duration(float64(d) / c.scale)
 }
 
 // Close stops the lease managers, shuts the network down, closes every

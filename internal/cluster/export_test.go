@@ -1,0 +1,10 @@
+package cluster
+
+import "time"
+
+// Test-only accessors.
+
+// UnscaleDuration converts a measured emulator duration back to WAN time.
+func (c *Cluster) UnscaleDuration(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / c.scale)
+}

@@ -136,9 +136,6 @@ type admissionCtl struct {
 	epochs      uint64
 	lat         *predictor.Sketch // commit latencies this epoch
 	priors      *predictor.Sketch // offered-load prior likelihoods this epoch
-
-	stopped atomic.Bool
-	timer   vclock.Timer // guarded by mu
 }
 
 func newAdmissionCtl(clk vclock.Clock, cfg AdaptiveAdmission, static AdmissionPolicy) *admissionCtl {
@@ -168,20 +165,7 @@ func newAdmissionCtl(clk vclock.Clock, cfg AdaptiveAdmission, static AdmissionPo
 
 // start schedules the first epoch tick.
 func (c *admissionCtl) start() {
-	c.mu.Lock()
-	c.timer = c.clk.AfterFunc(c.cfg.Epoch, c.step)
-	c.mu.Unlock()
-}
-
-// stop halts the epoch chain. Only needed when a real-time deployment
-// outlives its workload; a virtual-time chain dies with the scheduler.
-func (c *admissionCtl) stop() {
-	c.stopped.Store(true)
-	c.mu.Lock()
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	c.mu.Unlock()
+	c.clk.AfterFunc(c.cfg.Epoch, c.step)
 }
 
 // policy returns the static policy with the controller's published
@@ -241,9 +225,6 @@ func (c *admissionCtl) state() AdmissionState {
 
 // step runs one controller epoch and reschedules itself.
 func (c *admissionCtl) step() {
-	if c.stopped.Load() {
-		return
-	}
 	c.mu.Lock()
 	com, ab, rej := c.epCommitted, c.epAborted, c.epRejected
 	c.epCommitted, c.epAborted, c.epRejected = 0, 0, 0
@@ -298,7 +279,7 @@ func (c *admissionCtl) step() {
 	c.lat.Reset()
 	c.priors.Reset()
 	c.epochs++
-	c.timer = c.clk.AfterFunc(c.cfg.Epoch, c.step)
+	c.clk.AfterFunc(c.cfg.Epoch, c.step)
 	c.mu.Unlock()
 }
 

@@ -292,15 +292,6 @@ func (db *DB) AdmissionState(r simnet.Region) AdmissionState {
 	return AdmissionState{}
 }
 
-// StopAdmission halts the adaptive controllers' epoch timers. Real-time
-// deployments that outlive their workload call it on shutdown; under
-// virtual time the chains die with the scheduler.
-func (db *DB) StopAdmission() {
-	for _, c := range db.adm {
-		c.stop()
-	}
-}
-
 // Cluster returns the underlying deployment.
 func (db *DB) Cluster() *cluster.Cluster { return db.cfg.Cluster }
 
@@ -354,10 +345,6 @@ func (db *DB) InFlight() int64 {
 	}
 	return n
 }
-
-// SpeculationShed reports how many transactions had speculation disabled
-// because their home region was degraded.
-func (db *DB) SpeculationShed() uint64 { return db.specShed.Load() }
 
 // rt returns the region's runtime (nil for unknown regions).
 func (db *DB) rt(r simnet.Region) *regionRT { return db.rts[r] }

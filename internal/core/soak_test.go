@@ -106,15 +106,4 @@ func TestSoakMixedWorkload(t *testing.T) {
 	if db.Calibration().MeanAbsoluteError() > 0.35 {
 		t.Errorf("soak calibration MAE=%v", db.Calibration().MeanAbsoluteError())
 	}
-
-	// Replica decided-map compaction keeps working state bounded.
-	rep0 := c.Replica(c.Regions()[0])
-	before := rep0.DecidedCount()
-	removed := rep0.CompactDecided(100)
-	if rep0.DecidedCount() > 100 {
-		t.Errorf("compaction left %d decisions", rep0.DecidedCount())
-	}
-	if removed != before-rep0.DecidedCount() {
-		t.Errorf("compaction accounting: removed %d, delta %d", removed, before-rep0.DecidedCount())
-	}
 }

@@ -83,9 +83,6 @@ func (t *Txn) Add(key string, delta int64) {
 	t.writes[key] = w
 }
 
-// WriteCount reports the number of buffered writes (distinct keys).
-func (t *Txn) WriteCount() int { return len(t.writes) }
-
 // Keys returns the transaction's write set in sorted order.
 func (t *Txn) Keys() []string {
 	keys := make([]string, 0, len(t.writes))

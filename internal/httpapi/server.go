@@ -753,20 +753,3 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)
 }
-
-// TrackedCount reports how many transactions the server currently retains
-// (tests).
-func (s *Server) TrackedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.txns)
-}
-
-// SetMaxTracked overrides the retention cap (tests).
-func (s *Server) SetMaxTracked(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > 0 {
-		s.maxTxn = n
-	}
-}

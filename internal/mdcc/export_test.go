@@ -30,6 +30,14 @@ func (r *Replica) HasRecord(key string) bool {
 	return r.records[key] != nil
 }
 
+// DecidedCount reports how many transaction decisions this replica retains
+// for idempotence/reordering protection.
+func (r *Replica) DecidedCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.decided)
+}
+
 // Seeds returns the seed image the replica builds its records from.
 func (r *Replica) Seeds() *SeedImage { return r.cfg.Seeds }
 

@@ -1,19 +1,43 @@
 package mdcc
 
-import "sync"
+import (
+	"sync"
+
+	"planet/internal/keyspace"
+)
 
 // SeedImage is a deployment's initial data, installed outside the protocol:
 // key → the committed value a replica's record starts from. Every replica
 // that starts from the same data shares one image (all regions of a
 // simulated cluster; the one replica of a node process), and the image
 // survives a replica crash, like a disk image. A replica builds a key's
-// record from the image the first time the protocol touches the key, so
-// seeding costs one image entry per key, not one record per key per replica.
+// record from the image the first time the protocol touches it, so seeding
+// builds no record on any replica.
+//
+// The image holds per-key seeds and range seeds. A range seed covers every
+// key keyspace.Key(prefix, i), 0 ≤ i < n, and costs O(1) however large n is:
+// the image keeps the rule that names the keys, never the keys. Seeds fold
+// in call order, exactly as if each key had been seeded one at a time:
+//   - a per-key seed first folds every earlier range covering the key into
+//     the key's entry, then applies itself;
+//   - a range seed applies itself to every per-key entry it covers;
+//   - a key with an entry reads as that entry, and any other key as the
+//     covering ranges folded in order (not seeded when none covers it);
+//   - both kinds also apply to the records replicas already built for the
+//     keys they cover (Replica.reseedKey, reseedRange).
+//
 // The zero value is an empty image.
 type SeedImage struct {
 	mu       sync.RWMutex
-	seeds    map[string]record // value fields only: version 0, no pendings, no promise
+	seeds    map[string]record // per-key entries, value fields only: version 0, no pendings, no promise
+	ranges   []rangeSeed       // in call order
 	replicas []*Replica        // replicas built from this image, refreshed by a re-seed
+}
+
+// rangeSeed is one range Seed call: s applies to every key kr covers.
+type rangeSeed struct {
+	kr keyspace.Range
+	s  seed
 }
 
 // seed is one Seed call's effect on a record. A byte seed replaces the bytes
@@ -36,44 +60,68 @@ func (s *seed) applyTo(rc *record) {
 	rc.bytes, rc.isInt = s.bytes, false
 }
 
+// bytesSeed seeds a private copy of value. A range shares that one copy
+// among all its keys: committed slices are never written in place, so the
+// sharing is invisible to readers.
+func bytesSeed(value []byte) seed { return seed{bytes: append([]byte(nil), value...)} }
+
+func intSeed(value, lo, hi int64) seed { return seed{isInt: true, ival: value, lo: lo, hi: hi} }
+
 // SeedBytes seeds key with a private copy of value.
-func (img *SeedImage) SeedBytes(key string, value []byte) {
-	img.SeedBytesAll([]string{key}, value)
-}
+func (img *SeedImage) SeedBytes(key string, value []byte) { img.seedKey(key, bytesSeed(value)) }
 
 // SeedInt seeds key with an integer value and its integrity bounds.
 func (img *SeedImage) SeedInt(key string, value, lo, hi int64) {
-	img.SeedIntAll([]string{key}, value, lo, hi)
+	img.seedKey(key, intSeed(value, lo, hi))
 }
 
-// SeedBytesAll seeds every key with one private copy of value, shared by all
-// of them: committed slices are never written in place, so the sharing is
-// invisible to readers.
-func (img *SeedImage) SeedBytesAll(keys []string, value []byte) {
-	img.seed(keys, seed{bytes: append([]byte(nil), value...)})
+// SeedBytesRange seeds keyspace.Key(prefix, i) for every 0 ≤ i < n with one
+// private copy of value.
+func (img *SeedImage) SeedBytesRange(prefix string, n int, value []byte) {
+	img.seedRange(keyspace.Range{Prefix: prefix, N: n}, bytesSeed(value))
 }
 
-// SeedIntAll seeds every key with the same integer value and bounds.
-func (img *SeedImage) SeedIntAll(keys []string, value, lo, hi int64) {
-	img.seed(keys, seed{isInt: true, ival: value, lo: lo, hi: hi})
+// SeedIntRange seeds keyspace.Key(prefix, i) for every 0 ≤ i < n with the
+// same integer value and bounds.
+func (img *SeedImage) SeedIntRange(prefix string, n int, value, lo, hi int64) {
+	img.seedRange(keyspace.Range{Prefix: prefix, N: n}, intSeed(value, lo, hi))
 }
 
-// seed writes s under every key, then applies it to the records replicas
-// already built for those keys.
-func (img *SeedImage) seed(keys []string, s seed) {
+// seedKey folds s into key's entry, then applies it to the records replicas
+// already built for key.
+func (img *SeedImage) seedKey(key string, s seed) {
 	img.mu.Lock()
-	if len(img.seeds) == 0 {
-		img.seeds = make(map[string]record, len(keys))
+	rc, _ := img.lookupLocked(key)
+	s.applyTo(&rc)
+	if img.seeds == nil {
+		img.seeds = make(map[string]record)
 	}
-	for _, k := range keys {
-		rc := img.seeds[k]
-		s.applyTo(&rc)
-		img.seeds[k] = rc
+	img.seeds[key] = rc
+	replicas := img.replicas
+	img.mu.Unlock()
+	for _, r := range replicas {
+		r.reseedKey(key, &s)
+	}
+}
+
+// seedRange appends s over kr and folds it into the per-key entries kr
+// covers, then applies it to the records replicas already built for them.
+func (img *SeedImage) seedRange(kr keyspace.Range, s seed) {
+	if kr.N <= 0 {
+		return
+	}
+	img.mu.Lock()
+	img.ranges = append(img.ranges, rangeSeed{kr: kr, s: s})
+	for k, rc := range img.seeds {
+		if kr.Covers(k) {
+			s.applyTo(&rc)
+			img.seeds[k] = rc
+		}
 	}
 	replicas := img.replicas
 	img.mu.Unlock()
 	for _, r := range replicas {
-		r.reseed(keys, &s)
+		r.reseedRange(kr, &s)
 	}
 }
 
@@ -81,8 +129,23 @@ func (img *SeedImage) seed(keys []string, s seed) {
 // seeded.
 func (img *SeedImage) lookup(key string) (record, bool) {
 	img.mu.RLock()
-	rc, ok := img.seeds[key]
+	rc, ok := img.lookupLocked(key)
 	img.mu.RUnlock()
+	return rc, ok
+}
+
+// lookupLocked is lookup with img.mu held.
+func (img *SeedImage) lookupLocked(key string) (record, bool) {
+	rc, ok := img.seeds[key]
+	if ok {
+		return rc, true
+	}
+	for i := range img.ranges {
+		if rs := &img.ranges[i]; rs.kr.Covers(key) {
+			rs.s.applyTo(&rc)
+			ok = true
+		}
+	}
 	return rc, ok
 }
 
@@ -114,16 +177,23 @@ func (r *Replica) acquire(key string) *record {
 	return rc
 }
 
-// reseed applies s to the records this replica already built for keys.
-// Untouched keys pick the seed up from the image when first touched.
-func (r *Replica) reseed(keys []string, s *seed) {
+// reseedKey applies s to key's record, if this replica built it. An
+// untouched key picks the seed up from the image when first touched.
+func (r *Replica) reseedKey(key string, s *seed) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.records) == 0 {
-		return
+	if rc := r.records[key]; rc != nil {
+		s.applyTo(rc)
 	}
-	for _, k := range keys {
-		if rc := r.records[k]; rc != nil {
+}
+
+// reseedRange applies s to every record this replica built for a key kr
+// covers.
+func (r *Replica) reseedRange(kr keyspace.Range, s *seed) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, rc := range r.records {
+		if kr.Covers(k) {
 			s.applyTo(rc)
 		}
 	}
@@ -138,7 +208,18 @@ func (r *Replica) snapshotLocked() map[string]Value {
 	}
 	img := r.cfg.Seeds
 	img.mu.RLock()
-	out := make(map[string]Value, max(len(img.seeds), len(r.records)))
+	n := len(img.seeds)
+	for _, rs := range img.ranges {
+		n += rs.kr.N
+	}
+	out := make(map[string]Value, max(n, len(r.records)))
+	for _, rs := range img.ranges {
+		for i := range rs.kr.N {
+			k := keyspace.Key(rs.kr.Prefix, i)
+			rc, _ := img.lookupLocked(k)
+			out[k] = rc.value()
+		}
+	}
 	for k, rc := range img.seeds {
 		out[k] = rc.value()
 	}

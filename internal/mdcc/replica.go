@@ -1,7 +1,6 @@
 package mdcc
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -161,45 +160,6 @@ func (r *Replica) ReadLocal(key string) (Value, bool) {
 	}
 	rc, ok := r.cfg.Seeds.lookup(key)
 	return rc.value(), ok
-}
-
-// DecidedCount reports how many transaction decisions this replica retains
-// for idempotence/reordering protection.
-func (r *Replica) DecidedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.decided)
-}
-
-// CompactDecided drops up to keepLast of the oldest retained decisions,
-// bounding memory on long-lived replicas. Transaction IDs are issue-
-// ordered, so dropping the lowest IDs discards the decisions least likely
-// to see straggler messages. Returns the number of entries removed.
-//
-// Operators should keep at least the last few thousand decisions: a
-// proposal arriving after its decision was compacted is treated as new and
-// votes again, which is harmless for aborted transactions (their pendings
-// re-evict via PendingTTL) and unreachable for committed ones in a healthy
-// deployment (the coordinator has long stopped retransmitting).
-func (r *Replica) CompactDecided(keepLast int) int {
-	if keepLast < 0 {
-		keepLast = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	excess := len(r.decided) - keepLast
-	if excess <= 0 {
-		return 0
-	}
-	ids := make([]txn.ID, 0, len(r.decided))
-	for id := range r.decided {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids[:excess] {
-		delete(r.decided, id)
-	}
-	return excess
 }
 
 // Decisions returns a copy of every transaction verdict this replica

@@ -1,7 +1,6 @@
 package mdcc_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,17 +11,13 @@ import (
 	"planet/internal/txn"
 )
 
-// TestSeedImageIsSharedAndLazy: a bulk seed lands once, in the one image
+// TestSeedImageIsSharedAndLazy: a range seed lands once, in the one image
 // every region of a cluster.New shares, and builds no record anywhere. A
 // committed Add then builds exactly its own key's record on every replica
 // the transaction reached.
 func TestSeedImageIsSharedAndLazy(t *testing.T) {
 	c := newTestCluster(t, cluster.Config{})
-	keys := make([]string, 100_000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k-%d", i)
-	}
-	c.SeedIntAll(keys, 5, 0, 1<<40)
+	c.SeedIntRange("k-", 100_000, 5, 0, 1<<40)
 
 	image := c.Replica(c.Regions()[0]).Seeds()
 	for _, r := range c.Regions() {
@@ -36,7 +31,7 @@ func TestSeedImageIsSharedAndLazy(t *testing.T) {
 	}
 
 	committed, err, _ := submit(t, c, regions.California,
-		[]txn.Op{{Kind: txn.OpAdd, Key: "k-4242", Delta: 1}}, mdcc.ModeFast)
+		[]txn.Op{{Kind: txn.OpAdd, Key: "k-004242", Delta: 1}}, mdcc.ModeFast)
 	if !committed || err != nil {
 		t.Fatalf("want commit, got committed=%v err=%v", committed, err)
 	}
@@ -45,22 +40,23 @@ func TestSeedImageIsSharedAndLazy(t *testing.T) {
 	}
 	for _, r := range c.Regions() {
 		rep := c.Replica(r)
-		if v, _ := rep.ReadLocal("k-4242"); v.Int != 6 || v.Version != 1 {
-			t.Fatalf("%s: k-4242 = %+v, want 6 at version 1", r, v)
+		if v, _ := rep.ReadLocal("k-004242"); v.Int != 6 || v.Version != 1 {
+			t.Fatalf("%s: k-004242 = %+v, want 6 at version 1", r, v)
 		}
-		if !rep.HasRecord("k-4242") || rep.RecordCount() != 1 {
-			t.Fatalf("%s holds %d records, want exactly k-4242's", r, rep.RecordCount())
+		if !rep.HasRecord("k-004242") || rep.RecordCount() != 1 {
+			t.Fatalf("%s holds %d records, want exactly k-004242's", r, rep.RecordCount())
 		}
 	}
 }
 
-// TestSeedImageReadsUntouchedKeys: a seeded key no transaction touched reads
-// through ReadLocal and Snapshot at version 0, and reading it builds no
-// record.
+// TestSeedImageReadsUntouchedKeys: a seeded key no transaction touched,
+// seeded alone or as part of a range, reads through ReadLocal and Snapshot
+// at version 0, and reading it builds no record.
 func TestSeedImageReadsUntouchedKeys(t *testing.T) {
 	c := newTestCluster(t, cluster.Config{})
 	c.SeedBytes("doc", []byte("v0"))
 	c.SeedInt("n", 7, 0, 10)
+	c.SeedBytesRange("r-", 2, []byte("rv"))
 	rep := c.Replica(regions.Tokyo)
 
 	if v, ok := rep.ReadLocal("doc"); !ok || string(v.Bytes) != "v0" || v.Version != 0 || v.IsInt {
@@ -69,12 +65,17 @@ func TestSeedImageReadsUntouchedKeys(t *testing.T) {
 	if v, ok := rep.ReadLocal("n"); !ok || v.Int != 7 || v.Version != 0 || !v.IsInt {
 		t.Fatalf("n = %+v (found %v), want 7 at version 0", v, ok)
 	}
+	if v, ok := rep.ReadLocal("r-000001"); !ok || string(v.Bytes) != "rv" || v.Version != 0 || v.IsInt {
+		t.Fatalf("r-000001 = %+v (found %v), want \"rv\" at version 0", v, ok)
+	}
 	if _, ok := rep.ReadLocal("absent"); ok {
 		t.Fatal("an unseeded key reads as present")
 	}
 	want := map[string]mdcc.Value{
-		"doc": {Bytes: []byte("v0")},
-		"n":   {Int: 7, IsInt: true},
+		"doc":      {Bytes: []byte("v0")},
+		"n":        {Int: 7, IsInt: true},
+		"r-000000": {Bytes: []byte("rv")},
+		"r-000001": {Bytes: []byte("rv")},
 	}
 	if got := rep.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot %+v, want %+v", got, want)
@@ -90,13 +91,10 @@ func TestSeedImageReadsUntouchedKeys(t *testing.T) {
 // the keys the WAL names get records.
 func TestCrashedReplicaReadsNothingRestoreReplaysWAL(t *testing.T) {
 	c := newTestCluster(t, cluster.Config{WAL: true})
-	keys := make([]string, 1000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("acct-%d", i)
-	}
-	c.SeedIntAll(keys, 100, 0, 1000)
+	const accounts = 1000
+	c.SeedIntRange("acct-", accounts, 100, 0, 1000)
 	c.SeedBytes("doc", []byte("v0"))
-	for _, key := range []string{"acct-1", "acct-2", "acct-1"} {
+	for _, key := range []string{"acct-000001", "acct-000002", "acct-000001"} {
 		committed, err, _ := submit(t, c, regions.California,
 			[]txn.Op{{Kind: txn.OpAdd, Key: key, Delta: -10}}, mdcc.ModeFast)
 		if !committed || err != nil {
@@ -108,17 +106,17 @@ func TestCrashedReplicaReadsNothingRestoreReplaysWAL(t *testing.T) {
 	}
 	rep := c.Replica(regions.Ireland)
 	before := rep.Snapshot()
-	if len(before) != len(keys)+1 || before["acct-1"].Int != 80 || before["acct-3"].Version != 0 {
-		t.Fatalf("pre-crash snapshot: %d keys, acct-1 %+v, acct-3 %+v", len(before), before["acct-1"], before["acct-3"])
+	if len(before) != accounts+1 || before["acct-000001"].Int != 80 || before["acct-000003"].Version != 0 {
+		t.Fatalf("pre-crash snapshot: %d keys, acct-000001 %+v, acct-000003 %+v", len(before), before["acct-000001"], before["acct-000003"])
 	}
 
 	if err := c.CrashReplica(regions.Ireland); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rep.ReadLocal("acct-3"); ok {
+	if _, ok := rep.ReadLocal("acct-000003"); ok {
 		t.Fatal("a crashed replica serves an untouched seeded key")
 	}
-	if _, ok := rep.ReadLocal("acct-1"); ok {
+	if _, ok := rep.ReadLocal("acct-000001"); ok {
 		t.Fatal("a crashed replica serves a committed key")
 	}
 	if snap := rep.Snapshot(); len(snap) != 0 {
@@ -131,7 +129,30 @@ func TestCrashedReplicaReadsNothingRestoreReplaysWAL(t *testing.T) {
 	if after := rep.Snapshot(); !reflect.DeepEqual(after, before) {
 		t.Fatal("snapshot after Restore differs from the pre-crash snapshot")
 	}
-	if n := rep.RecordCount(); n != 2 || !rep.HasRecord("acct-1") || !rep.HasRecord("acct-2") {
-		t.Fatalf("Restore built %d records, want acct-1 and acct-2 only", n)
+	if n := rep.RecordCount(); n != 2 || !rep.HasRecord("acct-000001") || !rep.HasRecord("acct-000002") {
+		t.Fatalf("Restore built %d records, want acct-000001 and acct-000002 only", n)
+	}
+}
+
+// TestRangeSeedCoversExactlyItsKeys: a range covers keyspace.Key(prefix, i)
+// for 0 ≤ i < n and nothing else. Near misses (a short or over-padded
+// index, a trailing byte, the bare prefix, another prefix, i == n) read as
+// unseeded.
+func TestRangeSeedCoversExactlyItsKeys(t *testing.T) {
+	c := newTestCluster(t, cluster.Config{})
+	c.SeedIntRange("p-", 10, 1, 0, 10)
+	rep := c.Replica(regions.Ireland)
+	for _, key := range []string{"p-000000", "p-000001", "p-000009"} {
+		if v, ok := rep.ReadLocal(key); !ok || v.Int != 1 || v.Version != 0 {
+			t.Errorf("%s = %+v (found %v), want 1 at version 0", key, v, ok)
+		}
+	}
+	for _, key := range []string{"p-00001", "p-0000001", "p-000001x", "p-", "q-000001", "p-000010"} {
+		if v, ok := rep.ReadLocal(key); ok {
+			t.Errorf("%s reads as seeded: %+v", key, v)
+		}
+	}
+	if got := len(rep.Snapshot()); got != 10 {
+		t.Errorf("snapshot holds %d keys, want the range's 10", got)
 	}
 }

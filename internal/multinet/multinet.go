@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"planet/internal/httpapi"
-	"planet/internal/mdcc"
 	"planet/internal/simnet"
 )
 
@@ -227,15 +226,6 @@ func (n *Network) Regions() []simnet.Region {
 	return append([]simnet.Region(nil), n.regions...)
 }
 
-// MasterOf reports which region masters key under this deployment's region
-// set (matching what every node computes).
-func (n *Network) MasterOf(key string) simnet.Region {
-	if n.cfg.MasterRegion != "" {
-		return n.cfg.MasterRegion
-	}
-	return mdcc.MasterFor(key, n.regions)
-}
-
 // Client returns an HTTP client against the region's gateway.
 func (n *Network) Client(r simnet.Region) *httpapi.Client {
 	nd := n.nodes[r]
@@ -356,17 +346,6 @@ func (n *Network) signal(r simnet.Region, sig syscall.Signal) error {
 	return nd.cmd.Process.Signal(sig)
 }
 
-// Running reports whether the region's process is currently launched.
-func (n *Network) Running(r simnet.Region) bool {
-	nd := n.nodes[r]
-	if nd == nil {
-		return false
-	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.cmd != nil
-}
-
 // CutLink severs the link between two regions in both directions (each
 // side drops traffic to and from the other). Both processes must be up.
 func (n *Network) CutLink(a, b simnet.Region) error {
@@ -435,19 +414,6 @@ func (n *Network) WaitLeaseHolder(on, keyspace, want simnet.Region, timeout time
 // Decisions fetches every transaction verdict the region's replica retains.
 func (n *Network) Decisions(r simnet.Region) (map[string]bool, error) {
 	return n.Client(r).NetDecisions()
-}
-
-// GrepLog reports whether the node's log contains substr.
-func (n *Network) GrepLog(r simnet.Region, substr string) (bool, error) {
-	nd, err := n.node(r)
-	if err != nil {
-		return false, err
-	}
-	data, err := os.ReadFile(nd.LogPath)
-	if err != nil {
-		return false, err
-	}
-	return strings.Contains(string(data), substr), nil
 }
 
 // Close kills every running node. Data dirs and logs are left for the

@@ -1,0 +1,13 @@
+package obs
+
+// Test-only accessors.
+
+// TxnCount reports how many transactions currently have a retained entry.
+func (s *SpanStore) TxnCount() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.txns)
+}

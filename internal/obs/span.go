@@ -349,13 +349,3 @@ func (s *SpanStore) Spans(id txn.ID) []Span {
 	}
 	return append([]Span(nil), rec.spans...)
 }
-
-// TxnCount reports how many transactions currently have a retained entry.
-func (s *SpanStore) TxnCount() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.txns)
-}

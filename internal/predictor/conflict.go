@@ -79,14 +79,6 @@ type ConflictTracker struct {
 	maxKeys  int
 }
 
-// NewConflictTracker returns a tracker whose observations decay with the
-// given half-life (in emulator time). halfLife <= 0 disables decay.
-// The tracker keeps per-key state for the first 65 536 keys it sees and
-// estimates every other key at the global rate.
-func NewConflictTracker(halfLife time.Duration) *ConflictTracker {
-	return newConflictTracker(halfLife, vclock.System)
-}
-
 // newConflictTracker binds the tracker to a clock for decay timestamps.
 func newConflictTracker(halfLife time.Duration, clk vclock.Clock) *ConflictTracker {
 	return &ConflictTracker{
@@ -131,19 +123,4 @@ func (t *ConflictTracker) AcceptProb(key string) float64 {
 		return g
 	}
 	return d.rate(now, t.halfLife, g, priorStrength)
-}
-
-// GlobalAcceptProb returns the store-wide vote-accept probability.
-func (t *ConflictTracker) GlobalAcceptProb() float64 {
-	now := t.clk.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.global.rate(now, t.halfLife, 0.98, priorStrength)
-}
-
-// KeyCount reports how many keys carry dedicated statistics (tests).
-func (t *ConflictTracker) KeyCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.keys)
 }

@@ -121,15 +121,6 @@ func (p *Predictor) recorder(region simnet.Region) *latency.Recorder {
 	return p.rtt[region]
 }
 
-// RTTQuantile exposes the learned RTT quantile to a region (harness, F7).
-func (p *Predictor) RTTQuantile(region simnet.Region, q float64) (time.Duration, bool) {
-	rec := p.recorder(region)
-	if rec == nil {
-		return 0, false
-	}
-	return rec.Quantile(q)
-}
-
 // AcceptProb exposes the learned vote-accept probability for key.
 func (p *Predictor) AcceptProb(key string) float64 {
 	if !p.cfg.UseConflicts {

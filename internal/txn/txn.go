@@ -171,11 +171,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Terminal reports whether s is a final stage.
-func (s Stage) Terminal() bool {
-	return s == StageRejected || s == StageCommitted || s == StageAborted
-}
-
 // Outcome describes how a transaction finished.
 type Outcome struct {
 	ID        ID

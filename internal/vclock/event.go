@@ -87,18 +87,6 @@ func (e *Event) OnFire(f func()) {
 // instead.
 func (e *Event) Done() <-chan struct{} { return e.ch }
 
-// Fired reports whether Fire has been called.
-func (e *Event) Fired() bool {
-	if v := e.v; v != nil {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		return e.fired
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fired
-}
-
 // Wait blocks until the event fires. Under a virtual clock the caller's
 // execution slot is released while blocked and regained in run-queue order
 // after Fire.

@@ -431,13 +431,6 @@ func (v *Virtual) WorkDone() {
 	v.mu.Unlock()
 }
 
-// Running reports the granted-slot count (tests, debugging).
-func (v *Virtual) Running() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.running
-}
-
 // wtimer is one entry of the clock's timer heap: a timer with a body, a
 // channel timer, or the companion timer of a parked grant.
 type wtimer struct {

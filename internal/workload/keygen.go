@@ -5,9 +5,10 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+
+	"planet/internal/keyspace"
 )
 
 // KeyGen draws keys according to a popularity distribution. Implementations
@@ -16,23 +17,11 @@ import (
 type KeyGen interface {
 	// Next draws one key.
 	Next(rng *rand.Rand) string
-	// Keys returns the full key space (for seeding).
+	// Keys returns the full key space.
 	Keys() []string
-}
-
-// keyName formats the canonical key for an index under a prefix. Key draws
-// and seeding both sit on this, so it hand-rolls the zero-padded decimal
-// instead of going through fmt.
-func keyName(prefix string, i int) string {
-	if i < 0 || i > 999999 {
-		return fmt.Sprintf("%s%06d", prefix, i)
-	}
-	var buf [6]byte
-	for j := 5; j >= 0; j-- {
-		buf[j] = byte('0' + i%10)
-		i /= 10
-	}
-	return prefix + string(buf[:])
+	// Ranges returns the key space as numbered key ranges, which seed in
+	// constant time, or nil when it is an explicit list (Keys).
+	Ranges() []keyspace.Range
 }
 
 // Uniform draws uniformly from N keys.
@@ -42,10 +31,13 @@ type Uniform struct {
 }
 
 // Next implements KeyGen.
-func (u Uniform) Next(rng *rand.Rand) string { return keyName(u.Prefix, rng.Intn(u.N)) }
+func (u Uniform) Next(rng *rand.Rand) string { return keyspace.Key(u.Prefix, rng.Intn(u.N)) }
 
 // Keys implements KeyGen.
-func (u Uniform) Keys() []string { return allKeys(u.Prefix, u.N) }
+func (u Uniform) Keys() []string { return allKeys(u.Ranges()) }
+
+// Ranges implements KeyGen.
+func (u Uniform) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: u.Prefix, N: u.N}} }
 
 // Zipf draws from N keys with a Zipfian popularity skew (s > 1).
 type Zipf struct {
@@ -61,11 +53,14 @@ func (z Zipf) Next(rng *rand.Rand) string {
 		s = 1.01
 	}
 	zf := rand.NewZipf(rng, s, 1, uint64(z.N-1))
-	return keyName(z.Prefix, int(zf.Uint64()))
+	return keyspace.Key(z.Prefix, int(zf.Uint64()))
 }
 
 // Keys implements KeyGen.
-func (z Zipf) Keys() []string { return allKeys(z.Prefix, z.N) }
+func (z Zipf) Keys() []string { return allKeys(z.Ranges()) }
+
+// Ranges implements KeyGen.
+func (z Zipf) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: z.Prefix, N: z.N}} }
 
 // ZipfFast draws from the same popularity law as Zipf — P(k) ∝ (k+1)^-s —
 // but from an alias table precomputed at construction, so Next is O(1)
@@ -133,13 +128,16 @@ func NewZipfFast(prefix string, n int, s float64) *ZipfFast {
 func (z *ZipfFast) Next(rng *rand.Rand) string {
 	i := rng.Intn(z.n)
 	if rng.Float64() < z.prob[i] {
-		return keyName(z.prefix, i)
+		return keyspace.Key(z.prefix, i)
 	}
-	return keyName(z.prefix, int(z.alias[i]))
+	return keyspace.Key(z.prefix, int(z.alias[i]))
 }
 
 // Keys implements KeyGen.
-func (z *ZipfFast) Keys() []string { return allKeys(z.prefix, z.n) }
+func (z *ZipfFast) Keys() []string { return allKeys(z.Ranges()) }
+
+// Ranges implements KeyGen.
+func (z *ZipfFast) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: z.prefix, N: z.n}} }
 
 // Hotspot sends HotProb of the draws to a small hot set and the rest
 // uniformly to the cold set — the contention knob for experiments F5/F6.
@@ -153,15 +151,17 @@ type Hotspot struct {
 // Next implements KeyGen.
 func (h Hotspot) Next(rng *rand.Rand) string {
 	if rng.Float64() < h.HotProb {
-		return keyName(h.Prefix+"hot-", rng.Intn(h.HotKeys))
+		return keyspace.Key(h.Prefix+"hot-", rng.Intn(h.HotKeys))
 	}
-	return keyName(h.Prefix+"cold-", rng.Intn(h.ColdKeys))
+	return keyspace.Key(h.Prefix+"cold-", rng.Intn(h.ColdKeys))
 }
 
 // Keys implements KeyGen.
-func (h Hotspot) Keys() []string {
-	keys := allKeys(h.Prefix+"hot-", h.HotKeys)
-	return append(keys, allKeys(h.Prefix+"cold-", h.ColdKeys)...)
+func (h Hotspot) Keys() []string { return allKeys(h.Ranges()) }
+
+// Ranges implements KeyGen: the hot set, then the cold set.
+func (h Hotspot) Ranges() []keyspace.Range {
+	return []keyspace.Range{{Prefix: h.Prefix + "hot-", N: h.HotKeys}, {Prefix: h.Prefix + "cold-", N: h.ColdKeys}}
 }
 
 // Fixed draws uniformly from an explicit key list.
@@ -173,10 +173,16 @@ func (f Fixed) Next(rng *rand.Rand) string { return f.List[rng.Intn(len(f.List))
 // Keys implements KeyGen.
 func (f Fixed) Keys() []string { return append([]string(nil), f.List...) }
 
-func allKeys(prefix string, n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = keyName(prefix, i)
+// Ranges implements KeyGen: an explicit list is no range.
+func (f Fixed) Ranges() []keyspace.Range { return nil }
+
+// allKeys lists every key of ranges, in order.
+func allKeys(ranges []keyspace.Range) []string {
+	var keys []string
+	for _, r := range ranges {
+		for i := range r.N {
+			keys = append(keys, keyspace.Key(r.Prefix, i))
+		}
 	}
 	return keys
 }

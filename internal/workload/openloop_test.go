@@ -8,6 +8,7 @@ import (
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
+	"planet/internal/keyspace"
 	"planet/internal/regions"
 )
 
@@ -265,7 +266,7 @@ func TestZipfFastSkew(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		counts[g.Next(rng)]++
 	}
-	head := counts[keyName("z-", 0)]
+	head := counts[keyspace.Key("z-", 0)]
 	if head < 20000/1000*10 {
 		t.Errorf("zipf head key drawn %d times, not skewed", head)
 	}

@@ -15,37 +15,39 @@ type Template interface {
 	Seed(seeder Seeder)
 }
 
-// Seeder is the subset of cluster setup a template needs.
+// Seeder is the subset of cluster setup a template needs. The range forms
+// seed keyspace.Key(prefix, i) for every 0 ≤ i < n.
 type Seeder interface {
 	SeedBytes(key string, value []byte)
 	SeedInt(key string, value, lo, hi int64)
+	SeedBytesRange(prefix string, n int, value []byte)
+	SeedIntRange(prefix string, n int, value, lo, hi int64)
 }
 
-// BulkSeeder is an optional extension of Seeder that installs a whole key
-// space in one pass, avoiding per-key locking and incremental map growth.
-// cluster.Cluster implements it; templates use it when available.
-type BulkSeeder interface {
-	SeedBytesAll(keys []string, value []byte)
-	SeedIntAll(keys []string, value, lo, hi int64)
-}
-
-func seedBytesAll(s Seeder, keys []string, value []byte) {
-	if b, ok := s.(BulkSeeder); ok {
-		b.SeedBytesAll(keys, value)
-		return
+// seedInts seeds g's whole key space with one integer and its bounds: range
+// by range, or key by key when the key space is an explicit list.
+func seedInts(s Seeder, g KeyGen, value, lo, hi int64) {
+	ranges := g.Ranges()
+	for _, r := range ranges {
+		s.SeedIntRange(r.Prefix, r.N, value, lo, hi)
 	}
-	for _, k := range keys {
-		s.SeedBytes(k, value)
+	if ranges == nil {
+		for _, k := range g.Keys() {
+			s.SeedInt(k, value, lo, hi)
+		}
 	}
 }
 
-func seedIntAll(s Seeder, keys []string, value, lo, hi int64) {
-	if b, ok := s.(BulkSeeder); ok {
-		b.SeedIntAll(keys, value, lo, hi)
-		return
+// seedBytes is seedInts for a byte value.
+func seedBytes(s Seeder, g KeyGen, value []byte) {
+	ranges := g.Ranges()
+	for _, r := range ranges {
+		s.SeedBytesRange(r.Prefix, r.N, value)
 	}
-	for _, k := range keys {
-		s.SeedInt(k, value, lo, hi)
+	if ranges == nil {
+		for _, k := range g.Keys() {
+			s.SeedBytes(k, value)
+		}
 	}
 }
 
@@ -80,7 +82,7 @@ func (b Buy) Seed(seeder Seeder) {
 	if stock <= 0 {
 		stock = 1 << 40 // effectively unbounded
 	}
-	seedIntAll(seeder, b.Products.Keys(), stock, 0, 1<<50)
+	seedInts(seeder, b.Products, stock, 0, 1<<50)
 }
 
 // ReadModifyWrite reads NKeys records and writes them back — the classic
@@ -122,7 +124,7 @@ func (w ReadModifyWrite) Build(s *planet.Session, rng *rand.Rand) (*planet.Txn, 
 
 // Seed implements Template.
 func (w ReadModifyWrite) Seed(seeder Seeder) {
-	seedBytesAll(seeder, w.Keys.Keys(), []byte("init"))
+	seedBytes(seeder, w.Keys, []byte("init"))
 }
 
 // Checkout models a shopping-cart purchase: commutative decrements on
@@ -171,8 +173,8 @@ func (c Checkout) Seed(seeder Seeder) {
 	if stock <= 0 {
 		stock = 1 << 40
 	}
-	seedIntAll(seeder, c.Products.Keys(), stock, 0, 1<<50)
-	seedBytesAll(seeder, c.Orders.Keys(), []byte("empty"))
+	seedInts(seeder, c.Products, stock, 0, 1<<50)
+	seedBytes(seeder, c.Orders, []byte("empty"))
 }
 
 // Transfer moves one unit between two accounts with commutative deltas,
@@ -202,5 +204,5 @@ func (t Transfer) Seed(seeder Seeder) {
 	if bal <= 0 {
 		bal = 1000
 	}
-	seedIntAll(seeder, t.Accounts.Keys(), bal, 0, 1<<50)
+	seedInts(seeder, t.Accounts, bal, 0, 1<<50)
 }

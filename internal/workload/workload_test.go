@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
+	"planet/internal/keyspace"
 	"planet/internal/regions"
 )
 
@@ -43,7 +45,7 @@ func TestZipfSkew(t *testing.T) {
 		counts[g.Next(rng)]++
 	}
 	// The head key must dominate: more than 10x the mean.
-	head := counts[keyName("z-", 0)]
+	head := counts[keyspace.Key("z-", 0)]
 	if head < 20000/1000*10 {
 		t.Errorf("zipf head key drawn %d times, not skewed", head)
 	}
@@ -113,6 +115,61 @@ func TestKeyGenClosedOverKeys(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 			t.Errorf("%T: %v", g, err)
 		}
+	}
+}
+
+// Property: a ranged generator's ranges are its key space. They enumerate
+// exactly Keys(), every draw falls inside one of them, and the parser behind
+// Covers accepts exactly what the formatter writes, past a million keys too.
+func TestKeyRangesAreTheKeySpace(t *testing.T) {
+	gens := []KeyGen{
+		Uniform{Prefix: "u-", N: 37},
+		Zipf{Prefix: "z-", N: 50, S: 1.2},
+		NewZipfFast("zf-", 200, 1.1),
+		Hotspot{Prefix: "h-", HotKeys: 3, ColdKeys: 500, HotProb: 0.4},
+	}
+	for _, g := range gens {
+		ranges := g.Ranges()
+		covered := func(key string) bool {
+			for _, r := range ranges {
+				if r.Covers(key) {
+					return true
+				}
+			}
+			return false
+		}
+		enumerated := make(map[string]bool)
+		for _, r := range ranges {
+			for i := range r.N {
+				enumerated[keyspace.Key(r.Prefix, i)] = true
+			}
+		}
+		keys := make(map[string]bool)
+		for _, k := range g.Keys() {
+			keys[k] = true
+			if !covered(k) {
+				t.Errorf("%T: key %q is in no range", g, k)
+			}
+		}
+		if !reflect.DeepEqual(keys, enumerated) {
+			t.Errorf("%T: ranges enumerate %d keys, Keys() lists %d", g, len(enumerated), len(keys))
+		}
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 10_000; i++ {
+			if k := g.Next(rng); !covered(k) {
+				t.Fatalf("%T: draw %q is in no range", g, k)
+			}
+		}
+	}
+	if got := (Fixed{List: []string{"a"}}).Ranges(); got != nil {
+		t.Errorf("Fixed reports ranges %v", got)
+	}
+	big := keyspace.Range{Prefix: "p", N: 1_000_002}
+	if !big.Covers(keyspace.Key("p", 1_000_001)) {
+		t.Errorf("range of %d keys rejects its last key %q", big.N, keyspace.Key("p", 1_000_001))
+	}
+	if big.Covers(keyspace.Key("p", 1_000_002)) {
+		t.Errorf("range of %d keys covers %q", big.N, keyspace.Key("p", 1_000_002))
 	}
 }
 
@@ -359,8 +416,8 @@ func TestReadModifyWriteDistinctKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tx.WriteCount() != 3 {
-			t.Fatalf("txn writes %d keys, want 3", tx.WriteCount())
+		if n := len(tx.Keys()); n != 3 {
+			t.Fatalf("txn writes %d keys, want 3", n)
 		}
 	}
 }
