@@ -116,11 +116,21 @@ type Stats struct {
 // regionRT is a region's private runtime: its transaction-ID namespace and
 // its RNG for jitter/probe draws. Keeping both region-local means one
 // region's traffic never shifts another region's IDs, backoff delays, or
-// admission probes.
+// admission probes. Only retries and admission probes draw from the RNG, so
+// it is built on the first draw.
 type regionRT struct {
-	ids *txn.IDSpace
-	mu  sync.Mutex
-	rng *rand.Rand
+	ids  *txn.IDSpace
+	mu   sync.Mutex
+	seed int64
+	rng  *rand.Rand // nil until the first draw
+}
+
+// draw returns the next Float64 of the region's stream. Caller holds rt.mu.
+func (rt *regionRT) draw() float64 {
+	if rt.rng == nil {
+		rt.rng = rand.New(rand.NewSource(rt.seed))
+	}
+	return rt.rng.Float64()
 }
 
 // DB is a PLANET database handle over a cluster. Open one per deployment,
@@ -164,10 +174,7 @@ func Open(cfg Config) (*DB, error) {
 		health:   make(map[simnet.Region]*regionHealth, len(regionList)),
 	}
 	for i, r := range regionList {
-		db.rts[r] = &regionRT{
-			ids: txn.NewIDSpace(i),
-			rng: rand.New(rand.NewSource(1 + int64(i))),
-		}
+		db.rts[r] = &regionRT{ids: txn.NewIDSpace(i), seed: 1 + int64(i)}
 	}
 	if cfg.Health.enabled() {
 		if cfg.Health.Window <= 0 {
@@ -355,7 +362,7 @@ func (db *DB) jitter(r simnet.Region) float64 {
 	rt := db.rts[r]
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return 0.5 + rt.rng.Float64()
+	return 0.5 + rt.draw()
 }
 
 // probe draws whether a below-threshold transaction is admitted anyway.
@@ -366,7 +373,7 @@ func (db *DB) probe(r simnet.Region, fraction float64) bool {
 	rt := db.rts[r]
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.rng.Float64() < fraction
+	return rt.draw() < fraction
 }
 
 // Session returns a client handle bound to a region: reads are served by
@@ -454,5 +461,5 @@ func (s *Session) QuorumReadInt(key string) (int64, int64, error) {
 
 // Begin starts a transaction.
 func (s *Session) Begin() *Txn {
-	return &Txn{session: s, reads: make(map[string]int64), writes: make(map[string]write)}
+	return &Txn{session: s}
 }

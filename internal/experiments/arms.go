@@ -24,8 +24,12 @@ import (
 //   - txn.NewID's global counter serves tests and the benchmark harness
 //     only; a planet.DB mints transaction ids from its own per-region
 //     txn.IDSpace.
-//   - simnet.deliveryPool and workload.rngPool hand out records that every
-//     Get fully rebinds (delivery) or reseeds (RNG).
+//   - simnet.deliveryPool, workload.rngPool and workload.clientRNGPool hand
+//     out records that every Get fully rebinds (delivery) or reseeds (RNG).
+//     A reseeded math/rand generator (clientRNGPool, Closed's per-client
+//     generators) draws exactly the stream a fresh one of that seed would:
+//     Seed resets its source and read position, so nothing an arm drew
+//     reaches the arm that gets the generator next.
 //
 // TestArmsEquivalence holds this to account: one worker and four racing
 // workers must agree on every byte of Text and every bit of Metrics.

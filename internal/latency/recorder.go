@@ -1,8 +1,7 @@
 package latency
 
 import (
-	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -11,15 +10,16 @@ import (
 // over a bounded window of the most recent samples. It is the predictor's
 // view of "what does a message on this link cost right now".
 //
-// The window is a ring buffer: once capacity is reached, new samples
-// overwrite the oldest ones, so the recorder tracks non-stationary
-// latencies (load spikes, reconfigurations) with bounded memory.
+// The window is a ring buffer that grows with the samples up to its bound;
+// from then on new samples overwrite the oldest ones, so the recorder tracks
+// non-stationary latencies (load spikes, reconfigurations) with bounded
+// memory, and a recorder that sees few samples holds only those.
 // All methods are safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
-	ring    []time.Duration
+	window  int             // bound on len(ring)
+	ring    []time.Duration // the window, oldest at next once full
 	next    int
-	filled  bool
 	count   uint64
 	dirty   bool
 	sortedC []time.Duration // cached sorted copy of the window
@@ -28,10 +28,7 @@ type Recorder struct {
 // NewRecorder returns a Recorder keeping the most recent capacity samples.
 // Capacity is clamped to at least 16.
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Recorder{ring: make([]time.Duration, 0, capacity)}
+	return &Recorder{window: max(capacity, 16)}
 }
 
 // Observe records one delay sample.
@@ -41,12 +38,11 @@ func (r *Recorder) Observe(d time.Duration) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.window {
 		r.ring = append(r.ring, d)
 	} else {
 		r.ring[r.next] = d
-		r.next = (r.next + 1) % cap(r.ring)
-		r.filled = true
+		r.next = (r.next + 1) % r.window
 	}
 	r.count++
 	r.dirty = true
@@ -64,8 +60,7 @@ func (r *Recorder) Count() uint64 {
 func (r *Recorder) sortedLocked() []time.Duration {
 	if r.dirty || r.sortedC == nil {
 		r.sortedC = append(r.sortedC[:0], r.ring...)
-		// insertion-free: use sort from the stdlib via a copy
-		sortDurations(r.sortedC)
+		slices.Sort(r.sortedC)
 		r.dirty = false
 	}
 	return r.sortedC
@@ -113,17 +108,11 @@ func (r *Recorder) Quantile(p float64) (time.Duration, bool) {
 	return s[idx], true
 }
 
-// Sample draws a random sample from the window, or ok=false when empty.
-func (r *Recorder) Sample(rng *rand.Rand) (time.Duration, bool) {
+// AppendWindow appends the window's samples to dst in ring order and returns
+// the extended slice: a snapshot to draw many samples from without taking the
+// lock per draw.
+func (r *Recorder) AppendWindow(dst []time.Duration) []time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
-		return 0, false
-	}
-	return r.ring[rng.Intn(len(r.ring))], true
-}
-
-// sortDurations sorts in place; split out to keep sortedLocked readable.
-func sortDurations(s []time.Duration) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return append(dst, r.ring...)
 }

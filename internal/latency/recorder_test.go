@@ -142,3 +142,35 @@ func TestRecorderQuantileProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecorderWindowNotPowerOfTwo checks that a window of 100, which append
+// would overshoot when growing the ring, holds exactly the last 100 samples
+// in the order a preallocated ring of 100 slots holds them.
+func TestRecorderWindowNotPowerOfTwo(t *testing.T) {
+	const window = 100
+	r := NewRecorder(window)
+	var ref [window]time.Duration // the ring preallocated whole
+	next := 0
+	for i := 1; i <= 437; i++ {
+		d := time.Duration(i) * time.Microsecond
+		r.Observe(d)
+		ref[next] = d
+		next = (next + 1) % window
+		got := r.AppendWindow(nil)
+		want := ref[:min(i, window)]
+		if len(got) != len(want) {
+			t.Fatalf("after %d samples: window holds %d, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("after %d samples: slot %d = %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+	if q, _ := r.Quantile(0); q != 338*time.Microsecond {
+		t.Errorf("oldest retained sample = %v, want 338µs", q)
+	}
+	if r.Count() != 437 {
+		t.Errorf("Count = %d, want 437", r.Count())
+	}
+}

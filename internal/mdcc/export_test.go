@@ -35,7 +35,7 @@ func (r *Replica) HasRecord(key string) bool {
 func (r *Replica) DecidedCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.decided)
+	return r.decided.len()
 }
 
 // Seeds returns the seed image the replica builds its records from.

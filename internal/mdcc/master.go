@@ -121,8 +121,7 @@ func (r *Replica) resultTC(span uint64) TraceCtx {
 // and running Fast Paxos recovery); later proposals are sequenced directly.
 // Caller holds r.mu; returns staged messages.
 func (r *Replica) classicProposeLocked(p classicProposeMsg) []envelope {
-	if r.isDecided(p.Txn) {
-		committed := r.decided[p.Txn]
+	if committed, seen := r.decided.get(p.Txn); seen {
 		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: p.Option.Key,
 			Accepted: committed, Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
 	}
@@ -146,13 +145,6 @@ func (r *Replica) classicProposeLocked(p classicProposeMsg) []envelope {
 		return r.startPhase1Locked(p.Option.Key, ks)
 	}
 	return nil
-}
-
-// isDecided reports whether the transaction has a recorded decision.
-// Caller holds r.mu.
-func (r *Replica) isDecided(id txn.ID) bool {
-	_, ok := r.decided[id]
-	return ok
 }
 
 // envelope is an outgoing message staged while holding the lock.
@@ -356,7 +348,7 @@ func (r *Replica) finishPhase1Locked(key string, ks *masterKey) []envelope {
 		if s.count < thr {
 			continue
 		}
-		if r.isDecided(id) {
+		if _, seen := r.decided.get(id); seen {
 			continue
 		}
 		// Possibly fast-chosen: must be fixed at the new ballot before
@@ -377,9 +369,9 @@ func (r *Replica) finishPhase1Locked(key string, ks *masterKey) []envelope {
 // ballot. Caller holds r.mu; returns staged messages.
 func (r *Replica) sequenceLocked(ks *masterKey, p classicProposeMsg) []envelope {
 	key := p.Option.Key
-	if r.isDecided(p.Txn) {
+	if committed, seen := r.decided.get(p.Txn); seen {
 		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-			Accepted: r.decided[p.Txn], Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
+			Accepted: committed, Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
 	}
 	if mo := ks.inflight[p.Txn]; mo != nil {
 		// The option is already in flight (fast leftover recovered, or a
@@ -457,8 +449,8 @@ func (r *Replica) phase2aLocked(m phase2aItem, epoch uint64) phase2bItem {
 	var accept bool
 	if r.leaseFencedLocked(m.Key, epoch) {
 		r.LeaseFenced++
-	} else if r.isDecided(m.Txn) {
-		accept = r.decided[m.Txn]
+	} else if committed, seen := r.decided.get(m.Txn); seen {
+		accept = committed
 	} else {
 		rc := r.acquire(m.Key)
 		if m.Ballot >= rc.promised {

@@ -40,7 +40,7 @@ type Replica struct {
 	mu      sync.Mutex
 	records map[string]*record // the keys the protocol has touched; see acquire
 	slab    []record           // unused records, carved by acquire
-	decided map[txn.ID]bool
+	decided decidedSet
 	masters map[string]*masterKey
 	syncs   map[uint64]*syncWaiter
 	crashed bool
@@ -119,7 +119,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		cfg:     cfg,
 		clk:     cfg.Net.Clock(),
 		records: make(map[string]*record),
-		decided: make(map[txn.ID]bool),
 		masters: make(map[string]*masterKey),
 	}
 	cfg.Seeds.attach(r)
@@ -168,11 +167,7 @@ func (r *Replica) ReadLocal(key string) (Value, bool) {
 func (r *Replica) Decisions() map[txn.ID]bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[txn.ID]bool, len(r.decided))
-	for id, commit := range r.decided {
-		out[id] = commit
-	}
-	return out
+	return r.decided.toMap()
 }
 
 // Snapshot returns the committed state of every key this replica holds,
@@ -194,7 +189,7 @@ func (r *Replica) Crash() {
 	defer r.mu.Unlock()
 	r.crashed = true
 	r.records = make(map[string]*record)
-	r.decided = make(map[txn.ID]bool)
+	r.decided = decidedSet{}
 	r.masters = make(map[string]*masterKey)
 	r.syncs = nil
 	if r.leases != nil {
@@ -206,7 +201,7 @@ func (r *Replica) Crash() {
 }
 
 // Restore recovers a crashed replica: committed state is the seed image plus
-// a WAL replay (repopulating the decided map so straggler proposals and
+// a WAL replay (repopulating the decision memo so straggler proposals and
 // decides stay idempotent), then the replica rejoins the network. Only the
 // keys the WAL names get records, so a restart costs O(WAL), not O(keys).
 // Restoring a live replica is also safe — it reloads state from the same
@@ -217,7 +212,7 @@ func (r *Replica) Crash() {
 func (r *Replica) Restore() error {
 	r.mu.Lock()
 	r.records = make(map[string]*record)
-	r.decided = make(map[txn.ID]bool)
+	r.decided = decidedSet{}
 	r.masters = make(map[string]*masterKey)
 	if r.leases != nil {
 		r.leases = make(map[simnet.Region]*leaseState)
@@ -230,11 +225,11 @@ func (r *Replica) Restore() error {
 			if e.Lease != nil {
 				// A lease transition, not a decision: rebuild the lease
 				// view (expired — clocks don't survive restarts) and leave
-				// the decided map alone.
+				// the decision memo alone.
 				r.applyLeaseEntryLocked(e.Lease)
 				return nil
 			}
-			r.decided[e.Txn] = e.Commit
+			r.decided.set(e.Txn, e.Commit)
 			if e.Commit {
 				for _, op := range e.Options {
 					r.acquire(op.Key).apply(op)
@@ -320,7 +315,7 @@ func (r *Replica) onPropose(p proposeMsg) {
 	votes := make([]optionVote, 0, len(p.Options))
 
 	r.mu.Lock()
-	if r.isDecided(p.Txn) {
+	if _, seen := r.decided.get(p.Txn); seen {
 		// Reordered proposal for an already-decided transaction: planting
 		// pendings now would leave orphans. Report and stop.
 		r.mu.Unlock()
@@ -390,7 +385,7 @@ func (r *Replica) sendVotes(id txn.ID, coord simnet.Addr, votes []optionVote, sp
 // idempotent and may arrive before the proposal they decide.
 func (r *Replica) onDecide(d decideMsg) {
 	r.mu.Lock()
-	if _, seen := r.decided[d.Txn]; seen {
+	if _, seen := r.decided.get(d.Txn); seen {
 		r.mu.Unlock()
 		return
 	}
@@ -410,7 +405,7 @@ func (r *Replica) onDecide(d decideMsg) {
 			Start: time.Unix(0, d.TC.SentUnixNano), End: now,
 		})
 	}
-	r.decided[d.Txn] = d.Commit
+	r.decided.set(d.Txn, d.Commit)
 	for _, op := range d.Options {
 		rc := r.acquire(op.Key)
 		rc.removePending(d.Txn)

@@ -53,9 +53,7 @@ type Predictor struct {
 	cfg       Config
 	conflicts *ConflictTracker
 	classic   *decayedBox
-
-	mu  sync.Mutex
-	rtt map[simnet.Region]*latency.Recorder
+	rtt       map[simnet.Region]*latency.Recorder // fixed by New
 }
 
 // decayedBox wraps a decayed counter with its own lock (package-internal).
@@ -115,11 +113,7 @@ func (p *Predictor) ObserveClassicResult(key string, accepted bool) {
 }
 
 // recorder returns the region's RTT recorder (nil for unknown regions).
-func (p *Predictor) recorder(region simnet.Region) *latency.Recorder {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rtt[region]
-}
+func (p *Predictor) recorder(region simnet.Region) *latency.Recorder { return p.rtt[region] }
 
 // AcceptProb exposes the learned vote-accept probability for key.
 func (p *Predictor) AcceptProb(key string) float64 {
@@ -201,7 +195,8 @@ func (p *Predictor) optionProb(opt OptionFlight, elapsed, deadline time.Duration
 		q = p.conflicts.AcceptProb(opt.Key)
 	}
 
-	probs := make([]float64, 0, len(opt.Remaining))
+	var buf [tailBufLen]float64 // on the stack for up to tailBufLen regions
+	probs := buf[:0]
 	for _, region := range opt.Remaining {
 		pr := 1.0
 		if p.cfg.UseLatency && deadline > 0 {
@@ -286,6 +281,11 @@ func (p *Predictor) arrivalProb(region simnet.Region, elapsed, deadline time.Dur
 	return pr
 }
 
+// tailBufLen sizes the stack buffers of optionProb and tailAtLeast: the
+// likelihood is computed on every vote, and a deployment has fewer regions
+// than this, so neither allocates.
+const tailBufLen = 16
+
 // tailAtLeast computes P(at least k of the independent Bernoulli trials in
 // probs succeed) by dynamic programming (Poisson-binomial tail).
 func tailAtLeast(probs []float64, k int) float64 {
@@ -297,7 +297,12 @@ func tailAtLeast(probs []float64, k int) float64 {
 	}
 	// dp[j] = P(exactly j successes so far), capped at k (bucket k holds
 	// "k or more").
-	dp := make([]float64, k+1)
+	var buf [tailBufLen]float64
+	dp := buf[:]
+	if k+1 > len(dp) {
+		dp = make([]float64, k+1)
+	}
+	dp = dp[:k+1]
 	dp[0] = 1
 	for _, pr := range probs {
 		for j := k; j >= 1; j-- {

@@ -203,7 +203,7 @@ type Network struct {
 	shards   map[Region]*rngShard // per-region delay/loss sampling streams
 	defShard *rngShard            // fallback for regions missing from the matrix
 	calibMu  sync.Mutex
-	calib    *rand.Rand // dedicated stream for SampleDelay probes
+	calib    *rand.Rand // SampleDelay's own stream, built by its first probe
 
 	pending atomic.Int64  // messages sampled but not yet delivered
 	pmu     sync.Mutex    // guards drained
@@ -247,7 +247,6 @@ func New(cfg Config) (*Network, error) {
 		cfg:   cfg,
 		scale: scale,
 		clk:   vclock.Default(cfg.Clock),
-		calib: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed5eed)),
 	}
 	n.topo.Store(&topology{
 		nodes:  make(map[Addr]Handler),
@@ -524,6 +523,9 @@ func (n *Network) drop(obs Observer, from, to Addr) {
 func (n *Network) SampleDelay(from, to Region) time.Duration {
 	n.calibMu.Lock()
 	defer n.calibMu.Unlock()
+	if n.calib == nil {
+		n.calib = rand.New(rand.NewSource(n.cfg.Seed ^ 0x5eed5eed))
+	}
 	return n.cfg.Latency.Link(from, to).Sample(n.calib)
 }
 

@@ -20,7 +20,15 @@ type Event struct {
 	mu      sync.Mutex // guards fired and waiters under the Real clock (virtual events use the clock's lock)
 	ch      chan struct{}
 	fired   bool
-	waiters []*grant // in arrival order: parked and function waiters (virtual), function waiters only (Real)
+	waiters []waiter // in arrival order: parked and function waiters (virtual), function waiters only (Real)
+}
+
+// waiter is one Event waiter: the grant of a goroutine parked in a Wait
+// method, or a function registered with OnFire (g nil). Only Fire wakes a
+// function waiter, so it needs no grant of its own.
+type waiter struct {
+	g  *grant
+	fn func()
 }
 
 // Fire releases all current and future waiters. Safe to call from any
@@ -31,8 +39,17 @@ func (e *Event) Fire() {
 		if !e.fired {
 			e.fired = true
 			close(e.ch)
-			for _, g := range e.waiters {
-				v.wakeLocked(g, causeEvent)
+			for _, w := range e.waiters {
+				switch {
+				case w.g != nil:
+					v.wakeLocked(w.g, causeEvent)
+				case v.stopped:
+					// The scheduler loop has exited; run the function
+					// instead of queueing it on a dead run queue.
+					go w.fn()
+				default:
+					v.readyLocked(runSlot{fn: w.fn})
+				}
 			}
 			e.waiters = nil
 		}
@@ -40,15 +57,15 @@ func (e *Event) Fire() {
 		return
 	}
 	e.mu.Lock()
-	var waiters []*grant
+	var waiters []waiter
 	if !e.fired {
 		e.fired = true
 		close(e.ch)
 		waiters, e.waiters = e.waiters, nil
 	}
 	e.mu.Unlock()
-	for _, g := range waiters {
-		g.fn()
+	for _, w := range waiters {
+		w.fn()
 	}
 }
 
@@ -66,7 +83,7 @@ func (e *Event) OnFire(f func()) {
 			f()
 			return
 		}
-		e.waiters = append(e.waiters, &grant{fn: f})
+		e.waiters = append(e.waiters, waiter{fn: f})
 		v.mu.Unlock()
 		return
 	}
@@ -76,7 +93,7 @@ func (e *Event) OnFire(f func()) {
 		f()
 		return
 	}
-	e.waiters = append(e.waiters, &grant{fn: f})
+	e.waiters = append(e.waiters, waiter{fn: f})
 	e.mu.Unlock()
 }
 
@@ -98,7 +115,7 @@ func (e *Event) Wait() {
 			return
 		}
 		g := &grant{ch: make(chan struct{})}
-		e.waiters = append(e.waiters, g)
+		e.waiters = append(e.waiters, waiter{g: g})
 		v.parkLocked(g)
 		return
 	}
@@ -119,7 +136,7 @@ func (e *Event) WaitTimeout(d time.Duration) bool {
 			return false
 		}
 		g := v.timedGrantLocked(d)
-		e.waiters = append(e.waiters, g)
+		e.waiters = append(e.waiters, waiter{g: g})
 		v.parkLocked(g)
 		return g.cause == causeEvent
 	}
@@ -156,7 +173,7 @@ func (e *Event) WaitCtx(ctx context.Context) error {
 			return nil
 		}
 		g := &grant{ch: make(chan struct{})}
-		e.waiters = append(e.waiters, g)
+		e.waiters = append(e.waiters, waiter{g: g})
 		v.mu.Unlock()
 		// Cancellation comes from outside the virtual world; the watcher
 		// readies the waiter with a ctx wake.

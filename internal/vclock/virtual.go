@@ -23,14 +23,20 @@ const (
 	causeShutdown
 )
 
-// grant is one execution slot in the run queue. Either a parked goroutine
-// waits on ch for the slot to be granted, or fn is a function (Queue.Post,
-// Event.OnFire) executed inline when the slot comes up.
+// grant is a parked goroutine's claim on the run queue: it waits on ch for
+// its execution slot once something wakes it.
 type grant struct {
-	ch    chan struct{} // closed when granted (nil for fn grants)
-	fn    func()        // function to run inline (nil for parked goroutines)
+	ch    chan struct{} // closed when granted
 	timer *wtimer       // companion timeout timer, descheduled on other wakes
-	cause int           // why a parked grant was woken; causeNone = still parked
+	cause int           // why the grant was woken; causeNone = still parked
+}
+
+// runSlot is one run-queue entry: a function to run inline on the scheduler
+// loop (a Post, or a fired Event's OnFire function), or the channel of a
+// parked goroutine, closed to hand it the execution slot.
+type runSlot struct {
+	fn func()
+	ch chan struct{}
 }
 
 // Virtual is the deterministic discrete-event scheduler of the package
@@ -52,10 +58,10 @@ type Virtual struct {
 	stopped bool
 	now     time.Duration
 	running int // granted execution slots (1 in steady state; AddWork pins add)
-	// The run queue is ready[head:]. Taking a grant advances head, and the
+	// The run queue is ready[head:]. Taking a slot advances head, and the
 	// slice rewinds to its start whenever the queue drains (time advances
 	// only then), so steady-state appends reuse one backing array.
-	ready  []*grant
+	ready  []runSlot
 	head   int
 	timers timerHeap
 	free   []*wtimer // spent Schedule timers, for reuse
@@ -89,7 +95,7 @@ func (v *Virtual) Shutdown() {
 
 // run is the scheduler loop: grant ready work, else pop the earliest timer.
 // A popped timer's body runs right there: the run queue is empty at a pop,
-// so that is the slot a grant appended for it would have been given next.
+// so that is the slot an entry appended for it would have been given next.
 func (v *Virtual) run() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -101,17 +107,17 @@ func (v *Virtual) run() {
 		case v.running > 0:
 			v.cond.Wait()
 		case len(v.ready) > 0:
-			g := v.ready[v.head]
-			v.ready[v.head] = nil
+			s := v.ready[v.head]
+			v.ready[v.head] = runSlot{}
 			v.head++
 			if v.head == len(v.ready) {
 				v.ready, v.head = v.ready[:0], 0
 			}
-			if g.fn != nil {
-				v.callLocked(g.fn)
+			if s.fn != nil {
+				v.callLocked(s.fn)
 			} else {
 				v.running++
-				close(g.ch)
+				close(s.ch)
 			}
 		case len(v.timers) > 0:
 			t := v.timers.pop()
@@ -146,9 +152,9 @@ func (v *Virtual) callLocked(fn func()) {
 
 // drainLocked wakes everything at shutdown. Caller holds mu.
 func (v *Virtual) drainLocked() {
-	for _, g := range v.ready[v.head:] {
-		if g.ch != nil {
-			close(g.ch)
+	for _, s := range v.ready[v.head:] {
+		if s.ch != nil {
+			close(s.ch)
 		}
 	}
 	v.ready, v.head = nil, 0
@@ -161,9 +167,9 @@ func (v *Virtual) drainLocked() {
 	v.timers = nil
 }
 
-// readyLocked appends g to the run queue. Caller holds mu.
-func (v *Virtual) readyLocked(g *grant) {
-	v.ready = append(v.ready, g)
+// readyLocked appends s to the run queue. Caller holds mu.
+func (v *Virtual) readyLocked(s runSlot) {
+	v.ready = append(v.ready, s)
 	v.cond.Signal()
 }
 
@@ -189,9 +195,9 @@ func (v *Virtual) exitLocked() {
 	v.cond.Signal()
 }
 
-// wakeLocked readies a waiting grant — a parked goroutine or a function
-// waiter — with the given cause, descheduling its companion timer. A no-op
-// when the grant was already woken. Caller holds mu.
+// wakeLocked readies a parked goroutine's grant with the given cause,
+// descheduling its companion timer. A no-op when the grant was already
+// woken. Caller holds mu.
 func (v *Virtual) wakeLocked(g *grant, cause int) {
 	if g.cause != causeNone {
 		return
@@ -203,14 +209,10 @@ func (v *Virtual) wakeLocked(g *grant, cause int) {
 	if v.stopped {
 		// The scheduler loop has exited; release the waiter directly instead
 		// of queueing it on a dead run queue.
-		if g.fn != nil {
-			go g.fn()
-		} else {
-			close(g.ch)
-		}
+		close(g.ch)
 		return
 	}
-	v.readyLocked(g)
+	v.readyLocked(runSlot{ch: g.ch})
 }
 
 // armLocked schedules t firing at now+d, after every timer already due at
@@ -251,7 +253,7 @@ func (v *Virtual) sleepGrantLocked(d time.Duration) *grant {
 	// A yield is woken the moment it is queued. Recording that keeps a
 	// context cancelled before the slot comes up from readying it again.
 	g := &grant{ch: make(chan struct{}), cause: causeTimer}
-	v.readyLocked(g)
+	v.readyLocked(runSlot{ch: g.ch})
 	return g
 }
 
@@ -383,11 +385,11 @@ func (v *Virtual) Go(f func()) {
 		go f()
 		return
 	}
-	g := &grant{ch: make(chan struct{})}
-	v.readyLocked(g)
+	ch := make(chan struct{})
+	v.readyLocked(runSlot{ch: ch})
 	v.mu.Unlock()
 	go func() {
-		<-g.ch
+		<-ch
 		f()
 		v.mu.Lock()
 		v.exitLocked()
@@ -408,7 +410,7 @@ func (v *Virtual) Post(f func()) {
 		go f()
 		return
 	}
-	v.readyLocked(&grant{fn: f})
+	v.readyLocked(runSlot{fn: f})
 	v.mu.Unlock()
 }
 

@@ -8,7 +8,6 @@ import (
 
 	planet "planet/internal/core"
 	"planet/internal/simnet"
-	"planet/internal/txn"
 	"planet/internal/vclock"
 )
 
@@ -51,7 +50,9 @@ func (o *Options) validate() error {
 
 // Closed runs a closed-loop workload: Clients concurrent clients, each
 // submitting PerClient transactions back to back, waiting for the final
-// decision (not just speculation) before the next.
+// decision (not just speculation) before the next. Each client draws its keys
+// from its own generator, recycled once the client ends, so a Template must
+// not keep the generator past Build.
 type Closed struct {
 	Options
 	Clients   int
@@ -77,8 +78,9 @@ func (c Closed) Run() (*Report, error) {
 	errs := make(chan error, c.Clients)
 	for i := 0; i < c.Clients; i++ {
 		region := c.Regions[i%len(c.Regions)]
-		rng := rand.New(rand.NewSource(c.Seed + int64(i)*7919))
+		rng := seededRNG(&clientRNGPool, c.Seed+int64(i)*7919)
 		g.Go(func() {
+			defer clientRNGPool.Put(rng)
 			s, err := c.DB.Session(region)
 			if err != nil {
 				errs <- err
@@ -90,7 +92,7 @@ func (c Closed) Run() (*Report, error) {
 					errs <- fmt.Errorf("workload: build: %w", err)
 					return
 				}
-				h, err := tx.Commit(report.callbacks(clk, region, c.SpeculateAt, c.Deadline))
+				h, err := tx.Commit(report.callbacks(clk, region, c.SpeculateAt, c.Deadline, nil))
 				if err != nil {
 					errs <- fmt.Errorf("workload: commit: %w", err)
 					return
@@ -213,9 +215,9 @@ func (o Open) Run() (*Report, error) {
 			o.Ledger.inject()
 		}
 		g.Start(func(done func()) {
-			crng := pooledRNG(childSeed)
+			crng := seededRNG(&rngPool, childSeed)
 			tx, err := o.Template.Build(s, crng)
-			putRNG(crng)
+			rngPool.Put(crng)
 			if err != nil {
 				if o.Ledger != nil {
 					o.Ledger.abandon()
@@ -224,15 +226,7 @@ func (o Open) Run() (*Report, error) {
 				done()
 				return
 			}
-			opts := report.callbacks(clk, s.Region(), o.SpeculateAt, o.Deadline)
-			if l := o.Ledger; l != nil {
-				inner := opts.OnFinal
-				opts.OnFinal = func(out txn.Outcome) {
-					inner(out)
-					l.finish(out)
-				}
-			}
-			h, err := tx.Commit(opts)
+			h, err := tx.Commit(report.callbacks(clk, s.Region(), o.SpeculateAt, o.Deadline, o.Ledger))
 			if err != nil {
 				if o.Ledger != nil {
 					o.Ledger.abandon()

@@ -279,8 +279,8 @@ func TestZipfFastSkew(t *testing.T) {
 // seed regardless of pool reuse order.
 func TestPooledRNGDeterministic(t *testing.T) {
 	draw := func(seed int64) [4]int64 {
-		r := pooledRNG(seed)
-		defer putRNG(r)
+		r := seededRNG(&rngPool, seed)
+		defer rngPool.Put(r)
 		var out [4]int64
 		for i := range out {
 			out[i] = r.Int63()

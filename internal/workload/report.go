@@ -128,55 +128,74 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// callbackRecorder builds the CommitOptions that record one transaction
-// into the report, composing with any caller-specified speculation config.
-func (r *Report) callbacks(clk vclock.Clock, region simnet.Region, speculateAt float64, deadline time.Duration) planet.CommitOptions {
-	var start = clk.Now()
+// txnRecord records one transaction into a report. The callbacks are method
+// values on it, so what they capture is allocated once per commit rather
+// than once per callback.
+type txnRecord struct {
+	r      *Report
+	clk    vclock.Clock
+	region simnet.Region
+	start  time.Time
+	ledger *Ledger // nil unless the driver keeps one
 	// Speculation can fire at the submission instant, where the elapsed
 	// time is exactly zero under a virtual clock — track "did speculate"
 	// explicitly rather than inferring it from a nonzero latency.
-	var speculated atomic.Bool
-	var specElapsed atomic.Int64
+	speculated  atomic.Bool
+	specElapsed atomic.Int64
+}
+
+// callbacks builds the CommitOptions that record one transaction into the
+// report (and its finish into ledger, when non-nil), composing with any
+// caller-specified speculation config.
+func (r *Report) callbacks(clk vclock.Clock, region simnet.Region, speculateAt float64, deadline time.Duration, ledger *Ledger) planet.CommitOptions {
+	t := &txnRecord{r: r, clk: clk, region: region, start: clk.Now(), ledger: ledger}
 	return planet.CommitOptions{
-		SpeculateAt: speculateAt,
-		Deadline:    deadline,
-		OnAccept: func(p planet.Progress) {
-			r.Accept.Observe(clk.Since(start))
-		},
-		OnSpeculative: func(p planet.Progress) {
-			e := clk.Since(start)
-			specElapsed.Store(int64(e))
-			speculated.Store(true)
-			r.Speculative.Observe(e)
-			r.Speculated.Add(1)
-		},
-		OnFinal: func(o txn.Outcome) {
-			e := clk.Since(start)
-			switch {
-			case o.Rejected:
-				r.Rejected.Add(1)
-				r.Perceived.Observe(e)
-			case o.Committed:
-				r.Committed.Add(1)
-				r.Final.Observe(e)
-				r.regionHist(region).Observe(e)
-				if speculated.Load() {
-					r.Perceived.Observe(time.Duration(specElapsed.Load()))
-				} else {
-					r.Perceived.Observe(e)
-				}
-			default:
-				r.Aborted.Add(1)
-				r.Final.Observe(e)
-				if speculated.Load() {
-					r.Perceived.Observe(time.Duration(specElapsed.Load()))
-				} else {
-					r.Perceived.Observe(e)
-				}
-			}
-		},
-		OnApology: func(txn.Outcome) {
-			r.Apologies.Add(1)
-		},
+		SpeculateAt:   speculateAt,
+		Deadline:      deadline,
+		OnAccept:      t.accept,
+		OnSpeculative: t.speculative,
+		OnFinal:       t.final,
+		OnApology:     t.apology,
 	}
 }
+
+func (t *txnRecord) accept(planet.Progress) { t.r.Accept.Observe(t.clk.Since(t.start)) }
+
+func (t *txnRecord) speculative(planet.Progress) {
+	e := t.clk.Since(t.start)
+	t.specElapsed.Store(int64(e))
+	t.speculated.Store(true)
+	t.r.Speculative.Observe(e)
+	t.r.Speculated.Add(1)
+}
+
+func (t *txnRecord) final(o txn.Outcome) {
+	r, e := t.r, t.clk.Since(t.start)
+	switch {
+	case o.Rejected:
+		r.Rejected.Add(1)
+		r.Perceived.Observe(e)
+	case o.Committed:
+		r.Committed.Add(1)
+		r.Final.Observe(e)
+		r.regionHist(t.region).Observe(e)
+		if t.speculated.Load() {
+			r.Perceived.Observe(time.Duration(t.specElapsed.Load()))
+		} else {
+			r.Perceived.Observe(e)
+		}
+	default:
+		r.Aborted.Add(1)
+		r.Final.Observe(e)
+		if t.speculated.Load() {
+			r.Perceived.Observe(time.Duration(t.specElapsed.Load()))
+		} else {
+			r.Perceived.Observe(e)
+		}
+	}
+	if t.ledger != nil {
+		t.ledger.finish(o)
+	}
+}
+
+func (t *txnRecord) apology(txn.Outcome) { t.r.Apologies.Add(1) }

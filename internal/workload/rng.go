@@ -35,12 +35,18 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 // seed alone.
 var rngPool = sync.Pool{New: func() any { return rand.New(new(splitmix64)) }}
 
-// pooledRNG returns a child RNG seeded for one arrival. Return it with
-// putRNG once the arrival's key draws are done.
-func pooledRNG(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
+// clientRNGPool recycles Closed's per-client generators, which use
+// math/rand's default source so their streams stay what they always were: a
+// fresh one costs a 4.9 KB allocation, and every arm of every experiment
+// starts its clients anew. Rand.Seed fully resets that source and the Rand's
+// read position, so a recycled generator draws exactly the stream
+// rand.New(rand.NewSource(seed)) would, whatever it drew before.
+var clientRNGPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRNG returns a generator from pool (rngPool or clientRNGPool) seeded
+// with seed. Put it back in the same pool once its draws are done.
+func seededRNG(pool *sync.Pool, seed int64) *rand.Rand {
+	r := pool.Get().(*rand.Rand)
 	r.Seed(seed)
 	return r
 }
-
-func putRNG(r *rand.Rand) { rngPool.Put(r) }
