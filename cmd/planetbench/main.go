@@ -142,7 +142,6 @@ func runOpenLoop(quick bool, seed int64, scale float64) int {
 		Topology:      regions.Three(),
 		TimeScale:     scale, // 0 = cluster default
 		Seed:          seed,
-		VirtualTime:   true,
 		CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {

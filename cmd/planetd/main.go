@@ -3,7 +3,9 @@
 // take. It has two modes:
 //
 // Simulation mode (default) boots the whole multi-region cluster in-process
-// over the simulated WAN:
+// over the simulated WAN, on a paced virtual clock: one serialized event
+// order whose time follows the wall clock, so HTTP clients wait as long as
+// the (scaled) WAN would make them:
 //
 //	planetd [-addr :8480] [-region us-west] [-mode fast] [-scale 0.05]
 //	        [-admission 0.4] [-slowtxn 250ms] [-logaborted] [-chaos mixed]
@@ -80,6 +82,7 @@ import (
 	"planet/internal/obs"
 	"planet/internal/realnet"
 	"planet/internal/simnet"
+	"planet/internal/vclock"
 )
 
 func main() {
@@ -180,25 +183,12 @@ func commitMode(s string) (mdcc.Mode, error) {
 	return 0, fmt.Errorf("planetd: -mode must be fast or classic, got %q", s)
 }
 
-// attrLogger periodically logs the attribution table until stop is closed.
-// It gives operators the "where is my latency going" answer in the process
-// log without needing to poll /v1/attribution.
-func attrLogger(db *planet.DB, every time.Duration, stop <-chan struct{}) {
-	a := db.Attribution()
-	if a == nil || every <= 0 {
-		return
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			snap := a.Snapshot()
-			if len(snap.Stages) == 0 {
-				continue
-			}
+// attrLogger logs the attribution table every interval of the cluster
+// clock until stop fires. It gives operators the "where is my latency
+// going" answer in the process log without needing to poll /v1/attribution.
+func attrLogger(a *obs.AttributionSet, every time.Duration, stop *vclock.Event) {
+	for !stop.WaitTimeout(every) {
+		if snap := a.Snapshot(); len(snap.Stages) > 0 {
 			log.Printf("planetd: latency attribution\n%s", snap.Table())
 		}
 	}
@@ -225,13 +215,19 @@ func openDB(f *flags, c *cluster.Cluster, reg *obs.Registry) (*planet.DB, error)
 	})
 }
 
-// runSimnet boots the whole cluster in-process over the simulated WAN.
+// runSimnet boots the whole cluster in-process over the simulated WAN, on a
+// paced virtual clock. The main goroutine holds the clock's execution slot
+// while it sets up, and hands it back before it serves: from then on HTTP
+// handlers enter the clock through its outsider pin.
 func runSimnet(f *flags) error {
 	reg := obs.NewRegistry()
 	var dbPtr atomic.Pointer[planet.DB]
 
+	clk := vclock.NewPaced()
+	defer clk.Shutdown()
 	// WAL on: crash/restart chaos faults recover replica state by replay.
 	c, err := cluster.New(cluster.Config{
+		Clock:        clk,
 		TimeScale:    f.scale,
 		WAL:          true,
 		MasterLeases: f.leases,
@@ -300,6 +296,10 @@ func runSimnet(f *flags) error {
 	if eng != nil {
 		fmt.Printf("chaos: POST /v1/chaos/* enabled (presets: %v)\n", chaos.PresetNames())
 	}
+	clk.WorkDone()
+	// Shutdown re-enters the clock: the deferred Stop waits out the chaos
+	// engine's heals through it.
+	defer clk.AddWork(1)
 	return serve(f, gw, db, c.WALOf(region))
 }
 
@@ -388,10 +388,11 @@ func serve(f *flags, gw *httpapi.Server, db *planet.DB, wal *mdcc.WAL) error {
 	srv := &http.Server{Addr: f.addr, Handler: gw}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if f.attr > 0 {
-		attrStop := make(chan struct{})
-		defer close(attrStop)
-		go attrLogger(db, f.attr, attrStop)
+	if a := db.Attribution(); a != nil && f.attr > 0 {
+		clk := db.Cluster().Clock()
+		attrStop := clk.NewEvent()
+		defer attrStop.Fire()
+		clk.Go(func() { attrLogger(a, f.attr, attrStop) })
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

@@ -90,9 +90,12 @@ func main() {
 		c.Quiesce(5 * time.Second)
 	}
 
-	start := time.Now()
+	// The cluster runs on its own virtual clock, so the stamps are simulated
+	// (scaled) time, exact to the event.
+	clk := c.Clock()
+	start := clk.Now()
 	stamp := func() string {
-		return fmt.Sprintf("%8s", time.Since(start).Round(100*time.Microsecond))
+		return fmt.Sprintf("%8s", clk.Since(start).Round(100*time.Microsecond))
 	}
 	fmt.Printf("submitting from %s via the %s path (speculate at %.2f)\n", *regionFlag, mode, *threshold)
 

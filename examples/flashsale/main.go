@@ -22,6 +22,7 @@ import (
 	"planet/internal/cluster"
 	planet "planet/internal/core"
 	"planet/internal/metrics"
+	"planet/internal/vclock"
 )
 
 const (
@@ -58,19 +59,22 @@ func runSale(admission planet.AdmissionPolicy) {
 	// quantity, so writes genuinely conflict).
 	c.SeedBytes("product:viral", []byte("flash-sale-page"))
 
+	// Arrivals are paced on the cluster's clock, so the burst is one
+	// deterministic schedule in simulated time.
+	clk := c.Clock()
 	var (
-		wg                           sync.WaitGroup
+		g                            = vclock.NewGroup(clk)
 		mu                           sync.Mutex
 		committed, aborted, rejected int
 		feedback                     = metrics.NewHistogram() // time until the user learns anything definitive
 	)
 	rng := rand.New(rand.NewSource(99))
 	regionList := c.Regions()
-	next := time.Now()
+	next := clk.Now()
 	for i := 0; i < burst; i++ {
 		next = next.Add(time.Duration(rng.ExpFloat64() / arrivalHz * float64(time.Second)))
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
+		if d := clk.Until(next); d > 0 {
+			clk.Sleep(d)
 		}
 		s, err := db.Session(regionList[i%len(regionList)])
 		if err != nil {
@@ -81,18 +85,16 @@ func runSale(admission planet.AdmissionPolicy) {
 			log.Fatal(err)
 		}
 		tx.Set("product:viral", []byte(fmt.Sprintf("buyer-%d", i)))
-		start := time.Now()
+		start := clk.Now()
 		h, err := tx.Commit(planet.CommitOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			o := h.Wait()
 			mu.Lock()
 			defer mu.Unlock()
-			feedback.Observe(time.Since(start))
+			feedback.Observe(clk.Since(start))
 			switch {
 			case o.Rejected:
 				rejected++
@@ -101,9 +103,9 @@ func runSale(admission planet.AdmissionPolicy) {
 			default:
 				aborted++
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 
 	s := feedback.Summarize()
 	fmt.Printf("offered: %d  committed: %d  aborted-after-roundtrip: %d  rejected-instantly: %d\n",

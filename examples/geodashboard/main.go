@@ -46,15 +46,18 @@ func main() {
 		c.SeedInt(fmt.Sprintf("counter-%d", i), 0, -1<<40, 1<<40)
 	}
 
+	// Events are stamped on the cluster's clock: simulated (scaled) time,
+	// exact to the event.
 	var (
 		mu     sync.Mutex
 		events []event
-		start  = time.Now()
-		wg     sync.WaitGroup
+		clk    = c.Clock()
+		start  = clk.Now()
+		hs     []*planet.Handle
 	)
 	record := func(origin simnet.Region, line string) {
 		mu.Lock()
-		events = append(events, event{time.Since(start), origin, line})
+		events = append(events, event{clk.Since(start), origin, line})
 		mu.Unlock()
 	}
 
@@ -89,17 +92,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.Wait()
-		}()
+		hs = append(hs, h)
 	}
-	wg.Wait()
+	for _, h := range hs {
+		h.Wait()
+	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
+	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 	fmt.Printf("%-10s %-14s %s\n", "t", "origin", "event")
 	for _, e := range events {
 		fmt.Printf("%-10v %-14s %s\n", e.at.Round(100*time.Microsecond), e.origin, e.line)

@@ -17,14 +17,13 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
-	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 const (
@@ -55,16 +54,18 @@ func main() {
 		apologies  atomic.Int64 // wrong optimistic confirmations
 		perceived  atomic.Int64 // summed perceived latency (ns)
 		finalSum   atomic.Int64 // summed final latency (ns)
-		wg         sync.WaitGroup
 		regionList = c.Regions()
 	)
 
+	// Buyers run on the cluster's clock, so the whole sale is one
+	// deterministic schedule in simulated time.
+	clk := c.Clock()
+	g := vclock.NewGroup(clk)
 	for i := 0; i < buyers; i++ {
 		region := regionList[i%len(regionList)]
 		rng := rand.New(rand.NewSource(int64(100 + i)))
-		wg.Add(1)
-		go func(buyer int, region simnet.Region) {
-			defer wg.Done()
+		g.Go(func() {
+			buyer := i
 			s, err := db.Session(region)
 			if err != nil {
 				log.Print(err)
@@ -72,7 +73,7 @@ func main() {
 			}
 			for a := 0; a < attemptsPerBuyer; a++ {
 				seats := int64(1 + rng.Intn(2))
-				start := time.Now()
+				start := clk.Now()
 				tx := s.Begin()
 				tx.Add("concert", -seats)
 				var wasConfirmed atomic.Bool
@@ -82,7 +83,7 @@ func main() {
 						// Show the user "tickets secured!" now.
 						wasConfirmed.Store(true)
 						confirmed.Add(1)
-						perceived.Add(int64(time.Since(start)))
+						perceived.Add(int64(clk.Since(start)))
 					},
 					OnApology: func(o txn.Outcome) {
 						apologies.Add(1)
@@ -105,9 +106,9 @@ func main() {
 					soldOut.Add(1)
 				}
 			}
-		}(i, region)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	c.Quiesce(5 * time.Second)
 
 	attempts := int64(buyers * attemptsPerBuyer)

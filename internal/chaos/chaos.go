@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -74,7 +73,7 @@ type Engine struct {
 	// Scenario run state (guarded by mu; the runner goroutine owns the
 	// timeline between Run and Wait).
 	running bool
-	cancel  context.CancelFunc
+	stop    *vclock.Event
 	done    *vclock.Event
 }
 

@@ -1,13 +1,13 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"time"
 
 	"planet/internal/simnet"
+	"planet/internal/vclock"
 )
 
 // Fault is one scheduled fault in a scenario. Times are unscaled WAN time;
@@ -116,22 +116,22 @@ func (e *Engine) Run(sc Scenario) error {
 		}
 	}
 
-	// The runner sleeps through the cluster clock so a virtual-time cluster
+	// The runner waits through the cluster clock so a virtual-time cluster
 	// advances past fault offsets instead of wedging on a wall-clock timer;
-	// done is an Event for the same reason (Wait must not pin virtual time).
+	// stop and done are Events for the same reason, and because a Stop fired
+	// from inside the virtual world then lands at one deterministic point of
+	// its event order.
 	clk := e.cfg.Cluster.Clock()
-	ctx, cancel := context.WithCancel(context.Background())
 
 	e.mu.Lock()
 	if e.running {
 		e.mu.Unlock()
-		cancel()
 		return fmt.Errorf("chaos: scenario already running")
 	}
 	e.running = true
-	e.cancel = cancel
+	e.stop = clk.NewEvent()
 	e.done = clk.NewEvent()
-	done := e.done
+	stop, done := e.stop, e.done
 	e.mu.Unlock()
 
 	// Build the scaled timeline: one inject event per fault, plus a heal
@@ -154,7 +154,6 @@ func (e *Engine) Run(sc Scenario) error {
 
 	clk.Go(func() {
 		defer done.Fire()
-		defer cancel()
 		defer func() {
 			e.mu.Lock()
 			e.running = false
@@ -165,12 +164,7 @@ func (e *Engine) Run(sc Scenario) error {
 		outstanding := make(map[int]Fault, len(sc.Faults))
 
 		for _, ev := range events {
-			if wait := ev.at - clk.Since(start); wait > 0 {
-				if clk.SleepCtx(ctx, wait) != nil {
-					e.healOutstanding(outstanding)
-					return
-				}
-			} else if ctx.Err() != nil {
+			if wait := ev.at - clk.Since(start); wait > 0 && stop.WaitTimeout(wait) || stopped(stop) {
 				e.healOutstanding(outstanding)
 				return
 			}
@@ -196,6 +190,16 @@ func (e *Engine) Run(sc Scenario) error {
 		}
 	})
 	return nil
+}
+
+// stopped reports whether stop has fired, without waiting.
+func stopped(stop *vclock.Event) bool {
+	select {
+	case <-stop.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // healOutstanding recovers every still-active fault, in injection order.
@@ -228,12 +232,12 @@ func (e *Engine) Wait() {
 // Stop returns. A no-op when nothing is running.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	cancel, done, running := e.cancel, e.done, e.running
+	stop, done, running := e.stop, e.done, e.running
 	e.mu.Unlock()
 	if !running {
 		return
 	}
-	cancel()
+	stop.Fire()
 	done.Wait()
 }
 

@@ -17,6 +17,8 @@ package chaos_test
 // never skips.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -55,17 +57,36 @@ func TestChaosSoakLeaseFailover(t *testing.T) {
 	}
 }
 
+// TestChaosSoakDeterminism runs one soak twice with one seed: every
+// replica's WAL must come out byte-identical, since the workload, the fault
+// schedule and the protocol all run on the cluster's virtual clock.
+// verify.sh runs it repeatedly.
+func TestChaosSoakDeterminism(t *testing.T) {
+	a := runChaosSoak(t, 7, soakOpts{})
+	b := runChaosSoak(t, 7, soakOpts{})
+	for r, wal := range a {
+		if !bytes.Equal(wal, b[r]) {
+			t.Errorf("%s: same seed, different WAL bytes (%d vs %d bytes)", r, len(wal), len(b[r]))
+		}
+	}
+}
+
 // soakOpts selects protocol variants for one soak run.
 type soakOpts struct {
 	leases bool // epoch-fenced master leases instead of static masters
 }
 
-func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
+// runChaosSoak runs one soak, audits the invariants, and returns each
+// replica's WAL as the JSON lines a file-backed log would hold.
+func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]byte {
+	// The schedule spans about as long as the load takes to run fault-free
+	// (unscaled; 50ms virtual at TimeScale 0.01), so every fault window has
+	// transactions in flight.
 	clients, perClient := 20, 20
-	span := 30 * time.Second // unscaled; 300ms real at TimeScale 0.01
+	span := 5 * time.Second
 	if testing.Short() {
 		clients, perClient = 10, 10
-		span = 20 * time.Second
+		span = 2500 * time.Millisecond
 	}
 
 	c, err := cluster.New(cluster.Config{
@@ -76,9 +97,10 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
 		// that a blackout-stalled transaction resolves within the test.
 		CommitTimeout: 30 * time.Second,
 		MasterLeases:  opts.leases,
-		// Short relative to the generated crash durations (1.5s--7.5s
-		// unscaled), so a crashed holder's lease lapses and fails over
-		// well inside the fault window.
+		// Near the generated crash durations (0.25s--1.25s unscaled), so a
+		// crashed holder's lease can lapse and fail over inside the fault
+		// window; much shorter, and renewal traffic never lets the network
+		// quiesce.
 		LeaseTerm: time.Second,
 	})
 	if err != nil {
@@ -199,6 +221,16 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
 		}
 	}
 
+	wals := make(map[simnet.Region][]byte, len(c.Regions()))
+	for _, r := range c.Regions() {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		if err := c.WALOf(r).Replay(func(e mdcc.Entry) error { return enc.Encode(e) }); err != nil {
+			t.Fatal(err)
+		}
+		wals[r] = buf.Bytes()
+	}
+
 	// Invariant 3b — state replay equality: each replica's live state must
 	// equal the state rebuilt from the seed image + WAL (what a crash at
 	// this instant would recover to).
@@ -238,4 +270,5 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) {
 			t.Error("no keyspace lease was taken over despite a replica crash longer than the term")
 		}
 	}
+	return wals
 }

@@ -40,7 +40,7 @@ func BenchmarkSeedCluster(b *testing.B) {
 func BenchmarkOpenDeployment(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c, err := cluster.New(cluster.Config{Topology: regions.Five(), VirtualTime: true, Seed: int64(i + 1)})
+		c, err := cluster.New(cluster.Config{Topology: regions.Five(), Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

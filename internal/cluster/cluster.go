@@ -4,6 +4,11 @@
 // WAN; NewNode builds one over TCP, one process per region. Both use the
 // same node constructor. It is the composition root shared by the tests,
 // the examples, and the benchmark harness.
+//
+// A cluster built by New runs on one virtual clock (vclock.Virtual): its
+// own, unpaced, unless Config.Clock supplies one, such as the paced clock
+// planetd serves HTTP clients from. A node built by NewNode runs on the
+// real clock.
 package cluster
 
 import (
@@ -59,17 +64,19 @@ type Config struct {
 	PendingTTL time.Duration
 	// WAL enables per-replica write-ahead logs (memory-backed).
 	WAL bool
-	// VirtualTime runs the cluster on one discrete-event virtual clock
-	// (vclock.Virtual): every region's replica, coordinator, lease manager
-	// and delivery timers, and the harness driving them, share its single
-	// serialized event order. Timeouts and sleeps advance simulated time
-	// straight to the next deadline instead of waiting in real time, so
-	// experiments run at CPU speed and are deterministic for a given Seed.
-	// The clock is owned by the cluster; Close shuts it down. Server binaries
-	// (planetd) keep the default real clock.
+	// VirtualTime is ignored. It is kept only for the frozen benchmark
+	// module, which still sets it, and goes with ROADMAP item 9.
 	VirtualTime bool
-	// Clock overrides the time source outright (tests). Takes precedence
-	// over VirtualTime; the caller keeps ownership.
+	// Clock overrides the cluster's time source; the caller keeps ownership.
+	// Nil gives the cluster a clock of its own: an unpaced vclock.Virtual
+	// that Close shuts down. Every region's replica, coordinator, lease
+	// manager and delivery timers, and the code driving them, then share its
+	// single serialized event order: timeouts and sleeps advance simulated
+	// time straight to the next deadline, so a run takes CPU time only and
+	// is deterministic for a given Seed. The goroutine that calls New holds
+	// that clock's execution slot and may block only through the clock.
+	// Callers that serve a client waiting in wall time pass a
+	// vclock.NewPaced clock instead.
 	Clock vclock.Clock
 }
 
@@ -114,11 +121,10 @@ func New(cfg Config) (*Cluster, error) {
 
 	clk := cfg.Clock
 	var virt *vclock.Virtual
-	if clk == nil && cfg.VirtualTime {
+	if clk == nil {
 		virt = vclock.NewVirtual()
 		clk = virt
 	}
-	clk = vclock.Default(clk)
 
 	net, err := simnet.New(simnet.Config{
 		Latency:   cfg.Topology.Matrix,

@@ -12,7 +12,6 @@ import (
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
-	"planet/internal/mdcc"
 	"planet/internal/regions"
 	"planet/internal/simnet"
 	"planet/internal/txn"
@@ -49,10 +48,12 @@ func startNode(t *testing.T, peers map[simnet.Region]string, r simnet.Region, cf
 	return c, err
 }
 
-// waitDecided polls rep until it has recorded id's decision.
-func waitDecided(rep *mdcc.Replica, id txn.ID, timeout time.Duration) bool {
-	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if _, ok := rep.Decisions()[id]; ok {
+// waitDecided polls region r's replica in c, on c's clock, until it has
+// recorded id's decision.
+func waitDecided(c *cluster.Cluster, r simnet.Region, id txn.ID, timeout time.Duration) bool {
+	clk := c.Clock()
+	for deadline := clk.Now().Add(timeout); clk.Now().Before(deadline); clk.Sleep(time.Millisecond) {
+		if _, ok := c.Replica(r).Decisions()[id]; ok {
 			return true
 		}
 	}
@@ -223,8 +224,8 @@ func TestNodeRestartRecoversWAL(t *testing.T) {
 		if oc := h.Wait(); !oc.Committed {
 			t.Fatalf("add %d did not commit: %+v", i, oc)
 		}
-		for _, rep := range []*mdcc.Replica{gwNode.Replica(gw), victimNode.Replica(victim)} {
-			if !waitDecided(rep, h.ID(), 10*time.Second) {
+		for r, node := range map[simnet.Region]*cluster.Cluster{gw: gwNode, victim: victimNode} {
+			if !waitDecided(node, r, h.ID(), 10*time.Second) {
 				t.Fatalf("add %d: a replica never saw the decision", i)
 			}
 		}

@@ -154,7 +154,7 @@ func realnetOutcomes(t *testing.T, steps []eqStep) ([]bool, map[string]int64) {
 	// until it has recorded the decision.
 	barrier := func(id txn.ID) error {
 		for _, r := range eqRegions {
-			if !waitDecided(nodes[r].Replica(r), id, 10*time.Second) {
+			if !waitDecided(nodes[r], r, id, 10*time.Second) {
 				return fmt.Errorf("replica %s never saw decision for %s", r, id)
 			}
 		}

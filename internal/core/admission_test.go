@@ -109,7 +109,6 @@ func adaptiveRun(t *testing.T, seed int64) (Stats, AdmissionState) {
 	c, err := cluster.New(cluster.Config{
 		Topology:      regions.Three(),
 		Seed:          seed,
-		VirtualTime:   true,
 		CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {

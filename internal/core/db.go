@@ -65,9 +65,6 @@ type Config struct {
 	// DisableConflictTerm drops contention statistics from the
 	// likelihood model (ablation A2).
 	DisableConflictTerm bool
-	// DisableLatencyTerm drops deadline-awareness from the likelihood
-	// model (ablation A2).
-	DisableLatencyTerm bool
 	// ConflictHalfLife overrides the contention-decay half-life
 	// (emulator time).
 	ConflictHalfLife time.Duration
@@ -223,7 +220,7 @@ func Open(cfg Config) (*DB, error) {
 			FastQuorum:       mdcc.FastQuorum(len(regionList)),
 			ConflictHalfLife: cfg.ConflictHalfLife,
 			UseConflicts:     !cfg.DisableConflictTerm,
-			UseLatency:       !cfg.DisableLatencyTerm,
+			UseLatency:       true,
 			StageFeed:        feed,
 			CommitTimeout:    cfg.Cluster.CommitTimeout(),
 		})

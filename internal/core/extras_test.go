@@ -3,7 +3,6 @@ package planet_test
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	planet "planet/internal/core"
 	"planet/internal/regions"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 func TestQuorumReadSeesPropagatedWrites(t *testing.T) {
@@ -112,13 +112,11 @@ func TestRunRetriesConflicts(t *testing.T) {
 	// Concurrent increments via physical writes conflict; Run's retry
 	// loop must still complete every one of them exactly once.
 	const workers, each = 6, 4
-	var wg sync.WaitGroup
+	g := vclock.NewGroup(db.Cluster().Clock())
 	var failures atomic.Int64
 	for w := 0; w < workers; w++ {
 		region := db.Cluster().Regions()[w%5]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			s, err := db.Session(region)
 			if err != nil {
 				t.Error(err)
@@ -137,9 +135,9 @@ func TestRunRetriesConflicts(t *testing.T) {
 					failures.Add(1)
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	st := db.Stats()
 	if st.Committed == 0 {
 		t.Fatal("nothing committed")
@@ -283,10 +281,15 @@ func TestOutcomeViaDoneChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := db.Cluster().Clock().NewEvent()
+	h.OnDone(done.Fire)
+	if !done.WaitTimeout(10 * time.Minute) {
+		t.Fatal("Done never closed")
+	}
 	select {
 	case <-h.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("Done never closed")
+	default:
+		t.Fatal("Done channel still open after the handle finished")
 	}
 	if o := h.Wait(); !o.Committed {
 		t.Errorf("read-only txn outcome %v", o)

@@ -13,6 +13,7 @@ import (
 	"planet/internal/cluster"
 	"planet/internal/regions"
 	"planet/internal/simnet"
+	"planet/internal/vclock"
 )
 
 func TestRegionHealthWindow(t *testing.T) {
@@ -52,13 +53,15 @@ func TestRegionHealthWindow(t *testing.T) {
 }
 
 // openWhiteboxDB builds a compressed-time cluster + DB inside the package,
-// where tests can reach unexported state like db.health.
-func openWhiteboxDB(t *testing.T, cfg Config) *DB {
+// where tests can reach unexported state like db.health. A nil clk gives the
+// cluster its own virtual clock.
+func openWhiteboxDB(t *testing.T, cfg Config, clk vclock.Clock) *DB {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		TimeScale:     0.01,
 		Seed:          7,
 		CommitTimeout: 60 * time.Second,
+		Clock:         clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +81,7 @@ func openWhiteboxDB(t *testing.T, cfg Config) *DB {
 func TestSpeculationShedWhenDegraded(t *testing.T) {
 	db := openWhiteboxDB(t, Config{
 		Health: HealthPolicy{Window: 8, MaxTimeoutRate: 0.5, MinSamples: 4},
-	})
+	}, nil)
 	db.Cluster().SeedInt("n", 0, 0, 1<<30)
 	region := regions.California
 	s, err := db.Session(region)
@@ -225,7 +228,11 @@ func TestSpeculationShedWhenPeerCut(t *testing.T) {
 }
 
 func TestWaitCtxAbandonsWait(t *testing.T) {
-	db := openWhiteboxDB(t, Config{})
+	// Paced: the context's deadline is wall time, so virtual time has to
+	// follow it for the deadline to land before the commit timeout.
+	clk := vclock.NewPaced()
+	t.Cleanup(clk.Shutdown)
+	db := openWhiteboxDB(t, Config{}, clk)
 	db.Cluster().SeedBytes("k", []byte("v0"))
 	s, err := db.Session(regions.California)
 	if err != nil {
@@ -275,7 +282,7 @@ func TestWaitCtxAbandonsWait(t *testing.T) {
 }
 
 func TestRunCtxCancelled(t *testing.T) {
-	db := openWhiteboxDB(t, Config{})
+	db := openWhiteboxDB(t, Config{}, nil)
 	db.Cluster().SeedBytes("k", []byte("v0"))
 	s, err := db.Session(regions.California)
 	if err != nil {
@@ -298,7 +305,7 @@ func TestRunCtxCancelled(t *testing.T) {
 }
 
 func TestBackoffShape(t *testing.T) {
-	db := openWhiteboxDB(t, Config{})
+	db := openWhiteboxDB(t, Config{}, nil)
 	s, err := db.Session(regions.California)
 	if err != nil {
 		t.Fatal(err)

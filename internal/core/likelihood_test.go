@@ -72,7 +72,7 @@ func (r *staleReader) MessageDelivered(from, to simnet.Region) {
 // and otherwise nobody ever does.
 func likelihoodRun(t *testing.T, consumer, reader bool) likelihoodRunResult {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{Seed: 11, VirtualTime: true, CommitTimeout: 2 * time.Second})
+	c, err := cluster.New(cluster.Config{Seed: 11, CommitTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

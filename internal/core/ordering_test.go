@@ -1,6 +1,7 @@
 package planet_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -62,11 +63,9 @@ func TestCallbackOrderingGuaranteeUnderLoad(t *testing.T) {
 	tmpl.Seed(c)
 
 	const n = 120
-	var wg sync.WaitGroup
 	logs := make([]*callbackLog, n)
-	outcomes := make([]txn.Outcome, n)
+	handles := make([]*planet.Handle, n)
 	for i := 0; i < n; i++ {
-		i := i
 		region := c.Regions()[i%5]
 		logs[i] = &callbackLog{}
 		s, err := db.Session(region)
@@ -91,13 +90,12 @@ func TestCallbackOrderingGuaranteeUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outcomes[i] = h.Wait()
-		}()
+		handles[i] = h
 	}
-	wg.Wait()
+	outcomes := make([]txn.Outcome, n)
+	for i, h := range handles {
+		outcomes[i] = h.Wait()
+	}
 
 	sawApology := false
 	for i, lg := range logs {
@@ -170,7 +168,6 @@ func indexOf(names []string, want string) int {
 func TestVirtualCallbacksHoldNoGoroutines(t *testing.T) {
 	db := openTestDB(t, planet.Config{}, cluster.Config{
 		Topology:      regions.Three(),
-		VirtualTime:   true,
 		CommitTimeout: 2 * time.Second,
 	})
 	c := db.Cluster()
@@ -249,7 +246,9 @@ func TestOnDoneAfterFinish(t *testing.T) {
 // callback that blocks holds back its own handle only — a second handle
 // submitted behind it runs to its final callback and finishes meanwhile.
 func TestRealClockCallbacksPerHandle(t *testing.T) {
-	db := openTestDB(t, planet.Config{}, cluster.Config{})
+	// vclock.Real on purpose: its per-handle queues are what this pins, and
+	// a blocked callback would wedge a virtual clock's single slot.
+	db := openTestDB(t, planet.Config{}, cluster.Config{Clock: vclock.System, CommitTimeout: 60 * time.Second})
 	db.Cluster().SeedInt("slow-k", 0, 0, 100)
 	db.Cluster().SeedInt("fast-k", 0, 0, 100)
 	s := session(t, db, regions.California)
@@ -284,9 +283,9 @@ func TestRealClockCallbacksPerHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-fast.Done():
-	case <-time.After(20 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := fast.WaitCtx(ctx); err != nil {
 		t.Fatal("a blocked callback on one handle delayed another handle")
 	}
 	select {

@@ -13,9 +13,12 @@ import (
 	"planet/internal/regions"
 	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 // openTestDB builds a five-region cluster with compressed time and a DB.
+// The cluster runs on its own virtual clock, whose execution slot the test
+// goroutine holds.
 func openTestDB(t *testing.T, cfg planet.Config, ccfg cluster.Config) *planet.DB {
 	t.Helper()
 	if ccfg.TimeScale == 0 {
@@ -23,11 +26,6 @@ func openTestDB(t *testing.T, cfg planet.Config, ccfg cluster.Config) *planet.DB
 	}
 	if ccfg.Seed == 0 {
 		ccfg.Seed = 11
-	}
-	if ccfg.CommitTimeout == 0 {
-		// Generous timeout: at test scale the production default is a
-		// 50ms real-time budget, which flakes on loaded machines.
-		ccfg.CommitTimeout = 60 * time.Second
 	}
 	c, err := cluster.New(ccfg)
 	if err != nil {
@@ -367,13 +365,10 @@ func TestConcurrentSessionsManyTransactions(t *testing.T) {
 		db.Cluster().SeedInt(fmt.Sprintf("acct-%d", i), 1000, 0, 1_000_000)
 	}
 
-	var wg sync.WaitGroup
+	g := vclock.NewGroup(db.Cluster().Clock())
 	var committed atomic.Uint64
 	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			region := db.Cluster().Regions()[w%5]
 			s, err := db.Session(region)
 			if err != nil {
@@ -393,9 +388,9 @@ func TestConcurrentSessionsManyTransactions(t *testing.T) {
 					committed.Add(1)
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 
 	if committed.Load() == 0 {
 		t.Fatal("no transaction committed")

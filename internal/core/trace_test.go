@@ -47,18 +47,14 @@ func TestTraceSpansFormCausalTree(t *testing.T) {
 		}
 		return out
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		spans = db.Spans().Spans(h.ID())
-		if len(byStage(spans, obs.StageReplicaWAL)) >= 1 &&
-			len(byStage(spans, obs.StageOptionRPC)) >= 2 &&
-			len(byStage(spans, obs.StageClientNotify)) >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("span tree incomplete after 5s: %d spans %+v", len(spans), spans)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !db.Cluster().Quiesce(5 * time.Second) {
+		t.Fatal("network did not quiesce")
+	}
+	spans = db.Spans().Spans(h.ID())
+	if len(byStage(spans, obs.StageReplicaWAL)) < 1 ||
+		len(byStage(spans, obs.StageOptionRPC)) < 2 ||
+		len(byStage(spans, obs.StageClientNotify)) < 1 {
+		t.Fatalf("span tree incomplete once the network drained: %d spans %+v", len(spans), spans)
 	}
 
 	roots := byStage(spans, obs.StageTotal)
@@ -165,7 +161,6 @@ func TestAttributionDeterminism(t *testing.T) {
 		c, err := cluster.New(cluster.Config{
 			TimeScale:     0.05,
 			Seed:          1789,
-			VirtualTime:   true,
 			WAL:           true,
 			CommitTimeout: 30 * time.Second,
 		})
@@ -219,7 +214,6 @@ func TestTraceDeterminism(t *testing.T) {
 		c, err := cluster.New(cluster.Config{
 			TimeScale:     0.05,
 			Seed:          1789,
-			VirtualTime:   true,
 			WAL:           true,
 			CommitTimeout: 30 * time.Second,
 		})

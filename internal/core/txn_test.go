@@ -15,7 +15,7 @@ import (
 // captures the current version, Adds accumulate, Set and Add on one key fail
 // at Commit in either order, and the write set comes out sorted by key.
 func TestTxnReadWriteSets(t *testing.T) {
-	c, err := cluster.New(cluster.Config{Seed: 11, VirtualTime: true, CommitTimeout: 2 * time.Second})
+	c, err := cluster.New(cluster.Config{Seed: 11, CommitTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ func openDB(cfg Config, ccfg cluster.Config, pcfg planet.Config) (*planet.DB, fu
 		ccfg.Topology = regions.Five()
 	}
 	ccfg.TimeScale = cfg.scale()
-	ccfg.VirtualTime = true
 	ccfg.EarlyAbort = cfg.EarlyAbort
 	if ccfg.Seed == 0 {
 		ccfg.Seed = cfg.Seed + 1

@@ -19,8 +19,10 @@ import (
 
 // E1LossSweep measures protocol robustness as uniform message loss grows:
 // commit rate, timeouts, and latency tails. Decide messages carry the full
-// option set, so replicas that miss a proposal still converge; the cost of
-// loss is retried quorums (fallbacks) and timeout aborts, not divergence.
+// option set, so a replica that misses a proposal still applies a decision
+// it hears; but a replica that misses the decide itself is never sent it
+// again, so loss also leaves replicas diverged (EXPERIMENTS.md, E1). The
+// sweep reports commit outcomes only, not replica state.
 func E1LossSweep(cfg Config) (Result, error) {
 	lossRates := []float64{0, 0.02, 0.05, 0.10}
 	perClient := cfg.pick(40, 12)

@@ -119,6 +119,10 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
+	// Every injection is a synchronous call into the cluster; Stop also
+	// waits for the scenario's heals through the clock.
+	s.clk.AddWork(1)
+	defer s.clk.WorkDone()
 
 	var err error
 	switch r.URL.Path {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 
 	"planet/internal/chaos"
 	planet "planet/internal/core"
@@ -138,10 +137,6 @@ func TestChaosEndpoints(t *testing.T) {
 	if code := chaosPost(t, cl.Base, "/v1/chaos/stop", struct{}{}, nil); code != http.StatusOK {
 		t.Fatalf("stop: status %d", code)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for eng.Running() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if eng.Running() {
 		t.Fatal("scenario still running after stop")
 	}
@@ -155,7 +150,7 @@ func TestChaosEndpoints(t *testing.T) {
 		ChaosScenarioRequest{Seed: 5, SpanMs: 1000}, &gen); code != http.StatusAccepted {
 		t.Fatalf("generated scenario: status %d", code)
 	}
-	eng.Wait()
+	inWorld(db, eng.Wait)
 
 	// Injection history is queryable.
 	resp, err := http.Get(cl.Base + "/v1/chaos/events")

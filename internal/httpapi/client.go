@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"planet/internal/obs"
-	"planet/internal/vclock"
 )
 
 // ErrWaitTimeout reports that a transaction did not resolve within the
@@ -27,11 +26,6 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client (http.DefaultClient when nil).
 	HTTP *http.Client
-	// Clock paces SubmitAndWait's polling (vclock.System when nil). Tests
-	// that drive an in-process server under a virtual cluster can point
-	// this at the cluster's clock so polls ride the discrete-event
-	// scheduler instead of wall-clock sleeps.
-	Clock vclock.Clock
 }
 
 // httpc returns the effective HTTP client.
@@ -317,8 +311,7 @@ func (c *Client) SubmitAndWait(req SubmitRequest, timeout time.Duration) (Status
 // submitAndWait is SubmitAndWait with the wait chunk as a parameter, so
 // tests can force the fallback without a slow transaction.
 func (c *Client) submitAndWait(req SubmitRequest, timeout, chunk time.Duration) (Status, error) {
-	clk := vclock.Default(c.Clock)
-	deadline := clk.Now().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	st, err := c.submitWait(req, c.waitBound(timeout, chunk))
 	if err != nil || st.Done {
 		return st, err
@@ -326,7 +319,7 @@ func (c *Client) submitAndWait(req SubmitRequest, timeout, chunk time.Duration) 
 	id := st.Txn
 	delay := submitRetryBase
 	for {
-		remaining := clk.Until(deadline)
+		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return Status{Txn: id}, fmt.Errorf("httpapi: transaction %s not resolved within %v: %w",
 				id, timeout, ErrWaitTimeout)
@@ -335,10 +328,9 @@ func (c *Client) submitAndWait(req SubmitRequest, timeout, chunk time.Duration) 
 		if err == nil && !timedOut {
 			return st, nil
 		}
-		// Timed out chunk or transport error: back off briefly. The sleep
-		// runs on the client's clock so tests on a virtual cluster advance
-		// scheduler time instead of stalling it.
-		clk.Sleep(delay)
+		// Timed out chunk or transport error: back off briefly. The client
+		// waits in wall time, outside any cluster's clock.
+		time.Sleep(delay)
 		if delay *= 2; delay > submitRetryMax {
 			delay = submitRetryMax
 		}

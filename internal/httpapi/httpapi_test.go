@@ -10,6 +10,7 @@ import (
 	"planet/internal/cluster"
 	planet "planet/internal/core"
 	"planet/internal/regions"
+	"planet/internal/vclock"
 )
 
 // newGateway stands up a five-region cluster with an HTTP gateway in
@@ -20,17 +21,21 @@ func newGateway(t *testing.T, pcfg planet.Config) (*Client, *Server, *planet.DB)
 }
 
 // newGatewayAt is newGateway at a chosen WAN time scale: 0.01 commits in a
-// millisecond or two, 1.0 takes a real cross-continent round trip.
+// millisecond or two, 1.0 takes a real cross-continent round trip. The
+// cluster runs on a paced clock, as planetd's does: HTTP waits are bounded
+// in wall time, so virtual time has to follow it. Once set up, the test
+// goroutine is an outsider like the handlers (see inWorld).
 func newGatewayAt(t *testing.T, pcfg planet.Config, timeScale float64) (*Client, *Server, *planet.DB) {
 	t.Helper()
+	clk := vclock.NewPaced()
 	c, err := cluster.New(cluster.Config{TimeScale: timeScale, Seed: 21,
-		CommitTimeout: 60 * time.Second})
+		CommitTimeout: 60 * time.Second, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		c.Close()
-		c.Quiesce(2 * time.Second)
+		clk.Shutdown()
 	})
 	pcfg.Cluster = c
 	db, err := planet.Open(pcfg)
@@ -44,7 +49,28 @@ func newGatewayAt(t *testing.T, pcfg planet.Config, timeScale float64) (*Client,
 	srv := NewServer(db, sess)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
+	clk.WorkDone() // set up: hand the constructor's slot back
 	return &Client{Base: ts.URL}, srv, db
+}
+
+// inWorld runs f, which waits through the cluster clock, from the test
+// goroutine: entering the paced clock through its outsider pin, as a
+// handler does.
+func inWorld(db *planet.DB, f func()) {
+	clk := db.Cluster().Clock()
+	clk.AddWork(1)
+	defer clk.WorkDone()
+	f()
+}
+
+// quiesce waits, inside the world, for the network to drain.
+func quiesce(db *planet.DB) {
+	inWorld(db, func() { db.Cluster().Quiesce(5 * time.Second) })
+}
+
+// sleep waits d on the paced cluster clock: at least d of wall time.
+func sleep(db *planet.DB, d time.Duration) {
+	inWorld(db, func() { db.Cluster().Clock().Sleep(d) })
 }
 
 func TestReadEndpoint(t *testing.T) {
@@ -104,7 +130,7 @@ func TestSubmitAndWaitCommit(t *testing.T) {
 		t.Error("no duration recorded")
 	}
 
-	db.Cluster().Quiesce(5 * time.Second)
+	quiesce(db)
 	r, err := cl.Read("stock")
 	if err != nil || r.Int != 7 {
 		t.Errorf("stock after commit = %+v err=%v", r, err)
@@ -139,7 +165,7 @@ func TestSetThroughGateway(t *testing.T) {
 	if err != nil || !st.Committed {
 		t.Fatalf("set commit: %+v err=%v", st, err)
 	}
-	db.Cluster().Quiesce(5 * time.Second)
+	quiesce(db)
 	r, _ := cl.QuorumRead("doc")
 	if string(r.Bytes) != "new" || r.Version != 1 {
 		t.Errorf("quorum read %+v", r)

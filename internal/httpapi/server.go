@@ -30,6 +30,12 @@
 // Config.Trace / an obs.Registry; without one they return 404. Every response —
 // including errors — is JSON, except /v1/metrics which is Prometheus text.
 //
+// Handlers run on net/http's goroutines, which the cluster clock does not
+// track. Each one enters the clock through its outsider pin (AddWork and
+// WorkDone) only around its synchronous calls into the DB, and never holds
+// the pin while it waits for an outcome, so a paced virtual clock keeps
+// running while requests wait. On vclock.Real the pin is a no-op.
+//
 // The package also provides the matching Client. Both sides are pure
 // stdlib (net/http, encoding/json).
 package httpapi
@@ -49,6 +55,7 @@ import (
 	planet "planet/internal/core"
 	"planet/internal/obs"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 // Op is the wire form of one transaction operation.
@@ -124,6 +131,7 @@ type tracked struct {
 type Server struct {
 	session *planet.Session
 	db      *planet.DB
+	clk     vclock.Clock // the cluster clock, entered through its pin
 	mux     *http.ServeMux
 	reg     *obs.Registry
 
@@ -150,6 +158,7 @@ func NewServer(db *planet.DB, session *planet.Session) *Server {
 	s := &Server{
 		session: session,
 		db:      db,
+		clk:     db.Cluster().Clock(),
 		mux:     http.NewServeMux(),
 		reg:     db.Registry(),
 		txns:    make(map[string]*tracked),
@@ -227,6 +236,14 @@ func (s *Server) route(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// pinned runs f, a synchronous call into the DB, holding the cluster
+// clock's outsider pin.
+func (s *Server) pinned(f func()) {
+	s.clk.AddWork(1)
+	defer s.clk.WorkDone()
+	f()
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -258,18 +275,21 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		ver int64
 		err error
 	)
-	if r.URL.Query().Get("quorum") == "1" {
-		b, ver, err = s.session.QuorumReadBytes(key)
-		if err == nil {
-			// Integer records round-trip through the int field too.
-			n, _, _ = s.session.QuorumReadInt(key)
+	quorum := r.URL.Query().Get("quorum") == "1"
+	s.pinned(func() {
+		if quorum {
+			b, ver, err = s.session.QuorumReadBytes(key)
+			if err == nil {
+				// Integer records round-trip through the int field too.
+				n, _, _ = s.session.QuorumReadInt(key)
+			}
+			return
 		}
-	} else {
 		b, ver, err = s.session.ReadBytes(key)
 		if err == nil {
 			n, _, _ = s.session.ReadInt(key)
 		}
-	}
+	})
 	switch {
 	case errors.Is(err, planet.ErrKeyNotFound):
 		writeJSON(w, http.StatusNotFound, ReadResponse{Key: key, Found: false})
@@ -308,14 +328,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tx := s.session.Begin()
 	for _, op := range req.Ops {
-		switch op.Kind {
-		case "set":
-			tx.Set(op.Key, op.Value)
-		case "add":
-			tx.Add(op.Key, op.Delta)
-		default:
+		if op.Kind != "set" && op.Kind != "add" {
 			writeErr(w, http.StatusBadRequest, "unknown op kind %q", op.Kind)
 			return
 		}
@@ -344,7 +358,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			tr.mu.Unlock()
 		}
 	}
-	h, err := tx.Commit(opts)
+	var h *planet.Handle
+	var err error
+	s.pinned(func() {
+		tx := s.session.Begin()
+		for _, op := range req.Ops {
+			if op.Kind == "set" {
+				tx.Set(op.Key, op.Value)
+			} else {
+				tx.Add(op.Key, op.Delta)
+			}
+		}
+		h, err = tx.Commit(opts)
+	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "commit: %v", err)
 		return
@@ -481,7 +507,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // statusOf snapshots a tracked transaction.
 func (s *Server) statusOf(id string, tr *tracked) Status {
-	p := tr.handle.Progress()
+	var p planet.Progress
+	s.pinned(func() { p = tr.handle.Progress() })
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	st := Status{

@@ -206,22 +206,11 @@ func TestSubmitWaitBoundFallsBack(t *testing.T) {
 		t.Fatalf("%d transactions tracked, want 2 (one per submission)", got)
 	}
 	// The local replica learns the decide by message, which may still be in
-	// flight when the status reports the commit: poll until it reads 8. It
-	// must never read less — that would be a second submission.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		r, err := cl.Read("stock")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Int < 8 {
-			t.Fatalf("stock = %d, want 8: the fallback must not resubmit", r.Int)
-		}
-		if r.Int == 8 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stock = %d after 10s, want 8", r.Int)
-		}
+	// flight when the status reports the commit: let the network drain
+	// first. Less than 8 would be a second submission.
+	quiesce(db)
+	if r, err := cl.Read("stock"); err != nil || r.Int != 8 {
+		t.Fatalf("stock = %d (%v), want 8: the fallback must not resubmit", r.Int, err)
 	}
 	if v, _ := reg.Value("planet_http_wait_timeouts_total"); v < 2 {
 		t.Fatalf("planet_http_wait_timeouts_total = %v, want the two expired submit waits counted", v)
@@ -279,9 +268,9 @@ func TestSubmitWaitTransportError(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.TrackedCount() != 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		sleep(db, time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // a resubmission would land by now
+	sleep(db, 20*time.Millisecond) // a resubmission would land by now
 	if got := srv.TrackedCount(); got != 1 {
 		t.Fatalf("%d transactions tracked, want exactly the one submitted", got)
 	}
@@ -334,6 +323,6 @@ func TestSubmitWaitClientGone(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d transactions tracked after the client left, want 1", srv.TrackedCount())
 		}
-		time.Sleep(time.Millisecond)
+		sleep(db, time.Millisecond)
 	}
 }

@@ -201,8 +201,7 @@ func TestBatchPerOptionEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c := newTestCluster(t, cluster.Config{Seed: seed, VirtualTime: true})
-			clk := c.Clock()
+			c := newTestCluster(t, cluster.Config{Seed: seed})
 			for i := 0; i < 4; i++ {
 				c.SeedBytes(fmt.Sprintf("eq-b-%d", i), []byte("v0"))
 			}
@@ -210,18 +209,12 @@ func TestBatchPerOptionEquivalence(t *testing.T) {
 				c.SeedInt(fmt.Sprintf("eq-i-%d", i), 10, 0, 100)
 			}
 			for i, tx := range txns {
-				sink := &vsink{ev: clk.NewEvent()}
-				if err := c.Coordinator(regions.Ireland).Submit(txn.NewID(), tx.ops, mdcc.ModeFast, sink); err != nil {
-					t.Fatal(err)
+				committed, err, _ := submit(t, c, regions.Ireland, tx.ops, mdcc.ModeFast)
+				if tx.want == nil && (!committed || err != nil) {
+					t.Errorf("txn %d: committed=%v err=%v, want commit", i, committed, err)
 				}
-				if !sink.ev.WaitTimeout(5 * time.Minute) {
-					t.Fatalf("txn %d never decided within 5 virtual minutes", i)
-				}
-				if tx.want == nil && (!sink.committed || sink.err != nil) {
-					t.Errorf("txn %d: committed=%v err=%v, want commit", i, sink.committed, sink.err)
-				}
-				if tx.want != nil && (sink.committed || !errors.Is(sink.err, tx.want)) {
-					t.Errorf("txn %d: committed=%v err=%v, want abort with %v", i, sink.committed, sink.err, tx.want)
+				if tx.want != nil && (committed || !errors.Is(err, tx.want)) {
+					t.Errorf("txn %d: committed=%v err=%v, want abort with %v", i, committed, err, tx.want)
 				}
 			}
 			if !c.Quiesce(5 * time.Second) {

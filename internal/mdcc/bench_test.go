@@ -2,7 +2,6 @@ package mdcc_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,13 +9,36 @@ import (
 	"planet/internal/mdcc"
 	"planet/internal/regions"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
-// benchSink resolves a channel on decision, discarding progress.
-type benchSink struct{ done chan struct{} }
+// benchSink fires a clock event on decision, discarding progress.
+type benchSink struct{ done *vclock.Event }
 
 func (s *benchSink) Progress(mdcc.ProgressEvent) {}
-func (s *benchSink) Decided(txn.ID, bool, error) { close(s.done) }
+func (s *benchSink) Decided(txn.ID, bool, error) { s.done.Fire() }
+
+// pipeline runs n commits with at most window in flight: window workers on
+// the cluster clock each submit one transaction, wait for its decision
+// through the clock, and go again until n have been submitted.
+func pipeline(b *testing.B, c *cluster.Cluster, n, window int, submit func(mdcc.ProgressSink) error) {
+	clk := c.Clock()
+	g := vclock.NewGroup(clk)
+	next := 0
+	for w := 0; w < window; w++ {
+		g.Go(func() {
+			for ; next < n; next++ {
+				sink := &benchSink{done: clk.NewEvent()}
+				if err := submit(sink); err != nil {
+					b.Error(err)
+					return
+				}
+				sink.done.Wait()
+			}
+		})
+	}
+	g.Wait()
+}
 
 // BenchmarkCommitThroughput measures end-to-end protocol throughput on the
 // five-region emulated WAN with heavy time compression: pipelined
@@ -33,28 +55,13 @@ func BenchmarkCommitThroughput(b *testing.B) {
 	c.SeedInt("n", 0, -1<<60, 1<<60)
 	coord := c.Coordinator(regions.California)
 
-	const window = 64 // in-flight pipeline depth
-	sem := make(chan struct{}, window)
-	var wg sync.WaitGroup
+	ops := []txn.Op{{Kind: txn.OpAdd, Key: "n", Delta: 1}}
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sem <- struct{}{}
-		sink := &benchSink{done: make(chan struct{})}
-		if err := coord.Submit(txn.NewID(), []txn.Op{
-			{Kind: txn.OpAdd, Key: "n", Delta: 1},
-		}, mdcc.ModeFast, sink); err != nil {
-			b.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-sink.done
-			<-sem
-		}()
-	}
-	wg.Wait()
+	pipeline(b, c, b.N, 64, func(sink mdcc.ProgressSink) error {
+		return coord.Submit(txn.NewID(), ops, mdcc.ModeFast, sink)
+	})
 }
 
 // BenchmarkCommitLatencyDisjointKeys measures per-transaction decision
@@ -76,12 +83,12 @@ func BenchmarkCommitLatencyDisjointKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink := &benchSink{done: make(chan struct{})}
+		sink := &benchSink{done: c.Clock().NewEvent()}
 		if err := coord.Submit(txn.NewID(), []txn.Op{
 			{Kind: txn.OpSet, Key: fmt.Sprintf("k-%d", i%128), Value: []byte("w"), ReadVersion: int64(i / 128)},
 		}, mdcc.ModeFast, sink); err != nil {
 			b.Fatal(err)
 		}
-		<-sink.done
+		sink.done.Wait()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"planet/internal/latency"
 	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 // recordSink captures events and the decision (white-box tests).
@@ -38,16 +39,26 @@ func (s *recordSink) state() (bool, bool, error) {
 	return s.decided, s.commit, s.err
 }
 
-// newLoneCoordinator builds a coordinator whose replicas are unregistered
-// addresses, so vote messages are injected directly via onVoteBatch.
-func newLoneCoordinator(t *testing.T, n int) *Coordinator {
+// newLoneNet returns a network of 1µs links on a virtual clock whose
+// execution slot the test goroutine holds, for white-box tests that drive
+// handlers by hand: timers fire only while the test sleeps on the clock.
+func newLoneNet(t *testing.T) *simnet.Network {
 	t.Helper()
-	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
-	net, err := simnet.New(simnet.Config{Latency: m, TimeScale: 1})
+	clk := vclock.NewVirtual()
+	t.Cleanup(clk.Shutdown)
+	net, err := simnet.New(simnet.Config{Latency: simnet.NewMatrix(latency.Constant(time.Microsecond)), TimeScale: 1, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
+	return net
+}
+
+// newLoneCoordinator builds a coordinator whose replicas are unregistered
+// addresses, so vote messages are injected directly via onVoteBatch.
+func newLoneCoordinator(t *testing.T, n int) *Coordinator {
+	t.Helper()
+	net := newLoneNet(t)
 	replicas := make([]simnet.Addr, n)
 	for i := range replicas {
 		replicas[i] = simnet.Addr{Region: simnet.Region(string(rune('a' + i))), Name: "replica"}
@@ -187,12 +198,7 @@ func TestCoordinatorMultiOptionAllMustAccept(t *testing.T) {
 }
 
 func TestCoordinatorTimeout(t *testing.T) {
-	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
-	net, err := simnet.New(simnet.Config{Latency: m, TimeScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
+	net := newLoneNet(t)
 	replicas := []simnet.Addr{{Region: "a", Name: "r"}, {Region: "b", Name: "r"}, {Region: "c", Name: "r"}}
 	c, err := NewCoordinator(CoordinatorConfig{
 		Net:           net,
@@ -209,21 +215,16 @@ func TestCoordinatorTimeout(t *testing.T) {
 	if err := c.Submit(id, []txn.Op{setOp("k", 0)}, ModeFast, sink); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if decided, commit, err := sink.state(); decided {
-			if commit || !errors.Is(err, ErrTimeout) {
-				t.Fatalf("commit=%v err=%v", commit, err)
-			}
-			if c.Timeouts != 1 {
-				t.Errorf("timeouts=%d", c.Timeouts)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeout never fired")
-		}
-		time.Sleep(time.Millisecond)
+	net.Clock().Sleep(2 * time.Second)
+	decided, commit, err := sink.state()
+	if !decided {
+		t.Fatal("timeout never fired")
+	}
+	if commit || !errors.Is(err, ErrTimeout) {
+		t.Fatalf("commit=%v err=%v", commit, err)
+	}
+	if c.Timeouts != 1 {
+		t.Errorf("timeouts=%d", c.Timeouts)
 	}
 }
 
@@ -272,12 +273,7 @@ func TestReasonErrMapping(t *testing.T) {
 // propagation enabled.
 func newEarlyAbortCoordinator(t *testing.T, n int) *Coordinator {
 	t.Helper()
-	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
-	net, err := simnet.New(simnet.Config{Latency: m, TimeScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
+	net := newLoneNet(t)
 	replicas := make([]simnet.Addr, n)
 	for i := range replicas {
 		replicas[i] = simnet.Addr{Region: simnet.Region(string(rune('a' + i))), Name: "replica"}

@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
-	"planet/internal/latency"
 	"planet/internal/simnet"
 	"planet/internal/txn"
 )
@@ -77,12 +75,7 @@ func TestDecidedSetMatchesMap(t *testing.T) {
 // Decisions reports what the replica decided, Crash forgets it, and Restore
 // rebuilds it from the WAL, where the last entry for an id wins.
 func TestReplicaDecisionsCrashRestore(t *testing.T) {
-	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
-	net, err := simnet.New(simnet.Config{Latency: m, TimeScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
+	net := newLoneNet(t)
 	peers := []simnet.Addr{{Region: "a", Name: "replica"}, {Region: "b", Name: "replica"}, {Region: "c", Name: "replica"}}
 	wal := NewWAL(nil)
 	r := NewReplica(ReplicaConfig{Net: net, Addr: peers[0], Peers: peers, WAL: wal})

@@ -61,7 +61,7 @@ func TestPendingTTLEvictsOrphans(t *testing.T) {
 	// pendings at the other replicas, while every vote (destination
 	// California) and the eventual timeout-abort decide (source region
 	// down at send time) is dropped.
-	sink := newWaitSink()
+	sink := newWaitSink(c)
 	coord := c.Coordinator(regions.California)
 	if err := coord.Submit(txn.NewID(), []txn.Op{
 		{Kind: txn.OpSet, Key: "k", Value: []byte("orphan"), ReadVersion: 0},
@@ -70,13 +70,9 @@ func TestPendingTTLEvictsOrphans(t *testing.T) {
 	}
 	c.Net.SetRegionDown(regions.California, true)
 	// The proposals deliver; pendings appear at the reachable replicas.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Replica(regions.Virginia).PendingCount("k") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pending option never planted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	eventually(t, c, 5*time.Second, "pending option planted", func() bool {
+		return c.Replica(regions.Virginia).PendingCount("k") > 0
+	})
 	sink.wait(t) // timeout abort at the coordinator
 
 	// Drain stragglers (proposals still in flight re-plant pendings with
@@ -85,7 +81,7 @@ func TestPendingTTLEvictsOrphans(t *testing.T) {
 	if !c.Quiesce(5 * time.Second) {
 		t.Fatal("network did not quiesce")
 	}
-	time.Sleep(50 * time.Millisecond) // ≫ scaled TTL (2ms)
+	c.Clock().Sleep(50 * time.Millisecond) // ≫ scaled TTL (2ms)
 	committed, err, _ := submit(t, c, regions.Virginia, []txn.Op{
 		{Kind: txn.OpSet, Key: "k", Value: []byte("v1"), ReadVersion: 0},
 	}, mdcc.ModeFast)

@@ -18,7 +18,6 @@ import (
 	"planet/internal/regions"
 	"planet/internal/simnet"
 	"planet/internal/txn"
-	"planet/internal/vclock"
 )
 
 // leaseEvents collects OnLeaseEvent callbacks per observing region.
@@ -51,16 +50,12 @@ func (l *leaseEvents) count(kind mdcc.LeaseEventKind) int {
 	return n
 }
 
-// waitHeld polls until region r's replica holds keyspace ks's lease.
+// waitHeld waits until region r's replica holds keyspace ks's lease.
 func waitHeld(t *testing.T, c *cluster.Cluster, r, ks simnet.Region, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !c.Replica(r).HoldsLease(ks) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never acquired the %s lease within %v", r, ks, timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(t, c, timeout, fmt.Sprintf("%s acquires the %s lease", r, ks), func() bool {
+		return c.Replica(r).HoldsLease(ks)
+	})
 }
 
 func TestLeaseClusterCommits(t *testing.T) {
@@ -119,19 +114,15 @@ func TestLeaseClusterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	var heir simnet.Region
-	deadline := time.Now().Add(20 * time.Second)
-	for heir == "" {
+	eventually(t, c, 20*time.Second, "a survivor takes over the dead master's lease", func() bool {
 		for _, r := range c.Regions() {
 			if r != regions.Virginia && c.Replica(r).HoldsLease(ks) {
 				heir = r
-				break
+				return true
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no survivor took over the dead master's lease")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return false
+	})
 	t.Logf("lease moved %s -> %s", regions.Virginia, heir)
 	if events.count(mdcc.LeaseTakeover) == 0 {
 		t.Error("takeover happened but no LeaseTakeover event was observed")
@@ -149,17 +140,10 @@ func TestLeaseClusterFailover(t *testing.T) {
 	if err := c.RestartReplica(regions.Virginia); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(20 * time.Second)
-	for {
+	eventually(t, c, 20*time.Second, "restarted master converges on the heir", func() bool {
 		holder, ok := c.Replica(regions.Virginia).LeaseHolder(ks)
-		if ok && holder == heir {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted master never converged on the heir (sees %q)", holder)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return ok && holder == heir
+	})
 	if c.Replica(regions.Virginia).HoldsLease(ks) {
 		t.Error("restarted deposed master claims to hold the lease")
 	}
@@ -171,7 +155,8 @@ func TestLeaseClusterFailover(t *testing.T) {
 // the new master recovers per-key state), but liveness must return.
 func commitEventually(t *testing.T, c *cluster.Cluster, from simnet.Region, key string, delta int64, what string) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
+	clk := c.Clock()
+	deadline := clk.Now().Add(20 * time.Second)
 	for {
 		committed, err, _ := submit(t, c, from, []txn.Op{
 			{Kind: txn.OpAdd, Key: key, Delta: delta},
@@ -179,28 +164,11 @@ func commitEventually(t *testing.T, c *cluster.Cluster, from simnet.Region, key 
 		if committed && err == nil {
 			return
 		}
-		if time.Now().After(deadline) {
+		if clk.Now().After(deadline) {
 			t.Fatalf("%s: never committed (last: committed=%v err=%v)", what, committed, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
-}
-
-// vsink is a ProgressSink whose decision wait participates in the virtual
-// clock: the constructing goroutine owns the virtual world's execution
-// slot, so it may only block through clock primitives — a raw channel wait
-// would freeze virtual time.
-type vsink struct {
-	ev        *vclock.Event
-	committed bool
-	err       error
-}
-
-func (s *vsink) Progress(mdcc.ProgressEvent) {}
-
-func (s *vsink) Decided(_ txn.ID, committed bool, err error) {
-	s.committed, s.err = committed, err
-	s.ev.Fire()
 }
 
 // leaseFingerprint runs a fixed workload on a lease-enabled virtual-time
@@ -211,7 +179,6 @@ func leaseFingerprint(t *testing.T, seed int64) string {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Seed:         seed,
-		VirtualTime:  true,
 		MasterRegion: regions.Virginia,
 		MasterLeases: true,
 		WAL:          true,
@@ -234,15 +201,8 @@ func leaseFingerprint(t *testing.T, seed int64) string {
 			mode = mdcc.ModeClassic
 		}
 		from := froms[i%len(froms)]
-		sink := &vsink{ev: clk.NewEvent()}
-		ops := []txn.Op{{Kind: txn.OpAdd, Key: keys[i%len(keys)], Delta: int64(i%7 - 3)}}
-		if err := c.Coordinator(from).Submit(txn.NewID(), ops, mode, sink); err != nil {
-			t.Fatal(err)
-		}
-		if !sink.ev.WaitTimeout(5 * time.Minute) {
-			t.Fatalf("txn %d never decided within 5 virtual minutes", i)
-		}
-		fmt.Fprintf(&b, "txn%d:%v/%v\n", i, sink.committed, sink.err != nil)
+		committed, err, _ := submit(t, c, from, []txn.Op{{Kind: txn.OpAdd, Key: keys[i%len(keys)], Delta: int64(i%7 - 3)}}, mode)
+		fmt.Fprintf(&b, "txn%d:%v/%v\n", i, committed, err != nil)
 	}
 	// Let straggler decide messages land at every replica. A virtual sleep
 	// advances deterministically; renewal traffic keeps flowing but does

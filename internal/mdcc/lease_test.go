@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"planet/internal/latency"
 	"planet/internal/simnet"
 	"planet/internal/txn"
 )
@@ -37,12 +36,7 @@ func (l *leaseEventLog) kinds() []LeaseEventKind {
 // replica's own region, so it is the keyspace's default holder.
 func newLeasedReplica(t *testing.T, n int, term time.Duration, w *WAL) (*Replica, *leaseEventLog) {
 	t.Helper()
-	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
-	net, err := simnet.New(simnet.Config{Latency: m, TimeScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
+	net := newLoneNet(t)
 	peers := make([]simnet.Addr, n)
 	for i := range peers {
 		peers[i] = simnet.Addr{Region: regionOf(i), Name: "replica"}
@@ -107,7 +101,7 @@ func TestLeaseAcquireAndRenew(t *testing.T) {
 
 func TestLeaseAcceptorGrantRules(t *testing.T) {
 	r, _ := newLeasedReplica(t, 3, time.Second, nil)
-	now := time.Now()
+	now := r.clk.Now()
 	req := func(epoch uint64, holder simnet.Region, ttl time.Duration) leaseRequestMsg {
 		return leaseRequestMsg{Keyspace: "a", Epoch: epoch, Holder: holder,
 			ExpiresUnixNano: now.Add(ttl).UnixNano(),
@@ -152,7 +146,7 @@ func TestLeaseAcceptorGrantRules(t *testing.T) {
 	}
 
 	// Once b's lease lapses on this clock, c's takeover epoch is granted.
-	time.Sleep(100 * time.Millisecond)
+	r.clk.Sleep(100 * time.Millisecond)
 	r.onLeaseRequest(req(3, "c", time.Second))
 	if holder, epoch, _ := r.LeaseView("a"); holder != "c" || epoch != 3 {
 		t.Fatalf("post-expiry takeover refused: view %s@%d, want c@3", holder, epoch)
@@ -164,7 +158,7 @@ func TestLeaseTakeoverAfterExpiry(t *testing.T) {
 
 	// b holds epoch 1 with a short fuse on this replica's clock.
 	r.onLeaseRequest(leaseRequestMsg{Keyspace: "a", Epoch: 1, Holder: "b",
-		ExpiresUnixNano: time.Now().Add(30 * time.Millisecond).UnixNano(),
+		ExpiresUnixNano: r.clk.Now().Add(30 * time.Millisecond).UnixNano(),
 		From:            simnet.Addr{Region: "b", Name: "replica"}})
 
 	// Too early: the acceptor (ourselves) refuses epoch 2, and one peer
@@ -172,13 +166,13 @@ func TestLeaseTakeoverAfterExpiry(t *testing.T) {
 	r.AcquireLease("a")
 	r.onLeaseGrant(leaseGrantMsg{Keyspace: "a", Epoch: 2, OK: false,
 		CurEpoch: 1, CurHolder: "b",
-		CurExpiresUnixNano: time.Now().Add(30 * time.Millisecond).UnixNano(),
+		CurExpiresUnixNano: r.clk.Now().Add(30 * time.Millisecond).UnixNano(),
 		Region:             regionOf(1)})
 	if r.HoldsLease("a") {
 		t.Fatal("claimed the lease before the incumbent expired")
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	r.clk.Sleep(50 * time.Millisecond)
 	r.AcquireLease("a")
 	r.onLeaseGrant(grantReply("a", 2, "a", 1))
 	if !r.HoldsLease("a") {
@@ -233,7 +227,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 
 	// Meanwhile the survivors elected b at epoch 2; its request lands here.
 	r.onLeaseRequest(leaseRequestMsg{Keyspace: "a", Epoch: 2, Holder: "b",
-		ExpiresUnixNano: time.Now().Add(time.Second).UnixNano(),
+		ExpiresUnixNano: r.clk.Now().Add(time.Second).UnixNano(),
 		From:            simnet.Addr{Region: "b", Name: "replica"}})
 	kinds := log.kinds()
 	if len(kinds) == 0 || kinds[len(kinds)-1] != LeaseDeposed {
@@ -301,7 +295,7 @@ func TestLeaseRoundRollback(t *testing.T) {
 	nack := func(epoch uint64) leaseGrantMsg {
 		return leaseGrantMsg{Keyspace: "a", Epoch: epoch, OK: false,
 			CurEpoch: 2, CurHolder: "b",
-			CurExpiresUnixNano: time.Now().Add(time.Second).UnixNano(),
+			CurExpiresUnixNano: r.clk.Now().Add(time.Second).UnixNano(),
 			Region:             regionOf(1)}
 	}
 	nack2 := func(epoch uint64) leaseGrantMsg {
@@ -360,7 +354,7 @@ func TestLeaseViewAdoption(t *testing.T) {
 	// A stray reply (no round matches epoch 99) reveals c holds epoch 5.
 	r.onLeaseGrant(leaseGrantMsg{Keyspace: "a", Epoch: 99, OK: false,
 		CurEpoch: 5, CurHolder: "c",
-		CurExpiresUnixNano: time.Now().Add(time.Second).UnixNano(),
+		CurExpiresUnixNano: r.clk.Now().Add(time.Second).UnixNano(),
 		Region:             regionOf(2)})
 	holder, epoch, _ := r.LeaseView("a")
 	if holder != "c" || epoch != 5 {

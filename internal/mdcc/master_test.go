@@ -2,9 +2,7 @@ package mdcc
 
 import (
 	"testing"
-	"time"
 
-	"planet/internal/latency"
 	"planet/internal/simnet"
 	"planet/internal/txn"
 )
@@ -14,12 +12,7 @@ import (
 // replica's outbound messages vanish harmlessly.
 func newLoneReplica(t *testing.T, n int) *Replica {
 	t.Helper()
-	m := simnet.NewMatrix(latency.Constant(time.Microsecond))
-	net, err := simnet.New(simnet.Config{Latency: m, TimeScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
+	net := newLoneNet(t)
 	peers := make([]simnet.Addr, n)
 	for i := range peers {
 		peers[i] = simnet.Addr{Region: simnet.Region(string(rune('a' + i))), Name: "replica"}

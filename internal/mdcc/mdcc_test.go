@@ -12,18 +12,22 @@ import (
 	"planet/internal/regions"
 	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
-// waitSink is a ProgressSink that records events and signals the decision.
+// waitSink is a ProgressSink that records events and fires a clock event
+// at the decision. A test goroutine holds its cluster clock's execution
+// slot, so it waits for the decision through that clock: a raw channel wait
+// would freeze virtual time.
 type waitSink struct {
 	mu     sync.Mutex
 	events []mdcc.ProgressEvent
-	done   chan struct{}
+	done   *vclock.Event
 	commit bool
 	err    error
 }
 
-func newWaitSink() *waitSink { return &waitSink{done: make(chan struct{})} }
+func newWaitSink(c *cluster.Cluster) *waitSink { return &waitSink{done: c.Clock().NewEvent()} }
 
 func (s *waitSink) Progress(e mdcc.ProgressEvent) {
 	s.mu.Lock()
@@ -36,15 +40,14 @@ func (s *waitSink) Decided(_ txn.ID, committed bool, err error) {
 	s.commit = committed
 	s.err = err
 	s.mu.Unlock()
-	close(s.done)
+	s.done.Fire()
 }
 
-// wait blocks for the decision with a test-failure timeout.
+// wait blocks for the decision, failing the test if none comes within ten
+// virtual minutes.
 func (s *waitSink) wait(t *testing.T) (bool, error) {
 	t.Helper()
-	select {
-	case <-s.done:
-	case <-time.After(10 * time.Second):
+	if !s.done.WaitTimeout(10 * time.Minute) {
 		t.Fatal("transaction never decided")
 	}
 	s.mu.Lock()
@@ -70,13 +73,6 @@ func newTestCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	if cfg.CommitTimeout == 0 {
-		// The production default (5s WAN) is only 50ms of real time at
-		// test scale — too tight when the machine is loaded with
-		// parallel race-enabled packages. Tests that exercise timeouts
-		// set their own.
-		cfg.CommitTimeout = 60 * time.Second
-	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -88,10 +84,24 @@ func newTestCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 	return c
 }
 
+// eventually polls cond on the cluster clock every virtual millisecond and
+// fails the test unless it holds within d.
+func eventually(t *testing.T, c *cluster.Cluster, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	clk := c.Clock()
+	deadline := clk.Now().Add(d)
+	for !cond() {
+		if clk.Now().After(deadline) {
+			t.Fatalf("%s: not within %v", what, d)
+		}
+		clk.Sleep(time.Millisecond)
+	}
+}
+
 // submit is a helper that runs one transaction to decision.
 func submit(t *testing.T, c *cluster.Cluster, from simnet.Region, ops []txn.Op, mode mdcc.Mode) (bool, error, *waitSink) {
 	t.Helper()
-	sink := newWaitSink()
+	sink := newWaitSink(c)
 	if err := c.Coordinator(from).Submit(txn.NewID(), ops, mode, sink); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -182,7 +192,7 @@ func TestDuplicateKeyRejected(t *testing.T) {
 	err := c.Coordinator(regions.California).Submit(txn.NewID(), []txn.Op{
 		{Kind: txn.OpSet, Key: "k"},
 		{Kind: txn.OpAdd, Key: "k", Delta: 1},
-	}, mdcc.ModeFast, newWaitSink())
+	}, mdcc.ModeFast, newWaitSink(c))
 	if err == nil {
 		t.Fatal("duplicate key accepted")
 	}
@@ -192,19 +202,17 @@ func TestCommutativeAddsBothCommit(t *testing.T) {
 	c := newTestCluster(t, cluster.Config{})
 	c.SeedInt("stock", 100, 0, 1_000_000)
 
-	var wg sync.WaitGroup
+	g := vclock.NewGroup(c.Clock())
 	results := make([]bool, 2)
 	for i, from := range []simnet.Region{regions.California, regions.Singapore} {
-		wg.Add(1)
-		go func(i int, from simnet.Region) {
-			defer wg.Done()
+		g.Go(func() {
 			committed, _, _ := submit(t, c, from, []txn.Op{
 				{Kind: txn.OpAdd, Key: "stock", Delta: -10},
 			}, mdcc.ModeFast)
 			results[i] = committed
-		}(i, from)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 
 	if !results[0] || !results[1] {
 		t.Fatalf("concurrent commutative adds should both commit, got %v", results)
@@ -257,21 +265,19 @@ func TestConflictingSetsAtMostOneWins(t *testing.T) {
 				committed bool
 				val       string
 			}
-			var wg sync.WaitGroup
+			g := vclock.NewGroup(c.Clock())
 			results := make([]result, 2)
 			origins := []simnet.Region{regions.California, regions.Tokyo}
 			for i := range origins {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
+				g.Go(func() {
 					val := fmt.Sprintf("writer-%d", i)
 					committed, _, _ := submit(t, c, origins[i], []txn.Op{
 						{Kind: txn.OpSet, Key: "k", Value: []byte(val), ReadVersion: 0},
 					}, mdcc.ModeFast)
 					results[i] = result{committed, val}
-				}(i)
+				})
 			}
-			wg.Wait()
+			g.Wait()
 
 			if results[0].committed && results[1].committed {
 				t.Fatal("SAFETY: both conflicting writes committed")
@@ -299,19 +305,17 @@ func TestClassicModeSerializesConflicts(t *testing.T) {
 	c := newTestCluster(t, cluster.Config{MasterRegion: regions.Virginia})
 	c.SeedBytes("k", []byte("seed"))
 
-	var wg sync.WaitGroup
+	g := vclock.NewGroup(c.Clock())
 	committedCount := make(chan bool, 2)
 	for _, from := range []simnet.Region{regions.California, regions.Ireland} {
-		wg.Add(1)
-		go func(from simnet.Region) {
-			defer wg.Done()
+		g.Go(func() {
 			committed, _, _ := submit(t, c, from, []txn.Op{
 				{Kind: txn.OpSet, Key: "k", Value: []byte(string(from)), ReadVersion: 0},
 			}, mdcc.ModeClassic)
 			committedCount <- committed
-		}(from)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	close(committedCount)
 
 	n := 0

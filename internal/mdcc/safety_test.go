@@ -3,6 +3,7 @@ package mdcc_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"planet/internal/mdcc"
 	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 // TestRandomizedSafety drives a randomized mixed workload — physical writes
@@ -36,11 +38,26 @@ func TestRandomizedSafety(t *testing.T) {
 	}
 }
 
+// TestRandomizedSafetyDeterminism runs one round's generator twice with one
+// seed: the per-transaction verdicts and the final replica snapshots must be
+// identical, since the whole round runs on the cluster's virtual clock.
+// verify.sh runs it repeatedly.
+func TestRandomizedSafetyDeterminism(t *testing.T) {
+	a := runSafetyRound(t, 9000)
+	b := runSafetyRound(t, 9000)
+	if a != b {
+		t.Fatalf("same seed, different rounds:\n--- run A\n%s\n--- run B\n%s", a, b)
+	}
+}
+
 type committedOp struct {
 	op txn.Op
 }
 
-func runSafetyRound(t *testing.T, seed int64) {
+// runSafetyRound runs one randomized round, checks the invariants, and
+// returns what it observed: each client's verdicts in submission order and
+// every region's final value of every key.
+func runSafetyRound(t *testing.T, seed int64) string {
 	c, err := cluster.New(cluster.Config{TimeScale: 0.01, Seed: seed, WAL: true})
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +90,14 @@ func runSafetyRound(t *testing.T, seed int64) {
 	var (
 		mu        sync.Mutex
 		committed []committedOp
-		wg        sync.WaitGroup
+		verdicts  [clients][perCli]bool
 	)
+	g := vclock.NewGroup(c.Clock())
 	regionList := c.Regions()
 	for cl := 0; cl < clients; cl++ {
 		rng := rand.New(rand.NewSource(seed + int64(cl)*31))
 		region := regionList[cl%len(regionList)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			coord := c.Coordinator(region)
 			rep := c.Replica(region)
 			for i := 0; i < perCli; i++ {
@@ -104,12 +120,13 @@ func runSafetyRound(t *testing.T, seed int64) {
 						Kind: txn.OpAdd, Key: key, Delta: int64(rng.Intn(21) - 10),
 					})
 				}
-				sink := newWaitSink()
+				sink := newWaitSink(c)
 				if err := coord.Submit(txn.NewID(), ops, mode, sink); err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
 				ok, _ := sink.wait(t)
+				verdicts[cl][i] = ok
 				if ok {
 					mu.Lock()
 					for _, op := range ops {
@@ -118,9 +135,9 @@ func runSafetyRound(t *testing.T, seed int64) {
 					mu.Unlock()
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	if !c.Quiesce(10 * time.Second) {
 		t.Fatal("network did not quiesce")
 	}
@@ -186,6 +203,15 @@ func runSafetyRound(t *testing.T, seed int64) {
 		}
 	}
 
+	var b strings.Builder
+	fmt.Fprintf(&b, "verdicts %v\n", verdicts)
+	for _, region := range regionList {
+		for _, key := range append(append([]string{}, setKeys...), intKeys...) {
+			v, _ := c.Replica(region).ReadLocal(key)
+			fmt.Fprintf(&b, "%s/%s: v%d %q %d\n", region, key, v.Version, v.Bytes, v.Int)
+		}
+	}
+
 	// Invariant 5: identical committed-transaction sets in every WAL.
 	refCommits := walCommitSet(t, c, first)
 	for _, region := range regionList[1:] {
@@ -201,6 +227,7 @@ func runSafetyRound(t *testing.T, seed int64) {
 			}
 		}
 	}
+	return b.String()
 }
 
 func walCommitSet(t *testing.T, c *cluster.Cluster, region simnet.Region) map[txn.ID]bool {

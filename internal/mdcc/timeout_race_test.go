@@ -92,11 +92,7 @@ var raceRegions = []simnet.Region{"r1", "r2", "r3", "r4", "r5"}
 // nothing: proposals vanish, and the test injects votes by hand.
 func newRaceCoordinator(t *testing.T) (*Coordinator, *recSink, *tallyObserver) {
 	t.Helper()
-	net, err := simnet.New(simnet.Config{Latency: simnet.NewMatrix(nil), TimeScale: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
+	net := newLoneNet(t)
 	replicas := make([]simnet.Addr, len(raceRegions))
 	for i, r := range raceRegions {
 		replicas[i] = simnet.Addr{Region: r, Name: "replica"}

@@ -38,15 +38,35 @@
 //     goroutine per callback, which is how a transaction's staged callbacks
 //     and an open-loop arrival's body run;
 //   - AddWork/WorkDone pin the clock for untracked goroutines poking it
-//     from outside (tests, real-clock bridges).
+//     from outside (see Pacing and outsiders).
 //
 // Whatever runs on the scheduler's goroutine (timer callbacks, posted
 // functions, function waiters) must not block through the clock.
 //
+// # Pacing and outsiders
+//
+// Every simulated cluster runs on a Virtual. Tests, experiments and batch
+// commands run it unpaced (NewVirtual): time jumps. A caller that serves a
+// client waiting in wall time (planetd's in-process mode, the in-process
+// HTTP gateway) builds it paced (NewPaced): the same loop, run queue and
+// order, but before popping a timer the loop waits until that much wall
+// time has passed since the clock started, so virtual and wall time run
+// 1:1 and the WAN's scaled delays take real time again.
+//
+// A goroutine the clock does not track, such as an HTTP handler or a
+// process's main goroutine once setup is done, is an outsider. It enters
+// only through Post, Go, or the AddWork/WorkDone pin; while pinned it may
+// block through the clock like a tracked goroutine. It holds the pin only
+// around synchronous calls into the world, never while it waits for an
+// outcome on a channel, because a held pin stops time. An outsider entering
+// an idle paced clock first moves it to the present: its time is raised to
+// the wall-equivalent instant, capped at the earliest pending timer, so the
+// outsider's timers count from now and not from the last event.
+//
 // The Real clock implements the same interface with every scheduling
-// operation a no-op, so production code paths (planetd, the HTTP gateway)
-// pay nothing; its Queue is a slice drained in order by a goroutine that
-// exists only while the queue is non-empty.
+// operation a no-op, so the processes of a real-TCP deployment (planetd
+// -realnet) pay nothing; its Queue is a slice drained in order by a
+// goroutine that exists only while the queue is non-empty.
 package vclock
 
 import (

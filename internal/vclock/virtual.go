@@ -66,6 +66,15 @@ type Virtual struct {
 	timers timerHeap
 	free   []*wtimer // spent Schedule timers, for reuse
 	seq    uint64    // timer arm order (same-instant ties)
+
+	pace *pacer // non-nil for a clock built by NewPaced
+}
+
+// pacer holds a paced clock's link to wall time: virtual time since the
+// epoch never runs ahead of wall time since start.
+type pacer struct {
+	start time.Time   // wall instant of the clock's epoch
+	wake  *time.Timer // signals the loop when the next timer falls due
 }
 
 // NewVirtual returns a running virtual clock whose time starts at the fixed
@@ -82,6 +91,73 @@ func NewVirtual() *Virtual {
 	return v
 }
 
+// NewPaced returns a virtual clock like NewVirtual's, with the same loop,
+// run queue and (when, seq) order, whose loop waits for wall time before it
+// pops a timer: a timer due at virtual instant when fires no earlier than
+// when has passed on the wall since NewPaced, or earlier only if an outsider
+// posts or pins first. Virtual and wall time then run 1:1, which is what a
+// client waiting in wall time (an HTTP request, a person at a terminal)
+// needs. Outsiders enter through Post, Go or AddWork; entering an idle
+// clock first raises its time to the wall-equivalent instant, capped at the
+// earliest pending timer, so their timers are armed from the present and
+// not from the last event. The constructing goroutine holds the execution
+// slot, as with NewVirtual.
+func NewPaced() *Virtual {
+	v := NewVirtual()
+	v.pace = &pacer{start: time.Now()}
+	v.pace.wake = time.AfterFunc(time.Hour, v.signal)
+	v.pace.wake.Stop()
+	return v
+}
+
+// signal wakes the scheduler loop.
+func (v *Virtual) signal() {
+	v.mu.Lock()
+	v.cond.Signal()
+	v.mu.Unlock()
+}
+
+// idleLocked reports whether nothing runs or waits to run: the clock would
+// next pop a timer. Caller holds mu.
+func (v *Virtual) idleLocked() bool { return v.running == 0 && v.head == len(v.ready) }
+
+// wallNowLocked is a paced clock's present: its virtual time, or when idle
+// the wall time since start, capped at the earliest pending timer. Caller
+// holds mu.
+func (v *Virtual) wallNowLocked() time.Duration {
+	if !v.idleLocked() || v.stopped {
+		return v.now
+	}
+	w := time.Since(v.pace.start)
+	if len(v.timers) > 0 && v.timers[0].when < w {
+		w = v.timers[0].when
+	}
+	return max(w, v.now)
+}
+
+// enterLocked raises an idle paced clock's time to the present before an
+// outsider's work joins it. Caller holds mu.
+func (v *Virtual) enterLocked() {
+	if now := v.wallNowLocked(); now > v.now {
+		v.now = now
+		v.clock.Store(int64(now))
+	}
+}
+
+// awaitPaceLocked makes a paced loop wait, before popping the earliest
+// timer, until wall time reaches the timer's instant. It reports whether it
+// waited; the loop then re-checks everything, since an outsider may have
+// posted or pinned meanwhile. Caller holds mu.
+func (v *Virtual) awaitPaceLocked() bool {
+	d := v.timers[0].when - time.Since(v.pace.start)
+	if d <= 0 {
+		return false
+	}
+	v.pace.wake.Reset(d)
+	v.cond.Wait()
+	return true
+}
+
 // Shutdown stops the scheduler loop, discards pending callbacks (timers, and
 // functions still waiting on the run queue), and wakes parked sleepers (their
 // Sleep returns early, WaitTimeout reports false). Call once the simulated
@@ -89,6 +165,9 @@ func NewVirtual() *Virtual {
 func (v *Virtual) Shutdown() {
 	v.mu.Lock()
 	v.stopped = true
+	if v.pace != nil {
+		v.pace.wake.Stop()
+	}
 	v.cond.Signal()
 	v.mu.Unlock()
 }
@@ -120,6 +199,9 @@ func (v *Virtual) run() {
 				close(s.ch)
 			}
 		case len(v.timers) > 0:
+			if v.pace != nil && v.awaitPaceLocked() {
+				continue
+			}
 			t := v.timers.pop()
 			if t.when > v.now {
 				v.now = t.when
@@ -284,8 +366,16 @@ func Schedule(clk Clock, d time.Duration, f func()) {
 	v.armLocked(t, d)
 }
 
-// Now implements Clock.
-func (v *Virtual) Now() time.Time { return epoch.Add(time.Duration(v.clock.Load())) }
+// Now implements Clock. On an idle paced clock it reads the present as an
+// entering outsider would see it.
+func (v *Virtual) Now() time.Time {
+	if v.pace != nil {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return epoch.Add(v.wallNowLocked())
+	}
+	return epoch.Add(time.Duration(v.clock.Load()))
+}
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
@@ -385,6 +475,9 @@ func (v *Virtual) Go(f func()) {
 		go f()
 		return
 	}
+	if v.pace != nil {
+		v.enterLocked()
+	}
 	ch := make(chan struct{})
 	v.readyLocked(runSlot{ch: ch})
 	v.mu.Unlock()
@@ -410,18 +503,25 @@ func (v *Virtual) Post(f func()) {
 		go f()
 		return
 	}
+	if v.pace != nil {
+		v.enterLocked()
+	}
 	v.readyLocked(runSlot{fn: f})
 	v.mu.Unlock()
 }
 
 // AddWork implements Clock: the n units pin the clock at its current now
 // until balanced by WorkDone. For untracked goroutines poking the world from
-// outside.
+// outside; a pinned goroutine may block through the clock, like a tracked
+// one.
 func (v *Virtual) AddWork(n int) {
 	if n <= 0 {
 		return
 	}
 	v.mu.Lock()
+	if v.pace != nil {
+		v.enterLocked()
+	}
 	v.running += n
 	v.mu.Unlock()
 }

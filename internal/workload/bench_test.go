@@ -22,7 +22,6 @@ func BenchmarkOpenLoopCommit(b *testing.B) {
 	c, err := cluster.New(cluster.Config{
 		Topology:      regions.Five(),
 		Seed:          1,
-		VirtualTime:   true,
 		CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {

@@ -20,7 +20,6 @@ func virtualDB(t *testing.T, seed int64, pcfg planet.Config) (*cluster.Cluster, 
 	c, err := cluster.New(cluster.Config{
 		Topology:      regions.Three(),
 		Seed:          seed,
-		VirtualTime:   true,
 		CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the checks a change must pass before merging:
 # vet, full build, full test suite, then a race-detector pass over the
-# packages with the most concurrency (core, mdcc, obs, and cluster, where a
-# node's transport goroutines reach its lease manager).
+# packages with the most concurrency (core, mdcc, obs, cluster, where a
+# node's transport goroutines reach its lease manager, and httpapi, whose
+# handlers enter a paced virtual clock from net/http's goroutines).
 set -eux
 
 # Static analysis first (go vet has been part of this gate since the seed;
@@ -15,19 +16,20 @@ go test ./...
 # breaks the frozen benchmark unnoticed.
 go vet -C benchmark ./...
 go test -C benchmark -short ./...
-go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/cluster
+go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/cluster ./internal/httpapi
 # Chaos soak gate: fault schedules (partition + crash/WAL-recovery +
-# latency spike) must preserve the safety invariants under the race
-# detector, both under static mastership and under epoch-fenced master
-# leases (TestChaosSoakLeaseFailover crashes a live lease holder mid-run
-# and requires a takeover plus the same invariants). -short shrinks the
-# workload but never skips.
+# latency spike) laid over a closed-loop workload on the cluster's virtual
+# clock must preserve the safety invariants under the race detector, both
+# under static mastership and under epoch-fenced master leases
+# (TestChaosSoakLeaseFailover crashes a live lease holder mid-run and
+# requires a takeover plus the same invariants). -short shrinks the
+# workload and its schedule together but never skips.
 go test -race -run Soak -short ./internal/chaos/
 # Virtual-time gates. Determinism: the same seed must reproduce the F4
 # metric map bit-for-bit (twice per run, ten runs, plus a race pass over
 # the scheduler itself). Budget: the full experiment suite runs on the
-# virtual clock and must finish inside a wall-time budget a real-clock
-# run could never meet (it needs ~10s of sleeping per run alone).
+# virtual clock and must finish inside a wall-time budget a run on real
+# timers could never meet (it would need ~10s of sleeping per run alone).
 # The gate runs at GOMAXPROCS=1 AND GOMAXPROCS=4: the experiments' arm
 # pool runs independent clusters on several cores, and each cluster's
 # virtual clock hands its one execution slot between the scheduler loop
@@ -36,6 +38,12 @@ go test -race -run Soak -short ./internal/chaos/
 # Each invocation compares two same-seed runs internally.
 GOMAXPROCS=1 go test -count=10 -run TestVirtualTimeDeterminism .
 GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
+# Every cluster.New runs on a virtual clock, so the protocol tests are
+# replayable too: two same-seed chaos soaks must write byte-identical WALs
+# at every replica, and two same-seed randomized safety rounds must give
+# identical per-transaction verdicts and final replica snapshots.
+go test -count=10 -run TestChaosSoakDeterminism ./internal/chaos/
+go test -count=10 -run TestRandomizedSafetyDeterminism ./internal/mdcc/
 # Run-queue order gate: everything that enters the virtual clock's run
 # queue — posts (a transaction's staged callbacks), Go spawns, AfterFunc(0)
 # bodies, parked and function Event waiters, Group workers of both kinds —
