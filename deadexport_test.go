@@ -30,14 +30,41 @@ var deadExportAllow = map[string]string{
 	// ROADMAP item 5 moves those tests in-process.
 	"Network.RunScenario":     "ROADMAP item 5: the scenario driver becomes a seeded virtual-clock test",
 	"Network.WaitLeaseHolder": "ROADMAP item 5: master failover becomes a seeded virtual-clock test",
+	// Type-aware findings (typedFindings), keyed pkg.Type.Member.
+	// PLANET's documented application API.
+	"planet.Txn.ReadInt":       "README's quickstart reads with it",
+	"planet.Session.Run":       "PROTOCOL.md documents Session.Run/RunCtx retries",
+	"planet.Handle.Likelihood": "DESIGN.md's programming model: the likelihood read between callbacks",
+	// A mode kept for a named ROADMAP item.
+	"experiments.Config.EarlyAbort": "ROADMAP item 6: before/after runs flip EarlyAbort here, then it turns on by default",
+	// Called only by tests of other packages.
+	"planet.Handle.Done":             "chaos tests wait on a handle from a select",
+	"planet.DB.Predictor":            "httpapi tests read a region's predictor",
+	"mdcc.Replica.Snapshot":          "the chaos soak's replay-equality audit and cluster tests compare replicas",
+	"chaos.Engine.Wait":              "httpapi and chaos tests wait out a scenario",
+	"httpapi.Client.Trace":           "multinet's cross-process trace gates fetch traces",
+	"httpapi.Client.Attribution":     "multinet's attribution smoke test",
+	"latency.Recorder.Quantile":      "predictor tests read RTT windows",
+	"predictor.Predictor.AcceptProb": "core's likelihood determinism test probes it",
+	"obs.Counter.Add":                "registry tests; completes the counter API beside Inc",
+	"obs.Gauge.Add":                  "registry tests; completes the gauge API beside Set",
+	// The multi-process harness (see above): ROADMAP item 5.
+	"multinet.Network.Stop":      "ROADMAP item 5: harness API for the process tests",
+	"multinet.Network.Decisions": "ROADMAP item 5: harness API for the process tests",
+	"multinet.Network.Session":   "ROADMAP item 5: harness API for the process tests",
+	"multinet.Session.Add":       "ROADMAP item 5: harness API for the process tests",
+	"multinet.Session.Transfer":  "ROADMAP item 5: harness API for the process tests",
+	"multinet.Session.ReadInt":   "ROADMAP item 5: harness API for the process tests",
 }
 
 // TestNoDeadExports fails on an exported function or method whose name
 // appears in no non-test Go file of internal/, cmd/, examples/ or benchmark/
-// except as its own declaration. It is a plain name scan: a call of any
-// function or method with the same name counts as a use, so it misses some
-// dead code but never flags live code. An export only tests call belongs in
-// an export_test.go; one kept for later needs a deadExportAllow entry.
+// except as its own declaration. That plain name scan counts a call of any
+// function or method with the same name as a use, so it then type-checks
+// the same files (typedFindings) and also fails on an exported method whose
+// own *types.Func nothing uses, and on a field of an exported *Config
+// struct that nothing writes. An export only tests call belongs in an
+// export_test.go; one kept for later needs a deadExportAllow entry.
 // benchmark/ is only read, as a caller: its own exports are not checked.
 func TestNoDeadExports(t *testing.T) {
 	fset := token.NewFileSet()
@@ -91,6 +118,9 @@ func TestNoDeadExports(t *testing.T) {
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("%s is exported, but no non-test code calls it (delete it, move it to an export_test.go, or allowlist it with a reason)", d)
+	}
+	for _, d := range typedFindings(t) {
+		t.Errorf("%s (delete it, move it to an export_test.go, or allowlist it with a reason)", d)
 	}
 }
 

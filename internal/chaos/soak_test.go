@@ -263,7 +263,8 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]b
 	if opts.leases {
 		var takeovers uint64
 		for _, r := range c.Regions() {
-			takeovers += c.Replica(r).LeaseTakeoverCount()
+			_, _, n := c.Replica(r).LeaseTable()
+			takeovers += n
 		}
 		t.Logf("lease takeovers: %d", takeovers)
 		if takeovers == 0 {

@@ -180,10 +180,6 @@ func (c *Cluster) CommitTimeout() time.Duration { return c.spec.commitTimeout }
 // the code driving the cluster.
 func (c *Cluster) Clock() vclock.Clock { return c.clk }
 
-// LeaseTerm returns the effective (already time-scaled) lease term, or zero
-// when master leases are disabled.
-func (c *Cluster) LeaseTerm() time.Duration { return c.spec.leaseTerm }
-
 // Replica returns the region's replica, or nil for an unknown region.
 func (c *Cluster) Replica(r simnet.Region) *mdcc.Replica { return c.nodes[r].replica }
 

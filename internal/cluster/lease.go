@@ -20,8 +20,8 @@ import (
 func leaseMasterFor(rep *mdcc.Replica, keyspaceOf func(string) simnet.Region) func(string) simnet.Addr {
 	return func(key string) simnet.Addr {
 		ks := keyspaceOf(key)
-		if holder, ok := rep.LeaseHolder(ks); ok {
-			return simnet.Addr{Region: holder, Name: replicaName}
+		if li := rep.Lease(ks); li.Epoch != 0 {
+			return simnet.Addr{Region: simnet.Region(li.Holder), Name: replicaName}
 		}
 		return simnet.Addr{Region: ks, Name: replicaName}
 	}
@@ -112,23 +112,21 @@ func (m *leaseManager) poke() {
 	}
 }
 
-// consider applies the lease policy to one keyspace.
+// consider applies the lease policy to one keyspace, from one read of the
+// replica's lease view.
 func (m *leaseManager) consider(ks simnet.Region, now time.Time) {
-	if m.rep.HoldsLease(ks) {
-		m.rep.AcquireLease(ks) // renewal
-		return
-	}
-	holder, epoch, expiry := m.rep.LeaseView(ks)
+	li := m.rep.Lease(ks)
+	holder := simnet.Region(li.Holder)
 	switch {
-	case epoch == 0:
-		if m.self == ks {
-			m.rep.AcquireLease(ks)
-		} else if now.Sub(m.started) > 2*m.term+m.stagger(ks) {
+	case li.Held: // renewal
+		m.rep.AcquireLease(ks)
+	case li.Epoch == 0:
+		if m.self == ks || now.Sub(m.started) > 2*m.term+m.stagger(ks) {
 			m.rep.AcquireLease(ks)
 		}
 	case holder == m.self:
 		m.rep.AcquireLease(ks)
-	case now.After(expiry.Add(m.stagger(holder))):
+	case now.After(li.Expiry.Add(m.stagger(holder))):
 		m.rep.AcquireLease(ks)
 	}
 }

@@ -171,7 +171,6 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 		}
 		n.replica.EnableLeases(mdcc.LeaseConfig{
 			Term:       s.leaseTerm,
-			Keyspaces:  s.keyspaces(),
 			KeyspaceOf: s.keyspaceOf,
 			OnEvent:    onEvent,
 		})

@@ -65,9 +65,6 @@ type Config struct {
 	// DisableConflictTerm drops contention statistics from the
 	// likelihood model (ablation A2).
 	DisableConflictTerm bool
-	// ConflictHalfLife overrides the contention-decay half-life
-	// (emulator time).
-	ConflictHalfLife time.Duration
 	// Calibrate, when true, records (likelihood, outcome) pairs into a
 	// calibration table retrievable via DB.Calibration.
 	Calibrate bool
@@ -215,14 +212,13 @@ func Open(cfg Config) (*DB, error) {
 			feed = db.spans.For(string(r)).Attribution()
 		}
 		db.preds[r] = predictor.New(predictor.Config{
-			Regions:          regionList,
-			Clock:            clk,
-			FastQuorum:       mdcc.FastQuorum(len(regionList)),
-			ConflictHalfLife: cfg.ConflictHalfLife,
-			UseConflicts:     !cfg.DisableConflictTerm,
-			UseLatency:       true,
-			StageFeed:        feed,
-			CommitTimeout:    cfg.Cluster.CommitTimeout(),
+			Regions:       regionList,
+			Clock:         clk,
+			FastQuorum:    mdcc.FastQuorum(len(regionList)),
+			UseConflicts:  !cfg.DisableConflictTerm,
+			UseLatency:    true,
+			StageFeed:     feed,
+			CommitTimeout: cfg.Cluster.CommitTimeout(),
 		})
 		db.inFlight[r] = &atomic.Int64{}
 	}
@@ -398,12 +394,6 @@ type Session struct {
 	replica *mdcc.Replica
 	pred    *predictor.Predictor
 }
-
-// Clock returns the DB's time source.
-func (s *Session) Clock() vclock.Clock { return s.db.clk }
-
-// Region returns the session's home region.
-func (s *Session) Region() simnet.Region { return s.region }
 
 // ReadBytes returns the committed byte value and version of key at the
 // local replica. The replica hands out immutable views; the copy here keeps

@@ -279,13 +279,6 @@ func (h *Handle) event(e obs.Event) {
 // ID returns the transaction ID.
 func (h *Handle) ID() txn.ID { return h.id }
 
-// Stage returns the current stage.
-func (h *Handle) Stage() txn.Stage {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stage
-}
-
 // Likelihood returns the latest predicted commit likelihood. The handle
 // computes it at a protocol event only when something consumes it there (see
 // consumedLocked); after a vote nobody consumed, the first read computes it.

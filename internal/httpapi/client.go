@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"planet/internal/obs"
@@ -111,11 +110,6 @@ func (c *Client) Status(id string) (Status, error) {
 	return c.status(id, false)
 }
 
-// Wait blocks server-side until the transaction's final callback has run.
-func (c *Client) Wait(id string) (Status, error) {
-	return c.status(id, true)
-}
-
 func (c *Client) status(id string, wait bool) (Status, error) {
 	u := c.Base + "/v1/txn/" + url.PathEscape(id)
 	if wait {
@@ -177,34 +171,6 @@ func (c *Client) Trace(id string) (TraceResponse, error) {
 		return TraceResponse{}, err
 	}
 	return out, nil
-}
-
-// Traces fetches recent completed traces. abortedOnly/slowOnly narrow the
-// result; limit <= 0 uses the server default.
-func (c *Client) Traces(abortedOnly, slowOnly bool, limit int) ([]TraceResponse, error) {
-	q := url.Values{}
-	if abortedOnly {
-		q.Set("aborted", "1")
-	}
-	if slowOnly {
-		q.Set("slow", "1")
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	u := c.Base + "/v1/traces"
-	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	resp, err := c.httpc().Get(u)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: traces: %w", err)
-	}
-	var out TracesResponse
-	if err := decode(resp, &out); err != nil {
-		return nil, err
-	}
-	return out.Traces, nil
 }
 
 // Attribution fetches the per-stage latency variance attribution snapshot.

@@ -187,11 +187,9 @@ func (s *Server) handleNet(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		writeJSON(w, http.StatusOK, NetLeaseResponse{
-			Enabled:   na.replica.LeasesEnabled(),
-			Leases:    na.replica.LeaseTable(),
-			Takeovers: na.replica.LeaseTakeoverCount(),
-		})
+		var resp NetLeaseResponse
+		resp.Enabled, resp.Leases, resp.Takeovers = na.replica.LeaseTable()
+		writeJSON(w, http.StatusOK, resp)
 	case "decisions":
 		if r.Method != http.MethodGet {
 			writeErr(w, http.StatusMethodNotAllowed, "use GET")

@@ -32,15 +32,11 @@ type CoordinatorConfig struct {
 	// instead of burning its commit timeout waiting for votes that cannot
 	// arrive. Nil (the simnet default) disables the check.
 	Unreachable func(region simnet.Region) bool
-	// EarlyAbort enables optimistic abort propagation: when conflict
+	// EarlyAbort enables optimistic abort propagation: when pending-conflict
 	// rejects push the fast quorum out of reach, the option is learned
-	// rejected on the spot — and the abort decide broadcast immediately
-	// clears its sibling pendings at every replica — instead of paying a
-	// classic master round-trip that the same conflict would almost
-	// certainly also reject. Fatal rejects (version, bound) already abort
-	// on arrival regardless of this flag; EarlyAbort extends the shortcut
-	// to pending-conflict evidence. Rejects that ask for the classic path
-	// by design (ReasonClassicOwned, ReasonNotMaster) still fall back.
+	// rejected on the spot, and the abort's decide clears its sibling
+	// pendings everywhere, instead of paying a classic master round-trip
+	// the same conflict would almost certainly reject (see onVoteBatch).
 	EarlyAbort bool
 }
 
@@ -58,7 +54,7 @@ const (
 type optState struct {
 	op      txn.Op
 	status  optStatus
-	voted   uint64 // bitmask over replica indices (see Coordinator.regionBit)
+	voted   uint64 // bitmask over replica indices (see regionBit)
 	accepts int
 	rejects int
 	reason  RejectReason
@@ -85,7 +81,9 @@ type commitState struct {
 	opts    []optState
 	open    int // options not yet learned
 	decided bool
-	timer   vclock.Timer
+	// timer is the commit timeout, which steps arm and stop only through
+	// outputs.
+	timer commitTimer
 	// span is the transaction's root span id (0 = untraced); every
 	// protocol message for the transaction carries it as trace context.
 	span uint64
@@ -103,8 +101,8 @@ func (s *commitState) opt(key string) *optState {
 
 // CoordObserver receives a coordinator's protocol instrumentation: votes as
 // they arrive, fallbacks to classic Paxos, commit timeouts, and final
-// decisions. Callbacks run with the coordinator lock held and must be fast
-// and must not call back into the coordinator.
+// decisions. Callbacks run inside the coordinator's step, under its lock,
+// and must be fast and must not call back into the coordinator.
 type CoordObserver interface {
 	Vote(region simnet.Region, accept bool, elapsed time.Duration)
 	Fallback()
@@ -114,14 +112,19 @@ type CoordObserver interface {
 
 // Coordinator drives commit processing for transactions originating in its
 // region. It is a learner for option outcomes and the decision authority
-// for the transactions it coordinates.
+// for the transactions it coordinates. Like Replica, it changes state only
+// inside step; the unexported methods below step run inside it.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	clk vclock.Clock // the network's clock
 
+	// mu guards the state below; exec is the only function that takes it.
+	// out is the running step's output buffer.
 	mu      sync.Mutex
+	out     *outBuf
 	active  map[txn.ID]*commitState
 	reads   map[uint64]*readWaiter
+	readSeq uint64 // the last quorum-read request id
 	obs     CoordObserver
 	spans   *obs.SpanStore
 	crashed bool
@@ -141,20 +144,87 @@ type Coordinator struct {
 	EarlyAborts uint64
 }
 
+// Coordinator.step's local inputs, besides queries and wire messages.
+type (
+	// submit is SubmitTraced's transaction; err is its result.
+	submit struct {
+		s        *commitState
+		degraded bool
+		err      error
+	}
+	// restart rejoins a crashed coordinator to the network.
+	restart struct{}
+	// timeout is the commit timeout of transaction id firing.
+	timeout struct{ id txn.ID }
+)
+
+// exec runs one input through step and performs its outputs. It is the
+// coordinator's executor and the only function that takes c.mu.
+func (c *Coordinator) exec(in any) {
+	b := outBufs.Get().(*outBuf)
+	c.mu.Lock()
+	c.out = b
+	c.step(c.clk.Now(), in)
+	c.out = nil
+	c.mu.Unlock()
+	b.perform(c.cfg.Net, c.cfg.Addr, c.clk)
+	outBufs.Put(b)
+}
+
+// step is the coordinator's transition function: it applies one input, at
+// time now, to the coordinator's own state and emits the input's effects to
+// c.out. Besides its own state it consults only CoordinatorConfig.MasterFor,
+// when it routes an option to its master.
+func (c *Coordinator) step(now time.Time, in any) {
+	switch p := in.(type) {
+	case query:
+		p(now)
+	case *submit:
+		c.submit(now, p)
+	case timeout:
+		c.onTimeout(now, p.id)
+	case *quorumRead:
+		c.quorumRead(p)
+	case crash:
+		c.crash(now)
+	case restart:
+		c.crashed = false
+		c.out.add(output{kind: outRegister, msg: simnet.Handler(c.recv)})
+	default:
+		// A delivery that raced with Crash's deregistration.
+		if !c.crashed {
+			c.deliver(now, in)
+		}
+	}
+}
+
+// deliver dispatches a network message.
+func (c *Coordinator) deliver(now time.Time, m any) {
+	switch p := m.(type) {
+	case voteBatchMsg:
+		c.onVoteBatch(now, p)
+	case classicResultBatchMsg:
+		c.onClassicResultBatch(now, p)
+	case spanReportMsg:
+		c.spans.AddBatch(p.Spans)
+	case readResp:
+		c.onReadResp(p)
+	}
+}
+
+// recv is the coordinator's transport handler.
+func (c *Coordinator) recv(m simnet.Message) { c.exec(m.Payload) }
+
 // SetObserver installs o (nil clears). Typically wired once at startup.
 func (c *Coordinator) SetObserver(o CoordObserver) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obs = o
+	c.exec(query(func(time.Time) { c.obs = o }))
 }
 
 // SetSpans installs the span store receiving this coordinator's stage spans
 // and the span reports replicas and masters flush back to it (nil clears).
 // Typically wired once at startup.
 func (c *Coordinator) SetSpans(st *obs.SpanStore) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans = st
+	c.exec(query(func(time.Time) { c.spans = st }))
 }
 
 // NewCoordinator constructs and registers a coordinator on cfg.Net.
@@ -166,9 +236,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.Net.Register(cfg.Addr, c.recv)
 	return c, nil
 }
-
-// Addr returns the coordinator's network address.
-func (c *Coordinator) Addr() simnet.Addr { return c.cfg.Addr }
 
 // Region returns the coordinator's region.
 func (c *Coordinator) Region() simnet.Region { return c.cfg.Addr.Region }
@@ -207,60 +274,59 @@ func (c *Coordinator) SubmitTraced(id txn.ID, ops []txn.Op, mode Mode, sink Prog
 	if degraded {
 		mode = ModeClassic
 	}
-
-	s := &commitState{
-		id:    id,
-		ops:   ops,
-		mode:  mode,
-		sink:  sink,
-		start: c.clk.Now(),
-		opts:  make([]optState, len(ops)),
-		open:  len(ops),
-		span:  span,
+	in := submit{
+		s:        &commitState{id: id, ops: ops, mode: mode, sink: sink, span: span},
+		degraded: degraded,
 	}
-	for i, op := range ops {
-		s.opts[i].op = op
-		if mode == ModeClassic {
-			s.opts[i].status = optClassic
-		}
-	}
+	c.exec(&in)
+	return in.err
+}
 
-	c.mu.Lock()
+// submit registers a transaction, arms its commit timeout and sends its
+// options: to every replica on the fast path, to their masters on the
+// classic path.
+func (c *Coordinator) submit(now time.Time, in *submit) {
+	s := in.s
 	if c.crashed {
 		// A dead process accepts nothing; the caller sees the same error
 		// a severed client connection would produce.
-		c.mu.Unlock()
-		return fmt.Errorf("mdcc: submit %s: %w", id, ErrCrashed)
+		in.err = fmt.Errorf("mdcc: submit %s: %w", s.id, ErrCrashed)
+		return
 	}
-	c.active[id] = s
-	if degraded {
+	s.start = now
+	s.opts = make([]optState, len(s.ops))
+	s.open = len(s.ops)
+	for i, op := range s.ops {
+		s.opts[i].op = op
+		if s.mode == ModeClassic {
+			s.opts[i].status = optClassic
+		}
+	}
+	c.active[s.id] = s
+	if in.degraded {
 		c.DegradedSubmits++
 	}
 	if c.cfg.CommitTimeout > 0 {
-		s.timer = c.clk.AfterFunc(c.cfg.CommitTimeout, func() { c.onTimeout(id) })
+		id := s.id
+		c.out.add(output{kind: outArm, timer: &s.timer, ev: ProgressEvent{Txn: id},
+			d: c.cfg.CommitTimeout, fn: func() { c.exec(timeout{id}) }})
 	}
-	c.mu.Unlock()
+	c.out.progress(s.sink, ProgressEvent{Txn: s.id, Kind: KindSubmitted})
 
-	sink.Progress(ProgressEvent{Txn: id, Kind: KindSubmitted})
-
-	if len(ops) == 0 {
-		c.mu.Lock()
-		c.decideLocked(s, true, nil)
-		c.mu.Unlock()
-		return nil
+	if len(s.ops) == 0 {
+		c.decide(now, s, true, nil)
+		return
 	}
-
-	switch mode {
+	switch s.mode {
 	case ModeClassic:
-		c.sendClassic(id, span, ops)
+		c.sendClassic(now, s.id, s.span, s.ops)
 	default:
 		// Boxed once: every replica is sent the same immutable message.
-		var m any = proposeMsg{Txn: id, Coord: c.cfg.Addr, Options: ops, TC: c.traceCtx(span)}
+		var m any = proposeMsg{Txn: s.id, Coord: c.cfg.Addr, Options: s.ops, TC: traceCtx(now, s.span)}
 		for _, rep := range c.cfg.Replicas {
-			c.cfg.Net.Send(c.cfg.Addr, rep, m)
+			c.out.send(rep, m)
 		}
 	}
-	return nil
 }
 
 // FastQuorumReachable reports whether enough replicas are reachable over the
@@ -281,21 +347,21 @@ func (c *Coordinator) FastQuorumReachable() bool {
 	return reachable >= FastQuorum(len(c.cfg.Replicas))
 }
 
-// traceCtx builds the outgoing trace context for a transaction's root span:
-// the zero TraceCtx when untraced, else the span plus the current clock for
-// the receiver's network-leg timing.
-func (c *Coordinator) traceCtx(span uint64) TraceCtx {
+// traceCtx builds the outgoing trace context for span, the sender-side span
+// the receiver's spans parent to: the zero TraceCtx when untraced, else the
+// span plus the send time for the receiver's network-leg timing.
+func traceCtx(now time.Time, span uint64) TraceCtx {
 	if span == 0 {
 		return TraceCtx{}
 	}
-	return TraceCtx{Span: span, SentUnixNano: c.clk.Now().UnixNano()}
+	return TraceCtx{Span: span, SentUnixNano: now.UnixNano()}
 }
 
 // sendClassic routes options to their masters: one classicProposeBatchMsg
 // per master, options grouped in option order (never map order, so routing
 // is deterministic).
-func (c *Coordinator) sendClassic(id txn.ID, span uint64, ops []txn.Op) {
-	tc := c.traceCtx(span)
+func (c *Coordinator) sendClassic(now time.Time, id txn.ID, span uint64, ops []txn.Op) {
+	tc := traceCtx(now, span)
 	type masterGroup struct {
 		to  simnet.Addr
 		ops []txn.Op
@@ -313,73 +379,50 @@ outer:
 		groups = append(groups, masterGroup{to: to, ops: []txn.Op{op}})
 	}
 	for _, g := range groups {
-		c.cfg.Net.Send(c.cfg.Addr, g.to,
-			classicProposeBatchMsg{Txn: id, Coord: c.cfg.Addr, Options: g.ops, TC: tc})
+		c.out.send(g.to, classicProposeBatchMsg{Txn: id, Coord: c.cfg.Addr, Options: g.ops, TC: tc})
 	}
 }
 
-// regionBit maps a replica's region to its bit in vote masks. ok is false
-// for regions outside the replica set, whose votes are ignored.
-func (c *Coordinator) regionBit(reg simnet.Region) (uint64, bool) {
-	for i, rep := range c.cfg.Replicas {
-		if rep.Region == reg {
+// regionBit maps a region to its bit in a mask over addrs (the region's
+// index there). ok is false for regions outside addrs. A linear scan over a
+// handful of replicas beats a map both on allocation and on lookup cost.
+func regionBit(addrs []simnet.Addr, reg simnet.Region) (uint64, bool) {
+	for i, a := range addrs {
+		if a.Region == reg {
 			return 1 << uint(i), true
 		}
 	}
 	return 0, false
 }
 
-// recv dispatches network messages.
-func (c *Coordinator) recv(m simnet.Message) {
-	c.mu.Lock()
-	dead := c.crashed
-	c.mu.Unlock()
-	if dead {
-		// A delivery that raced with Crash's deregistration.
-		return
-	}
-	switch p := m.Payload.(type) {
-	case voteBatchMsg:
-		c.onVoteBatch(p)
-	case classicResultBatchMsg:
-		c.onClassicResultBatch(p)
-	case spanReportMsg:
-		c.mu.Lock()
-		st := c.spans
-		c.mu.Unlock()
-		st.AddBatch(p.Spans)
-	case readResp:
-		c.onReadResp(p)
-	}
-}
-
-// recordReturnLegLocked times the network leg that carried a vote or
-// classic result back to the coordinator, parenting it to the sender's
-// span. Caller holds c.mu.
-func (c *Coordinator) recordReturnLegLocked(id txn.ID, tc TraceCtx, region simnet.Region) {
+// recordReturnLeg times the network leg that carried a vote or classic
+// result back to the coordinator, parenting it to the sender's span.
+func (c *Coordinator) recordReturnLeg(now time.Time, id txn.ID, tc TraceCtx, region simnet.Region) {
 	if tc.Span == 0 || c.spans == nil {
 		return
 	}
 	c.spans.Add(obs.Span{
 		Txn: id, ID: obs.NewSpanID(), Parent: tc.Span,
 		Stage: obs.StageVoteReturn, Region: string(region),
-		Start: time.Unix(0, tc.SentUnixNano), End: c.clk.Now(),
+		Start: time.Unix(0, tc.SentUnixNano), End: now,
 	})
 }
 
-// onVoteBatch processes one replica's votes on every option of a proposal
-// under a single lock acquisition. Votes are applied in batch order — the
-// proposal's submission order — so sinks observe one vote event per option
-// in that order. Options whose fast quorum became unreachable are re-routed
-// to their masters together, grouped per destination.
-func (c *Coordinator) onVoteBatch(b voteBatchMsg) {
-	c.mu.Lock()
+// onVoteBatch folds one replica's votes on every option of a proposal into
+// the commit state, in batch order — the proposal's submission order — so
+// sinks observe one vote event per option in that order: duplicate
+// suppression, quorum and fatality checks, and the learn, decide or
+// fallback each vote triggers. Options whose fast quorum became unreachable
+// are re-routed to their masters together, grouped per destination.
+func (c *Coordinator) onVoteBatch(now time.Time, b voteBatchMsg) {
 	s := c.active[b.Txn]
 	if s == nil || s.decided {
-		c.mu.Unlock()
 		return
 	}
-	c.recordReturnLegLocked(b.Txn, b.TC, b.Region)
+	c.recordReturnLeg(now, b.Txn, b.TC, b.Region)
+	bit, known := regionBit(c.cfg.Replicas, b.Region)
+	n := c.N()
+	fq := FastQuorum(n)
 	var fallbacks []txn.Op
 	for _, v := range b.Votes {
 		if s.decided {
@@ -387,124 +430,96 @@ func (c *Coordinator) onVoteBatch(b voteBatchMsg) {
 			// the remaining votes are moot.
 			break
 		}
-		if op, fell := c.applyVoteLocked(s, v.Key, b.Region, v.Accept, v.Reason); fell {
-			fallbacks = append(fallbacks, op)
+		st := s.opt(v.Key)
+		if st == nil || st.status != optFast || !known || st.voted&bit != 0 {
+			continue
+		}
+		st.voted |= bit
+		if v.Accept {
+			st.accepts++
+		} else {
+			st.rejects++
+			if st.reason == ReasonNone {
+				st.reason = v.Reason
+			}
+		}
+
+		// Emit the vote before any learn/decide it triggers, so sinks see
+		// vote counts that are consistent with option outcomes.
+		elapsed := now.Sub(s.start)
+		if c.obs != nil {
+			c.obs.Vote(b.Region, v.Accept, elapsed)
+		}
+		c.out.progress(s.sink, ProgressEvent{Txn: s.id, Kind: KindVote, Key: v.Key,
+			Region: b.Region, Accept: v.Accept, Reason: v.Reason, Elapsed: elapsed})
+
+		switch {
+		case st.accepts >= fq:
+			c.learn(now, s, st, true, ReasonNone)
+		case !v.Accept && v.Reason.Fatal():
+			c.learn(now, s, st, false, v.Reason)
+		case st.accepts+(n-bits.OnesCount64(st.voted)) < fq:
+			// The fast quorum is out of reach. Under EarlyAbort, conflict
+			// evidence (a pending or version reject pushed us here) dooms
+			// the option now: the master holds the same pendings the
+			// replicas voted against, so the classic round-trip would
+			// reject too, half an RTT later. Learning the rejection here
+			// decides the abort and broadcasts it, which clears this
+			// transaction's sibling pendings at every replica — queued
+			// dependents stop conflicting against a corpse. Lease/routing
+			// rejects still want the classic path.
+			if c.cfg.EarlyAbort && (st.reason == ReasonPending || st.reason.Fatal()) {
+				c.EarlyAborts++
+				c.learn(now, s, st, false, st.reason)
+				continue
+			}
+			// Fall back to the master.
+			st.status = optClassic
+			st.reason = ReasonNone
+			c.Fallbacks++
+			if c.obs != nil {
+				c.obs.Fallback()
+			}
+			c.out.progress(s.sink, ProgressEvent{Txn: s.id, Kind: KindFallback, Key: v.Key, Elapsed: elapsed})
+			fallbacks = append(fallbacks, st.op)
 		}
 	}
 	if len(fallbacks) > 0 {
-		c.sendClassic(s.id, s.span, fallbacks)
+		c.sendClassic(now, s.id, s.span, fallbacks)
 	}
-	c.mu.Unlock()
 }
 
-// applyVoteLocked folds one replica's vote on one option into the commit
-// state: duplicate suppression, quorum/fatality checks, and the resulting
-// learn/decide/fallback transition. When the option must fall back to its
-// master it is returned with fell=true; the caller sends it (batched with
-// any siblings from the same vote batch). Caller holds c.mu.
-func (c *Coordinator) applyVoteLocked(s *commitState, key string, region simnet.Region, accept bool, reason RejectReason) (op txn.Op, fell bool) {
-	st := s.opt(key)
-	if st == nil || st.status != optFast {
-		return txn.Op{}, false
-	}
-	bit, known := c.regionBit(region)
-	if !known || st.voted&bit != 0 {
-		return txn.Op{}, false
-	}
-	st.voted |= bit
-	if accept {
-		st.accepts++
-	} else {
-		st.rejects++
-		if st.reason == ReasonNone {
-			st.reason = reason
-		}
-	}
-
-	// Emit the vote before any learn/decide it triggers, so sinks see
-	// vote counts that are consistent with option outcomes.
-	elapsed := c.clk.Since(s.start)
-	if c.obs != nil {
-		c.obs.Vote(region, accept, elapsed)
-	}
-	s.sink.Progress(ProgressEvent{Txn: s.id, Kind: KindVote, Key: key,
-		Region: region, Accept: accept, Reason: reason, Elapsed: elapsed})
-
-	n := c.N()
-	fq := FastQuorum(n)
-	switch {
-	case st.accepts >= fq:
-		c.learnLocked(s, st, true, ReasonNone)
-	case !accept && reason.Fatal():
-		c.learnLocked(s, st, false, reason)
-	case st.accepts+(n-bits.OnesCount64(st.voted)) < fq:
-		// The fast quorum is out of reach. Under EarlyAbort, conflict
-		// evidence (a pending or version reject pushed us here) dooms the
-		// option now: the master holds the same pendings the replicas
-		// voted against, so the classic round-trip would reject too, half
-		// an RTT later. Learning the rejection here decides the abort and
-		// broadcasts it, which clears this transaction's sibling pendings
-		// at every replica — queued dependents stop conflicting against a
-		// corpse. Lease/routing rejects still want the classic path.
-		if c.cfg.EarlyAbort && (st.reason == ReasonPending || st.reason.Fatal()) {
-			c.EarlyAborts++
-			c.learnLocked(s, st, false, st.reason)
-			return txn.Op{}, false
-		}
-		// Fall back to the master.
-		st.status = optClassic
-		st.reason = ReasonNone
-		c.Fallbacks++
-		if c.obs != nil {
-			c.obs.Fallback()
-		}
-		s.sink.Progress(ProgressEvent{Txn: s.id, Kind: KindFallback, Key: key, Elapsed: elapsed})
-		return st.op, true
-	}
-	return txn.Op{}, false
-}
-
-// onClassicResultBatch processes a master's coalesced verdicts for several
-// options of one transaction under a single lock acquisition.
-func (c *Coordinator) onClassicResultBatch(b classicResultBatchMsg) {
-	c.mu.Lock()
+// onClassicResultBatch folds a master's coalesced verdicts for several
+// options of one transaction into its commit state. A ReasonNotMaster
+// bounce — the routed-to replica does not hold the key's master lease —
+// re-resolves the master through MasterFor (which consults the freshest
+// lease view) and retries, a bounded number of times.
+func (c *Coordinator) onClassicResultBatch(now time.Time, b classicResultBatchMsg) {
 	s := c.active[b.Txn]
 	if s == nil || s.decided {
-		c.mu.Unlock()
 		return
 	}
-	c.recordReturnLegLocked(b.Txn, b.TC, "")
+	c.recordReturnLeg(now, b.Txn, b.TC, "")
 	for _, res := range b.Results {
+		st := s.opt(res.Key)
 		if s.decided {
 			break
+		} else if st == nil || st.status != optClassic {
+			continue
 		}
-		c.applyClassicResultLocked(s, res.Key, res.Accepted, res.Reason)
+		if !res.Accepted && res.Reason == ReasonNotMaster && st.retries < maxMasterRetries {
+			st.retries++
+			c.MasterRedirects++
+			c.sendClassic(now, s.id, s.span, []txn.Op{st.op})
+			continue
+		}
+		c.learn(now, s, st, res.Accepted, res.Reason)
 	}
-	c.mu.Unlock()
 }
 
-// applyClassicResultLocked folds one master verdict into the commit state.
-// A ReasonNotMaster bounce — the routed-to replica does not hold the key's
-// master lease — re-resolves the master through MasterFor (which consults
-// the freshest lease view) and retries, a bounded number of times. Caller
-// holds c.mu.
-func (c *Coordinator) applyClassicResultLocked(s *commitState, key string, accepted bool, reason RejectReason) {
-	st := s.opt(key)
-	if st == nil || st.status != optClassic {
-		return
-	}
-	if !accepted && reason == ReasonNotMaster && st.retries < maxMasterRetries {
-		st.retries++
-		c.MasterRedirects++
-		c.sendClassic(s.id, s.span, []txn.Op{st.op})
-		return
-	}
-	c.learnLocked(s, st, accepted, reason)
-}
-
-// learnLocked finalizes one option and, when conclusive for the whole
-// transaction, decides it. Caller holds c.mu.
-func (c *Coordinator) learnLocked(s *commitState, st *optState, accepted bool, reason RejectReason) {
+// learn finalizes one option and, when conclusive for the whole
+// transaction, decides it.
+func (c *Coordinator) learn(now time.Time, s *commitState, st *optState, accepted bool, reason RejectReason) {
 	if st.status == optAccepted || st.status == optRejected {
 		return
 	}
@@ -516,67 +531,68 @@ func (c *Coordinator) learnLocked(s *commitState, st *optState, accepted bool, r
 	}
 	s.open--
 
-	s.sink.Progress(ProgressEvent{Txn: s.id, Kind: KindOptionLearned, Key: st.op.Key,
-		Accept: accepted, Reason: reason, Elapsed: c.clk.Since(s.start)})
+	c.out.progress(s.sink, ProgressEvent{Txn: s.id, Kind: KindOptionLearned, Key: st.op.Key,
+		Accept: accepted, Reason: reason, Elapsed: now.Sub(s.start)})
 
 	if !accepted {
-		c.decideLocked(s, false, reasonErr(reason))
+		c.decide(now, s, false, reasonErr(reason))
 		return
 	}
 	if s.open == 0 {
-		c.decideLocked(s, true, nil)
+		c.decide(now, s, true, nil)
 	}
 }
 
 // onTimeout aborts a transaction that outlived its commit timeout.
-func (c *Coordinator) onTimeout(id txn.ID) {
-	c.mu.Lock()
+func (c *Coordinator) onTimeout(now time.Time, id txn.ID) {
 	s := c.active[id]
 	if s == nil || s.decided {
-		c.mu.Unlock()
 		return
 	}
 	c.Timeouts++
 	if c.obs != nil {
 		c.obs.Timeout()
 	}
-	c.decideLocked(s, false, ErrTimeout)
-	c.mu.Unlock()
+	c.decide(now, s, false, ErrTimeout)
 }
 
-// decideLocked records the final decision, broadcasts it to the replicas,
-// and notifies the sink. Caller holds c.mu.
-func (c *Coordinator) decideLocked(s *commitState, commit bool, err error) {
+// decide records the final decision, stops the commit timeout, broadcasts
+// the decision to the replicas, and notifies the sink.
+func (c *Coordinator) decide(now time.Time, s *commitState, commit bool, err error) {
 	if s.decided {
 		return
 	}
 	s.decided = true
-	if s.timer != nil {
-		s.timer.Stop()
+	if c.cfg.CommitTimeout > 0 {
+		c.out.add(output{kind: outStop, timer: &s.timer, ev: ProgressEvent{Txn: s.id}})
 	}
 	delete(c.active, s.id)
 
 	d := decideMsg{Txn: s.id, Commit: commit, Options: s.ops}
 	if s.span != 0 && c.spans != nil {
-		now := c.clk.Now()
 		c.spans.Add(obs.Span{
 			Txn: s.id, ID: obs.NewSpanID(), Parent: s.span,
 			Stage: obs.StageQuorumWait, Region: string(c.Region()),
 			Start: s.start, End: now,
 		})
-		d.TC = TraceCtx{Span: s.span, SentUnixNano: now.UnixNano()}
+		d.TC = traceCtx(now, s.span)
 		d.Coord = c.cfg.Addr
 	}
 	var m any = d // boxed once for the whole broadcast
 	for _, rep := range c.cfg.Replicas {
-		c.cfg.Net.Send(c.cfg.Addr, rep, m)
+		c.out.send(rep, m)
 	}
+	c.finish(now, s, commit, err)
+}
+
+// finish reports a transaction's decision to the observer and its sink.
+func (c *Coordinator) finish(now time.Time, s *commitState, commit bool, err error) {
+	elapsed := now.Sub(s.start)
 	if c.obs != nil {
-		c.obs.Decided(commit, c.clk.Since(s.start))
+		c.obs.Decided(commit, elapsed)
 	}
-	s.sink.Progress(ProgressEvent{Txn: s.id, Kind: KindDecided,
-		Accept: commit, Elapsed: c.clk.Since(s.start)})
-	s.sink.Decided(s.id, commit, err)
+	c.out.progress(s.sink, ProgressEvent{Txn: s.id, Kind: KindDecided, Accept: commit, Elapsed: elapsed})
+	c.out.add(output{kind: outDecided, sink: s.sink, ev: ProgressEvent{Txn: s.id, Accept: commit}, err: err})
 }
 
 // Crash simulates a coordinator process failure: it leaves the network and
@@ -585,44 +601,33 @@ func (c *Coordinator) decideLocked(s *commitState, commit bool, err error) {
 // authority, so an undecided transaction dies with it and its pendings at
 // the replicas are left for PendingTTL eviction, exactly as a real crashed
 // coordinator would leave them.
-func (c *Coordinator) Crash() {
-	c.cfg.Net.Deregister(c.cfg.Addr)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Coordinator) Crash() { c.exec(crash{}) }
+
+func (c *Coordinator) crash(now time.Time) {
+	c.out.add(output{kind: outDeregister})
 	if c.crashed {
 		return
 	}
 	c.crashed = true
 	for id, s := range c.active {
 		s.decided = true
-		if s.timer != nil {
-			s.timer.Stop()
+		if c.cfg.CommitTimeout > 0 {
+			c.out.add(output{kind: outStop, timer: &s.timer, ev: ProgressEvent{Txn: id}})
 		}
 		delete(c.active, id)
-		if c.obs != nil {
-			c.obs.Decided(false, c.clk.Since(s.start))
-		}
-		s.sink.Progress(ProgressEvent{Txn: id, Kind: KindDecided,
-			Accept: false, Elapsed: c.clk.Since(s.start)})
-		s.sink.Decided(id, false, ErrCrashed)
+		c.finish(now, s, false, ErrCrashed)
 	}
 }
 
 // Restart rejoins a crashed coordinator to the network. Coordinators keep
 // no durable state: recovery is simply re-registration with an empty
 // in-flight table (the crash already failed every open transaction).
-func (c *Coordinator) Restart() {
-	c.mu.Lock()
-	c.crashed = false
-	c.mu.Unlock()
-	c.cfg.Net.Register(c.cfg.Addr, c.recv)
-}
+func (c *Coordinator) Restart() { c.exec(restart{}) }
 
 // Crashed reports whether the coordinator is currently down.
-func (c *Coordinator) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
+func (c *Coordinator) Crashed() (down bool) {
+	c.exec(query(func(time.Time) { down = c.crashed }))
+	return down
 }
 
 // reasonErr maps a rejection reason to the error surfaced to applications.
@@ -630,11 +635,9 @@ func reasonErr(r RejectReason) error {
 	switch r {
 	case ReasonBound:
 		return ErrBound
-	case ReasonVersion, ReasonPending, ReasonClassicOwned, ReasonDecided, ReasonNotMaster:
-		return ErrConflict
 	case ReasonBallot:
 		return ErrAmbiguous
-	default:
+	default: // version, pending, classic-owned, decided, not-master
 		return ErrConflict
 	}
 }

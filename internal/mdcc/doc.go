@@ -38,6 +38,34 @@
 // property (no two conflicting options ever both commit) without full
 // Generalized Paxos machinery.
 //
+// # Execution
+//
+// Replica and Coordinator change state only inside step(now, in), which
+// applies one input to the actor's own state and appends the input's
+// effects to an ordered output list instead of performing them. Inputs are
+// the protocol messages, the local entries (SubmitTraced, the commit
+// timeout, QuorumRead, SyncFrom, AcquireLease, Crash, Restore) and queries
+// (ReadLocal, Snapshot, the lease views, startup setters); a crashed actor
+// drops messages inside step. Outputs are sends, WAL entries, commit-timer
+// arms and stops, sink and lease-observer calls, waiter wake-ups and
+// transport (de)registration; observer counters and span-store adds stay
+// inline. A master's sends leave as one wire message per destination.
+//
+// exec, one per actor, is the executor and the only place the actor's
+// mutex is taken. It runs step under the lock and appends the step's WAL
+// entries before releasing it, so an entry is logged before any message the
+// step sent. It then performs the other outputs in emission order: simnet
+// draws each send's delay from its sender's stream and fires same-instant
+// timers in arm order, so that order keeps seeded runs bit-identical.
+//
+// The executor is a lock, not a goroutine per actor: core reads call
+// ReadLocal synchronously from a goroutine holding the virtual clock's
+// execution slot, and a paced clock's HTTP handlers run beside that slot,
+// so posting to an actor goroutine and waiting on a channel would stall or
+// deadlock the clock. On simnet the lock is never contended (a cluster runs
+// every handler on one run queue); on a live node it is taken once per
+// delivery.
+//
 // # Simplifications relative to the MDCC paper
 //
 //   - Mastership is static by default: a key's master does not move, and

@@ -1,41 +1,54 @@
 package mdcc
 
+import (
+	"time"
+
+	"planet/internal/simnet"
+)
+
 // Test-only accessors.
 
 // rec returns (creating if needed) the record for key, for white-box tests
-// that inspect record state on a quiesced replica or under r.mu.
+// that inspect record state on a quiesced replica.
 func (r *Replica) rec(key string) *record { return r.acquire(key) }
 
 // PendingCount reports how many options are pending on key.
-func (r *Replica) PendingCount(key string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rc := r.records[key]; rc != nil {
-		return len(rc.pending)
-	}
-	return 0
+func (r *Replica) PendingCount(key string) (n int) {
+	r.exec(query(func(time.Time) {
+		if rc := r.records[key]; rc != nil {
+			n = len(rc.pending)
+		}
+	}))
+	return n
 }
 
 // RecordCount reports how many keys the replica has built records for.
-func (r *Replica) RecordCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.records)
+func (r *Replica) RecordCount() (n int) {
+	r.exec(query(func(time.Time) { n = len(r.records) }))
+	return n
 }
 
 // HasRecord reports whether the replica has built a record for key.
-func (r *Replica) HasRecord(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.records[key] != nil
+func (r *Replica) HasRecord(key string) (ok bool) {
+	r.exec(query(func(time.Time) { ok = r.records[key] != nil }))
+	return ok
 }
 
 // DecidedCount reports how many transaction decisions this replica retains
 // for idempotence/reordering protection.
-func (r *Replica) DecidedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.decided.len()
+func (r *Replica) DecidedCount() (n int) {
+	r.exec(query(func(time.Time) { n = r.decided.len() }))
+	return n
+}
+
+// HoldsLease reports whether this replica currently masters keyspace ks.
+func (r *Replica) HoldsLease(ks simnet.Region) bool { return r.Lease(ks).Held }
+
+// LeaseView returns this replica's granted view of keyspace ks: the current
+// holder, epoch, and expiry (zero values when no lease was ever granted).
+func (r *Replica) LeaseView(ks simnet.Region) (holder simnet.Region, epoch uint64, expiry time.Time) {
+	li := r.Lease(ks)
+	return simnet.Region(li.Holder), li.Epoch, li.Expiry
 }
 
 // Seeds returns the seed image the replica builds its records from.
@@ -46,4 +59,23 @@ func (w *WAL) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.entries)
+}
+
+// Addr returns the replica's network address.
+func (r *Replica) Addr() simnet.Addr { return r.cfg.Addr }
+
+// Addr returns the coordinator's network address.
+func (c *Coordinator) Addr() simnet.Addr { return c.cfg.Addr }
+
+// SeedBytes seeds key=value in the replica's seed image (setup path), so
+// every replica sharing the image starts from it.
+func (r *Replica) SeedBytes(key string, value []byte) {
+	r.cfg.Seeds.SeedBytes(key, value)
+}
+
+// LeaseTakeoverCount reports how many keyspace leases this replica has
+// taken over from another holder.
+func (r *Replica) LeaseTakeoverCount() uint64 {
+	_, _, n := r.LeaseTable()
+	return n
 }

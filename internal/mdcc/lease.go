@@ -8,36 +8,13 @@ import (
 	"planet/internal/simnet"
 )
 
-// Master leases.
-//
-// Static mastership makes the per-record master a single point of write
-// unavailability: a dead master leaves its keys unwritable until the process
-// returns. Leases fix that. The key space is partitioned into keyspaces —
-// one per default master region — and each keyspace has a lease record
-// replicated at every replica: (epoch, holder, expiry). A replica masters a
-// keyspace's keys only while it holds the keyspace's lease, and every
-// master-arbitrated message it sends carries the lease epoch, so acceptors
-// fence out messages from deposed masters (stale epoch < granted epoch).
-//
-// Lease grant, renewal, and takeover run as a single classic-Paxos-style
-// round over the lease record, with the epoch playing the ballot: an
-// acceptor grants each epoch to at most one holder, and grants a *new*
-// epoch only when the current lease has lapsed on its own clock (or to the
-// current holder itself), so a majority of grants proves that exactly one
-// master exists per epoch — even across partitions, where at most one side
-// has the majority. Renewal repeats the round at the held epoch, extending
-// expiry. Takeover claims epoch+1 after the incumbent's lease expires
-// unrenewed.
-//
-// Fencing is belt and braces: besides the explicit epoch check, a leased
-// master folds its epoch into the high bits of its per-key Paxos ballots
-// (see leaseBallot), so a new master's ballots dominate a deposed one's
-// even where the epoch field is absent.
-//
-// Epoch and holder changes are WAL-persisted, so a restarted master replays
-// the last epoch it held — its messages then carry that stale epoch and are
-// fenced — and learns it was deposed the moment any peer reports a higher
-// epoch.
+// Master leases (docs/PROTOCOL.md, "Master leases and failover"). Each
+// keyspace — one per default master region — has a lease record (epoch,
+// holder, expiry) replicated at every replica. A replica masters a
+// keyspace's keys only while it holds the lease. Grant, renewal and takeover
+// are one classic-Paxos-style round with the epoch as the ballot; every
+// master-arbitrated message carries the sender's epoch, and acceptors fence
+// stale ones. Epoch and holder changes are WAL-persisted.
 
 // leaseBallotShift positions the lease epoch in the high bits of classic
 // ballots, so any ballot issued under epoch E+1 dominates every ballot
@@ -49,17 +26,11 @@ type LeaseConfig struct {
 	// Term is how long one grant is valid (already time-scaled). The
 	// holder renews well inside the term; takeover waits the term out.
 	Term time.Duration
-	// Keyspaces lists every keyspace of the deployment, named after its
-	// default master region (one entry per region under hash mastership, a
-	// single entry under a static master region). Sorted order is the
-	// takeover-stagger rank order.
-	Keyspaces []simnet.Region
 	// KeyspaceOf maps a key to its keyspace. Required.
 	KeyspaceOf func(key string) simnet.Region
 	// OnEvent, when non-nil, observes lease transitions (acquire, renew,
-	// takeover, deposal). Called without locks held; must not call back
-	// into the replica synchronously from a way that re-enters locks it
-	// holds, and should be fast.
+	// takeover, deposal). Each call is an output of the replica's step,
+	// performed after the replica's lock is released; it should be fast.
 	OnEvent func(LeaseEvent)
 }
 
@@ -80,20 +51,14 @@ const (
 	LeaseDeposed
 )
 
+var leaseEventNames = [...]string{"acquired", "renewed", "takeover", "deposed"}
+
 // String implements fmt.Stringer.
 func (k LeaseEventKind) String() string {
-	switch k {
-	case LeaseAcquired:
-		return "acquired"
-	case LeaseRenewed:
-		return "renewed"
-	case LeaseTakeover:
-		return "takeover"
-	case LeaseDeposed:
-		return "deposed"
-	default:
-		return "lease-event"
+	if int(k) < len(leaseEventNames) {
+		return leaseEventNames[k]
 	}
+	return "lease-event"
 }
 
 // LeaseEvent is one lease transition observed at a replica.
@@ -194,24 +159,16 @@ type leaseGrantMsg struct {
 // startup, before traffic; the lease manager (internal/cluster) then drives
 // acquisition and renewal.
 func (r *Replica) EnableLeases(cfg LeaseConfig) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := cfg
-	r.leaseCfg = &c
-	if r.leases == nil {
-		r.leases = make(map[simnet.Region]*leaseState, len(cfg.Keyspaces))
-	}
-}
-
-// LeasesEnabled reports whether leased mastership is on.
-func (r *Replica) LeasesEnabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leaseCfg != nil
+	r.exec(query(func(time.Time) {
+		c := cfg
+		r.leaseCfg = &c
+		if r.leases == nil {
+			r.leases = make(map[simnet.Region]*leaseState)
+		}
+	}))
 }
 
 // leaseFor returns (creating if needed) the lease state for keyspace ks.
-// Caller holds r.mu.
 func (r *Replica) leaseFor(ks simnet.Region) *leaseState {
 	ls := r.leases[ks]
 	if ls == nil {
@@ -221,19 +178,18 @@ func (r *Replica) leaseFor(ks simnet.Region) *leaseState {
 	return ls
 }
 
-// holdsLeaseLocked reports whether this replica currently masters keyspace
-// ks: it won the most recent epoch it knows of and the grant is unexpired.
-// Caller holds r.mu.
-func (r *Replica) holdsLeaseLocked(ks simnet.Region, now time.Time) bool {
+// holdsLease reports whether this replica currently masters keyspace ks: it
+// won the most recent epoch it knows of and the grant is unexpired.
+func (r *Replica) holdsLease(ks simnet.Region, now time.Time) bool {
 	ls := r.leases[ks]
 	return ls != nil && ls.heldEpoch != 0 && ls.heldEpoch >= ls.epoch && now.Before(ls.heldExpiry)
 }
 
-// leaseEpochLocked returns the epoch this replica stamps on master-
-// arbitrated messages for key: the last epoch it held for the key's
-// keyspace (stale after deposal — deliberately, so peers fence it), or 0
-// when leases are off. Caller holds r.mu.
-func (r *Replica) leaseEpochLocked(key string) uint64 {
+// leaseEpoch returns the epoch this replica stamps on master-arbitrated
+// messages for key: the last epoch it held for the key's keyspace (stale
+// after deposal — deliberately, so peers fence it), or 0 when leases are
+// off.
+func (r *Replica) leaseEpoch(key string) uint64 {
 	if r.leaseCfg == nil {
 		return 0
 	}
@@ -244,11 +200,11 @@ func (r *Replica) leaseEpochLocked(key string) uint64 {
 	return ls.heldEpoch
 }
 
-// leaseFencedLocked reports whether a master-arbitrated message stamped
-// with epoch must be rejected: the sender's lease epoch is older than the
-// one this acceptor has granted for the key's keyspace. Unstamped messages
-// (epoch 0: leases off, or a pre-lease sender) pass. Caller holds r.mu.
-func (r *Replica) leaseFencedLocked(key string, epoch uint64) bool {
+// leaseFenced reports whether a master-arbitrated message stamped with
+// epoch must be rejected: the sender's lease epoch is older than the one
+// this acceptor has granted for the key's keyspace. Unstamped messages
+// (epoch 0: leases off, or a pre-lease sender) pass.
+func (r *Replica) leaseFenced(key string, epoch uint64) bool {
 	if epoch == 0 || r.leaseCfg == nil {
 		return false
 	}
@@ -256,13 +212,12 @@ func (r *Replica) leaseFencedLocked(key string, epoch uint64) bool {
 	return ls != nil && epoch < ls.epoch
 }
 
-// grantLocked is the acceptor rule: grant each epoch to at most one holder,
-// and a new epoch only when the current lease has lapsed on this replica's
-// clock or the requester already holds it. An equal-epoch request from the
+// grant is the acceptor rule: grant each epoch to at most one holder, and a
+// new epoch only when the current lease has lapsed on this replica's clock
+// or the requester already holds it. An equal-epoch request from the
 // current holder is a renewal and extends expiry. Returns whether the
-// request was granted; epoch/holder changes are WAL-persisted. Caller holds
-// r.mu.
-func (r *Replica) grantLocked(ls *leaseState, m leaseRequestMsg, now time.Time) bool {
+// request was granted; epoch/holder changes are WAL-persisted.
+func (r *Replica) grant(ls *leaseState, m leaseRequestMsg, now time.Time) bool {
 	switch {
 	case m.Epoch == 0 || m.Epoch < ls.epoch:
 		return false
@@ -278,29 +233,28 @@ func (r *Replica) grantLocked(ls *leaseState, m leaseRequestMsg, now time.Time) 
 		}
 		ls.epoch, ls.holder = m.Epoch, m.Holder
 		ls.expiry = time.Unix(0, m.ExpiresUnixNano)
-		r.walLeaseLocked(m.Keyspace, ls.epoch, ls.holder, false, now)
+		r.walLease(m.Keyspace, ls.epoch, ls.holder, false, now)
 		return true
 	}
 }
 
-// walLeaseLocked persists a lease transition so a restarted replica knows
-// the last epoch it granted — and, for held=true, the last epoch it held.
-// Caller holds r.mu.
-func (r *Replica) walLeaseLocked(ks simnet.Region, epoch uint64, holder simnet.Region, held bool, now time.Time) {
+// walLease persists a lease transition so a restarted replica knows the
+// last epoch it granted — and, for held=true, the last epoch it held.
+func (r *Replica) walLease(ks simnet.Region, epoch uint64, holder simnet.Region, held bool, now time.Time) {
 	if r.cfg.WAL == nil {
 		return
 	}
-	r.cfg.WAL.Append(Entry{At: now, Lease: &LeaseRecord{
+	r.out.appendWAL(Entry{At: now, Lease: &LeaseRecord{
 		Keyspace: string(ks), Epoch: epoch, Holder: string(holder), Held: held,
-	}})
+	}}, nil)
 }
 
-// applyLeaseEntryLocked rebuilds lease state from one replayed WAL entry.
+// applyLeaseEntry rebuilds lease state from one replayed WAL entry.
 // Replayed leases come back *expired* (zero expiry): clocks are not
 // trustworthy across a restart, so the replica re-acquires before
 // mastering, and a deposed master discovers the higher epoch the moment it
-// tries. Caller holds r.mu.
-func (r *Replica) applyLeaseEntryLocked(l *LeaseRecord) {
+// tries.
+func (r *Replica) applyLeaseEntry(l *LeaseRecord) {
 	if r.leases == nil {
 		r.leases = make(map[simnet.Region]*leaseState)
 	}
@@ -319,23 +273,21 @@ func (r *Replica) applyLeaseEntryLocked(l *LeaseRecord) {
 // epoch while the lease is live, otherwise a claim of the next epoch
 // (bootstrap or takeover). No-op while a fresh round is already in flight.
 // The round completes asynchronously when a majority grants.
-func (r *Replica) AcquireLease(ks simnet.Region) {
-	r.mu.Lock()
+func (r *Replica) AcquireLease(ks simnet.Region) { r.exec(acquireLease{ks}) }
+
+func (r *Replica) acquireLease(now time.Time, ks simnet.Region) {
 	if r.leaseCfg == nil || r.crashed {
-		r.mu.Unlock()
 		return
 	}
-	now := r.clk.Now()
 	ls := r.leaseFor(ks)
 	if ls.round != nil && !ls.round.done && now.Sub(ls.round.started) < r.leaseCfg.Term {
-		r.mu.Unlock()
 		return
 	}
 	next := ls.epoch + 1
 	if ls.heldEpoch >= next {
 		next = ls.heldEpoch + 1
 	}
-	if r.holdsLeaseLocked(ks, now) {
+	if r.holdsLease(ks, now) {
 		next = ls.heldEpoch // renewal
 	}
 	round := &leaseRound{
@@ -348,139 +300,123 @@ func (r *Replica) AcquireLease(ks simnet.Region) {
 	// Self-grant synchronously; peers answer over the wire. Our own
 	// acceptor can refuse (an unexpired lease granted elsewhere) — that
 	// counts as a nack like any other.
-	bit, _ := r.regionBit(r.Region())
-	if r.grantLocked(ls, req, now) {
+	bit, _ := regionBit(r.cfg.Peers, r.Region())
+	if r.grant(ls, req, now) {
 		round.grants |= bit
 	} else {
 		round.nacks |= bit
 		round.bestEpoch, round.bestHolder, round.bestExpiry = ls.epoch, ls.holder, ls.expiry
 	}
-	var out []envelope
 	for _, peer := range r.cfg.Peers {
 		if peer == r.cfg.Addr {
 			continue
 		}
-		out = append(out, envelope{peer, req})
+		r.out.stage(peer, req)
 	}
-	var evs []LeaseEvent
-	evs, out = r.checkLeaseQuorumLocked(ks, ls, out, now)
-	r.mu.Unlock()
-	r.flush(out)
-	r.fireLeaseEvents(evs)
+	r.checkLeaseQuorum(ks, ls, now)
 }
 
 // onLeaseRequest is the acceptor side of a lease round.
-func (r *Replica) onLeaseRequest(m leaseRequestMsg) {
-	r.mu.Lock()
+func (r *Replica) onLeaseRequest(now time.Time, m leaseRequestMsg) {
 	if r.leaseCfg == nil {
-		r.mu.Unlock()
 		return
 	}
-	now := r.clk.Now()
 	ls := r.leaseFor(m.Keyspace)
-	evs := r.adoptDeposalLocked(ls, m.Keyspace)
-	ok := r.grantLocked(ls, m, now)
+	// Deposals learned here are reported after the reply leaves.
+	before, depBefore := r.deposal(ls, m.Keyspace)
+	ok := r.grant(ls, m, now)
+	var after LeaseEvent
+	var depAfter bool
 	if ok {
-		evs = append(evs, r.adoptDeposalLocked(ls, m.Keyspace)...)
+		after, depAfter = r.deposal(ls, m.Keyspace)
 	}
-	resp := leaseGrantMsg{Keyspace: m.Keyspace, Epoch: m.Epoch, OK: ok,
+	r.out.send(m.From, leaseGrantMsg{Keyspace: m.Keyspace, Epoch: m.Epoch, OK: ok,
 		CurEpoch: ls.epoch, CurHolder: ls.holder,
-		CurExpiresUnixNano: ls.expiry.UnixNano(), Region: r.Region()}
-	r.mu.Unlock()
-	r.send(m.From, resp)
-	r.fireLeaseEvents(evs)
+		CurExpiresUnixNano: ls.expiry.UnixNano(), Region: r.Region()})
+	if depBefore {
+		r.leaseEvent(before)
+	}
+	if depAfter {
+		r.leaseEvent(after)
+	}
 }
 
 // onLeaseGrant is the requester side of grant collection. Every reply also
 // carries the acceptor's granted view; a higher epoch there is adopted, so
 // routing converges on the real holder and a deposed master finds out.
-func (r *Replica) onLeaseGrant(m leaseGrantMsg) {
-	r.mu.Lock()
+func (r *Replica) onLeaseGrant(now time.Time, m leaseGrantMsg) {
 	if r.leaseCfg == nil {
-		r.mu.Unlock()
 		return
 	}
-	now := r.clk.Now()
 	ls := r.leaseFor(m.Keyspace)
-	var evs []LeaseEvent
 	if m.CurEpoch > ls.epoch {
 		ls.epoch, ls.holder = m.CurEpoch, m.CurHolder
 		ls.expiry = time.Unix(0, m.CurExpiresUnixNano)
-		r.walLeaseLocked(m.Keyspace, ls.epoch, ls.holder, false, now)
-		evs = r.adoptDeposalLocked(ls, m.Keyspace)
-	}
-	var out []envelope
-	round := ls.round
-	if round != nil && !round.done && m.Epoch == round.epoch {
-		if m.OK {
-			if bit, known := r.regionBit(m.Region); known {
-				round.grants |= bit
-			}
-			evs2, out2 := r.checkLeaseQuorumLocked(m.Keyspace, ls, nil, now)
-			evs = append(evs, evs2...)
-			out = out2
-		} else {
-			if bit, known := r.regionBit(m.Region); known {
-				round.nacks |= bit
-			}
-			if m.CurEpoch > round.bestEpoch {
-				round.bestEpoch, round.bestHolder = m.CurEpoch, m.CurHolder
-				round.bestExpiry = time.Unix(0, m.CurExpiresUnixNano)
-			}
-			evs = append(evs, r.failLeaseRoundLocked(m.Keyspace, ls)...)
+		r.walLease(m.Keyspace, ls.epoch, ls.holder, false, now)
+		if ev, ok := r.deposal(ls, m.Keyspace); ok {
+			r.leaseEvent(ev)
 		}
 	}
-	r.mu.Unlock()
-	r.flush(out)
-	r.fireLeaseEvents(evs)
-}
-
-// failLeaseRoundLocked closes a round once enough acceptors have rejected
-// it that a majority of grants is impossible, rolling the proposer's
-// provisional self-grant back to the highest view the rejectors reported.
-// The rollback only lowers a promise this replica made to itself for a
-// round that can no longer win — it never claims the failed epoch, and a
-// future round proposes above both views — so grant-at-most-one-holder
-// still holds per epoch. Caller holds r.mu.
-func (r *Replica) failLeaseRoundLocked(ks simnet.Region, ls *leaseState) []LeaseEvent {
 	round := ls.round
-	if round == nil || round.done {
-		return nil
+	if round == nil || round.done || m.Epoch != round.epoch {
+		return
 	}
+	bit, known := regionBit(r.cfg.Peers, m.Region)
+	if m.OK {
+		if known {
+			round.grants |= bit
+		}
+		r.checkLeaseQuorum(m.Keyspace, ls, now)
+		return
+	}
+	if known {
+		round.nacks |= bit
+	}
+	if m.CurEpoch > round.bestEpoch {
+		round.bestEpoch, round.bestHolder = m.CurEpoch, m.CurHolder
+		round.bestExpiry = time.Unix(0, m.CurExpiresUnixNano)
+	}
+	// Once enough acceptors have rejected the round that a majority of
+	// grants is impossible, close it and roll the provisional self-grant
+	// back to the highest view the rejectors reported. The rollback only
+	// lowers a promise this replica made to itself for a round that can no
+	// longer win — it never claims the failed epoch, and a future round
+	// proposes above both views — so grant-at-most-one-holder still holds
+	// per epoch.
 	n := len(r.cfg.Peers)
 	if n-bits.OnesCount64(round.nacks) >= ClassicQuorum(n) {
-		return nil // a majority is still possible
+		return // a majority is still possible
 	}
 	round.done = true
 	ls.round = nil
 	if round.bestEpoch != 0 && ls.epoch == round.epoch && ls.holder == r.Region() && round.bestEpoch < ls.epoch {
 		ls.epoch, ls.holder, ls.expiry = round.bestEpoch, round.bestHolder, round.bestExpiry
-		return r.adoptDeposalLocked(ls, ks)
+		if ev, ok := r.deposal(ls, m.Keyspace); ok {
+			r.leaseEvent(ev)
+		}
 	}
-	return nil
 }
 
-// adoptDeposalLocked emits a deposal event when the granted view moved past
-// an epoch this replica held. The held epoch is kept — a deposed master
-// must keep stamping it so peers can fence its stragglers. Caller holds
-// r.mu.
-func (r *Replica) adoptDeposalLocked(ls *leaseState, ks simnet.Region) []LeaseEvent {
+// deposal returns a deposal event when the granted view moved past an epoch
+// this replica held, once per such epoch. The held epoch is kept — a
+// deposed master must keep stamping it so peers can fence its stragglers.
+func (r *Replica) deposal(ls *leaseState, ks simnet.Region) (LeaseEvent, bool) {
 	if ls.heldEpoch == 0 || ls.epoch <= ls.heldEpoch || ls.holder == r.Region() || ls.deposedAt == ls.epoch {
-		return nil
+		return LeaseEvent{}, false
 	}
 	ls.deposedAt = ls.epoch
-	return []LeaseEvent{{Kind: LeaseDeposed, Keyspace: ks, Epoch: ls.epoch,
-		Holder: ls.holder, Prev: r.Region()}}
+	return LeaseEvent{Kind: LeaseDeposed, Keyspace: ks, Epoch: ls.epoch,
+		Holder: ls.holder, Prev: r.Region()}, true
 }
 
-// checkLeaseQuorumLocked resolves an in-flight round once a majority has
-// granted: the replica now holds the lease until the round's expiry. The
-// win is classified for observers (acquire, renew, takeover) and held
-// transitions are WAL-persisted. Caller holds r.mu.
-func (r *Replica) checkLeaseQuorumLocked(ks simnet.Region, ls *leaseState, out []envelope, now time.Time) ([]LeaseEvent, []envelope) {
+// checkLeaseQuorum resolves an in-flight round once a majority has granted:
+// the replica now holds the lease until the round's expiry. The win is
+// classified for observers (acquire, renew, takeover) and held transitions
+// are WAL-persisted.
+func (r *Replica) checkLeaseQuorum(ks simnet.Region, ls *leaseState, now time.Time) {
 	round := ls.round
 	if round == nil || round.done || bits.OnesCount64(round.grants) < ClassicQuorum(len(r.cfg.Peers)) {
-		return nil, out
+		return
 	}
 	round.done = true
 	ls.round = nil
@@ -495,86 +431,53 @@ func (r *Replica) checkLeaseQuorumLocked(ks simnet.Region, ls *leaseState, out [
 		ev.Kind = LeaseRenewed
 	case round.prevEpoch == 0 || round.prevHolder == r.Region() || round.prevHolder == "":
 		ev.Kind = LeaseAcquired
-		r.walLeaseLocked(ks, round.epoch, r.Region(), true, now)
+		r.walLease(ks, round.epoch, r.Region(), true, now)
 	default:
 		ev.Kind = LeaseTakeover
 		r.LeaseTakeovers++
-		r.walLeaseLocked(ks, round.epoch, r.Region(), true, now)
+		r.walLease(ks, round.epoch, r.Region(), true, now)
 	}
-	return []LeaseEvent{ev}, out
+	r.leaseEvent(ev)
 }
 
-// fireLeaseEvents delivers staged lease events to the configured observer
-// (outside r.mu).
-func (r *Replica) fireLeaseEvents(evs []LeaseEvent) {
-	if len(evs) == 0 {
-		return
-	}
-	r.mu.Lock()
-	cfg := r.leaseCfg
-	r.mu.Unlock()
-	if cfg == nil || cfg.OnEvent == nil {
-		return
-	}
-	for _, ev := range evs {
-		cfg.OnEvent(ev)
+// leaseEvent emits a lease transition for the configured observer.
+func (r *Replica) leaseEvent(ev LeaseEvent) {
+	if f := r.leaseCfg.OnEvent; f != nil {
+		r.out.add(output{kind: outCall, fn: func() { f(ev) }})
 	}
 }
 
-// HoldsLease reports whether this replica currently masters keyspace ks.
-func (r *Replica) HoldsLease(ks simnet.Region) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.holdsLeaseLocked(ks, r.clk.Now())
+// Lease returns this replica's view of keyspace ks's lease: the holder,
+// epoch and expiry it granted (zero values when it never granted one),
+// whether it holds the lease itself, and the last epoch it held.
+func (r *Replica) Lease(ks simnet.Region) (li LeaseInfo) {
+	li.Keyspace = string(ks)
+	r.exec(query(func(now time.Time) {
+		if ls := r.leases[ks]; ls != nil {
+			li = r.leaseInfo(ks, ls, now)
+		}
+	}))
+	return li
 }
 
-// LeaseView returns this replica's granted view of keyspace ks: the
-// current holder, epoch, and expiry (zero values when no lease was ever
-// granted).
-func (r *Replica) LeaseView(ks simnet.Region) (holder simnet.Region, epoch uint64, expiry time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ls := r.leases[ks]
-	if ls == nil {
-		return "", 0, time.Time{}
+func (r *Replica) leaseInfo(ks simnet.Region, ls *leaseState, now time.Time) LeaseInfo {
+	return LeaseInfo{
+		Keyspace: string(ks), Epoch: ls.epoch, Holder: string(ls.holder),
+		Expiry: ls.expiry, Held: r.holdsLease(ks, now), HeldEpoch: ls.heldEpoch,
 	}
-	return ls.holder, ls.epoch, ls.expiry
 }
 
-// LeaseHolder returns the region this replica believes holds keyspace ks's
-// lease. ok is false when no lease has ever been granted (callers fall back
-// to the default assignment).
-func (r *Replica) LeaseHolder(ks simnet.Region) (simnet.Region, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ls := r.leases[ks]
-	if ls == nil || ls.epoch == 0 {
-		return "", false
-	}
-	return ls.holder, true
-}
-
-// LeaseTakeoverCount reports how many keyspace leases this replica has
-// taken over from another holder (the planet_lease_takeovers_total feed).
-func (r *Replica) LeaseTakeoverCount() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.LeaseTakeovers
-}
-
-// LeaseTable snapshots every keyspace lease this replica knows of, sorted
-// by keyspace (the /v1/net/lease admin surface).
-func (r *Replica) LeaseTable() []LeaseInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.clk.Now()
-	out := make([]LeaseInfo, 0, len(r.leases))
-	for ks, ls := range r.leases {
-		out = append(out, LeaseInfo{
-			Keyspace: string(ks), Epoch: ls.epoch, Holder: string(ls.holder),
-			Expiry: ls.expiry, Held: r.holdsLeaseLocked(ks, now), HeldEpoch: ls.heldEpoch,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Keyspace < out[j].Keyspace })
-	return out
+// LeaseTable reports whether leased mastership is on, every keyspace lease
+// this replica knows of (sorted), and how many it took over from another
+// holder: the /v1/net/lease surface and planet_lease_takeovers_total.
+func (r *Replica) LeaseTable() (enabled bool, leases []LeaseInfo, takeovers uint64) {
+	r.exec(query(func(now time.Time) {
+		enabled, takeovers = r.leaseCfg != nil, r.LeaseTakeovers
+		leases = make([]LeaseInfo, 0, len(r.leases))
+		for ks, ls := range r.leases {
+			leases = append(leases, r.leaseInfo(ks, ls, now))
+		}
+	}))
+	sort.Slice(leases, func(i, j int) bool { return leases[i].Keyspace < leases[j].Keyspace })
+	return enabled, leases, takeovers
 }

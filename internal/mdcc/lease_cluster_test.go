@@ -141,8 +141,8 @@ func TestLeaseClusterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventually(t, c, 20*time.Second, "restarted master converges on the heir", func() bool {
-		holder, ok := c.Replica(regions.Virginia).LeaseHolder(ks)
-		return ok && holder == heir
+		li := c.Replica(regions.Virginia).Lease(ks)
+		return li.Epoch != 0 && simnet.Region(li.Holder) == heir
 	})
 	if c.Replica(regions.Virginia).HoldsLease(ks) {
 		t.Error("restarted deposed master claims to hold the lease")

@@ -50,143 +50,74 @@ type masterOption struct {
 	traceStart  time.Time
 }
 
-// regionBit maps a region to its bit in quorum masks (the region's index in
-// the peer list). ok is false for regions outside the peer set, whose votes
-// are ignored. A linear scan over a handful of peers beats a map both on
-// allocation and on lookup cost.
-func (r *Replica) regionBit(reg simnet.Region) (uint64, bool) {
-	for i, p := range r.cfg.Peers {
-		if p.Region == reg {
-			return 1 << uint(i), true
-		}
-	}
-	return 0, false
-}
-
-// masterFor returns (creating if needed) the master state for key.
-// Caller holds r.mu.
-func (r *Replica) masterFor(key string) *masterKey {
-	ks := r.masters[key]
-	if ks == nil {
-		ks = &masterKey{inflight: make(map[txn.ID]*masterOption)}
-		r.masters[key] = ks
-	}
-	return ks
-}
-
 // onClassicProposeBatch handles every option of one transaction routed to
-// this master: all of them are sequenced under a single lock acquisition,
-// and everything they produce — results back to the coordinator, phase-1/2
-// traffic to peers — leaves as one message per destination.
-func (r *Replica) onClassicProposeBatch(b classicProposeBatchMsg) {
-	r.mu.Lock()
-	leg, out := r.masterLegLocked(b.Txn, b.Coord, b.TC, r.clk.Now())
-	tc := TraceCtx{Span: leg}
+// this master: all of them are sequenced in one step, and everything they
+// produce — results back to the coordinator, phase-1/2 traffic to peers —
+// is staged, to leave as one message per destination. A traced proposal's
+// option-RPC leg is recorded first, and reported to the coordinator; the
+// per-option spans recorded later (arbitrations, results) parent to it.
+func (r *Replica) onClassicProposeBatch(now time.Time, b classicProposeBatchMsg) {
+	var tc TraceCtx
+	if r.spans != nil && b.TC.Span != 0 {
+		leg := obs.Span{
+			Txn: b.Txn, ID: obs.NewSpanID(), Parent: b.TC.Span,
+			Stage: obs.StageOptionRPC, Region: string(r.Region()), Note: "master",
+			Start: time.Unix(0, b.TC.SentUnixNano), End: now,
+		}
+		r.out.stage(b.Coord, spanReportMsg{Txn: b.Txn, Spans: []obs.Span{leg}})
+		tc.Span = leg.ID
+	}
 	for _, op := range b.Options {
-		out = append(out, r.classicProposeLocked(classicProposeMsg{
-			Txn: b.Txn, Coord: b.Coord, Option: op, TC: tc})...)
+		r.classicPropose(now, classicProposeMsg{Txn: b.Txn, Coord: b.Coord, Option: op, TC: tc})
 	}
-	r.mu.Unlock()
-	r.flush(out)
 }
 
-// masterLegLocked records the option-RPC network leg of a traced classic
-// proposal at the master and stages its report to the coordinator, returning
-// the leg's span id (0 when untraced). Per-option spans recorded later —
-// arbitrations, results — parent to this leg. Caller holds r.mu.
-func (r *Replica) masterLegLocked(id txn.ID, coord simnet.Addr, tc TraceCtx, now time.Time) (uint64, []envelope) {
-	if r.spans == nil || tc.Span == 0 {
-		return 0, nil
-	}
-	leg := obs.Span{
-		Txn: id, ID: obs.NewSpanID(), Parent: tc.Span,
-		Stage: obs.StageOptionRPC, Region: string(r.Region()), Note: "master",
-		Start: time.Unix(0, tc.SentUnixNano), End: now,
-	}
-	return leg.ID, []envelope{{coord, spanReportMsg{Txn: id, Spans: []obs.Span{leg}}}}
+// stageResult stages a master's verdict on one option for its coordinator;
+// a traced result carries span, which the coordinator's return leg parents to.
+func (r *Replica) stageResult(now time.Time, coord simnet.Addr, id txn.ID, key string, accepted bool, reason RejectReason, span uint64) {
+	r.out.stage(coord, classicResultMsg{Txn: id, Key: key, Accepted: accepted, Reason: reason, TC: traceCtx(now, span)})
 }
 
-// resultTC stamps a classic result's trace context: the span the
-// coordinator's vote-return leg should parent to, and the send time. Zero
-// span means untraced and yields a zero context.
-func (r *Replica) resultTC(span uint64) TraceCtx {
-	if span == 0 {
-		return TraceCtx{}
-	}
-	return TraceCtx{Span: span, SentUnixNano: r.clk.Now().UnixNano()}
-}
-
-// classicProposeLocked is the master-side handling of one classic-path
-// option: the first proposal for a key triggers phase 1 (taking ownership
-// and running Fast Paxos recovery); later proposals are sequenced directly.
-// Caller holds r.mu; returns staged messages.
-func (r *Replica) classicProposeLocked(p classicProposeMsg) []envelope {
+// classicPropose is the master-side handling of one classic-path option:
+// the first proposal for a key triggers phase 1 (taking ownership and
+// running Fast Paxos recovery); later proposals are sequenced directly.
+func (r *Replica) classicPropose(now time.Time, p classicProposeMsg) {
 	if committed, seen := r.decided.get(p.Txn); seen {
-		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: p.Option.Key,
-			Accepted: committed, Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
+		r.stageResult(now, p.Coord, p.Txn, p.Option.Key, committed, ReasonDecided, p.TC.Span)
+		return
 	}
 	if r.leaseCfg != nil {
 		// Leased mastership: only the current lease holder may sequence.
 		// Anyone else — including a deposed master that hasn't noticed yet —
 		// bounces the proposal so the coordinator re-resolves the master.
 		ksp := r.leaseCfg.KeyspaceOf(p.Option.Key)
-		if !r.holdsLeaseLocked(ksp, r.clk.Now()) {
-			return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: p.Option.Key,
-				Accepted: false, Reason: ReasonNotMaster, TC: r.resultTC(p.TC.Span)}}}
+		if !r.holdsLease(ksp, now) {
+			r.stageResult(now, p.Coord, p.Txn, p.Option.Key, false, ReasonNotMaster, p.TC.Span)
+			return
 		}
 	}
-	ks := r.masterFor(p.Option.Key)
+	ks := r.masters[p.Option.Key]
+	if ks == nil {
+		ks = &masterKey{inflight: make(map[txn.ID]*masterOption)}
+		r.masters[p.Option.Key] = ks
+	}
 	r.ClassicRuns++
 	if ks.leased {
-		return r.sequenceLocked(ks, p)
+		r.sequence(now, ks, p)
+		return
 	}
 	ks.queue = append(ks.queue, p)
 	if ks.p1 == nil {
-		return r.startPhase1Locked(p.Option.Key, ks)
-	}
-	return nil
-}
-
-// envelope is an outgoing message staged while holding the lock.
-type envelope struct {
-	to      simnet.Addr
-	payload any
-}
-
-// flush sends staged messages after the lock is released. It groups
-// envelopes by destination — in staged (deterministic) order, never map
-// order — so one handler invocation costs at most one wire message per
-// destination; staged classic results and phase-2a proposals are folded
-// into their batch forms on the way out.
-func (r *Replica) flush(out []envelope) {
-	if len(out) == 0 {
-		return
-	}
-	// Group by destination in first-seen order. Quadratic in envelope count,
-	// which is tiny (a handful of peers plus a coordinator or two).
-	for i := 0; i < len(out); i++ {
-		if out[i].payload == nil {
-			continue // already claimed by an earlier destination group
-		}
-		to := out[i].to
-		payloads := make([]any, 0, len(out)-i)
-		for j := i; j < len(out); j++ {
-			if out[j].payload != nil && out[j].to == to {
-				payloads = append(payloads, out[j].payload)
-				out[j].payload = nil
-			}
-		}
-		r.sendCoalesced(to, payloads)
+		r.startPhase1(now, p.Option.Key, ks)
 	}
 }
 
-// sendCoalesced ships one destination's staged payloads as a single wire
-// message, first folding the staged per-option values into their batch
-// forms: classic results of the same transaction become one
+// coalesce folds one destination's staged payloads, in place, into their
+// batch forms: classic results of the same transaction become one
 // classicResultBatchMsg, phase-2a proposals become one phase2aBatchMsg.
 // Every staged classicResultMsg and phase2aMsg is folded here, so neither
 // type ever reaches the transport.
-func (r *Replica) sendCoalesced(to simnet.Addr, payloads []any) {
+func coalesce(payloads []any) []any {
 	merged := payloads[:0]
 	for _, p := range payloads {
 		switch m := p.(type) {
@@ -219,18 +150,13 @@ func (r *Replica) sendCoalesced(to simnet.Addr, payloads []any) {
 			merged = append(merged, p)
 		}
 	}
-	if len(merged) == 1 {
-		r.send(to, merged[0])
-		return
-	}
-	r.cfg.Net.SendBatch(r.cfg.Addr, to, merged)
+	return merged
 }
 
-// startPhase1Locked begins phase 1 for key at a fresh ballot. The replica
-// promises to itself synchronously and broadcasts phase 1a to its peers.
-// Caller holds r.mu; returns messages to send after unlock.
-func (r *Replica) startPhase1Locked(key string, ks *masterKey) []envelope {
-	epoch := r.leaseEpochLocked(key)
+// startPhase1 begins phase 1 for key at a fresh ballot. The replica
+// promises to itself synchronously and stages phase 1a to its peers.
+func (r *Replica) startPhase1(now time.Time, key string, ks *masterKey) {
+	epoch := r.leaseEpoch(key)
 	if epoch != 0 {
 		// Fold the lease epoch into the ballot's high bits: a new master's
 		// ballots dominate every ballot a deposed one ever issued, so its
@@ -240,7 +166,7 @@ func (r *Replica) startPhase1Locked(key string, ks *masterKey) []envelope {
 		}
 	}
 	ks.ballot++
-	selfBit, _ := r.regionBit(r.Region())
+	selfBit, _ := regionBit(r.cfg.Peers, r.Region())
 	run := &phase1Run{
 		ballot: ks.ballot,
 		oks:    selfBit,
@@ -257,26 +183,23 @@ func (r *Replica) startPhase1Locked(key string, ks *masterKey) []envelope {
 		run.seen[p.txn] = &seenOption{op: p.op, count: 1}
 	}
 
-	var out []envelope
 	for _, peer := range r.cfg.Peers {
 		if peer == r.cfg.Addr {
 			continue
 		}
-		out = append(out, envelope{peer, phase1aMsg{Key: key, Ballot: ks.ballot, Master: r.cfg.Addr, Epoch: epoch}})
+		r.out.stage(peer, phase1aMsg{Key: key, Ballot: ks.ballot, Master: r.cfg.Addr, Epoch: epoch})
 	}
 	// Degenerate single-replica cluster: quorum is already met.
 	if bits.OnesCount64(run.oks) >= ClassicQuorum(len(r.cfg.Peers)) {
-		out = append(out, r.finishPhase1Locked(key, ks)...)
+		r.finishPhase1(now, key, ks)
 	}
-	return out
 }
 
 // onPhase1a is the acceptor side of phase 1.
 func (r *Replica) onPhase1a(m phase1aMsg) {
-	r.mu.Lock()
 	rc := r.acquire(m.Key)
 	ok := m.Ballot >= rc.promised
-	if r.leaseFencedLocked(m.Key, m.Epoch) {
+	if r.leaseFenced(m.Key, m.Epoch) {
 		// The sender's lease epoch is older than the one this acceptor
 		// granted: a deposed master. Fence it regardless of ballot.
 		ok = false
@@ -291,22 +214,18 @@ func (r *Replica) onPhase1a(m phase1aMsg) {
 			resp.Pending = append(resp.Pending, pendingSnapshot{Txn: p.txn, Option: p.op, Ballot: p.ballot})
 		}
 	}
-	r.mu.Unlock()
-	r.send(m.Master, resp)
+	r.out.send(m.Master, resp)
 }
 
 // onPhase1b is the master side of phase 1 response collection.
-func (r *Replica) onPhase1b(b phase1bMsg) {
-	r.mu.Lock()
+func (r *Replica) onPhase1b(now time.Time, b phase1bMsg) {
 	ks := r.masters[b.Key]
 	if ks == nil || ks.p1 == nil || b.Ballot != ks.p1.ballot || !b.OK {
-		r.mu.Unlock()
 		return
 	}
 	run := ks.p1
-	bit, known := r.regionBit(b.Region)
+	bit, known := regionBit(r.cfg.Peers, b.Region)
 	if !known || run.oks&bit != 0 {
-		r.mu.Unlock()
 		return
 	}
 	run.oks |= bit
@@ -317,23 +236,18 @@ func (r *Replica) onPhase1b(b phase1bMsg) {
 			run.seen[ps.Txn] = &seenOption{op: ps.Option, count: 1}
 		}
 	}
-	var out []envelope
 	if bits.OnesCount64(run.oks) >= ClassicQuorum(len(r.cfg.Peers)) {
-		out = r.finishPhase1Locked(b.Key, ks)
+		r.finishPhase1(now, b.Key, ks)
 	}
-	r.mu.Unlock()
-	r.flush(out)
 }
 
-// finishPhase1Locked completes ownership: re-propose any possibly
-// fast-chosen options (coordinated recovery), then drain queued client
-// proposals. Caller holds r.mu; returns staged messages.
-func (r *Replica) finishPhase1Locked(key string, ks *masterKey) []envelope {
+// finishPhase1 completes ownership: re-propose any possibly fast-chosen
+// options (coordinated recovery), then drain queued client proposals.
+func (r *Replica) finishPhase1(now time.Time, key string, ks *masterKey) {
 	run := ks.p1
 	ks.p1 = nil
 	ks.leased = true
 
-	var out []envelope
 	thr := recoveryThreshold(len(r.cfg.Peers))
 	// Recover in transaction-ID order, not map order: re-proposal order
 	// decides which conflicting leftover wins, and a run-dependent order
@@ -354,59 +268,56 @@ func (r *Replica) finishPhase1Locked(key string, ks *masterKey) []envelope {
 		// Possibly fast-chosen: must be fixed at the new ballot before
 		// any competing value. Recovery skips validation by design.
 		r.RecoveryRuns++
-		out = append(out, r.proposeAtMasterLocked(ks, key, id, s.op, nil, TraceCtx{})...)
+		r.proposeAtMaster(now, ks, key, id, s.op, nil, TraceCtx{})
 	}
 
 	queue := ks.queue
 	ks.queue = nil
 	for _, p := range queue {
-		out = append(out, r.sequenceLocked(ks, p)...)
+		r.sequence(now, ks, p)
 	}
-	return out
 }
 
-// sequenceLocked validates and proposes one client option at the master's
-// ballot. Caller holds r.mu; returns staged messages.
-func (r *Replica) sequenceLocked(ks *masterKey, p classicProposeMsg) []envelope {
+// sequence validates and proposes one client option at the master's
+// ballot.
+func (r *Replica) sequence(now time.Time, ks *masterKey, p classicProposeMsg) {
 	key := p.Option.Key
 	if committed, seen := r.decided.get(p.Txn); seen {
-		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-			Accepted: committed, Reason: ReasonDecided, TC: r.resultTC(p.TC.Span)}}}
+		r.stageResult(now, p.Coord, p.Txn, key, committed, ReasonDecided, p.TC.Span)
+		return
 	}
 	if mo := ks.inflight[p.Txn]; mo != nil {
 		// The option is already in flight (fast leftover recovered, or a
 		// duplicate fallback): attach the coordinator to its outcome.
 		if mo.done {
-			return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-				Accepted: bits.OnesCount64(mo.accepts) >= ClassicQuorum(len(r.cfg.Peers)),
-				TC:       r.resultTC(p.TC.Span)}}}
+			r.stageResult(now, p.Coord, p.Txn, key,
+				bits.OnesCount64(mo.accepts) >= ClassicQuorum(len(r.cfg.Peers)), ReasonNone, p.TC.Span)
+			return
 		}
 		mo.coord = &p.Coord
 		if mo.traceParent == 0 {
 			mo.traceParent = p.TC.Span
-			mo.traceStart = r.clk.Now()
+			mo.traceStart = now
 		}
-		return nil
+		return
 	}
 	rc := r.acquire(key)
-	rc.evictStale(r.clk.Now(), r.cfg.PendingTTL)
-	reason := rc.validate(p.Option, ks.ballot, p.Txn)
-	if reason != ReasonNone {
-		return []envelope{{p.Coord, classicResultMsg{Txn: p.Txn, Key: key,
-			Accepted: false, Reason: reason, TC: r.resultTC(p.TC.Span)}}}
+	rc.evictStale(now, r.cfg.PendingTTL)
+	if reason := rc.validate(p.Option, ks.ballot, p.Txn); reason != ReasonNone {
+		r.stageResult(now, p.Coord, p.Txn, key, false, reason, p.TC.Span)
+		return
 	}
-	return r.proposeAtMasterLocked(ks, key, p.Txn, p.Option, &p.Coord, p.TC)
+	r.proposeAtMaster(now, ks, key, p.Txn, p.Option, &p.Coord, p.TC)
 }
 
-// proposeAtMasterLocked runs phase 2 for one option: the master accepts
-// locally, then asks its peers. Caller holds r.mu; returns staged messages.
-func (r *Replica) proposeAtMasterLocked(ks *masterKey, key string, id txn.ID, op txn.Op, coord *simnet.Addr, tc TraceCtx) []envelope {
-	now := r.clk.Now()
+// proposeAtMaster runs phase 2 for one option: the master accepts locally,
+// then asks its peers.
+func (r *Replica) proposeAtMaster(now time.Time, ks *masterKey, key string, id txn.ID, op txn.Op, coord *simnet.Addr, tc TraceCtx) {
 	rc := r.acquire(key)
 	rc.evictConflictingBelow(op, ks.ballot, id)
 	rc.addPending(id, op, ks.ballot, now)
 
-	selfBit, _ := r.regionBit(r.Region())
+	selfBit, _ := regionBit(r.cfg.Peers, r.Region())
 	mo := &masterOption{
 		id: id, op: op, ballot: ks.ballot,
 		accepts:     selfBit,
@@ -416,128 +327,94 @@ func (r *Replica) proposeAtMasterLocked(ks *masterKey, key string, id txn.ID, op
 	}
 	ks.inflight[id] = mo
 
-	epoch := r.leaseEpochLocked(key)
-	var out []envelope
+	epoch := r.leaseEpoch(key)
 	for _, peer := range r.cfg.Peers {
 		if peer == r.cfg.Addr {
 			continue
 		}
-		out = append(out, envelope{peer, phase2aMsg{Txn: id, Key: key,
-			Ballot: ks.ballot, Option: op, Master: r.cfg.Addr, Epoch: epoch}})
+		r.out.stage(peer, phase2aMsg{Txn: id, Key: key,
+			Ballot: ks.ballot, Option: op, Master: r.cfg.Addr, Epoch: epoch})
 	}
-	out = append(out, r.checkMasterQuorumLocked(ks, mo)...)
-	return out
+	r.checkMasterQuorum(now, mo)
 }
 
-// onPhase2aBatch is the acceptor side of phase 2: it processes a master's
-// batched phase-2a proposals under one lock acquisition, obeying each whose
-// ballot is current, and replies with one coalesced phase-2b batch.
-func (r *Replica) onPhase2aBatch(b phase2aBatchMsg) {
+// onPhase2aBatch is the acceptor side of phase 2: it obeys each of a
+// master's batched phase-2a proposals whose ballot is current and whose
+// lease epoch (0 when leases are off) is not stale, and replies with one
+// phase-2b batch.
+func (r *Replica) onPhase2aBatch(now time.Time, b phase2aBatchMsg) {
 	items := make([]phase2bItem, 0, len(b.Items))
-	r.mu.Lock()
-	for _, it := range b.Items {
-		items = append(items, r.phase2aLocked(it, b.Epoch))
-	}
-	r.mu.Unlock()
-	r.send(b.Master, phase2bBatchMsg{Region: r.Region(), Items: items})
-}
-
-// phase2aLocked accepts or refuses one phase-2a proposal and returns the
-// phase-2b verdict. epoch is the proposing master's lease epoch (0 when
-// leases are off); stale epochs are fenced. Caller holds r.mu.
-func (r *Replica) phase2aLocked(m phase2aItem, epoch uint64) phase2bItem {
-	var accept bool
-	if r.leaseFencedLocked(m.Key, epoch) {
-		r.LeaseFenced++
-	} else if committed, seen := r.decided.get(m.Txn); seen {
-		accept = committed
-	} else {
-		rc := r.acquire(m.Key)
-		if m.Ballot >= rc.promised {
+	for _, m := range b.Items {
+		var accept bool
+		if r.leaseFenced(m.Key, b.Epoch) {
+			r.LeaseFenced++
+		} else if committed, seen := r.decided.get(m.Txn); seen {
+			accept = committed
+		} else if rc := r.acquire(m.Key); m.Ballot >= rc.promised {
 			rc.promised = m.Ballot
 			rc.evictConflictingBelow(m.Option, m.Ballot, m.Txn)
-			rc.addPending(m.Txn, m.Option, m.Ballot, r.clk.Now())
+			rc.addPending(m.Txn, m.Option, m.Ballot, now)
 			accept = true
 		}
+		items = append(items, phase2bItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Accept: accept})
 	}
-	return phase2bItem{Txn: m.Txn, Key: m.Key, Ballot: m.Ballot, Accept: accept}
+	r.out.send(b.Master, phase2bBatchMsg{Region: r.Region(), Items: items})
 }
 
 // onPhase2bBatch is the master side of phase 2 quorum counting: it folds an
-// acceptor's batched phase-2b verdicts into the in-flight options under one
-// lock acquisition. Options that become conclusive together have their
-// coordinator results coalesced by flush.
-func (r *Replica) onPhase2bBatch(b phase2bBatchMsg) {
-	var out []envelope
-	r.mu.Lock()
+// acceptor's batched phase-2b verdicts into the in-flight options.
+func (r *Replica) onPhase2bBatch(now time.Time, b phase2bBatchMsg) {
 	for _, it := range b.Items {
-		out = append(out, r.phase2bLocked(it, b.Region)...)
-	}
-	r.mu.Unlock()
-	r.flush(out)
-}
-
-// phase2bLocked counts one phase-2b verdict toward its option's quorum.
-// Caller holds r.mu; returns staged messages.
-func (r *Replica) phase2bLocked(b phase2bItem, from simnet.Region) []envelope {
-	ks := r.masters[b.Key]
-	if ks == nil {
-		return nil
-	}
-	mo := ks.inflight[b.Txn]
-	if mo == nil || mo.ballot != b.Ballot || mo.done {
-		return nil
-	}
-	if b.Accept {
-		bit, known := r.regionBit(from)
-		if !known {
-			return nil
+		ks := r.masters[it.Key]
+		if ks == nil {
+			continue
 		}
-		mo.accepts |= bit
-	} else {
-		mo.rejects++
+		mo := ks.inflight[it.Txn]
+		if mo == nil || mo.ballot != it.Ballot || mo.done {
+			continue
+		}
+		if it.Accept {
+			bit, known := regionBit(r.cfg.Peers, b.Region)
+			if !known {
+				continue
+			}
+			mo.accepts |= bit
+		} else {
+			mo.rejects++
+		}
+		r.checkMasterQuorum(now, mo)
 	}
-	return r.checkMasterQuorumLocked(ks, mo)
 }
 
-// checkMasterQuorumLocked resolves an in-flight option once its phase-2b
-// votes are conclusive. Caller holds r.mu; returns staged messages.
-func (r *Replica) checkMasterQuorumLocked(ks *masterKey, mo *masterOption) []envelope {
+// checkMasterQuorum resolves an in-flight option once its phase-2b votes
+// are conclusive. For a traced option it first records the master's
+// arbitration span — sequencing start to quorum resolution — and stages its
+// report to the waiting coordinator (spans reach the store only through
+// that flush; see beginTrace).
+func (r *Replica) checkMasterQuorum(now time.Time, mo *masterOption) {
 	n := len(r.cfg.Peers)
 	q := ClassicQuorum(n)
+	var accepted bool
+	var reason RejectReason
 	switch {
 	case bits.OnesCount64(mo.accepts) >= q:
-		mo.done = true
-		out := r.masterArbitratedLocked(mo)
-		if mo.coord != nil {
-			out = append(out, envelope{*mo.coord, classicResultMsg{Txn: mo.id, Key: mo.op.Key,
-				Accepted: true, TC: r.resultTC(mo.traceParent)}})
-		}
-		return out
+		accepted = true
 	case mo.rejects > n-q:
-		mo.done = true
-		out := r.masterArbitratedLocked(mo)
-		if mo.coord != nil {
-			out = append(out, envelope{*mo.coord, classicResultMsg{Txn: mo.id, Key: mo.op.Key,
-				Accepted: false, Reason: ReasonBallot, TC: r.resultTC(mo.traceParent)}})
+		reason = ReasonBallot
+	default:
+		return
+	}
+	mo.done = true
+	if mo.coord == nil {
+		return
+	}
+	if r.spans != nil && mo.traceParent != 0 {
+		sp := obs.Span{
+			Txn: mo.id, ID: obs.NewSpanID(), Parent: mo.traceParent,
+			Stage: obs.StageMasterArbitrate, Region: string(r.Region()),
+			Note: mo.op.Key, Start: mo.traceStart, End: now,
 		}
-		return out
+		r.out.stage(*mo.coord, spanReportMsg{Txn: mo.id, Spans: []obs.Span{sp}})
 	}
-	return nil
-}
-
-// masterArbitratedLocked records the master's arbitration span for a traced
-// option — sequencing start to quorum resolution — and stages its report to
-// the waiting coordinator (spans reach the store only through that flush;
-// see beginTraceLocked). Caller holds r.mu.
-func (r *Replica) masterArbitratedLocked(mo *masterOption) []envelope {
-	if r.spans == nil || mo.traceParent == 0 || mo.coord == nil {
-		return nil
-	}
-	sp := obs.Span{
-		Txn: mo.id, ID: obs.NewSpanID(), Parent: mo.traceParent,
-		Stage: obs.StageMasterArbitrate, Region: string(r.Region()),
-		Note: mo.op.Key, Start: mo.traceStart, End: r.clk.Now(),
-	}
-	return []envelope{{*mo.coord, spanReportMsg{Txn: mo.id, Spans: []obs.Span{sp}}}}
+	r.stageResult(now, *mo.coord, mo.id, mo.op.Key, accepted, reason, mo.traceParent)
 }

@@ -2,7 +2,6 @@ package mdcc
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"planet/internal/simnet"
@@ -43,47 +42,57 @@ type readWaiter struct {
 	settled bool
 }
 
-var readSeq atomic.Uint64
+// quorumRead is one of QuorumRead's two inputs. The first registers w under
+// a fresh id and asks every replica for key. The second (retire) drops the
+// request and reads w's result.
+type quorumRead struct {
+	key    string
+	w      *readWaiter
+	id     uint64
+	retire bool
+	// The result, set by the retiring step.
+	settled bool
+	value   Value
+	found   bool
+}
 
 // QuorumRead reads key from a majority of replicas and returns the value
 // with the highest version among the responses. It blocks up to timeout
 // (emulator time). found reports whether any responding replica had the
 // key.
 func (c *Coordinator) QuorumRead(key string, timeout time.Duration) (value Value, found bool, err error) {
-	id := readSeq.Add(1)
 	w := &readWaiter{need: ClassicQuorum(c.N()), done: c.clk.NewEvent()}
+	q := quorumRead{key: key, w: w}
+	c.exec(&q)
+	fired := w.done.WaitTimeout(timeout)
+	q.retire = true
+	c.exec(&q)
+	if !fired && !q.settled {
+		return Value{}, false, fmt.Errorf("mdcc: quorum read of %q: %w", key, ErrTimeout)
+	}
+	return q.value, q.found, nil
+}
 
-	c.mu.Lock()
+// quorumRead registers or retires a quorum read.
+func (c *Coordinator) quorumRead(q *quorumRead) {
+	if q.retire {
+		delete(c.reads, q.id)
+		q.settled, q.value, q.found = q.w.settled, q.w.best, q.w.found
+		return
+	}
 	if c.reads == nil {
 		c.reads = make(map[uint64]*readWaiter)
 	}
-	c.reads[id] = w
-	c.mu.Unlock()
-
+	c.readSeq++
+	q.id = c.readSeq
+	c.reads[q.id] = q.w
 	for _, rep := range c.cfg.Replicas {
-		c.cfg.Net.Send(c.cfg.Addr, rep, readReq{ReqID: id, Key: key, From: c.cfg.Addr})
+		c.out.send(rep, readReq{ReqID: q.id, Key: q.key, From: c.cfg.Addr})
 	}
-
-	if !w.done.WaitTimeout(timeout) {
-		c.mu.Lock()
-		delete(c.reads, id)
-		settled := w.settled
-		c.mu.Unlock()
-		if !settled {
-			return Value{}, false, fmt.Errorf("mdcc: quorum read of %q: %w", key, ErrTimeout)
-		}
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.reads, id)
-	return w.best, w.found, nil
 }
 
 // onReadResp accumulates one replica's answer.
 func (c *Coordinator) onReadResp(r readResp) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	w := c.reads[r.ReqID]
 	if w == nil || w.settled {
 		return
@@ -97,12 +106,6 @@ func (c *Coordinator) onReadResp(r readResp) {
 	}
 	if w.got >= w.need {
 		w.settled = true
-		w.done.Fire()
+		c.out.add(output{kind: outCall, fn: w.done.Fire})
 	}
-}
-
-// onReadReq is the replica side: answer with local committed state.
-func (r *Replica) onReadReq(q readReq) {
-	v, ok := r.ReadLocal(q.Key)
-	r.send(q.From, readResp{ReqID: q.ReqID, Key: q.Key, Found: ok, Value: v, Region: r.Region()})
 }

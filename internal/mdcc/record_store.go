@@ -24,7 +24,7 @@ import (
 //   - a key with an entry reads as that entry, and any other key as the
 //     covering ranges folded in order (not seeded when none covers it);
 //   - both kinds also apply to the records replicas already built for the
-//     keys they cover (Replica.reseedKey, reseedRange).
+//     keys they cover (the replicas' reseed input).
 //
 // The zero value is an empty image.
 type SeedImage struct {
@@ -100,7 +100,7 @@ func (img *SeedImage) seedKey(key string, s seed) {
 	replicas := img.replicas
 	img.mu.Unlock()
 	for _, r := range replicas {
-		r.reseedKey(key, &s)
+		r.exec(&reseed{key: key, s: s})
 	}
 }
 
@@ -121,7 +121,7 @@ func (img *SeedImage) seedRange(kr keyspace.Range, s seed) {
 	replicas := img.replicas
 	img.mu.Unlock()
 	for _, r := range replicas {
-		r.reseedRange(kr, &s)
+		r.exec(&reseed{kr: kr, s: s})
 	}
 }
 
@@ -162,7 +162,7 @@ func (img *SeedImage) attach(r *Replica) {
 const recordSlab = 64
 
 // acquire returns key's record, building it on first touch from the seed
-// image (empty, for a key the image lacks). Caller holds r.mu.
+// image (empty, for a key the image lacks).
 func (r *Replica) acquire(key string) *record {
 	if rc := r.records[key]; rc != nil {
 		return rc
@@ -177,32 +177,33 @@ func (r *Replica) acquire(key string) *record {
 	return rc
 }
 
-// reseedKey applies s to key's record, if this replica built it. An
-// untouched key picks the seed up from the image when first touched.
-func (r *Replica) reseedKey(key string, s *seed) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rc := r.records[key]; rc != nil {
-		s.applyTo(rc)
-	}
+// reseed applies a seed the image took to key's record, or for a range seed
+// (kr.N > 0) to every record of a key kr covers, if this replica built it;
+// an untouched key picks the seed up from the image when first touched.
+type reseed struct {
+	key string
+	kr  keyspace.Range
+	s   seed
 }
 
-// reseedRange applies s to every record this replica built for a key kr
-// covers.
-func (r *Replica) reseedRange(kr keyspace.Range, s *seed) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *Replica) reseed(p *reseed) {
+	if p.kr.N == 0 {
+		if rc := r.records[p.key]; rc != nil {
+			p.s.applyTo(rc)
+		}
+		return
+	}
 	for k, rc := range r.records {
-		if kr.Covers(k) {
-			s.applyTo(rc)
+		if p.kr.Covers(k) {
+			p.s.applyTo(rc)
 		}
 	}
 }
 
-// snapshotLocked returns the committed state of every key this replica
-// holds: its records, plus every seeded key it has not touched yet at
-// version 0. A crashed replica holds nothing. Caller holds r.mu.
-func (r *Replica) snapshotLocked() map[string]Value {
+// snapshot returns the committed state of every key this replica holds: its
+// records, plus every seeded key it has not touched yet at version 0. A
+// crashed replica holds nothing.
+func (r *Replica) snapshot() map[string]Value {
 	if r.crashed {
 		return map[string]Value{}
 	}

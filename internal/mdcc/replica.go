@@ -31,18 +31,22 @@ type ReplicaConfig struct {
 
 // Replica is one region's full copy of the store. It plays three protocol
 // roles: fast-path acceptor, classic-path acceptor, and master for the keys
-// assigned to its region.
+// assigned to its region. It changes state only inside step (see the
+// package doc, Execution); the unexported methods below step run inside it.
 type Replica struct {
 	cfg ReplicaConfig
 	clk vclock.Clock // the network's clock
 
-	// mu guards all protocol state, the records included.
+	// mu guards all protocol state, the records included; exec is the only
+	// function that takes it. out is the running step's output buffer.
 	mu      sync.Mutex
+	out     *outBuf
 	records map[string]*record // the keys the protocol has touched; see acquire
 	slab    []record           // unused records, carved by acquire
 	decided decidedSet
 	masters map[string]*masterKey
 	syncs   map[uint64]*syncWaiter
+	syncSeq uint64 // the last SyncFrom request id
 	crashed bool
 
 	// leaseCfg enables epoch-fenced master leases (see lease.go); leases
@@ -64,7 +68,7 @@ type Replica struct {
 	Applied      uint64
 	RecoveryRuns uint64
 	// LeaseTakeovers counts keyspace leases this replica claimed away from
-	// another holder (read via LeaseTakeoverCount).
+	// another holder (read via LeaseTable).
 	LeaseTakeovers uint64
 	// LeaseFenced counts master-arbitrated messages rejected for carrying
 	// a stale lease epoch.
@@ -85,29 +89,116 @@ type replicaTrace struct {
 // messages that never arrive faster than PendingTTL can reap them.
 const maxReplicaTraces = 4096
 
-// SetSpans installs the replica's local span store (nil disables tracing).
-// Typically wired once at startup, before traffic.
-func (r *Replica) SetSpans(st *obs.SpanStore) {
+// Replica.step's local inputs, besides queries and wire messages.
+type (
+	// acquireLease starts a lease round for keyspace ks (AcquireLease).
+	acquireLease struct{ ks simnet.Region }
+	// crash and restore are a process failure and its WAL recovery.
+	crash   struct{}
+	restore struct{ entries []Entry }
+	// localRead is ReadLocal's query; step fills v and ok.
+	localRead struct {
+		key string
+		v   Value
+		ok  bool
+	}
+)
+
+// exec runs one input through step and performs its outputs. It is the
+// replica's executor and the only function that takes r.mu. The step's WAL
+// entries are appended before the lock is released, so WAL order is apply
+// order (two decides racing between apply and append could otherwise log
+// in the opposite order, and a replay of physical writes would rebuild the
+// wrong value); a traced entry's span times the append itself. Every other
+// output is performed after the release, in emission order.
+func (r *Replica) exec(in any) {
+	b := outBufs.Get().(*outBuf)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans = st
-	if st != nil && r.traces == nil {
-		r.traces = make(map[txn.ID]*replicaTrace)
+	r.out = b
+	r.step(r.clk.Now(), in)
+	r.out = nil
+	for _, w := range b.wal {
+		start := r.clk.Now()
+		r.cfg.WAL.Append(w.e)
+		if w.span != nil {
+			w.span.Start, w.span.End = start, r.clk.Now()
+		}
+	}
+	r.mu.Unlock()
+	b.perform(r.cfg.Net, r.cfg.Addr, r.clk)
+	outBufs.Put(b)
+}
+
+// step is the replica's transition function: it applies one input, at time
+// now, to the replica's own state and emits the input's effects to r.out.
+func (r *Replica) step(now time.Time, in any) {
+	switch p := in.(type) {
+	case query:
+		p(now)
+	case *localRead:
+		p.v, p.ok = r.readLocal(p.key)
+	case *reseed:
+		r.reseed(p)
+	case acquireLease:
+		r.acquireLease(now, p.ks)
+	case *syncCall:
+		r.syncCall(p)
+	case crash:
+		r.crash()
+	case restore:
+		r.restore(now, p.entries)
+	default:
+		// A delivery that raced with Crash's deregistration: a dead process
+		// handles nothing.
+		if !r.crashed {
+			r.deliver(now, in)
+		}
 	}
 }
 
-// evictTracesLocked reaps trace state older than PendingTTL (orphans of
-// lost decides). Caller holds r.mu.
-func (r *Replica) evictTracesLocked(now time.Time) {
-	ttl := r.cfg.PendingTTL
-	if ttl <= 0 {
-		ttl = time.Minute
+// deliver dispatches a network message.
+func (r *Replica) deliver(now time.Time, m any) {
+	switch p := m.(type) {
+	case proposeMsg:
+		r.onPropose(now, p)
+	case decideMsg:
+		r.onDecide(now, p)
+	case classicProposeBatchMsg:
+		r.onClassicProposeBatch(now, p)
+	case phase1aMsg:
+		r.onPhase1a(p)
+	case phase1bMsg:
+		r.onPhase1b(now, p)
+	case phase2aBatchMsg:
+		r.onPhase2aBatch(now, p)
+	case phase2bBatchMsg:
+		r.onPhase2bBatch(now, p)
+	case readReq: // answer a quorum read with local committed state
+		v, ok := r.readLocal(p.Key)
+		r.out.send(p.From, readResp{ReqID: p.ReqID, Key: p.Key, Found: ok, Value: v, Region: r.Region()})
+	case syncReq: // donate a committed snapshot to anti-entropy
+		r.out.send(p.From, syncResp{ReqID: p.ReqID, Records: r.snapshot()})
+	case syncResp:
+		r.onSyncResp(p)
+	case leaseRequestMsg:
+		r.onLeaseRequest(now, p)
+	case leaseGrantMsg:
+		r.onLeaseGrant(now, p)
 	}
-	for id, tr := range r.traces {
-		if now.Sub(tr.at) > ttl {
-			delete(r.traces, id)
+}
+
+// recv is the replica's transport handler.
+func (r *Replica) recv(m simnet.Message) { r.exec(m.Payload) }
+
+// SetSpans installs the replica's local span store (nil disables tracing).
+// Typically wired once at startup, before traffic.
+func (r *Replica) SetSpans(st *obs.SpanStore) {
+	r.exec(query(func(time.Time) {
+		r.spans = st
+		if st != nil && r.traces == nil {
+			r.traces = make(map[txn.ID]*replicaTrace)
 		}
-	}
+	}))
 }
 
 // NewReplica constructs and registers a replica on cfg.Net.
@@ -126,17 +217,8 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	return r
 }
 
-// Addr returns the replica's network address.
-func (r *Replica) Addr() simnet.Addr { return r.cfg.Addr }
-
 // Region returns the replica's region.
 func (r *Replica) Region() simnet.Region { return r.cfg.Addr.Region }
-
-// SeedBytes seeds key=value in the replica's seed image (setup path), so
-// every replica sharing the image starts from it.
-func (r *Replica) SeedBytes(key string, value []byte) {
-	r.cfg.Seeds.SeedBytes(key, value)
-}
 
 // SeedInt seeds an integer value with integrity bounds in the replica's seed
 // image.
@@ -149,8 +231,12 @@ func (r *Replica) SeedInt(key string, value, lo, hi int64) {
 // The second result reports whether the key exists; a crashed replica holds
 // no key.
 func (r *Replica) ReadLocal(key string) (Value, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	q := localRead{key: key}
+	r.exec(&q)
+	return q.v, q.ok
+}
+
+func (r *Replica) readLocal(key string) (Value, bool) {
 	if rc := r.records[key]; rc != nil {
 		return rc.value(), true
 	}
@@ -164,29 +250,27 @@ func (r *Replica) ReadLocal(key string) (Value, bool) {
 // Decisions returns a copy of every transaction verdict this replica
 // retains. The multi-process harness compares these maps across nodes to
 // assert agreement (no dual decisions) after crash-restart cycles.
-func (r *Replica) Decisions() map[txn.ID]bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.decided.toMap()
+func (r *Replica) Decisions() (m map[txn.ID]bool) {
+	r.exec(query(func(time.Time) { m = r.decided.toMap() }))
+	return m
 }
 
 // Snapshot returns the committed state of every key this replica holds,
 // seeded keys it has not touched included. Used by anti-entropy checks and
 // the chaos soak's replay-equality audit.
-func (r *Replica) Snapshot() map[string]Value {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snapshotLocked()
+func (r *Replica) Snapshot() (m map[string]Value) {
+	r.exec(query(func(time.Time) { m = r.snapshot() }))
+	return m
 }
 
 // Crash simulates a process failure: the replica leaves the network and
 // loses all in-memory state (records, pendings, decisions, master roles).
 // Only the seed image and the WAL — the durable artifacts — survive for
 // Restore to rebuild from.
-func (r *Replica) Crash() {
-	r.cfg.Net.Deregister(r.cfg.Addr)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *Replica) Crash() { r.exec(crash{}) }
+
+func (r *Replica) crash() {
+	r.out.add(output{kind: outDeregister})
 	r.crashed = true
 	r.records = make(map[string]*record)
 	r.decided = decidedSet{}
@@ -204,128 +288,85 @@ func (r *Replica) Crash() {
 // a WAL replay (repopulating the decision memo so straggler proposals and
 // decides stay idempotent), then the replica rejoins the network. Only the
 // keys the WAL names get records, so a restart costs O(WAL), not O(keys).
-// Restoring a live replica is also safe — it reloads state from the same
-// durable sources, which the soak harness uses to assert replay equality.
-// Decisions whose decide message was lost before it reached this replica
-// are not in its WAL and stay missing until anti-entropy (SyncFrom) repairs
-// them, exactly like a healed partition.
+// Restoring a live replica that nothing else steps meanwhile is also safe
+// (the soak harness asserts replay equality so). Decisions whose decide
+// never reached this replica are not in its WAL and stay missing until
+// anti-entropy (SyncFrom) repairs them, exactly like a healed partition.
 func (r *Replica) Restore() error {
-	r.mu.Lock()
+	var entries []Entry
+	if r.cfg.WAL != nil {
+		r.cfg.WAL.Replay(func(e Entry) error {
+			entries = append(entries, e)
+			return nil
+		})
+	}
+	r.exec(restore{entries})
+	return nil
+}
+
+// restore rebuilds state from the replayed WAL entries.
+func (r *Replica) restore(now time.Time, entries []Entry) {
 	r.records = make(map[string]*record)
 	r.decided = decidedSet{}
 	r.masters = make(map[string]*masterKey)
 	if r.leases != nil {
 		r.leases = make(map[simnet.Region]*leaseState)
 	}
-	var err error
 	var replaySpans []obs.Span
-	if r.cfg.WAL != nil {
-		now := r.clk.Now()
-		err = r.cfg.WAL.Replay(func(e Entry) error {
-			if e.Lease != nil {
-				// A lease transition, not a decision: rebuild the lease
-				// view (expired — clocks don't survive restarts) and leave
-				// the decision memo alone.
-				r.applyLeaseEntryLocked(e.Lease)
-				return nil
+	for _, e := range entries {
+		if e.Lease != nil {
+			// A lease transition, not a decision: rebuild the lease view
+			// (expired — clocks don't survive restarts) and leave the
+			// decision memo alone.
+			r.applyLeaseEntry(e.Lease)
+			continue
+		}
+		r.decided.set(e.Txn, e.Commit)
+		if e.Commit {
+			for _, op := range e.Options {
+				r.acquire(op.Key).apply(op)
+				r.Applied++
 			}
-			r.decided.set(e.Txn, e.Commit)
-			if e.Commit {
-				for _, op := range e.Options {
-					r.acquire(op.Key).apply(op)
-					r.Applied++
-				}
-			}
-			if r.spans != nil && e.OptionSpan != 0 {
-				// Re-link the replayed decision to the pre-crash option
-				// span persisted with the entry, so the causal tree stays
-				// stitched across a crash-restart cycle.
-				replaySpans = append(replaySpans, obs.Span{
-					Txn: e.Txn, ID: obs.NewSpanID(), Parent: e.OptionSpan,
-					Stage: obs.StageReplicaWAL, Region: string(r.Region()),
-					Note: "replay", Start: now, End: now,
-				})
-			}
-			return nil
-		})
+		}
+		if r.spans != nil && e.OptionSpan != 0 {
+			// Re-link the replayed decision to the pre-crash option span
+			// persisted with the entry, so the causal tree stays stitched
+			// across a crash-restart cycle.
+			replaySpans = append(replaySpans, obs.Span{
+				Txn: e.Txn, ID: obs.NewSpanID(), Parent: e.OptionSpan,
+				Stage: obs.StageReplicaWAL, Region: string(r.Region()),
+				Note: "replay", Start: now, End: now,
+			})
+		}
 	}
 	r.RecoveryRuns++
 	r.crashed = false
-	st := r.spans
-	r.mu.Unlock()
-	st.AddBatch(replaySpans)
-	if err != nil {
-		return err
-	}
-	r.cfg.Net.Register(r.cfg.Addr, r.recv)
-	return nil
+	r.spans.AddBatch(replaySpans)
+	r.out.add(output{kind: outRegister, msg: simnet.Handler(r.recv)})
 }
 
 // Crashed reports whether the replica is currently down.
-func (r *Replica) Crashed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.crashed
-}
-
-// recv dispatches network messages.
-func (r *Replica) recv(m simnet.Message) {
-	r.mu.Lock()
-	dead := r.crashed
-	r.mu.Unlock()
-	if dead {
-		// A delivery that raced with Crash's deregistration: a dead
-		// process handles nothing.
-		return
-	}
-	switch p := m.Payload.(type) {
-	case proposeMsg:
-		r.onPropose(p)
-	case decideMsg:
-		r.onDecide(p)
-	case classicProposeBatchMsg:
-		r.onClassicProposeBatch(p)
-	case phase1aMsg:
-		r.onPhase1a(p)
-	case phase1bMsg:
-		r.onPhase1b(p)
-	case phase2aBatchMsg:
-		r.onPhase2aBatch(p)
-	case phase2bBatchMsg:
-		r.onPhase2bBatch(p)
-	case readReq:
-		r.onReadReq(p)
-	case syncReq:
-		r.onSyncReq(p)
-	case syncResp:
-		r.onSyncResp(p)
-	case leaseRequestMsg:
-		r.onLeaseRequest(p)
-	case leaseGrantMsg:
-		r.onLeaseGrant(p)
-	}
+func (r *Replica) Crashed() (down bool) {
+	r.exec(query(func(time.Time) { down = r.crashed }))
+	return down
 }
 
 // onPropose handles a fast-path proposal: validate each option against
-// committed state and pendings, record accepted options, and vote. All
-// options are validated under one lock acquisition and the verdicts leave
-// as one coalesced vote batch.
-func (r *Replica) onPropose(p proposeMsg) {
-	now := r.clk.Now()
+// committed state and pendings, record accepted options, and vote. The
+// verdicts leave as one voteBatchMsg, in proposal (submission) order.
+func (r *Replica) onPropose(now time.Time, p proposeMsg) {
 	votes := make([]optionVote, 0, len(p.Options))
-
-	r.mu.Lock()
 	if _, seen := r.decided.get(p.Txn); seen {
 		// Reordered proposal for an already-decided transaction: planting
 		// pendings now would leave orphans. Report and stop.
-		r.mu.Unlock()
 		for _, op := range p.Options {
 			votes = append(votes, optionVote{Key: op.Key, Reason: ReasonDecided})
 		}
-		r.sendVotes(p.Txn, p.Coord, votes, 0)
+		r.out.send(p.Coord, voteBatchMsg{Txn: p.Txn, Region: r.Region(), Votes: votes})
 		return
 	}
-	span := r.beginTraceLocked(p.Txn, p.Coord, p.TC, now)
+	// The coordinator's vote-return span parents to the option-RPC leg.
+	tc := traceCtx(now, r.beginTrace(p.Txn, p.Coord, p.TC, now))
 	for _, op := range p.Options {
 		rc := r.acquire(op.Key)
 		rc.evictStale(now, r.cfg.PendingTTL)
@@ -339,21 +380,19 @@ func (r *Replica) onPropose(p proposeMsg) {
 		votes = append(votes, optionVote{Key: op.Key,
 			Accept: reason == ReasonNone, Reason: reason})
 	}
-	r.mu.Unlock()
-
-	r.sendVotes(p.Txn, p.Coord, votes, span)
+	r.out.send(p.Coord, voteBatchMsg{Txn: p.Txn, Region: r.Region(), Votes: votes, TC: tc})
 }
 
-// beginTraceLocked records the option-RPC network leg of a traced proposal
-// and opens the transaction's trace state, returning the leg's span id (0
-// when tracing is off or the proposal is untraced). The leg span is the
-// causal anchor for everything this replica later records for the
-// transaction — votes parent to it and the WAL persists it. Spans are held
-// in the trace state and delivered only via the decide-time flush to the
-// coordinator, never folded into the local store: in a single-process
-// deployment the replica and coordinator share one store, and recording at
-// both ends would double-count every span. Caller holds r.mu.
-func (r *Replica) beginTraceLocked(id txn.ID, coord simnet.Addr, tc TraceCtx, now time.Time) uint64 {
+// beginTrace records the option-RPC network leg of a traced proposal and
+// opens the transaction's trace state, returning the leg's span id (0 when
+// tracing is off or the proposal is untraced). The leg span is the causal
+// anchor for everything this replica later records for the transaction —
+// votes parent to it and the WAL persists it. Spans are held in the trace
+// state and delivered only via the decide-time flush to the coordinator,
+// never folded into the local store: in a single-process deployment the
+// replica and coordinator share one store, and recording at both ends would
+// double-count every span.
+func (r *Replica) beginTrace(id txn.ID, coord simnet.Addr, tc TraceCtx, now time.Time) uint64 {
 	if r.spans == nil || tc.Span == 0 {
 		return 0
 	}
@@ -362,7 +401,15 @@ func (r *Replica) beginTraceLocked(id txn.ID, coord simnet.Addr, tc TraceCtx, no
 		Stage: obs.StageOptionRPC, Region: string(r.Region()),
 		Start: time.Unix(0, tc.SentUnixNano), End: now,
 	}
-	r.evictTracesLocked(now)
+	ttl := r.cfg.PendingTTL
+	if ttl <= 0 {
+		ttl = time.Minute
+	}
+	for old, tr := range r.traces {
+		if now.Sub(tr.at) > ttl {
+			delete(r.traces, old) // an orphan of a lost decide
+		}
+	}
 	if _, dup := r.traces[id]; !dup && len(r.traces) < maxReplicaTraces {
 		r.traces[id] = &replicaTrace{coord: coord, optionSpan: leg.ID,
 			spans: []obs.Span{leg}, at: now}
@@ -370,31 +417,16 @@ func (r *Replica) beginTraceLocked(id txn.ID, coord simnet.Addr, tc TraceCtx, no
 	return leg.ID
 }
 
-// sendVotes replies with the replica's verdicts on a proposal as one
-// voteBatchMsg, votes in proposal (submission) order. span, when non-zero,
-// is the option-RPC leg the coordinator's vote-return span should parent to.
-func (r *Replica) sendVotes(id txn.ID, coord simnet.Addr, votes []optionVote, span uint64) {
-	var tc TraceCtx
-	if span != 0 {
-		tc = TraceCtx{Span: span, SentUnixNano: r.clk.Now().UnixNano()}
-	}
-	r.send(coord, voteBatchMsg{Txn: id, Region: r.Region(), Votes: votes, TC: tc})
-}
-
 // onDecide applies or discards a transaction's options. Decides are
 // idempotent and may arrive before the proposal they decide.
-func (r *Replica) onDecide(d decideMsg) {
-	r.mu.Lock()
+func (r *Replica) onDecide(now time.Time, d decideMsg) {
 	if _, seen := r.decided.get(d.Txn); seen {
-		r.mu.Unlock()
 		return
 	}
-	now := r.clk.Now()
 	var tr *replicaTrace
 	var decSpans []obs.Span
 	optionSpan := uint64(0)
-	st := r.spans
-	if st != nil && d.TC.Span != 0 {
+	if r.spans != nil && d.TC.Span != 0 {
 		if tr = r.traces[d.Txn]; tr != nil {
 			delete(r.traces, d.Txn)
 			optionSpan = tr.optionSpan
@@ -417,32 +449,20 @@ func (r *Replica) onDecide(d decideMsg) {
 			delete(ks.inflight, d.Txn)
 		}
 	}
-	// Log while still holding r.mu so WAL order matches apply order: two
-	// decides racing between apply and append could otherwise log in the
-	// opposite order, and a replay of physical (OpSet) writes would then
-	// reconstruct the wrong final value.
+	var e Entry
 	if r.cfg.WAL != nil {
-		walStart := r.clk.Now()
-		e := Entry{Txn: d.Txn, Commit: d.Commit, Options: d.Options, At: walStart}
+		e = Entry{Txn: d.Txn, Commit: d.Commit, Options: d.Options, At: now}
 		if len(decSpans) > 0 {
 			// Persist the trace context so a post-crash replay can re-link
-			// the decision to the pre-crash option span.
+			// the decision to the pre-crash option span, and time the
+			// append (exec stamps the span).
 			e.TraceSpan = d.TC.Span
 			e.OptionSpan = optionSpan
-		}
-		r.cfg.WAL.Append(e)
-		if len(decSpans) > 0 {
 			decSpans = append(decSpans, obs.Span{
 				Txn: d.Txn, ID: obs.NewSpanID(), Parent: decSpans[0].ID,
 				Stage: obs.StageReplicaWAL, Region: string(r.Region()),
-				Start: walStart, End: r.clk.Now(),
 			})
 		}
-	}
-	r.mu.Unlock()
-
-	if len(decSpans) == 0 {
-		return
 	}
 	// Flush everything this replica recorded for the transaction to the
 	// deciding coordinator, which owns the stitched tree. Classic-path
@@ -456,25 +476,25 @@ func (r *Replica) onDecide(d decideMsg) {
 			coord = tr.coord
 		}
 	}
-	if coord != (simnet.Addr{}) {
-		r.send(coord, spanReportMsg{Txn: d.Txn, Spans: all})
+	if r.cfg.WAL != nil {
+		var span *obs.Span
+		if len(decSpans) > 1 {
+			span = &all[len(all)-1]
+		}
+		r.out.appendWAL(e, span)
+	}
+	if len(decSpans) > 0 && coord != (simnet.Addr{}) {
+		r.out.send(coord, spanReportMsg{Txn: d.Txn, Spans: all})
 	}
 }
 
-// send is a convenience wrapper.
-func (r *Replica) send(to simnet.Addr, payload any) {
-	r.cfg.Net.Send(r.cfg.Addr, to, payload)
-}
-
 // HandlePropose feeds a fast-path proposal into the replica as if it had
-// arrived from coord over the network. Benchmarks and white-box tests use it
-// to drive the prepare path without a coordinator.
+// arrived from coord (benchmarks drive the prepare path with it).
 func (r *Replica) HandlePropose(id txn.ID, coord simnet.Addr, ops []txn.Op) {
-	r.onPropose(proposeMsg{Txn: id, Coord: coord, Options: ops})
+	r.exec(proposeMsg{Txn: id, Coord: coord, Options: ops})
 }
 
-// HandleDecide feeds a decision into the replica as if broadcast by a
-// coordinator. Benchmarks and white-box tests use it with HandlePropose.
+// HandleDecide feeds a decision in as a coordinator's broadcast would.
 func (r *Replica) HandleDecide(id txn.ID, commit bool, ops []txn.Op) {
-	r.onDecide(decideMsg{Txn: id, Commit: commit, Options: ops})
+	r.exec(decideMsg{Txn: id, Commit: commit, Options: ops})
 }

@@ -2,7 +2,6 @@ package mdcc
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"planet/internal/simnet"
@@ -32,51 +31,64 @@ type syncResp struct {
 	Records map[string]Value
 }
 
-var syncSeq atomic.Uint64
-
 // syncWaiter holds the rendezvous for one SyncFrom call. resp is written
-// once under r.mu before done fires.
+// once, inside a step, before done fires.
 type syncWaiter struct {
 	done *vclock.Event
 	resp syncResp
 	ok   bool
 }
 
+// syncCall is one of SyncFrom's two inputs. The first registers w under a
+// fresh id and sends the request to peer. The second (retire) drops request
+// id and, when w is set — the response arrived in time — adopts its
+// snapshot.
+type syncCall struct {
+	peer     simnet.Addr
+	w        *syncWaiter
+	id       uint64
+	retire   bool
+	repaired int
+}
+
 // SyncFrom pulls peer's committed snapshot and applies every record whose
 // version exceeds the local one. It blocks up to timeout (emulator time)
 // and returns the number of records repaired.
 func (r *Replica) SyncFrom(peer simnet.Addr, timeout time.Duration) (int, error) {
-	id := syncSeq.Add(1)
-	w := &syncWaiter{done: r.clk.NewEvent()}
+	c := syncCall{peer: peer, w: &syncWaiter{done: r.clk.NewEvent()}}
+	r.exec(&c)
+	ok := c.w.done.WaitTimeout(timeout)
+	c.retire = true
+	if !ok {
+		c.w = nil // the response, if any, came too late
+	}
+	r.exec(&c)
+	if !ok {
+		return 0, fmt.Errorf("mdcc: sync from %s: %w", peer, ErrTimeout)
+	}
+	return c.repaired, nil
+}
 
-	r.mu.Lock()
+func (r *Replica) syncCall(c *syncCall) {
+	if c.retire {
+		delete(r.syncs, c.id)
+		if c.w != nil {
+			c.repaired = r.applySnapshot(c.w.resp.Records)
+		}
+		return
+	}
 	if r.syncs == nil {
 		r.syncs = make(map[uint64]*syncWaiter)
 	}
-	r.syncs[id] = w
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.syncs, id)
-		r.mu.Unlock()
-	}()
-
-	r.send(peer, syncReq{ReqID: id, From: r.cfg.Addr})
-
-	if !w.done.WaitTimeout(timeout) {
-		return 0, fmt.Errorf("mdcc: sync from %s: %w", peer, ErrTimeout)
-	}
-	r.mu.Lock()
-	resp := w.resp
-	r.mu.Unlock()
-	return r.applySnapshot(resp.Records), nil
+	r.syncSeq++
+	c.id = r.syncSeq
+	r.syncs[c.id] = c.w
+	r.out.send(c.peer, syncReq{ReqID: c.id, From: r.cfg.Addr})
 }
 
 // applySnapshot adopts fresher committed records. A donor value at version 0
 // is never fresher, so it builds no record.
 func (r *Replica) applySnapshot(records map[string]Value) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	repaired := 0
 	for key, v := range records {
 		if v.Version == 0 {
@@ -97,24 +109,13 @@ func (r *Replica) applySnapshot(records map[string]Value) int {
 	return repaired
 }
 
-// onSyncReq is the donor side: snapshot committed state and reply.
-func (r *Replica) onSyncReq(q syncReq) {
-	r.mu.Lock()
-	snapshot := r.snapshotLocked()
-	r.mu.Unlock()
-	r.send(q.From, syncResp{ReqID: q.ReqID, Records: snapshot})
-}
-
 // onSyncResp routes the snapshot to its waiter.
 func (r *Replica) onSyncResp(resp syncResp) {
-	r.mu.Lock()
 	w := r.syncs[resp.ReqID]
 	if w == nil || w.ok {
-		r.mu.Unlock()
 		return
 	}
 	w.resp = resp
 	w.ok = true
-	r.mu.Unlock()
-	w.done.Fire()
+	r.out.add(output{kind: outCall, fn: w.done.Fire})
 }

@@ -70,28 +70,15 @@ const (
 	ReasonNotMaster
 )
 
+var reasonNames = [...]string{"accept", "version-conflict", "pending-conflict", "bound-violation",
+	"classic-owned", "already-decided", "stale-ballot", "not-master"}
+
 // String implements fmt.Stringer.
 func (r RejectReason) String() string {
-	switch r {
-	case ReasonNone:
-		return "accept"
-	case ReasonVersion:
-		return "version-conflict"
-	case ReasonPending:
-		return "pending-conflict"
-	case ReasonBound:
-		return "bound-violation"
-	case ReasonClassicOwned:
-		return "classic-owned"
-	case ReasonDecided:
-		return "already-decided"
-	case ReasonBallot:
-		return "stale-ballot"
-	case ReasonNotMaster:
-		return "not-master"
-	default:
-		return fmt.Sprintf("reason(%d)", uint8(r))
+	if int(r) < len(reasonNames) {
+		return reasonNames[r]
 	}
+	return fmt.Sprintf("reason(%d)", uint8(r))
 }
 
 // Fatal reports whether a rejection for this reason dooms the transaction
@@ -155,28 +142,22 @@ const (
 	KindDecided
 )
 
+var kindNames = [...]string{"submitted", "vote", "option-learned", "fallback", "decided"}
+
 // String implements fmt.Stringer.
 func (k ProgressKind) String() string {
-	switch k {
-	case KindSubmitted:
-		return "submitted"
-	case KindVote:
-		return "vote"
-	case KindOptionLearned:
-		return "option-learned"
-	case KindFallback:
-		return "fallback"
-	case KindDecided:
-		return "decided"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // ProgressSink receives progress events and the final decision for one
-// transaction. Implementations must be safe for concurrent use, must not
-// block (events are delivered from network-timer goroutines, sometimes with
-// coordinator locks held), and must not call back into the coordinator.
+// transaction. Implementations must be safe for concurrent use and must not
+// block: events are delivered from network and timer goroutines, as outputs
+// of the coordinator's step, after its lock is released. One step's events
+// arrive in order; on a live node, events of steps that run on different
+// goroutines can interleave.
 type ProgressSink interface {
 	Progress(ProgressEvent)
 	Decided(id txn.ID, committed bool, err error)
@@ -254,8 +235,7 @@ type decideMsg struct {
 //
 // The batch forms carry everything a handler produces for one destination in
 // a single network message: one loss draw, one sampled delay, one delivery.
-// The receiver processes each item on its own, in batch order, under one
-// lock acquisition.
+// The receiver processes each item on its own, in batch order, in one step.
 
 // optionVote is one option's verdict inside a voteBatchMsg.
 type optionVote struct {
@@ -342,10 +322,9 @@ type phase2bBatchMsg struct {
 
 // --- staged per-option values ---
 //
-// A master sequences options one at a time under its lock. These are the
-// per-option values it queues and stages there; flush folds every staged
-// result and phase-2a proposal into the batch forms above before sending.
-// They never reach a transport, so the wire codec has no case for them.
+// The per-option values a master queues and stages inside its step; flush
+// folds staged results and phase-2a proposals into the batch forms above,
+// so none reaches a transport and the wire codec has no case for them.
 
 // classicProposeMsg is one option of a classicProposeBatchMsg as the master
 // queues and sequences it.

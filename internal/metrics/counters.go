@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,22 +134,4 @@ func absF(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// LabeledSummaries formats a set of named histogram summaries as an aligned
-// table, sorted by label, for experiment output.
-func LabeledSummaries(m map[string]Summary, scale float64) string {
-	labels := make([]string, 0, len(m))
-	for k := range m {
-		labels = append(labels, k)
-	}
-	sort.Strings(labels)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %8s %12s %12s %12s %12s\n", "series", "n", "mean", "p50", "p95", "p99")
-	for _, l := range labels {
-		s := m[l].Scale(scale)
-		fmt.Fprintf(&b, "%-24s %8d %12s %12s %12s %12s\n",
-			l, s.Count, round(s.Mean), round(s.P50), round(s.P95), round(s.P99))
-	}
-	return b.String()
 }

@@ -208,18 +208,6 @@ func (h *Histogram) Summarize() Summary {
 	}
 }
 
-// Scale returns a copy of s with every duration multiplied by f. The bench
-// harness uses it to convert time-compressed measurements back to WAN
-// milliseconds.
-func (s Summary) Scale(f float64) Summary {
-	scale := func(d time.Duration) time.Duration { return time.Duration(float64(d) * f) }
-	return Summary{
-		Count: s.Count,
-		Mean:  scale(s.Mean), Min: scale(s.Min), Max: scale(s.Max),
-		P50: scale(s.P50), P95: scale(s.P95), P99: scale(s.P99),
-	}
-}
-
 // String implements fmt.Stringer.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",

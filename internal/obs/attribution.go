@@ -122,17 +122,6 @@ type Snapshot struct {
 	Dominant string `json:"dominant,omitempty"`
 }
 
-// Snapshot captures the engine's current statistics.
-func (a *Attribution) Snapshot() Snapshot {
-	if a == nil {
-		return Snapshot{}
-	}
-	a.mu.Lock()
-	stages := a.stages
-	a.mu.Unlock()
-	return snapshotFrom(stages)
-}
-
 // snapshotFrom builds the ranked report from a set of accumulators (shared
 // by Attribution.Snapshot and the merged AttributionSet view).
 func snapshotFrom(stages [NumStages]stageAcc) Snapshot {

@@ -11,3 +11,14 @@ func (s *SpanStore) TxnCount() int {
 	defer s.mu.Unlock()
 	return len(s.txns)
 }
+
+// Snapshot captures the engine's current statistics.
+func (a *Attribution) Snapshot() Snapshot {
+	if a == nil {
+		return Snapshot{}
+	}
+	a.mu.Lock()
+	stages := a.stages
+	a.mu.Unlock()
+	return snapshotFrom(stages)
+}

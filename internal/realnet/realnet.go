@@ -159,9 +159,10 @@ type Transport struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	// Loopback deliveries run on a dedicated dispatcher goroutine so a
-	// handler that sends to a co-located destination from inside a delivery
-	// callback (the protocol does, with locks held) can never deadlock.
+	// Loopback deliveries run on a dedicated dispatcher goroutine, so a
+	// send to a co-located destination stays asynchronous and FIFO like a
+	// remote frame (the sender's handler never runs the receiver's inline),
+	// and Quiesce counts it until it is delivered.
 	lbMu      sync.Mutex
 	lbCond    *sync.Cond
 	lbQueue   []localDelivery
@@ -598,16 +599,6 @@ func (t *Transport) RestoreListener() error {
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
 	return nil
-}
-
-// PeerState reports the health of one region's link. The local region (and
-// any region without a configured peer) is always PeerUp.
-func (t *Transport) PeerState(region simnet.Region) PeerState {
-	p, ok := t.peerFor(region)
-	if !ok {
-		return PeerUp
-	}
-	return p.stateVal()
 }
 
 // PeerStates returns every configured peer's current health.

@@ -291,9 +291,6 @@ func (n *Network) shardFor(from Addr) *rngShard {
 	return n.defShard
 }
 
-// TimeScale returns the effective scale factor (always > 0).
-func (n *Network) TimeScale() float64 { return n.scale }
-
 // Register installs h as the handler for addr, replacing any previous one.
 func (n *Network) Register(addr Addr, h Handler) {
 	n.mutate(func(t *topology) { t.nodes[addr] = h })

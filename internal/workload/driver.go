@@ -92,7 +92,7 @@ func (c Closed) Run() (*Report, error) {
 					errs <- fmt.Errorf("workload: build: %w", err)
 					return
 				}
-				h, err := tx.Commit(report.callbacks(clk, region, c.SpeculateAt, c.Deadline, nil))
+				h, err := tx.Commit(report.callbacks(clk, c.SpeculateAt, c.Deadline, nil))
 				if err != nil {
 					errs <- fmt.Errorf("workload: commit: %w", err)
 					return
@@ -226,7 +226,7 @@ func (o Open) Run() (*Report, error) {
 				done()
 				return
 			}
-			h, err := tx.Commit(report.callbacks(clk, s.Region(), o.SpeculateAt, o.Deadline, o.Ledger))
+			h, err := tx.Commit(report.callbacks(clk, o.SpeculateAt, o.Deadline, o.Ledger))
 			if err != nil {
 				if o.Ledger != nil {
 					o.Ledger.abandon()

@@ -3,13 +3,11 @@ package workload
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	planet "planet/internal/core"
 	"planet/internal/metrics"
-	"planet/internal/simnet"
 	"planet/internal/txn"
 	"planet/internal/vclock"
 )
@@ -32,9 +30,6 @@ type Report struct {
 	Speculated atomic.Uint64
 	Apologies  atomic.Uint64
 
-	mu        sync.Mutex
-	perRegion map[simnet.Region]*metrics.Histogram
-
 	// Elapsed is the run's duration on the driving clock (wall time under
 	// the real clock, simulated time under a virtual one). Set by drivers.
 	Elapsed time.Duration
@@ -47,31 +42,7 @@ func NewReport() *Report {
 		Speculative: metrics.NewHistogram(),
 		Final:       metrics.NewHistogram(),
 		Perceived:   metrics.NewHistogram(),
-		perRegion:   make(map[simnet.Region]*metrics.Histogram),
 	}
-}
-
-// regionHist returns the per-region final-latency histogram.
-func (r *Report) regionHist(region simnet.Region) *metrics.Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.perRegion[region]
-	if h == nil {
-		h = metrics.NewHistogram()
-		r.perRegion[region] = h
-	}
-	return h
-}
-
-// PerRegion returns final-latency summaries keyed by origin region.
-func (r *Report) PerRegion() map[string]metrics.Summary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]metrics.Summary, len(r.perRegion))
-	for region, h := range r.perRegion {
-		out[string(region)] = h.Summarize()
-	}
-	return out
 }
 
 // Decided counts transactions that ran to a commit/abort decision.
@@ -134,7 +105,6 @@ func (r *Report) String() string {
 type txnRecord struct {
 	r      *Report
 	clk    vclock.Clock
-	region simnet.Region
 	start  time.Time
 	ledger *Ledger // nil unless the driver keeps one
 	// Speculation can fire at the submission instant, where the elapsed
@@ -147,8 +117,8 @@ type txnRecord struct {
 // callbacks builds the CommitOptions that record one transaction into the
 // report (and its finish into ledger, when non-nil), composing with any
 // caller-specified speculation config.
-func (r *Report) callbacks(clk vclock.Clock, region simnet.Region, speculateAt float64, deadline time.Duration, ledger *Ledger) planet.CommitOptions {
-	t := &txnRecord{r: r, clk: clk, region: region, start: clk.Now(), ledger: ledger}
+func (r *Report) callbacks(clk vclock.Clock, speculateAt float64, deadline time.Duration, ledger *Ledger) planet.CommitOptions {
+	t := &txnRecord{r: r, clk: clk, start: clk.Now(), ledger: ledger}
 	return planet.CommitOptions{
 		SpeculateAt:   speculateAt,
 		Deadline:      deadline,
@@ -178,7 +148,6 @@ func (t *txnRecord) final(o txn.Outcome) {
 	case o.Committed:
 		r.Committed.Add(1)
 		r.Final.Observe(e)
-		r.regionHist(t.region).Observe(e)
 		if t.speculated.Load() {
 			r.Perceived.Observe(time.Duration(t.specElapsed.Load()))
 		} else {

@@ -2,8 +2,12 @@
 # verify.sh — the checks a change must pass before merging:
 # vet, full build, full test suite, then a race-detector pass over the
 # packages with the most concurrency (core, mdcc, obs, cluster, where a
-# node's transport goroutines reach its lease manager, and httpapi, whose
-# handlers enter a paced virtual clock from net/http's goroutines).
+# node's transport goroutines reach its lease manager, httpapi, whose
+# handlers enter a paced virtual clock from net/http's goroutines, and
+# realnet: on a live node its read loops, its loopback dispatcher, HTTP
+# goroutines and timer goroutines all run steps of the same replica and
+# coordinator, through one lock per actor, and perform their outputs
+# after it).
 set -eux
 
 # Static analysis first (go vet has been part of this gate since the seed;
@@ -16,7 +20,7 @@ go test ./...
 # breaks the frozen benchmark unnoticed.
 go vet -C benchmark ./...
 go test -C benchmark -short ./...
-go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/cluster ./internal/httpapi
+go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/cluster ./internal/httpapi ./internal/realnet
 # Chaos soak gate: fault schedules (partition + crash/WAL-recovery +
 # latency spike) laid over a closed-loop workload on the cluster's virtual
 # clock must preserve the safety invariants under the race detector, both
