@@ -18,7 +18,6 @@ package httpapi
 // Without EnableChaos every /v1/chaos/* request returns 404.
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -128,7 +127,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/v1/chaos/region":
 		var req ChaosRegionRequest
-		if !decodeChaos(w, r, &req) {
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		if req.Down {
@@ -138,7 +137,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/v1/chaos/link":
 		var req ChaosLinkRequest
-		if !decodeChaos(w, r, &req) {
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		if req.Cut {
@@ -148,13 +147,13 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/v1/chaos/loss":
 		var req ChaosLossRequest
-		if !decodeChaos(w, r, &req) {
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		err = eng.SetLoss(req.Rate)
 	case "/v1/chaos/latency":
 		var req ChaosLatencyRequest
-		if !decodeChaos(w, r, &req) {
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		if req.Factor == 0 || req.Factor == 1 {
@@ -164,7 +163,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/v1/chaos/crash", "/v1/chaos/restart":
 		var req ChaosNodeRequest
-		if !decodeChaos(w, r, &req) {
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		restart := r.URL.Path == "/v1/chaos/restart"
@@ -187,7 +186,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/v1/chaos/scenario":
 		var req ChaosScenarioRequest
-		if !decodeChaos(w, r, &req) {
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		var sc chaos.Scenario
@@ -215,13 +214,4 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, okBody{OK: true})
-}
-
-// decodeChaos decodes a JSON body, writing the error response on failure.
-func decodeChaos(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return false
-	}
-	return true
 }

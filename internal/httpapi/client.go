@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"planet/internal/obs"
@@ -38,7 +39,10 @@ func (c *Client) httpc() *http.Client {
 // decode unmarshals a JSON response, translating error envelopes.
 func decode(resp *http.Response, into any) error {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	bp := getBuf()
+	defer putBuf(bp)
+	body, err := readAll(io.LimitReader(resp.Body, 1<<20), (*bp)[:0])
+	*bp = body
 	if err != nil {
 		return fmt.Errorf("httpapi: read response: %w", err)
 	}
@@ -52,7 +56,7 @@ func decode(resp *http.Response, into any) error {
 	if into == nil {
 		return nil
 	}
-	if err := json.Unmarshal(body, into); err != nil {
+	if err := unmarshal(body, into); err != nil {
 		return fmt.Errorf("httpapi: decode response: %w", err)
 	}
 	return nil
@@ -90,7 +94,7 @@ func (c *Client) read(key string, quorum bool) (ReadResponse, error) {
 
 // Submit posts a transaction and returns its ID without waiting.
 func (c *Client) Submit(req SubmitRequest) (string, error) {
-	body, err := json.Marshal(req)
+	body, err := appendSubmitRequest(make([]byte, 0, 256), &req)
 	if err != nil {
 		return "", fmt.Errorf("httpapi: marshal: %w", err)
 	}
@@ -240,11 +244,11 @@ func waitMillis(bound time.Duration) int64 {
 // the server's 200; otherwise it carries only the id of the still-running
 // transaction — the server's 202.
 func (c *Client) submitWait(req SubmitRequest, bound time.Duration) (Status, error) {
-	body, err := json.Marshal(req)
+	body, err := appendSubmitRequest(make([]byte, 0, 256), &req)
 	if err != nil {
 		return Status{}, fmt.Errorf("httpapi: marshal: %w", err)
 	}
-	u := fmt.Sprintf("%s/v1/txn?wait=1&waitms=%d", c.Base, waitMillis(bound))
+	u := c.Base + "/v1/txn?wait=1&waitms=" + strconv.FormatInt(waitMillis(bound), 10)
 	resp, err := c.httpc().Post(u, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return Status{}, fmt.Errorf("httpapi: submit (outcome unknown, the transaction may be running): %w", err)

@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -206,6 +208,45 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON = %d", resp.StatusCode)
+	}
+}
+
+// repeatByte reads as an endless run of one byte.
+type repeatByte byte
+
+func (r repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyRejected posts a submit body one byte over
+// maxRequestBody: the gateway answers 413 with the JSON error envelope, and
+// the next normal submit still commits.
+func TestOversizedBodyRejected(t *testing.T) {
+	cl, _, db := newGateway(t, planet.Config{})
+	db.Cluster().SeedInt("stock", 10, 0, 100)
+
+	prefix := `{"ops":[{"kind":"set","key":"k","value":"`
+	body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(repeatByte('A'), maxRequestBody+1-int64(len(prefix))))
+	resp, err := http.Post(cl.Base+"/v1/txn?wait=1", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(raw, &eb) != nil || eb.Error == "" {
+		t.Fatalf("oversized body answered %d %q, want 413 with an error envelope", resp.StatusCode, raw)
+	}
+
+	st, err := cl.SubmitAndWait(SubmitRequest{Ops: []Op{{Kind: "add", Key: "stock", Delta: -1}}}, 10*time.Second)
+	if err != nil || !st.Committed {
+		t.Fatalf("submit after the oversized body: %+v, %v", st, err)
 	}
 }
 

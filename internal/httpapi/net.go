@@ -15,7 +15,6 @@ package httpapi
 // Without EnableRealNet every /v1/net/* request returns 404.
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 
@@ -155,8 +154,7 @@ func (s *Server) handleNet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req NetCutRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		if req.Region == "" {
@@ -171,8 +169,7 @@ func (s *Server) handleNet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req NetListenerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		if req.Drop {

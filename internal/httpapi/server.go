@@ -36,11 +36,17 @@
 // the pin while it waits for an outcome, so a paced virtual clock keeps
 // running while requests wait. On vclock.Real the pin is a no-op.
 //
-// The package also provides the matching Client. Both sides are pure
-// stdlib (net/http, encoding/json).
+// The package also provides the matching Client. Both sides use only the
+// standard library. The bodies every commit and read crosses (SubmitRequest,
+// Status, SubmitResponse, ReadResponse and the error envelope) go through
+// the hand-written codecs in codec.go, byte-identical to encoding/json and
+// falling back to it for any body outside their canonical shape; every
+// other body uses encoding/json. Request bodies are capped at
+// maxRequestBody (413 beyond it).
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,6 +60,7 @@ import (
 	"planet/internal/chaos"
 	planet "planet/internal/core"
 	"planet/internal/obs"
+	"planet/internal/realnet"
 	"planet/internal/txn"
 	"planet/internal/vclock"
 )
@@ -247,15 +254,76 @@ func (s *Server) pinned(f func()) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeJSON writes v with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// respond writes body, a JSON document and its newline, as the response.
+func respond(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writeJSON writes v with the given status code, as json.Encoder writes it:
+// the document, then a newline. A value encoding/json refuses answers 500.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	respond(w, code, append(body, '\n'))
+}
+
+// writeBody is writeJSON for the hot shapes: enc appends the document to a
+// pooled buffer, byte for byte what writeJSON would write.
+func writeBody(w http.ResponseWriter, code int, enc func([]byte) ([]byte, error)) {
+	bp := getBuf()
+	defer putBuf(bp)
+	b, err := enc((*bp)[:0])
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	*bp = append(b, '\n')
+	respond(w, code, *bp)
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+	msg := fmt.Sprintf(format, args...)
+	writeBody(w, code, func(b []byte) ([]byte, error) { return appendErrorBody(b, errorBody{Error: msg}), nil })
+}
+
+// maxRequestBody bounds a request body. The largest body the gateway needs
+// is one op whose value fills a realnet frame: base64 makes the value 4/3 as
+// long, and the slack holds the rest of the document.
+const maxRequestBody = realnet.DefaultMaxFrame/3*4 + 64<<10
+
+// readBody reads a request body of at most maxRequestBody bytes and hands
+// it to decode. A longer body answers 413 and a body decode rejects 400,
+// both with the JSON error envelope; either way readBody reports false.
+func readBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
+	bp := getBuf()
+	defer putBuf(bp)
+	body, err := readAll(http.MaxBytesReader(w, r.Body, maxRequestBody), (*bp)[:0])
+	*bp = body
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return false
+	}
+	if err == nil {
+		err = decode(body)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return false
+	}
+	return true
+}
+
+// decodeJSON reads a request body into v with encoding/json (see readBody).
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	return readBody(w, r, func(body []byte) error {
+		return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	})
 }
 
 // handleRead serves GET /v1/read?key=K[&quorum=1].
@@ -290,14 +358,15 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 			n, _, _ = s.session.ReadInt(key)
 		}
 	})
+	code, resp := http.StatusOK, ReadResponse{Key: key, Found: true, Bytes: b, Int: n, Version: ver}
 	switch {
 	case errors.Is(err, planet.ErrKeyNotFound):
-		writeJSON(w, http.StatusNotFound, ReadResponse{Key: key, Found: false})
+		code, resp = http.StatusNotFound, ReadResponse{Key: key}
 	case err != nil:
 		writeErr(w, http.StatusServiceUnavailable, "read failed: %v", err)
-	default:
-		writeJSON(w, http.StatusOK, ReadResponse{Key: key, Found: true, Bytes: b, Int: n, Version: ver})
+		return
 	}
+	writeBody(w, code, func(b []byte) ([]byte, error) { return appendReadResponse(b, &resp), nil })
 }
 
 // handleSubmit serves POST /v1/txn[?wait=1[&waitms=N]]. A plain POST answers
@@ -319,8 +388,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !readBody(w, r, func(body []byte) error { return decodeSubmitRequest(body, &req) }) {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -391,14 +459,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if wait {
 		switch s.awaitFinal(r, tr, bound) {
 		case waitResolved:
-			writeJSON(w, http.StatusOK, s.statusOf(id, tr))
+			writeStatus(w, s.statusOf(id, tr))
 			return
 		case waitClientGone:
 			writeErr(w, http.StatusRequestTimeout, "client gave up")
 			return
 		}
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{Txn: id})
+	writeBody(w, http.StatusAccepted, func(b []byte) ([]byte, error) {
+		return appendSubmitResponse(b, SubmitResponse{Txn: id}), nil
+	})
 }
 
 // waitResult is how a server-side wait ended.
@@ -496,7 +566,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, s.statusOf(id, tr))
+	writeStatus(w, s.statusOf(id, tr))
+}
+
+// writeStatus answers 200 with st.
+func writeStatus(w http.ResponseWriter, st Status) {
+	writeBody(w, http.StatusOK, func(b []byte) ([]byte, error) { return appendStatus(b, &st) })
 }
 
 // SetDraining switches the gateway into (or out of) drain mode: new

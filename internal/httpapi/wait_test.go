@@ -174,6 +174,9 @@ func TestSubmitWaitResolves(t *testing.T) {
 			t.Errorf("planet_http_requests_total{route=/v1/txn,code=%s} = %v (ok=%v), want %v", labels, got, ok, want)
 		}
 	}
+	// The gateway promises committed state, not read-your-writes: the local
+	// replica may still be applying the last decide on the paced clock.
+	quiesce(db)
 	if r, _ := cl.Read("stock"); r.Int != 100-(n+2) {
 		t.Fatalf("stock = %d after %d commits", r.Int, n+2)
 	}

@@ -2,6 +2,8 @@ package mdcc
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +13,9 @@ import (
 
 // FuzzReadWAL checks that the WAL decoder never panics on arbitrary input,
 // that the prefix it keeps — the bytes OpenWALFile truncates a torn log to —
-// decodes again to the same entries with no tear, and that encode→decode
-// round-trips whatever it accepts.
+// decodes again to the same entries with no tear, that encode→decode
+// round-trips whatever it accepts, and that the WAL encodes every accepted
+// entry exactly as json.Encoder does.
 func FuzzReadWAL(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWAL(&seed)
@@ -26,6 +29,12 @@ func FuzzReadWAL(f *testing.F) {
 	f.Add([]byte(`{"txn":7,"commit":true}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte{})
+	golden, err := os.ReadFile("testdata/wal_golden.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"txn":3,"options":[{"Kind":0,"Key":"\u00e9\ud800","Value":"","Delta":-1}],"at":"2024-02-29T23:59:59.5-23:59","lease":{"keyspace":"<&>","epoch":9,"held":false}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, good, _ := readWAL(bytes.NewReader(data))
@@ -56,6 +65,13 @@ func FuzzReadWAL(f *testing.F) {
 		}
 		back, _, torn := readWAL(&buf)
 		same("round trip", back, torn)
+		for i := range entries {
+			line, err := appendEntryLine(nil, &entries[i])
+			ref, rerr := json.Marshal(entries[i])
+			if (err == nil) != (rerr == nil) || err == nil && !bytes.Equal(line, append(ref, '\n')) {
+				t.Fatalf("entry %d encodes as %s (%v), encoding/json %s (%v)", i, line, err, ref, rerr)
+			}
+		}
 	})
 }
 

@@ -5,13 +5,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
+	"planet/internal/jsonenc"
 	"planet/internal/txn"
 )
 
 // Entry is one durable log record: a decided transaction and its options.
+// A WAL sink stores each entry as one JSON line, byte-identical to what
+// json.Encoder writes for it (appendEntryLine writes it without reflection;
+// readWAL reads it back with encoding/json).
 // TraceSpan and OptionSpan persist the causal trace context for traced
 // transactions (zero otherwise): TraceSpan is the coordinator's root span
 // the decide carried, OptionSpan this replica's option-RPC span. A
@@ -49,28 +54,85 @@ type WAL struct {
 	mu      sync.Mutex
 	entries []Entry
 	sink    io.Writer
-	enc     *json.Encoder
+	line    []byte // the sink line being encoded, reused under mu
 	err     error
 	closed  bool
 }
 
+// maxKeptLine bounds the line buffer a WAL keeps between appends; an entry
+// with a larger value encodes into a buffer of its own.
+const maxKeptLine = 64 << 10
+
 // NewWAL returns a WAL. sink may be nil for memory-only logging.
 func NewWAL(sink io.Writer) *WAL {
-	w := &WAL{sink: sink}
-	if sink != nil {
-		w.enc = json.NewEncoder(sink)
-	}
-	return w
+	return &WAL{sink: sink}
 }
 
-// Append records one entry.
+// Append records one entry, writing its line to the sink in one Write.
 func (w *WAL) Append(e Entry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.entries = append(w.entries, e)
-	if w.enc != nil && w.err == nil {
-		w.err = w.enc.Encode(e)
+	if w.sink == nil || w.err != nil {
+		return
 	}
+	line, err := appendEntryLine(w.line[:0], &e)
+	if err == nil {
+		_, err = w.sink.Write(line)
+	}
+	w.err = err
+	if cap(line) <= maxKeptLine {
+		w.line = line
+	}
+}
+
+// appendEntryLine appends e's sink line: exactly what json.Encoder writes
+// for e, newline included. An entry encoding/json refuses (a time RFC 3339
+// cannot express) fails with encoding/json's own error.
+func appendEntryLine(b []byte, e *Entry) ([]byte, error) {
+	b = strconv.AppendUint(append(b, `{"txn":`...), uint64(e.Txn), 10)
+	b = strconv.AppendBool(append(b, `,"commit":`...), e.Commit)
+	b = append(b, `,"options":`...)
+	if e.Options == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range e.Options {
+			o := &e.Options[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(append(b, `{"Kind":`...), uint64(o.Kind), 10)
+			b = jsonenc.String(append(b, `,"Key":`...), o.Key)
+			b = jsonenc.Bytes(append(b, `,"Value":`...), o.Value)
+			b = strconv.AppendInt(append(b, `,"Delta":`...), o.Delta, 10)
+			b = strconv.AppendInt(append(b, `,"ReadVersion":`...), o.ReadVersion, 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b, err := jsonenc.Time(append(b, `,"at":`...), e.At)
+	if err != nil {
+		ref := *e // a copy, so e itself never escapes to encoding/json
+		_, err = json.Marshal(&ref)
+		return b, err
+	}
+	if e.TraceSpan != 0 {
+		b = strconv.AppendUint(append(b, `,"trace_span":`...), e.TraceSpan, 10)
+	}
+	if e.OptionSpan != 0 {
+		b = strconv.AppendUint(append(b, `,"option_span":`...), e.OptionSpan, 10)
+	}
+	if l := e.Lease; l != nil {
+		b = jsonenc.String(append(b, `,"lease":{"keyspace":`...), l.Keyspace)
+		b = strconv.AppendUint(append(b, `,"epoch":`...), l.Epoch, 10)
+		b = jsonenc.String(append(b, `,"holder":`...), l.Holder)
+		if l.Held {
+			b = append(b, `,"held":true`...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}', '\n'), nil
 }
 
 // Err reports the first sink write error, if any.

@@ -45,7 +45,9 @@ func (WireCodec) Append(dst []byte, m any) ([]byte, error) {
 }
 
 // Decode decodes one message from data, which must contain exactly one
-// encoded message (trailing bytes are an error).
+// encoded message (trailing bytes are an error). The message shares no
+// memory with data: realnet decodes frames where they lie in its read
+// buffer and reuses the buffer at once.
 func (WireCodec) Decode(data []byte) (any, error) {
 	return decodeMessage(data)
 }
@@ -457,10 +459,19 @@ func (d *wireDec) count() int {
 	return int(n)
 }
 
+// name decodes a region or node name through simnet.Intern: the same few
+// names arrive in every frame.
+func (d *wireDec) name() string {
+	n := d.uvarint()
+	return simnet.Intern(d.take(n, "string", maxWireString))
+}
+
+func (d *wireDec) region() simnet.Region { return simnet.Region(d.name()) }
+
 func (d *wireDec) addr() simnet.Addr {
 	var a simnet.Addr
-	a.Region = simnet.Region(d.str())
-	a.Name = d.str()
+	a.Region = d.region()
+	a.Name = d.name()
 	return a
 }
 
@@ -550,7 +561,7 @@ func (d *wireDec) span() obs.Span {
 		d.fail("bad span stage %d", sp.Stage)
 		return obs.Span{}
 	}
-	sp.Region = d.str()
+	sp.Region = d.name()
 	sp.Note = d.str()
 	sp.Start = time.Unix(0, d.varint())
 	sp.End = time.Unix(0, d.varint())
@@ -592,7 +603,7 @@ func decodeMessage(data []byte) (any, error) {
 				p.Pending[i].Ballot = d.uvarint()
 			}
 		}
-		p.Region = simnet.Region(d.str())
+		p.Region = d.region()
 		m = p
 	case tagDecide:
 		var p decideMsg
@@ -606,7 +617,7 @@ func decodeMessage(data []byte) (any, error) {
 	case tagVoteBatch:
 		var p voteBatchMsg
 		p.Txn = txn.ID(d.uvarint())
-		p.Region = simnet.Region(d.str())
+		p.Region = d.region()
 		if n := d.count(); d.err == nil && n > 0 {
 			p.Votes = make([]optionVote, n)
 			for i := range p.Votes {
@@ -653,7 +664,7 @@ func decodeMessage(data []byte) (any, error) {
 		m = p
 	case tagPhase2bBatch:
 		var p phase2bBatchMsg
-		p.Region = simnet.Region(d.str())
+		p.Region = d.region()
 		if n := d.count(); d.err == nil && n > 0 {
 			p.Items = make([]phase2bItem, n)
 			for i := range p.Items {
@@ -676,7 +687,7 @@ func decodeMessage(data []byte) (any, error) {
 		p.Key = d.str()
 		p.Found = d.bool()
 		p.Value = d.value()
-		p.Region = simnet.Region(d.str())
+		p.Region = d.region()
 		m = p
 	case tagSyncReq:
 		var p syncReq
@@ -695,21 +706,21 @@ func decodeMessage(data []byte) (any, error) {
 		m = p
 	case tagLeaseRequest:
 		var p leaseRequestMsg
-		p.Keyspace = simnet.Region(d.str())
+		p.Keyspace = d.region()
 		p.Epoch = d.uvarint()
-		p.Holder = simnet.Region(d.str())
+		p.Holder = d.region()
 		p.ExpiresUnixNano = d.varint()
 		p.From = d.addr()
 		m = p
 	case tagLeaseGrant:
 		var p leaseGrantMsg
-		p.Keyspace = simnet.Region(d.str())
+		p.Keyspace = d.region()
 		p.Epoch = d.uvarint()
 		p.OK = d.bool()
 		p.CurEpoch = d.uvarint()
-		p.CurHolder = simnet.Region(d.str())
+		p.CurHolder = d.region()
 		p.CurExpiresUnixNano = d.varint()
-		p.Region = simnet.Region(d.str())
+		p.Region = d.region()
 		m = p
 	case tagSyncResp:
 		var p syncResp

@@ -4,8 +4,10 @@ package realnet
 // deferrable frames that ride along with the next write to their peer.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -188,7 +190,11 @@ func TestRealnetReaderSplitFrames(t *testing.T) {
 
 // FuzzReadLoop feeds arbitrary bytes, in arbitrary chunk sizes, to the
 // buffered read loop: it must never panic and must always let go of the
-// connection, and a valid prefix must still be delivered.
+// connection, and a valid prefix must still be delivered. The prefix ends
+// in a frame nearly as large as the read buffer, which refills the buffer
+// over the frames before it: a payload delivered from those that aliased
+// the buffer would read back changed. Seeds add frames that straddle or
+// exceed the buffer, and several payloads to a frame.
 func FuzzReadLoop(f *testing.F) {
 	tr, err := New(fastCfg("", nil))
 	if err != nil {
@@ -196,15 +202,22 @@ func FuzzReadLoop(f *testing.F) {
 	}
 	defer tr.Close()
 	to := simnet.Addr{Region: "local", Name: "replica"}
-	delivered := 0
-	tr.Register(to, func(simnet.Message) { delivered++ })
-	valid := frameStream(f, tr, []any{"ok"}, []any{"x", "y"})
+	var delivered []any
+	tr.Register(to, func(m simnet.Message) { delivered = append(delivered, m.Payload) })
+	scrub := bytes.Repeat([]byte{0xAA}, readBufSize-256)
+	want := []any{"ok", "x", "y", []byte("bytes"), "z", scrub}
+	valid := frameStream(f, tr, want[:1], want[1:3], want[3:5], want[5:])
 
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x03}, uint8(2))
 	f.Add(valid[:len(valid)-1], uint8(5))
 	f.Add(append(append([]byte(nil), valid...), valid...), uint8(7))
+	for _, n := range []int{readBufSize - frameHeaderLen - 40, readBufSize - 30, readBufSize + 1, 2*readBufSize + 5} {
+		big := frameStream(f, tr, []any{make([]byte, n)}, []any{"s", []byte{1, 2}, "t"}, []any{string(make([]byte, n/2)), make([]byte, n/2)})
+		f.Add(big, uint8(16))
+		f.Add(big[:len(big)-3], uint8(11))
+	}
 	f.Fuzz(func(t *testing.T, tail []byte, chunk uint8) {
 		stream := append(append([]byte(nil), valid...), tail...)
 		size := int(chunk)%17 + 1
@@ -212,10 +225,13 @@ func FuzzReadLoop(f *testing.F) {
 		for rest := len(stream); rest > 0; rest -= size {
 			chunks = append(chunks, min(size, rest))
 		}
-		delivered = 0
+		delivered = delivered[:0]
 		feed(tr, stream, chunks)
-		if delivered < 3 {
-			t.Fatalf("valid prefix delivered %d of 3 payloads", delivered)
+		if len(delivered) < len(want) {
+			t.Fatalf("valid prefix delivered %d of %d payloads", len(delivered), len(want))
+		}
+		if !reflect.DeepEqual(delivered[:len(want)], want) {
+			t.Fatalf("valid prefix delivered %.40q, want %.40q", delivered[:len(want)], want)
 		}
 	})
 }

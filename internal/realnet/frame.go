@@ -41,19 +41,21 @@ func appendAddr(dst []byte, a simnet.Addr) []byte {
 }
 
 // encodeFrame renders one send (from → to, one or more payloads) as a
-// length-prefixed frame ready to write to a socket.
+// length-prefixed frame ready to write to a socket. Each payload is encoded
+// in place, straight after a one-byte length slot that is widened when the
+// payload turns out to need a longer length.
 func (t *Transport) encodeFrame(from, to simnet.Addr, payloads []any) ([]byte, error) {
-	buf := make([]byte, frameHeaderLen, frameHeaderLen+64)
+	buf := make([]byte, frameHeaderLen, 128)
 	buf = appendAddr(buf, from)
 	buf = appendAddr(buf, to)
 	buf = binary.AppendUvarint(buf, uint64(len(payloads)))
 	for _, p := range payloads {
-		body, err := t.cfg.Codec.Append(nil, p)
-		if err != nil {
+		slot := len(buf)
+		var err error
+		if buf, err = t.cfg.Codec.Append(append(buf, 0), p); err != nil {
 			return nil, fmt.Errorf("realnet: encode payload: %w", err)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(body)))
-		buf = append(buf, body...)
+		buf = fillLength(buf, slot)
 	}
 	body := len(buf) - frameHeaderLen
 	if body > t.cfg.MaxFrame {
@@ -61,6 +63,24 @@ func (t *Transport) encodeFrame(from, to simnet.Addr, payloads []any) ([]byte, e
 	}
 	binary.BigEndian.PutUint32(buf[:frameHeaderLen], uint32(body))
 	return buf, nil
+}
+
+// fillLength writes the uvarint length of buf[slot+1:] into the one-byte
+// slot at buf[slot], shifting those bytes right when the length needs more
+// than one byte.
+func fillLength(buf []byte, slot int) []byte {
+	n := uint64(len(buf) - slot - 1)
+	if n < 0x80 {
+		buf[slot] = byte(n)
+		return buf
+	}
+	var length [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(length[:], n)
+	end := len(buf)
+	buf = append(buf, length[1:w]...)
+	copy(buf[slot+w:], buf[slot+1:end])
+	copy(buf[slot:], length[:w])
+	return buf
 }
 
 // frameReader is an error-latching cursor over one frame body.
@@ -102,7 +122,7 @@ func (r *frameReader) str() string {
 		r.fail("truncated string at byte %d", r.off)
 		return ""
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	s := simnet.Intern(r.data[r.off : r.off+int(n)])
 	r.off += int(n)
 	return s
 }
@@ -114,8 +134,10 @@ func (r *frameReader) addr() simnet.Addr {
 	return a
 }
 
-// decodeFrame parses one frame body into its envelope and payloads.
-func (t *Transport) decodeFrame(body []byte) (from, to simnet.Addr, payloads []any, err error) {
+// decodeFrame parses one frame body into its envelope and payloads, which it
+// appends to payloads. Nothing it returns aliases body: the addresses are
+// interned and the codec copies what it keeps.
+func (t *Transport) decodeFrame(body []byte, payloads []any) (from, to simnet.Addr, _ []any, err error) {
 	r := &frameReader{data: body}
 	from = r.addr()
 	to = r.addr()
@@ -126,7 +148,6 @@ func (t *Transport) decodeFrame(body []byte) (from, to simnet.Addr, payloads []a
 	if r.err != nil {
 		return from, to, nil, r.err
 	}
-	payloads = make([]any, 0, count)
 	for i := uint64(0); i < count; i++ {
 		n := r.uvarint()
 		if r.err != nil {

@@ -19,6 +19,11 @@
 // codec declares deferrable (see Deferrer) wait on the peer for the next
 // write to it — at most deferBound — instead of costing their own.
 //
+// Copies are the next cost, so neither direction makes one per frame: the
+// codec encodes each payload straight into its outbound frame, and an
+// inbound frame that fits the read buffer is decoded where it lies. That
+// puts one rule on the Codec: Decode copies whatever it keeps.
+//
 // The transport deliberately promises no more than simnet does: delivery is
 // at-most-once, unordered across frames, and frames are dropped when a peer
 // is down, cut, or its queue is full. The protocol is built on idempotence
@@ -43,6 +48,11 @@ import (
 // Codec serializes protocol payloads. mdcc.WireCodec implements it; the
 // interface lives here (structurally typed) so realnet stays independent of
 // the protocol package.
+//
+// Append encodes m onto the end of dst, which holds the frame built so far,
+// and returns the extended slice. Decode copies what it keeps: data is the
+// transport's read buffer, overwritten once Decode returns, so the decoded
+// value must share no memory with it.
 type Codec interface {
 	Append(dst []byte, m any) ([]byte, error)
 	Decode(data []byte) (any, error)
@@ -56,6 +66,9 @@ type Codec interface {
 type Deferrer interface {
 	Deferrable(m any) bool
 }
+
+// DefaultMaxFrame is Config.MaxFrame's default, 16 MiB.
+const DefaultMaxFrame = 16 << 20
 
 const (
 	// deferBound is the longest a deferrable frame waits for company.
@@ -99,7 +112,7 @@ type Config struct {
 	// Default 1024.
 	QueueDepth int
 	// MaxFrame bounds one frame body in bytes, both directions. Default
-	// 16 MiB.
+	// DefaultMaxFrame.
 	MaxFrame int
 	// InboundDelay, when positive, delays every delivery (local and
 	// remote) by that duration. Tests use it to widen protocol windows —
@@ -210,7 +223,7 @@ func New(cfg Config) (*Transport, error) {
 		cfg.QueueDepth = 1024
 	}
 	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = 16 << 20
+		cfg.MaxFrame = DefaultMaxFrame
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = time.Now().UnixNano()
@@ -489,6 +502,7 @@ func (t *Transport) readLoop(c net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(countingReader{c, &t.stats.Reads}, readBufSize)
+	var payloads []any // reused frame to frame, cleared after delivery
 	for {
 		hdr, err := br.Peek(frameHeaderLen)
 		if err != nil {
@@ -500,35 +514,52 @@ func (t *Transport) readLoop(c net.Conn) {
 			t.logf("realnet: inbound frame length %d out of range; closing connection", n)
 			return
 		}
-		br.Discard(frameHeaderLen)
-		// A fresh body per frame: the codec may keep slices of what it decodes.
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
+		// A frame that fits the read buffer is decoded where it lies; a
+		// larger one gets a body of its own. The codec copies what it keeps,
+		// so nothing delivered aliases either.
+		var body []byte
+		inPlace := frameHeaderLen+n <= readBufSize
+		if inPlace {
+			frame, err := br.Peek(frameHeaderLen + n)
+			if err != nil {
+				return
+			}
+			body = frame[frameHeaderLen:]
+		} else {
+			br.Discard(frameHeaderLen)
+			body = make([]byte, n)
+			if _, err := io.ReadFull(br, body); err != nil {
+				return
+			}
 		}
-		from, to, payloads, err := t.decodeFrame(body)
+		var from, to simnet.Addr
+		from, to, payloads, err = t.decodeFrame(body, payloads[:0])
 		if err != nil {
 			t.stats.DecodeErrors.Add(1)
 			t.logf("realnet: %v; closing connection", err)
 			return
 		}
+		if inPlace {
+			br.Discard(frameHeaderLen + n)
+		}
 		if t.isCut(from.Region) {
 			t.stats.Dropped.Add(uint64(len(payloads)))
-			continue
-		}
-		if delay := t.cfg.InboundDelay; delay > 0 {
-			time.Sleep(delay)
-		}
-		// Dispatch directly on the read goroutine: a handler's own local
-		// sends go through the loopback queue, its remote sends through
-		// peer queues, so no re-entrancy is possible.
-		msg := simnet.Message{From: from, To: to, SentAt: t.clk.Now()}
-		if len(payloads) == 1 {
-			msg.Payload = payloads[0]
-			t.deliver(msg, nil)
 		} else {
-			t.deliver(msg, payloads)
+			if delay := t.cfg.InboundDelay; delay > 0 {
+				time.Sleep(delay)
+			}
+			// Dispatch directly on the read goroutine: a handler's own local
+			// sends go through the loopback queue, its remote sends through
+			// peer queues, so no re-entrancy is possible.
+			msg := simnet.Message{From: from, To: to, SentAt: t.clk.Now()}
+			if len(payloads) == 1 {
+				msg.Payload = payloads[0]
+				t.deliver(msg, nil)
+			} else {
+				t.deliver(msg, payloads)
+			}
 		}
+		clear(payloads)
 	}
 }
 

@@ -11,26 +11,31 @@ import (
 	"planet/internal/simnet"
 )
 
-// testCodec encodes string payloads (tag 's' + bytes). Anything else errors,
-// and decoding an empty buffer or unknown tag errors — enough structure to
-// exercise framing, corruption handling, and reconnects without dragging the
-// protocol package in.
+// testCodec encodes string payloads (tag 's' + bytes) and byte-slice
+// payloads (tag 'b' + bytes; decoded into a copy, as the Codec contract
+// asks). Anything else errors, and decoding an empty buffer or unknown tag
+// errors — enough structure to exercise framing, corruption handling, and
+// reconnects without dragging the protocol package in.
 type testCodec struct{}
 
 func (testCodec) Append(dst []byte, m any) ([]byte, error) {
-	s, ok := m.(string)
-	if !ok {
-		return dst, fmt.Errorf("testCodec: cannot encode %T", m)
+	switch m := m.(type) {
+	case string:
+		return append(append(dst, 's'), m...), nil
+	case []byte:
+		return append(append(dst, 'b'), m...), nil
 	}
-	dst = append(dst, 's')
-	return append(dst, s...), nil
+	return dst, fmt.Errorf("testCodec: cannot encode %T", m)
 }
 
 func (testCodec) Decode(data []byte) (any, error) {
-	if len(data) == 0 || data[0] != 's' {
-		return nil, fmt.Errorf("testCodec: bad payload")
+	switch {
+	case len(data) > 0 && data[0] == 's':
+		return string(data[1:]), nil
+	case len(data) > 0 && data[0] == 'b':
+		return append([]byte{}, data[1:]...), nil
 	}
-	return string(data[1:]), nil
+	return nil, fmt.Errorf("testCodec: bad payload")
 }
 
 // Deferrable marks payloads prefixed "defer:" as fire-and-forget bookkeeping

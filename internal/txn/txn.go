@@ -56,7 +56,10 @@ func (s *IDSpace) NewID() ID {
 }
 
 // String implements fmt.Stringer.
-func (id ID) String() string { return fmt.Sprintf("txn-%d", uint64(id)) }
+func (id ID) String() string {
+	var b [24]byte // "txn-" and up to 20 digits
+	return string(strconv.AppendUint(append(b[:0], "txn-"...), uint64(id), 10))
+}
 
 // ParseID parses the String form ("txn-42") back into an ID.
 func ParseID(s string) (ID, error) {

@@ -21,6 +21,11 @@ go test ./...
 go vet -C benchmark ./...
 go test -C benchmark -short ./...
 go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/cluster ./internal/httpapi ./internal/realnet
+# realnet decodes a frame that fits its read buffer where it lies and reuses
+# the payload slice frame to frame: payloads from two sender goroutines,
+# below, at and above the buffer's size, must read back unchanged after
+# later frames have refilled it (and the fuzz seeds' straddling frames too).
+go test -race -count=10 -run 'TestRealnetReadBufferReuse|FuzzReadLoop' ./internal/realnet
 # Chaos soak gate: fault schedules (partition + crash/WAL-recovery +
 # latency spike) laid over a closed-loop workload on the cluster's virtual
 # clock must preserve the safety invariants under the race detector, both
@@ -183,3 +188,22 @@ allocs=$(go test -run '^$' -bench BenchmarkSeedCluster -benchtime 5x -benchmem .
 	echo "verify: BenchmarkSeedCluster allocs/op=$allocs exceeds ceiling 2" >&2
 	exit 1
 }
+# Live-path codec rungs: the hand-written codecs every live commit crosses,
+# each gated at its recorded allocs/op +15 % (rounded down to a whole count).
+# Gateway: a one-op submit body decoded and its final status encoded, 2
+# allocs/op (17 through encoding/json). Frames: a one-vote batch through
+# encodeFrame and decodeFrame with mdcc.WireCodec, 4 allocs/op (14 with a
+# copied payload per frame, a fresh body per frame and uninterned names).
+# WAL: one decision appended to a file-backed WAL, 0 allocs/op (2 through
+# json.Encoder).
+rung() {
+	allocs=$(go test -run '^$' -bench "^$1\$" -benchtime "$3" -benchmem "$2" |
+		awk -v b="$1" '$1 ~ "^"b {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+	[ -n "$allocs" ] && [ "$allocs" -le "$4" ] || {
+		echo "verify: $1 allocs/op=$allocs exceeds ceiling $4" >&2
+		exit 1
+	}
+}
+rung BenchmarkGatewayCodec ./internal/httpapi/ 10000x 2
+rung BenchmarkFrameRoundTrip ./internal/realnet/ 10000x 4
+rung BenchmarkWALAppend ./internal/mdcc/ 1000x 0
