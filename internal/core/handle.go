@@ -186,14 +186,14 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	}
 	if h.spans != nil {
 		h.span = obs.NewSpanID()
-		h.spans.Begin(h.id, h.start)
 	}
 
+	// The submission's lifecycle events open the trace together, with Begin.
 	subEv := obs.Event{Kind: obs.EvSubmitted}
 	if shedSpec {
 		subEv.Note = "speculation shed: region degraded"
 	}
-	h.event(subEv)
+	subEv = h.stamp(subEv)
 
 	// Admission control: consult the predictor before any protocol work.
 	prior := s.pred.LikelihoodAtSubmit(t.Keys())
@@ -207,14 +207,12 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		inFlight := db.inFlight[s.region]
 		if pol.MinLikelihood > 0 && prior < pol.MinLikelihood && !db.probe(s.region, pol.ProbeFraction) {
 			db.rejected.Add(1)
-			h.event(obs.Event{Kind: obs.EvAdmission, Likelihood: prior, Note: "below-min-likelihood"})
-			h.reject()
+			h.reject(subEv, h.stamp(obs.Event{Kind: obs.EvAdmission, Likelihood: prior, Note: "below-min-likelihood"}))
 			return h, nil
 		}
 		if pol.MaxInFlight > 0 && inFlight.Load() >= int64(pol.MaxInFlight) {
 			db.rejected.Add(1)
-			h.event(obs.Event{Kind: obs.EvAdmission, Likelihood: prior, Note: "max-in-flight"})
-			h.reject()
+			h.reject(subEv, h.stamp(obs.Event{Kind: obs.EvAdmission, Likelihood: prior, Note: "max-in-flight"}))
 			return h, nil
 		}
 	}
@@ -223,8 +221,8 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	db.inFlight[s.region].Add(1)
 	h.stage = txn.StageAccepted
 	db.inst.stage(txn.StageAccepted)
-	h.event(obs.Event{Kind: obs.EvAdmission, Accept: true, Likelihood: prior})
-	h.recordSpan(obs.StageAdmit, h.start, "")
+	evs := [3]obs.Event{subEv, h.stamp(obs.Event{Kind: obs.EvAdmission, Accept: true, Likelihood: prior})}
+	nev := 2
 	h.enqueue(h.opts.OnAccept, h.progressLocked())
 
 	// The prior may already clear the speculation threshold — an
@@ -235,8 +233,13 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		h.stage = txn.StageSpeculative
 		db.speculated.Add(1)
 		db.inst.stage(txn.StageSpeculative)
-		h.event(obs.Event{Kind: obs.EvSpeculative, Likelihood: prior})
+		evs[nev] = obs.Event{At: evs[1].At, Kind: obs.EvSpeculative, Likelihood: prior}
+		nev++
 		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
+	}
+	if h.span != 0 {
+		h.spans.Begin(h.id, h.start, evs[:nev]...)
+		h.spans.Add(h.newSpan(obs.StageAdmit, h.start, evs[1].At))
 	}
 
 	if opts.Deadline > 0 {
@@ -249,31 +252,35 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 		h.finishLocked(false, err, true)
 		return h, nil
 	}
-	h.recordSpan(obs.StageSubmit, preSubmit, "")
+	h.recordSpan(obs.StageSubmit, preSubmit)
 	return h, nil
+}
+
+// newSpan returns a core-side span of stage st under the transaction's
+// root.
+func (h *Handle) newSpan(st obs.Stage, start, end time.Time) obs.Span {
+	return obs.Span{
+		Txn: h.id, ID: obs.NewSpanID(), Parent: h.span, Stage: st,
+		Region: string(h.session.region), Start: start, End: end,
+	}
 }
 
 // recordSpan records one core-side span under the transaction's root,
 // ending now. No-op when the transaction is untraced.
-func (h *Handle) recordSpan(st obs.Stage, start time.Time, note string) {
-	if h.span == 0 {
-		return
+func (h *Handle) recordSpan(st obs.Stage, start time.Time) {
+	if h.span != 0 {
+		h.spans.Add(h.newSpan(st, start, h.clk.Now()))
 	}
-	h.spans.Add(obs.Span{
-		Txn: h.id, ID: obs.NewSpanID(), Parent: h.span, Stage: st,
-		Region: string(h.session.region), Note: note,
-		Start: start, End: h.clk.Now(),
-	})
 }
 
-// event records one lifecycle event in the transaction's trace, stamped
-// now. No-op when the transaction is untraced.
-func (h *Handle) event(e obs.Event) {
-	if h.span == 0 {
-		return
+// stamp returns e stamped now for the transaction's trace (unstamped when
+// it is untraced). Each step of the handle collects its events and hands
+// them to the store in one call.
+func (h *Handle) stamp(e obs.Event) obs.Event {
+	if h.span != 0 {
+		e.At = h.clk.Now()
 	}
-	e.At = h.clk.Now()
-	h.spans.Record(h.id, e)
+	return e
 }
 
 // ID returns the transaction ID.
@@ -293,7 +300,7 @@ func (h *Handle) Likelihood() float64 {
 func (h *Handle) likelihoodLocked() float64 {
 	if h.stale {
 		h.stale = false
-		h.likelihood = h.session.pred.Likelihood(h.flightLocked())
+		h.likelihood = h.evalLocked(h.clk.Now())
 	}
 	return h.likelihood
 }
@@ -388,8 +395,9 @@ func (h *Handle) enqueueOutcome(cb func(txn.Outcome), o txn.Outcome) {
 	h.cbq.Post(func() { cb(o) })
 }
 
-// reject finalizes an admission rejection.
-func (h *Handle) reject() {
+// reject finalizes an admission rejection; evs are the submission's
+// lifecycle events.
+func (h *Handle) reject(evs ...obs.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stage = txn.StageRejected
@@ -403,8 +411,11 @@ func (h *Handle) reject() {
 	}
 	h.db.inst.stage(txn.StageRejected)
 	h.db.inst.finished(outcomeRejected, h.outcome.Duration())
-	h.event(obs.Event{Kind: obs.EvFinal, Note: ErrAdmission.Error()})
-	h.spans.Finish(h.id, h.outcome.Decided, outcomeRejected, false)
+	if h.span != 0 {
+		h.spans.Begin(h.id, h.start, evs...)
+		h.spans.Finish(h.id, h.outcome.Decided, outcomeRejected, false,
+			h.stamp(obs.Event{Kind: obs.EvFinal, Note: ErrAdmission.Error()}))
+	}
 	h.enqueueOutcome(h.opts.OnFinal, h.outcome)
 	h.cbq.Post(h.done.Fire)
 }
@@ -419,7 +430,9 @@ func (h *Handle) onDeadline() {
 	if h.db.inst != nil {
 		h.db.inst.deadlines.Inc()
 	}
-	h.event(obs.Event{Kind: obs.EvDeadline, Likelihood: h.likelihoodLocked()})
+	if h.span != 0 {
+		h.spans.Record(h.id, h.stamp(obs.Event{Kind: obs.EvDeadline, Likelihood: h.likelihoodLocked()}))
+	}
 	h.enqueue(h.opts.OnDeadline, h.progressLocked())
 }
 
@@ -434,29 +447,35 @@ func (h *Handle) track(key string) *optTrack {
 	return nil
 }
 
-// flightLocked converts the tracked state into the predictor's view.
-// Caller holds h.mu. The tracks slice is in submission order, which keeps
-// the likelihood product bit-for-bit reproducible.
-func (h *Handle) flightLocked() predictor.Flight {
-	f := predictor.Flight{Elapsed: h.clk.Since(h.start), Deadline: h.opts.Deadline}
+// evalLocked evaluates the predictor on the tracked state at now: the
+// product of the options' probabilities in submission order, which keeps
+// it bit-for-bit what predictor.Likelihood computes. Each option's view is
+// built on the stack, its regions yet to vote in an array that a region
+// bitmask's 64 bounds. Caller holds h.mu.
+func (h *Handle) evalLocked(now time.Time) float64 {
+	elapsed := now.Sub(h.start)
+	var remaining [64]simnet.Region
+	prob := 1.0
 	for i := range h.tracks {
 		tr := &h.tracks[i]
-		of := predictor.OptionFlight{
-			Key:      tr.key,
-			Accepts:  tr.accepts,
-			FellBack: tr.fellBack,
-			Learned:  tr.learned,
-		}
+		of := predictor.OptionFlight{Key: tr.key, Accepts: tr.accepts, FellBack: tr.fellBack, Learned: tr.learned}
 		if !tr.fellBack && tr.learned == 0 {
+			n := 0
 			for ri, r := range h.regions {
 				if tr.voted&(1<<uint(ri)) == 0 {
-					of.Remaining = append(of.Remaining, r)
+					remaining[n] = r
+					n++
 				}
 			}
+			if n > 0 {
+				of.Remaining = remaining[:n:n]
+			}
 		}
-		f.Options = append(f.Options, of)
+		if prob *= h.session.pred.OptionProb(of, elapsed, h.opts.Deadline); prob == 0 {
+			return 0
+		}
 	}
-	return f
+	return prob
 }
 
 // handleSink adapts Handle to mdcc.ProgressSink without widening Handle's
@@ -532,18 +551,22 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 	}
 
 	h.stale = false
-	h.likelihood = h.session.pred.Likelihood(h.flightLocked())
+	now := h.clk.Now()
+	h.likelihood = h.evalLocked(now)
 	if h.db.calib != nil && len(h.samples) < maxCalibSamples {
 		h.samples = append(h.samples, h.likelihood)
 	}
+	var evs [2]obs.Event // this event's trace entries, recorded together
+	nev := 0
 	if h.span != 0 {
 		note := ""
 		if e.Reason != mdcc.ReasonNone {
 			note = e.Reason.String()
 		}
-		h.event(obs.Event{Kind: evKind, Key: e.Key,
+		evs[0] = obs.Event{At: now, Kind: evKind, Key: e.Key,
 			Region: string(e.Region), Accept: e.Accept,
-			Likelihood: h.likelihood, Note: note})
+			Likelihood: h.likelihood, Note: note}
+		nev++
 	}
 
 	if !h.speculated && h.opts.SpeculateAt > 0 && h.likelihood >= h.opts.SpeculateAt {
@@ -551,8 +574,14 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 		h.stage = txn.StageSpeculative
 		h.db.speculated.Add(1)
 		h.db.inst.stage(txn.StageSpeculative)
-		h.event(obs.Event{Kind: obs.EvSpeculative, Likelihood: h.likelihood})
+		if h.span != 0 {
+			evs[nev] = obs.Event{At: now, Kind: obs.EvSpeculative, Likelihood: h.likelihood}
+			nev++
+		}
 		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
+	}
+	if nev > 0 {
+		h.spans.Record(h.id, evs[:nev]...)
 	}
 	if h.opts.OnProgress != nil {
 		h.enqueue(h.opts.OnProgress, h.progressLocked())
@@ -608,12 +637,15 @@ func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 			h.db.calib.Record(s, committed)
 		}
 	}
+	var evs [2]obs.Event // the final event and the apology, recorded with Finish
+	nev := 0
 	if h.span != 0 {
 		note := ""
 		if err != nil {
 			note = err.Error()
 		}
-		h.event(obs.Event{Kind: obs.EvFinal, Accept: committed, Note: note})
+		evs[0] = obs.Event{At: h.outcome.Decided, Kind: obs.EvFinal, Accept: committed, Note: note}
+		nev++
 	}
 	h.enqueueOutcome(h.opts.OnFinal, h.outcome)
 	if h.speculated && !committed {
@@ -621,21 +653,31 @@ func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 		if h.db.inst != nil {
 			h.db.inst.apologies.Inc()
 		}
-		h.event(obs.Event{Kind: obs.EvApology})
+		if h.span != 0 {
+			evs[nev] = obs.Event{At: h.outcome.Decided, Kind: obs.EvApology}
+			nev++
+		}
 		h.enqueueOutcome(h.opts.OnApology, h.outcome)
 	}
-	h.spans.Finish(h.id, h.outcome.Decided, outcome, h.speculated)
-	if h.span != 0 && !submitFailed {
-		// The root span closes at the decision; the client-notify span then
-		// measures how long the outcome takes to reach the application
-		// (callback queue drain), recorded behind OnFinal and OnApology on
-		// the callback queue.
-		decided := h.outcome.Decided
-		h.spans.Add(obs.Span{
-			Txn: h.id, ID: h.span, Stage: obs.StageTotal,
-			Region: string(h.session.region), Start: h.start, End: decided,
-		})
-		h.cbq.Post(func() { h.recordSpan(obs.StageClientNotify, decided, "") })
+	h.spans.Finish(h.id, h.outcome.Decided, outcome, h.speculated, evs[:nev]...)
+	if h.span == 0 || submitFailed {
+		h.cbq.Post(h.done.Fire)
+		return
 	}
-	h.cbq.Post(h.done.Fire)
+	// The root span closes at the decision; the client-notify span then
+	// measures how long the outcome takes to reach the application
+	// (callback queue drain): notified records it behind OnFinal and
+	// OnApology on the callback queue, and fires done.
+	h.spans.Add(obs.Span{
+		Txn: h.id, ID: h.span, Stage: obs.StageTotal,
+		Region: string(h.session.region), Start: h.start, End: h.outcome.Decided,
+	})
+	h.cbq.Post(h.notified)
+}
+
+// notified is a traced transaction's last callback: it records the
+// client-notify span, from the decision to now, and fires done.
+func (h *Handle) notified() {
+	h.recordSpan(obs.StageClientNotify, h.outcome.Decided)
+	h.done.Fire()
 }

@@ -3,6 +3,7 @@ package planet_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	planet "planet/internal/core"
 	"planet/internal/obs"
 	"planet/internal/regions"
+	"planet/internal/simnet"
 	"planet/internal/workload"
 )
 
@@ -22,22 +24,72 @@ import (
 // broadcast that triggered them.
 func TestTraceSpansFormCausalTree(t *testing.T) {
 	db := openTestDB(t, planet.Config{Trace: true}, cluster.Config{WAL: true})
+	checkCausalTree(t, commitTraced(t, db, ""))
+}
+
+// TestTraceSpansFormCausalTreeDecideLost drops the decide to one replica,
+// whose vote counted toward the quorum. Its option-RPC leg must still parent
+// its vote's return, so the tree stays whole, and against the same commit
+// with nothing lost only that replica's decide_broadcast and replica_wal
+// spans are missing.
+func TestTraceSpansFormCausalTreeDecideLost(t *testing.T) {
+	lost := regions.Virginia // nearest to the coordinator: its vote is never late
+	spans := commitTraced(t, openTestDB(t, planet.Config{Trace: true}, cluster.Config{WAL: true}), lost)
+	checkCausalTree(t, spans)
+
+	want := stageRegions(commitTraced(t, openTestDB(t, planet.Config{Trace: true}, cluster.Config{WAL: true}), ""))
+	for _, st := range []obs.Stage{obs.StageDecideBroadcast, obs.StageReplicaWAL} {
+		k := st.String() + "@" + string(lost)
+		if want[k] != 1 {
+			t.Fatalf("the commit with nothing lost has %d %s spans, want 1", want[k], k)
+		}
+		delete(want, k)
+	}
+	if got := stageRegions(spans); !reflect.DeepEqual(got, want) {
+		t.Errorf("spans by stage@region:\n got %v\nwant %v", got, want)
+	}
+}
+
+// stageRegions counts spans by stage and region.
+func stageRegions(spans []obs.Span) map[string]int {
+	n := make(map[string]int)
+	for _, sp := range spans {
+		n[sp.Stage.String()+"@"+sp.Region]++
+	}
+	return n
+}
+
+// commitTraced commits one fast-path Set from California and returns its
+// spans once the network has drained. A non-empty lost region never
+// receives the decide: the link to it is cut after the proposals left.
+func commitTraced(t *testing.T, db *planet.DB, lost simnet.Region) []obs.Span {
+	t.Helper()
 	db.Cluster().SeedBytes("tr", []byte("v0"))
 	s := session(t, db, regions.California)
-
 	tx := s.Begin()
 	tx.Set("tr", []byte("v1"))
 	h, err := tx.Commit(planet.CommitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if lost != "" {
+		db.Cluster().Net.SetLinkCut(regions.California, lost, true)
+	}
 	if o := h.Wait(); !o.Committed {
 		t.Fatalf("outcome: %+v", o)
 	}
+	// Remote replicas' decide-time spans ride spanReportMsg messages that
+	// land after the decision; quiescing the network delivers them.
+	if !db.Cluster().Quiesce(5 * time.Second) {
+		t.Fatal("network did not quiesce")
+	}
+	return db.Spans().Spans(h.ID())
+}
 
-	// Replica- and master-side spans ride spanReportMsg flushes that land
-	// after the decision; poll until the tree is complete.
-	var spans []obs.Span
+// checkCausalTree requires spans to form one causal tree under a single
+// total span, with each stage under the parent it must have.
+func checkCausalTree(t *testing.T, spans []obs.Span) {
+	t.Helper()
 	byStage := func(sps []obs.Span, st obs.Stage) []obs.Span {
 		var out []obs.Span
 		for _, sp := range sps {
@@ -47,10 +99,6 @@ func TestTraceSpansFormCausalTree(t *testing.T) {
 		}
 		return out
 	}
-	if !db.Cluster().Quiesce(5 * time.Second) {
-		t.Fatal("network did not quiesce")
-	}
-	spans = db.Spans().Spans(h.ID())
 	if len(byStage(spans, obs.StageReplicaWAL)) < 1 ||
 		len(byStage(spans, obs.StageOptionRPC)) < 2 ||
 		len(byStage(spans, obs.StageClientNotify)) < 1 {

@@ -395,17 +395,46 @@ func regionBit(addrs []simnet.Addr, reg simnet.Region) (uint64, bool) {
 	return 0, false
 }
 
-// recordReturnLeg times the network leg that carried a vote or classic
-// result back to the coordinator, parenting it to the sender's span.
-func (c *Coordinator) recordReturnLeg(now time.Time, id txn.ID, tc TraceCtx, region simnet.Region) {
+// recordReturnLeg times the network leg that carried a classic result back
+// to the coordinator, parenting it to the sender's span.
+func (c *Coordinator) recordReturnLeg(now time.Time, id txn.ID, tc TraceCtx) {
 	if tc.Span == 0 || c.spans == nil {
 		return
 	}
 	c.spans.Add(obs.Span{
 		Txn: id, ID: obs.NewSpanID(), Parent: tc.Span,
-		Stage: obs.StageVoteReturn, Region: string(region),
+		Stage: obs.StageVoteReturn,
 		Start: time.Unix(0, tc.SentUnixNano), End: now,
 	})
+}
+
+// recordVoteLegs records the network legs of a traced vote: the option RPC
+// that carried the proposal to the replica, from the proposal's send (the
+// transaction's start) to the replica's stamp, under the leg id the vote
+// names, and the vote's return from that stamp to now. s is nil for a vote
+// that arrived after the decision: its leg is dated from the quorum wait's
+// start, the proposal's send, and its return, past the decision, is not a
+// stage of the commit.
+func (c *Coordinator) recordVoteLegs(now time.Time, s *commitState, b voteBatchMsg) {
+	if b.TC.Span == 0 || c.spans == nil {
+		return
+	}
+	stamp := time.Unix(0, b.TC.SentUnixNano)
+	leg := obs.Span{Txn: b.Txn, ID: b.TC.Span, Stage: obs.StageOptionRPC, Region: string(b.Region), End: stamp}
+	if s == nil {
+		if qw, ok := c.spans.FirstSpan(b.Txn, obs.StageQuorumWait); ok {
+			leg.Parent, leg.Start = qw.Parent, qw.Start
+			c.spans.Add(leg)
+		}
+		return
+	}
+	leg.Parent, leg.Start = s.span, s.start
+	legs := [2]obs.Span{leg, {
+		Txn: b.Txn, ID: obs.NewSpanID(), Parent: b.TC.Span,
+		Stage: obs.StageVoteReturn, Region: string(b.Region),
+		Start: stamp, End: now,
+	}}
+	c.spans.AddBatch(legs[:])
 }
 
 // onVoteBatch folds one replica's votes on every option of a proposal into
@@ -417,9 +446,10 @@ func (c *Coordinator) recordReturnLeg(now time.Time, id txn.ID, tc TraceCtx, reg
 func (c *Coordinator) onVoteBatch(now time.Time, b voteBatchMsg) {
 	s := c.active[b.Txn]
 	if s == nil || s.decided {
+		c.recordVoteLegs(now, nil, b)
 		return
 	}
-	c.recordReturnLeg(now, b.Txn, b.TC, b.Region)
+	c.recordVoteLegs(now, s, b)
 	bit, known := regionBit(c.cfg.Replicas, b.Region)
 	n := c.N()
 	fq := FastQuorum(n)
@@ -499,7 +529,7 @@ func (c *Coordinator) onClassicResultBatch(now time.Time, b classicResultBatchMs
 	if s == nil || s.decided {
 		return
 	}
-	c.recordReturnLeg(now, b.Txn, b.TC, "")
+	c.recordReturnLeg(now, b.Txn, b.TC)
 	for _, res := range b.Results {
 		st := s.opt(res.Key)
 		if s.decided {

@@ -47,9 +47,10 @@
 // timeout, QuorumRead, SyncFrom, AcquireLease, Crash, Restore) and queries
 // (ReadLocal, Snapshot, the lease views, startup setters); a crashed actor
 // drops messages inside step. Outputs are sends, WAL entries, commit-timer
-// arms and stops, sink and lease-observer calls, waiter wake-ups and
-// transport (de)registration; observer counters and span-store adds stay
-// inline. A master's sends leave as one wire message per destination.
+// arms and stops, sink and lease-observer calls, waiter wake-ups,
+// transport (de)registration and a replica's decide-time spans; observer
+// counters and the coordinator's span-store adds stay inline. A master's
+// sends leave as one wire message per destination.
 //
 // exec, one per actor, is the executor and the only place the actor's
 // mutex is taken. It runs step under the lock and appends the step's WAL

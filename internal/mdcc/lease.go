@@ -246,7 +246,7 @@ func (r *Replica) walLease(ks simnet.Region, epoch uint64, holder simnet.Region,
 	}
 	r.out.appendWAL(Entry{At: now, Lease: &LeaseRecord{
 		Keyspace: string(ks), Epoch: epoch, Holder: string(holder), Held: held,
-	}}, nil)
+	}}, false)
 }
 
 // applyLeaseEntry rebuilds lease state from one replayed WAL entry.

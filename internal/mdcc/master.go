@@ -389,8 +389,8 @@ func (r *Replica) onPhase2bBatch(now time.Time, b phase2bBatchMsg) {
 // checkMasterQuorum resolves an in-flight option once its phase-2b votes
 // are conclusive. For a traced option it first records the master's
 // arbitration span — sequencing start to quorum resolution — and stages its
-// report to the waiting coordinator (spans reach the store only through
-// that flush; see beginTrace).
+// report to the waiting coordinator, whose region's shard is the
+// transaction's home.
 func (r *Replica) checkMasterQuorum(now time.Time, mo *masterOption) {
 	n := len(r.cfg.Peers)
 	q := ClassicQuorum(n)

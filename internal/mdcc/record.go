@@ -135,15 +135,18 @@ func (r *record) addPending(id txn.ID, op txn.Op, ballot uint64, now time.Time) 
 	r.pending = append(r.pending, pendingOption{txn: id, op: op, ballot: ballot, accepted: now})
 }
 
-// removePending drops the pending option owned by id, if present.
-func (r *record) removePending(id txn.ID) {
+// removePending drops the pending option owned by id, if present, and
+// reports its ballot (0 for a fast-path acceptance).
+func (r *record) removePending(id txn.ID) (ballot uint64, ok bool) {
 	for i := range r.pending {
 		if r.pending[i].txn == id {
+			ballot = r.pending[i].ballot
 			copy(r.pending[i:], r.pending[i+1:])
 			r.truncatePending(len(r.pending) - 1)
-			return
+			return ballot, true
 		}
 	}
+	return 0, false
 }
 
 // evictConflictingBelow removes pendings that conflict with op and were

@@ -54,12 +54,11 @@ type Replica struct {
 	leaseCfg *LeaseConfig
 	leases   map[simnet.Region]*leaseState
 
-	// spans is the local span store (nil = tracing off); traces is the
-	// per-transaction trace state accumulated between proposal and decide,
-	// flushed to the coordinator as a spanReportMsg when the transaction
-	// decides.
-	spans  *obs.SpanStore
-	traces map[txn.ID]*replicaTrace
+	// spans is the region's span shard (nil = tracing off), the one its
+	// coordinator records into. slot names this replica's option-RPC legs
+	// (obs.LegSpanID): its position in cfg.Peers plus one.
+	spans *obs.SpanStore
+	slot  int
 
 	// Stats exported for tests and experiments.
 	FastAccepts  uint64
@@ -74,20 +73,6 @@ type Replica struct {
 	// a stale lease epoch.
 	LeaseFenced uint64
 }
-
-// replicaTrace is the trace state one replica keeps for one in-flight
-// traced transaction: where to flush spans, this replica's option-RPC span
-// (the causal anchor the WAL persists), and the spans accumulated so far.
-type replicaTrace struct {
-	coord      simnet.Addr
-	optionSpan uint64
-	spans      []obs.Span
-	at         time.Time // insertion time, for TTL eviction
-}
-
-// maxReplicaTraces bounds the per-transaction trace map against decide
-// messages that never arrive faster than PendingTTL can reap them.
-const maxReplicaTraces = 4096
 
 // Replica.step's local inputs, besides queries and wire messages.
 type (
@@ -120,8 +105,9 @@ func (r *Replica) exec(in any) {
 	for _, w := range b.wal {
 		start := r.clk.Now()
 		r.cfg.WAL.Append(w.e)
-		if w.span != nil {
-			w.span.Start, w.span.End = start, r.clk.Now()
+		if w.span > 0 {
+			sp := &b.spans[w.span-1]
+			sp.Start, sp.End = start, r.clk.Now()
 		}
 	}
 	r.mu.Unlock()
@@ -190,15 +176,11 @@ func (r *Replica) deliver(now time.Time, m any) {
 // recv is the replica's transport handler.
 func (r *Replica) recv(m simnet.Message) { r.exec(m.Payload) }
 
-// SetSpans installs the replica's local span store (nil disables tracing).
+// SetSpans installs the replica's span store (nil disables tracing): its
+// region's shard, which the region's coordinator records into too.
 // Typically wired once at startup, before traffic.
 func (r *Replica) SetSpans(st *obs.SpanStore) {
-	r.exec(query(func(time.Time) {
-		r.spans = st
-		if st != nil && r.traces == nil {
-			r.traces = make(map[txn.ID]*replicaTrace)
-		}
-	}))
+	r.exec(query(func(time.Time) { r.spans = st }))
 }
 
 // NewReplica constructs and registers a replica on cfg.Net.
@@ -211,6 +193,12 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		clk:     cfg.Net.Clock(),
 		records: make(map[string]*record),
 		masters: make(map[string]*masterKey),
+		slot:    len(cfg.Peers) + 1,
+	}
+	for i, p := range cfg.Peers {
+		if p == cfg.Addr {
+			r.slot = i + 1
+		}
 	}
 	cfg.Seeds.attach(r)
 	cfg.Net.Register(cfg.Addr, r.recv)
@@ -278,9 +266,6 @@ func (r *Replica) crash() {
 	r.syncs = nil
 	if r.leases != nil {
 		r.leases = make(map[simnet.Region]*leaseState)
-	}
-	if r.traces != nil {
-		r.traces = make(map[txn.ID]*replicaTrace)
 	}
 }
 
@@ -365,8 +350,12 @@ func (r *Replica) onPropose(now time.Time, p proposeMsg) {
 		r.out.send(p.Coord, voteBatchMsg{Txn: p.Txn, Region: r.Region(), Votes: votes})
 		return
 	}
-	// The coordinator's vote-return span parents to the option-RPC leg.
-	tc := traceCtx(now, r.beginTrace(p.Txn, p.Coord, p.TC, now))
+	// The vote names this replica's option-RPC leg, from which the
+	// coordinator records the leg and the vote's return.
+	var tc TraceCtx
+	if r.spans != nil && p.TC.Span != 0 {
+		tc = traceCtx(now, obs.LegSpanID(p.TC.Span, r.slot))
+	}
 	for _, op := range p.Options {
 		rc := r.acquire(op.Key)
 		rc.evictStale(now, r.cfg.PendingTTL)
@@ -383,64 +372,24 @@ func (r *Replica) onPropose(now time.Time, p proposeMsg) {
 	r.out.send(p.Coord, voteBatchMsg{Txn: p.Txn, Region: r.Region(), Votes: votes, TC: tc})
 }
 
-// beginTrace records the option-RPC network leg of a traced proposal and
-// opens the transaction's trace state, returning the leg's span id (0 when
-// tracing is off or the proposal is untraced). The leg span is the causal
-// anchor for everything this replica later records for the transaction —
-// votes parent to it and the WAL persists it. Spans are held in the trace
-// state and delivered only via the decide-time flush to the coordinator,
-// never folded into the local store: in a single-process deployment the
-// replica and coordinator share one store, and recording at both ends would
-// double-count every span.
-func (r *Replica) beginTrace(id txn.ID, coord simnet.Addr, tc TraceCtx, now time.Time) uint64 {
-	if r.spans == nil || tc.Span == 0 {
-		return 0
-	}
-	leg := obs.Span{
-		Txn: id, ID: obs.NewSpanID(), Parent: tc.Span,
-		Stage: obs.StageOptionRPC, Region: string(r.Region()),
-		Start: time.Unix(0, tc.SentUnixNano), End: now,
-	}
-	ttl := r.cfg.PendingTTL
-	if ttl <= 0 {
-		ttl = time.Minute
-	}
-	for old, tr := range r.traces {
-		if now.Sub(tr.at) > ttl {
-			delete(r.traces, old) // an orphan of a lost decide
-		}
-	}
-	if _, dup := r.traces[id]; !dup && len(r.traces) < maxReplicaTraces {
-		r.traces[id] = &replicaTrace{coord: coord, optionSpan: leg.ID,
-			spans: []obs.Span{leg}, at: now}
-	}
-	return leg.ID
-}
-
 // onDecide applies or discards a transaction's options. Decides are
-// idempotent and may arrive before the proposal they decide.
+// idempotent and may arrive before the proposal they decide. A traced
+// decide records the decision's network leg and, with a WAL, the append
+// (exec stamps its times), and hands both to the deciding coordinator's
+// region: into the shared store when that is this region, else as a
+// spanReportMsg.
 func (r *Replica) onDecide(now time.Time, d decideMsg) {
 	if _, seen := r.decided.get(d.Txn); seen {
 		return
 	}
-	var tr *replicaTrace
-	var decSpans []obs.Span
-	optionSpan := uint64(0)
-	if r.spans != nil && d.TC.Span != 0 {
-		if tr = r.traces[d.Txn]; tr != nil {
-			delete(r.traces, d.Txn)
-			optionSpan = tr.optionSpan
-		}
-		decSpans = append(decSpans, obs.Span{
-			Txn: d.Txn, ID: obs.NewSpanID(), Parent: d.TC.Span,
-			Stage: obs.StageDecideBroadcast, Region: string(r.Region()),
-			Start: time.Unix(0, d.TC.SentUnixNano), End: now,
-		})
-	}
+	traced := r.spans != nil && d.TC.Span != 0
 	r.decided.set(d.Txn, d.Commit)
+	accepted := false // the replica accepted an option of the transaction on the fast path
 	for _, op := range d.Options {
 		rc := r.acquire(op.Key)
-		rc.removePending(d.Txn)
+		if ballot, ok := rc.removePending(d.Txn); ok && ballot == 0 {
+			accepted = true
+		}
 		if d.Commit {
 			rc.apply(op)
 			r.Applied++
@@ -449,42 +398,38 @@ func (r *Replica) onDecide(now time.Time, d decideMsg) {
 			delete(ks.inflight, d.Txn)
 		}
 	}
-	var e Entry
+	var bcast uint64
+	if traced {
+		bcast = obs.NewSpanID()
+		r.out.span(obs.Span{
+			Txn: d.Txn, ID: bcast, Parent: d.TC.Span,
+			Stage: obs.StageDecideBroadcast, Region: string(r.Region()),
+			Start: time.Unix(0, d.TC.SentUnixNano), End: now,
+		})
+	}
 	if r.cfg.WAL != nil {
-		e = Entry{Txn: d.Txn, Commit: d.Commit, Options: d.Options, At: now}
-		if len(decSpans) > 0 {
+		e := Entry{Txn: d.Txn, Commit: d.Commit, Options: d.Options, At: now}
+		if traced {
 			// Persist the trace context so a post-crash replay can re-link
-			// the decision to the pre-crash option span, and time the
-			// append (exec stamps the span).
+			// the decision to the pre-crash option-RPC leg, and time the
+			// append.
 			e.TraceSpan = d.TC.Span
-			e.OptionSpan = optionSpan
-			decSpans = append(decSpans, obs.Span{
-				Txn: d.Txn, ID: obs.NewSpanID(), Parent: decSpans[0].ID,
+			if accepted {
+				e.OptionSpan = obs.LegSpanID(d.TC.Span, r.slot)
+			}
+			r.out.span(obs.Span{
+				Txn: d.Txn, ID: obs.NewSpanID(), Parent: bcast,
 				Stage: obs.StageReplicaWAL, Region: string(r.Region()),
 			})
 		}
+		r.out.appendWAL(e, traced)
 	}
-	// Flush everything this replica recorded for the transaction to the
-	// deciding coordinator, which owns the stitched tree. Classic-path
-	// acceptors have no trace state (the proposal went to the master), so
-	// they rely on the coordinator address carried by the decide.
-	all := decSpans
-	coord := d.Coord
-	if tr != nil {
-		all = append(tr.spans, decSpans...)
-		if coord == (simnet.Addr{}) {
-			coord = tr.coord
+	if traced && d.Coord != (simnet.Addr{}) {
+		var local *obs.SpanStore
+		if d.Coord.Region == r.Region() {
+			local = r.spans
 		}
-	}
-	if r.cfg.WAL != nil {
-		var span *obs.Span
-		if len(decSpans) > 1 {
-			span = &all[len(all)-1]
-		}
-		r.out.appendWAL(e, span)
-	}
-	if len(decSpans) > 0 && coord != (simnet.Addr{}) {
-		r.out.send(coord, spanReportMsg{Txn: d.Txn, Spans: all})
+		r.out.flushSpans(d.Txn, d.Coord, local)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"planet/internal/obs"
 	"planet/internal/simnet"
+	"planet/internal/txn"
 	"planet/internal/vclock"
 )
 
@@ -23,6 +24,7 @@ const (
 	outCall                      // fn(): a lease observer or a local waiter's wake-up
 	outRegister                  // join the transport with the handler in msg
 	outDeregister                // leave the transport
+	outSpans                     // the step's spans: into the store in msg, else reported to to
 )
 
 // output is one effect of a step; which fields are set depends on kind.
@@ -39,11 +41,12 @@ type output struct {
 	fn    func()
 }
 
-// walOut is one WAL entry a step emitted. span, when non-nil, is the
-// StageReplicaWAL span exec stamps with the append's own start and end.
+// walOut is one WAL entry a step emitted. span, when positive, is one past
+// the index in spans of the StageReplicaWAL span exec stamps with the
+// append's own start and end.
 type walOut struct {
 	e    Entry
-	span *obs.Span
+	span int
 }
 
 // outBuf is one step's outputs. Buffers are reused (outBufs), so a step
@@ -51,7 +54,8 @@ type walOut struct {
 type outBuf struct {
 	outs  []output
 	wal   []walOut
-	group []any // flush's per-destination scratch
+	spans []obs.Span // the spans an outSpans output hands on
+	group []any      // flush's per-destination scratch
 }
 
 // next appends an output of kind and returns it for the caller to fill in.
@@ -81,7 +85,29 @@ func (b *outBuf) progress(sink ProgressSink, ev ProgressEvent) {
 	o.sink, o.ev = sink, ev
 }
 
-func (b *outBuf) appendWAL(e Entry, span *obs.Span) { b.wal = append(b.wal, walOut{e, span}) }
+// appendWAL emits a WAL entry; timed marks the last span emitted so far as
+// the append's span.
+func (b *outBuf) appendWAL(e Entry, timed bool) {
+	w := walOut{e: e}
+	if timed {
+		w.span = len(b.spans)
+	}
+	b.wal = append(b.wal, w)
+}
+
+// span adds sp to the step's spans.
+func (b *outBuf) span(sp obs.Span) { b.spans = append(b.spans, sp) }
+
+// flushSpans emits the step's spans for transaction id's coordinator at
+// to: into local, the store it records into, when that is non-nil, else as
+// a spanReportMsg.
+func (b *outBuf) flushSpans(id txn.ID, to simnet.Addr, local *obs.SpanStore) {
+	o := b.next(outSpans)
+	o.to, o.ev.Txn = to, id
+	if local != nil {
+		o.msg = local
+	}
+}
 
 // perform carries out the outputs other than WAL entries, in emission
 // order, as the actor at self on net, and empties the buffer.
@@ -108,11 +134,18 @@ func (b *outBuf) perform(net Transport, self simnet.Addr, clk vclock.Clock) {
 			net.Register(self, o.msg.(simnet.Handler))
 		case outDeregister:
 			net.Deregister(self)
+		case outSpans:
+			if st, ok := o.msg.(*obs.SpanStore); ok {
+				st.AddBatch(b.spans)
+			} else {
+				net.Send(self, o.to, spanReportMsg{Txn: o.ev.Txn, Spans: slices.Clone(b.spans)})
+			}
 		}
 	}
 	clear(b.outs)
 	clear(b.wal)
-	b.outs, b.wal = b.outs[:0], b.wal[:0]
+	clear(b.spans)
+	b.outs, b.wal, b.spans = b.outs[:0], b.wal[:0], b.spans[:0]
 }
 
 // flush sends the group of staged payloads that starts at b.outs[first]

@@ -225,9 +225,9 @@ type decideMsg struct {
 	Options []txn.Op
 	TC      TraceCtx
 	// Coord is the deciding coordinator, carried only when traced (it
-	// rides in the same optional trailing wire group as TC): replicas
-	// that never saw the proposal — classic-path acceptors — still learn
-	// where to flush their decide-time spans.
+	// rides in the same optional trailing wire group as TC): the replica
+	// learns from it where its decide-time spans go, keeping nothing from
+	// the proposal.
 	Coord simnet.Addr
 }
 
@@ -278,10 +278,12 @@ type classicResultBatchMsg struct {
 	TC      TraceCtx
 }
 
-// spanReportMsg ships spans recorded at a replica or master back to the
-// transaction's coordinator, which owns the stitched causal tree. Spans
-// travel after the fact (with the vote/result, or after the decide) so the
-// hot path never blocks on trace bookkeeping.
+// spanReportMsg ships spans recorded at a replica or master in another
+// region back to the transaction's coordinator, which owns the stitched
+// causal tree: a replica's decide_broadcast and replica_wal spans, a
+// master's option-RPC leg and arbitrations. Spans travel after the fact
+// (with the result, or after the decide) so the hot path never blocks on
+// trace bookkeeping.
 type spanReportMsg struct {
 	Txn   txn.ID
 	Spans []obs.Span

@@ -19,9 +19,11 @@ import (
 // readWAL reads it back with encoding/json).
 // TraceSpan and OptionSpan persist the causal trace context for traced
 // transactions (zero otherwise): TraceSpan is the coordinator's root span
-// the decide carried, OptionSpan this replica's option-RPC span. A
-// post-crash replay re-links the replayed decision to OptionSpan, keeping
-// the trace tree stitched across a crash-restart cycle.
+// the decide carried, OptionSpan this replica's option-RPC span
+// (obs.LegSpanID of the root), set when the replica accepted the
+// transaction on the fast path. A post-crash replay re-links the replayed
+// decision to OptionSpan, keeping the trace tree stitched across a
+// crash-restart cycle.
 type Entry struct {
 	Txn        txn.ID    `json:"txn"`
 	Commit     bool      `json:"commit"`

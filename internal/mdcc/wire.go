@@ -224,7 +224,7 @@ func appendMessage(dst []byte, m any) ([]byte, error) {
 		e.bool(p.Commit)
 		e.ops(p.Options)
 		// The decide's trailing group also names the coordinator, so
-		// classic-path acceptors know where to flush decide-time spans.
+		// replicas know where their decide-time spans go.
 		if p.TC.Span != 0 {
 			e.tc(p.TC)
 			e.addr(p.Coord)

@@ -59,23 +59,20 @@ func (a *stageAcc) variance() float64 {
 // and ranks stages by their variance contribution (VProfiler-style): the
 // stage with the largest variance is where latency *unpredictability* comes
 // from, which is exactly what the commit-likelihood predictor needs to
-// know. Safe on a nil receiver and for concurrent use.
+// know. A store's engine is guarded by the store's own lock, so a span is
+// recorded and folded in under one acquisition. Safe on a nil receiver and
+// for concurrent use.
 type Attribution struct {
-	mu     sync.Mutex
+	mu     *sync.Mutex
 	stages [NumStages]stageAcc
 }
 
-// NewAttribution returns an empty engine.
-func NewAttribution() *Attribution { return &Attribution{} }
-
-// observe folds one span duration into its stage's accumulator.
-func (a *Attribution) observe(st Stage, d time.Duration) {
-	if a == nil || st >= NumStages {
-		return
+// observeLocked folds one span duration into its stage's accumulator.
+// Caller holds a.mu.
+func (a *Attribution) observeLocked(st Stage, d time.Duration) {
+	if st < NumStages {
+		a.stages[st].observe(float64(d))
 	}
-	a.mu.Lock()
-	a.stages[st].observe(float64(d))
-	a.mu.Unlock()
 }
 
 // StageStats returns a stage's duration EWMA, jitter EWMA, and sample

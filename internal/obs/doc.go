@@ -15,9 +15,11 @@
 // Attribution, and its lifecycle events (submitted, admission verdict,
 // per-region votes, fallback, speculative fire, deadline fire, final
 // decision, apology), which do not, in a bounded FIFO per shard with an
-// optional slow/aborted-transaction log. Faults go to one deployment-wide
-// FaultLog and join a trace when it is read. Every method is safe on a nil
-// store, so instrumented code needs no guards when tracing is off.
+// optional slow/aborted-transaction log. A full shard reuses its oldest
+// record, storage and all, for the next transaction, so readers always get
+// copies. Faults go to one deployment-wide FaultLog and join a trace when
+// it is read. Every method is safe on a nil store, so instrumented code
+// needs no guards when tracing is off.
 //
 // Both halves are safe for concurrent use: events and samples arrive from
 // coordinator, simnet timer, and callback-dispatch goroutines at once.

@@ -123,15 +123,28 @@ func (sp Span) Duration() time.Duration {
 }
 
 // spanSeq hands out process-unique span ids; spanBase folds the pid into
-// the high bits so ids from different processes of one deployment never
-// collide when their spans are stitched into one tree.
+// bits 42–57 so ids from different processes of one deployment never
+// collide when their spans are stitched into one tree. The top six bits stay
+// zero in every id NewSpanID returns: LegSpanID sets them.
 var (
 	spanSeq  atomic.Uint64
-	spanBase = uint64(os.Getpid()&0xffff) << 44
+	spanBase = uint64(os.Getpid()&0xffff) << 42
 )
+
+// legShift places a LegSpanID's replica slot above every NewSpanID bit.
+const legShift = 58
 
 // NewSpanID returns a fresh span id, unique within the deployment.
 func NewSpanID() uint64 { return spanBase | spanSeq.Add(1) }
+
+// LegSpanID names the option-RPC leg that carried the proposal of the
+// transaction whose root span is root to the replica in slot (1–63, its
+// position among the deployment's replicas plus one). The replica stamps
+// it on its vote, the coordinator records the leg under it, and the
+// replica derives it again from the decide, so no process keeps a leg id
+// between the proposal and the decision. It never equals an id NewSpanID
+// returns, nor another slot's leg of the same root.
+func LegSpanID(root uint64, slot int) uint64 { return root | uint64(slot)<<legShift }
 
 // TraceLog is the log policy a store applies to each trace as it finishes.
 type TraceLog struct {
@@ -160,44 +173,44 @@ const defaultCapacity = 512
 
 // txnRecord is one transaction's entry in a store: its spans and, when the
 // transaction was submitted against this store (tr.ID set), its lifecycle.
+// A record evicted for a newer transaction is reused, its span and event
+// storage with it, so only the first capacity transactions grow storage.
 type txnRecord struct {
+	id    txn.ID
 	spans []Span
 	tr    Trace
 }
 
 // SpanStore is the per-transaction trace record of one home region: each
 // recent transaction's spans plus its lifecycle events and outcome, keyed
-// by transaction id. Every added span folds into a per-stage Attribution;
-// lifecycle events never do. All methods are safe on a nil receiver
-// (no-ops), giving instrumented code a zero-cost disabled path.
+// by transaction id. Every added span folds into a per-stage Attribution,
+// under the store's one lock; lifecycle events never do. Records are
+// reused, so readers get copies and share no storage with the store. All
+// methods are safe on a nil receiver (no-ops), giving instrumented code a
+// zero-cost disabled path.
 type SpanStore struct {
 	mu     sync.Mutex
 	cap    int
 	log    TraceLog
 	txns   map[txn.ID]*txnRecord
-	order  []txn.ID // FIFO eviction ring, order[next] oldest
+	ring   []*txnRecord // FIFO eviction ring, ring[next] oldest once full
 	next   int
-	attr   *Attribution
-	faults *FaultLog // the deployment's, shared by every shard (nil standalone)
+	attr   Attribution // guarded by mu
+	faults *FaultLog   // the deployment's, shared by every shard (nil standalone)
 }
-
-// initialEventCap preallocates each trace's event slice: submit, admission,
-// 2×5 votes, learns, and the terminal events fit without growing for a
-// typical 2-key transaction on a 5-region cluster.
-const initialEventCap = 16
 
 // NewSpanStore builds a span store from cfg.
 func NewSpanStore(cfg SpanStoreConfig) *SpanStore {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = defaultCapacity
 	}
-	return &SpanStore{
-		cap:   cfg.Capacity,
-		log:   cfg.Log,
-		txns:  make(map[txn.ID]*txnRecord, cfg.Capacity),
-		order: make([]txn.ID, 0, cfg.Capacity),
-		attr:  NewAttribution(),
+	s := &SpanStore{
+		cap:  cfg.Capacity,
+		log:  cfg.Log,
+		txns: make(map[txn.ID]*txnRecord),
 	}
+	s.attr.mu = &s.mu
+	return s
 }
 
 // Attribution returns the store's aggregation engine (nil on a nil store).
@@ -205,7 +218,7 @@ func (s *SpanStore) Attribution() *Attribution {
 	if s == nil {
 		return nil
 	}
-	return s.attr
+	return &s.attr
 }
 
 // Add records one span.
@@ -216,7 +229,6 @@ func (s *SpanStore) Add(sp Span) {
 	s.mu.Lock()
 	s.addLocked(sp)
 	s.mu.Unlock()
-	s.attr.observe(sp.Stage, sp.Duration())
 }
 
 // AddBatch records several spans under one lock acquisition.
@@ -229,62 +241,67 @@ func (s *SpanStore) AddBatch(sps []Span) {
 		s.addLocked(sp)
 	}
 	s.mu.Unlock()
-	for _, sp := range sps {
-		s.attr.observe(sp.Stage, sp.Duration())
-	}
 }
 
+// addLocked appends sp to its transaction's record and folds it into the
+// attribution. Caller holds s.mu.
 func (s *SpanStore) addLocked(sp Span) {
 	rec := s.recordLocked(sp.Txn)
 	rec.spans = append(rec.spans, sp)
+	s.attr.observeLocked(sp.Stage, sp.Duration())
 }
 
-// recordLocked returns id's entry, creating it (and evicting the oldest
-// entry when full) if absent. Caller holds s.mu.
+// recordLocked returns id's entry, creating it if absent: a new record
+// while the store is below capacity, else the oldest one, emptied. Caller
+// holds s.mu.
 func (s *SpanStore) recordLocked(id txn.ID) *txnRecord {
 	if rec := s.txns[id]; rec != nil {
 		return rec
 	}
-	if len(s.order) < s.cap {
-		s.order = append(s.order, id)
+	var rec *txnRecord
+	if len(s.ring) < s.cap {
+		rec = new(txnRecord)
+		s.ring = append(s.ring, rec)
 	} else {
-		delete(s.txns, s.order[s.next])
-		s.order[s.next] = id
+		rec = s.ring[s.next]
 		s.next = (s.next + 1) % s.cap
+		delete(s.txns, rec.id)
+		rec.spans = rec.spans[:0]
+		rec.tr = Trace{Events: rec.tr.Events[:0]}
 	}
-	rec := &txnRecord{}
+	rec.id = id
 	s.txns[id] = rec
 	return rec
 }
 
-// Begin opens id's lifecycle, submitted at at.
-func (s *SpanStore) Begin(id txn.ID, at time.Time) {
+// Begin opens id's lifecycle, submitted at at, with its first events.
+func (s *SpanStore) Begin(id txn.ID, at time.Time, evs ...Event) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.recordLocked(id).tr = Trace{ID: id, Start: at, Events: make([]Event, 0, initialEventCap)}
+	rec := s.recordLocked(id)
+	rec.tr = Trace{ID: id, Start: at, Events: append(rec.tr.Events[:0], evs...)}
 	s.mu.Unlock()
 }
 
-// Record appends one event, stamped by the caller, to id's lifecycle. Ids
-// never begun here, evicted, or already finished are ignored. Events are
-// only ever appended, never rewritten, so readers may share a trace's
-// events up to the length they copied under the lock.
-func (s *SpanStore) Record(id txn.ID, e Event) {
+// Record appends events, stamped by the caller, to id's lifecycle under one
+// lock acquisition. Ids never begun here, evicted, or already finished are
+// ignored.
+func (s *SpanStore) Record(id txn.ID, evs ...Event) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	if rec := s.txns[id]; rec != nil && rec.tr.ID != 0 && !rec.tr.Done {
-		rec.tr.Events = append(rec.tr.Events, e)
+		rec.tr.Events = append(rec.tr.Events, evs...)
 	}
 	s.mu.Unlock()
 }
 
-// Finish seals id's lifecycle with its outcome, decided at at, and applies
-// the slow/aborted log policy.
-func (s *SpanStore) Finish(id txn.ID, at time.Time, outcome string, speculated bool) {
+// Finish appends id's last events, seals its lifecycle with its outcome,
+// decided at at, and applies the slow/aborted log policy.
+func (s *SpanStore) Finish(id txn.ID, at time.Time, outcome string, speculated bool, evs ...Event) {
 	if s == nil {
 		return
 	}
@@ -295,57 +312,75 @@ func (s *SpanStore) Finish(id txn.ID, at time.Time, outcome string, speculated b
 		return
 	}
 	tr := &rec.tr
+	tr.Events = append(tr.Events, evs...)
 	tr.Done, tr.End, tr.Outcome, tr.Speculated = true, at, outcome, speculated
 	tr.Slow = s.log.SlowThreshold > 0 && at.Sub(tr.Start) >= s.log.SlowThreshold
-	done := *tr
+	logged := s.log.Logf != nil && (tr.Slow || s.log.LogAborted && outcome == "aborted")
+	var done Trace
+	if logged {
+		done = tr.clone()
+	}
 	s.mu.Unlock()
 
-	if s.log.Logf == nil {
+	if !logged {
 		return
 	}
-	switch {
-	case done.Slow:
+	if done.Slow {
 		s.log.Logf("obs: slow transaction: %s", s.faults.attach(done))
-	case s.log.LogAborted && outcome == "aborted":
+	} else {
 		s.log.Logf("obs: aborted transaction: %s", s.faults.attach(done))
 	}
 }
 
-// trace returns id's lifecycle, if it began here, its events shared (see
-// Record).
+// trace returns a copy of id's lifecycle, if it began here.
 func (s *SpanStore) trace(id txn.ID) (Trace, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec := s.txns[id]; rec != nil && rec.tr.ID != 0 {
-		return rec.tr, true
+		return rec.tr.clone(), true
 	}
 	return Trace{}, false
 }
 
-// finished appends the store's finished traces matching f to out, oldest
-// entry first, their events shared (see Record).
+// finished appends copies of the store's finished traces matching f to
+// out, oldest entry first.
 func (s *SpanStore) finished(out []Trace, f TraceFilter) []Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		tr := s.txns[id].tr
+	n := len(s.ring)
+	for i := range s.ring {
+		tr := &s.ring[(s.next+i)%n].tr
 		if tr.Done && (!f.AbortedOnly || tr.Outcome == "aborted") && (!f.SlowOnly || tr.Slow) {
-			out = append(out, tr)
+			out = append(out, tr.clone())
 		}
 	}
 	return out
 }
 
-// Spans returns a copy of id's recorded spans (nil if none, or evicted).
-func (s *SpanStore) Spans(id txn.ID) []Span {
+// appendSpans appends id's recorded spans to out.
+func (s *SpanStore) appendSpans(out []Span, id txn.ID) []Span {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec := s.txns[id]; rec != nil && len(rec.spans) > 0 {
+		out = append(out, rec.spans...)
+	}
+	return out
+}
+
+// FirstSpan returns id's first recorded span of stage st. A coordinator
+// that has let go of a transaction dates a leg it learns of late from it.
+func (s *SpanStore) FirstSpan(id txn.ID, st Stage) (Span, bool) {
 	if s == nil {
-		return nil
+		return Span{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := s.txns[id]
-	if rec == nil || rec.spans == nil {
-		return nil
+	if rec := s.txns[id]; rec != nil {
+		for _, sp := range rec.spans {
+			if sp.Stage == st {
+				return sp, true
+			}
+		}
 	}
-	return append([]Span(nil), rec.spans...)
+	return Span{}, false
 }

@@ -72,7 +72,7 @@ func (f *SpanStores) Spans(id txn.ID) []Span {
 	}
 	var out []Span
 	for _, r := range f.order {
-		out = append(out, f.stores[r].Spans(id)...)
+		out = f.stores[r].appendSpans(out, id)
 	}
 	return out
 }
@@ -159,24 +159,26 @@ func (l *FaultLog) Record(at time.Time, region, note string) {
 	l.mu.Unlock()
 }
 
-// attach returns tr with a fresh event slice: its own events plus the
-// faults inside [tr.Start, tr.End] — no upper bound while it is in flight —
-// in time order, a fault after any event of the same instant.
+// attach returns tr with the faults inside [tr.Start, tr.End] — no upper
+// bound while it is in flight — added to its events, in time order, a fault
+// after any event of the same instant. tr's events must be the caller's own
+// copy: the faults are appended to them.
 func (l *FaultLog) attach(tr Trace) Trace {
-	evs := append([]Event(nil), tr.Events...)
-	if l != nil {
-		l.mu.Lock()
-		for _, e := range l.events {
-			if !e.At.Before(tr.Start) && (!tr.Done || !e.At.After(tr.End)) {
-				evs = append(evs, e)
-			}
-		}
-		l.mu.Unlock()
+	if l == nil {
+		return tr
 	}
-	if len(evs) > len(tr.Events) {
+	n := len(tr.Events)
+	l.mu.Lock()
+	for _, e := range l.events {
+		if !e.At.Before(tr.Start) && (!tr.Done || !e.At.After(tr.End)) {
+			tr.Events = append(tr.Events, e)
+		}
+	}
+	l.mu.Unlock()
+	if len(tr.Events) > n {
+		evs := tr.Events
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At.Before(evs[j].At) })
 	}
-	tr.Events = evs
 	return tr
 }
 

@@ -98,6 +98,12 @@ type Trace struct {
 	Events []Event
 }
 
+// clone returns tr with its own copy of the events.
+func (tr Trace) clone() Trace {
+	tr.Events = append([]Event(nil), tr.Events...)
+	return tr
+}
+
 // String renders a finished trace as an indented event log for slow-txn
 // logging.
 func (tr Trace) String() string {

@@ -237,10 +237,13 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 // TestTracerConcurrency floods one store from many goroutines: events for
-// private transactions, faults, spans, and cross-cutting Trace/Recent
-// readers. Run under -race.
+// private transactions, faults, spans, and cross-cutting Trace, Recent and
+// Spans readers that read every event and span they get. The store holds
+// four transactions, so records are reused while readers hold their
+// results: run under -race, a result that still shares a record's storage
+// fails.
 func TestTracerConcurrency(t *testing.T) {
-	f, s := testStores(32, TraceLog{})
+	f, s := testStores(4, TraceLog{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -248,12 +251,12 @@ func TestTracerConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				id := txn.NewID()
-				s.Begin(id, time.Now())
+				s.Begin(id, time.Now(), Event{At: time.Now(), Kind: EvSubmitted})
 				for e := 0; e < 5; e++ {
 					s.Record(id, Event{At: time.Now(), Kind: EvVote, Key: "k", Accept: true})
 				}
-				s.Add(Span{Txn: id, ID: NewSpanID(), Stage: StageSubmit})
-				s.Finish(id, time.Now(), "committed", false)
+				s.Add(Span{Txn: id, ID: NewSpanID(), Stage: StageSubmit, Region: "r"})
+				s.Finish(id, time.Now(), "committed", false, Event{At: time.Now(), Kind: EvFinal, Accept: true})
 			}
 		}()
 	}
@@ -262,15 +265,34 @@ func TestTracerConcurrency(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
+		var read int
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				for _, tr := range f.Recent(TraceFilter{Limit: 5}) {
-					f.Trace(tr.ID)
+			}
+			// Gather first, then read everything without touching the
+			// store: a record reused meanwhile races with these reads.
+			var traces []Trace
+			var spans [][]Span
+			for _, tr := range f.Recent(TraceFilter{Limit: 5}) {
+				traces = append(traces, tr)
+				if live, ok := f.Trace(tr.ID); ok {
+					traces = append(traces, live)
 				}
-				f.Faults().Record(time.Now(), "", "noise")
+				spans = append(spans, f.Spans(tr.ID))
+			}
+			f.Faults().Record(time.Now(), "", "noise")
+			for _, tr := range traces {
+				for _, e := range tr.Events {
+					read += len(e.Key) + len(e.Region) + len(e.Note) + int(e.Kind)
+				}
+			}
+			for _, sps := range spans {
+				for _, sp := range sps {
+					read += len(sp.Region) + int(sp.Stage)
+				}
 			}
 		}
 	}()

@@ -150,7 +150,7 @@ type Flight struct {
 func (p *Predictor) Likelihood(f Flight) float64 {
 	prob := 1.0
 	for _, opt := range f.Options {
-		prob *= p.optionProb(opt, f.Elapsed, f.Deadline)
+		prob *= p.OptionProb(opt, f.Elapsed, f.Deadline)
 		if prob == 0 {
 			return 0
 		}
@@ -163,13 +163,16 @@ func (p *Predictor) Likelihood(f Flight) float64 {
 func (p *Predictor) LikelihoodAtSubmit(keys []string) float64 {
 	prob := 1.0
 	for _, k := range keys {
-		prob *= p.optionProb(OptionFlight{Key: k, Remaining: p.cfg.Regions}, 0, 0)
+		prob *= p.OptionProb(OptionFlight{Key: k, Remaining: p.cfg.Regions}, 0, 0)
 	}
 	return prob
 }
 
-// optionProb estimates P(option eventually accepted).
-func (p *Predictor) optionProb(opt OptionFlight, elapsed, deadline time.Duration) float64 {
+// OptionProb estimates P(option eventually accepted), elapsed into its
+// transaction with the given deadline. Likelihood is the product of its
+// options' OptionProb, taken in option order and ending at the first zero,
+// so a caller may multiply it out itself without building a Flight.
+func (p *Predictor) OptionProb(opt OptionFlight, elapsed, deadline time.Duration) float64 {
 	switch {
 	case opt.Learned > 0:
 		return 1
@@ -281,7 +284,7 @@ func (p *Predictor) arrivalProb(region simnet.Region, elapsed, deadline time.Dur
 	return pr
 }
 
-// tailBufLen sizes the stack buffers of optionProb and tailAtLeast: the
+// tailBufLen sizes the stack buffers of OptionProb and tailAtLeast: the
 // likelihood is computed on every vote, and a deployment has fewer regions
 // than this, so neither allocates.
 const tailBufLen = 16

@@ -261,6 +261,30 @@ func TestRealnetDeferredIdleLink(t *testing.T) {
 	waitFor(t, time.Second, "parked count to settle", func() bool { return a.parked.Load() == 0 })
 }
 
+// TestRealnetDeferredWindow parks frames across deferral windows on an
+// otherwise idle link. The writer taking a parked frame along with a
+// regular one leaves that frame's window open, so a frame parked next may
+// find it open; a frame parked after the window closed opens a new one.
+// Either way each must leave within the bound (generously padded).
+func TestRealnetDeferredWindow(t *testing.T) {
+	a, _, col, addrA, addrB := warmPair(t)
+	a.Send(addrA, addrB, "defer:first")
+	a.Send(addrA, addrB, "vote")
+	col.wait(t, 3, 5*time.Second)
+	for i, payload := range []string{"defer:second", "defer:third"} {
+		start := time.Now()
+		a.Send(addrA, addrB, payload)
+		msgs := col.wait(t, 4+i, 50*deferBound)
+		if got := msgs[3+i].Payload; got != payload {
+			t.Fatalf("got %v, want %s", got, payload)
+		}
+		if waited := time.Since(start); waited > 50*deferBound {
+			t.Fatalf("%s took %v on an idle link (bound %v)", payload, waited, deferBound)
+		}
+	}
+	waitFor(t, time.Second, "parked count to settle", func() bool { return a.parked.Load() == 0 })
+}
+
 // TestRealnetDeferredRidesAlong requires a parked frame to leave with the
 // next regular frame to the same peer: two frames, one write.
 func TestRealnetDeferredRidesAlong(t *testing.T) {

@@ -53,12 +53,16 @@ type peer struct {
 	queue chan []byte // encoded frames awaiting write
 	state atomic.Int32
 
-	// Deferrable frames park here until the writer next sends to this peer;
-	// parkTimer wakes it through flush when nothing else does within
-	// deferBound. parkMu guards all three.
+	// Deferrable frames park here until the writer next sends to this peer.
+	// The first frame parked outside a deferral window opens one: parkTimer
+	// is armed once for it, and when it fires, deferBound later, the window
+	// closes and wakes the writer through flush if frames are still parked.
+	// The writer taking frames leaves the window open. parkMu guards
+	// parked, parkTimer and inWindow.
 	parkMu    sync.Mutex
 	parked    [][]byte
 	parkTimer *time.Timer
+	inWindow  bool
 	flush     chan struct{} // capacity 1: parked frames are due
 
 	// connMu guards conn so CutPeer/Close can sever a live connection from
@@ -100,8 +104,8 @@ func (p *peer) enqueue(frame []byte) {
 }
 
 // park holds a deferrable frame for the writer's next send to this peer,
-// arming the flush timer when it is the first one waiting. Parked frames
-// share the queue's depth bound and its overflow policy.
+// opening a deferral window when none is open. Parked frames share the
+// queue's depth bound and its overflow policy.
 func (p *peer) park(frame []byte) {
 	select {
 	case <-p.t.done:
@@ -117,14 +121,27 @@ func (p *peer) park(frame []byte) {
 	}
 	p.parked = append(p.parked, frame)
 	p.t.parked.Add(1)
-	if len(p.parked) == 1 {
+	if !p.inWindow {
+		p.inWindow = true
 		if p.parkTimer == nil {
-			p.parkTimer = time.AfterFunc(deferBound, p.kick)
+			p.parkTimer = time.AfterFunc(deferBound, p.closeWindow)
 		} else {
 			p.parkTimer.Reset(deferBound)
 		}
 	}
 	p.parkMu.Unlock()
+}
+
+// closeWindow ends a deferral window: frames parked in it and not yet taken
+// are due now.
+func (p *peer) closeWindow() {
+	p.parkMu.Lock()
+	p.inWindow = false
+	due := len(p.parked) > 0
+	p.parkMu.Unlock()
+	if due {
+		p.kick()
+	}
 }
 
 // kick wakes the writer to flush parked frames.
@@ -136,7 +153,8 @@ func (p *peer) kick() {
 }
 
 // takeParked appends the parked frames to dst for the writer (their count
-// is the growth of dst) and disarms the timer.
+// is the growth of dst). The deferral window stays open: a frame parked in
+// it later still leaves by the time it closes.
 func (p *peer) takeParked(dst [][]byte) [][]byte {
 	p.parkMu.Lock()
 	defer p.parkMu.Unlock()
@@ -146,7 +164,6 @@ func (p *peer) takeParked(dst [][]byte) [][]byte {
 	dst = append(dst, p.parked...)
 	clear(p.parked)
 	p.parked = p.parked[:0]
-	p.parkTimer.Stop()
 	return dst
 }
 

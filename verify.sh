@@ -207,3 +207,10 @@ rung() {
 rung BenchmarkGatewayCodec ./internal/httpapi/ 10000x 2
 rung BenchmarkFrameRoundTrip ./internal/realnet/ 10000x 4
 rung BenchmarkWALAppend ./internal/mdcc/ 1000x 0
+# Traced commit rung: a one-key add on a three-region simnet cluster with
+# planet.Config{Trace: true} and memory WALs, the trace store already full,
+# every span recorded. 27 allocs/op since the store reuses evicted records,
+# the coordinator records each replica's option-RPC leg from its vote and a
+# co-located replica hands its spans to the store without a message (56
+# before; 24 with tracing off). Gated at +15 % (31.05, so 31).
+rung BenchmarkTracedCommit ./internal/core/ 2000x 31
