@@ -21,7 +21,7 @@ var deadExportAllow = map[string]string{
 	"ServeHTTP": "http.Handler, called by net/http",
 	// Kept for a named ROADMAP item. Tests in other packages call each of
 	// them, which an export_test.go cannot serve.
-	"Replica.SyncFrom":        "anti-entropy: ROADMAP item 4 calls it on restart, on peer-up and on a detected gap",
+	"Replica.SyncFrom":        "anti-entropy: ROADMAP item 18 calls it on restart, on peer-up and on a detected gap",
 	"Replica.Crashed":         "ROADMAP item 5: simnet derives peer up/down transitions from crashes",
 	"Coordinator.Crashed":     "ROADMAP item 5: simnet derives peer up/down transitions from crashes",
 	"Network.LinkDelayFactor": "ROADMAP item 2: the message-granular delay fault composes with a standing spike",

@@ -1,6 +1,6 @@
 // Package cluster assembles a runnable PLANET deployment out of one node per
-// region: the region's MDCC replica, transaction coordinator, write-ahead log
-// and lease manager. New builds every node in one process over a simulated
+// region: the region's MDCC replica, transaction coordinator and write-ahead
+// log. New builds every node in one process over a simulated
 // WAN; NewNode builds one over TCP, one process per region. Both use the
 // same node constructor. It is the composition root shared by the tests,
 // the examples, and the benchmark harness.
@@ -70,7 +70,7 @@ type Config struct {
 	// Clock overrides the cluster's time source; the caller keeps ownership.
 	// Nil gives the cluster a clock of its own: an unpaced vclock.Virtual
 	// that Close shuts down. Every region's replica, coordinator, lease
-	// manager and delivery timers, and the code driving them, then share its
+	// tick and delivery timers, and the code driving them, then share its
 	// single serialized event order: timeouts and sleeps advance simulated
 	// time straight to the next deadline, so a run takes CPU time only and
 	// is deterministic for a given Seed. The goroutine that calls New holds
@@ -161,7 +161,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.nodes[r] = n
 	}
-	c.startLeases()
 	return c, nil
 }
 
@@ -252,16 +251,11 @@ func (c *Cluster) ScaleDuration(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.scale)
 }
 
-// Close stops the lease managers, shuts the network down, closes every
-// node's WAL, then stops the virtual scheduler if the cluster owns one (the
-// network before the clock, so Quiesce calls racing Close observe the closed
-// network and return instead of parking on a dead clock).
+// Close shuts the network down, stops every replica's lease tick and closes
+// every node's WAL, then stops the virtual scheduler if the cluster owns one
+// (the network before the clock, so Quiesce calls racing Close observe the
+// closed network and return instead of parking on a dead clock).
 func (c *Cluster) Close() {
-	for _, n := range c.nodes {
-		if n.lease != nil {
-			n.lease.Stop()
-		}
-	}
 	if c.Net != nil {
 		c.Net.Close()
 	}
@@ -269,6 +263,7 @@ func (c *Cluster) Close() {
 		c.RealNet.Close()
 	}
 	for _, n := range c.nodes {
+		n.replica.Close()
 		if n.wal != nil {
 			n.wal.Close() // callers that need the log durable Sync it first
 		}

@@ -12,9 +12,12 @@ import (
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
+	"planet/internal/mdcc"
+	"planet/internal/realnet"
 	"planet/internal/regions"
 	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 )
 
 // pairRegions are the regions of the two-node deployments below, sorted as
@@ -323,4 +326,86 @@ func TestCustomTopology(t *testing.T) {
 	if len(c.Regions()) != 2 {
 		t.Errorf("regions=%v", c.Regions())
 	}
+}
+
+// TestCloseStopsLeaseTicks: once Close returns, no replica's lease tick
+// fires again. A tick would renew or claim a lease, which moves the
+// replica's own lease view, and would send lease requests; across two
+// terms after Close neither the views nor the transports' sent counters
+// move. The simulated deployment runs on a clock the test owns, so the
+// clock outlives the cluster; the NewNode trio runs on the real clock.
+func TestCloseStopsLeaseTicks(t *testing.T) {
+	// leaseViews is every lease each of cs's replicas knows of, without
+	// Held, which turns false by itself as time passes.
+	leaseViews := func(cs []*cluster.Cluster, rs []simnet.Region) (views []mdcc.LeaseInfo) {
+		for i, c := range cs {
+			_, leases, _ := c.Replica(rs[i]).LeaseTable()
+			for _, li := range leases {
+				li.Held = false
+				views = append(views, li)
+			}
+		}
+		return views
+	}
+	// held waits on clk until every region of rs holds the lease on its
+	// own keyspace (hash mastership names one keyspace per region).
+	held := func(cs []*cluster.Cluster, rs []simnet.Region, clk vclock.Clock) {
+		t.Helper()
+		for i, r := range rs {
+			for deadline := clk.Now().Add(10 * time.Second); !cs[i].Replica(r).Lease(r).Held; clk.Sleep(10 * time.Millisecond) {
+				if clk.Now().After(deadline) {
+					t.Fatalf("%s never took its own keyspace's lease", r)
+				}
+			}
+		}
+	}
+
+	t.Run("New", func(t *testing.T) {
+		clk := vclock.NewVirtual()
+		defer clk.Shutdown()
+		c, err := cluster.New(cluster.Config{Topology: regions.Three(), TimeScale: 0.01, MasterLeases: true, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := []*cluster.Cluster{c, c, c}
+		held(cs, c.Regions(), clk)
+		c.Close()
+		sent, views := c.Net.Sent.Load(), leaseViews(cs, c.Regions())
+		clk.Sleep(2 * c.LeaseTerm())
+		if got := c.Net.Sent.Load(); got != sent {
+			t.Errorf("%d messages sent after Close", got-sent)
+		}
+		if got := leaseViews(cs, c.Regions()); !reflect.DeepEqual(got, views) {
+			t.Errorf("lease views moved after Close:\n got %+v\nwant %+v", got, views)
+		}
+	})
+
+	t.Run("NewNode", func(t *testing.T) {
+		rs := []simnet.Region{"eu-west", "us-east", "us-west"}
+		peers := freePeers(t, rs)
+		cs := make([]*cluster.Cluster, len(rs))
+		for i, r := range rs {
+			c, err := startNode(t, peers, r, cluster.NodeConfig{MasterLeases: true, LeaseTerm: 300 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs[i] = c
+		}
+		held(cs, rs, vclock.System)
+		stats := make([]realnet.StatsSnapshot, len(cs))
+		for i, c := range cs {
+			c.Close()
+			stats[i] = c.RealNet.StatsSnapshot()
+		}
+		views := leaseViews(cs, rs)
+		time.Sleep(2 * cs[0].LeaseTerm())
+		for i, c := range cs {
+			if got := c.RealNet.StatsSnapshot(); got.Sent != stats[i].Sent {
+				t.Errorf("%s: %d frames sent after Close", rs[i], got.Sent-stats[i].Sent)
+			}
+		}
+		if got := leaseViews(cs, rs); !reflect.DeepEqual(got, views) {
+			t.Errorf("lease views moved after Close:\n got %+v\nwant %+v", got, views)
+		}
+	})
 }

@@ -36,9 +36,9 @@ type NodeConfig struct {
 	DataDir string
 	// CommitTimeout, PendingTTL, MasterRegion, MasterLeases and LeaseTerm
 	// mean what they mean in Config, with the same defaults, in real time:
-	// node mode runs unscaled. With MasterLeases, transport peer-down
-	// transitions poke the local lease manager so a dead master's keyspaces
-	// are reclaimed as soon as their leases lapse.
+	// node mode runs unscaled. With MasterLeases, a transport peer-down
+	// transition runs the local replica's lease policy at once, so a dead
+	// master's keyspaces are reclaimed as soon as their leases lapse.
 	CommitTimeout time.Duration
 	PendingTTL    time.Duration
 	MasterRegion  simnet.Region
@@ -146,15 +146,24 @@ func (s *spec) keyspaces() []simnet.Region {
 type node struct {
 	replica *mdcc.Replica
 	coord   *mdcc.Coordinator
-	wal     *mdcc.WAL     // nil when the region logs nothing
-	lease   *leaseManager // nil until startLeases, and without master leases
+	wal     *mdcc.WAL // nil when the region logs nothing
 }
 
-// newNode registers region's replica on net, turns on its leases and lease
-// routing when s has them, then registers its coordinator. The lease
-// manager starts later, in startLeases.
+// newNode registers region's replica on net, with its leases and lease
+// routing when s has them, then registers its coordinator.
 func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (node, error) {
 	n := node{wal: wal}
+	var leases *mdcc.LeaseConfig
+	if s.leases {
+		leases = &mdcc.LeaseConfig{
+			Term:       s.leaseTerm,
+			KeyspaceOf: s.keyspaceOf,
+			Keyspaces:  s.keyspaces(),
+		}
+		if s.onLeaseEvent != nil {
+			leases.OnEvent = func(ev mdcc.LeaseEvent) { s.onLeaseEvent(region, ev) }
+		}
+	}
 	n.replica = mdcc.NewReplica(mdcc.ReplicaConfig{
 		Net:        net,
 		Addr:       simnet.Addr{Region: region, Name: replicaName},
@@ -162,18 +171,10 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 		PendingTTL: s.pendingTTL,
 		WAL:        wal,
 		Seeds:      s.seeds,
+		Leases:     leases,
 	})
 	masterFor := s.masterFor
 	if s.leases {
-		var onEvent func(mdcc.LeaseEvent)
-		if s.onLeaseEvent != nil {
-			onEvent = func(ev mdcc.LeaseEvent) { s.onLeaseEvent(region, ev) }
-		}
-		n.replica.EnableLeases(mdcc.LeaseConfig{
-			Term:       s.leaseTerm,
-			KeyspaceOf: s.keyspaceOf,
-			OnEvent:    onEvent,
-		})
 		masterFor = leaseMasterFor(n.replica, s.keyspaceOf)
 	}
 	var err error
@@ -189,15 +190,19 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 	return n, err
 }
 
-// startLeases starts the lease manager of each node in region order, when
-// the deployment has master leases. Both constructors call it once every
-// node of the process is registered.
-func (c *Cluster) startLeases() {
-	for _, r := range c.spec.regions {
-		if n, ok := c.nodes[r]; ok && c.spec.leases {
-			n.lease = newLeaseManager(n.replica, c.clk, c.spec.leaseTerm, c.spec.keyspaces(), c.spec.regions, r)
-			c.nodes[r] = n
+// leaseMasterFor builds a coordinator routing function that consults the
+// local replica's lease view: keys route to the keyspace's current lease
+// holder, falling back to the keyspace's namesake region before any lease
+// has ever been granted (which matches the static assignment exactly).
+// Stale routes are corrected by the not-master bounce: a replica without
+// the lease rejects the proposal and the coordinator re-resolves.
+func leaseMasterFor(rep *mdcc.Replica, keyspaceOf func(string) simnet.Region) func(string) simnet.Addr {
+	return func(key string) simnet.Addr {
+		ks := keyspaceOf(key)
+		if li := rep.Lease(ks); li.Epoch != 0 {
+			return simnet.Addr{Region: simnet.Region(li.Holder), Name: replicaName}
 		}
+		return simnet.Addr{Region: ks, Name: replicaName}
 	}
 }
 
@@ -256,16 +261,17 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 	if listen == "" {
 		listen = cfg.Peers[cfg.Region]
 	}
-	// The lease manager is built after the transport (it needs the replica,
-	// which needs the transport), but transport health callbacks can fire as
-	// soon as New returns — hence the atomic indirection.
-	var leaseMgr atomic.Pointer[leaseManager]
+	// A peer going down is a step input of the replica's lease tick. The
+	// replica needs the transport, whose health callbacks can fire as soon
+	// as New returns, so the callback finds it through rep; a peer-down
+	// before the replica exists is moot (its first tick runs a pass).
+	var rep atomic.Pointer[mdcc.Replica]
 	onPeerState := cfg.OnPeerState
 	if cfg.MasterLeases {
 		user := cfg.OnPeerState
 		onPeerState = func(region simnet.Region, st realnet.PeerState) {
-			if m := leaseMgr.Load(); m != nil {
-				m.PeerState(region, st)
+			if r := rep.Load(); r != nil && st == realnet.PeerDown {
+				r.PeerDown(region)
 			}
 			if user != nil {
 				user(region, st)
@@ -313,8 +319,7 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c.nodes[cfg.Region] = n
-	c.startLeases()
-	leaseMgr.Store(c.nodes[cfg.Region].lease)
+	rep.Store(n.replica)
 	return c, nil
 }
 

@@ -83,7 +83,7 @@ type commitState struct {
 	decided bool
 	// timer is the commit timeout, which steps arm and stop only through
 	// outputs.
-	timer commitTimer
+	timer stepTimer
 	// span is the transaction's root span id (0 = untraced); every
 	// protocol message for the transaction carries it as trace context.
 	span uint64
@@ -174,7 +174,9 @@ func (c *Coordinator) exec(in any) {
 // step is the coordinator's transition function: it applies one input, at
 // time now, to the coordinator's own state and emits the input's effects to
 // c.out. Besides its own state it consults only CoordinatorConfig.MasterFor,
-// when it routes an option to its master.
+// when it routes an option to its master. Under master leases that router
+// reads the co-located replica's lease view (a query on the replica), so
+// such a step is not a function of the coordinator's state alone.
 func (c *Coordinator) step(now time.Time, in any) {
 	switch p := in.(type) {
 	case query:

@@ -44,10 +44,11 @@
 // applies one input to the actor's own state and appends the input's
 // effects to an ordered output list instead of performing them. Inputs are
 // the protocol messages, the local entries (SubmitTraced, the commit
-// timeout, QuorumRead, SyncFrom, AcquireLease, Crash, Restore) and queries
-// (ReadLocal, Snapshot, the lease views, startup setters); a crashed actor
-// drops messages inside step. Outputs are sends, WAL entries, commit-timer
-// arms and stops, sink and lease-observer calls, waiter wake-ups,
+// timeout, QuorumRead, SyncFrom, the lease tick, PeerDown, Crash, Restore,
+// Close) and queries (ReadLocal, Snapshot, the lease views, startup
+// setters); a crashed actor drops messages inside step. Outputs are sends,
+// WAL entries, timer arms and stops (commit timeouts and the lease tick),
+// sink and lease-observer calls, waiter wake-ups,
 // transport (de)registration and a replica's decide-time spans; observer
 // counters and the coordinator's span-store adds stay inline. A master's
 // sends leave as one wire message per destination.
@@ -71,10 +72,11 @@
 //
 //   - Mastership is static by default: a key's master does not move, and
 //     experiments that partition regions keep masters reachable or use the
-//     fast path. With leases enabled (Replica.EnableLeases; planetd
+//     fast path. With leases enabled (ReplicaConfig.Leases; planetd
 //     -leases) mastership of a keyspace is a time-bounded, epoch-fenced
 //     lease instead, and a survivor takes over a dead master's keyspace
-//     once its lease lapses (see lease.go).
+//     once its lease lapses, driven by a tick inside the replica's step
+//     (see lease.go).
 //   - Paxos instances are tracked per key rather than per record version;
 //     once a key's promised ballot rises above the fast ballot the key stays
 //     classic-owned (MDCC likewise demotes contended records to classic).

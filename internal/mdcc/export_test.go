@@ -41,6 +41,12 @@ func (r *Replica) DecidedCount() (n int) {
 	return n
 }
 
+// AcquireLease starts a lease round for keyspace ks, as the lease tick
+// does (see acquireLease).
+func (r *Replica) AcquireLease(ks simnet.Region) {
+	r.exec(query(func(now time.Time) { r.acquireLease(now, ks) }))
+}
+
 // HoldsLease reports whether this replica currently masters keyspace ks.
 func (r *Replica) HoldsLease(ks simnet.Region) bool { return r.Lease(ks).Held }
 

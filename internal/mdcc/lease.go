@@ -28,6 +28,10 @@ type LeaseConfig struct {
 	Term time.Duration
 	// KeyspaceOf maps a key to its keyspace. Required.
 	KeyspaceOf func(key string) simnet.Region
+	// Keyspaces lists the keyspaces the replica's lease tick claims,
+	// renews and takes over. Empty: no tick runs, and the replica only
+	// grants, fences and answers.
+	Keyspaces []simnet.Region
 	// OnEvent, when non-nil, observes lease transitions (acquire, renew,
 	// takeover, deposal). Each call is an output of the replica's step,
 	// performed after the replica's lock is released; it should be fast.
@@ -155,19 +159,6 @@ type leaseGrantMsg struct {
 	Region             simnet.Region
 }
 
-// EnableLeases switches the replica to leased mastership. Wire it once at
-// startup, before traffic; the lease manager (internal/cluster) then drives
-// acquisition and renewal.
-func (r *Replica) EnableLeases(cfg LeaseConfig) {
-	r.exec(query(func(time.Time) {
-		c := cfg
-		r.leaseCfg = &c
-		if r.leases == nil {
-			r.leases = make(map[simnet.Region]*leaseState)
-		}
-	}))
-}
-
 // leaseFor returns (creating if needed) the lease state for keyspace ks.
 func (r *Replica) leaseFor(ks simnet.Region) *leaseState {
 	ls := r.leases[ks]
@@ -190,10 +181,10 @@ func (r *Replica) holdsLease(ks simnet.Region, now time.Time) bool {
 // after deposal — deliberately, so peers fence it), or 0 when leases are
 // off.
 func (r *Replica) leaseEpoch(key string) uint64 {
-	if r.leaseCfg == nil {
+	if r.cfg.Leases == nil {
 		return 0
 	}
-	ls := r.leases[r.leaseCfg.KeyspaceOf(key)]
+	ls := r.leases[r.cfg.Leases.KeyspaceOf(key)]
 	if ls == nil {
 		return 0
 	}
@@ -205,10 +196,10 @@ func (r *Replica) leaseEpoch(key string) uint64 {
 // this acceptor has granted for the key's keyspace. Unstamped messages
 // (epoch 0: leases off, or a pre-lease sender) pass.
 func (r *Replica) leaseFenced(key string, epoch uint64) bool {
-	if epoch == 0 || r.leaseCfg == nil {
+	if epoch == 0 || r.cfg.Leases == nil {
 		return false
 	}
-	ls := r.leases[r.leaseCfg.KeyspaceOf(key)]
+	ls := r.leases[r.cfg.Leases.KeyspaceOf(key)]
 	return ls != nil && epoch < ls.epoch
 }
 
@@ -269,18 +260,83 @@ func (r *Replica) applyLeaseEntry(l *LeaseRecord) {
 	}
 }
 
-// AcquireLease starts a lease round for keyspace ks: a renewal at the held
+// The lease tick runs the lease policy inside the replica's step: every
+// term/3, and at once when the transport reports a peer down (a master may
+// be dead). It is armed as a step output on the replica's own timer, so a
+// seeded run on the virtual clock replays it exactly. Per keyspace:
+//   - holder: renew (well inside the term).
+//   - never granted: the keyspace's namesake region claims it at once;
+//     others step in only if it stays unclaimed for two full terms
+//     (default holder dead at boot), staggered by rank.
+//   - recorded holder without a live lease (fresh restart): re-acquire;
+//     the round either renews or discovers the deposing epoch.
+//   - lapsed under another holder: take over once expiry plus the stagger
+//     has passed. Expiry gates every takeover; the stagger only keeps
+//     candidates from dueling, which is safe (the grant round gives each
+//     epoch to at most one winner) but wasteful.
+
+// startTick records when the lease tick started and arms its first run.
+func (r *Replica) startTick(now time.Time) {
+	r.tickStart = now
+	r.armTick(0)
+}
+
+func (r *Replica) armTick(d time.Duration) {
+	r.out.add(output{kind: outArm, timer: &r.tick, d: d, fn: func() { r.exec(leaseTick{}) }})
+}
+
+// leasePass runs one pass of the lease policy over every keyspace: a tick's,
+// or a peer-down's. A crashed replica's tick keeps its period but claims
+// nothing.
+func (r *Replica) leasePass(now time.Time) {
+	if r.cfg.Leases == nil || r.closed || r.crashed {
+		return
+	}
+	for _, ks := range r.cfg.Leases.Keyspaces {
+		if r.claims(ks, now) {
+			r.acquireLease(now, ks)
+		}
+	}
+}
+
+// claims reports whether the policy starts a round for keyspace ks now.
+func (r *Replica) claims(ks simnet.Region, now time.Time) bool {
+	ls, self := r.leases[ks], r.Region()
+	switch {
+	case r.holdsLease(ks, now):
+		return true
+	case ls == nil || ls.epoch == 0:
+		return ks == self || now.Sub(r.tickStart) > 2*r.cfg.Leases.Term+r.stagger(ks)
+	case ls.holder == self:
+		return true
+	default:
+		return now.After(ls.expiry.Add(r.stagger(ls.holder)))
+	}
+}
+
+// stagger ranks this region among the candidates (every region except the
+// current holder, sorted) and spaces takeover attempts half a term apart by
+// rank.
+func (r *Replica) stagger(holder simnet.Region) time.Duration {
+	rank := 0
+	for _, p := range r.cfg.Peers {
+		if p.Region != holder && p.Region < r.Region() {
+			rank++
+		}
+	}
+	return time.Duration(rank) * (r.cfg.Leases.Term / 2)
+}
+
+// acquireLease starts a lease round for keyspace ks: a renewal at the held
 // epoch while the lease is live, otherwise a claim of the next epoch
 // (bootstrap or takeover). No-op while a fresh round is already in flight.
-// The round completes asynchronously when a majority grants.
-func (r *Replica) AcquireLease(ks simnet.Region) { r.exec(acquireLease{ks}) }
-
+// The round completes when a majority grants.
 func (r *Replica) acquireLease(now time.Time, ks simnet.Region) {
-	if r.leaseCfg == nil || r.crashed {
+	if r.cfg.Leases == nil || r.crashed {
 		return
 	}
 	ls := r.leaseFor(ks)
-	if ls.round != nil && !ls.round.done && now.Sub(ls.round.started) < r.leaseCfg.Term {
+	if ls.round != nil && !ls.round.done && now.Sub(ls.round.started) < r.cfg.Leases.Term {
 		return
 	}
 	next := ls.epoch + 1
@@ -291,7 +347,7 @@ func (r *Replica) acquireLease(now time.Time, ks simnet.Region) {
 		next = ls.heldEpoch // renewal
 	}
 	round := &leaseRound{
-		epoch: next, expiry: now.Add(r.leaseCfg.Term), started: now,
+		epoch: next, expiry: now.Add(r.cfg.Leases.Term), started: now,
 		prevEpoch: ls.epoch, prevHolder: ls.holder,
 	}
 	ls.round = round
@@ -311,14 +367,14 @@ func (r *Replica) acquireLease(now time.Time, ks simnet.Region) {
 		if peer == r.cfg.Addr {
 			continue
 		}
-		r.out.stage(peer, req)
+		r.out.send(peer, req)
 	}
 	r.checkLeaseQuorum(ks, ls, now)
 }
 
 // onLeaseRequest is the acceptor side of a lease round.
 func (r *Replica) onLeaseRequest(now time.Time, m leaseRequestMsg) {
-	if r.leaseCfg == nil {
+	if r.cfg.Leases == nil {
 		return
 	}
 	ls := r.leaseFor(m.Keyspace)
@@ -345,7 +401,7 @@ func (r *Replica) onLeaseRequest(now time.Time, m leaseRequestMsg) {
 // carries the acceptor's granted view; a higher epoch there is adopted, so
 // routing converges on the real holder and a deposed master finds out.
 func (r *Replica) onLeaseGrant(now time.Time, m leaseGrantMsg) {
-	if r.leaseCfg == nil {
+	if r.cfg.Leases == nil {
 		return
 	}
 	ls := r.leaseFor(m.Keyspace)
@@ -442,7 +498,7 @@ func (r *Replica) checkLeaseQuorum(ks simnet.Region, ls *leaseState, now time.Ti
 
 // leaseEvent emits a lease transition for the configured observer.
 func (r *Replica) leaseEvent(ev LeaseEvent) {
-	if f := r.leaseCfg.OnEvent; f != nil {
+	if f := r.cfg.Leases.OnEvent; f != nil {
 		r.out.add(output{kind: outCall, fn: func() { f(ev) }})
 	}
 }
@@ -472,7 +528,7 @@ func (r *Replica) leaseInfo(ks simnet.Region, ls *leaseState, now time.Time) Lea
 // holder: the /v1/net/lease surface and planet_lease_takeovers_total.
 func (r *Replica) LeaseTable() (enabled bool, leases []LeaseInfo, takeovers uint64) {
 	r.exec(query(func(now time.Time) {
-		enabled, takeovers = r.leaseCfg != nil, r.LeaseTakeovers
+		enabled, takeovers = r.cfg.Leases != nil, r.LeaseTakeovers
 		leases = make([]LeaseInfo, 0, len(r.leases))
 		for ks, ls := range r.leases {
 			leases = append(leases, r.leaseInfo(ks, ls, now))

@@ -33,7 +33,8 @@ func (l *leaseEventLog) kinds() []LeaseEventKind {
 
 // newLeasedReplica builds a lone replica (peers exist only as addresses,
 // like newLoneReplica) with leases enabled on a single keyspace "a" — the
-// replica's own region, so it is the keyspace's default holder.
+// replica's own region, so it is the keyspace's default holder. It runs no
+// lease tick: the tests start each round with AcquireLease.
 func newLeasedReplica(t *testing.T, n int, term time.Duration, w *WAL) (*Replica, *leaseEventLog) {
 	t.Helper()
 	net := newLoneNet(t)
@@ -41,13 +42,13 @@ func newLeasedReplica(t *testing.T, n int, term time.Duration, w *WAL) (*Replica
 	for i := range peers {
 		peers[i] = simnet.Addr{Region: regionOf(i), Name: "replica"}
 	}
-	r := NewReplica(ReplicaConfig{Net: net, Addr: peers[0], Peers: peers, WAL: w})
 	log := &leaseEventLog{}
-	r.EnableLeases(LeaseConfig{
-		Term:       term,
-		KeyspaceOf: func(string) simnet.Region { return "a" },
-		OnEvent:    log.record,
-	})
+	r := NewReplica(ReplicaConfig{Net: net, Addr: peers[0], Peers: peers, WAL: w,
+		Leases: &LeaseConfig{
+			Term:       term,
+			KeyspaceOf: func(string) simnet.Region { return "a" },
+			OnEvent:    log.record,
+		}})
 	return r, log
 }
 

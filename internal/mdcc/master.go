@@ -86,11 +86,11 @@ func (r *Replica) classicPropose(now time.Time, p classicProposeMsg) {
 		r.stageResult(now, p.Coord, p.Txn, p.Option.Key, committed, ReasonDecided, p.TC.Span)
 		return
 	}
-	if r.leaseCfg != nil {
+	if r.cfg.Leases != nil {
 		// Leased mastership: only the current lease holder may sequence.
 		// Anyone else — including a deposed master that hasn't noticed yet —
 		// bounces the proposal so the coordinator re-resolves the master.
-		ksp := r.leaseCfg.KeyspaceOf(p.Option.Key)
+		ksp := r.cfg.Leases.KeyspaceOf(p.Option.Key)
 		if !r.holdsLease(ksp, now) {
 			r.stageResult(now, p.Coord, p.Txn, p.Option.Key, false, ReasonNotMaster, p.TC.Span)
 			return

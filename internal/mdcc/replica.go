@@ -27,6 +27,9 @@ type ReplicaConfig struct {
 	// that start from the same data share one. Nil gives the replica a
 	// private image.
 	Seeds *SeedImage
+	// Leases, when non-nil, switches the replica to epoch-fenced master
+	// leases (see lease.go); nil keeps mastership static.
+	Leases *LeaseConfig
 }
 
 // Replica is one region's full copy of the store. It plays three protocol
@@ -48,11 +51,14 @@ type Replica struct {
 	syncs   map[uint64]*syncWaiter
 	syncSeq uint64 // the last SyncFrom request id
 	crashed bool
+	closed  bool // Close ran: the lease tick is over
 
-	// leaseCfg enables epoch-fenced master leases (see lease.go); leases
-	// holds the per-keyspace lease state.
-	leaseCfg *LeaseConfig
-	leases   map[simnet.Region]*leaseState
+	// leases holds the per-keyspace lease state (nil without
+	// cfg.Leases). The lease tick (see lease.go) runs on tick, started at
+	// tickStart.
+	leases    map[simnet.Region]*leaseState
+	tick      stepTimer
+	tickStart time.Time
 
 	// spans is the region's span shard (nil = tracing off), the one its
 	// coordinator records into. slot names this replica's option-RPC legs
@@ -76,11 +82,15 @@ type Replica struct {
 
 // Replica.step's local inputs, besides queries and wire messages.
 type (
-	// acquireLease starts a lease round for keyspace ks (AcquireLease).
-	acquireLease struct{ ks simnet.Region }
-	// crash and restore are a process failure and its WAL recovery.
-	crash   struct{}
-	restore struct{ entries []Entry }
+	// leaseTick is the lease tick's timer firing; peerDown is the
+	// transport reporting region's node down (PeerDown).
+	leaseTick struct{}
+	peerDown  struct{ region simnet.Region }
+	// crash and restore are a process failure and its WAL recovery;
+	// closeReplica is Close.
+	crash        struct{}
+	restore      struct{ entries []Entry }
+	closeReplica struct{}
 	// localRead is ReadLocal's query; step fills v and ok.
 	localRead struct {
 		key string
@@ -125,14 +135,22 @@ func (r *Replica) step(now time.Time, in any) {
 		p.v, p.ok = r.readLocal(p.key)
 	case *reseed:
 		r.reseed(p)
-	case acquireLease:
-		r.acquireLease(now, p.ks)
+	case leaseTick:
+		if !r.closed {
+			r.leasePass(now)
+			r.armTick(r.cfg.Leases.Term / 3)
+		}
+	case peerDown:
+		r.leasePass(now)
 	case *syncCall:
 		r.syncCall(p)
 	case crash:
 		r.crash()
 	case restore:
 		r.restore(now, p.entries)
+	case closeReplica:
+		r.closed = true
+		r.out.add(output{kind: outStop, timer: &r.tick})
 	default:
 		// A delivery that raced with Crash's deregistration: a dead process
 		// handles nothing.
@@ -200,10 +218,25 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 			r.slot = i + 1
 		}
 	}
+	if cfg.Leases != nil {
+		r.leases = make(map[simnet.Region]*leaseState)
+	}
 	cfg.Seeds.attach(r)
 	cfg.Net.Register(cfg.Addr, r.recv)
+	if cfg.Leases != nil && len(cfg.Leases.Keyspaces) > 0 {
+		r.exec(query(r.startTick))
+	}
 	return r
 }
+
+// PeerDown reports that the transport lost region's node: a master may be
+// dead, so the lease policy runs a pass now instead of at the next tick.
+// Expiry still gates every takeover.
+func (r *Replica) PeerDown(region simnet.Region) { r.exec(peerDown{region}) }
+
+// Close stops the replica's lease tick for good. The replica still answers
+// queries; the transport's own Close silences it on the network.
+func (r *Replica) Close() { r.exec(closeReplica{}) }
 
 // Region returns the replica's region.
 func (r *Replica) Region() simnet.Region { return r.cfg.Addr.Region }

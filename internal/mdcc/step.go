@@ -17,8 +17,8 @@ type outKind uint8
 const (
 	outSend       outKind = iota // one payload to one destination
 	outStage                     // a master's payload, coalesced per destination (flush)
-	outArm                       // arm a commit timeout: call fn after d
-	outStop                      // stop a commit timeout
+	outArm                       // arm a timer (a commit timeout, the lease tick): call fn after d
+	outStop                      // stop a timer
 	outProgress                  // sink.Progress(ev)
 	outDecided                   // sink.Decided(ev.Txn, ev.Accept, err)
 	outCall                      // fn(): a lease observer or a local waiter's wake-up
@@ -36,7 +36,7 @@ type output struct {
 	sink  ProgressSink
 	ev    ProgressEvent
 	err   error
-	timer *commitTimer
+	timer *stepTimer
 	d     time.Duration
 	fn    func()
 }
@@ -189,17 +189,18 @@ var outBufs = sync.Pool{New: func() any { return new(outBuf) }}
 // read is a typed input with result fields instead (localRead).
 type query func(now time.Time)
 
-// commitTimer is one transaction's commit timeout. The steps that arm and
-// stop it emit those calls as outputs, which two goroutines of a live node
-// may perform in either order; mu orders them, and a stop performed first
-// cancels the arm.
-type commitTimer struct {
+// stepTimer is a timer that steps arm and stop: a transaction's commit
+// timeout, or a replica's lease tick (re-armed by every tick). The steps
+// emit those calls as outputs, which two goroutines of a live node may
+// perform in either order; mu orders them, and a stop performed first
+// cancels the arm and every later one.
+type stepTimer struct {
 	mu      sync.Mutex
 	t       vclock.Timer
 	stopped bool
 }
 
-func (ct *commitTimer) arm(clk vclock.Clock, d time.Duration, f func()) {
+func (ct *stepTimer) arm(clk vclock.Clock, d time.Duration, f func()) {
 	ct.mu.Lock()
 	if !ct.stopped {
 		ct.t = clk.AfterFunc(d, f)
@@ -207,7 +208,7 @@ func (ct *commitTimer) arm(clk vclock.Clock, d time.Duration, f func()) {
 	ct.mu.Unlock()
 }
 
-func (ct *commitTimer) stop() {
+func (ct *stepTimer) stop() {
 	ct.mu.Lock()
 	ct.stopped = true
 	if ct.t != nil {

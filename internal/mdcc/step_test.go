@@ -83,6 +83,10 @@ func (n *stepNet) run(actor any, in any) stepped {
 	}
 	var st stepped
 	for _, w := range b.wal {
+		if l := w.e.Lease; l != nil {
+			st.lines = append(st.lines, fmt.Sprintf("wal lease %s@%d holder=%s held=%v", l.Keyspace, l.Epoch, l.Holder, l.Held))
+			continue
+		}
 		st.lines = append(st.lines, fmt.Sprintf("wal %s commit=%v %v", w.e.Txn, w.e.Commit, opKeys(w.e.Options)))
 	}
 	for i := range b.outs {
@@ -101,9 +105,19 @@ func (n *stepNet) run(actor any, in any) stepped {
 				st.lines = append(st.lines, fmt.Sprintf("send %s %s", to, render(m)))
 			}
 		case outArm:
+			if o.ev.Txn == 0 { // a replica's lease tick
+				st.lines = append(st.lines, fmt.Sprintf("arm tick %v", o.d))
+				continue
+			}
 			st.lines = append(st.lines, fmt.Sprintf("arm %s", o.ev.Txn))
 		case outStop:
+			if o.ev.Txn == 0 {
+				st.lines = append(st.lines, "stop tick")
+				continue
+			}
 			st.lines = append(st.lines, fmt.Sprintf("stop %s", o.ev.Txn))
+		case outRegister, outDeregister:
+			st.lines = append(st.lines, map[outKind]string{outRegister: "register", outDeregister: "deregister"}[o.kind])
 		case outProgress:
 			st.lines = append(st.lines, fmt.Sprintf("progress %s %s %s accept=%v", o.ev.Kind, o.ev.Key, o.ev.Region, o.ev.Accept))
 		case outDecided:
@@ -187,6 +201,10 @@ func render(m any) string {
 		return fmt.Sprintf("classic-result %s %v", p.Txn, rs)
 	case readReq:
 		return fmt.Sprintf("read-req id=%d %s from %s", p.ReqID, p.Key, p.From)
+	case leaseRequestMsg:
+		return fmt.Sprintf("lease-req %s epoch=%d holder=%s", p.Keyspace, p.Epoch, p.Holder)
+	case leaseGrantMsg:
+		return fmt.Sprintf("lease-grant %s epoch=%d ok=%v from %s", p.Keyspace, p.Epoch, p.OK, p.Region)
 	}
 	return fmt.Sprintf("%T", m)
 }
@@ -331,6 +349,105 @@ func TestStepCommitTimeout(t *testing.T) {
 	}
 }
 
+// leaseStepNet is newStepNet with every replica running the lease tick
+// for the one keyspace "a", started at n.now. a is the keyspace's
+// namesake; the term is 3s, so the tick runs every 1s and the takeover
+// stagger is 1.5s per rank.
+func leaseStepNet(t *testing.T) *stepNet {
+	n := newStepNet()
+	for _, r := range n.reps {
+		r.cfg.Leases = &LeaseConfig{Term: 3 * time.Second, Keyspaces: []simnet.Region{"a"},
+			KeyspaceOf: func(string) simnet.Region { return "a" }}
+		r.leases = make(map[simnet.Region]*leaseState)
+		expectLines(t, "start at "+string(r.Region()), n.run(r, query(r.startTick)), "arm tick 0s")
+	}
+	return n
+}
+
+// TestStepLeaseTick drives the lease policy through the replicas' steps:
+// the tick's firings and peer-down inputs at chosen instants.
+func TestStepLeaseTick(t *testing.T) {
+	const term = 3 * time.Second
+	n := leaseStepNet(t)
+	a, b, c := n.reps[0], n.reps[1], n.reps[2]
+	t0 := n.now
+	at := func(d time.Duration) { n.now = t0.Add(d) }
+
+	// A non-namesake claims an unclaimed keyspace only after two terms plus
+	// its stagger: c ranks second among the candidates b and c.
+	expectLines(t, "c at t0", n.run(c, leaseTick{}), "arm tick 1s")
+	at(2*term + term/2)
+	expectLines(t, "c at 2 terms + stagger", n.run(c, leaseTick{}), "arm tick 1s")
+	at(2*term + term/2 + time.Millisecond)
+	expectLines(t, "c past 2 terms + stagger", n.run(c, leaseTick{}),
+		"wal lease a@1 holder=c held=false",
+		"send a/replica lease-req a epoch=1 holder=c",
+		"send b/replica lease-req a epoch=1 holder=c",
+		"arm tick 1s")
+
+	// The namesake claims epoch 1 at t0; b's grant is its majority.
+	n = leaseStepNet(t)
+	a, b, c = n.reps[0], n.reps[1], n.reps[2]
+	claim := n.run(a, leaseTick{})
+	expectLines(t, "namesake at t0", claim,
+		"wal lease a@1 holder=a held=false",
+		"send b/replica lease-req a epoch=1 holder=a",
+		"send c/replica lease-req a epoch=1 holder=a",
+		"arm tick 1s")
+	expectLines(t, "b at t0", n.run(b, leaseTick{}), "arm tick 1s")
+	grants := n.deliver(claim)
+	expectLines(t, "grant at b", grants[0],
+		"wal lease a@1 holder=a held=false",
+		"send a/replica lease-grant a epoch=1 ok=true from b")
+	expectLines(t, "grant at c", grants[1],
+		"wal lease a@1 holder=a held=false",
+		"send a/replica lease-grant a epoch=1 ok=true from c")
+	expectLines(t, "quorum at a", n.deliver(grants[0])[0], "wal lease a@1 holder=a held=true")
+	expectLines(t, "late grant at a", n.deliver(grants[1])[0])
+
+	// The holder renews at its held epoch.
+	at(term / 3)
+	expectLines(t, "renewal", n.run(a, leaseTick{}),
+		"send b/replica lease-req a epoch=1 holder=a",
+		"send c/replica lease-req a epoch=1 holder=a",
+		"arm tick 1s")
+
+	// a dies; its grant runs out at t0+term on b's and c's clocks. A
+	// peer-down runs a pass at once, but expiry plus the stagger still
+	// gates the takeover: b ranks first (no stagger), c second.
+	at(term - time.Second)
+	expectLines(t, "b on peer-down, lease live", n.run(b, peerDown{"a"}))
+	at(term)
+	expectLines(t, "b on peer-down at expiry", n.run(b, peerDown{"a"}))
+	at(term + term/2)
+	expectLines(t, "c on peer-down at expiry + stagger", n.run(c, peerDown{"a"}))
+	at(term + time.Millisecond)
+	expectLines(t, "b past expiry", n.run(b, peerDown{"a"}),
+		"wal lease a@2 holder=b held=false",
+		"send a/replica lease-req a epoch=2 holder=b",
+		"send c/replica lease-req a epoch=2 holder=b",
+	)
+
+	// A crashed replica's tick keeps its period and sends nothing; after
+	// Restore, with a@1 replayed (expired), it claims again.
+	at(term + time.Second)
+	expectLines(t, "crash", n.run(c, crash{}), "deregister")
+	expectLines(t, "crashed tick", n.run(c, leaseTick{}), "arm tick 1s")
+	expectLines(t, "crashed peer-down", n.run(c, peerDown{"a"}))
+	restored := []Entry{{Lease: &LeaseRecord{Keyspace: "a", Epoch: 1, Holder: "a"}}}
+	expectLines(t, "restore", n.run(c, restore{restored}), "register")
+	expectLines(t, "tick after restore", n.run(c, leaseTick{}),
+		"wal lease a@2 holder=c held=false",
+		"send a/replica lease-req a epoch=2 holder=c",
+		"send b/replica lease-req a epoch=2 holder=c",
+		"arm tick 1s")
+
+	// Close stops the tick: a tick already fired does nothing.
+	expectLines(t, "close", n.run(c, closeReplica{}), "stop tick")
+	expectLines(t, "tick after close", n.run(c, leaseTick{}))
+	expectLines(t, "peer-down after close", n.run(c, peerDown{"a"}))
+}
+
 // TestStepQuorumReadIDs: a quorum read's request id is the coordinator's
 // own sequence, so the requests a step emits depend only on its state.
 func TestStepQuorumReadIDs(t *testing.T) {
@@ -348,7 +465,7 @@ func TestStepQuorumReadIDs(t *testing.T) {
 // commit timeout are outputs two goroutines may perform in either order.
 // Whichever comes first, no timer is left running.
 func TestCommitTimerStopWins(t *testing.T) {
-	timers := make([]commitTimer, 200)
+	timers := make([]stepTimer, 200)
 	var wg sync.WaitGroup
 	for i := range timers {
 		ct := &timers[i]

@@ -2,7 +2,7 @@
 # verify.sh — the checks a change must pass before merging:
 # vet, full build, full test suite, then a race-detector pass over the
 # packages with the most concurrency (core, mdcc, obs, cluster, where a
-# node's transport goroutines reach its lease manager, httpapi, whose
+# node's transport goroutines step its replica's lease policy, httpapi, whose
 # handlers enter a paced virtual clock from net/http's goroutines, and
 # realnet: on a live node its read loops, its loopback dispatcher, HTTP
 # goroutines and timer goroutines all run steps of the same replica and
@@ -138,17 +138,24 @@ go test -count=1 -timeout 120s -run TestOneRequestCommitGate ./internal/httpapi/
 # same verdicts and final state over simnet and over real TCP.
 go test -count=1 -timeout 120s -run TestTransportEquivalence ./internal/cluster/
 # Benchmark smoke gate: every benchmark in the tree must complete one
-# iteration cleanly (catches panics on bench-only paths), and the commit
-# hot path is held to its recorded allocation budget: 60 allocs/op when the
-# batched wire format landed (docs/bench/BENCH_pr5.json), gated at 80 to
-# absorb noise.
+# iteration cleanly (catches panics on bench-only paths).
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
-allocs=$(go test -run '^$' -bench BenchmarkCoordinatorCommit -benchtime 1000x -benchmem ./internal/mdcc/ |
-	awk '/^BenchmarkCoordinatorCommit/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-[ -n "$allocs" ] && [ "$allocs" -le 80 ] || {
-	echo "verify: BenchmarkCoordinatorCommit allocs/op=$allocs exceeds ceiling 80" >&2
-	exit 1
+# Allocation rungs. rung BENCHMARK PACKAGE BENCHTIME CEILING runs one
+# benchmark and fails when its allocs/op exceeds the ceiling, which is the
+# recorded reading +15 %, rounded down to a whole count.
+rung() {
+	allocs=$(go test -run '^$' -bench "^$1\$" -benchtime "$3" -benchmem "$2" |
+		awk -v b="$1" '$1 ~ "^"b {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+	[ -n "$allocs" ] && [ "$allocs" -le "$4" ] || {
+		echo "verify: $1 allocs/op=$allocs exceeds ceiling $4" >&2
+		exit 1
+	}
 }
+# The commit hot path: pipelined commutative transactions through a
+# coordinator on the five-region simnet cluster. 25 allocs/op in three of
+# three runs when the ceiling was last set (60 when the batched wire format
+# landed); gated at 28.
+rung BenchmarkCoordinatorCommit ./internal/mdcc/ 1000x 28
 # The simulated commit path's rung of the same ladder (ROADMAP item 6): every
 # heap allocation of an open-loop round on the virtual clock — scheduler,
 # simnet, coordinator, replicas, handle, driver — per committed transaction.
@@ -169,41 +176,22 @@ allocs=$(go test -run '^$' -bench BenchmarkOpenLoopCommit -benchtime 20x ./inter
 # and one session per region. Per-region RNGs, the calibration stream and the
 # predictors' RTT windows are built on first use, not here. 252 allocs/op
 # (56 KB) when the rung was added, against 293 (191 KB) before that change;
-# gated at +15 % (289.8, so 289 for a whole count).
-allocs=$(go test -run '^$' -bench BenchmarkOpenDeployment -benchtime 20x -benchmem ./internal/cluster/ |
-	awk '/^BenchmarkOpenDeployment/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-[ -n "$allocs" ] && [ "$allocs" -le 289 ] || {
-	echo "verify: BenchmarkOpenDeployment allocs/op=$allocs exceeds ceiling 289" >&2
-	exit 1
-}
+# gated at 289.
+rung BenchmarkOpenDeployment ./internal/cluster/ 20x 289
 # Seeding rung: a Buy template over 100 000 uniform keys, seeded into a
 # five-region cluster.New the way the experiments seed. The key space enters
 # the deployment's shared seed image as one (prefix, n) range, whatever n
 # is, and no replica builds a record until the protocol touches a key.
 # 2 allocs/op when range seeds landed (100 261 before, when the image held an
-# entry per key), gated at +15 % (2.3, so 2 for a whole count).
-allocs=$(go test -run '^$' -bench BenchmarkSeedCluster -benchtime 5x -benchmem ./internal/cluster/ |
-	awk '/^BenchmarkSeedCluster/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-[ -n "$allocs" ] && [ "$allocs" -le 2 ] || {
-	echo "verify: BenchmarkSeedCluster allocs/op=$allocs exceeds ceiling 2" >&2
-	exit 1
-}
-# Live-path codec rungs: the hand-written codecs every live commit crosses,
-# each gated at its recorded allocs/op +15 % (rounded down to a whole count).
+# entry per key), gated at 2.
+rung BenchmarkSeedCluster ./internal/cluster/ 5x 2
+# Live-path codec rungs: the hand-written codecs every live commit crosses.
 # Gateway: a one-op submit body decoded and its final status encoded, 2
 # allocs/op (17 through encoding/json). Frames: a one-vote batch through
 # encodeFrame and decodeFrame with mdcc.WireCodec, 4 allocs/op (14 with a
 # copied payload per frame, a fresh body per frame and uninterned names).
 # WAL: one decision appended to a file-backed WAL, 0 allocs/op (2 through
 # json.Encoder).
-rung() {
-	allocs=$(go test -run '^$' -bench "^$1\$" -benchtime "$3" -benchmem "$2" |
-		awk -v b="$1" '$1 ~ "^"b {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-	[ -n "$allocs" ] && [ "$allocs" -le "$4" ] || {
-		echo "verify: $1 allocs/op=$allocs exceeds ceiling $4" >&2
-		exit 1
-	}
-}
 rung BenchmarkGatewayCodec ./internal/httpapi/ 10000x 2
 rung BenchmarkFrameRoundTrip ./internal/realnet/ 10000x 4
 rung BenchmarkWALAppend ./internal/mdcc/ 1000x 0
