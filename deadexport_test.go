@@ -26,6 +26,9 @@ var deadExportAllow = map[string]string{
 	"Coordinator.Crashed":     "ROADMAP item 5: simnet derives peer up/down transitions from crashes",
 	"Network.LinkDelayFactor": "ROADMAP item 2: the message-granular delay fault composes with a standing spike",
 	"Engine.Running":          "ROADMAP item 2: the fault generator runs scenarios back to back on one engine",
+	// Test support: the in-process node set the cluster, core and httpapi
+	// tests share.
+	"StartNodes": "clustertest: each caller is a test of another package",
 	// The multi-process harness: only its own process tests call these, and
 	// ROADMAP item 5 moves those tests in-process.
 	"Network.RunScenario":     "ROADMAP item 5: the scenario driver becomes a seeded virtual-clock test",

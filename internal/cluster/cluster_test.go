@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"errors"
-	"net"
 	"os"
 	"reflect"
 	"slices"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"planet/internal/cluster"
+	"planet/internal/clustertest"
 	planet "planet/internal/core"
 	"planet/internal/mdcc"
 	"planet/internal/realnet"
@@ -23,21 +23,6 @@ import (
 // pairRegions are the regions of the two-node deployments below, sorted as
 // NewNode sorts them.
 var pairRegions = []simnet.Region{"us-east", "us-west"}
-
-// freePeers maps each region to a free loopback address.
-func freePeers(t *testing.T, rs []simnet.Region) map[simnet.Region]string {
-	t.Helper()
-	peers := make(map[simnet.Region]string, len(rs))
-	for _, r := range rs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[r] = l.Addr().String()
-		l.Close()
-	}
-	return peers
-}
 
 // startNode starts region r's node of the deployment peers over loopback
 // TCP, with cfg's other settings, and closes it when the test ends.
@@ -89,24 +74,16 @@ var constructors = []constructor{
 	{
 		name: "NewNode", regions: pairRegions, nodes: pairRegions[:1], defaultWAL: true,
 		build: func(t *testing.T, cfg cluster.Config) (*cluster.Cluster, error) {
-			peers := freePeers(t, pairRegions)
-			var first *cluster.Cluster
-			for _, r := range pairRegions {
-				c, err := startNode(t, peers, r, cluster.NodeConfig{
+			nodes, _, err := clustertest.StartNodes(t, pairRegions, func(simnet.Region) cluster.NodeConfig {
+				return cluster.NodeConfig{
 					CommitTimeout: cfg.CommitTimeout,
 					PendingTTL:    cfg.PendingTTL,
 					MasterRegion:  cfg.MasterRegion,
 					MasterLeases:  cfg.MasterLeases,
 					LeaseTerm:     cfg.LeaseTerm,
-				})
-				if err != nil {
-					return nil, err
 				}
-				if first == nil {
-					first = c
-				}
-			}
-			return first, nil
+			})
+			return nodes[pairRegions[0]], err
 		},
 	},
 }
@@ -181,10 +158,13 @@ func TestNegativePendingTTLDisables(t *testing.T) {
 // it finds the file closed.
 func TestCloseClosesWAL(t *testing.T) {
 	r := pairRegions[0]
-	c, err := startNode(t, freePeers(t, pairRegions), r, cluster.NodeConfig{DataDir: t.TempDir()})
+	nodes, _, err := clustertest.StartNodes(t, pairRegions, func(simnet.Region) cluster.NodeConfig {
+		return cluster.NodeConfig{DataDir: t.TempDir()}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := nodes[r]
 	c.Close()
 	if err := c.WALOf(r).Sync(); !errors.Is(err, os.ErrClosed) {
 		t.Errorf("Sync after Close = %v, want os.ErrClosed", err)
@@ -197,18 +177,19 @@ func TestCloseClosesWAL(t *testing.T) {
 // holds.
 func TestNodeRestartRecoversWAL(t *testing.T) {
 	const n = 10
-	peers := freePeers(t, pairRegions)
 	gw, victim := pairRegions[0], pairRegions[1]
 	dirs := map[simnet.Region]string{gw: t.TempDir(), victim: t.TempDir()}
-	start := func(r simnet.Region) *cluster.Cluster {
-		c, err := startNode(t, peers, r, cluster.NodeConfig{DataDir: dirs[r], CommitTimeout: 20 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SeedInt("k", 0, 0, 1<<20)
-		return c
+	nodeConfig := func(r simnet.Region) cluster.NodeConfig {
+		return cluster.NodeConfig{DataDir: dirs[r], CommitTimeout: 20 * time.Second}
 	}
-	gwNode, victimNode := start(gw), start(victim)
+	nodes, peers, err := clustertest.StartNodes(t, pairRegions, nodeConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range nodes {
+		c.SeedInt("k", 0, 0, 1<<20)
+	}
+	gwNode, victimNode := nodes[gw], nodes[victim]
 	db, err := planet.Open(planet.Config{Cluster: gwNode})
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +215,14 @@ func TestNodeRestartRecoversWAL(t *testing.T) {
 		}
 	}
 
+	// The victim rebinds its own port: the drill restarts a process at
+	// the address its peer knows.
 	victimNode.Close()
-	victimNode = start(victim)
+	victimNode, err = startNode(t, peers, victim, nodeConfig(victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimNode.SeedInt("k", 0, 0, 1<<20)
 	if err := victimNode.RestartReplica(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +334,22 @@ func TestCloseStopsLeaseTicks(t *testing.T) {
 		}
 		return views
 	}
+	// holds reports whether rep holds keyspace ks's lease.
+	holds := func(rep *mdcc.Replica, ks simnet.Region) bool {
+		_, leases, _ := rep.LeaseTable()
+		for _, li := range leases {
+			if li.Keyspace == string(ks) {
+				return li.Held
+			}
+		}
+		return false
+	}
 	// held waits on clk until every region of rs holds the lease on its
 	// own keyspace (hash mastership names one keyspace per region).
 	held := func(cs []*cluster.Cluster, rs []simnet.Region, clk vclock.Clock) {
 		t.Helper()
 		for i, r := range rs {
-			for deadline := clk.Now().Add(10 * time.Second); !cs[i].Replica(r).Lease(r).Held; clk.Sleep(10 * time.Millisecond) {
+			for deadline := clk.Now().Add(10 * time.Second); !holds(cs[i].Replica(r), r); clk.Sleep(10 * time.Millisecond) {
 				if clk.Now().After(deadline) {
 					t.Fatalf("%s never took its own keyspace's lease", r)
 				}
@@ -382,14 +379,15 @@ func TestCloseStopsLeaseTicks(t *testing.T) {
 
 	t.Run("NewNode", func(t *testing.T) {
 		rs := []simnet.Region{"eu-west", "us-east", "us-west"}
-		peers := freePeers(t, rs)
+		nodes, _, err := clustertest.StartNodes(t, rs, func(simnet.Region) cluster.NodeConfig {
+			return cluster.NodeConfig{MasterLeases: true, LeaseTerm: 300 * time.Millisecond}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		cs := make([]*cluster.Cluster, len(rs))
 		for i, r := range rs {
-			c, err := startNode(t, peers, r, cluster.NodeConfig{MasterLeases: true, LeaseTerm: 300 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs[i] = c
+			cs[i] = nodes[r]
 		}
 		held(cs, rs, vclock.System)
 		stats := make([]realnet.StatsSnapshot, len(cs))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"planet/internal/cluster"
+	"planet/internal/clustertest"
 	planet "planet/internal/core"
 	"planet/internal/regions"
 	"planet/internal/simnet"
@@ -134,17 +135,16 @@ func simnetOutcomes(t *testing.T, seed int64, steps []eqStep) ([]bool, map[strin
 // on loopback, a planet DB on the us-west gateway node.
 func realnetOutcomes(t *testing.T, steps []eqStep) ([]bool, map[string]int64) {
 	t.Helper()
-	peers := freePeers(t, eqRegions)
-	nodes := make(map[simnet.Region]*cluster.Cluster, len(eqRegions))
-	for _, r := range eqRegions {
-		nc, err := startNode(t, peers, r, cluster.NodeConfig{CommitTimeout: 20 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
+	nodes, _, err := clustertest.StartNodes(t, eqRegions, func(simnet.Region) cluster.NodeConfig {
+		return cluster.NodeConfig{CommitTimeout: 20 * time.Second}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nc := range nodes {
 		for _, k := range eqKeys {
 			nc.SeedInt(k, 50, 0, 100)
 		}
-		nodes[r] = nc
 	}
 	db, err := planet.Open(planet.Config{Cluster: nodes["us-west"]})
 	if err != nil {

@@ -149,22 +149,34 @@ type node struct {
 	wal     *mdcc.WAL // nil when the region logs nothing
 }
 
-// newNode registers region's replica on net, with its leases and lease
-// routing when s has them, then registers its coordinator.
+// newNode registers region's coordinator on net, then its replica, with
+// leases when s has them: its lease views are the coordinator's inputs.
 func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (node, error) {
-	n := node{wal: wal}
+	coord, err := mdcc.NewCoordinator(mdcc.CoordinatorConfig{
+		Net:           net,
+		Addr:          simnet.Addr{Region: region, Name: coordName},
+		Replicas:      s.replicaAddrs,
+		MasterFor:     s.masterFor,
+		CommitTimeout: s.commitTimeout,
+		Unreachable:   s.unreachable,
+		EarlyAbort:    s.earlyAbort,
+	})
+	if err != nil {
+		return node{}, err
+	}
 	var leases *mdcc.LeaseConfig
 	if s.leases {
 		leases = &mdcc.LeaseConfig{
 			Term:       s.leaseTerm,
 			KeyspaceOf: s.keyspaceOf,
 			Keyspaces:  s.keyspaces(),
+			OnView:     coord.LeaseView,
 		}
 		if s.onLeaseEvent != nil {
 			leases.OnEvent = func(ev mdcc.LeaseEvent) { s.onLeaseEvent(region, ev) }
 		}
 	}
-	n.replica = mdcc.NewReplica(mdcc.ReplicaConfig{
+	rep := mdcc.NewReplica(mdcc.ReplicaConfig{
 		Net:        net,
 		Addr:       simnet.Addr{Region: region, Name: replicaName},
 		Peers:      s.replicaAddrs,
@@ -173,37 +185,7 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 		Seeds:      s.seeds,
 		Leases:     leases,
 	})
-	masterFor := s.masterFor
-	if s.leases {
-		masterFor = leaseMasterFor(n.replica, s.keyspaceOf)
-	}
-	var err error
-	n.coord, err = mdcc.NewCoordinator(mdcc.CoordinatorConfig{
-		Net:           net,
-		Addr:          simnet.Addr{Region: region, Name: coordName},
-		Replicas:      s.replicaAddrs,
-		MasterFor:     masterFor,
-		CommitTimeout: s.commitTimeout,
-		Unreachable:   s.unreachable,
-		EarlyAbort:    s.earlyAbort,
-	})
-	return n, err
-}
-
-// leaseMasterFor builds a coordinator routing function that consults the
-// local replica's lease view: keys route to the keyspace's current lease
-// holder, falling back to the keyspace's namesake region before any lease
-// has ever been granted (which matches the static assignment exactly).
-// Stale routes are corrected by the not-master bounce: a replica without
-// the lease rejects the proposal and the coordinator re-resolves.
-func leaseMasterFor(rep *mdcc.Replica, keyspaceOf func(string) simnet.Region) func(string) simnet.Addr {
-	return func(key string) simnet.Addr {
-		ks := keyspaceOf(key)
-		if li := rep.Lease(ks); li.Epoch != 0 {
-			return simnet.Addr{Region: simnet.Region(li.Holder), Name: replicaName}
-		}
-		return simnet.Addr{Region: ks, Name: replicaName}
-	}
+	return node{replica: rep, coord: coord, wal: wal}, nil
 }
 
 // NewNode builds and starts one deployment node: a realnet transport bound
@@ -261,30 +243,25 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 	if listen == "" {
 		listen = cfg.Peers[cfg.Region]
 	}
-	// A peer going down is a step input of the replica's lease tick. The
-	// replica needs the transport, whose health callbacks can fire as soon
-	// as New returns, so the callback finds it through rep; a peer-down
-	// before the replica exists is moot (its first tick runs a pass).
+	// A peer going down is a step input of the replica's lease tick, moot
+	// without leases. The replica needs the transport, whose health
+	// callbacks can fire as soon as New returns, so the callback finds it
+	// through rep; a peer-down before the replica exists is moot too.
 	var rep atomic.Pointer[mdcc.Replica]
-	onPeerState := cfg.OnPeerState
-	if cfg.MasterLeases {
-		user := cfg.OnPeerState
-		onPeerState = func(region simnet.Region, st realnet.PeerState) {
-			if r := rep.Load(); r != nil && st == realnet.PeerDown {
-				r.PeerDown(region)
-			}
-			if user != nil {
-				user(region, st)
-			}
-		}
-	}
 	rn, err := realnet.New(realnet.Config{
 		Listen:       listen,
 		Peers:        remote,
 		Codec:        mdcc.WireCodec{},
 		InboundDelay: cfg.InboundDelay,
-		OnPeerState:  onPeerState,
-		Logf:         cfg.Logf,
+		OnPeerState: func(region simnet.Region, st realnet.PeerState) {
+			if r := rep.Load(); r != nil && st == realnet.PeerDown {
+				r.PeerDown(region)
+			}
+			if cfg.OnPeerState != nil {
+				cfg.OnPeerState(region, st)
+			}
+		},
+		Logf: cfg.Logf,
 	})
 	if err != nil {
 		return nil, err

@@ -6,11 +6,11 @@ package planet
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"planet/internal/cluster"
+	"planet/internal/clustertest"
 	"planet/internal/regions"
 	"planet/internal/simnet"
 	"planet/internal/vclock"
@@ -153,33 +153,20 @@ func TestSpeculationShedWhenDegraded(t *testing.T) {
 func TestSpeculationShedWhenPeerCut(t *testing.T) {
 	regionList := []simnet.Region{"eu-west", "us-east", "us-west"}
 	const gwRegion, cutRegion = simnet.Region("us-west"), simnet.Region("eu-west")
-	peers := make(map[simnet.Region]string, len(regionList))
-	for _, r := range regionList {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[r] = l.Addr().String()
-		l.Close()
+	// The gateway masters every key, so the classic path needs only the
+	// gateway and us-east while eu-west is cut.
+	nodes, _, err := clustertest.StartNodes(t, regionList, func(simnet.Region) cluster.NodeConfig {
+		return cluster.NodeConfig{MasterRegion: gwRegion, CommitTimeout: 20 * time.Second}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var gw *cluster.Cluster
-	for _, r := range regionList {
-		// The gateway masters every key, so the classic path needs only the
-		// gateway and us-east while eu-west is cut.
-		c, err := cluster.NewNode(cluster.NodeConfig{
-			Region: r, Peers: peers, MasterRegion: gwRegion, CommitTimeout: 20 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
+	for _, c := range nodes {
 		for _, k := range []string{"k0", "k1", "k2"} {
 			c.SeedInt(k, 0, 0, 1<<30)
 		}
-		if r == gwRegion {
-			gw = c
-		}
 	}
+	gw := nodes[gwRegion]
 	db, err := Open(Config{Cluster: gw})
 	if err != nil {
 		t.Fatal(err)

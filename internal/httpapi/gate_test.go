@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"net"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"planet/internal/cluster"
+	"planet/internal/clustertest"
 	planet "planet/internal/core"
 	"planet/internal/obs"
 	"planet/internal/simnet"
@@ -80,22 +80,15 @@ next:
 func startGateTrio(t *testing.T) map[simnet.Region]*Client {
 	t.Helper()
 	regionList := []simnet.Region{"eu-west", "us-east", "us-west"}
-	peers := make(map[simnet.Region]string, len(regionList))
-	for _, r := range regionList {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[r] = l.Addr().String()
-		l.Close()
+	cs, _, err := clustertest.StartNodes(t, regionList, func(simnet.Region) cluster.NodeConfig {
+		return cluster.NodeConfig{CommitTimeout: 20 * time.Second}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	nodes := make(map[simnet.Region]*Client, len(regionList))
 	for _, r := range regionList {
-		c, err := cluster.NewNode(cluster.NodeConfig{Region: r, Peers: peers, CommitTimeout: 20 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
+		c := cs[r]
 		c.SeedInt("gate", 0, -1<<40, 1<<40)
 		db, err := planet.Open(planet.Config{Cluster: c, Registry: obs.NewRegistry(), Trace: true})
 		if err != nil {

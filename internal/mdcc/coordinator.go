@@ -20,7 +20,8 @@ type CoordinatorConfig struct {
 	Addr simnet.Addr
 	// Replicas lists every replica address. Required.
 	Replicas []simnet.Addr
-	// MasterFor routes a key to its master replica. Required.
+	// MasterFor routes a key to its static master replica, whose region
+	// names the key's keyspace for lease views (LeaseView). Required.
 	MasterFor func(key string) simnet.Addr
 	// CommitTimeout bounds a transaction's in-flight time (already
 	// time-scaled). Zero disables the timeout.
@@ -128,6 +129,9 @@ type Coordinator struct {
 	obs     CoordObserver
 	spans   *obs.SpanStore
 	crashed bool
+	// holders maps a keyspace to the newest lease view the co-located
+	// replica emitted of it; empty under static mastership.
+	holders map[simnet.Region]leaseView
 
 	// Stats for tests and experiments.
 	Fallbacks uint64
@@ -156,6 +160,12 @@ type (
 	restart struct{}
 	// timeout is the commit timeout of transaction id firing.
 	timeout struct{ id txn.ID }
+	// leaseView is the co-located replica's holder of ks ("" for none),
+	// the seq-th view it emitted.
+	leaseView struct {
+		ks, holder simnet.Region
+		seq        uint64
+	}
 )
 
 // exec runs one input through step and performs its outputs. It is the
@@ -173,14 +183,18 @@ func (c *Coordinator) exec(in any) {
 
 // step is the coordinator's transition function: it applies one input, at
 // time now, to the coordinator's own state and emits the input's effects to
-// c.out. Besides its own state it consults only CoordinatorConfig.MasterFor,
-// when it routes an option to its master. Under master leases that router
-// reads the co-located replica's lease view (a query on the replica), so
-// such a step is not a function of the coordinator's state alone.
+// c.out.
 func (c *Coordinator) step(now time.Time, in any) {
 	switch p := in.(type) {
 	case query:
 		p(now)
+	case leaseView:
+		if c.holders == nil {
+			c.holders = make(map[simnet.Region]leaseView)
+		}
+		if p.seq > c.holders[p.ks].seq { // an older view performed late is stale
+			c.holders[p.ks] = p
+		}
 	case *submit:
 		c.submit(now, p)
 	case timeout:
@@ -228,6 +242,12 @@ func (c *Coordinator) SetObserver(o CoordObserver) {
 func (c *Coordinator) SetSpans(st *obs.SpanStore) {
 	c.exec(query(func(time.Time) { c.spans = st }))
 }
+
+// LeaseView is a step input: the co-located replica's lease holder of
+// keyspace ks ("" for none), to which classic options on ks's keys route,
+// unless the replica's view seq of ks is older than one already taken.
+// A node wires it as the replica's LeaseConfig.OnView.
+func (c *Coordinator) LeaseView(ks, h simnet.Region, seq uint64) { c.exec(leaseView{ks, h, seq}) }
 
 // NewCoordinator constructs and registers a coordinator on cfg.Net.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
@@ -359,9 +379,9 @@ func traceCtx(now time.Time, span uint64) TraceCtx {
 	return TraceCtx{Span: span, SentUnixNano: now.UnixNano()}
 }
 
-// sendClassic routes options to their masters: one classicProposeBatchMsg
-// per master, options grouped in option order (never map order, so routing
-// is deterministic).
+// sendClassic routes options to their masters, lease holders before static
+// masters: one classicProposeBatchMsg per master, options grouped in option
+// order (never map order, so routing is deterministic).
 func (c *Coordinator) sendClassic(now time.Time, id txn.ID, span uint64, ops []txn.Op) {
 	tc := traceCtx(now, span)
 	type masterGroup struct {
@@ -372,6 +392,9 @@ func (c *Coordinator) sendClassic(now time.Time, id txn.ID, span uint64, ops []t
 outer:
 	for _, op := range ops {
 		to := c.cfg.MasterFor(op.Key)
+		if h := c.holders[to.Region].holder; h != "" {
+			to.Region = h // the keyspace's lease holder
+		}
 		for i := range groups {
 			if groups[i].to == to {
 				groups[i].ops = append(groups[i].ops, op)
@@ -524,8 +547,8 @@ func (c *Coordinator) onVoteBatch(now time.Time, b voteBatchMsg) {
 // onClassicResultBatch folds a master's coalesced verdicts for several
 // options of one transaction into its commit state. A ReasonNotMaster
 // bounce — the routed-to replica does not hold the key's master lease —
-// re-resolves the master through MasterFor (which consults the freshest
-// lease view) and retries, a bounded number of times.
+// re-resolves the master from the freshest lease view the coordinator has
+// and retries, a bounded number of times.
 func (c *Coordinator) onClassicResultBatch(now time.Time, b classicResultBatchMsg) {
 	s := c.active[b.Txn]
 	if s == nil || s.decided {

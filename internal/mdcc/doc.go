@@ -44,14 +44,15 @@
 // applies one input to the actor's own state and appends the input's
 // effects to an ordered output list instead of performing them. Inputs are
 // the protocol messages, the local entries (SubmitTraced, the commit
-// timeout, QuorumRead, SyncFrom, the lease tick, PeerDown, Crash, Restore,
-// Close) and queries (ReadLocal, Snapshot, the lease views, startup
-// setters); a crashed actor drops messages inside step. Outputs are sends,
-// WAL entries, timer arms and stops (commit timeouts and the lease tick),
-// sink and lease-observer calls, waiter wake-ups,
+// timeout, QuorumRead, SyncFrom, the lease tick, PeerDown, a lease view,
+// Crash, Restore, Close) and queries (ReadLocal, Snapshot, the lease table,
+// startup setters); a crashed actor drops messages inside step. Outputs are
+// sends, WAL entries, timer arms and stops (commit timeouts and the lease
+// tick), sink and lease-observer calls, lease views, waiter wake-ups,
 // transport (de)registration and a replica's decide-time spans; observer
 // counters and the coordinator's span-store adds stay inline. A master's
-// sends leave as one wire message per destination.
+// sends leave as one wire message per destination. No step reads another
+// actor's state: what one actor learns from another arrives as an input.
 //
 // exec, one per actor, is the executor and the only place the actor's
 // mutex is taken. It runs step under the lock and appends the step's WAL
@@ -76,7 +77,11 @@
 //     -leases) mastership of a keyspace is a time-bounded, epoch-fenced
 //     lease instead, and a survivor takes over a dead master's keyspace
 //     once its lease lapses, driven by a tick inside the replica's step
-//     (see lease.go).
+//     (see lease.go); of two candidates for one epoch, the one sorting
+//     later yields. The replica's lease views are step inputs of its
+//     node's coordinator (LeaseConfig.OnView, Coordinator.LeaseView), which
+//     routes classic options to the holder its newest view of each
+//     keyspace names.
 //   - Paxos instances are tracked per key rather than per record version;
 //     once a key's promised ballot rises above the fast ballot the key stays
 //     classic-owned (MDCC likewise demotes contended records to classic).

@@ -47,6 +47,19 @@ func (r *Replica) AcquireLease(ks simnet.Region) {
 	r.exec(query(func(now time.Time) { r.acquireLease(now, ks) }))
 }
 
+// Lease returns this replica's view of keyspace ks's lease: the holder,
+// epoch and expiry it granted (zero values when it never granted one),
+// whether it holds the lease itself, and the last epoch it held.
+func (r *Replica) Lease(ks simnet.Region) LeaseInfo {
+	_, leases, _ := r.LeaseTable()
+	for _, li := range leases {
+		if li.Keyspace == string(ks) {
+			return li
+		}
+	}
+	return LeaseInfo{Keyspace: string(ks)}
+}
+
 // HoldsLease reports whether this replica currently masters keyspace ks.
 func (r *Replica) HoldsLease(ks simnet.Region) bool { return r.Lease(ks).Held }
 

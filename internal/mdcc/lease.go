@@ -36,6 +36,12 @@ type LeaseConfig struct {
 	// takeover, deposal). Each call is an output of the replica's step,
 	// performed after the replica's lock is released; it should be fast.
 	OnEvent func(LeaseEvent)
+	// OnView, when non-nil, receives each change of the replica's granted
+	// view of a keyspace, its holder ("" for none), as OnEvent receives
+	// events, numbered by seq in emission order: a receiver drops a view
+	// older than one it has, as a live node can perform two steps' outputs
+	// out of order. A node wires it to its coordinator's LeaseView.
+	OnView func(ks, holder simnet.Region, seq uint64)
 }
 
 // LeaseEventKind enumerates lease transitions.
@@ -72,7 +78,9 @@ type LeaseEvent struct {
 	Epoch    uint64
 	// Holder is the lease holder after the transition.
 	Holder simnet.Region
-	// Prev is the holder before the transition ("" if none).
+	// Prev is the holder the transition took the lease from: the last
+	// other holder for a takeover, the deposed replica for a deposal, ""
+	// otherwise.
 	Prev simnet.Region
 }
 
@@ -96,11 +104,16 @@ type LeaseInfo struct {
 // acceptor-side granted view, the holder-side held lease, and any round in
 // flight.
 type leaseState struct {
-	// Granted view (acceptor role): the highest epoch this replica has
-	// granted, to whom, and until when on this replica's clock.
+	// Granted view (acceptor role, written only by setView): the highest
+	// epoch this replica has granted, to whom, and until when on this
+	// replica's clock.
 	epoch  uint64
 	holder simnet.Region
 	expiry time.Time
+	// prior is the last holder other than this replica that the view
+	// named since this replica last won the lease: a win counts as a
+	// takeover from it.
+	prior simnet.Region
 
 	// Held lease (holder role): the last epoch this replica won a majority
 	// for and its validity. heldEpoch survives deposal — a deposed master
@@ -123,10 +136,6 @@ type leaseRound struct {
 	nacks   uint64 // acceptors that rejected this round's epoch
 	done    bool
 	started time.Time
-	// prevEpoch/prevHolder snapshot the granted view before the round's
-	// self-grant, for classifying the win (acquire vs renew vs takeover).
-	prevEpoch  uint64
-	prevHolder simnet.Region
 	// best* track the highest current view reported by a rejecting
 	// acceptor. When enough nacks make a majority impossible, the round
 	// fails and the proposer rolls its provisional self-grant back to this
@@ -206,27 +215,69 @@ func (r *Replica) leaseFenced(key string, epoch uint64) bool {
 // grant is the acceptor rule: grant each epoch to at most one holder, and a
 // new epoch only when the current lease has lapsed on this replica's clock
 // or the requester already holds it. An equal-epoch request from the
-// current holder is a renewal and extends expiry. Returns whether the
-// request was granted; epoch/holder changes are WAL-persisted.
+// current holder is a renewal and extends expiry; one from a rival this
+// replica yields to (the tie-break) replaces its provisional self-grant.
+// Returns whether the request was granted; epoch/holder changes are
+// WAL-persisted.
 func (r *Replica) grant(ls *leaseState, m leaseRequestMsg, now time.Time) bool {
 	switch {
 	case m.Epoch == 0 || m.Epoch < ls.epoch:
 		return false
+	case m.Epoch == ls.epoch && ls.holder == m.Holder:
+		r.setView(m.Keyspace, ls, ls.epoch, ls.holder, time.Unix(0, m.ExpiresUnixNano))
+		return true
 	case m.Epoch == ls.epoch:
-		if ls.holder != m.Holder {
+		if !r.yields(ls, m.Epoch, m.Holder) {
 			return false
 		}
-		ls.expiry = time.Unix(0, m.ExpiresUnixNano)
-		return true
-	default:
-		if ls.epoch != 0 && ls.holder != m.Holder && now.Before(ls.expiry) {
-			return false
-		}
-		ls.epoch, ls.holder = m.Epoch, m.Holder
-		ls.expiry = time.Unix(0, m.ExpiresUnixNano)
-		r.walLease(m.Keyspace, ls.epoch, ls.holder, false, now)
-		return true
+		ls.round.done, ls.round = true, nil
+	case ls.epoch != 0 && ls.holder != m.Holder && now.Before(ls.expiry):
+		return false
 	}
+	r.setView(m.Keyspace, ls, m.Epoch, m.Holder, time.Unix(0, m.ExpiresUnixNano))
+	r.walLease(m.Keyspace, ls.epoch, ls.holder, false, now)
+	return true
+}
+
+// yields is the tie-break: whether this replica's view of ls is the
+// provisional self-grant of its open claim round (an epoch above any it
+// held, so never a renewal) at epoch, and rival, which claims the same
+// epoch, sorts before this region. Two candidates that claim one epoch
+// while a dead acceptor still counts as a possible grant each refuse the
+// other, and neither round fails; without a rule they retry a term later
+// at the next epoch and refuse each other again, for good. The one that
+// sorts later yields when either the rival's request or a view naming the
+// rival reaches it; a renewal's epoch is already won and never yields.
+func (r *Replica) yields(ls *leaseState, epoch uint64, rival simnet.Region) bool {
+	round := ls.round
+	return round != nil && !round.done && round.epoch == epoch && epoch > ls.heldEpoch &&
+		ls.epoch == epoch && ls.holder == r.Region() && rival != "" && rival < r.Region()
+}
+
+// setView is the one write of keyspace ks's granted view. It remembers a
+// holder other than this replica as the view's prior, and emits the holder
+// for LeaseConfig.OnView when it changes ("" exactly while the epoch is 0),
+// numbered in emission order.
+func (r *Replica) setView(ks simnet.Region, ls *leaseState, epoch uint64, holder simnet.Region, expiry time.Time) {
+	was := ls.holder
+	ls.epoch, ls.holder, ls.expiry = epoch, holder, expiry
+	if holder != "" && holder != r.Region() {
+		ls.prior = holder
+	}
+	if l := r.cfg.Leases; l != nil && l.OnView != nil && holder != was {
+		r.viewSeq++
+		seq := r.viewSeq
+		r.out.add(output{kind: outCall, fn: func() { l.OnView(ks, holder, seq) }})
+	}
+}
+
+// dropLeases forgets every lease, as a crash does and a restore before
+// its replay.
+func (r *Replica) dropLeases() {
+	for ks, ls := range r.leases {
+		r.setView(ks, ls, 0, "", time.Time{})
+	}
+	clear(r.leases)
 }
 
 // walLease persists a lease transition so a restarted replica knows the
@@ -251,12 +302,12 @@ func (r *Replica) applyLeaseEntry(l *LeaseRecord) {
 	}
 	ls := r.leaseFor(simnet.Region(l.Keyspace))
 	if l.Epoch >= ls.epoch {
-		ls.epoch, ls.holder = l.Epoch, simnet.Region(l.Holder)
-		ls.expiry = time.Time{}
+		r.setView(simnet.Region(l.Keyspace), ls, l.Epoch, simnet.Region(l.Holder), time.Time{})
 	}
 	if l.Held && l.Epoch >= ls.heldEpoch {
 		ls.heldEpoch = l.Epoch
 		ls.heldExpiry = time.Time{}
+		ls.prior = ""
 	}
 }
 
@@ -271,9 +322,10 @@ func (r *Replica) applyLeaseEntry(l *LeaseRecord) {
 //   - recorded holder without a live lease (fresh restart): re-acquire;
 //     the round either renews or discovers the deposing epoch.
 //   - lapsed under another holder: take over once expiry plus the stagger
-//     has passed. Expiry gates every takeover; the stagger only keeps
-//     candidates from dueling, which is safe (the grant round gives each
-//     epoch to at most one winner) but wasteful.
+//     has passed. Expiry gates every takeover; the stagger only spreads
+//     the candidates' claims. Two can still claim one epoch (a survivor
+//     that missed the holder's last renewals sees its lease expire early),
+//     and the tie-break (yields) ends that duel.
 
 // startTick records when the lease tick started and arms its first run.
 func (r *Replica) startTick(now time.Time) {
@@ -346,10 +398,7 @@ func (r *Replica) acquireLease(now time.Time, ks simnet.Region) {
 	if r.holdsLease(ks, now) {
 		next = ls.heldEpoch // renewal
 	}
-	round := &leaseRound{
-		epoch: next, expiry: now.Add(r.cfg.Leases.Term), started: now,
-		prevEpoch: ls.epoch, prevHolder: ls.holder,
-	}
+	round := &leaseRound{epoch: next, expiry: now.Add(r.cfg.Leases.Term), started: now}
 	ls.round = round
 	req := leaseRequestMsg{Keyspace: ks, Epoch: next, Holder: r.Region(),
 		ExpiresUnixNano: round.expiry.UnixNano(), From: r.cfg.Addr}
@@ -406,12 +455,7 @@ func (r *Replica) onLeaseGrant(now time.Time, m leaseGrantMsg) {
 	}
 	ls := r.leaseFor(m.Keyspace)
 	if m.CurEpoch > ls.epoch {
-		ls.epoch, ls.holder = m.CurEpoch, m.CurHolder
-		ls.expiry = time.Unix(0, m.CurExpiresUnixNano)
-		r.walLease(m.Keyspace, ls.epoch, ls.holder, false, now)
-		if ev, ok := r.deposal(ls, m.Keyspace); ok {
-			r.leaseEvent(ev)
-		}
+		r.adopt(ls, m, now)
 	}
 	round := ls.round
 	if round == nil || round.done || m.Epoch != round.epoch {
@@ -432,6 +476,15 @@ func (r *Replica) onLeaseGrant(now time.Time, m leaseGrantMsg) {
 		round.bestEpoch, round.bestHolder = m.CurEpoch, m.CurHolder
 		round.bestExpiry = time.Unix(0, m.CurExpiresUnixNano)
 	}
+	// The tie-break, requester side: an acceptor that granted the round's
+	// epoch to a rival this replica yields to ends the round, and this
+	// replica adopts the rival.
+	if r.yields(ls, m.CurEpoch, m.CurHolder) {
+		round.done = true
+		ls.round = nil
+		r.adopt(ls, m, now)
+		return
+	}
 	// Once enough acceptors have rejected the round that a majority of
 	// grants is impossible, close it and roll the provisional self-grant
 	// back to the highest view the rejectors reported. The rollback only
@@ -446,10 +499,20 @@ func (r *Replica) onLeaseGrant(now time.Time, m leaseGrantMsg) {
 	round.done = true
 	ls.round = nil
 	if round.bestEpoch != 0 && ls.epoch == round.epoch && ls.holder == r.Region() && round.bestEpoch < ls.epoch {
-		ls.epoch, ls.holder, ls.expiry = round.bestEpoch, round.bestHolder, round.bestExpiry
+		r.setView(m.Keyspace, ls, round.bestEpoch, round.bestHolder, round.bestExpiry)
 		if ev, ok := r.deposal(ls, m.Keyspace); ok {
 			r.leaseEvent(ev)
 		}
+	}
+}
+
+// adopt makes the view an acceptor reported in m this replica's granted
+// view, persists it, and reports the deposal it implies.
+func (r *Replica) adopt(ls *leaseState, m leaseGrantMsg, now time.Time) {
+	r.setView(m.Keyspace, ls, m.CurEpoch, m.CurHolder, time.Unix(0, m.CurExpiresUnixNano))
+	r.walLease(m.Keyspace, ls.epoch, ls.holder, false, now)
+	if ev, ok := r.deposal(ls, m.Keyspace); ok {
+		r.leaseEvent(ev)
 	}
 }
 
@@ -467,8 +530,9 @@ func (r *Replica) deposal(ls *leaseState, ks simnet.Region) (LeaseEvent, bool) {
 
 // checkLeaseQuorum resolves an in-flight round once a majority has granted:
 // the replica now holds the lease until the round's expiry. The win is
-// classified for observers (acquire, renew, takeover) and held transitions
-// are WAL-persisted.
+// classified for observers — a renewal, or a takeover from the view's
+// prior holder, else an acquisition — and held transitions are
+// WAL-persisted.
 func (r *Replica) checkLeaseQuorum(ks simnet.Region, ls *leaseState, now time.Time) {
 	round := ls.round
 	if round == nil || round.done || bits.OnesCount64(round.grants) < ClassicQuorum(len(r.cfg.Peers)) {
@@ -481,18 +545,19 @@ func (r *Replica) checkLeaseQuorum(ks simnet.Region, ls *leaseState, now time.Ti
 	ls.heldEpoch = round.epoch
 	ls.heldExpiry = round.expiry
 
-	ev := LeaseEvent{Keyspace: ks, Epoch: round.epoch, Holder: r.Region(), Prev: round.prevHolder}
+	ev := LeaseEvent{Keyspace: ks, Epoch: round.epoch, Holder: r.Region()}
 	switch {
 	case renewal:
 		ev.Kind = LeaseRenewed
-	case round.prevEpoch == 0 || round.prevHolder == r.Region() || round.prevHolder == "":
+	case ls.prior == "":
 		ev.Kind = LeaseAcquired
 		r.walLease(ks, round.epoch, r.Region(), true, now)
 	default:
-		ev.Kind = LeaseTakeover
+		ev.Kind, ev.Prev = LeaseTakeover, ls.prior
 		r.LeaseTakeovers++
 		r.walLease(ks, round.epoch, r.Region(), true, now)
 	}
+	ls.prior = ""
 	r.leaseEvent(ev)
 }
 
@@ -500,26 +565,6 @@ func (r *Replica) checkLeaseQuorum(ks simnet.Region, ls *leaseState, now time.Ti
 func (r *Replica) leaseEvent(ev LeaseEvent) {
 	if f := r.cfg.Leases.OnEvent; f != nil {
 		r.out.add(output{kind: outCall, fn: func() { f(ev) }})
-	}
-}
-
-// Lease returns this replica's view of keyspace ks's lease: the holder,
-// epoch and expiry it granted (zero values when it never granted one),
-// whether it holds the lease itself, and the last epoch it held.
-func (r *Replica) Lease(ks simnet.Region) (li LeaseInfo) {
-	li.Keyspace = string(ks)
-	r.exec(query(func(now time.Time) {
-		if ls := r.leases[ks]; ls != nil {
-			li = r.leaseInfo(ks, ls, now)
-		}
-	}))
-	return li
-}
-
-func (r *Replica) leaseInfo(ks simnet.Region, ls *leaseState, now time.Time) LeaseInfo {
-	return LeaseInfo{
-		Keyspace: string(ks), Epoch: ls.epoch, Holder: string(ls.holder),
-		Expiry: ls.expiry, Held: r.holdsLease(ks, now), HeldEpoch: ls.heldEpoch,
 	}
 }
 
@@ -531,7 +576,10 @@ func (r *Replica) LeaseTable() (enabled bool, leases []LeaseInfo, takeovers uint
 		enabled, takeovers = r.cfg.Leases != nil, r.LeaseTakeovers
 		leases = make([]LeaseInfo, 0, len(r.leases))
 		for ks, ls := range r.leases {
-			leases = append(leases, r.leaseInfo(ks, ls, now))
+			leases = append(leases, LeaseInfo{
+				Keyspace: string(ks), Epoch: ls.epoch, Holder: string(ls.holder),
+				Expiry: ls.expiry, Held: r.holdsLease(ks, now), HeldEpoch: ls.heldEpoch,
+			})
 		}
 	}))
 	sort.Slice(leases, func(i, j int) bool { return leases[i].Keyspace < leases[j].Keyspace })

@@ -234,3 +234,166 @@ func TestLeaseVirtualDeterminism(t *testing.T) {
 		t.Fatalf("same seed, different outcomes with leases enabled:\n--- run A\n%s\n--- run B\n%s", a, b)
 	}
 }
+
+// duelSeeds are the seeds the lease-duel repro runs on.
+var duelSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 42}
+
+// holders lists the regions among survivors whose replica holds keyspace
+// ks's lease.
+func holders(c *cluster.Cluster, ks simnet.Region, survivors []simnet.Region) []simnet.Region {
+	var out []simnet.Region
+	for _, r := range survivors {
+		if c.Replica(r).HoldsLease(ks) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// crashAfterLostRenewal waits for one renewal by master, cuts master→miss,
+// waits for the next lost renewals (which miss does not see), sleeps
+// after, and crashes master. It returns the survivors.
+func crashAfterLostRenewal(t *testing.T, c *cluster.Cluster, events *leaseEvents, master, miss simnet.Region, lost int, after time.Duration) []simnet.Region {
+	t.Helper()
+	// Only the holder renews, so every renewal event is master's.
+	renewals := func() int { return events.count(mdcc.LeaseRenewed) }
+	eventually(t, c, 10*time.Second, "a first renewal", func() bool { return renewals() > 0 })
+	c.Net.SetLinkCut(master, miss, true)
+	n := renewals()
+	eventually(t, c, 10*time.Second, "the renewals miss loses", func() bool { return renewals() >= n+lost })
+	c.Clock().Sleep(after)
+	if err := c.CrashReplica(master); err != nil {
+		t.Fatal(err)
+	}
+	var survivors []simnet.Region
+	for _, r := range c.Regions() {
+		if r != master {
+			survivors = append(survivors, r)
+		}
+	}
+	return survivors
+}
+
+// TestLeaseDuelAfterLostRenewal is the lease duel: the holder's last
+// renewal misses California, then the holder dies. California's view
+// expires a tick before Ireland's, which California's takeover stagger
+// offsets, so both survivors claim epoch 2 on one tick; each self-grants
+// before the other's request arrives and refuses it. The grant round's
+// tie-break must still elect one holder, and the heir must count the win
+// as a takeover.
+func TestLeaseDuelAfterLostRenewal(t *testing.T) {
+	ks := regions.Virginia
+	for _, seed := range duelSeeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			events := newLeaseEvents()
+			c := newTestCluster(t, cluster.Config{
+				Topology:     regions.Three(),
+				Seed:         seed,
+				MasterRegion: regions.Virginia,
+				MasterLeases: true,
+				WAL:          true,
+				OnLeaseEvent: events.record,
+			})
+			survivors := crashAfterLostRenewal(t, c, events, regions.Virginia, regions.California, 1, 0)
+			c.Clock().Sleep(100 * c.ScaleDuration(cluster.DefaultLeaseTerm))
+
+			got := holders(c, ks, survivors)
+			if len(got) != 1 {
+				for _, r := range survivors {
+					holder, epoch, _ := c.Replica(r).LeaseView(ks)
+					t.Logf("%s's view: %s@%d", r, holder, epoch)
+				}
+				t.Fatalf("holders after 100 terms: %v, want exactly one", got)
+			}
+			heir := got[0]
+			if n := events.count(mdcc.LeaseTakeover); n != 1 {
+				t.Errorf("%d LeaseTakeover events, want 1", n)
+			}
+			events.mu.Lock()
+			for _, ev := range events.evs[heir] {
+				if ev.Kind == mdcc.LeaseAcquired {
+					t.Errorf("heir %s reported %v at epoch %d, want a takeover", heir, ev.Kind, ev.Epoch)
+				}
+			}
+			events.mu.Unlock()
+			if n := c.Replica(heir).LeaseTakeoverCount(); n != 1 {
+				t.Errorf("heir's LeaseTakeoverCount = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestLeaseElectionSweep runs the lost renewal of the duel repro over
+// three and five regions, with every survivor as the one that misses the
+// renewal, and ten crash instants spread over one tick (term/3) after it.
+// Every run must elect exactly one holder within 3 terms of the crash,
+// keep it, and count one takeover.
+func TestLeaseElectionSweep(t *testing.T) {
+	electionSweep(t, []regions.Topology{regions.Three(), regions.Five()}, 1, 3)
+}
+
+// TestLeaseDuelAfterLostTerm is the duel with the claims a tick apart:
+// the survivor that misses a full term of renewals (three) claims while
+// the other's view of the dead holder is still live, and is refused; the
+// other claims the same epoch a tick later. Over three regions, with
+// either survivor missing the renewals and ten crash instants over a tick,
+// one holder must be elected within 4 terms, whichever sorts first.
+func TestLeaseDuelAfterLostTerm(t *testing.T) {
+	electionSweep(t, []regions.Topology{regions.Three()}, 3, 4)
+}
+
+// electionSweep runs, on each topology, every survivor as the one that
+// loses the holder's next lost renewals, and ten crash instants spread over
+// one tick (term/3) after them. Every run must elect exactly one holder
+// within bound terms of the crash, keep it, and count one takeover; the
+// slowest run is logged.
+func electionSweep(t *testing.T, topos []regions.Topology, lost int, bound time.Duration) {
+	ks := regions.Virginia
+	var worst time.Duration
+	var worstRun string
+	var term time.Duration
+	for _, topo := range topos {
+		for _, miss := range topo.Regions {
+			if miss == ks {
+				continue
+			}
+			for i := 0; i < 10; i++ {
+				name := fmt.Sprintf("%d/miss=%s/at=%d", len(topo.Regions), miss, i)
+				t.Run(name, func(t *testing.T) {
+					events := newLeaseEvents()
+					c := newTestCluster(t, cluster.Config{
+						Topology:     topo,
+						MasterRegion: ks,
+						MasterLeases: true,
+						WAL:          true,
+						OnLeaseEvent: events.record,
+					})
+					term = c.ScaleDuration(cluster.DefaultLeaseTerm)
+					survivors := crashAfterLostRenewal(t, c, events, ks, miss, lost, time.Duration(i)*term/30)
+					clk := c.Clock()
+					crashed := clk.Now()
+					var got []simnet.Region
+					eventually(t, c, bound*term, "a holder is elected", func() bool {
+						got = holders(c, ks, survivors)
+						return len(got) > 0
+					})
+					took := clk.Now().Sub(crashed)
+					if len(got) != 1 {
+						t.Fatalf("%v hold the lease at once", got)
+					}
+					clk.Sleep(3 * term)
+					if later := holders(c, ks, survivors); len(later) != 1 || later[0] != got[0] {
+						t.Errorf("3 terms after %s's election the holders are %v", got[0], later)
+					}
+					if n := events.count(mdcc.LeaseTakeover); n != 1 {
+						t.Errorf("%d LeaseTakeover events, want 1", n)
+					}
+					if took > worst {
+						worst, worstRun = took, fmt.Sprintf("%s (heir %s)", name, got[0])
+					}
+				})
+			}
+		}
+	}
+	t.Logf("slowest election: %v = %.2f terms after the crash, in %s", worst, float64(worst)/float64(term), worstRun)
+}

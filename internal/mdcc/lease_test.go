@@ -1,6 +1,8 @@
 package mdcc
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -150,6 +152,33 @@ func TestLeaseAcceptorGrantRules(t *testing.T) {
 	r.exec(req(3, "c", time.Second))
 	if holder, epoch, _ := r.LeaseView("a"); holder != "c" || epoch != 3 {
 		t.Fatalf("post-expiry takeover refused: view %s@%d, want c@3", holder, epoch)
+	}
+}
+
+// TestLeaseViewOutputs: the replica emits its granted view as a step
+// output whenever the holder the view names changes — a grant, a crash
+// (no holder), a replay, a takeover — and not on a renewal, numbered in
+// emission order across the crash.
+func TestLeaseViewOutputs(t *testing.T) {
+	r, _ := newLeasedReplica(t, 3, time.Second, NewWAL(nil))
+	var views []string
+	r.cfg.Leases.OnView = func(ks, holder simnet.Region, seq uint64) {
+		views = append(views, fmt.Sprintf("%s=%s#%d", ks, holder, seq))
+	}
+	req := func(epoch uint64, holder simnet.Region) leaseRequestMsg {
+		return leaseRequestMsg{Keyspace: "a", Epoch: epoch, Holder: holder,
+			ExpiresUnixNano: r.clk.Now().Add(30 * time.Millisecond).UnixNano(),
+			From:            simnet.Addr{Region: holder, Name: "replica"}}
+	}
+	r.exec(req(1, "b"))
+	r.exec(req(1, "b"))
+	r.Crash()
+	if err := r.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	r.exec(req(2, "c"))
+	if got, want := strings.Join(views, " "), "a=b#1 a=#2 a=b#3 a=c#4"; got != want {
+		t.Errorf("views %q, want %q", got, want)
 	}
 }
 

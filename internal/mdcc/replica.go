@@ -59,6 +59,7 @@ type Replica struct {
 	leases    map[simnet.Region]*leaseState
 	tick      stepTimer
 	tickStart time.Time
+	viewSeq   uint64 // the last lease view's number (setView); kept across a crash
 
 	// spans is the region's span shard (nil = tracing off), the one its
 	// coordinator records into. slot names this replica's option-RPC legs
@@ -297,9 +298,7 @@ func (r *Replica) crash() {
 	r.decided = decidedSet{}
 	r.masters = make(map[string]*masterKey)
 	r.syncs = nil
-	if r.leases != nil {
-		r.leases = make(map[simnet.Region]*leaseState)
-	}
+	r.dropLeases()
 }
 
 // Restore recovers a crashed replica: committed state is the seed image plus
@@ -327,9 +326,7 @@ func (r *Replica) restore(now time.Time, entries []Entry) {
 	r.records = make(map[string]*record)
 	r.decided = decidedSet{}
 	r.masters = make(map[string]*masterKey)
-	if r.leases != nil {
-		r.leases = make(map[simnet.Region]*leaseState)
-	}
+	r.dropLeases()
 	var replaySpans []obs.Span
 	for _, e := range entries {
 		if e.Lease != nil {

@@ -32,7 +32,7 @@ func newStepNet() *stepNet {
 	for i, reg := range stepRegions {
 		peers[i] = simnet.Addr{Region: reg, Name: "replica"}
 	}
-	n := &stepNet{now: time.Unix(1000, 0)}
+	n := &stepNet{now: time.Unix(1000, 0), coord: newStepCoordinator(peers)}
 	for _, p := range peers {
 		n.reps = append(n.reps, &Replica{
 			cfg:     ReplicaConfig{Addr: p, Peers: peers, WAL: NewWAL(nil), Seeds: new(SeedImage)},
@@ -40,7 +40,13 @@ func newStepNet() *stepNet {
 			masters: make(map[string]*masterKey),
 		})
 	}
-	n.coord = &Coordinator{
+	return n
+}
+
+// newStepCoordinator builds region a's coordinator over peers without a
+// transport; MasterFor names peers[0] for every key.
+func newStepCoordinator(peers []simnet.Addr) *Coordinator {
+	return &Coordinator{
 		cfg: CoordinatorConfig{
 			Addr:          simnet.Addr{Region: "a", Name: "coord"},
 			Replicas:      peers,
@@ -49,7 +55,6 @@ func newStepNet() *stepNet {
 		},
 		active: make(map[txn.ID]*commitState),
 	}
-	return n
 }
 
 // sent is one wire message a step's outputs put on the network, in the form
@@ -446,6 +451,186 @@ func TestStepLeaseTick(t *testing.T) {
 	expectLines(t, "close", n.run(c, closeReplica{}), "stop tick")
 	expectLines(t, "tick after close", n.run(c, leaseTick{}))
 	expectLines(t, "peer-down after close", n.run(c, peerDown{"a"}))
+}
+
+// TestStepLeaseRoute: the coordinator routes classic options from its own
+// state, with no replica built. Before any lease view arrives an option
+// goes to MasterFor's region, the key's keyspace; after a view input it
+// goes to the view's holder; a view naming no holder restores the static
+// route. A view of another keyspace changes nothing, and a view older than
+// the one taken (performed late) is dropped.
+func TestStepLeaseRoute(t *testing.T) {
+	peers := make([]simnet.Addr, len(stepRegions))
+	for i, reg := range stepRegions {
+		peers[i] = simnet.Addr{Region: reg, Name: "replica"}
+	}
+	n := &stepNet{now: time.Unix(1000, 0), coord: newStepCoordinator(peers)}
+	classic := func(id txn.ID) string {
+		t.Helper()
+		got := n.run(n.coord, submitInput(id, ModeClassic, "k"))
+		if len(got.wire) != 1 {
+			t.Fatalf("txn %d: %d wire messages, want 1", id, len(got.wire))
+		}
+		return string(got.wire[0].to.Region)
+	}
+	if to := classic(1); to != "a" {
+		t.Errorf("before any view: routed to %s, want a", to)
+	}
+	expectLines(t, "view of a", n.run(n.coord, leaseView{"a", "c", 2}))
+	expectLines(t, "view of b", n.run(n.coord, leaseView{"b", "a", 3}))
+	if to := classic(2); to != "c" {
+		t.Errorf("after a view naming c: routed to %s, want c", to)
+	}
+	n.run(n.coord, leaseView{"a", "b", 1})
+	if to := classic(3); to != "c" {
+		t.Errorf("after an older view naming b: routed to %s, want c", to)
+	}
+	n.run(n.coord, leaseView{"a", "", 4})
+	if to := classic(4); to != "a" {
+		t.Errorf("after a view naming no holder: routed to %s, want a", to)
+	}
+}
+
+// TestStepLeaseViewOrder: a live node can perform two replica steps'
+// outputs in the opposite order, and the coordinator still routes to the
+// later view. Replica b grants epoch 1 to c, then, once that lease has
+// lapsed, epoch 2 to itself; the second step's view reaches the
+// coordinator first.
+func TestStepLeaseViewOrder(t *testing.T) {
+	n := leaseStepNet(t)
+	b := n.reps[1]
+	b.cfg.Leases.OnView = func(ks, holder simnet.Region, seq uint64) {
+		n.run(n.coord, leaseView{ks, holder, seq})
+	}
+	// step runs b on in and returns the views its outputs would perform.
+	step := func(in any) []func() {
+		ob := new(outBuf)
+		b.out = ob
+		b.step(n.now, in)
+		b.out = nil
+		var calls []func()
+		for _, o := range ob.outs {
+			if o.kind == outCall {
+				calls = append(calls, o.fn)
+			}
+		}
+		return calls
+	}
+	req := func(epoch uint64, holder simnet.Region) leaseRequestMsg {
+		return leaseRequestMsg{Keyspace: "a", Epoch: epoch, Holder: holder,
+			ExpiresUnixNano: n.now.Add(time.Second).UnixNano(),
+			From:            simnet.Addr{Region: holder, Name: "replica"}}
+	}
+	first := step(req(1, "c"))
+	n.now = n.now.Add(2 * time.Second)
+	second := step(req(2, "b"))
+	if len(first) != 1 || len(second) != 1 {
+		t.Fatalf("%d and %d views, want one each", len(first), len(second))
+	}
+	second[0]()
+	first[0]()
+	got := n.run(n.coord, submitInput(1, ModeClassic, "k"))
+	if len(got.wire) != 1 || got.wire[0].to.Region != "b" {
+		t.Errorf("routed %v, want to b, the later view's holder", got.lines)
+	}
+}
+
+// sentTo returns the one wire message st sent to region's replica.
+func sentTo(t *testing.T, st stepped, region simnet.Region) any {
+	t.Helper()
+	for _, w := range st.wire {
+		if w.to.Region == region && len(w.msgs) == 1 {
+			return w.msgs[0]
+		}
+	}
+	t.Fatalf("nothing sent to %s", region)
+	return nil
+}
+
+// TestStepLeaseDuel drives the lease duel through the replicas' steps:
+// with a dead, b and c claim epoch 2 at one instant, and c, which sorts
+// after b, yields, whichever of b's messages reaches it first. b's request
+// finds c's claim round open, and c grants it in place of its own
+// self-grant; or b's refusal of c's request names b, and c closes its round
+// and adopts b, whose request c then grants. Either way b wins epoch 2 and
+// counts the win as a takeover from a.
+func TestStepLeaseDuel(t *testing.T) {
+	const term = 3 * time.Second
+	for _, requestFirst := range []bool{true, false} {
+		t.Run(map[bool]string{true: "request first", false: "refusal first"}[requestFirst], func(t *testing.T) {
+			n := leaseStepNet(t)
+			a, b, c := n.reps[0], n.reps[1], n.reps[2]
+			claim := n.run(a, leaseTick{})
+			for _, g := range n.deliver(claim)[1:] {
+				n.deliver(g)
+			}
+			if !a.holdsLease("a", n.now) {
+				t.Fatal("a did not take epoch 1")
+			}
+
+			// a dies. At 2 terms both survivors claim epoch 2 (b on its
+			// tick, c as if its view had run out a tick earlier).
+			n.now = n.now.Add(2 * term)
+			bReq := n.run(b, leaseTick{})
+			cReq := n.run(c, query(func(now time.Time) { c.acquireLease(now, "a") }))
+			atB := n.run(b, sentTo(t, cReq, "b"))
+			expectLines(t, "c's request at b", atB, "send c/replica lease-grant a epoch=2 ok=false from b")
+			var grant stepped
+			if requestFirst {
+				grant = n.run(c, sentTo(t, bReq, "c"))
+				expectLines(t, "b's request at c", grant,
+					"wal lease a@2 holder=b held=false",
+					"send b/replica lease-grant a epoch=2 ok=true from c")
+				expectLines(t, "b's refusal at c", n.run(c, sentTo(t, atB, "c")))
+			} else {
+				expectLines(t, "b's refusal at c", n.run(c, sentTo(t, atB, "c")), "wal lease a@2 holder=b held=false")
+				grant = n.run(c, sentTo(t, bReq, "c"))
+				expectLines(t, "b's request at c", grant, "send b/replica lease-grant a epoch=2 ok=true from c")
+			}
+			if c.leases["a"].round != nil || c.leases["a"].holder != "b" {
+				t.Fatalf("c kept its round or its own view: holder %s", c.leases["a"].holder)
+			}
+			expectLines(t, "c's grant at b", n.run(b, sentTo(t, grant, "b")), "wal lease a@2 holder=b held=true")
+			if !b.holdsLease("a", n.now) || b.LeaseTakeovers != 1 {
+				t.Errorf("b holds=%v with %d takeovers, want a held lease and 1 takeover", b.holdsLease("a", n.now), b.LeaseTakeovers)
+			}
+		})
+	}
+}
+
+// TestStepLeaseRenewalKeepsView: the tie-break applies to claims only. b
+// won epoch 1 with c's grant while a, which sorts first, still keeps its
+// own failed self-grant of epoch 1. a's refusal of b's renewal names a at
+// b's round's epoch; b keeps its round, its view and its lease, and
+// c's grant renews it.
+func TestStepLeaseRenewalKeepsView(t *testing.T) {
+	n := leaseStepNet(t)
+	a, b, c := n.reps[0], n.reps[1], n.reps[2]
+	acquire := func(r *Replica) stepped {
+		return n.run(r, query(func(now time.Time) { r.acquireLease(now, "a") }))
+	}
+	bReq := acquire(b)
+	acquire(a) // a's request never arrives
+	n.run(b, sentTo(t, n.run(c, sentTo(t, bReq, "c")), "b"))
+	if !b.holdsLease("a", n.now) {
+		t.Fatal("b did not win epoch 1")
+	}
+	if a.leases["a"].holder != "a" {
+		t.Fatalf("a's view names %s, want its own self-grant", a.leases["a"].holder)
+	}
+
+	n.now = n.now.Add(time.Second)
+	renew := acquire(b)
+	nack := n.run(a, sentTo(t, renew, "a"))
+	expectLines(t, "b's renewal at a", nack, "send b/replica lease-grant a epoch=1 ok=false from a")
+	expectLines(t, "a's refusal at b", n.run(b, sentTo(t, nack, "b")))
+	if ls := b.leases["a"]; ls.round == nil || ls.holder != "b" {
+		t.Fatalf("b closed its renewal or adopted a: holder %s", ls.holder)
+	}
+	n.run(b, sentTo(t, n.run(c, sentTo(t, renew, "c")), "b"))
+	if !b.holdsLease("a", n.now) || b.leases["a"].heldExpiry != n.now.Add(3*time.Second) {
+		t.Errorf("b's renewal did not extend its lease")
+	}
 }
 
 // TestStepQuorumReadIDs: a quorum read's request id is the coordinator's

@@ -76,7 +76,13 @@ GOMAXPROCS=4 go test -race -short -run 'TestArmsEquivalence|TestForArms' ./inter
 # leases ENABLED must produce bit-identical txn outcomes, final state, and
 # lease views (leases default off; this is the only gate that turns them on
 # deterministically).
-go test -count=10 -run TestLeaseVirtualDeterminism ./internal/mdcc/
+# The election gates ride along: the duel repro (two survivors claiming one
+# epoch on one tick must still elect one holder and count one takeover, 20
+# seeds), the sweep (3 and 5 regions, every survivor missing the last
+# renewal, 10 crash instants over a tick: one holder within 3 terms) and
+# the duel a tick apart (a survivor missing a full term of renewals: one
+# holder within 4 terms).
+go test -count=10 -run 'TestLeaseVirtualDeterminism|TestLeaseDuelAfterLostRenewal|TestLeaseElectionSweep|TestLeaseDuelAfterLostTerm' ./internal/mdcc/
 go test -race -count=2 ./internal/vclock
 go test -count=1 -timeout 60s -run 'TestExperimentsRunClean|TestEvaluationShapes' .
 # Open-loop traffic gates. Smoke: the -openloop profile (surge schedule,
