@@ -29,10 +29,8 @@ var deadExportAllow = map[string]string{
 	// Test support: the in-process node set the cluster, core and httpapi
 	// tests share.
 	"StartNodes": "clustertest: each caller is a test of another package",
-	// The multi-process harness: only its own process tests call these, and
-	// ROADMAP item 5 moves those tests in-process.
-	"Network.RunScenario":     "ROADMAP item 5: the scenario driver becomes a seeded virtual-clock test",
-	"Network.WaitLeaseHolder": "ROADMAP item 5: master failover becomes a seeded virtual-clock test",
+	// The multi-process agreement audit: multinet's process tests call it.
+	"Client.NetDecisions": "multinet's kill -9 tests compare the nodes' verdicts through it",
 	// Type-aware findings (typedFindings), keyed pkg.Type.Member.
 	// PLANET's documented application API.
 	"planet.Txn.ReadInt":       "README's quickstart reads with it",
@@ -51,13 +49,6 @@ var deadExportAllow = map[string]string{
 	"predictor.Predictor.AcceptProb": "core's likelihood determinism test probes it",
 	"obs.Counter.Add":                "registry tests; completes the counter API beside Inc",
 	"obs.Gauge.Add":                  "registry tests; completes the gauge API beside Set",
-	// The multi-process harness (see above): ROADMAP item 5.
-	"multinet.Network.Stop":      "ROADMAP item 5: harness API for the process tests",
-	"multinet.Network.Decisions": "ROADMAP item 5: harness API for the process tests",
-	"multinet.Network.Session":   "ROADMAP item 5: harness API for the process tests",
-	"multinet.Session.Add":       "ROADMAP item 5: harness API for the process tests",
-	"multinet.Session.Transfer":  "ROADMAP item 5: harness API for the process tests",
-	"multinet.Session.ReadInt":   "ROADMAP item 5: harness API for the process tests",
 }
 
 // TestNoDeadExports fails on an exported function or method whose name

@@ -85,8 +85,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Cluster.Net == nil {
 		// The engine's fault surface is the simulated WAN's knobs. A
 		// realnet deployment injects faults at the OS level instead
-		// (SIGKILL/SIGSTOP, partitions via the transport's admin API — see
-		// internal/multinet).
+		// (SIGKILL and SIGTERM, see internal/multinet) and through the
+		// transport's /v1/net routes (link cuts, listener drops).
 		return nil, fmt.Errorf("chaos: cluster has no simnet network; realnet deployments inject faults at the OS level")
 	}
 	return &Engine{

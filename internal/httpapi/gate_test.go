@@ -10,6 +10,7 @@ import (
 	"planet/internal/cluster"
 	"planet/internal/clustertest"
 	planet "planet/internal/core"
+	"planet/internal/mdcc"
 	"planet/internal/obs"
 	"planet/internal/simnet"
 )
@@ -74,38 +75,105 @@ next:
 	return total
 }
 
-// startGateTrio runs what three planetd -realnet processes run — per region
-// a cluster node over realnet, a traced DB, and its HTTP gateway — in this
-// process, and returns a client per gateway.
-func startGateTrio(t *testing.T) map[simnet.Region]*Client {
+// trioRegions are the regions of an in-process deployment, sorted as every
+// node sorts them.
+var trioRegions = []simnet.Region{"eu-west", "us-east", "us-west"}
+
+// gateNode is one node of an in-process deployment: the cluster node and a
+// client of its gateway.
+type gateNode struct {
+	c  *cluster.Cluster
+	cl *Client
+}
+
+// trio is what three planetd -realnet processes run — per region a cluster
+// node over realnet, a traced DB, and its HTTP gateway — in this process.
+type trio struct {
+	nodes map[simnet.Region]*gateNode
+	peers map[simnet.Region]string
+	cfg   func(simnet.Region) cluster.NodeConfig
+	mode  mdcc.Mode
+	// regs is each region's metrics registry, fresh per node built.
+	regs map[simnet.Region]*obs.Registry
+}
+
+// startGateTrio builds the three nodes from cfg, boots each as planetd does
+// (see boot), with DBs that commit in mode, and closes them when the test
+// ends.
+func startGateTrio(t *testing.T, mode mdcc.Mode, cfg func(simnet.Region) cluster.NodeConfig) *trio {
 	t.Helper()
-	regionList := []simnet.Region{"eu-west", "us-east", "us-west"}
-	cs, _, err := clustertest.StartNodes(t, regionList, func(simnet.Region) cluster.NodeConfig {
-		return cluster.NodeConfig{CommitTimeout: 20 * time.Second}
-	})
+	tr := &trio{nodes: make(map[simnet.Region]*gateNode), cfg: cfg, mode: mode,
+		regs: make(map[simnet.Region]*obs.Registry)}
+	cs, peers, err := clustertest.StartNodes(t, trioRegions, tr.nodeConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make(map[simnet.Region]*Client, len(regionList))
-	for _, r := range regionList {
-		c := cs[r]
-		c.SeedInt("gate", 0, -1<<40, 1<<40)
-		db, err := planet.Open(planet.Config{Cluster: c, Registry: obs.NewRegistry(), Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := db.Session(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(db, sess)
-		srv.EnableRealNet(c.RealNet, c.Replica(r))
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		nodes[r] = &Client{Base: ts.URL}
+	tr.peers = peers
+	for _, r := range trioRegions {
+		tr.boot(t, r, cs[r])
 	}
-	return nodes
+	return tr
 }
+
+// nodeConfig is cfg(r) with a fresh registry for r, which counts the lease
+// takeovers the node reports, as planetd's does.
+func (tr *trio) nodeConfig(r simnet.Region) cluster.NodeConfig {
+	nc := tr.cfg(r)
+	reg := obs.NewRegistry()
+	tr.regs[r] = reg
+	nc.OnLeaseEvent = func(ev mdcc.LeaseEvent) {
+		if ev.Kind == mdcc.LeaseTakeover {
+			reg.Counter("planet_lease_takeovers_total", "Keyspace lease takeovers won.",
+				obs.L("keyspace", string(ev.Keyspace))).Inc()
+		}
+	}
+	return nc
+}
+
+// boot does for region r's node what planetd does after NewNode: open a
+// traced DB, seed the image, replay the WAL over it (RestartReplica), and
+// serve the gateway.
+func (tr *trio) boot(t *testing.T, r simnet.Region, c *cluster.Cluster) {
+	t.Helper()
+	db, err := planet.Open(planet.Config{Cluster: c, Mode: tr.mode, Registry: tr.regs[r], Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SeedInt("gate", 0, -1<<40, 1<<40)
+	for _, k := range acctKeys {
+		c.SeedInt(k, 100, 0, 10_000_000)
+	}
+	if err := c.RestartReplica(r); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := db.Session(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(db, sess)
+	srv.EnableRealNet(c.RealNet, c.Replica(r))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	tr.nodes[r] = &gateNode{c: c, cl: &Client{Base: ts.URL}}
+}
+
+// restart builds region r's node again, closed before, on its address and
+// with its config (its DataDir's WAL replays), and boots it.
+func (tr *trio) restart(t *testing.T, r simnet.Region) {
+	t.Helper()
+	nc := tr.nodeConfig(r)
+	nc.Region, nc.Peers = r, tr.peers
+	c, err := cluster.NewNode(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	tr.boot(t, r, c)
+}
+
+// acctKeys is the bank the trio seeds, as planetd does: acct-1..acct-8 at
+// 100 each.
+var acctKeys = []string{"acct-1", "acct-2", "acct-3", "acct-4", "acct-5", "acct-6", "acct-7", "acct-8"}
 
 // TestOneRequestCommitGate is the CI gate on the cost of a live commit: N
 // commits through SubmitAndWait on an in-process three-node deployment,
@@ -115,8 +183,10 @@ func startGateTrio(t *testing.T) map[simnet.Region]*Client {
 // change that reintroduces the second round trip, or a write per frame,
 // fails here.
 func TestOneRequestCommitGate(t *testing.T) {
-	nodes := startGateTrio(t)
-	gw := nodes["us-west"]
+	tr := startGateTrio(t, mdcc.ModeFast, func(simnet.Region) cluster.NodeConfig {
+		return cluster.NodeConfig{CommitTimeout: 20 * time.Second}
+	})
+	gw := tr.nodes["us-west"].cl
 	add := SubmitRequest{Ops: []Op{{Kind: "add", Key: "gate", Delta: 1}}}
 	// Warm-up: the transports dial on first use.
 	for i := 0; i < 5; i++ {
@@ -125,8 +195,8 @@ func TestOneRequestCommitGate(t *testing.T) {
 		}
 	}
 	scrape := func() (requests, commits, frames, writes, reads float64) {
-		for r, cl := range nodes {
-			text, err := cl.Metrics()
+		for r, n := range tr.nodes {
+			text, err := n.cl.Metrics()
 			if err != nil {
 				t.Fatal(err)
 			}

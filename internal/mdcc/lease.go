@@ -291,18 +291,26 @@ func (r *Replica) walLease(ks simnet.Region, epoch uint64, holder simnet.Region,
 	}}, false)
 }
 
-// applyLeaseEntry rebuilds lease state from one replayed WAL entry.
-// Replayed leases come back *expired* (zero expiry): clocks are not
-// trustworthy across a restart, so the replica re-acquires before
-// mastering, and a deposed master discovers the higher epoch the moment it
-// tries.
-func (r *Replica) applyLeaseEntry(l *LeaseRecord) {
+// applyLeaseEntry rebuilds lease state from one replayed WAL entry at now.
+// Clocks are not trustworthy across a restart, so a replayed lease of this
+// replica's own comes back *expired* (zero expiry): the replica re-acquires
+// before mastering, and a deposed master discovers the higher epoch the
+// moment it tries. A replayed grant to another holder comes back live for
+// one term from now, the longest it can have left: the replica neither
+// claims it nor grants it to a rival before then, so a replay cannot depose
+// a live holder.
+func (r *Replica) applyLeaseEntry(now time.Time, l *LeaseRecord) {
 	if r.leases == nil {
 		r.leases = make(map[simnet.Region]*leaseState)
 	}
-	ls := r.leaseFor(simnet.Region(l.Keyspace))
+	ks, holder := simnet.Region(l.Keyspace), simnet.Region(l.Holder)
+	ls := r.leaseFor(ks)
 	if l.Epoch >= ls.epoch {
-		r.setView(simnet.Region(l.Keyspace), ls, l.Epoch, simnet.Region(l.Holder), time.Time{})
+		var expiry time.Time
+		if holder != r.Region() && r.cfg.Leases != nil {
+			expiry = now.Add(r.cfg.Leases.Term)
+		}
+		r.setView(ks, ls, l.Epoch, holder, expiry)
 	}
 	if l.Held && l.Epoch >= ls.heldEpoch {
 		ls.heldEpoch = l.Epoch

@@ -6,6 +6,7 @@ package mdcc_test
 // leases enabled.
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"planet/internal/cluster"
+	planet "planet/internal/core"
 	"planet/internal/mdcc"
 	"planet/internal/regions"
 	"planet/internal/simnet"
@@ -396,4 +398,186 @@ func electionSweep(t *testing.T, topos []regions.Topology, lost int, bound time.
 		}
 	}
 	t.Logf("slowest election: %v = %.2f terms after the crash, in %s", worst, float64(worst)/float64(term), worstRun)
+}
+
+// TestLeaseFailoverUnderLoad is master failover on the virtual clock, seeds
+// 1–20: a three-region cluster whose every key's default holder is
+// Virginia boots with Virginia holding the lease, then loses Virginia
+// (replica and coordinator) with a burst of classic transfers in flight.
+// Every one of them, and a transfer submitted right after the crash, reaches
+// a final outcome within the commit timeout; exactly one survivor then
+// holds the lease and counts one takeover, and the dead master's keys
+// commit while it is down. Restarted, Virginia rejoins deposed. The
+// verdicts agree and every replica's accounts conserve. Each seed logs a
+// fingerprint of its run, which verify.sh requires bit-identical across
+// runs. The real-socket half is httpapi's TestNodeLeaseFailover.
+func TestLeaseFailoverUnderLoad(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Logf("fingerprint seed=%d %x", seed, sha256.Sum256([]byte(failoverUnderLoad(t, seed))))
+		})
+	}
+}
+
+// failoverUnderLoad runs one seed of TestLeaseFailoverUnderLoad and returns
+// its fingerprint: every transfer's outcome in submission order, the heir,
+// and each region's final lease view, takeover count and accounts.
+func failoverUnderLoad(t *testing.T, seed int64) string {
+	const victim, gw = regions.Virginia, regions.California
+	ks := victim
+	c := newTestCluster(t, cluster.Config{
+		Topology:     regions.Three(),
+		Seed:         seed,
+		MasterRegion: victim,
+		MasterLeases: true,
+		WAL:          true,
+	})
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("acct-%d", i+1)
+		c.SeedInt(keys[i], 100, 0, 10_000_000)
+	}
+	db, err := planet.Open(planet.Config{Cluster: c, Mode: mdcc.ModeClassic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := db.Session(gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fp strings.Builder
+	transfer := func(from, to string, amt int64) *planet.Handle {
+		tx := sess.Begin()
+		tx.Add(from, -amt)
+		tx.Add(to, amt)
+		h, err := tx.Commit(planet.CommitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// outcome waits for h and records its verdict in the fingerprint.
+	outcome := func(what string, h *planet.Handle) txn.Outcome {
+		o := h.Wait()
+		fmt.Fprintf(&fp, "%s:%v/%v in %v\n", what, o.Committed, o.Err != nil, o.Decided.Sub(o.Submitted))
+		return o
+	}
+	// commitWithin resubmits a transfer until it commits, for at most d.
+	commitWithin := func(d time.Duration, what string, from, to string) {
+		t.Helper()
+		deadline := c.Clock().Now().Add(d)
+		for !outcome(what, transfer(from, to, 1)).Committed {
+			if c.Clock().Now().After(deadline) {
+				t.Fatalf("%s: no commit within %v", what, d)
+			}
+		}
+	}
+	term, timeout := c.ScaleDuration(cluster.DefaultLeaseTerm), c.CommitTimeout()
+
+	// Boot: the default holder wins, and the bank warms up through it.
+	waitHeld(t, c, victim, ks, 10*time.Second)
+	if got := holders(c, ks, c.Regions()); len(got) != 1 {
+		t.Fatalf("holders at boot: %v, want only %s", got, victim)
+	}
+	for i := 0; i < 4; i++ {
+		if !outcome("warmup", transfer(keys[i], keys[i+2], 3)).Committed {
+			t.Fatalf("warm-up transfer %d aborted", i)
+		}
+	}
+
+	// The burst leaves for the master, which dies before its options
+	// arrive; so does the replica's coordinator.
+	var burst []*planet.Handle
+	for i := 0; i < 4; i++ {
+		burst = append(burst, transfer(keys[i], keys[(i+5)%len(keys)], 1))
+	}
+	if err := c.CrashReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CrashCoordinator(victim); err != nil {
+		t.Fatal(err)
+	}
+	crashed := c.Clock().Now()
+	burst = append(burst, transfer(keys[0], keys[1], 1))
+	for i, h := range burst {
+		o := outcome("burst", h)
+		if took := o.Decided.Sub(o.Submitted); o.Decided.IsZero() || took > timeout {
+			t.Errorf("transfer %d in flight at the crash took %v to resolve, want within the %v commit timeout", i, took, timeout)
+		}
+	}
+
+	// Exactly one survivor holds the lease, by its own account.
+	survivors := []simnet.Region{regions.California, regions.Ireland}
+	var got []simnet.Region
+	eventually(t, c, 4*term, "a survivor takes the lease over", func() bool {
+		got = holders(c, ks, survivors)
+		return len(got) > 0
+	})
+	if len(got) != 1 {
+		t.Fatalf("%v hold the lease at once", got)
+	}
+	heir := got[0]
+	fmt.Fprintf(&fp, "heir:%s@%v\n", heir, c.Clock().Now().Sub(crashed))
+	if n := c.Replica(heir).LeaseTakeoverCount(); n != 1 {
+		t.Errorf("heir %s's LeaseTakeoverCount = %d, want 1", heir, n)
+	}
+
+	// The dead master's keys commit under the heir, Virginia still down.
+	commitWithin(2*term, "takeover", keys[0], keys[1])
+	committed := 0
+	for i := 0; i < 4; i++ {
+		if outcome("outage", transfer(keys[i], keys[i+3], 2)).Committed {
+			committed++
+		}
+	}
+	if committed < 3 {
+		t.Errorf("%d of 4 transfers committed under the heir, want at least 3", committed)
+	}
+	if !c.Replica(victim).Crashed() {
+		t.Fatal("the dead master came back by itself")
+	}
+
+	// Restarted, Virginia replays its held epoch, finds the heir's, and
+	// converges on it instead of reclaiming the keyspace.
+	if err := c.RestartReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	c.RestartCoordinator(victim)
+	eventually(t, c, 4*term, "restarted master converges on the heir", func() bool {
+		li := c.Replica(victim).Lease(ks)
+		return li.Epoch != 0 && simnet.Region(li.Holder) == heir
+	})
+	if c.Replica(victim).HoldsLease(ks) || len(holders(c, ks, c.Regions())) != 1 {
+		t.Errorf("after the restart %v hold the lease, want only %s", holders(c, ks, c.Regions()), heir)
+	}
+	commitWithin(2*term, "restart", keys[1], keys[0])
+
+	if !c.Quiesce(10 * time.Second) {
+		t.Fatal("network did not quiesce")
+	}
+	verdicts := make(map[txn.ID]bool)
+	for _, r := range c.Regions() {
+		for id, commit := range c.Replica(r).Decisions() {
+			if prev, ok := verdicts[id]; ok && prev != commit {
+				t.Errorf("dual decision on %s: %s says commit=%v", id, r, commit)
+			}
+			verdicts[id] = commit
+		}
+	}
+	regionList := append([]simnet.Region(nil), c.Regions()...)
+	sort.Slice(regionList, func(i, j int) bool { return regionList[i] < regionList[j] })
+	for _, r := range regionList {
+		var sum int64
+		for _, k := range keys {
+			v, _ := c.Replica(r).ReadLocal(k)
+			sum += v.Int
+			fmt.Fprintf(&fp, "%s/%s:%d@%d\n", r, k, v.Int, v.Version)
+		}
+		if sum != int64(100*len(keys)) {
+			t.Errorf("%s: accounts sum to %d, want %d", r, sum, 100*len(keys))
+		}
+		holder, epoch, _ := c.Replica(r).LeaseView(ks)
+		fmt.Fprintf(&fp, "%s/lease:%s@%d takeovers:%d\n", r, holder, epoch, c.Replica(r).LeaseTakeoverCount())
+	}
+	return fp.String()
 }

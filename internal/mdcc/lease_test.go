@@ -157,8 +157,9 @@ func TestLeaseAcceptorGrantRules(t *testing.T) {
 
 // TestLeaseViewOutputs: the replica emits its granted view as a step
 // output whenever the holder the view names changes — a grant, a crash
-// (no holder), a replay, a takeover — and not on a renewal, numbered in
-// emission order across the crash.
+// (no holder), a replay, a takeover once the replayed grant has run a term
+// — and not on a renewal or a refused request, numbered in emission order
+// across the crash.
 func TestLeaseViewOutputs(t *testing.T) {
 	r, _ := newLeasedReplica(t, 3, time.Second, NewWAL(nil))
 	var views []string
@@ -176,6 +177,8 @@ func TestLeaseViewOutputs(t *testing.T) {
 	if err := r.Restore(); err != nil {
 		t.Fatal(err)
 	}
+	r.exec(req(2, "c")) // refused: the replayed grant to b is live for a term
+	r.clk.Sleep(time.Second + time.Millisecond)
 	r.exec(req(2, "c"))
 	if got, want := strings.Join(views, " "), "a=b#1 a=#2 a=b#3 a=c#4"; got != want {
 		t.Errorf("views %q, want %q", got, want)
@@ -326,7 +329,7 @@ func TestLeaseRoundRollback(t *testing.T) {
 		return m
 	}
 
-	r.applyLeaseEntry(&LeaseRecord{Keyspace: "a", Epoch: 1, Holder: "a", Held: true})
+	r.applyLeaseEntry(r.clk.Now(), &LeaseRecord{Keyspace: "a", Epoch: 1, Holder: "a", Held: true})
 
 	// Round 1 proposes epoch 2 and self-grants (the replayed lease is
 	// expired). Both peers hold b@2 live and nack; the round fails. The

@@ -331,9 +331,8 @@ func (r *Replica) restore(now time.Time, entries []Entry) {
 	for _, e := range entries {
 		if e.Lease != nil {
 			// A lease transition, not a decision: rebuild the lease view
-			// (expired — clocks don't survive restarts) and leave the
-			// decision memo alone.
-			r.applyLeaseEntry(e.Lease)
+			// and leave the decision memo alone.
+			r.applyLeaseEntry(now, e.Lease)
 			continue
 		}
 		r.decided.set(e.Txn, e.Commit)
@@ -358,6 +357,9 @@ func (r *Replica) restore(now time.Time, entries []Entry) {
 	r.crashed = false
 	r.spans.AddBatch(replaySpans)
 	r.out.add(output{kind: outRegister, msg: simnet.Handler(r.recv)})
+	// The replay dropped any round in flight: claim again now, as
+	// construction does, not a tick later.
+	r.leasePass(now)
 }
 
 // Crashed reports whether the replica is currently down.

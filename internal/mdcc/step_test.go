@@ -433,19 +433,35 @@ func TestStepLeaseTick(t *testing.T) {
 		"send c/replica lease-req a epoch=2 holder=b",
 	)
 
-	// A crashed replica's tick keeps its period and sends nothing; after
-	// Restore, with a@1 replayed (expired), it claims again.
-	at(term + time.Second)
+	// A crashed replica's tick keeps its period and sends nothing. Restore
+	// replays a@1 as live for a term from the replay (c cannot know how
+	// long the grant it logged has left), and runs a pass at once: c claims
+	// again only after that term plus its stagger.
+	restoredAt := term + time.Second
+	at(restoredAt)
 	expectLines(t, "crash", n.run(c, crash{}), "deregister")
 	expectLines(t, "crashed tick", n.run(c, leaseTick{}), "arm tick 1s")
 	expectLines(t, "crashed peer-down", n.run(c, peerDown{"a"}))
 	restored := []Entry{{Lease: &LeaseRecord{Keyspace: "a", Epoch: 1, Holder: "a"}}}
 	expectLines(t, "restore", n.run(c, restore{restored}), "register")
-	expectLines(t, "tick after restore", n.run(c, leaseTick{}),
+	expectLines(t, "tick after restore", n.run(c, leaseTick{}), "arm tick 1s")
+	at(restoredAt + term + term/2)
+	expectLines(t, "tick a term + stagger after restore", n.run(c, leaseTick{}), "arm tick 1s")
+	at(restoredAt + term + term/2 + time.Millisecond)
+	expectLines(t, "tick past a term + stagger after restore", n.run(c, leaseTick{}),
 		"wal lease a@2 holder=c held=false",
 		"send a/replica lease-req a epoch=2 holder=c",
 		"send b/replica lease-req a epoch=2 holder=c",
 		"arm tick 1s")
+
+	// A replay that names the replica itself holder — a namesake booting
+	// over its own claim from the WAL, which dropped the claim's round —
+	// claims the next epoch within the restore step, not a tick later.
+	expectLines(t, "namesake restore", n.run(a, restore{restored}),
+		"wal lease a@2 holder=a held=false",
+		"register",
+		"send b/replica lease-req a epoch=2 holder=a",
+		"send c/replica lease-req a epoch=2 holder=a")
 
 	// Close stops the tick: a tick already fired does nothing.
 	expectLines(t, "close", n.run(c, closeReplica{}), "stop tick")

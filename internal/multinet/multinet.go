@@ -1,21 +1,23 @@
 // Package multinet boots and torments multi-process PLANET clusters: N
 // planetd processes (separate OS processes, WALs on disk, real TCP between
-// them) that the crash-restart tests drive through OS-level fault
-// injection — kill -9, SIGSTOP/SIGCONT, SIGTERM, dropped listeners, and
-// link cuts via the transport's admin API.
+// them) that the crash-restart tests drive through what only a real
+// process can suffer — kill -9, SIGTERM, a torn tail in a real file.
 //
 // Where package chaos injects faults into the simulated WAN's knobs, this
 // harness has no privileged view at all: every observation goes through
 // each node's HTTP gateway, and every fault is something an operator (or
 // an unlucky datacenter) could do to a live process. It is the sonic-style
 // end of the testing spectrum — fewer schedules than simnet explores, but
-// each one real.
+// each one real. Checks that need real sockets but no separate process run
+// in-process (httpapi's node tests), and scenario and failover checks run
+// seeded on the virtual clock.
 package multinet
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -57,12 +59,6 @@ type Config struct {
 	Mode string
 	// Drain is passed as -drain (0 keeps the default).
 	Drain time.Duration
-	// Leases passes -leases: epoch-fenced master leases with automatic
-	// failover replace the static master assignment.
-	Leases bool
-	// LeaseTerm is passed as -leaseterm (0 keeps the default). Small values
-	// shrink the failover window the tests wait out.
-	LeaseTerm time.Duration
 	// ReadyTimeout bounds waiting for a node's gateway to come up.
 	// Defaults to 15s.
 	ReadyTimeout time.Duration
@@ -78,8 +74,15 @@ type Node struct {
 
 	args []string
 	mu   sync.Mutex
-	cmd  *exec.Cmd
-	logf *os.File
+	proc *proc // the running launch; nil once killed or stopped
+}
+
+// proc is one launch of a node's process.
+type proc struct {
+	cmd    *exec.Cmd
+	logf   *os.File
+	exited chan struct{} // closed once the process has exited and been reaped
+	err    error         // its exit status, set before exited closes
 }
 
 // Network is a running multi-process deployment.
@@ -89,9 +92,20 @@ type Network struct {
 	nodes   map[simnet.Region]*Node
 }
 
+// bindTries bounds how many port sets Start tries.
+const bindTries = 5
+
 // Start builds the deployment layout, launches one planetd per region, and
-// waits for every gateway to come up.
+// waits for every gateway to come up. A port another process took between
+// its reservation and a node's bind fails that node's start: the fleet is
+// closed, its files removed, and the whole fleet starts again on fresh
+// ports, up to bindTries times.
 func Start(cfg Config) (*Network, error) {
+	return startWith(cfg, freePorts)
+}
+
+// startWith is Start over the ports reserve picks.
+func startWith(cfg Config, reserve func(n int) ([]int, error)) (*Network, error) {
 	if cfg.Binary == "" || cfg.BaseDir == "" {
 		return nil, fmt.Errorf("multinet: Binary and BaseDir are required")
 	}
@@ -103,11 +117,29 @@ func Start(cfg Config) (*Network, error) {
 	}
 	regions := append([]simnet.Region(nil), cfg.Regions...)
 	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-
-	ports, err := freePorts(2 * len(regions))
-	if err != nil {
-		return nil, err
+	for try := 1; ; try++ {
+		ports, err := reserve(2 * len(regions))
+		if err != nil {
+			return nil, err
+		}
+		n := layout(cfg, regions, ports)
+		if err = n.boot(); err == nil {
+			return n, nil
+		}
+		n.Close()
+		for _, nd := range n.nodes {
+			os.RemoveAll(nd.DataDir)
+			os.Remove(nd.LogPath)
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || try == bindTries {
+			return nil, err
+		}
 	}
+}
+
+// layout places each region's node on two of ports, its data dir and log
+// under cfg.BaseDir, and builds its planetd arguments.
+func layout(cfg Config, regions []simnet.Region, ports []int) *Network {
 	n := &Network{cfg: cfg, regions: regions, nodes: make(map[simnet.Region]*Node, len(regions))}
 	peerSpec := make([]string, 0, len(regions))
 	for i, r := range regions {
@@ -146,31 +178,28 @@ func Start(cfg Config) (*Network, error) {
 		if cfg.Drain > 0 {
 			nd.args = append(nd.args, "-drain", cfg.Drain.String())
 		}
-		if cfg.Leases {
-			nd.args = append(nd.args, "-leases")
-			if cfg.LeaseTerm > 0 {
-				nd.args = append(nd.args, "-leaseterm", cfg.LeaseTerm.String())
-			}
-		}
 	}
-	for _, r := range regions {
+	return n
+}
+
+// boot launches every node and waits for every gateway.
+func (n *Network) boot() error {
+	for _, r := range n.regions {
 		if err := n.launch(n.nodes[r]); err != nil {
-			n.Close()
-			return nil, err
+			return err
 		}
 	}
-	for _, r := range regions {
+	for _, r := range n.regions {
 		if err := n.WaitReady(r); err != nil {
-			n.Close()
-			return nil, err
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // freePorts reserves n distinct loopback ports by binding and releasing
-// them. The window between release and the node's bind is real but tiny,
-// and loopback tests tolerate it.
+// them. Another process can take one before the node binds it; Start
+// then starts again on fresh ports.
 func freePorts(n int) ([]int, error) {
 	lns := make([]net.Listener, 0, n)
 	defer func() {
@@ -194,7 +223,7 @@ func freePorts(n int) ([]int, error) {
 func (n *Network) launch(nd *Node) error {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.cmd != nil {
+	if nd.proc != nil {
 		return fmt.Errorf("multinet: node %s already running", nd.Region)
 	}
 	logf, err := os.OpenFile(nd.LogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -207,8 +236,30 @@ func (n *Network) launch(nd *Node) error {
 		logf.Close()
 		return fmt.Errorf("multinet: start %s: %w", nd.Region, err)
 	}
-	nd.cmd, nd.logf = cmd, logf
+	p := &proc{cmd: cmd, logf: logf, exited: make(chan struct{})}
+	go func() {
+		p.err = cmd.Wait()
+		close(p.exited)
+	}()
+	nd.proc = p
 	return nil
+}
+
+// take removes nd's running launch, if any, for the caller to end.
+func (nd *Node) take() *proc {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	p := nd.proc
+	nd.proc = nil
+	return p
+}
+
+// end kills p's process unless it has exited, waits for the exit and
+// closes its log.
+func (p *proc) end() {
+	p.cmd.Process.Kill()
+	<-p.exited
+	p.logf.Close()
 }
 
 // node returns the region's node or an error.
@@ -241,11 +292,28 @@ func (n *Network) WaitReady(r simnet.Region) error {
 	if err != nil {
 		return err
 	}
+	// A bounded request: until the node binds, another process may hold
+	// its port and never answer.
 	cl := n.Client(r)
+	cl.HTTP = &http.Client{Timeout: 250 * time.Millisecond}
 	deadline := time.Now().Add(n.cfg.ReadyTimeout)
 	for {
 		if resp, err := cl.Read("demo"); err == nil && resp.Found {
 			return nil
+		}
+		nd.mu.Lock()
+		p := nd.proc
+		nd.mu.Unlock()
+		if p != nil {
+			select {
+			case <-p.exited:
+				err := fmt.Errorf("multinet: node %s exited before its gateway came up: %v (log: %s)", r, p.err, nd.LogPath)
+				if log, _ := os.ReadFile(nd.LogPath); strings.Contains(string(log), "address already in use") {
+					err = fmt.Errorf("%w: %w", err, syscall.EADDRINUSE)
+				}
+				return err
+			default:
+			}
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("multinet: node %s (%s) not ready within %v (log: %s)",
@@ -253,114 +321,6 @@ func (n *Network) WaitReady(r simnet.Region) error {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-}
-
-// Kill delivers SIGKILL — the process vanishes mid-whatever-it-was-doing,
-// with no chance to flush or say goodbye.
-func (n *Network) Kill(r simnet.Region) error {
-	nd, err := n.node(r)
-	if err != nil {
-		return err
-	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.cmd == nil {
-		return fmt.Errorf("multinet: node %s not running", r)
-	}
-	nd.cmd.Process.Kill()
-	nd.cmd.Wait() // reap; a SIGKILL exit is expected to be non-zero
-	nd.logf.Close()
-	nd.cmd, nd.logf = nil, nil
-	return nil
-}
-
-// Stop delivers SIGTERM and waits for a graceful exit, returning an error
-// if the process exits non-zero or outlives timeout.
-func (n *Network) Stop(r simnet.Region, timeout time.Duration) error {
-	nd, err := n.node(r)
-	if err != nil {
-		return err
-	}
-	nd.mu.Lock()
-	cmd := nd.cmd
-	nd.mu.Unlock()
-	if cmd == nil {
-		return fmt.Errorf("multinet: node %s not running", r)
-	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("multinet: signal %s: %w", r, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		nd.mu.Lock()
-		nd.logf.Close()
-		nd.cmd, nd.logf = nil, nil
-		nd.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("multinet: node %s graceful exit: %w", r, err)
-		}
-		return nil
-	case <-time.After(timeout):
-		cmd.Process.Kill()
-		<-done
-		nd.mu.Lock()
-		nd.logf.Close()
-		nd.cmd, nd.logf = nil, nil
-		nd.mu.Unlock()
-		return fmt.Errorf("multinet: node %s did not exit within %v of SIGTERM", r, timeout)
-	}
-}
-
-// Restart relaunches a killed or stopped node with its original arguments
-// (same ports, same data dir — the WAL replays) and waits for readiness.
-func (n *Network) Restart(r simnet.Region) error {
-	nd, err := n.node(r)
-	if err != nil {
-		return err
-	}
-	if err := n.launch(nd); err != nil {
-		return err
-	}
-	return n.WaitReady(r)
-}
-
-// Pause delivers SIGSTOP: the process freezes with its sockets open — the
-// gray failure where a peer is unreachable but its TCP endpoints linger.
-func (n *Network) Pause(r simnet.Region) error { return n.signal(r, syscall.SIGSTOP) }
-
-// Resume delivers SIGCONT after a Pause.
-func (n *Network) Resume(r simnet.Region) error { return n.signal(r, syscall.SIGCONT) }
-
-func (n *Network) signal(r simnet.Region, sig syscall.Signal) error {
-	nd, err := n.node(r)
-	if err != nil {
-		return err
-	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.cmd == nil {
-		return fmt.Errorf("multinet: node %s not running", r)
-	}
-	return nd.cmd.Process.Signal(sig)
-}
-
-// CutLink severs the link between two regions in both directions (each
-// side drops traffic to and from the other). Both processes must be up.
-func (n *Network) CutLink(a, b simnet.Region) error {
-	if err := n.Client(a).NetCut(string(b), true); err != nil {
-		return err
-	}
-	return n.Client(b).NetCut(string(a), true)
-}
-
-// HealLink restores a CutLink.
-func (n *Network) HealLink(a, b simnet.Region) error {
-	if err := n.Client(a).NetCut(string(b), false); err != nil {
-		return err
-	}
-	return n.Client(b).NetCut(string(a), false)
 }
 
 // WaitPeerState polls region on's gateway until it reports peer about in
@@ -386,103 +346,12 @@ func (n *Network) WaitPeerState(on, about simnet.Region, want string, timeout ti
 	}
 }
 
-// WaitLeaseHolder polls region on's gateway until its replica's lease view
-// reports keyspace held by want (lease deployments only).
-func (n *Network) WaitLeaseHolder(on, keyspace, want simnet.Region, timeout time.Duration) error {
-	cl := n.Client(on)
-	deadline := time.Now().Add(timeout)
-	last := "?"
-	for {
-		if resp, err := cl.NetLease(); err == nil {
-			for _, li := range resp.Leases {
-				if li.Keyspace == string(keyspace) {
-					last = fmt.Sprintf("%s (epoch %d)", li.Holder, li.Epoch)
-					if li.Holder == string(want) {
-						return nil
-					}
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("multinet: %s sees lease %s held by %s, wanted %s within %v",
-				on, keyspace, last, want, timeout)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// Decisions fetches every transaction verdict the region's replica retains.
-func (n *Network) Decisions(r simnet.Region) (map[string]bool, error) {
-	return n.Client(r).NetDecisions()
-}
-
 // Close kills every running node. Data dirs and logs are left for the
 // caller's cleanup (tests use t.TempDir).
 func (n *Network) Close() {
 	for _, nd := range n.nodes {
-		nd.mu.Lock()
-		if nd.cmd != nil {
-			nd.cmd.Process.Kill()
-			nd.cmd.Wait()
-			nd.logf.Close()
-			nd.cmd, nd.logf = nil, nil
+		if p := nd.take(); p != nil {
+			p.end()
 		}
-		nd.mu.Unlock()
 	}
-}
-
-// Session wraps a gateway client with the workload vocabulary the tests
-// speak: bounded-account transfers and integer reads.
-type Session struct {
-	C *httpapi.Client
-	// Timeout bounds each SubmitAndWait.
-	Timeout time.Duration
-}
-
-// Session returns a workload session against the region's gateway.
-func (n *Network) Session(r simnet.Region, timeout time.Duration) *Session {
-	return &Session{C: n.Client(r), Timeout: timeout}
-}
-
-// Add submits a single-key delta and reports whether it committed. An
-// ErrWaitTimeout (transaction unresolved within Timeout) is reported as
-// (false, nil, id): for a fault-injection workload that is an expected
-// outcome, not a harness failure.
-func (s *Session) Add(key string, delta int64) (committed bool, id string, err error) {
-	return s.submit(httpapi.SubmitRequest{
-		Ops: []httpapi.Op{{Kind: "add", Key: key, Delta: delta}},
-	})
-}
-
-// Transfer moves amt from one bounded account to another atomically.
-func (s *Session) Transfer(from, to string, amt int64) (committed bool, id string, err error) {
-	return s.submit(httpapi.SubmitRequest{
-		Ops: []httpapi.Op{
-			{Kind: "add", Key: from, Delta: -amt},
-			{Kind: "add", Key: to, Delta: amt},
-		},
-	})
-}
-
-func (s *Session) submit(req httpapi.SubmitRequest) (bool, string, error) {
-	st, err := s.C.SubmitAndWait(req, s.Timeout)
-	if err != nil {
-		if errors.Is(err, httpapi.ErrWaitTimeout) {
-			return false, st.Txn, nil
-		}
-		return false, "", err
-	}
-	return st.Committed, st.Txn, nil
-}
-
-// ReadInt reads a key's committed integer at the gateway's local replica.
-func (s *Session) ReadInt(key string) (int64, error) {
-	resp, err := s.C.Read(key)
-	if err != nil {
-		return 0, err
-	}
-	if !resp.Found {
-		return 0, fmt.Errorf("multinet: key %q not found", key)
-	}
-	return resp.Int, nil
 }

@@ -7,6 +7,7 @@ package multinet
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -306,87 +307,6 @@ func TestRealnetWALCrashPointMasterKill(t *testing.T) {
 	})
 }
 
-// TestRealnetPartitionAndListenerCycle drives a link partition and a
-// listener drop/restore cycle (a reconnect storm in miniature) and checks
-// the degraded paths keep committing throughout.
-func TestRealnetPartitionAndListenerCycle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process-level harness")
-	}
-	n := start(t, Config{})
-	gw := simnet.Region("us-west")
-	other := simnet.Region("us-east")
-	sess := n.Session(gw, 6*time.Second)
-	keys := acctKeys()
-
-	// Split the keys by the partition's reachability from the gateway.
-	var reachable, unreachable []string
-	for _, k := range keys {
-		if n.MasterOf(k) == other {
-			unreachable = append(unreachable, k)
-		} else {
-			reachable = append(reachable, k)
-		}
-	}
-	if len(reachable) < 2 || len(unreachable) < 1 {
-		t.Fatalf("mastership split unusable: reachable=%v unreachable=%v", reachable, unreachable)
-	}
-
-	// Partition gw <-> other. The cut registers immediately in the
-	// transport's health, so submissions degrade to classic from the
-	// first transaction: no sacrificial timeout.
-	if err := n.CutLink(gw, other); err != nil {
-		t.Fatal(err)
-	}
-	committed, id, err := sess.Transfer(reachable[0], reachable[1], 2)
-	if err != nil || !committed {
-		t.Fatalf("transfer during partition %s: committed=%v err=%v", id, committed, err)
-	}
-	// A key mastered across the cut cannot commit (its classic path needs
-	// the master); it must abort by commit timeout, not hang.
-	committed, _, err = sess.Transfer(unreachable[0], reachable[0], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if committed {
-		t.Error("transfer on a key mastered across the partition committed")
-	}
-	if err := n.HealLink(gw, other); err != nil {
-		t.Fatal(err)
-	}
-	commitWithin(t, 15*time.Second, "post-heal transfer on the cut-off master's key", func() (bool, error) {
-		c, _, err := sess.Transfer(unreachable[0], reachable[0], 1)
-		return c, err
-	})
-
-	// Listener cycle: drop the peer's listener a few times in a row (every
-	// established connection dies each time), then restore and require the
-	// gateway's transport to have reconnected and the fast path to work.
-	for i := 0; i < 3; i++ {
-		if err := n.Client(other).NetListener(true); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(150 * time.Millisecond)
-		if err := n.Client(other).NetListener(false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.WaitPeerState(gw, other, "up", 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	commitWithin(t, 15*time.Second, "post-storm transfer", func() (bool, error) {
-		c, _, err := sess.Transfer(unreachable[0], reachable[0], 1)
-		return c, err
-	})
-	peers, err := n.Client(gw).NetPeers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peers.Stats.Reconnects == 0 {
-		t.Error("reconnect storm left no reconnects in the transport stats")
-	}
-}
-
 // TestRealnetGracefulShutdown checks the SIGTERM path: the node drains,
 // fsyncs its WAL, and exits 0; a later restart replays a clean (untorn)
 // log and rejoins.
@@ -429,6 +349,43 @@ func TestRealnetGracefulShutdown(t *testing.T) {
 		return c, err
 	})
 	assertAgreement(t, n, n.Regions())
+}
+
+// TestStartRetriesTakenPort: a port another process takes between its
+// reservation and the node's bind makes that node exit before its gateway
+// comes up, and Start closes the fleet and starts it again on fresh ports.
+// The squatter takes the first node's gateway port.
+func TestStartRetriesTakenPort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level harness")
+	}
+	var taken string
+	tries := 0
+	reserve := func(n int) ([]int, error) {
+		ports, err := freePorts(n)
+		if tries++; tries == 1 && err == nil {
+			l, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", ports[0]))
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { l.Close() })
+			taken = l.Addr().String()
+		}
+		return ports, err
+	}
+	n, err := startWith(Config{Binary: planetdBin, BaseDir: t.TempDir()}, reserve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	if tries != 2 {
+		t.Errorf("%d port sets tried, want 2", tries)
+	}
+	for _, r := range n.Regions() {
+		if nd := n.nodes[r]; nd.HTTPAddr == taken || nd.NetAddr == taken {
+			t.Errorf("%s runs on the taken port %s", r, taken)
+		}
+	}
 }
 
 // transferReq builds a two-account transfer request for the raw client.

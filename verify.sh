@@ -83,6 +83,22 @@ GOMAXPROCS=4 go test -race -short -run 'TestArmsEquivalence|TestForArms' ./inter
 # the duel a tick apart (a survivor missing a full term of renewals: one
 # holder within 4 terms).
 go test -count=10 -run 'TestLeaseVirtualDeterminism|TestLeaseDuelAfterLostRenewal|TestLeaseElectionSweep|TestLeaseDuelAfterLostTerm' ./internal/mdcc/
+# Failover and partition determinism gate: master failover under load
+# (TestLeaseFailoverUnderLoad) and the partition preset on a leased cluster
+# (TestPartitionScenarioRecovers) log one fingerprint per seed, seeds 1-20.
+# Ten runs must log 20 seeds with one fingerprint each.
+fingerprints() {
+	log=$(mktemp)
+	go test -count=10 -v -run "^$1\$" "$2" > "$log"
+	awk '$2 == "fingerprint" {print $3, $4}' "$log" | sort -u |
+		awk '{if (!n[$1]++) seeds++} END {exit !(NR == 20 && seeds == 20)}' || {
+		echo "verify: $1: a seed's fingerprint differs between runs, or a seed is missing" >&2
+		exit 1
+	}
+	rm -f "$log"
+}
+fingerprints TestLeaseFailoverUnderLoad ./internal/mdcc/
+fingerprints TestPartitionScenarioRecovers ./internal/chaos/
 go test -race -count=2 ./internal/vclock
 go test -count=1 -timeout 60s -run 'TestExperimentsRunClean|TestEvaluationShapes' .
 # Open-loop traffic gates. Smoke: the -openloop profile (surge schedule,
@@ -114,21 +130,21 @@ fp=$(bash benchmark/run.sh --workload sim_openloop_commit --seed 5 --seconds 0.1
 # trace store has grown a nondeterminism bug. The causal-tree shape check
 # rides along.
 go test -count=10 -timeout 120s -run 'TestAttributionDeterminism|TestTraceDeterminism|TestTraceSpans' ./internal/core/
-# Realnet smoke gate: build planetd, boot a 3-process loopback cluster,
-# commit transfers, SIGKILL one master mid-load, restart it, and require
-# WAL replay, rejoin, cross-node agreement, and conservation — all inside
-# a wall-clock budget. The wire codec's corruption-tolerance property
-# tests ride in the same budget, as do the cross-process trace gates:
-# a stitched coordinator+master+replica span tree served by a live trio,
-# a /v1/attribution smoke against it, and trace continuity across a
-# kill -9 + WAL-replay cycle (TestRealnetStitchedTrace,
-# TestRealnetTraceContinuityAcrossCrash). The lease gates ride here too:
-# TestRealnetMasterFailover kills the lease-holding master mid-load and
-# requires bounded submits, an automatic takeover (exported via
-# planet_lease_takeovers_total), and deposed reconvergence after restart;
-# TestRealnetScenarioDriver replays a seeded chaos preset against the live
-# fleet through the multinet scenario driver.
-go test -count=1 -timeout 240s -run 'TestRealnet' ./internal/multinet/
+# Process gate: the checks only a separate planetd process can make, inside
+# a wall-clock budget. A 3-process loopback fleet commits transfers while a
+# master is SIGKILLed and restarted, and must show WAL replay, rejoin,
+# cross-node agreement and conservation (TestRealnetKillRestartMaster); a
+# kill -9 aimed between option-accept and decision write must replay onto
+# the survivors' side (TestRealnetWALCrashPointMasterKill); SIGTERM must
+# drain, exit 0 and leave no torn tail (TestRealnetGracefulShutdown); a
+# stitched coordinator+master+replica span tree, a /v1/attribution smoke and
+# trace continuity across kill -9 + WAL replay come from live processes
+# (TestRealnetStitchedTrace, TestRealnetTraceContinuityAcrossCrash); and a
+# port taken before a node binds restarts the fleet on fresh ports
+# (TestStartRetriesTakenPort). Lease failover and the link-cut and listener
+# cycle run in-process over real sockets (httpapi's TestNode* tests, in
+# `go test ./...` above), and the partition scenario on the virtual clock.
+go test -count=1 -timeout 240s -run 'TestRealnet|TestStartRetriesTakenPort' ./internal/multinet/
 # Wire gate: the codec property tests, the retired per-option tags decoding
 # as unknown, and the batching tests — a 4-option fast commit is exactly 15
 # messages, and a fixed transaction sequence ends in the outcomes and replica
