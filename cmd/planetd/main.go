@@ -9,7 +9,7 @@
 //
 //	planetd [-addr :8480] [-region us-west] [-mode fast] [-scale 0.05]
 //	        [-admission 0.4] [-slowtxn 250ms] [-logaborted] [-chaos mixed]
-//	        [-chaosapi] [-shedat 0.5] [-pprof localhost:6060] [-attr 30s]
+//	        [-chaosapi] [-pprof localhost:6060] [-attr 30s]
 //
 // Deployment mode (-realnet) runs ONE region's node as this process —
 // replica, coordinator, and an HTTP gateway — speaking the wire protocol
@@ -44,8 +44,9 @@
 //	curl -s -X POST localhost:8480/v1/chaos/scenario -d '{"preset":"mixed"}'
 //	curl -s 'localhost:8480/v1/chaos/events'
 //
-// In deployment mode the /v1/net/* routes expose peer health and fault
-// injection instead; OS-level faults (kill -9, SIGSTOP) come from outside.
+// In deployment mode the /v1/net/* routes expose the coordinator's view of
+// its peers and fault injection instead; OS-level faults (kill -9,
+// SIGSTOP) come from outside.
 //
 // Observability extras in both modes: -pprof serves net/http/pprof on a
 // separate address (profiling never shares the public gateway port), -attr
@@ -80,7 +81,6 @@ import (
 	"planet/internal/httpapi"
 	"planet/internal/mdcc"
 	"planet/internal/obs"
-	"planet/internal/realnet"
 	"planet/internal/simnet"
 	"planet/internal/vclock"
 )
@@ -103,7 +103,6 @@ type flags struct {
 	traceCap   int
 	chaosRun   string
 	chaosAPI   bool
-	shedAt     float64
 	drain      time.Duration
 	pprofAddr  string
 	attr       time.Duration
@@ -131,7 +130,6 @@ func parseFlags() *flags {
 	flag.IntVar(&f.traceCap, "tracecap", 512, "transactions each region's trace store retains, spans and lifecycle (and faults the fault log keeps)")
 	flag.StringVar(&f.chaosRun, "chaos", "", "run a fault scenario at boot: preset name or seed:<N> (implies -chaosapi; simulation mode)")
 	flag.BoolVar(&f.chaosAPI, "chaosapi", false, "enable runtime fault injection via POST /v1/chaos/* (simulation mode)")
-	flag.Float64Var(&f.shedAt, "shedat", 0.5, "shed speculation in a region whose recent timeout rate reaches this (0 disables)")
 	flag.DurationVar(&f.drain, "drain", 10*time.Second, "bound on draining in-flight transactions at shutdown")
 	flag.StringVar(&f.mode, "mode", "fast", "commit path: fast (Fast Paxos with classic fallback) or classic (master-arbitrated)")
 	flag.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
@@ -202,7 +200,6 @@ func openDB(f *flags, c *cluster.Cluster, reg *obs.Registry) (*planet.DB, error)
 		Cluster:       c,
 		Mode:          mode,
 		Admission:     planet.AdmissionPolicy{MinLikelihood: f.admission, ProbeFraction: 0.05},
-		Health:        planet.HealthPolicy{MaxTimeoutRate: f.shedAt},
 		Registry:      reg,
 		Trace:         true,
 		TraceCapacity: f.traceCap,
@@ -317,16 +314,6 @@ func runRealnet(f *flags) error {
 	reg := obs.NewRegistry()
 
 	var dbPtr atomic.Pointer[planet.DB]
-	onPeerState := func(r simnet.Region, st realnet.PeerState) {
-		log.Printf("planetd: peer %s -> %s", r, st)
-		// Every transition lands in the metrics (rate of flapping) and in the
-		// fault log — so a trace of a transaction that stalled shows the peer
-		// going down mid-flight.
-		reg.Counter("planet_realnet_peer_transitions_total",
-			"Peer health transitions observed by the transport.",
-			obs.L("peer", string(r)), obs.L("state", st.String())).Inc()
-		recordFault(&dbPtr, string(r), fmt.Sprintf("peer %s -> %s", r, st))
-	}
 
 	c, err := cluster.NewNode(cluster.NodeConfig{
 		Region:        region,
@@ -344,13 +331,27 @@ func runRealnet(f *flags) error {
 			}
 			recordLeaseEvent(reg, &dbPtr, f.region, ev)
 		},
-		OnPeerState: onPeerState,
-		Logf:        log.Printf,
+		Logf: log.Printf,
 	})
 	if err != nil {
 		return err
 	}
 	defer c.Close()
+	c.Coordinator(region).SetPeerObserver(func(r simnet.Region, down bool) {
+		st := "up"
+		if down {
+			st = "down"
+		}
+		log.Printf("planetd: peer %s -> %s", r, st)
+		// Every transition of the coordinator's failure detector lands in
+		// the metrics (rate of flapping) and in the fault log — so a trace
+		// of a transaction that stalled shows the peer going down
+		// mid-flight.
+		reg.Counter("planet_realnet_peer_transitions_total",
+			"Peer transitions of the coordinator's failure detector.",
+			obs.L("peer", string(r)), obs.L("state", st)).Inc()
+		recordFault(&dbPtr, string(r), fmt.Sprintf("peer %s -> %s", r, st))
+	})
 
 	db, err := openDB(f, c, reg)
 	if err != nil {

@@ -110,10 +110,7 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]b
 		c.Close()
 		c.Quiesce(5 * time.Second)
 	}()
-	db, err := planet.Open(planet.Config{
-		Cluster: c,
-		Health:  planet.HealthPolicy{Window: 32, MaxTimeoutRate: 0.6, MinSamples: 8},
-	})
+	db, err := planet.Open(planet.Config{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"planet/internal/mdcc"
@@ -36,9 +35,7 @@ type NodeConfig struct {
 	DataDir string
 	// CommitTimeout, PendingTTL, MasterRegion, MasterLeases and LeaseTerm
 	// mean what they mean in Config, with the same defaults, in real time:
-	// node mode runs unscaled. With MasterLeases, a transport peer-down
-	// transition runs the local replica's lease policy at once, so a dead
-	// master's keyspaces are reclaimed as soon as their leases lapse.
+	// node mode runs unscaled.
 	CommitTimeout time.Duration
 	PendingTTL    time.Duration
 	MasterRegion  simnet.Region
@@ -49,8 +46,6 @@ type NodeConfig struct {
 	// InboundDelay artificially delays every delivery (tests widening
 	// protocol windows that loopback TCP makes vanishingly small).
 	InboundDelay time.Duration
-	// OnPeerState observes transport peer health transitions (optional).
-	OnPeerState func(region simnet.Region, state realnet.PeerState)
 	// Logf receives transport diagnostics (optional).
 	Logf func(format string, args ...any)
 }
@@ -71,7 +66,6 @@ type spec struct {
 	commitTimeout time.Duration
 	pendingTTL    time.Duration // 0 disables eviction
 	earlyAbort    bool
-	unreachable   func(simnet.Region) bool
 	seeds         *mdcc.SeedImage
 
 	leases       bool
@@ -158,7 +152,6 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 		Replicas:      s.replicaAddrs,
 		MasterFor:     s.masterFor,
 		CommitTimeout: s.commitTimeout,
-		Unreachable:   s.unreachable,
 		EarlyAbort:    s.earlyAbort,
 	})
 	if err != nil {
@@ -190,8 +183,7 @@ func newNode(net mdcc.Transport, region simnet.Region, wal *mdcc.WAL, s *spec) (
 
 // NewNode builds and starts one deployment node: a realnet transport bound
 // to the local address, and the local region's node over it, with the WAL
-// recovered from disk and the coordinator wired for graceful degradation
-// when the transport reports fast-quorum peers unreachable.
+// recovered from disk.
 //
 // The returned Cluster exposes the node through the same API the simnet
 // composition does, holding only the local region's node; Net is nil and
@@ -243,31 +235,17 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 	if listen == "" {
 		listen = cfg.Peers[cfg.Region]
 	}
-	// A peer going down is a step input of the replica's lease tick, moot
-	// without leases. The replica needs the transport, whose health
-	// callbacks can fire as soon as New returns, so the callback finds it
-	// through rep; a peer-down before the replica exists is moot too.
-	var rep atomic.Pointer[mdcc.Replica]
 	rn, err := realnet.New(realnet.Config{
 		Listen:       listen,
 		Peers:        remote,
 		Codec:        mdcc.WireCodec{},
 		InboundDelay: cfg.InboundDelay,
-		OnPeerState: func(region simnet.Region, st realnet.PeerState) {
-			if r := rep.Load(); r != nil && st == realnet.PeerDown {
-				r.PeerDown(region)
-			}
-			if cfg.OnPeerState != nil {
-				cfg.OnPeerState(region, st)
-			}
-		},
-		Logf: cfg.Logf,
+		Logf:         cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	s.unreachable = rn.Unreachable
 	c := &Cluster{
 		RealNet:  rn,
 		Topology: regions.Topology{Regions: regionList},
@@ -296,7 +274,6 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c.nodes[cfg.Region] = n
-	rep.Store(n.replica)
 	return c, nil
 }
 

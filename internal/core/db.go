@@ -92,9 +92,6 @@ type Config struct {
 	// still fits what is left of the cluster's commit timeout. Requires
 	// Trace.
 	AttributionFeed bool
-	// Health configures per-region degradation tracking; degraded regions
-	// shed speculation. The zero value disables tracking.
-	Health HealthPolicy
 }
 
 // Stats aggregates transaction outcomes across the DB.
@@ -140,7 +137,6 @@ type DB struct {
 	attr  *obs.AttributionSet // nil unless Config.Trace
 
 	inFlight map[simnet.Region]*atomic.Int64
-	health   map[simnet.Region]*regionHealth // nil entries when disabled
 	adm      map[simnet.Region]*admissionCtl // nil unless Config.Adaptive.Enabled
 
 	submitted  atomic.Uint64
@@ -165,22 +161,9 @@ func Open(cfg Config) (*DB, error) {
 		rts:      make(map[simnet.Region]*regionRT, len(regionList)),
 		preds:    make(map[simnet.Region]*predictor.Predictor, len(regionList)),
 		inFlight: make(map[simnet.Region]*atomic.Int64, len(regionList)),
-		health:   make(map[simnet.Region]*regionHealth, len(regionList)),
 	}
 	for i, r := range regionList {
 		db.rts[r] = &regionRT{ids: txn.NewIDSpace(i), seed: 1 + int64(i)}
-	}
-	if cfg.Health.enabled() {
-		if cfg.Health.Window <= 0 {
-			cfg.Health.Window = defaultHealthWindow
-		}
-		if cfg.Health.MinSamples <= 0 {
-			cfg.Health.MinSamples = defaultHealthMinSamples
-		}
-		db.cfg.Health = cfg.Health
-		for _, r := range regionList {
-			db.health[r] = newRegionHealth(cfg.Health)
-		}
 	}
 	if cfg.Calibrate {
 		db.calib = metrics.NewCalibration(10)
@@ -256,18 +239,6 @@ func Open(cfg Config) (*DB, error) {
 					c.specFloorVal, lbl)
 			}
 		}
-		for _, r := range regionList {
-			if hr := db.health[r]; hr != nil {
-				reg.GaugeFunc("planet_region_degraded",
-					"Whether the region's recent timeout rate crossed the health threshold (1 = degraded).",
-					func() float64 {
-						if hr.degraded() {
-							return 1
-						}
-						return 0
-					}, obs.L("region", string(r)))
-			}
-		}
 	}
 	// Start the admission controllers last: their first epoch tick must not
 	// race DB construction on a real-time clock.
@@ -325,15 +296,11 @@ func (db *DB) Stats() Stats {
 }
 
 // RegionDegraded reports whether the region currently sheds speculation:
-// either its health tracker judges it degraded (always false when
-// Config.Health is disabled) or its coordinator cannot reach a fast quorum
-// (a node whose transport reports peers down or cut), in which case every
-// fast submit goes classic anyway.
+// its coordinator's failure detector holds the fast quorum down, so every
+// fast submit goes classic and speculating would mostly buy apologies.
 func (db *DB) RegionDegraded(r simnet.Region) bool {
-	if coord := db.cfg.Cluster.Coordinator(r); coord != nil && !coord.FastQuorumReachable() {
-		return true
-	}
-	return db.health[r].degraded()
+	coord := db.cfg.Cluster.Coordinator(r)
+	return coord != nil && !coord.FastQuorumReachable()
 }
 
 // InFlight returns the number of transactions currently executing across

@@ -2,7 +2,6 @@ package planet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -141,9 +140,10 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	db := s.db
 	regionList := db.cfg.Cluster.Regions()
 
-	// Health shedding: a degraded home region means votes are probably
-	// about to time out, so optimistic speculation would mostly turn into
-	// apologies. Drop it for this transaction; the commit itself proceeds.
+	// Shedding: with the home coordinator's fast quorum down, votes are
+	// about to time out or the submit goes classic, so optimistic
+	// speculation would mostly turn into apologies. Drop it for this
+	// transaction; the commit itself proceeds.
 	shedSpec := false
 	if opts.SpeculateAt > 0 && db.RegionDegraded(s.region) {
 		opts.SpeculateAt = 0
@@ -608,10 +608,6 @@ func (h *Handle) finishLocked(committed bool, err error, submitFailed bool) {
 	if h.timer != nil {
 		h.timer.Stop()
 	}
-	// Feed the region health tracker: a timeout signals the home region
-	// cannot reach its quorum; any other outcome counts as a healthy
-	// sample and decays the window back toward recovery.
-	h.db.health[h.session.region].observe(errors.Is(err, mdcc.ErrTimeout))
 	outcome := outcomeAborted
 	if committed {
 		h.stage = txn.StageCommitted

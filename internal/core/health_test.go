@@ -1,7 +1,7 @@
 package planet
 
-// White-box tests for the robustness layer: the per-region health ring,
-// speculation shedding, context-aware waits, and retry backoff shaping.
+// White-box tests for the robustness layer: speculation shedding,
+// context-aware waits, and retry backoff shaping.
 
 import (
 	"context"
@@ -11,50 +11,16 @@ import (
 
 	"planet/internal/cluster"
 	"planet/internal/clustertest"
+	"planet/internal/mdcc"
 	"planet/internal/regions"
 	"planet/internal/simnet"
+	"planet/internal/txn"
 	"planet/internal/vclock"
 )
 
-func TestRegionHealthWindow(t *testing.T) {
-	h := newRegionHealth(HealthPolicy{Window: 4, MaxTimeoutRate: 0.5, MinSamples: 2})
-
-	if h.degraded() {
-		t.Fatal("empty tracker reported degraded")
-	}
-	h.observe(true)
-	if h.degraded() {
-		t.Fatal("degraded below MinSamples")
-	}
-	h.observe(true)
-	if !h.degraded() {
-		t.Fatal("2/2 timeouts at threshold 0.5 not degraded")
-	}
-
-	// Healthy outcomes push the rate down; once the window slides past the
-	// timeouts the region recovers.
-	for i := 0; i < 4; i++ {
-		h.observe(false)
-	}
-	if h.degraded() {
-		rate, n := h.rate()
-		t.Fatalf("still degraded after recovery: rate=%.2f n=%d", rate, n)
-	}
-	if rate, n := h.rate(); rate != 0 || n != 4 {
-		t.Fatalf("rate=%.2f n=%d, want 0.00 n=4 (timeouts evicted)", rate, n)
-	}
-
-	// A nil tracker (health disabled) is inert.
-	var nilH *regionHealth
-	nilH.observe(true)
-	if nilH.degraded() {
-		t.Fatal("nil tracker degraded")
-	}
-}
-
 // openWhiteboxDB builds a compressed-time cluster + DB inside the package,
-// where tests can reach unexported state like db.health. A nil clk gives the
-// cluster its own virtual clock.
+// where tests can reach unexported state. A nil clk gives the cluster its
+// own virtual clock.
 func openWhiteboxDB(t *testing.T, cfg Config, clk vclock.Clock) *DB {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
@@ -78,91 +44,27 @@ func openWhiteboxDB(t *testing.T, cfg Config, clk vclock.Clock) *DB {
 	return db
 }
 
-func TestSpeculationShedWhenDegraded(t *testing.T) {
-	db := openWhiteboxDB(t, Config{
-		Health: HealthPolicy{Window: 8, MaxTimeoutRate: 0.5, MinSamples: 4},
-	}, nil)
-	db.Cluster().SeedInt("n", 0, 0, 1<<30)
-	region := regions.California
-	s, err := db.Session(region)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	commit := func() (*Handle, bool) {
-		t.Helper()
-		tx := s.Begin()
-		tx.Add("n", 1)
-		spec := false
-		h, err := tx.Commit(CommitOptions{
-			SpeculateAt:   0.01, // any likelihood clears this
-			OnSpeculative: func(Progress) { spec = true },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := h.Wait()
-		if !out.Committed {
-			t.Fatalf("commit failed: %v", out.Err)
-		}
-		return h, spec
-	}
-
-	// Healthy region: the near-zero threshold speculates immediately.
-	if _, spec := commit(); !spec {
-		t.Fatal("healthy region did not speculate")
-	}
-
-	// Saturate the region's window with timeouts: degraded.
-	for i := 0; i < 8; i++ {
-		db.health[region].observe(true)
-	}
-	if !db.RegionDegraded(region) {
-		t.Fatal("region not degraded after all-timeout window")
-	}
-	if db.RegionDegraded(regions.Ireland) {
-		t.Fatal("unrelated region degraded")
-	}
-	h, spec := commit()
-	if spec {
-		t.Fatal("degraded region still speculated")
-	}
-	if h.Wait().Speculated {
-		t.Fatal("outcome marked speculated after shed")
-	}
-	if got := db.SpeculationShed(); got != 1 {
-		t.Fatalf("SpeculationShed=%d, want 1", got)
-	}
-
-	// The successful commits above (plus healthy observations) wash the
-	// timeouts out of the window; speculation comes back.
-	for i := 0; i < 8; i++ {
-		db.health[region].observe(false)
-	}
-	if _, spec := commit(); !spec {
-		t.Fatal("recovered region did not speculate")
-	}
-}
-
 // TestSpeculationShedWhenPeerCut runs three cluster nodes over real TCP in
 // this process. A three-region fast quorum needs every replica, so once the
-// gateway's transport cuts one peer each fast submit goes classic, and the
-// gateway's region must count as degraded and shed speculation until the
-// link heals. No peer goes down: a cut drops frames without touching peer
-// health.
+// gateway's transport cuts one peer, the first fast submit burns its commit
+// timeout, and from then on the gateway's coordinator holds the cut region
+// down: each fast submit goes classic, and the gateway's region counts as
+// degraded and sheds speculation, until a probe's answer after the heal
+// marks the region up again.
 func TestSpeculationShedWhenPeerCut(t *testing.T) {
 	regionList := []simnet.Region{"eu-west", "us-east", "us-west"}
 	const gwRegion, cutRegion = simnet.Region("us-west"), simnet.Region("eu-west")
+	const commitTimeout = 300 * time.Millisecond
 	// The gateway masters every key, so the classic path needs only the
 	// gateway and us-east while eu-west is cut.
 	nodes, _, err := clustertest.StartNodes(t, regionList, func(simnet.Region) cluster.NodeConfig {
-		return cluster.NodeConfig{MasterRegion: gwRegion, CommitTimeout: 20 * time.Second}
+		return cluster.NodeConfig{MasterRegion: gwRegion, CommitTimeout: commitTimeout}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range nodes {
-		for _, k := range []string{"k0", "k1", "k2"} {
+		for _, k := range []string{"k0", "k1", "k2", "k3"} {
 			c.SeedInt(k, 0, 0, 1<<30)
 		}
 	}
@@ -175,7 +77,7 @@ func TestSpeculationShedWhenPeerCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit := func(key string) {
+	commit := func(key string) txn.Outcome {
 		t.Helper()
 		tx := s.Begin()
 		tx.Add(key, 1)
@@ -185,30 +87,49 @@ func TestSpeculationShedWhenPeerCut(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if out, err := h.WaitCtx(ctx); err != nil || !out.Committed {
-			t.Fatalf("commit of %s: %+v, %v", key, out, err)
+		out, err := h.WaitCtx(ctx)
+		if err != nil {
+			t.Fatalf("commit of %s: %v", key, err)
 		}
+		return out
 	}
+	degraded := func() bool { return db.RegionDegraded(gwRegion) }
 
-	commit("k0")
-	if db.RegionDegraded(gwRegion) || db.SpeculationShed() != 0 {
-		t.Fatalf("healthy fleet: degraded=%v shed=%d, want false and 0", db.RegionDegraded(gwRegion), db.SpeculationShed())
+	if out := commit("k0"); !out.Committed || degraded() || db.SpeculationShed() != 0 {
+		t.Fatalf("healthy fleet: %+v, degraded=%v shed=%d, want a commit, false and 0", out, degraded(), db.SpeculationShed())
 	}
 
 	gw.RealNet.CutPeer(cutRegion, true)
-	if !db.RegionDegraded(gwRegion) {
-		t.Fatal("gateway region not degraded with the fast quorum cut off")
+	if degraded() {
+		t.Fatal("gateway region degraded before any request met the cut")
 	}
-	commit("k1")
+	if out := commit("k1"); out.Committed || !errors.Is(out.Err, mdcc.ErrTimeout) {
+		t.Fatalf("first fast submit across the cut: %+v, want a commit timeout", out)
+	}
+	if !degraded() {
+		t.Fatal("gateway region not degraded after the commit timeout")
+	}
+	if out := commit("k2"); !out.Committed {
+		t.Fatalf("commit with a peer cut: %+v", out)
+	}
 	if got := db.SpeculationShed(); got != 1 {
 		t.Fatalf("SpeculationShed=%d after a submit with a peer cut, want 1", got)
 	}
+	if got := gw.Coordinator(gwRegion).DegradedSubmits; got != 1 {
+		t.Fatalf("DegradedSubmits=%d, want 1", got)
+	}
 
 	gw.RealNet.CutPeer(cutRegion, false)
-	if db.RegionDegraded(gwRegion) {
-		t.Fatal("gateway region still degraded after the link healed")
+	deadline := time.Now().Add(5 * time.Second)
+	for degraded() {
+		if time.Now().After(deadline) {
+			t.Fatal("gateway region still degraded after the link healed")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	commit("k2")
+	if out := commit("k3"); !out.Committed {
+		t.Fatalf("commit after the heal: %+v", out)
+	}
 	if got := db.SpeculationShed(); got != 1 {
 		t.Fatalf("SpeculationShed=%d after the link healed, want it to stay 1", got)
 	}

@@ -30,6 +30,16 @@ import (
 // those runs order some equal-time events differently. The experiments that
 // never used partitions (t1, f9) and those whose numbers do not depend on
 // the tie order kept their lines byte for byte.
+//
+// Four lines were re-recorded when the coordinator's failure detector
+// replaced the transport's peer health: e1 (seeds 1–3) and e3 (seed 1).
+// e1 loses messages and e3 runs a tight commit timeout under heavy
+// jitter, so in both a replica is sometimes silent for a commit timeout,
+// which now marks it down, degrades the next fast submits to the classic
+// path and sends probes. At 10 % loss e1 times out 48, 47 and 52 of 192
+// transactions on seeds 1–3 (45, 42 and 54 before); e3 commits 22 of 30
+// per arm on seed 1 (23 before). Every other line kept its value, f9's
+// included.
 const fingerprintFile = "testdata/quick_fingerprints.txt"
 
 var updateFingerprints = flag.Bool("update-fingerprints", false,

@@ -307,8 +307,8 @@ func (c *Client) submitAndWait(req SubmitRequest, timeout, chunk time.Duration) 
 	}
 }
 
-// NetPeers fetches the transport's peer health and counters (realnet
-// deployments only).
+// NetPeers fetches the coordinator's view of its peers and the transport's
+// counters (realnet deployments only).
 func (c *Client) NetPeers() (NetPeersResponse, error) {
 	resp, err := c.httpc().Get(c.Base + "/v1/net/peers")
 	if err != nil {

@@ -1,12 +1,13 @@
 package httpapi
 
 // Transport administration: when the gateway is built with EnableRealNet
-// (planetd -realnet), the /v1/net/* routes expose the TCP transport's peer
-// health and OS-level-style fault injection, plus the replica's decision
-// map — the observability surface the multi-process harness drives its
-// partition cycles and agreement audits through.
+// (planetd -realnet), the /v1/net/* routes expose the local coordinator's
+// view of its peers, the TCP transport's counters and OS-level-style fault
+// injection, plus the replica's decision map — the observability surface
+// the multi-process harness drives its partition cycles and agreement
+// audits through.
 //
-//	GET  /v1/net/peers      peer health states + transport counters
+//	GET  /v1/net/peers      peer states (the failure detector's) + transport counters
 //	POST /v1/net/cut        {"region":R,"cut":true|false}  sever/heal a link
 //	POST /v1/net/listener   {"drop":true|false}  stop/resume accepting peers
 //	GET  /v1/net/decisions  every retained txn verdict at the local replica
@@ -28,12 +29,31 @@ import (
 type netAdmin struct {
 	transport *realnet.Transport
 	replica   *mdcc.Replica
+	coord     *mdcc.Coordinator
+	regions   []simnet.Region
+}
+
+// peerStates is the local coordinator's failure-detector view of every
+// remote region: "up" or "down".
+func (na *netAdmin) peerStates() map[string]string {
+	out := make(map[string]string, len(na.regions))
+	for _, r := range na.regions {
+		if r != na.replica.Region() {
+			out[string(r)] = "up"
+		}
+	}
+	for _, r := range na.coord.DownReplicas() {
+		if r != na.replica.Region() {
+			out[string(r)] = "down"
+		}
+	}
+	return out
 }
 
 // NetPeersResponse is the GET /v1/net/peers body.
 type NetPeersResponse struct {
-	// Peers maps each remote region to its health state ("up", "suspect",
-	// "down").
+	// Peers maps each remote region to the local coordinator's view of it
+	// ("up" or "down"; see mdcc's failure detector).
 	Peers map[string]string `json:"peers"`
 	// Stats are the transport's cumulative counters.
 	Stats realnet.StatsSnapshot `json:"stats"`
@@ -66,22 +86,27 @@ type NetLeaseResponse struct {
 }
 
 // EnableRealNet attaches the deployment transport (and the local replica,
-// for the decisions audit) to the gateway, activating the /v1/net/* routes
-// and, when the gateway has a registry, the planet_realnet_* series of
-// /v1/metrics. Call before serving traffic.
+// for the decisions audit, and its region's coordinator, for peer states)
+// to the gateway, activating the /v1/net/* routes and, when the gateway has
+// a registry, the planet_realnet_* series of /v1/metrics. Call before
+// serving traffic.
 func (s *Server) EnableRealNet(tr *realnet.Transport, replica *mdcc.Replica) {
+	c := s.db.Cluster()
+	na := &netAdmin{transport: tr, replica: replica, coord: c.Coordinator(replica.Region()), regions: c.Regions()}
 	s.mu.Lock()
-	s.net = &netAdmin{transport: tr, replica: replica}
+	s.net = na
 	s.mu.Unlock()
 	if s.reg != nil {
-		registerRealnetMetrics(s.reg, tr)
+		registerRealnetMetrics(s.reg, na)
 	}
 }
 
-// registerRealnetMetrics exposes the transport's counters and peer health.
-// Frames and socket calls are counted separately: sent/writes (and
-// delivered/reads) is how many frames one syscall carries.
-func registerRealnetMetrics(reg *obs.Registry, tr *realnet.Transport) {
+// registerRealnetMetrics exposes the transport's counters and the count of
+// peers the coordinator holds down. Frames and socket calls are counted
+// separately: sent/writes (and delivered/reads) is how many frames one
+// syscall carries.
+func registerRealnetMetrics(reg *obs.Registry, na *netAdmin) {
+	tr := na.transport
 	snap := func(pick func(realnet.StatsSnapshot) uint64) func() float64 {
 		return func() float64 { return float64(pick(tr.StatsSnapshot())) }
 	}
@@ -107,11 +132,11 @@ func registerRealnetMetrics(reg *obs.Registry, tr *realnet.Transport) {
 		"Peer connections re-established after a drop.",
 		snap(func(s realnet.StatsSnapshot) uint64 { return s.Reconnects }))
 	reg.GaugeFunc("planet_realnet_peers_down",
-		"Remote peers currently marked down.",
+		"Remote peers the coordinator's failure detector holds down.",
 		func() float64 {
 			n := 0
-			for _, st := range tr.PeerStates() {
-				if st == realnet.PeerDown {
+			for _, st := range na.peerStates() {
+				if st == "down" {
 					n++
 				}
 			}
@@ -139,15 +164,7 @@ func (s *Server) handleNet(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		states := na.transport.PeerStates()
-		resp := NetPeersResponse{
-			Peers: make(map[string]string, len(states)),
-			Stats: na.transport.StatsSnapshot(),
-		}
-		for region, st := range states {
-			resp.Peers[string(region)] = st.String()
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, NetPeersResponse{Peers: na.peerStates(), Stats: na.transport.StatsSnapshot()})
 	case "cut":
 		if r.Method != http.MethodPost {
 			writeErr(w, http.StatusMethodNotAllowed, "use POST")

@@ -109,7 +109,7 @@ func commitWithin(t *testing.T, cl *Client, budget time.Duration, what string, r
 }
 
 // waitPeer waits until region on's gateway reports peer about in state
-// want ("up", "suspect", "down").
+// want ("up" or "down").
 func waitPeer(t *testing.T, tr *trio, on, about simnet.Region, want string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -169,13 +169,15 @@ func assertConserved(t *testing.T, cl *Client) {
 }
 
 // TestNodeLeaseFailover is master failover over real sockets: the
-// lease-holding node (us-east, every key's default holder) is closed, its
-// peers' transports report it down, and one survivor takes its keyspace
+// lease-holding node (us-east, every key's default holder) is closed, each
+// survivor's coordinator holds it down once a request it sent there goes
+// unanswered for a commit timeout, and one survivor takes its keyspace
 // over, counts the takeover on /v1/metrics and commits the dead master's
 // keys. The node rebuilt on the same DataDir replays its lease entries and
-// rejoins deposed; the verdicts agree and the accounts conserve. The
-// virtual-clock half of this scenario, with a burst in flight at the crash,
-// is mdcc's TestLeaseFailoverUnderLoad.
+// rejoins deposed, and a probe's answer marks it up again; the verdicts
+// agree and the accounts conserve. The virtual-clock half of this
+// scenario, with a burst in flight at the crash, is mdcc's
+// TestLeaseFailoverUnderLoad.
 func TestNodeLeaseFailover(t *testing.T) {
 	const victim = simnet.Region("us-east")
 	survivors := []simnet.Region{"eu-west", "us-west"}
@@ -186,10 +188,13 @@ func TestNodeLeaseFailover(t *testing.T) {
 	}
 	commitWithin(t, gw, 2*time.Second, "warm-up transfer", transferReq("acct-1", "acct-2", 3))
 
-	// The first transfers after the close go to the dead master and fail
-	// over the wire, which marks it down at the gateway; the heir's own
-	// lease rounds do the same at the heir.
+	// The first transfers after the close go to the dead master, whose
+	// lease has yet to lapse, and time out: a commit timeout later each
+	// survivor that sent one holds the dead master down.
 	tr.nodes[victim].c.Close()
+	if _, err := tr.nodes["eu-west"].cl.Submit(transferReq("acct-4", "acct-5", 1)); err != nil {
+		t.Fatal(err)
+	}
 	commitWithin(t, gw, 3*time.Second, "transfer on the dead master's keys", transferReq("acct-2", "acct-3", 1))
 	waitPeer(t, tr, "us-west", victim, "down")
 	heir := leaseHolder(t, tr, victim, survivors...)
@@ -242,10 +247,11 @@ func TestNodeLeaseFailover(t *testing.T) {
 // TestNodePartitionAndListenerCycle cuts the us-west–us-east link through
 // both gateways' /v1/net/cut, then drops and restores us-east's listener
 // three times through /v1/net/listener (a reconnect storm in miniature).
-// The cut registers in us-west's peer health at once, so its submissions
-// commit on the classic path from the first transaction; a key mastered
-// across the cut aborts by commit timeout instead of hanging; after the
-// heal and after the storm, it commits again.
+// A cut is silence: the first fast submission across it times out, after
+// which us-west's coordinator holds us-east down and its submissions commit
+// on the classic path; a key mastered across the cut aborts by commit
+// timeout instead of hanging; after the heal and after the storm, it
+// commits again.
 func TestNodePartitionAndListenerCycle(t *testing.T) {
 	const gwr, other = simnet.Region("us-west"), simnet.Region("us-east")
 	const commitTimeout = 500 * time.Millisecond
@@ -274,21 +280,30 @@ func TestNodePartitionAndListenerCycle(t *testing.T) {
 		}
 	}
 
+	// resolvesByTimeout submits req and requires it to abort within about
+	// the commit timeout.
+	resolvesByTimeout := func(what string, req SubmitRequest) {
+		t.Helper()
+		begin := time.Now()
+		st, err := gw.SubmitAndWait(req, 5*time.Second)
+		if err != nil || !st.Done {
+			t.Fatalf("%s did not resolve: %+v, %v", what, st, err)
+		}
+		if st.Committed {
+			t.Errorf("%s committed", what)
+		}
+		if took := time.Since(begin); took > commitTimeout+time.Second {
+			t.Errorf("%s resolved after %v, want about the %v commit timeout", what, took, commitTimeout)
+		}
+	}
+
 	cut(true)
+	resolvesByTimeout("the first transfer across the partition", transferReq(reachable[0], reachable[1], 2))
+	waitPeer(t, tr, gwr, other, "down")
 	if st, err := gw.SubmitAndWait(transferReq(reachable[0], reachable[1], 2), 5*time.Second); err != nil || !st.Committed {
-		t.Fatalf("first transfer across the partition: %+v, %v", st, err)
+		t.Fatalf("transfer across the partition once us-east is down: %+v, %v", st, err)
 	}
-	begin := time.Now()
-	st, err := gw.SubmitAndWait(transferReq(unreachable[0], reachable[0], 1), 5*time.Second)
-	if err != nil || !st.Done {
-		t.Fatalf("transfer on a key mastered across the cut did not resolve: %+v, %v", st, err)
-	}
-	if st.Committed {
-		t.Error("transfer on a key mastered across the cut committed")
-	}
-	if took := time.Since(begin); took > commitTimeout+time.Second {
-		t.Errorf("the cut-off transfer resolved after %v, want about the %v commit timeout", took, commitTimeout)
-	}
+	resolvesByTimeout("a transfer on a key mastered across the cut", transferReq(unreachable[0], reachable[0], 1))
 	cut(false)
 	commitWithin(t, gw, 2*time.Second, "transfer on the cut-off master's key after the heal", transferReq(unreachable[0], reachable[0], 1))
 

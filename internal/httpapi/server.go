@@ -22,7 +22,7 @@
 //	GET  /v1/metrics                   Prometheus text exposition
 //	POST /v1/chaos/*                   runtime fault injection (see chaos.go;
 //	                                   requires EnableChaos, else 404)
-//	*    /v1/net/*                     transport peer health, partitions,
+//	*    /v1/net/*                     peer states, partitions,
 //	                                   decisions (see net.go; requires
 //	                                   EnableRealNet, else 404)
 //

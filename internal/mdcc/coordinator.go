@@ -3,6 +3,7 @@ package mdcc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,15 +25,9 @@ type CoordinatorConfig struct {
 	// names the key's keyspace for lease views (LeaseView). Required.
 	MasterFor func(key string) simnet.Addr
 	// CommitTimeout bounds a transaction's in-flight time (already
-	// time-scaled). Zero disables the timeout.
+	// time-scaled). Zero disables the timeout, and with it the failure
+	// detector (detector.go): a replica is down after this much silence.
 	CommitTimeout time.Duration
-	// Unreachable, when non-nil, reports whether a replica region is
-	// currently unreachable over the transport (realnet peer health).
-	// When so many replicas are unreachable that the fast quorum cannot
-	// form, a fast-path submit degrades straight to the classic path
-	// instead of burning its commit timeout waiting for votes that cannot
-	// arrive. Nil (the simnet default) disables the check.
-	Unreachable func(region simnet.Region) bool
 	// EarlyAbort enables optimistic abort propagation: when pending-conflict
 	// rejects push the fast quorum out of reach, the option is learned
 	// rejected on the spot, and the abort's decide clears its sibling
@@ -132,13 +127,18 @@ type Coordinator struct {
 	// holders maps a keyspace to the newest lease view the co-located
 	// replica emitted of it; empty under static mastership.
 	holders map[simnet.Region]leaseView
+	// peers is the failure detector's state, one entry per cfg.Replicas
+	// index; down marks the replicas whose down transition was emitted.
+	// See detector.go.
+	peers  []peerHealth
+	down   uint64
+	onPeer func(region simnet.Region, down bool)
 
 	// Stats for tests and experiments.
 	Fallbacks uint64
 	Timeouts  uint64
 	// DegradedSubmits counts fast-path submissions rerouted to the classic
-	// path because the fast quorum was unreachable (see
-	// CoordinatorConfig.Unreachable).
+	// path because the failure detector held the fast quorum down.
 	DegradedSubmits uint64
 	// MasterRedirects counts classic proposals re-sent after a
 	// ReasonNotMaster bounce (the master lease moved under the router).
@@ -152,9 +152,8 @@ type Coordinator struct {
 type (
 	// submit is SubmitTraced's transaction; err is its result.
 	submit struct {
-		s        *commitState
-		degraded bool
-		err      error
+		s   *commitState
+		err error
 	}
 	// restart rejoins a crashed coordinator to the network.
 	restart struct{}
@@ -168,13 +167,17 @@ type (
 	}
 )
 
-// exec runs one input through step and performs its outputs. It is the
-// coordinator's executor and the only function that takes c.mu.
-func (c *Coordinator) exec(in any) {
+// exec runs one local input through step and performs its outputs.
+func (c *Coordinator) exec(in any) { c.execFrom("", in) }
+
+// execFrom runs one input through step and performs its outputs; from is
+// the sender's region of a delivered message, "" for a local input. It is
+// the coordinator's executor and the only function that takes c.mu.
+func (c *Coordinator) execFrom(from simnet.Region, in any) {
 	b := outBufs.Get().(*outBuf)
 	c.mu.Lock()
 	c.out = b
-	c.step(c.clk.Now(), in)
+	c.step(c.clk.Now(), from, in)
 	c.out = nil
 	c.mu.Unlock()
 	b.perform(c.cfg.Net, c.cfg.Addr, c.clk)
@@ -183,8 +186,9 @@ func (c *Coordinator) exec(in any) {
 
 // step is the coordinator's transition function: it applies one input, at
 // time now, to the coordinator's own state and emits the input's effects to
-// c.out.
-func (c *Coordinator) step(now time.Time, in any) {
+// c.out. from is the sender's region of a delivered message ("" for a
+// local input); any frame from a region marks its replica up.
+func (c *Coordinator) step(now time.Time, from simnet.Region, in any) {
 	switch p := in.(type) {
 	case query:
 		p(now)
@@ -200,7 +204,9 @@ func (c *Coordinator) step(now time.Time, in any) {
 	case timeout:
 		c.onTimeout(now, p.id)
 	case *quorumRead:
-		c.quorumRead(p)
+		c.quorumRead(now, p)
+	case *peerView:
+		p.down = c.detect(now)
 	case crash:
 		c.crash(now)
 	case restart:
@@ -209,6 +215,7 @@ func (c *Coordinator) step(now time.Time, in any) {
 	default:
 		// A delivery that raced with Crash's deregistration.
 		if !c.crashed {
+			c.heard(from)
 			c.deliver(now, in)
 		}
 	}
@@ -229,7 +236,7 @@ func (c *Coordinator) deliver(now time.Time, m any) {
 }
 
 // recv is the coordinator's transport handler.
-func (c *Coordinator) recv(m simnet.Message) { c.exec(m.Payload) }
+func (c *Coordinator) recv(m simnet.Message) { c.execFrom(m.From.Region, m.Payload) }
 
 // SetObserver installs o (nil clears). Typically wired once at startup.
 func (c *Coordinator) SetObserver(o CoordObserver) {
@@ -254,7 +261,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Net == nil || len(cfg.Replicas) == 0 || cfg.MasterFor == nil {
 		return nil, fmt.Errorf("mdcc: coordinator config incomplete")
 	}
-	c := &Coordinator{cfg: cfg, clk: cfg.Net.Clock(), active: make(map[txn.ID]*commitState)}
+	c := &Coordinator{cfg: cfg, clk: cfg.Net.Clock(), active: make(map[txn.ID]*commitState),
+		peers: make([]peerHealth, len(cfg.Replicas))}
 	cfg.Net.Register(cfg.Addr, c.recv)
 	return c, nil
 }
@@ -288,25 +296,17 @@ func (c *Coordinator) SubmitTraced(id txn.ID, ops []txn.Op, mode Mode, sink Prog
 			}
 		}
 	}
-
-	// Graceful degradation: with the fast quorum known-unreachable, fast
-	// proposals can only time out. The classic path needs one master plus a
-	// majority, which may still be reachable, so go there directly.
-	degraded := mode == ModeFast && len(ops) > 0 && !c.FastQuorumReachable()
-	if degraded {
-		mode = ModeClassic
-	}
-	in := submit{
-		s:        &commitState{id: id, ops: ops, mode: mode, sink: sink, span: span},
-		degraded: degraded,
-	}
+	in := submit{s: &commitState{id: id, ops: ops, mode: mode, sink: sink, span: span}}
 	c.exec(&in)
 	return in.err
 }
 
 // submit registers a transaction, arms its commit timeout and sends its
 // options: to every replica on the fast path, to their masters on the
-// classic path.
+// classic path. A fast-path submit degrades to the classic path when the
+// failure detector holds the fast quorum down: fast proposals could only
+// time out, while the classic path needs one master plus a majority, which
+// may still be reachable.
 func (c *Coordinator) submit(now time.Time, in *submit) {
 	s := in.s
 	if c.crashed {
@@ -314,6 +314,10 @@ func (c *Coordinator) submit(now time.Time, in *submit) {
 		// a severed client connection would produce.
 		in.err = fmt.Errorf("mdcc: submit %s: %w", s.id, ErrCrashed)
 		return
+	}
+	if down := c.detect(now); s.mode == ModeFast && len(s.ops) > 0 && !c.fastQuorumUp(down) {
+		s.mode = ModeClassic
+		c.DegradedSubmits++
 	}
 	s.start = now
 	s.opts = make([]optState, len(s.ops))
@@ -325,9 +329,6 @@ func (c *Coordinator) submit(now time.Time, in *submit) {
 		}
 	}
 	c.active[s.id] = s
-	if in.degraded {
-		c.DegradedSubmits++
-	}
 	if c.cfg.CommitTimeout > 0 {
 		id := s.id
 		c.out.add(output{kind: outArm, timer: &s.timer, ev: ProgressEvent{Txn: id},
@@ -345,28 +346,11 @@ func (c *Coordinator) submit(now time.Time, in *submit) {
 	default:
 		// Boxed once: every replica is sent the same immutable message.
 		var m any = proposeMsg{Txn: s.id, Coord: c.cfg.Addr, Options: s.ops, TC: traceCtx(now, s.span)}
-		for _, rep := range c.cfg.Replicas {
+		for i, rep := range c.cfg.Replicas {
+			c.expect(now, i)
 			c.out.send(rep, m)
 		}
 	}
-}
-
-// FastQuorumReachable reports whether enough replicas are reachable over the
-// transport for a fast quorum to form (see CoordinatorConfig.Unreachable).
-// A fast-path submit goes classic when it is false, and the DB sheds
-// speculation in the coordinator's region. Always true without an
-// Unreachable predicate (simnet).
-func (c *Coordinator) FastQuorumReachable() bool {
-	if c.cfg.Unreachable == nil {
-		return true
-	}
-	reachable := 0
-	for _, rep := range c.cfg.Replicas {
-		if !c.cfg.Unreachable(rep.Region) {
-			reachable++
-		}
-	}
-	return reachable >= FastQuorum(len(c.cfg.Replicas))
 }
 
 // traceCtx builds the outgoing trace context for span, the sender-side span
@@ -404,6 +388,9 @@ outer:
 		groups = append(groups, masterGroup{to: to, ops: []txn.Op{op}})
 	}
 	for _, g := range groups {
+		if bit, ok := regionBit(c.cfg.Replicas, g.to.Region); ok {
+			c.expect(now, bits.TrailingZeros64(bit))
+		}
 		c.out.send(g.to, classicProposeBatchMsg{Txn: id, Coord: c.cfg.Addr, Options: g.ops, TC: tc})
 	}
 }
@@ -658,13 +645,23 @@ func (c *Coordinator) finish(now time.Time, s *commitState, commit bool, err err
 // coordinator would leave them.
 func (c *Coordinator) Crash() { c.exec(crash{}) }
 
+// crash fails the active transactions in id order, never map order, so a
+// client resubmitting from its callback resubmits in a replayable order.
+// The failure detector forgets its unanswered requests: they died with the
+// process.
 func (c *Coordinator) crash(now time.Time) {
 	c.out.add(output{kind: outDeregister})
 	if c.crashed {
 		return
 	}
 	c.crashed = true
-	for id, s := range c.active {
+	ids := make([]txn.ID, 0, len(c.active))
+	for id := range c.active {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		s := c.active[id]
 		s.decided = true
 		if c.cfg.CommitTimeout > 0 {
 			c.out.add(output{kind: outStop, timer: &s.timer, ev: ProgressEvent{Txn: id}})
@@ -672,6 +669,7 @@ func (c *Coordinator) crash(now time.Time) {
 		delete(c.active, id)
 		c.finish(now, s, false, ErrCrashed)
 	}
+	clear(c.peers)
 }
 
 // Restart rejoins a crashed coordinator to the network. Coordinators keep

@@ -43,12 +43,14 @@
 // Replica and Coordinator change state only inside step(now, in), which
 // applies one input to the actor's own state and appends the input's
 // effects to an ordered output list instead of performing them. Inputs are
-// the protocol messages, the local entries (SubmitTraced, the commit
-// timeout, QuorumRead, SyncFrom, the lease tick, PeerDown, a lease view,
+// the protocol messages (the coordinator's come with the sender's region,
+// for its failure detector, detector.go), the local entries (SubmitTraced,
+// the commit timeout, QuorumRead, SyncFrom, the lease tick, a lease view,
 // Crash, Restore, Close) and queries (ReadLocal, Snapshot, the lease table,
-// startup setters); a crashed actor drops messages inside step. Outputs are
-// sends, WAL entries, timer arms and stops (commit timeouts and the lease
-// tick), sink and lease-observer calls, lease views, waiter wake-ups,
+// the detector's view, startup setters); a crashed actor drops messages
+// inside step. Outputs are sends, WAL entries, timer arms and stops (commit
+// timeouts and the lease tick), sink, lease-observer and peer-observer
+// calls, lease views, waiter wake-ups,
 // transport (de)registration and a replica's decide-time spans; observer
 // counters and the coordinator's span-store adds stay inline. A master's
 // sends leave as one wire message per destination. No step reads another

@@ -2,6 +2,7 @@ package mdcc
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -272,10 +273,16 @@ func (r *Replica) setView(ks simnet.Region, ls *leaseState, epoch uint64, holder
 }
 
 // dropLeases forgets every lease, as a crash does and a restore before
-// its replay.
+// its replay. The views it emits go in keyspace order, never map order,
+// and are numbered in that order.
 func (r *Replica) dropLeases() {
-	for ks, ls := range r.leases {
-		r.setView(ks, ls, 0, "", time.Time{})
+	kss := make([]simnet.Region, 0, len(r.leases))
+	for ks := range r.leases {
+		kss = append(kss, ks)
+	}
+	slices.Sort(kss)
+	for _, ks := range kss {
+		r.setView(ks, r.leases[ks], 0, "", time.Time{})
 	}
 	clear(r.leases)
 }
@@ -319,9 +326,8 @@ func (r *Replica) applyLeaseEntry(now time.Time, l *LeaseRecord) {
 	}
 }
 
-// The lease tick runs the lease policy inside the replica's step: every
-// term/3, and at once when the transport reports a peer down (a master may
-// be dead). It is armed as a step output on the replica's own timer, so a
+// The lease tick runs the lease policy inside the replica's step every
+// term/3. It is armed as a step output on the replica's own timer, so a
 // seeded run on the virtual clock replays it exactly. Per keyspace:
 //   - holder: renew (well inside the term).
 //   - never granted: the keyspace's namesake region claims it at once;

@@ -17,7 +17,8 @@ import (
 // write that was committed and fully propagated before the read began,
 // at the price of one wide-area round trip.
 
-// wire messages for reads.
+// wire messages for reads. A readReq with ReqID 0 and no key is the failure
+// detector's probe (detector.go): its answer matches no waiter.
 type readReq struct {
 	ReqID uint64
 	Key   string
@@ -74,7 +75,7 @@ func (c *Coordinator) QuorumRead(key string, timeout time.Duration) (value Value
 }
 
 // quorumRead registers or retires a quorum read.
-func (c *Coordinator) quorumRead(q *quorumRead) {
+func (c *Coordinator) quorumRead(now time.Time, q *quorumRead) {
 	if q.retire {
 		delete(c.reads, q.id)
 		q.settled, q.value, q.found = q.w.settled, q.w.best, q.w.found
@@ -86,7 +87,8 @@ func (c *Coordinator) quorumRead(q *quorumRead) {
 	c.readSeq++
 	q.id = c.readSeq
 	c.reads[q.id] = q.w
-	for _, rep := range c.cfg.Replicas {
+	for i, rep := range c.cfg.Replicas {
+		c.expect(now, i)
 		c.out.send(rep, readReq{ReqID: q.id, Key: q.key, From: c.cfg.Addr})
 	}
 }

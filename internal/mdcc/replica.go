@@ -83,10 +83,8 @@ type Replica struct {
 
 // Replica.step's local inputs, besides queries and wire messages.
 type (
-	// leaseTick is the lease tick's timer firing; peerDown is the
-	// transport reporting region's node down (PeerDown).
+	// leaseTick is the lease tick's timer firing.
 	leaseTick struct{}
-	peerDown  struct{ region simnet.Region }
 	// crash and restore are a process failure and its WAL recovery;
 	// closeReplica is Close.
 	crash        struct{}
@@ -141,8 +139,6 @@ func (r *Replica) step(now time.Time, in any) {
 			r.leasePass(now)
 			r.armTick(r.cfg.Leases.Term / 3)
 		}
-	case peerDown:
-		r.leasePass(now)
 	case *syncCall:
 		r.syncCall(p)
 	case crash:
@@ -229,11 +225,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	}
 	return r
 }
-
-// PeerDown reports that the transport lost region's node: a master may be
-// dead, so the lease policy runs a pass now instead of at the next tick.
-// Expiry still gates every takeover.
-func (r *Replica) PeerDown(region simnet.Region) { r.exec(peerDown{region}) }
 
 // Close stops the replica's lease tick for good. The replica still answers
 // queries; the transport's own Close silences it on the network.

@@ -25,6 +25,13 @@ type stepNet struct {
 	reps  []*Replica
 	coord *Coordinator
 	now   time.Time
+	// calls collects what observers the tests install (lease views, peer
+	// transitions) record when an outCall output runs; the rendered call
+	// line carries it.
+	calls []string
+	// log is every rendered line of every step, in order, each prefixed
+	// by its actor's region.
+	log []string
 }
 
 func newStepNet() *stepNet {
@@ -54,12 +61,14 @@ func newStepCoordinator(peers []simnet.Addr) *Coordinator {
 			CommitTimeout: time.Second,
 		},
 		active: make(map[txn.ID]*commitState),
+		peers:  make([]peerHealth, len(peers)),
 	}
 }
 
 // sent is one wire message a step's outputs put on the network, in the form
 // the transport would carry it.
 type sent struct {
+	from simnet.Region
 	to   simnet.Addr
 	msgs []any
 }
@@ -71,19 +80,26 @@ type stepped struct {
 	wire  []sent
 }
 
-// run steps actor (a *Replica or the *Coordinator) on in and renders the
-// outputs the way exec would perform them. A staged group renders once, as
-// the coalesced wire message flush would send, at its first payload.
-func (n *stepNet) run(actor any, in any) stepped {
+// run steps actor (a *Replica or the *Coordinator) on the local input in.
+func (n *stepNet) run(actor any, in any) stepped { return n.recv(actor, "", in) }
+
+// recv steps actor on in, a message from region from ("" for a local
+// input), and renders the outputs the way exec would perform them. A staged
+// group renders once, as the coalesced wire message flush would send, at its
+// first payload.
+func (n *stepNet) recv(actor any, from simnet.Region, in any) stepped {
 	b := new(outBuf)
+	var self simnet.Region
 	switch a := actor.(type) {
 	case *Replica:
+		self = a.Region()
 		a.out = b
 		a.step(n.now, in)
 		a.out = nil
 	case *Coordinator:
+		self = a.Region()
 		a.out = b
-		a.step(n.now, in)
+		a.step(n.now, from, in)
 		a.out = nil
 	}
 	var st stepped
@@ -98,14 +114,14 @@ func (n *stepNet) run(actor any, in any) stepped {
 		o := &b.outs[i]
 		switch o.kind {
 		case outSend:
-			st.wire = append(st.wire, sent{o.to, []any{o.msg}})
+			st.wire = append(st.wire, sent{self, o.to, []any{o.msg}})
 			st.lines = append(st.lines, fmt.Sprintf("send %s %s", o.to, render(o.msg)))
 		case outStage:
 			if o.msg == nil {
 				continue
 			}
 			to, msgs := b.gather(i)
-			st.wire = append(st.wire, sent{to, append([]any(nil), msgs...)})
+			st.wire = append(st.wire, sent{self, to, append([]any(nil), msgs...)})
 			for _, m := range msgs {
 				st.lines = append(st.lines, fmt.Sprintf("send %s %s", to, render(m)))
 			}
@@ -123,6 +139,10 @@ func (n *stepNet) run(actor any, in any) stepped {
 			st.lines = append(st.lines, fmt.Sprintf("stop %s", o.ev.Txn))
 		case outRegister, outDeregister:
 			st.lines = append(st.lines, map[outKind]string{outRegister: "register", outDeregister: "deregister"}[o.kind])
+		case outCall:
+			o.fn()
+			st.lines = append(st.lines, strings.TrimSpace("call "+strings.Join(n.calls, "; ")))
+			n.calls = n.calls[:0]
 		case outProgress:
 			st.lines = append(st.lines, fmt.Sprintf("progress %s %s %s accept=%v", o.ev.Kind, o.ev.Key, o.ev.Region, o.ev.Accept))
 		case outDecided:
@@ -130,6 +150,9 @@ func (n *stepNet) run(actor any, in any) stepped {
 		default:
 			st.lines = append(st.lines, fmt.Sprintf("output kind %d", o.kind))
 		}
+	}
+	for _, l := range st.lines {
+		n.log = append(n.log, string(self)+": "+l)
 	}
 	return st
 }
@@ -141,7 +164,7 @@ func (n *stepNet) deliver(st stepped) []stepped {
 	var out []stepped
 	for _, w := range st.wire {
 		for _, m := range w.msgs {
-			out = append(out, n.run(n.actor(w.to), m))
+			out = append(out, n.recv(n.actor(w.to), w.from, m))
 		}
 	}
 	return out
@@ -206,6 +229,8 @@ func render(m any) string {
 		return fmt.Sprintf("classic-result %s %v", p.Txn, rs)
 	case readReq:
 		return fmt.Sprintf("read-req id=%d %s from %s", p.ReqID, p.Key, p.From)
+	case readResp:
+		return fmt.Sprintf("read-resp id=%d %s from %s", p.ReqID, p.Key, p.Region)
 	case leaseRequestMsg:
 		return fmt.Sprintf("lease-req %s epoch=%d holder=%s", p.Keyspace, p.Epoch, p.Holder)
 	case leaseGrantMsg:
@@ -370,7 +395,7 @@ func leaseStepNet(t *testing.T) *stepNet {
 }
 
 // TestStepLeaseTick drives the lease policy through the replicas' steps:
-// the tick's firings and peer-down inputs at chosen instants.
+// the tick's firings at chosen instants.
 func TestStepLeaseTick(t *testing.T) {
 	const term = 3 * time.Second
 	n := leaseStepNet(t)
@@ -417,20 +442,21 @@ func TestStepLeaseTick(t *testing.T) {
 		"send c/replica lease-req a epoch=1 holder=a",
 		"arm tick 1s")
 
-	// a dies; its grant runs out at t0+term on b's and c's clocks. A
-	// peer-down runs a pass at once, but expiry plus the stagger still
-	// gates the takeover: b ranks first (no stagger), c second.
+	// a dies; its grant runs out at t0+term on b's and c's clocks. Expiry
+	// plus the stagger gates the takeover: b ranks first (no stagger), c
+	// second.
 	at(term - time.Second)
-	expectLines(t, "b on peer-down, lease live", n.run(b, peerDown{"a"}))
+	expectLines(t, "b, lease live", n.run(b, leaseTick{}), "arm tick 1s")
 	at(term)
-	expectLines(t, "b on peer-down at expiry", n.run(b, peerDown{"a"}))
+	expectLines(t, "b at expiry", n.run(b, leaseTick{}), "arm tick 1s")
 	at(term + term/2)
-	expectLines(t, "c on peer-down at expiry + stagger", n.run(c, peerDown{"a"}))
+	expectLines(t, "c at expiry + stagger", n.run(c, leaseTick{}), "arm tick 1s")
 	at(term + time.Millisecond)
-	expectLines(t, "b past expiry", n.run(b, peerDown{"a"}),
+	expectLines(t, "b past expiry", n.run(b, leaseTick{}),
 		"wal lease a@2 holder=b held=false",
 		"send a/replica lease-req a epoch=2 holder=b",
 		"send c/replica lease-req a epoch=2 holder=b",
+		"arm tick 1s",
 	)
 
 	// A crashed replica's tick keeps its period and sends nothing. Restore
@@ -441,7 +467,6 @@ func TestStepLeaseTick(t *testing.T) {
 	at(restoredAt)
 	expectLines(t, "crash", n.run(c, crash{}), "deregister")
 	expectLines(t, "crashed tick", n.run(c, leaseTick{}), "arm tick 1s")
-	expectLines(t, "crashed peer-down", n.run(c, peerDown{"a"}))
 	restored := []Entry{{Lease: &LeaseRecord{Keyspace: "a", Epoch: 1, Holder: "a"}}}
 	expectLines(t, "restore", n.run(c, restore{restored}), "register")
 	expectLines(t, "tick after restore", n.run(c, leaseTick{}), "arm tick 1s")
@@ -466,7 +491,6 @@ func TestStepLeaseTick(t *testing.T) {
 	// Close stops the tick: a tick already fired does nothing.
 	expectLines(t, "close", n.run(c, closeReplica{}), "stop tick")
 	expectLines(t, "tick after close", n.run(c, leaseTick{}))
-	expectLines(t, "peer-down after close", n.run(c, peerDown{"a"}))
 }
 
 // TestStepLeaseRoute: the coordinator routes classic options from its own
@@ -686,4 +710,85 @@ func TestCommitTimerStopWins(t *testing.T) {
 			t.Fatalf("timer %d was armed after its stop and left running", i)
 		}
 	}
+}
+
+// TestStepFailureDetector drives the coordinator's failure detector at
+// chosen instants (CommitTimeout 1s): no probe while every replica is up; a
+// replica silent since a propose is down exactly CommitTimeout later, not
+// 1 ns before; one probe per CommitTimeout while it stays down; a fast
+// submit meanwhile degrades to the classic path; and any frame from its
+// region marks it up.
+func TestStepFailureDetector(t *testing.T) {
+	n := newStepNet()
+	n.coord.onPeer = func(r simnet.Region, down bool) {
+		n.calls = append(n.calls, fmt.Sprintf("%s down=%v", r, down))
+	}
+	t0 := n.now
+	at := func(d time.Duration) { n.now = t0.Add(d) }
+	view := func(what string, wantDown uint64, want ...string) {
+		t.Helper()
+		v := &peerView{}
+		expectLines(t, what, n.run(n.coord, v), want...)
+		if v.down != wantDown {
+			t.Errorf("%s: down %03b, want %03b", what, v.down, wantDown)
+		}
+	}
+
+	// Every replica up: the submit sends its proposals and nothing else.
+	sub := n.run(n.coord, submitInput(1, ModeFast, "k"))
+	expectLines(t, "submit with every replica up", sub,
+		"arm txn-1",
+		"progress submitted   accept=false",
+		"send a/replica propose txn-1 [k]",
+		"send b/replica propose txn-1 [k]",
+		"send c/replica propose txn-1 [k]")
+	votes := n.deliver(sub)
+	at(time.Millisecond)
+	n.deliver(stepped{wire: append(votes[0].wire, votes[1].wire...)}) // c stays silent
+	view("a and b answered", 0)
+
+	// c's silence reaches CommitTimeout at t0+1s.
+	at(time.Second - time.Nanosecond)
+	view("1 ns before the bound", 0)
+	at(time.Second)
+	view("at the bound", 0b100,
+		"send c/replica read-req id=0  from a/coord",
+		"call c down=true")
+	at(2*time.Second - time.Nanosecond)
+	view("probe unanswered within the bound", 0b100)
+
+	// A fast submit while c is down goes classic, to its master a, and a
+	// second probe is due.
+	at(2 * time.Second)
+	deg := n.run(n.coord, submitInput(2, ModeFast, "k"))
+	expectLines(t, "degraded submit", deg,
+		"send c/replica read-req id=0  from a/coord",
+		"arm txn-2",
+		"progress submitted   accept=false",
+		"send a/replica classic-propose txn-2 [k]")
+	if n.coord.DegradedSubmits != 1 {
+		t.Errorf("DegradedSubmits = %d, want 1", n.coord.DegradedSubmits)
+	}
+
+	// The probe's answer marks c up; it matches no quorum read.
+	answer := n.deliver(stepped{wire: deg.wire[:1]})
+	expectLines(t, "probe at c", answer[0], "send a/coord read-resp id=0  from c")
+	expectLines(t, "probe answer", n.deliver(answer[0])[0], "call c down=false")
+	view("after the answer", 0)
+
+	// Any frame counts. Once txn 2's classic round is over and a fast
+	// propose has gone unanswered at c alone for a second, a vote from c on
+	// a transaction the coordinator does not know marks it up.
+	n.flood(stepped{wire: deg.wire[1:]}, "")
+	at(3 * time.Second)
+	sub = n.run(n.coord, submitInput(3, ModeFast, "j"))
+	for _, v := range n.deliver(stepped{wire: sub.wire[:2]}) {
+		n.deliver(v)
+	}
+	at(4 * time.Second)
+	view("silent again", 0b100,
+		"send c/replica read-req id=0  from a/coord",
+		"call c down=true")
+	expectLines(t, "stray vote", n.recv(n.coord, "c", voteBatchMsg{Txn: 99, Region: "c"}), "call c down=false")
+	view("after the stray vote", 0)
 }

@@ -324,7 +324,7 @@ func (n *Network) WaitReady(r simnet.Region) error {
 }
 
 // WaitPeerState polls region on's gateway until it reports peer about in
-// the wanted state ("up", "suspect", "down").
+// the wanted state ("up" or "down").
 func (n *Network) WaitPeerState(on, about simnet.Region, want string, timeout time.Duration) error {
 	cl := n.Client(on)
 	deadline := time.Now().Add(timeout)

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,12 +56,20 @@ func warmPair(t *testing.T) (a, b *Transport, col *collector, addrA, addrB simne
 
 // TestRealnetCoalescedWrite queues frames behind a writer stalled in dial
 // backoff (its peer is not listening yet) and requires them to arrive in
-// order once the peer appears, with the backlog sent in one write.
+// order once the peer appears, with the backlog sent in one write. The
+// first backoff (100–300 ms) leaves the peer time to appear before the
+// writer's second dial, well inside dropAfter.
 func TestRealnetCoalescedWrite(t *testing.T) {
 	bAddr := reserveAddr(t)
 	cfg := fastCfg("", map[simnet.Region]string{"b": bAddr})
-	cfg.DownAfter = 1 << 20 // stay suspect: a down peer abandons its queue
-	cfg.BackoffBase = 20 * time.Millisecond
+	cfg.BackoffBase = 200 * time.Millisecond
+	cfg.BackoffMax = time.Second
+	var dialFailed atomic.Bool
+	cfg.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "realnet: dial") {
+			dialFailed.Store(true)
+		}
+	}
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +82,7 @@ func TestRealnetCoalescedWrite(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		a.Send(addrA, addrB, fmt.Sprintf("f%02d", i))
 	}
-	waitFor(t, 5*time.Second, "a failed dial", func() bool { return a.PeerState("b") != PeerUp })
+	waitFor(t, 5*time.Second, "a failed dial", dialFailed.Load)
 
 	b, err := New(fastCfg(bAddr, nil))
 	if err != nil {
@@ -348,8 +358,8 @@ func TestRealnetDeferredCountedByQuiesce(t *testing.T) {
 }
 
 // TestRealnetDeferredDroppedWhenDown kills the peer and requires parked
-// frames to be dropped — and counted — with the queue when it goes down,
-// instead of waiting for a peer that may never return.
+// frames to be dropped — and counted — with the queue once the writer gives
+// up on it, instead of waiting for a peer that may never return.
 func TestRealnetDeferredDroppedWhenDown(t *testing.T) {
 	a, b, _, addrA, addrB := warmPair(t)
 	base := a.StatsSnapshot()
@@ -357,17 +367,17 @@ func TestRealnetDeferredDroppedWhenDown(t *testing.T) {
 
 	total := uint64(0)
 	deadline := time.Now().Add(5 * time.Second)
-	for a.PeerState("b") != PeerDown {
+	for a.StatsSnapshot().Dropped == base.Dropped {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer b never went down (state %v)", a.PeerState("b"))
+			t.Fatal("nothing dropped for a dead peer")
 		}
 		a.Send(addrA, addrB, "probe")
 		a.Send(addrA, addrB, "defer:span")
 		total += 2
 		time.Sleep(5 * time.Millisecond)
 	}
-	// One more, parked against a peer already down: its flush finds the
-	// peer still unreachable and drops it.
+	// One more, parked against a peer the writer gave up on: its flush
+	// finds the peer still unreachable and drops it.
 	a.Send(addrA, addrB, "defer:late")
 	total++
 	if !a.Quiesce(5 * time.Second) {
@@ -377,8 +387,24 @@ func TestRealnetDeferredDroppedWhenDown(t *testing.T) {
 		st := a.StatsSnapshot()
 		return st.Sent-base.Sent+st.Dropped-base.Dropped == total
 	})
-	if st := a.StatsSnapshot(); st.Dropped == base.Dropped {
-		t.Fatal("no drops counted for a dead peer")
+}
+
+// TestRealnetCloseDropsParkedForGonePeer: at Close, a frame parked on a
+// peer that refuses connections is dropped and counted at once, with no
+// dial and no wait for the flush bound.
+func TestRealnetCloseDropsParkedForGonePeer(t *testing.T) {
+	a, err := New(fastCfg("", map[simnet.Region]string{"b": reserveAddr(t)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Send(simnet.Addr{Region: "a", Name: "coord"}, simnet.Addr{Region: "b", Name: "coord"}, "defer:span")
+	start := time.Now()
+	a.Close()
+	if took := time.Since(start); took >= 20*time.Millisecond {
+		t.Errorf("Close took %v with one frame parked on a gone peer, want under 20ms", took)
+	}
+	if got := a.StatsSnapshot().Dropped; got != 1 {
+		t.Errorf("Dropped = %d after Close, want the parked frame", got)
 	}
 }
 

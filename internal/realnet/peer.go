@@ -1,44 +1,20 @@
 package realnet
 
 import (
-	"fmt"
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"planet/internal/simnet"
 )
 
-// PeerState is the transport's opinion of one remote peer's reachability.
-type PeerState int32
-
-const (
-	// PeerUp: the last write (or dial) succeeded.
-	PeerUp PeerState = iota
-	// PeerSuspect: at least one consecutive failure; the link may be
-	// blipping or the peer restarting.
-	PeerSuspect
-	// PeerDown: failures reached Config.DownAfter. Outbound frames are
-	// dropped (the protocol is built on loss) and the writer falls back to
-	// periodic redial probes until the peer answers again.
-	PeerDown
-)
-
-// String implements fmt.Stringer.
-func (s PeerState) String() string {
-	switch s {
-	case PeerUp:
-		return "up"
-	case PeerSuspect:
-		return "suspect"
-	case PeerDown:
-		return "down"
-	default:
-		return fmt.Sprintf("state(%d)", int32(s))
-	}
-}
+// dropAfter is the consecutive-failure count (dials and writes) at which a
+// writer abandons the batch in hand, with everything queued or parked
+// behind it, instead of retrying: the protocol is built on loss, and a long
+// outage must not replay stale traffic on reconnect. Until a dial or write
+// succeeds again, every later batch gets one dial attempt.
+const dropAfter = 3
 
 // peer manages the outbound connection to one remote region: a bounded
 // frame queue, a writer goroutine that dials lazily and sends whatever is
@@ -51,7 +27,6 @@ type peer struct {
 	addr   string        // TCP address
 
 	queue chan []byte // encoded frames awaiting write
-	state atomic.Int32
 
 	// Deferrable frames park here until the writer next sends to this peer.
 	// The first frame parked outside a deferral window opens one: parkTimer
@@ -76,20 +51,6 @@ type peer struct {
 	rng       *rand.Rand
 	batch     [][]byte    // scratch for gather
 	iov       net.Buffers // scratch for vectored writes
-}
-
-func (p *peer) stateVal() PeerState { return PeerState(p.state.Load()) }
-
-// setState publishes a state transition and notifies the health callback.
-func (p *peer) setState(s PeerState) {
-	old := PeerState(p.state.Swap(int32(s)))
-	if old == s {
-		return
-	}
-	p.t.logf("realnet: peer %s (%s) %s -> %s", p.region, p.addr, old, s)
-	if cb := p.t.cfg.OnPeerState; cb != nil {
-		cb(p.region, s)
-	}
 }
 
 // enqueue hands a frame to the writer without ever blocking the sender: a
@@ -192,37 +153,17 @@ func (p *peer) gather(first []byte) (frames [][]byte, parked int) {
 	return frames, len(frames) - queued
 }
 
-// run is the writer loop: pull what is queued, write it, retrying with
-// backoff through transient failures; while the peer is down, probe
-// periodically so health recovers even when no traffic is flowing.
+// run is the writer loop: pull what is queued and write it, retrying with
+// backoff through transient failures.
 func (p *peer) run() {
 	defer p.t.wg.Done()
 	for {
 		var first []byte
-		if p.stateVal() == PeerUp {
-			select {
-			case first = <-p.queue:
-			case <-p.flush:
-			case <-p.t.done:
-				return
-			}
-		} else {
-			probe := time.NewTimer(p.t.cfg.BackoffMax)
-			select {
-			case first = <-p.queue:
-				probe.Stop()
-			case <-p.flush:
-				probe.Stop()
-			case <-probe.C:
-				// Idle redial probe: no frame to carry, just a health check.
-				if !p.t.isCut(p.region) && p.currentConn() == nil {
-					p.dial()
-				}
-				continue
-			case <-p.t.done:
-				probe.Stop()
-				return
-			}
+		select {
+		case first = <-p.queue:
+		case <-p.flush:
+		case <-p.t.done:
+			return
 		}
 		if frames, parked := p.gather(first); len(frames) > 0 {
 			p.write(frames)
@@ -235,9 +176,10 @@ func (p *peer) run() {
 // retrying with jittered exponential backoff. After a failed write, frames
 // the socket took whole are not sent again (delivery stays at-most-once);
 // the rest are retried on a fresh connection. The batch is abandoned
-// (dropped, counted) when the peer reaches PeerDown or is administratively
-// cut; the queue is drained along with it so a long outage doesn't replay
-// stale protocol traffic on reconnect.
+// (dropped, counted) after dropAfter consecutive failures, when the link is
+// administratively cut, or when Close finds no live connection; the queue
+// is drained along with it so a long outage doesn't replay stale protocol
+// traffic on reconnect.
 func (p *peer) write(frames [][]byte) {
 	for attempt := 0; ; attempt++ {
 		select {
@@ -251,12 +193,13 @@ func (p *peer) write(frames [][]byte) {
 		}
 		conn := p.currentConn()
 		if conn == nil {
+			if p.t.isClosing() {
+				p.abandon(frames)
+				return
+			}
 			if conn = p.dial(); conn == nil {
-				if p.stateVal() == PeerDown {
+				if p.fails >= dropAfter || !p.sleepBackoff(attempt) {
 					p.abandon(frames)
-					return
-				}
-				if !p.sleepBackoff(attempt) {
 					return
 				}
 				continue
@@ -266,7 +209,7 @@ func (p *peer) write(frames [][]byte) {
 		n, err := p.writeFrames(conn, frames)
 		p.t.stats.Writes.Add(1)
 		if err == nil {
-			p.noteSuccess()
+			p.fails = 0
 			p.t.stats.Sent.Add(uint64(len(frames)))
 			return
 		}
@@ -275,12 +218,9 @@ func (p *peer) write(frames [][]byte) {
 		frames = frames[whole:]
 		p.t.logf("realnet: write to %s: %v", p.region, err)
 		p.closeConn()
-		p.noteFailure()
-		if p.stateVal() == PeerDown {
+		p.fails++
+		if p.fails >= dropAfter || !p.sleepBackoff(attempt) {
 			p.abandon(frames)
-			return
-		}
-		if !p.sleepBackoff(attempt) {
 			return
 		}
 	}
@@ -317,10 +257,7 @@ func wholeFrames(frames [][]byte, n int64) int {
 // them.
 func (p *peer) abandon(frames [][]byte) {
 	p.t.stats.Dropped.Add(uint64(len(frames)))
-	if parked := len(p.takeParked(nil)); parked > 0 {
-		p.t.stats.Dropped.Add(uint64(parked))
-		p.t.parked.Add(-int64(parked))
-	}
+	p.dropParked()
 	for {
 		select {
 		case <-p.queue:
@@ -331,12 +268,20 @@ func (p *peer) abandon(frames [][]byte) {
 	}
 }
 
+// dropParked drops (and counts) the frames parked on the peer.
+func (p *peer) dropParked() {
+	if parked := len(p.takeParked(nil)); parked > 0 {
+		p.t.stats.Dropped.Add(uint64(parked))
+		p.t.parked.Add(-int64(parked))
+	}
+}
+
 // dial attempts a connection; success resets the failure streak.
 func (p *peer) dial() net.Conn {
 	c, err := net.DialTimeout("tcp", p.addr, p.t.cfg.DialTimeout)
 	if err != nil {
 		p.t.logf("realnet: dial %s (%s): %v", p.region, p.addr, err)
-		p.noteFailure()
+		p.fails++
 		return nil
 	}
 	if tc, ok := c.(*net.TCPConn); ok {
@@ -349,7 +294,7 @@ func (p *peer) dial() net.Conn {
 		p.t.stats.Reconnects.Add(1)
 	}
 	p.connected = true
-	p.noteSuccess()
+	p.fails = 0
 	return c
 }
 
@@ -370,24 +315,10 @@ func (p *peer) closeConn() {
 	}
 }
 
-func (p *peer) noteSuccess() {
-	p.fails = 0
-	p.setState(PeerUp)
-}
-
-func (p *peer) noteFailure() {
-	p.fails++
-	if p.fails >= p.t.cfg.DownAfter {
-		p.setState(PeerDown)
-	} else {
-		p.setState(PeerSuspect)
-	}
-}
-
 // sleepBackoff waits the jittered exponential delay for the attempt-th
 // consecutive failure (mirrors internal/core/retry.go: base doubling to the
-// cap, jitter factor in [0.5, 1.5)). Returns false when the transport shut
-// down mid-sleep.
+// cap, jitter factor in [0.5, 1.5)). Returns false when the transport
+// began to close mid-sleep.
 func (p *peer) sleepBackoff(attempt int) bool {
 	d := p.t.cfg.BackoffBase
 	for i := 0; i < attempt && d < p.t.cfg.BackoffMax; i++ {
@@ -402,7 +333,7 @@ func (p *peer) sleepBackoff(attempt int) bool {
 	select {
 	case <-timer.C:
 		return true
-	case <-p.t.done:
+	case <-p.t.closing:
 		return false
 	}
 }

@@ -5,12 +5,12 @@
 // Robustness is the design center. Frames are length-prefixed and strictly
 // validated — a truncated or corrupt frame closes the connection without
 // panicking the receiver, and the sender reconnects. Outbound connections
-// are managed per peer with jittered exponential backoff (the semantics of
-// internal/core/retry.go), per-write deadlines, and a three-state
-// health model (up/suspect/down) surfaced through PeerState and the
-// OnPeerState callback so the layers above can shed speculation — and the
-// coordinator can degrade straight to classic Paxos — when a fast-quorum
-// peer is unreachable.
+// are managed per peer with lazy dials, jittered exponential backoff (the
+// semantics of internal/core/retry.go) and per-write deadlines; a writer
+// that fails dropAfter times in a row drops its batch. The transport keeps
+// no opinion of a peer's health: the coordinator's failure detector
+// (internal/mdcc, detector.go) judges peers from the frames it sends and
+// receives, the same on simnet and on TCP.
 //
 // Syscalls are the cost center on a loopback or LAN deployment, so both
 // directions batch: a peer's writer sends everything already queued with one
@@ -77,7 +77,8 @@ const (
 	maxCoalesce = 64
 	// readBufSize is each inbound connection's read buffer.
 	readBufSize = 32 << 10
-	// closeFlushBound is how long Close waits for parked frames to leave.
+	// closeFlushBound is how long Close waits for parked frames to leave
+	// over live connections.
 	closeFlushBound = 100 * time.Millisecond
 )
 
@@ -105,9 +106,6 @@ type Config struct {
 	// 50ms / 2s — the internal/core/retry.go constants.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// DownAfter is the consecutive-failure count at which a peer is
-	// declared down. Default 3.
-	DownAfter int
 	// QueueDepth bounds each peer's outbound frame queue; overflow drops.
 	// Default 1024.
 	QueueDepth int
@@ -121,9 +119,6 @@ type Config struct {
 	InboundDelay time.Duration
 	// Seed seeds reconnect jitter. Zero picks an arbitrary seed.
 	Seed int64
-	// OnPeerState, when non-nil, observes every peer health transition.
-	// Called from transport goroutines; must not block.
-	OnPeerState func(region simnet.Region, state PeerState)
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -163,14 +158,16 @@ type Transport struct {
 	mu       sync.Mutex
 	ln       net.Listener
 	lnDown   bool
-	closed   bool
 	handlers map[simnet.Addr]simnet.Handler
 	peers    map[simnet.Region]*peer
 	cut      map[simnet.Region]bool
 	conns    map[net.Conn]struct{} // inbound connections
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	// closing is closed when Close begins (under mu), done when it has
+	// flushed what it flushes.
+	closing chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup
 
 	// Loopback deliveries run on a dedicated dispatcher goroutine, so a
 	// send to a co-located destination stays asynchronous and FIFO like a
@@ -216,9 +213,6 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
 	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 3
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
@@ -235,6 +229,7 @@ func New(cfg Config) (*Transport, error) {
 		peers:    make(map[simnet.Region]*peer, len(cfg.Peers)),
 		cut:      make(map[simnet.Region]bool),
 		conns:    make(map[net.Conn]struct{}),
+		closing:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	t.lbCond = sync.NewCond(&t.lbMu)
@@ -466,7 +461,7 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 			return // listener closed (shutdown or DropListener)
 		}
 		t.mu.Lock()
-		if t.closed || t.lnDown {
+		if t.isClosing() || t.lnDown {
 			t.mu.Unlock()
 			c.Close()
 			continue
@@ -563,13 +558,13 @@ func (t *Transport) readLoop(c net.Conn) {
 	}
 }
 
-// --- fault injection and health ---
+// --- fault injection ---
 
 // CutPeer severs (or heals) the logical link to a region: outbound frames
 // are dropped at the source, inbound frames from it are dropped at
 // delivery, and any live outbound connection is closed. Tests use it for
-// asymmetric partitions; real partitions manifest the same way (writes
-// fail, health degrades).
+// asymmetric partitions; to the layers above, a cut is silence, as a real
+// partition is.
 func (t *Transport) CutPeer(region simnet.Region, cut bool) {
 	t.mu.Lock()
 	t.cut[region] = cut
@@ -609,7 +604,7 @@ func (t *Transport) DropListener() {
 // RestoreListener re-binds the original listen address after DropListener.
 func (t *Transport) RestoreListener() error {
 	t.mu.Lock()
-	if t.closed || !t.lnDown {
+	if t.isClosing() || !t.lnDown {
 		t.mu.Unlock()
 		return nil
 	}
@@ -619,7 +614,7 @@ func (t *Transport) RestoreListener() error {
 		return fmt.Errorf("realnet: re-listen %s: %w", t.lnAddr, err)
 	}
 	t.mu.Lock()
-	if t.closed {
+	if t.isClosing() {
 		t.mu.Unlock()
 		ln.Close()
 		return nil
@@ -630,33 +625,6 @@ func (t *Transport) RestoreListener() error {
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
 	return nil
-}
-
-// PeerStates returns every configured peer's current health.
-func (t *Transport) PeerStates() map[simnet.Region]PeerState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[simnet.Region]PeerState, len(t.peers))
-	for r, p := range t.peers {
-		out[r] = p.stateVal()
-	}
-	return out
-}
-
-// Unreachable reports whether region is currently beyond reach: its link is
-// administratively cut or its peer health is down. The coordinator consults
-// it (CoordinatorConfig.Unreachable) to degrade fast-path submissions to
-// classic Paxos instead of timing them out, and the DB to shed speculation
-// in the coordinator's region.
-func (t *Transport) Unreachable(region simnet.Region) bool {
-	t.mu.Lock()
-	cut := t.cut[region]
-	p := t.peers[region]
-	t.mu.Unlock()
-	if cut {
-		return true
-	}
-	return p != nil && p.stateVal() == PeerDown
 }
 
 // Quiesce waits until the loopback queue drains and every parked deferrable
@@ -684,35 +652,48 @@ func (t *Transport) Quiesce(timeout time.Duration) bool {
 	}
 }
 
+// isClosing reports whether Close has begun.
+func (t *Transport) isClosing() bool {
+	select {
+	case <-t.closing:
+		return true
+	default:
+		return false
+	}
+}
+
 // Close shuts the transport down: listener, inbound connections, peer
-// writers, and the loopback dispatcher. Parked deferrable frames are flushed
-// first (bounded by closeFlushBound). Idempotent.
+// writers, and the loopback dispatcher. Parked deferrable frames leave
+// first over live connections (bounded by closeFlushBound); a peer with no
+// live connection drops its parked frames, and counts them, without a
+// dial. Idempotent.
 func (t *Transport) Close() {
 	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.isClosing() {
+		t.mu.Unlock()
 		return
+	}
+	close(t.closing)
+	peers := make([]*peer, 0, len(t.peers))
+	for _, p := range t.peers {
+		peers = append(peers, p)
+	}
+	t.mu.Unlock()
+	for _, p := range peers {
+		if p.currentConn() == nil {
+			p.dropParked()
+		}
 	}
 	if t.parked.Load() != 0 {
 		t.Quiesce(closeFlushBound)
 	}
 
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
 	ln := t.ln
 	t.ln = nil
 	conns := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
-	}
-	peers := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		peers = append(peers, p)
 	}
 	t.mu.Unlock()
 

@@ -63,6 +63,13 @@ func (c *collector) handle(m simnet.Message) {
 	c.ch <- m
 }
 
+// count returns how many messages have arrived.
+func (c *collector) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.msgs)
+}
+
 func (c *collector) wait(t *testing.T, n int, timeout time.Duration) []simnet.Message {
 	t.Helper()
 	deadline := time.After(timeout)
@@ -93,7 +100,6 @@ func fastCfg(listen string, peers map[simnet.Region]string) Config {
 		WriteTimeout: 200 * time.Millisecond,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,
-		DownAfter:    2,
 		Seed:         1,
 	}
 }
@@ -194,9 +200,9 @@ func TestRealnetRemoteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRealnetReconnect kills the remote transport, watches health degrade to
-// down, restarts it on the same port, and requires the link to heal via the
-// idle redial probe — with traffic flowing again and Reconnects counted.
+// TestRealnetReconnect kills the remote transport, sends until the writer
+// gives up on it, restarts it on the same port, and requires the next sends
+// to redial — with traffic flowing again and Reconnects counted.
 func TestRealnetReconnect(t *testing.T) {
 	a, b := newPair(t)
 	addrA := simnet.Addr{Region: "a", Name: "coord"}
@@ -208,17 +214,14 @@ func TestRealnetReconnect(t *testing.T) {
 
 	bAddr := b.ListenAddr()
 	b.Close()
-	// Push sends until the peer is declared down (writes fail, DownAfter=2).
+	// Push sends until the writer drops a batch (dropAfter failures).
 	deadline := time.Now().Add(5 * time.Second)
-	for a.PeerState("b") != PeerDown {
+	for a.StatsSnapshot().Dropped == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer b never went down (state %v)", a.PeerState("b"))
+			t.Fatal("no send to a dead peer was dropped")
 		}
 		a.Send(addrA, addrB, "probe")
 		time.Sleep(10 * time.Millisecond)
-	}
-	if !a.Unreachable("b") {
-		t.Fatal("down peer should be Unreachable")
 	}
 
 	// Resurrect b on the same port.
@@ -230,17 +233,16 @@ func TestRealnetReconnect(t *testing.T) {
 	col2 := newCollector()
 	b2.Register(addrB, col2.handle)
 
-	// The idle probe must re-dial and restore health without any send.
+	// Sends redial; one arrives.
 	deadline = time.Now().Add(5 * time.Second)
-	for a.PeerState("b") != PeerUp {
+	for col2.count() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer b never recovered (state %v)", a.PeerState("b"))
+			t.Fatal("no send reached the restarted peer")
 		}
+		a.Send(addrA, addrB, "after-restart")
 		time.Sleep(10 * time.Millisecond)
 	}
-	a.Send(addrA, addrB, "after-restart")
-	got := col2.wait(t, 1, 5*time.Second)
-	if got[0].Payload != "after-restart" {
+	if got := col2.wait(t, 1, 5*time.Second); got[0].Payload != "after-restart" {
 		t.Fatalf("bad post-restart payload: %+v", got[0])
 	}
 	if a.StatsSnapshot().Reconnects == 0 {
@@ -258,9 +260,6 @@ func TestRealnetCutPeer(t *testing.T) {
 	col.wait(t, 1, 5*time.Second)
 
 	a.CutPeer("b", true)
-	if !a.Unreachable("b") {
-		t.Fatal("cut peer should be Unreachable")
-	}
 	dropped := a.StatsSnapshot().Dropped
 	a.Send(addrA, addrB, "lost")
 	if got := a.StatsSnapshot().Dropped; got != dropped+1 {
@@ -355,12 +354,12 @@ func TestRealnetDropRestoreListener(t *testing.T) {
 	col.wait(t, 1, 5*time.Second)
 
 	b.DropListener()
-	// Drive sends until a's view of b degrades (the severed conn plus
-	// failed dials).
+	// Drive sends until the writer drops one (the severed conn plus failed
+	// dials).
 	deadline := time.Now().Add(5 * time.Second)
-	for a.PeerState("b") == PeerUp {
+	for a.StatsSnapshot().Dropped == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("peer b stayed up after listener drop")
+			t.Fatal("no send was dropped after the listener drop")
 		}
 		a.Send(addrA, addrB, "void")
 		time.Sleep(10 * time.Millisecond)
@@ -369,75 +368,17 @@ func TestRealnetDropRestoreListener(t *testing.T) {
 	if err := b.RestoreListener(); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for a.PeerState("b") != PeerUp {
-		if time.Now().After(deadline) {
-			t.Fatalf("peer b never healed (state %v)", a.PeerState("b"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	before := len(col.wait(t, 1, time.Second))
-	a.Send(addrA, addrB, "post")
-	col.wait(t, before+1, 5*time.Second)
-}
-
-// TestRealnetPeerStateCallback observes up→suspect→down→up transitions.
-func TestRealnetPeerStateCallback(t *testing.T) {
-	var mu sync.Mutex
-	var transitions []PeerState
-	cfgB, err := New(fastCfg("127.0.0.1:0", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastCfg("", map[simnet.Region]string{"b": cfgB.ListenAddr()})
-	cfg.OnPeerState = func(r simnet.Region, s PeerState) {
-		mu.Lock()
-		transitions = append(transitions, s)
-		mu.Unlock()
-	}
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	addrA := simnet.Addr{Region: "a", Name: "x"}
-	addrB := simnet.Addr{Region: "b", Name: "y"}
-
-	bAddr := cfgB.ListenAddr()
-	cfgB.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for a.PeerState("b") != PeerDown {
-		if time.Now().After(deadline) {
-			t.Fatal("never reached down")
-		}
-		a.Send(addrA, addrB, "x")
-		time.Sleep(10 * time.Millisecond)
-	}
-	b2, err := New(fastCfg(bAddr, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
 	deadline = time.Now().Add(5 * time.Second)
-	for a.PeerState("b") != PeerUp {
-		if time.Now().After(deadline) {
-			t.Fatal("never healed")
-		}
+	for {
+		a.Send(addrA, addrB, "post")
 		time.Sleep(10 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	sawSuspectOrDown, sawUp := false, false
-	for _, s := range transitions {
-		if s == PeerSuspect || s == PeerDown {
-			sawSuspectOrDown = true
+		if col.count() > before {
+			break
 		}
-		if s == PeerUp && sawSuspectOrDown {
-			sawUp = true
+		if time.Now().After(deadline) {
+			t.Fatal("no send arrived after the listener came back")
 		}
-	}
-	if !sawSuspectOrDown || !sawUp {
-		t.Fatalf("transitions missing degradation or recovery: %v", transitions)
 	}
 }
 

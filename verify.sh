@@ -53,6 +53,11 @@ GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
 # identical per-transaction verdicts and final replica snapshots.
 go test -count=10 -run TestChaosSoakDeterminism ./internal/chaos/
 go test -count=10 -run TestRandomizedSafetyDeterminism ./internal/mdcc/
+# A step is a function: two copies of an actor in the same state, given the
+# same input, emit equal outputs — over every input kind the step tests
+# build, a coordinator crash with six transactions in flight and a restore
+# with several keyspaces (steps that range over maps sort first).
+go test -count=10 -run TestDoubleStep ./internal/mdcc/
 # Run-queue order gate: everything that enters the virtual clock's run
 # queue — posts (a transaction's staged callbacks), Go spawns, AfterFunc(0)
 # bodies, parked and function Event waiters, Group workers of both kinds —
@@ -84,9 +89,12 @@ GOMAXPROCS=4 go test -race -short -run 'TestArmsEquivalence|TestForArms' ./inter
 # holder within 4 terms).
 go test -count=10 -run 'TestLeaseVirtualDeterminism|TestLeaseDuelAfterLostRenewal|TestLeaseElectionSweep|TestLeaseDuelAfterLostTerm' ./internal/mdcc/
 # Failover and partition determinism gate: master failover under load
-# (TestLeaseFailoverUnderLoad) and the partition preset on a leased cluster
-# (TestPartitionScenarioRecovers) log one fingerprint per seed, seeds 1-20.
-# Ten runs must log 20 seeds with one fingerprint each.
+# (TestLeaseFailoverUnderLoad), the partition preset on a leased cluster
+# (TestPartitionScenarioRecovers) and the coordinator's failure detector
+# under a cut (TestDetectorPartition: the first fast submit times out,
+# later ones degrade to classic, a probe's answer after the heal brings
+# the fast path back) log one fingerprint per seed, seeds 1-20. Ten runs
+# must log 20 seeds with one fingerprint each.
 fingerprints() {
 	log=$(mktemp)
 	go test -count=10 -v -run "^$1\$" "$2" > "$log"
@@ -99,6 +107,7 @@ fingerprints() {
 }
 fingerprints TestLeaseFailoverUnderLoad ./internal/mdcc/
 fingerprints TestPartitionScenarioRecovers ./internal/chaos/
+fingerprints TestDetectorPartition ./internal/mdcc/
 go test -race -count=2 ./internal/vclock
 go test -count=1 -timeout 60s -run 'TestExperimentsRunClean|TestEvaluationShapes' .
 # Open-loop traffic gates. Smoke: the -openloop profile (surge schedule,
