@@ -22,13 +22,14 @@ var deadExportAllow = map[string]string{
 	// Kept for a named ROADMAP item. Tests in other packages call each of
 	// them, which an export_test.go cannot serve.
 	"Replica.SyncFrom":        "anti-entropy: ROADMAP item 18 calls it on restart, on peer-up and on a detected gap",
-	"Replica.Crashed":         "ROADMAP item 5: simnet derives peer up/down transitions from crashes",
-	"Coordinator.Crashed":     "ROADMAP item 5: simnet derives peer up/down transitions from crashes",
 	"Network.LinkDelayFactor": "ROADMAP item 2: the message-granular delay fault composes with a standing spike",
 	"Engine.Running":          "ROADMAP item 2: the fault generator runs scenarios back to back on one engine",
 	// Test support: the in-process node set the cluster, core and httpapi
 	// tests share.
 	"StartNodes": "clustertest: each caller is a test of another package",
+	// mdcc's executor, which Replica and Coordinator embed: tests of other
+	// packages read an actor's crash state.
+	"actor.Crashed": "chaos, chaos-soak and httpapi chaos tests check that a crash took and a restart healed",
 	// The multi-process agreement audit: multinet's process tests call it.
 	"Client.NetDecisions": "multinet's kill -9 tests compare the nodes' verdicts through it",
 	// Type-aware findings (typedFindings), keyed pkg.Type.Member.

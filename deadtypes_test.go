@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -43,11 +44,28 @@ type testBuild struct {
 	info  *types.Info
 }
 
-// loadTyped type-checks the program and its tests. Import paths map to
-// directories by dropping the module prefix "planet/"; benchmark/ is module
-// planet/benchmark, which maps the same way.
+// typed is the program every type-aware check reads, loaded by the first
+// test that needs it: one load per test binary.
+var typed struct {
+	once sync.Once
+	p    *typedProgram
+	err  error
+}
+
+// loadTyped returns the type-checked program and its tests.
 func loadTyped(t *testing.T) *typedProgram {
 	t.Helper()
+	typed.once.Do(func() { typed.p, typed.err = loadProgram() })
+	if typed.err != nil {
+		t.Fatal(typed.err)
+	}
+	return typed.p
+}
+
+// loadProgram type-checks the program and its tests. Import paths map to
+// directories by dropping the module prefix "planet/"; benchmark/ is module
+// planet/benchmark, which maps the same way.
+func loadProgram() (*typedProgram, error) {
 	fset := token.NewFileSet()
 	p := &typedProgram{
 		fset: fset,
@@ -59,13 +77,10 @@ func loadTyped(t *testing.T) *typedProgram {
 			if err != nil || !d.IsDir() {
 				return err
 			}
-			if err := p.check(t, "planet/"+filepath.ToSlash(path)); err != nil {
-				return err
-			}
-			return nil
+			return p.check("planet/" + filepath.ToSlash(path))
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	paths := make([]string, 0, len(p.pkgs))
@@ -74,16 +89,16 @@ func loadTyped(t *testing.T) *typedProgram {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		if err := p.checkTests(t, p.pkgs[path]); err != nil {
-			t.Fatal(err)
+		if err := p.checkTests(p.pkgs[path]); err != nil {
+			return nil, err
 		}
 	}
-	return p
+	return p, nil
 }
 
 // check type-checks the package at path after its in-repo imports, and
 // parses its test files for checkTests.
-func (p *typedProgram) check(t *testing.T, path string) error {
+func (p *typedProgram) check(path string) error {
 	if _, done := p.pkgs[path]; done {
 		return nil
 	}
@@ -100,7 +115,7 @@ func (p *typedProgram) check(t *testing.T, path string) error {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -113,11 +128,13 @@ func (p *typedProgram) check(t *testing.T, path string) error {
 			inTests = append(inTests, f)
 		}
 	}
-	if err := p.checkImports(t, path, tp.files); err != nil {
+	if err := p.checkImports(path, tp.files); err != nil {
 		return err
 	}
 	if len(tp.files) > 0 {
-		tp.pkg, tp.info = p.typeCheck(t, path, tp.files)
+		if tp.pkg, tp.info, err = p.typeCheck(path, tp.files); err != nil {
+			return err
+		}
 		p.order = append(p.order, tp)
 	}
 	tp.inTests, tp.extTests = inTests, extTests
@@ -131,8 +148,8 @@ func (p *typedProgram) check(t *testing.T, path string) error {
 // build, as go test would, so a test's use of an export_test.go name from
 // another file is a type error here; test builds tolerate type errors,
 // which leave only such expressions untyped.
-func (p *typedProgram) checkTests(t *testing.T, tp *typedPkg) error {
-	if err := p.checkImports(t, tp.path, slices.Concat(tp.inTests, tp.extTests)); err != nil {
+func (p *typedProgram) checkTests(tp *typedPkg) error {
+	if err := p.checkImports(tp.path, slices.Concat(tp.inTests, tp.extTests)); err != nil {
 		return err
 	}
 	if len(tp.inTests) > 0 {
@@ -145,11 +162,11 @@ func (p *typedProgram) checkTests(t *testing.T, tp *typedPkg) error {
 	return nil
 }
 
-func (p *typedProgram) checkImports(t *testing.T, path string, files []*ast.File) error {
+func (p *typedProgram) checkImports(path string, files []*ast.File) error {
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			if dep := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(dep, "planet/") && dep != path {
-				if err := p.check(t, dep); err != nil {
+				if err := p.check(dep); err != nil {
 					return err
 				}
 			}
@@ -166,13 +183,13 @@ func newInfo() *types.Info {
 	}
 }
 
-func (p *typedProgram) typeCheck(t *testing.T, path string, files []*ast.File) (*types.Package, *types.Info) {
+func (p *typedProgram) typeCheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := newInfo()
 	pkg, err := (&types.Config{Importer: p}).Check(path, p.fset, files, info)
 	if err != nil {
-		t.Fatalf("type-check %s: %v", path, err)
+		return nil, nil, fmt.Errorf("type-check %s: %v", path, err)
 	}
-	return pkg, info
+	return pkg, info, nil
 }
 
 func (p *typedProgram) typeCheckTest(path string, files []*ast.File) *types.Info {

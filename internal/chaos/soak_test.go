@@ -21,6 +21,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +32,7 @@ import (
 	"planet/internal/mdcc"
 	"planet/internal/simnet"
 	"planet/internal/txn"
+	"planet/internal/vclock"
 	"planet/internal/workload"
 )
 
@@ -59,26 +62,74 @@ func TestChaosSoakLeaseFailover(t *testing.T) {
 
 // TestChaosSoakDeterminism runs one soak twice with one seed: every
 // replica's WAL must come out byte-identical, since the workload, the fault
-// schedule and the protocol all run on the cluster's virtual clock.
-// verify.sh runs it repeatedly.
+// schedule and the protocol all run on the cluster's virtual clock. The
+// schedule gains a coordinator crash with transactions in flight, and the
+// crashed coordinator must report its decisions, the crash's aborts
+// included, in the same order both times. verify.sh runs it repeatedly.
 func TestChaosSoakDeterminism(t *testing.T) {
-	a := runChaosSoak(t, 7, soakOpts{})
-	b := runChaosSoak(t, 7, soakOpts{})
+	a, aDecided := runChaosSoak(t, 7, soakOpts{coordCrash: true})
+	b, bDecided := runChaosSoak(t, 7, soakOpts{coordCrash: true})
 	for r, wal := range a {
 		if !bytes.Equal(wal, b[r]) {
 			t.Errorf("%s: same seed, different WAL bytes (%d vs %d bytes)", r, len(wal), len(b[r]))
 		}
+	}
+	if !slices.Equal(aDecided, bDecided) {
+		t.Errorf("same seed, the crashed coordinator's decisions differ:\n%v\n%v", aDecided, bDecided)
 	}
 }
 
 // soakOpts selects protocol variants for one soak run.
 type soakOpts struct {
 	leases bool // epoch-fenced master leases instead of static masters
+	// coordCrash adds a crash of the first region's coordinator a fifth
+	// into the schedule, and requires it to fail at least two transactions
+	// in flight there.
+	coordCrash bool
+}
+
+// crashWatch is a coordinator observer that records its decisions, in
+// the order it reports them: a crash aborts every transaction in flight
+// at its own instant.
+type crashWatch struct {
+	clk     vclock.Clock
+	mu      sync.Mutex
+	decided []decision
+}
+
+// decision is one Decided report: when, the verdict, and the
+// transaction's age.
+type decision struct {
+	at      int64
+	commit  bool
+	elapsed time.Duration
+}
+
+func (w *crashWatch) Vote(simnet.Region, bool, time.Duration) {}
+func (w *crashWatch) Fallback()                               {}
+func (w *crashWatch) Timeout()                                {}
+func (w *crashWatch) Decided(commit bool, elapsed time.Duration) {
+	w.mu.Lock()
+	w.decided = append(w.decided, decision{w.clk.Now().UnixNano(), commit, elapsed})
+	w.mu.Unlock()
+}
+
+// abortsAt counts the aborts reported at instant at.
+func (w *crashWatch) abortsAt(at time.Time) (n int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, d := range w.decided {
+		if !d.commit && d.at == at.UnixNano() {
+			n++
+		}
+	}
+	return n
 }
 
 // runChaosSoak runs one soak, audits the invariants, and returns each
-// replica's WAL as the JSON lines a file-backed log would hold.
-func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]byte {
+// replica's WAL as the JSON lines a file-backed log would hold and, with
+// opts.coordCrash, the crashed coordinator's decisions.
+func runChaosSoak(t *testing.T, seed int64, opts soakOpts) (map[simnet.Region][]byte, []decision) {
 	// The schedule spans about as long as the load takes to run fault-free
 	// (unscaled; 50ms virtual at TimeScale 0.01), so every fault window has
 	// transactions in flight.
@@ -149,6 +200,15 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]b
 	if kinds[chaos.FaultLatencySpike] == 0 {
 		t.Fatal("schedule has no latency spike")
 	}
+	// The crash victim's coordinator reports its decisions to watch;
+	// without a metrics registry the DB installs no observer of its own.
+	victim := c.Regions()[0]
+	watch := &crashWatch{clk: c.Clock()}
+	if opts.coordCrash {
+		sc.Faults = append(sc.Faults, chaos.Fault{At: span / 5, Duration: span / 10,
+			Kind: chaos.FaultCoordCrash, Region: victim})
+		c.Coordinator(victim).SetObserver(watch)
+	}
 
 	// Fire the schedule and drive load through it.
 	if err := eng.Run(sc); err != nil {
@@ -176,6 +236,18 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]b
 	}
 	t.Logf("workload: %s", rep)
 	t.Logf("injections: %d", len(eng.Injected()))
+	if opts.coordCrash {
+		inFlight := 0
+		for _, in := range eng.Injected() {
+			if in.Kind == chaos.FaultCoordCrash && !in.Heal && in.Detail == fmt.Sprintf("coordinator %s crashed", victim) {
+				inFlight += watch.abortsAt(in.At)
+			}
+		}
+		t.Logf("transactions in flight at %s's coordinator crash: %d", victim, inFlight)
+		if inFlight < 2 {
+			t.Errorf("the coordinator crash at %s failed %d transactions in flight, want at least 2", victim, inFlight)
+		}
+	}
 
 	// Invariant 1 — conservation.
 	st := db.Stats()
@@ -268,5 +340,7 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) map[simnet.Region][]b
 			t.Error("no keyspace lease was taken over despite a replica crash longer than the term")
 		}
 	}
-	return wals
+	watch.mu.Lock()
+	defer watch.mu.Unlock()
+	return wals, watch.decided
 }

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"planet/internal/obs"
 	"planet/internal/simnet"
 	"planet/internal/txn"
-	"planet/internal/vclock"
 )
 
 // CoordinatorConfig parameterizes a region's transaction coordinator.
@@ -111,19 +109,13 @@ type CoordObserver interface {
 // for the transactions it coordinates. Like Replica, it changes state only
 // inside step; the unexported methods below step run inside it.
 type Coordinator struct {
+	actor
 	cfg CoordinatorConfig
-	clk vclock.Clock // the network's clock
 
-	// mu guards the state below; exec is the only function that takes it.
-	// out is the running step's output buffer.
-	mu      sync.Mutex
-	out     *outBuf
 	active  map[txn.ID]*commitState
 	reads   map[uint64]*readWaiter
 	readSeq uint64 // the last quorum-read request id
 	obs     CoordObserver
-	spans   *obs.SpanStore
-	crashed bool
 	// holders maps a keyspace to the newest lease view the co-located
 	// replica emitted of it; empty under static mastership.
 	holders map[simnet.Region]leaseView
@@ -148,15 +140,13 @@ type Coordinator struct {
 	EarlyAborts uint64
 }
 
-// Coordinator.step's local inputs, besides queries and wire messages.
+// Coordinator.step's own local inputs, besides queries and wire messages.
 type (
 	// submit is SubmitTraced's transaction; err is its result.
 	submit struct {
 		s   *commitState
 		err error
 	}
-	// restart rejoins a crashed coordinator to the network.
-	restart struct{}
 	// timeout is the commit timeout of transaction id firing.
 	timeout struct{ id txn.ID }
 	// leaseView is the co-located replica's holder of ks ("" for none),
@@ -166,23 +156,6 @@ type (
 		seq        uint64
 	}
 )
-
-// exec runs one local input through step and performs its outputs.
-func (c *Coordinator) exec(in any) { c.execFrom("", in) }
-
-// execFrom runs one input through step and performs its outputs; from is
-// the sender's region of a delivered message, "" for a local input. It is
-// the coordinator's executor and the only function that takes c.mu.
-func (c *Coordinator) execFrom(from simnet.Region, in any) {
-	b := outBufs.Get().(*outBuf)
-	c.mu.Lock()
-	c.out = b
-	c.step(c.clk.Now(), from, in)
-	c.out = nil
-	c.mu.Unlock()
-	b.perform(c.cfg.Net, c.cfg.Addr, c.clk)
-	outBufs.Put(b)
-}
 
 // step is the coordinator's transition function: it applies one input, at
 // time now, to the coordinator's own state and emits the input's effects to
@@ -209,9 +182,9 @@ func (c *Coordinator) step(now time.Time, from simnet.Region, in any) {
 		p.down = c.detect(now)
 	case crash:
 		c.crash(now)
-	case restart:
+	case start:
 		c.crashed = false
-		c.out.add(output{kind: outRegister, msg: simnet.Handler(c.recv)})
+		c.out.add(output{kind: outRegister})
 	default:
 		// A delivery that raced with Crash's deregistration.
 		if !c.crashed {
@@ -235,43 +208,35 @@ func (c *Coordinator) deliver(now time.Time, m any) {
 	}
 }
 
-// recv is the coordinator's transport handler.
-func (c *Coordinator) recv(m simnet.Message) { c.execFrom(m.From.Region, m.Payload) }
-
 // SetObserver installs o (nil clears). Typically wired once at startup.
 func (c *Coordinator) SetObserver(o CoordObserver) {
-	c.exec(query(func(time.Time) { c.obs = o }))
-}
-
-// SetSpans installs the span store receiving this coordinator's stage spans
-// and the span reports replicas and masters flush back to it (nil clears).
-// Typically wired once at startup.
-func (c *Coordinator) SetSpans(st *obs.SpanStore) {
-	c.exec(query(func(time.Time) { c.spans = st }))
+	c.exec("", query(func(time.Time) { c.obs = o }))
 }
 
 // LeaseView is a step input: the co-located replica's lease holder of
 // keyspace ks ("" for none), to which classic options on ks's keys route,
 // unless the replica's view seq of ks is older than one already taken.
 // A node wires it as the replica's LeaseConfig.OnView.
-func (c *Coordinator) LeaseView(ks, h simnet.Region, seq uint64) { c.exec(leaseView{ks, h, seq}) }
+func (c *Coordinator) LeaseView(ks, h simnet.Region, seq uint64) { c.exec("", leaseView{ks, h, seq}) }
 
-// NewCoordinator constructs and registers a coordinator on cfg.Net.
+// NewCoordinator constructs a coordinator and joins it to cfg.Net.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Net == nil || len(cfg.Replicas) == 0 || cfg.MasterFor == nil {
 		return nil, fmt.Errorf("mdcc: coordinator config incomplete")
 	}
-	c := &Coordinator{cfg: cfg, clk: cfg.Net.Clock(), active: make(map[txn.ID]*commitState),
-		peers: make([]peerHealth, len(cfg.Replicas))}
-	cfg.Net.Register(cfg.Addr, c.recv)
+	c := newCoordinator(cfg)
+	c.exec("", start{})
 	return c, nil
 }
 
-// Region returns the coordinator's region.
-func (c *Coordinator) Region() simnet.Region { return c.cfg.Addr.Region }
-
-// N returns the replica count.
-func (c *Coordinator) N() int { return len(c.cfg.Replicas) }
+// newCoordinator builds a coordinator's state without touching cfg.Net; a
+// start input joins it.
+func newCoordinator(cfg CoordinatorConfig) *Coordinator {
+	c := &Coordinator{cfg: cfg, active: make(map[txn.ID]*commitState),
+		peers: make([]peerHealth, len(cfg.Replicas))}
+	c.bind(c, cfg.Net, cfg.Addr, nil)
+	return c
+}
 
 // Submit starts commit processing for a transaction. ops must contain at
 // most one operation per key. All progress — including the final decision —
@@ -297,7 +262,7 @@ func (c *Coordinator) SubmitTraced(id txn.ID, ops []txn.Op, mode Mode, sink Prog
 		}
 	}
 	in := submit{s: &commitState{id: id, ops: ops, mode: mode, sink: sink, span: span}}
-	c.exec(&in)
+	c.exec("", &in)
 	return in.err
 }
 
@@ -332,7 +297,7 @@ func (c *Coordinator) submit(now time.Time, in *submit) {
 	if c.cfg.CommitTimeout > 0 {
 		id := s.id
 		c.out.add(output{kind: outArm, timer: &s.timer, ev: ProgressEvent{Txn: id},
-			d: c.cfg.CommitTimeout, fn: func() { c.exec(timeout{id}) }})
+			d: c.cfg.CommitTimeout, fn: func() { c.exec("", timeout{id}) }})
 	}
 	c.out.progress(s.sink, ProgressEvent{Txn: s.id, Kind: KindSubmitted})
 
@@ -463,7 +428,7 @@ func (c *Coordinator) onVoteBatch(now time.Time, b voteBatchMsg) {
 	}
 	c.recordVoteLegs(now, s, b)
 	bit, known := regionBit(c.cfg.Replicas, b.Region)
-	n := c.N()
+	n := len(c.cfg.Replicas)
 	fq := FastQuorum(n)
 	var fallbacks []txn.Op
 	for _, v := range b.Votes {
@@ -637,14 +602,6 @@ func (c *Coordinator) finish(now time.Time, s *commitState, commit bool, err err
 	c.out.add(output{kind: outDecided, sink: s.sink, ev: ProgressEvent{Txn: s.id, Accept: commit}, err: err})
 }
 
-// Crash simulates a coordinator process failure: it leaves the network and
-// every in-flight transaction fails over to its sink with ErrCrashed. No
-// decide message is broadcast for them — the coordinator is the decision
-// authority, so an undecided transaction dies with it and its pendings at
-// the replicas are left for PendingTTL eviction, exactly as a real crashed
-// coordinator would leave them.
-func (c *Coordinator) Crash() { c.exec(crash{}) }
-
 // crash fails the active transactions in id order, never map order, so a
 // client resubmitting from its callback resubmits in a replayable order.
 // The failure detector forgets its unanswered requests: they died with the
@@ -675,13 +632,7 @@ func (c *Coordinator) crash(now time.Time) {
 // Restart rejoins a crashed coordinator to the network. Coordinators keep
 // no durable state: recovery is simply re-registration with an empty
 // in-flight table (the crash already failed every open transaction).
-func (c *Coordinator) Restart() { c.exec(restart{}) }
-
-// Crashed reports whether the coordinator is currently down.
-func (c *Coordinator) Crashed() (down bool) {
-	c.exec(query(func(time.Time) { down = c.crashed }))
-	return down
-}
+func (c *Coordinator) Restart() { c.exec("", start{}) }
 
 // reasonErr maps a rejection reason to the error surfaced to applications.
 func reasonErr(r RejectReason) error {

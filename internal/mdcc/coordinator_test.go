@@ -95,18 +95,18 @@ func TestCoordinatorFastQuorumCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		c.exec(vote(id, "k", i, true, ReasonNone))
+		c.exec("", vote(id, "k", i, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided with 3 of 4 needed accepts")
 	}
-	c.exec(vote(id, "k", 3, true, ReasonNone))
+	c.exec("", vote(id, "k", 3, true, ReasonNone))
 	decided, commit, err := sink.state()
 	if !decided || !commit || err != nil {
 		t.Fatalf("decided=%v commit=%v err=%v", decided, commit, err)
 	}
 	// Late vote is harmless.
-	c.exec(vote(id, "k", 4, true, ReasonNone))
+	c.exec("", vote(id, "k", 4, true, ReasonNone))
 }
 
 func TestCoordinatorDuplicateVotesIgnored(t *testing.T) {
@@ -118,7 +118,7 @@ func TestCoordinatorDuplicateVotesIgnored(t *testing.T) {
 	}
 	// The same region voting four times must not fake a quorum.
 	for i := 0; i < 4; i++ {
-		c.exec(vote(id, "k", 0, true, ReasonNone))
+		c.exec("", vote(id, "k", 0, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("duplicate votes reached quorum")
@@ -132,8 +132,8 @@ func TestCoordinatorFatalRejectAborts(t *testing.T) {
 	if err := c.Submit(id, []txn.Op{setOp("k", 0)}, ModeFast, sink); err != nil {
 		t.Fatal(err)
 	}
-	c.exec(vote(id, "k", 0, true, ReasonNone))
-	c.exec(vote(id, "k", 1, false, ReasonVersion))
+	c.exec("", vote(id, "k", 0, true, ReasonNone))
+	c.exec("", vote(id, "k", 1, false, ReasonVersion))
 	decided, commit, err := sink.state()
 	if !decided || commit {
 		t.Fatalf("fatal reject: decided=%v commit=%v", decided, commit)
@@ -153,21 +153,21 @@ func TestCoordinatorAmbiguityFallsBackOnce(t *testing.T) {
 	// Two pending-conflict rejects: accepts can still reach 4? votes so
 	// far 2 rejects, 3 outstanding, max accepts 3 < 4 → ambiguous after
 	// the second reject.
-	c.exec(vote(id, "k", 0, false, ReasonPending))
+	c.exec("", vote(id, "k", 0, false, ReasonPending))
 	if c.Fallbacks != 0 {
 		t.Fatal("fell back too early")
 	}
-	c.exec(vote(id, "k", 1, false, ReasonPending))
+	c.exec("", vote(id, "k", 1, false, ReasonPending))
 	if c.Fallbacks != 1 {
 		t.Fatalf("fallbacks=%d, want 1", c.Fallbacks)
 	}
 	// Stale fast votes after the fallback change nothing.
-	c.exec(vote(id, "k", 2, true, ReasonNone))
+	c.exec("", vote(id, "k", 2, true, ReasonNone))
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided from stale fast votes after fallback")
 	}
 	// The classic result settles it.
-	c.exec(result(id, "k", true, ReasonNone))
+	c.exec("", result(id, "k", true, ReasonNone))
 	decided, commit, _ := sink.state()
 	if !decided || !commit {
 		t.Fatalf("classic result ignored: decided=%v commit=%v", decided, commit)
@@ -184,13 +184,13 @@ func TestCoordinatorMultiOptionAllMustAccept(t *testing.T) {
 	}
 	// k1 reaches its quorum.
 	for i := 0; i < 4; i++ {
-		c.exec(vote(id, "k1", i, true, ReasonNone))
+		c.exec("", vote(id, "k1", i, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided with k2 still open")
 	}
 	// k2 hits a fatal conflict: abort.
-	c.exec(vote(id, "k2", 0, false, ReasonBound))
+	c.exec("", vote(id, "k2", 0, false, ReasonBound))
 	decided, commit, err := sink.state()
 	if !decided || commit || !errors.Is(err, ErrBound) {
 		t.Fatalf("decided=%v commit=%v err=%v", decided, commit, err)
@@ -237,12 +237,12 @@ func TestCoordinatorClassicModeSkipsVotes(t *testing.T) {
 	}
 	// Fast votes for a classic-mode option are ignored.
 	for i := 0; i < 4; i++ {
-		c.exec(vote(id, "k", i, true, ReasonNone))
+		c.exec("", vote(id, "k", i, true, ReasonNone))
 	}
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("classic option decided by fast votes")
 	}
-	c.exec(result(id, "k", false, ReasonVersion))
+	c.exec("", result(id, "k", false, ReasonVersion))
 	decided, commit, err := sink.state()
 	if !decided || commit || !errors.Is(err, ErrConflict) {
 		t.Fatalf("decided=%v commit=%v err=%v", decided, commit, err)
@@ -299,14 +299,14 @@ func TestCoordinatorEarlyAbortOnConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One pending reject leaves the fast quorum reachable: no decision.
-	c.exec(vote(id, "k", 0, false, ReasonPending))
+	c.exec("", vote(id, "k", 0, false, ReasonPending))
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("decided while the fast quorum was still reachable")
 	}
 	// The second conflict reject makes the quorum unreachable. Without
 	// EarlyAbort this falls back to classic; with it, the option is
 	// learned rejected on the spot and the abort is decided.
-	c.exec(vote(id, "k", 1, false, ReasonPending))
+	c.exec("", vote(id, "k", 1, false, ReasonPending))
 	decided, commit, err := sink.state()
 	if !decided || commit {
 		t.Fatalf("early abort: decided=%v commit=%v", decided, commit)
@@ -328,15 +328,15 @@ func TestCoordinatorEarlyAbortSparesClassicBound(t *testing.T) {
 	if err := c.Submit(id, []txn.Op{setOp("k", 0)}, ModeFast, sink); err != nil {
 		t.Fatal(err)
 	}
-	c.exec(vote(id, "k", 0, false, ReasonClassicOwned))
-	c.exec(vote(id, "k", 1, false, ReasonClassicOwned))
+	c.exec("", vote(id, "k", 0, false, ReasonClassicOwned))
+	c.exec("", vote(id, "k", 1, false, ReasonClassicOwned))
 	if decided, _, _ := sink.state(); decided {
 		t.Fatal("classic-owned rejects were early-aborted")
 	}
 	if c.Fallbacks != 1 || c.EarlyAborts != 0 {
 		t.Fatalf("Fallbacks=%d EarlyAborts=%d, want 1/0", c.Fallbacks, c.EarlyAborts)
 	}
-	c.exec(result(id, "k", true, ReasonNone))
+	c.exec("", result(id, "k", true, ReasonNone))
 	if decided, commit, _ := sink.state(); !decided || !commit {
 		t.Fatal("classic path did not settle the option")
 	}

@@ -86,7 +86,7 @@ func (d *decidedSet) len() int { return d.n }
 // toMap copies every recorded verdict into a map.
 func (d *decidedSet) toMap() map[txn.ID]bool {
 	out := make(map[txn.ID]bool, d.n)
-	for idx, p := range d.pages {
+	for idx, p := range d.pages { // order-free: fills a map
 		for w, seen := range p.seen {
 			for ; seen != 0; seen &= seen - 1 {
 				b := bits.TrailingZeros64(seen)

@@ -86,7 +86,7 @@ func TestReplicaDecisionsCrashRestore(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		id := ids[rng.Intn(len(ids))]
 		commit := rng.Intn(2) == 0
-		r.exec(decideMsg{Txn: id, Commit: commit})
+		r.exec("", decideMsg{Txn: id, Commit: commit})
 		if _, seen := ref[id]; !seen { // a repeated decide is ignored
 			ref[id] = commit
 		}
@@ -101,7 +101,7 @@ func TestReplicaDecisionsCrashRestore(t *testing.T) {
 	// A later WAL entry for a seen id overrides the earlier verdict on replay.
 	flipped := ids[0]
 	if _, seen := ref[flipped]; !seen {
-		r.exec(decideMsg{Txn: flipped, Commit: true})
+		r.exec("", decideMsg{Txn: flipped, Commit: true})
 		ref[flipped] = true
 	}
 	ref[flipped] = !ref[flipped]

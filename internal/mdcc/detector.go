@@ -96,7 +96,7 @@ func (c *Coordinator) fastQuorumUp(down uint64) bool {
 // region. Like a submit, the query may emit transitions and probes.
 func (c *Coordinator) FastQuorumReachable() bool {
 	var v peerView
-	c.exec(&v)
+	c.exec("", &v)
 	return c.fastQuorumUp(v.down)
 }
 
@@ -105,7 +105,7 @@ func (c *Coordinator) FastQuorumReachable() bool {
 // query may emit transitions and probes.
 func (c *Coordinator) DownReplicas() []simnet.Region {
 	var v peerView
-	c.exec(&v)
+	c.exec("", &v)
 	var out []simnet.Region
 	for i, rep := range c.cfg.Replicas {
 		if v.down&(1<<uint(i)) != 0 {
@@ -120,5 +120,5 @@ func (c *Coordinator) DownReplicas() []simnet.Region {
 // silence reaches CommitTimeout, up when a frame from it arrives. Every
 // replica starts up. Typically wired once at startup.
 func (c *Coordinator) SetPeerObserver(f func(region simnet.Region, down bool)) {
-	c.exec(query(func(time.Time) { c.onPeer = f }))
+	c.exec("", query(func(time.Time) { c.onPeer = f }))
 }

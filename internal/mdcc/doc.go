@@ -40,28 +40,30 @@
 //
 // # Execution
 //
-// Replica and Coordinator change state only inside step(now, in), which
-// applies one input to the actor's own state and appends the input's
+// Replica and Coordinator change state only inside step(now, from, in),
+// which applies one input to the actor's own state and appends the input's
 // effects to an ordered output list instead of performing them. Inputs are
-// the protocol messages (the coordinator's come with the sender's region,
-// for its failure detector, detector.go), the local entries (SubmitTraced,
-// the commit timeout, QuorumRead, SyncFrom, the lease tick, a lease view,
-// Crash, Restore, Close) and queries (ReadLocal, Snapshot, the lease table,
-// the detector's view, startup setters); a crashed actor drops messages
-// inside step. Outputs are sends, WAL entries, timer arms and stops (commit
-// timeouts and the lease tick), sink, lease-observer and peer-observer
-// calls, lease views, waiter wake-ups,
-// transport (de)registration and a replica's decide-time spans; observer
-// counters and the coordinator's span-store adds stay inline. A master's
-// sends leave as one wire message per destination. No step reads another
-// actor's state: what one actor learns from another arrives as an input.
+// the protocol messages, with the sender's region (the coordinator's
+// failure detector reads it, detector.go), the local entries (start,
+// SubmitTraced, the commit timeout, QuorumRead, SyncFrom, the lease tick, a
+// lease view, Crash, Restore, Close) and queries (ReadLocal, Snapshot, the
+// lease table, the detector's view, startup setters); a crashed actor drops
+// messages inside step. Outputs are sends, WAL entries, timer arms and
+// stops (commit timeouts and the lease tick), sink, lease-observer and
+// peer-observer calls, lease views, waiter wake-ups, transport
+// (de)registration and a replica's decide-time spans; observer counters and
+// the coordinator's span-store adds stay inline. A master's sends leave as
+// one wire message per destination. No step reads another actor's state:
+// what one actor learns from another arrives as an input.
 //
-// exec, one per actor, is the executor and the only place the actor's
-// mutex is taken. It runs step under the lock and appends the step's WAL
-// entries before releasing it, so an entry is logged before any message the
-// step sent. It then performs the other outputs in emission order: simnet
-// draws each send's delay from its sender's stream and fires same-instant
-// timers in arm order, so that order keeps seeded runs bit-identical.
+// exec, on the executor both actors embed (actor, step.go), is the only
+// place an actor's mutex is taken. It runs step under the lock and appends
+// the step's WAL entries before releasing it, so an entry is logged before
+// any message the step sent. It then performs the other outputs in
+// emission order: simnet draws each send's delay from its sender's stream
+// and fires same-instant timers in arm order, so that order keeps seeded
+// runs bit-identical. A constructor builds state, touching no transport,
+// and execs one start input, whose step joins the transport.
 //
 // The executor is a lock, not a goroutine per actor: core reads call
 // ReadLocal synchronously from a goroutine holding the virtual clock's

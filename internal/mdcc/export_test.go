@@ -14,7 +14,7 @@ func (r *Replica) rec(key string) *record { return r.acquire(key) }
 
 // PendingCount reports how many options are pending on key.
 func (r *Replica) PendingCount(key string) (n int) {
-	r.exec(query(func(time.Time) {
+	r.exec("", query(func(time.Time) {
 		if rc := r.records[key]; rc != nil {
 			n = len(rc.pending)
 		}
@@ -24,27 +24,27 @@ func (r *Replica) PendingCount(key string) (n int) {
 
 // RecordCount reports how many keys the replica has built records for.
 func (r *Replica) RecordCount() (n int) {
-	r.exec(query(func(time.Time) { n = len(r.records) }))
+	r.exec("", query(func(time.Time) { n = len(r.records) }))
 	return n
 }
 
 // HasRecord reports whether the replica has built a record for key.
 func (r *Replica) HasRecord(key string) (ok bool) {
-	r.exec(query(func(time.Time) { ok = r.records[key] != nil }))
+	r.exec("", query(func(time.Time) { ok = r.records[key] != nil }))
 	return ok
 }
 
 // DecidedCount reports how many transaction decisions this replica retains
 // for idempotence/reordering protection.
 func (r *Replica) DecidedCount() (n int) {
-	r.exec(query(func(time.Time) { n = r.decided.len() }))
+	r.exec("", query(func(time.Time) { n = r.decided.len() }))
 	return n
 }
 
 // AcquireLease starts a lease round for keyspace ks, as the lease tick
 // does (see acquireLease).
 func (r *Replica) AcquireLease(ks simnet.Region) {
-	r.exec(query(func(now time.Time) { r.acquireLease(now, ks) }))
+	r.exec("", query(func(now time.Time) { r.acquireLease(now, ks) }))
 }
 
 // Lease returns this replica's view of keyspace ks's lease: the holder,

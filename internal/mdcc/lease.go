@@ -340,15 +340,12 @@ func (r *Replica) applyLeaseEntry(now time.Time, l *LeaseRecord) {
 //     the candidates' claims. Two can still claim one epoch (a survivor
 //     that missed the holder's last renewals sees its lease expire early),
 //     and the tie-break (yields) ends that duel.
-
-// startTick records when the lease tick started and arms its first run.
-func (r *Replica) startTick(now time.Time) {
-	r.tickStart = now
-	r.armTick(0)
-}
+//
+// The start input starts the tick: it records tickStart and arms the first
+// run at once.
 
 func (r *Replica) armTick(d time.Duration) {
-	r.out.add(output{kind: outArm, timer: &r.tick, d: d, fn: func() { r.exec(leaseTick{}) }})
+	r.out.add(output{kind: outArm, timer: &r.tick, d: d, fn: func() { r.exec("", leaseTick{}) }})
 }
 
 // leasePass runs one pass of the lease policy over every keyspace: a tick's,
@@ -586,7 +583,7 @@ func (r *Replica) leaseEvent(ev LeaseEvent) {
 // this replica knows of (sorted), and how many it took over from another
 // holder: the /v1/net/lease surface and planet_lease_takeovers_total.
 func (r *Replica) LeaseTable() (enabled bool, leases []LeaseInfo, takeovers uint64) {
-	r.exec(query(func(now time.Time) {
+	r.exec("", query(func(now time.Time) {
 		enabled, takeovers = r.cfg.Leases != nil, r.LeaseTakeovers
 		leases = make([]LeaseInfo, 0, len(r.leases))
 		for ks, ls := range r.leases {
@@ -595,7 +592,7 @@ func (r *Replica) LeaseTable() (enabled bool, leases []LeaseInfo, takeovers uint
 				Expiry: ls.expiry, Held: r.holdsLease(ks, now), HeldEpoch: ls.heldEpoch,
 			})
 		}
+		sort.Slice(leases, func(i, j int) bool { return leases[i].Keyspace < leases[j].Keyspace })
 	}))
-	sort.Slice(leases, func(i, j int) bool { return leases[i].Keyspace < leases[j].Keyspace })
 	return enabled, leases, takeovers
 }

@@ -79,14 +79,14 @@ func TestLeaseAcquireAndRenew(t *testing.T) {
 	}
 
 	// The second grant reaches the majority of 2/3: lease held, epoch 1.
-	r.exec(grantReply("a", 1, "a", 1))
+	r.exec("", grantReply("a", 1, "a", 1))
 	if !r.HoldsLease("a") {
 		t.Fatal("majority grant did not take the lease")
 	}
 
 	// Renewal: the holder repeats the round at the held epoch.
 	r.AcquireLease("a")
-	r.exec(grantReply("a", 1, "a", 1))
+	r.exec("", grantReply("a", 1, "a", 1))
 	if !r.HoldsLease("a") {
 		t.Fatal("renewal dropped the lease")
 	}
@@ -111,17 +111,17 @@ func TestLeaseAcceptorGrantRules(t *testing.T) {
 	}
 
 	// Epoch 1 goes to b.
-	r.exec(req(1, "b", 40*time.Millisecond))
+	r.exec("", req(1, "b", 40*time.Millisecond))
 	if holder, epoch, _ := r.LeaseView("a"); holder != "b" || epoch != 1 {
 		t.Fatalf("view = %s@%d, want b@1", holder, epoch)
 	}
 	// At most one holder per epoch: c cannot also have epoch 1.
-	r.exec(req(1, "c", time.Second))
+	r.exec("", req(1, "c", time.Second))
 	if holder, _, _ := r.LeaseView("a"); holder != "b" {
 		t.Fatalf("epoch 1 regranted to %s", holder)
 	}
 	// A new epoch is refused while the current lease is live...
-	r.exec(req(2, "c", time.Second))
+	r.exec("", req(2, "c", time.Second))
 	if holder, epoch, _ := r.LeaseView("a"); holder != "b" || epoch != 2 {
 		if epoch == 2 {
 			t.Fatalf("epoch 2 granted to %s over b's live lease", holder)
@@ -131,25 +131,25 @@ func TestLeaseAcceptorGrantRules(t *testing.T) {
 		t.Fatalf("live lease lost to a higher epoch: now at %d", epoch)
 	}
 	// ...but the holder itself may bump its own epoch mid-lease.
-	r.exec(req(2, "b", 40*time.Millisecond))
+	r.exec("", req(2, "b", 40*time.Millisecond))
 	if holder, epoch, _ := r.LeaseView("a"); holder != "b" || epoch != 2 {
 		t.Fatalf("same-holder epoch bump refused: view %s@%d", holder, epoch)
 	}
 	// Renewal: same epoch, same holder, later expiry.
 	_, _, before := r.LeaseView("a")
-	r.exec(req(2, "b", 80*time.Millisecond))
+	r.exec("", req(2, "b", 80*time.Millisecond))
 	if _, _, after := r.LeaseView("a"); !after.After(before) {
 		t.Fatal("renewal did not extend expiry")
 	}
 	// Epoch 0 is never a lease.
-	r.exec(req(0, "c", time.Second))
+	r.exec("", req(0, "c", time.Second))
 	if holder, _, _ := r.LeaseView("a"); holder != "b" {
 		t.Fatal("epoch-0 request changed the lease")
 	}
 
 	// Once b's lease lapses on this clock, c's takeover epoch is granted.
 	r.clk.Sleep(100 * time.Millisecond)
-	r.exec(req(3, "c", time.Second))
+	r.exec("", req(3, "c", time.Second))
 	if holder, epoch, _ := r.LeaseView("a"); holder != "c" || epoch != 3 {
 		t.Fatalf("post-expiry takeover refused: view %s@%d, want c@3", holder, epoch)
 	}
@@ -171,15 +171,15 @@ func TestLeaseViewOutputs(t *testing.T) {
 			ExpiresUnixNano: r.clk.Now().Add(30 * time.Millisecond).UnixNano(),
 			From:            simnet.Addr{Region: holder, Name: "replica"}}
 	}
-	r.exec(req(1, "b"))
-	r.exec(req(1, "b"))
+	r.exec("", req(1, "b"))
+	r.exec("", req(1, "b"))
 	r.Crash()
 	if err := r.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	r.exec(req(2, "c")) // refused: the replayed grant to b is live for a term
+	r.exec("", req(2, "c")) // refused: the replayed grant to b is live for a term
 	r.clk.Sleep(time.Second + time.Millisecond)
-	r.exec(req(2, "c"))
+	r.exec("", req(2, "c"))
 	if got, want := strings.Join(views, " "), "a=b#1 a=#2 a=b#3 a=c#4"; got != want {
 		t.Errorf("views %q, want %q", got, want)
 	}
@@ -189,14 +189,14 @@ func TestLeaseTakeoverAfterExpiry(t *testing.T) {
 	r, log := newLeasedReplica(t, 3, time.Second, nil)
 
 	// b holds epoch 1 with a short fuse on this replica's clock.
-	r.exec(leaseRequestMsg{Keyspace: "a", Epoch: 1, Holder: "b",
+	r.exec("", leaseRequestMsg{Keyspace: "a", Epoch: 1, Holder: "b",
 		ExpiresUnixNano: r.clk.Now().Add(30 * time.Millisecond).UnixNano(),
 		From:            simnet.Addr{Region: "b", Name: "replica"}})
 
 	// Too early: the acceptor (ourselves) refuses epoch 2, and one peer
 	// nack on top makes a majority impossible — the round fails and closes.
 	r.AcquireLease("a")
-	r.exec(leaseGrantMsg{Keyspace: "a", Epoch: 2, OK: false,
+	r.exec("", leaseGrantMsg{Keyspace: "a", Epoch: 2, OK: false,
 		CurEpoch: 1, CurHolder: "b",
 		CurExpiresUnixNano: r.clk.Now().Add(30 * time.Millisecond).UnixNano(),
 		Region:             regionOf(1)})
@@ -206,7 +206,7 @@ func TestLeaseTakeoverAfterExpiry(t *testing.T) {
 
 	r.clk.Sleep(50 * time.Millisecond)
 	r.AcquireLease("a")
-	r.exec(grantReply("a", 2, "a", 1))
+	r.exec("", grantReply("a", 2, "a", 1))
 	if !r.HoldsLease("a") {
 		t.Fatal("post-expiry takeover did not win")
 	}
@@ -231,7 +231,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 
 	// Hold epoch 1, then crash and replay.
 	r.AcquireLease("a")
-	r.exec(grantReply("a", 1, "a", 1))
+	r.exec("", grantReply("a", 1, "a", 1))
 	if !r.HoldsLease("a") {
 		t.Fatal("setup: lease not held")
 	}
@@ -259,7 +259,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 	}
 
 	// Meanwhile the survivors elected b at epoch 2; its request lands here.
-	r.exec(leaseRequestMsg{Keyspace: "a", Epoch: 2, Holder: "b",
+	r.exec("", leaseRequestMsg{Keyspace: "a", Epoch: 2, Holder: "b",
 		ExpiresUnixNano: r.clk.Now().Add(time.Second).UnixNano(),
 		From:            simnet.Addr{Region: "b", Name: "replica"}})
 	kinds := log.kinds()
@@ -268,7 +268,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 	}
 
 	// Fencing layer 1: stale-epoch phase 1a is rejected regardless of ballot.
-	r.exec(phase1aMsg{Key: "k", Ballot: 9, Master: master, Epoch: 1})
+	r.exec("", phase1aMsg{Key: "k", Ballot: 9, Master: master, Epoch: 1})
 	promised := r.rec("k").promised
 	fenced := r.LeaseFenced
 	if promised != 0 {
@@ -279,7 +279,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 	}
 
 	// Fencing layer 2: stale-epoch phase 2a is refused, and fenced per item.
-	r.exec(phase2aBatchMsg{Master: master, Epoch: 1, Items: []phase2aItem{
+	r.exec("", phase2aBatchMsg{Master: master, Epoch: 1, Items: []phase2aItem{
 		{Txn: 1, Key: "k", Ballot: 9, Option: setOp("k", 1)},
 		{Txn: 2, Key: "k", Ballot: 9, Option: setOp("k", 2)}}})
 	pendings := len(r.rec("k").pending)
@@ -293,8 +293,8 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 
 	// Forward compat: epoch 0 (a pre-lease sender) passes the fence, and so
 	// does the current epoch.
-	r.exec(phase1aMsg{Key: "k", Ballot: 9, Master: master, Epoch: 0})
-	r.exec(phase1aMsg{Key: "k", Ballot: 10, Master: master, Epoch: 2})
+	r.exec("", phase1aMsg{Key: "k", Ballot: 9, Master: master, Epoch: 0})
+	r.exec("", phase1aMsg{Key: "k", Ballot: 10, Master: master, Epoch: 2})
 	promised = r.rec("k").promised
 	if promised != 10 {
 		t.Fatalf("unfenced phase1a promise = %d, want 10", promised)
@@ -302,7 +302,7 @@ func TestLeaseFencingAfterReplay(t *testing.T) {
 
 	// And the deposed master itself bounces proposals instead of sequencing:
 	// the coordinator is told NotMaster and no per-key mastership starts.
-	r.exec(classicProposeBatchMsg{Txn: 3, Coord: coord, Options: []txn.Op{setOp("k", 3)}})
+	r.exec("", classicProposeBatchMsg{Txn: 3, Coord: coord, Options: []txn.Op{setOp("k", 3)}})
 	ks := r.masters["k"]
 	if ks != nil {
 		t.Fatal("deposed master sequenced a proposal instead of bouncing it")
@@ -336,8 +336,8 @@ func TestLeaseRoundRollback(t *testing.T) {
 	// epochs are equal, so the rollback cannot apply — but the round must
 	// close so the next attempt starts immediately.
 	r.AcquireLease("a")
-	r.exec(nack(2))
-	r.exec(nack2(2))
+	r.exec("", nack(2))
+	r.exec("", nack2(2))
 	if r.HoldsLease("a") {
 		t.Fatal("nacked round won the lease")
 	}
@@ -349,8 +349,8 @@ func TestLeaseRoundRollback(t *testing.T) {
 	if _, epoch, _ := r.LeaseView("a"); epoch != 3 {
 		t.Fatalf("round 2 proposed epoch %d, want 3", epoch)
 	}
-	r.exec(nack(3))
-	r.exec(nack2(3))
+	r.exec("", nack(3))
+	r.exec("", nack2(3))
 	holder, epoch, _ := r.LeaseView("a")
 	if holder != "b" || epoch != 2 {
 		t.Fatalf("failed round left view %s@%d, want rollback to b@2", holder, epoch)
@@ -369,13 +369,13 @@ func TestLeaseRoundRollback(t *testing.T) {
 func TestLeaseViewAdoption(t *testing.T) {
 	r, log := newLeasedReplica(t, 3, time.Second, nil)
 	r.AcquireLease("a")
-	r.exec(grantReply("a", 1, "a", 1))
+	r.exec("", grantReply("a", 1, "a", 1))
 	if !r.HoldsLease("a") {
 		t.Fatal("setup: lease not held")
 	}
 
 	// A stray reply (no round matches epoch 99) reveals c holds epoch 5.
-	r.exec(leaseGrantMsg{Keyspace: "a", Epoch: 99, OK: false,
+	r.exec("", leaseGrantMsg{Keyspace: "a", Epoch: 99, OK: false,
 		CurEpoch: 5, CurHolder: "c",
 		CurExpiresUnixNano: r.clk.Now().Add(time.Second).UnixNano(),
 		Region:             regionOf(2)})

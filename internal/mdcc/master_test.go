@@ -28,7 +28,7 @@ func TestMasterPhase1TakesOwnership(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.exec(classicProposeBatchMsg{Txn: 1, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", classicProposeBatchMsg{Txn: 1, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 
 	ks := r.masters["k"]
 	if ks == nil || ks.p1 == nil || ks.leased {
@@ -44,8 +44,8 @@ func TestMasterPhase1TakesOwnership(t *testing.T) {
 	}
 
 	// Two more OK phase-1b responses reach the classic quorum of 3.
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2)})
 
 	if !ks.leased || ks.p1 != nil {
 		t.Fatalf("ownership not taken: leased=%v", ks.leased)
@@ -69,15 +69,15 @@ func TestMasterRecoveryReproposesPossiblyChosen(t *testing.T) {
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
 	// A client proposal for txn 7 arrives and starts phase 1.
-	r.exec(classicProposeBatchMsg{Txn: 7, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", classicProposeBatchMsg{Txn: 7, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	ballot := r.masters["k"].ballot
 
 	// Phase-1b responses report a conflicting fast-ballot option (txn 42)
 	// pending at two replicas: possibly chosen.
 	ghost := pendingSnapshot{Txn: 42, Option: setOp("k", 0), Ballot: 0}
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1),
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1),
 		Pending: []pendingSnapshot{ghost}})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2),
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2),
 		Pending: []pendingSnapshot{ghost}})
 
 	ks := r.masters["k"]
@@ -102,15 +102,15 @@ func TestMasterRecoveryIgnoresBelowThreshold(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.exec(classicProposeBatchMsg{Txn: 7, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", classicProposeBatchMsg{Txn: 7, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	ballot := r.masters["k"].ballot
 
 	// The ghost option appears only once: it cannot have been fast-chosen
 	// (max accepts 1 + (5 - promised quorum 3) = 3 < fastQuorum 4).
 	ghost := pendingSnapshot{Txn: 42, Option: setOp("k", 0), Ballot: 0}
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1),
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1),
 		Pending: []pendingSnapshot{ghost}})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2)})
 
 	ks := r.masters["k"]
 	if ks.inflight[42] != nil {
@@ -125,20 +125,20 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
 
-	r.exec(classicProposeBatchMsg{Txn: 9, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", classicProposeBatchMsg{Txn: 9, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	ballot := r.masters["k"].ballot
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(2)})
 
 	// Master already counts itself (1 accept); one more phase-2b reaches
 	// nothing, two reach the classic quorum of 3.
-	r.exec(phase2bBatchMsg{Region: regionOf(1), Items: []phase2bItem{{Txn: 9, Key: "k", Ballot: ballot, Accept: true}}})
+	r.exec("", phase2bBatchMsg{Region: regionOf(1), Items: []phase2bItem{{Txn: 9, Key: "k", Ballot: ballot, Accept: true}}})
 	mo := r.masters["k"].inflight[9]
 	done := mo.done
 	if done {
 		t.Fatal("quorum declared with 2 of 3 accepts")
 	}
-	r.exec(phase2bBatchMsg{Region: regionOf(2), Items: []phase2bItem{{Txn: 9, Key: "k", Ballot: ballot, Accept: true}}})
+	r.exec("", phase2bBatchMsg{Region: regionOf(2), Items: []phase2bItem{{Txn: 9, Key: "k", Ballot: ballot, Accept: true}}})
 	if !mo.done {
 		t.Fatal("quorum not declared with 3 accepts")
 	}
@@ -147,13 +147,13 @@ func TestMasterPhase2QuorumResolution(t *testing.T) {
 func TestMasterStaleBallotPhase1bIgnored(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	coord := simnet.Addr{Region: "a", Name: "coord"}
-	r.exec(classicProposeBatchMsg{Txn: 1, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", classicProposeBatchMsg{Txn: 1, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	ballot := r.masters["k"].ballot
 
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot + 7, OK: true, Region: regionOf(1)})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: false, Region: regionOf(2)})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)})
-	r.exec(phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)}) // dup region
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot + 7, OK: true, Region: regionOf(1)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: false, Region: regionOf(2)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)})
+	r.exec("", phase1bMsg{Key: "k", Ballot: ballot, OK: true, Region: regionOf(1)}) // dup region
 
 	if r.masters["k"].leased {
 		t.Error("leased from stale/duplicate/nack responses")
@@ -164,13 +164,13 @@ func TestAcceptorPhase1aPromise(t *testing.T) {
 	r := newLoneReplica(t, 5)
 	master := simnet.Addr{Region: "b", Name: "replica"}
 
-	r.exec(phase1aMsg{Key: "k", Ballot: 3, Master: master})
+	r.exec("", phase1aMsg{Key: "k", Ballot: 3, Master: master})
 	if r.rec("k").promised != 3 {
 		t.Errorf("promised=%d", r.rec("k").promised)
 	}
 
 	// A lower ballot must not regress the promise.
-	r.exec(phase1aMsg{Key: "k", Ballot: 2, Master: master})
+	r.exec("", phase1aMsg{Key: "k", Ballot: 2, Master: master})
 	if r.rec("k").promised != 3 {
 		t.Errorf("promise regressed to %d", r.rec("k").promised)
 	}
@@ -181,18 +181,18 @@ func TestAcceptorPhase2aObeysBallot(t *testing.T) {
 	master := simnet.Addr{Region: "b", Name: "replica"}
 
 	// Promise at 5; a phase-2a at 4 must be refused (no pending added).
-	r.exec(phase1aMsg{Key: "k", Ballot: 5, Master: master})
-	r.exec(phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 3, Key: "k", Ballot: 4, Option: setOp("k", 0)}}})
+	r.exec("", phase1aMsg{Key: "k", Ballot: 5, Master: master})
+	r.exec("", phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 3, Key: "k", Ballot: 4, Option: setOp("k", 0)}}})
 	if r.PendingCount("k") != 0 {
 		t.Error("stale-ballot phase2a accepted")
 	}
 	// At 5 it is accepted.
-	r.exec(phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 3, Key: "k", Ballot: 5, Option: setOp("k", 0)}}})
+	r.exec("", phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 3, Key: "k", Ballot: 5, Option: setOp("k", 0)}}})
 	if r.PendingCount("k") != 1 {
 		t.Error("current-ballot phase2a refused")
 	}
 	// A higher-ballot conflicting phase2a evicts the lower one.
-	r.exec(phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 4, Key: "k", Ballot: 6, Option: setOp("k", 0)}}})
+	r.exec("", phase2aBatchMsg{Master: master, Items: []phase2aItem{{Txn: 4, Key: "k", Ballot: 6, Option: setOp("k", 0)}}})
 	rc := r.rec("k")
 	if len(rc.pending) != 1 || rc.pending[0].txn != 4 {
 		t.Errorf("eviction failed: %+v", rc.pending)
@@ -205,13 +205,13 @@ func TestReplicaFastVoteOnDecidedTxn(t *testing.T) {
 
 	// Decide arrives before the proposal (reordering): the late proposal
 	// must not plant a pending.
-	r.exec(decideMsg{Txn: 11, Commit: false, Options: []txn.Op{setOp("k", 0)}})
-	r.exec(proposeMsg{Txn: 11, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", decideMsg{Txn: 11, Commit: false, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", proposeMsg{Txn: 11, Coord: coord, Options: []txn.Op{setOp("k", 0)}})
 	if r.PendingCount("k") != 0 {
 		t.Error("decided txn re-planted a pending option")
 	}
 	// And the decide is idempotent.
-	r.exec(decideMsg{Txn: 11, Commit: false, Options: []txn.Op{setOp("k", 0)}})
+	r.exec("", decideMsg{Txn: 11, Commit: false, Options: []txn.Op{setOp("k", 0)}})
 	if r.DecidedCount() != 1 {
 		t.Errorf("decided count %d", r.DecidedCount())
 	}
@@ -222,7 +222,7 @@ func TestDecideAppliesWithoutPriorProposal(t *testing.T) {
 	r.SeedInt("n", 10, 0, 100)
 	// The proposal was lost, but the decide carries the options: the
 	// replica must still converge.
-	r.exec(decideMsg{Txn: 12, Commit: true, Options: []txn.Op{addOp("n", 5)}})
+	r.exec("", decideMsg{Txn: 12, Commit: true, Options: []txn.Op{addOp("n", 5)}})
 	v, ok := r.ReadLocal("n")
 	if !ok || v.Int != 15 || v.Version != 1 {
 		t.Errorf("value %+v", v)

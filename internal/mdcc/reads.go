@@ -62,12 +62,12 @@ type quorumRead struct {
 // (emulator time). found reports whether any responding replica had the
 // key.
 func (c *Coordinator) QuorumRead(key string, timeout time.Duration) (value Value, found bool, err error) {
-	w := &readWaiter{need: ClassicQuorum(c.N()), done: c.clk.NewEvent()}
+	w := &readWaiter{need: ClassicQuorum(len(c.cfg.Replicas)), done: c.clk.NewEvent()}
 	q := quorumRead{key: key, w: w}
-	c.exec(&q)
+	c.exec("", &q)
 	fired := w.done.WaitTimeout(timeout)
 	q.retire = true
-	c.exec(&q)
+	c.exec("", &q)
 	if !fired && !q.settled {
 		return Value{}, false, fmt.Errorf("mdcc: quorum read of %q: %w", key, ErrTimeout)
 	}

@@ -100,7 +100,7 @@ func (img *SeedImage) seedKey(key string, s seed) {
 	replicas := img.replicas
 	img.mu.Unlock()
 	for _, r := range replicas {
-		r.exec(&reseed{key: key, s: s})
+		r.exec("", &reseed{key: key, s: s})
 	}
 }
 
@@ -112,7 +112,7 @@ func (img *SeedImage) seedRange(kr keyspace.Range, s seed) {
 	}
 	img.mu.Lock()
 	img.ranges = append(img.ranges, rangeSeed{kr: kr, s: s})
-	for k, rc := range img.seeds {
+	for k, rc := range img.seeds { // order-free: each covered entry takes s alone
 		if kr.Covers(k) {
 			s.applyTo(&rc)
 			img.seeds[k] = rc
@@ -121,7 +121,7 @@ func (img *SeedImage) seedRange(kr keyspace.Range, s seed) {
 	replicas := img.replicas
 	img.mu.Unlock()
 	for _, r := range replicas {
-		r.exec(&reseed{kr: kr, s: s})
+		r.exec("", &reseed{kr: kr, s: s})
 	}
 }
 
@@ -193,7 +193,7 @@ func (r *Replica) reseed(p *reseed) {
 		}
 		return
 	}
-	for k, rc := range r.records {
+	for k, rc := range r.records { // order-free: each covered record takes the seed alone
 		if p.kr.Covers(k) {
 			p.s.applyTo(rc)
 		}
@@ -221,11 +221,11 @@ func (r *Replica) snapshot() map[string]Value {
 			out[k] = rc.value()
 		}
 	}
-	for k, rc := range img.seeds {
+	for k, rc := range img.seeds { // order-free: fills a map
 		out[k] = rc.value()
 	}
 	img.mu.RUnlock()
-	for k, rc := range r.records {
+	for k, rc := range r.records { // order-free: fills a map
 		out[k] = rc.value()
 	}
 	return out

@@ -90,7 +90,7 @@ func TestReseedKeepsProtocolState(t *testing.T) {
 	r.HandlePropose(1, coord, []txn.Op{addOp("n", 5)})
 	r.HandleDecide(1, true, []txn.Op{addOp("n", 5)})
 	r.HandlePropose(2, coord, []txn.Op{addOp("n", 1)})
-	r.exec(phase1aMsg{Key: "n", Ballot: 3, Master: simnet.Addr{Region: "b", Name: "replica"}})
+	r.exec("", phase1aMsg{Key: "n", Ballot: 3, Master: simnet.Addr{Region: "b", Name: "replica"}})
 
 	r.SeedInt("n", 50, 0, 1000)
 	v, ok := r.ReadLocal("n")
@@ -139,7 +139,7 @@ func TestRangeReseedKeepsProtocolState(t *testing.T) {
 	r.HandlePropose(1, coord, []txn.Op{addOp(key, 5)})
 	r.HandleDecide(1, true, []txn.Op{addOp(key, 5)})
 	r.HandlePropose(2, coord, []txn.Op{addOp(key, 1)})
-	r.exec(phase1aMsg{Key: key, Ballot: 3, Master: simnet.Addr{Region: "b", Name: "replica"}})
+	r.exec("", phase1aMsg{Key: key, Ballot: 3, Master: simnet.Addr{Region: "b", Name: "replica"}})
 
 	r.cfg.Seeds.SeedIntRange("n-", 4, 50, 0, 1000)
 	if v, ok := r.ReadLocal(key); !ok || v.Int != 50 || v.Version != 1 {

@@ -1,13 +1,11 @@
 package mdcc
 
 import (
-	"sync"
 	"time"
 
 	"planet/internal/obs"
 	"planet/internal/simnet"
 	"planet/internal/txn"
-	"planet/internal/vclock"
 )
 
 // ReplicaConfig parameterizes one region's replica.
@@ -37,21 +35,16 @@ type ReplicaConfig struct {
 // assigned to its region. It changes state only inside step (see the
 // package doc, Execution); the unexported methods below step run inside it.
 type Replica struct {
+	actor
 	cfg ReplicaConfig
-	clk vclock.Clock // the network's clock
 
-	// mu guards all protocol state, the records included; exec is the only
-	// function that takes it. out is the running step's output buffer.
-	mu      sync.Mutex
-	out     *outBuf
 	records map[string]*record // the keys the protocol has touched; see acquire
 	slab    []record           // unused records, carved by acquire
 	decided decidedSet
 	masters map[string]*masterKey
 	syncs   map[uint64]*syncWaiter
 	syncSeq uint64 // the last SyncFrom request id
-	crashed bool
-	closed  bool // Close ran: the lease tick is over
+	closed  bool   // Close ran: the lease tick is over
 
 	// leases holds the per-keyspace lease state (nil without
 	// cfg.Leases). The lease tick (see lease.go) runs on tick, started at
@@ -61,11 +54,9 @@ type Replica struct {
 	tickStart time.Time
 	viewSeq   uint64 // the last lease view's number (setView); kept across a crash
 
-	// spans is the region's span shard (nil = tracing off), the one its
-	// coordinator records into. slot names this replica's option-RPC legs
-	// (obs.LegSpanID): its position in cfg.Peers plus one.
-	spans *obs.SpanStore
-	slot  int
+	// slot names this replica's option-RPC legs (obs.LegSpanID): its
+	// position in cfg.Peers plus one.
+	slot int
 
 	// Stats exported for tests and experiments.
 	FastAccepts  uint64
@@ -81,13 +72,11 @@ type Replica struct {
 	LeaseFenced uint64
 }
 
-// Replica.step's local inputs, besides queries and wire messages.
+// Replica.step's own local inputs, besides queries and wire messages.
 type (
 	// leaseTick is the lease tick's timer firing.
 	leaseTick struct{}
-	// crash and restore are a process failure and its WAL recovery;
-	// closeReplica is Close.
-	crash        struct{}
+	// restore is a crash's WAL recovery; closeReplica is Close.
 	restore      struct{ entries []Entry }
 	closeReplica struct{}
 	// localRead is ReadLocal's query; step fills v and ok.
@@ -98,38 +87,19 @@ type (
 	}
 )
 
-// exec runs one input through step and performs its outputs. It is the
-// replica's executor and the only function that takes r.mu. The step's WAL
-// entries are appended before the lock is released, so WAL order is apply
-// order (two decides racing between apply and append could otherwise log
-// in the opposite order, and a replay of physical writes would rebuild the
-// wrong value); a traced entry's span times the append itself. Every other
-// output is performed after the release, in emission order.
-func (r *Replica) exec(in any) {
-	b := outBufs.Get().(*outBuf)
-	r.mu.Lock()
-	r.out = b
-	r.step(r.clk.Now(), in)
-	r.out = nil
-	for _, w := range b.wal {
-		start := r.clk.Now()
-		r.cfg.WAL.Append(w.e)
-		if w.span > 0 {
-			sp := &b.spans[w.span-1]
-			sp.Start, sp.End = start, r.clk.Now()
-		}
-	}
-	r.mu.Unlock()
-	b.perform(r.cfg.Net, r.cfg.Addr, r.clk)
-	outBufs.Put(b)
-}
-
 // step is the replica's transition function: it applies one input, at time
 // now, to the replica's own state and emits the input's effects to r.out.
-func (r *Replica) step(now time.Time, in any) {
+// A message's sender region, from, is unused.
+func (r *Replica) step(now time.Time, _ simnet.Region, in any) {
 	switch p := in.(type) {
 	case query:
 		p(now)
+	case start:
+		r.out.add(output{kind: outRegister})
+		if l := r.cfg.Leases; l != nil && len(l.Keyspaces) > 0 {
+			r.tickStart = now
+			r.armTick(0)
+		}
 	case *localRead:
 		p.v, p.ok = r.readLocal(p.key)
 	case *reseed:
@@ -188,24 +158,21 @@ func (r *Replica) deliver(now time.Time, m any) {
 	}
 }
 
-// recv is the replica's transport handler.
-func (r *Replica) recv(m simnet.Message) { r.exec(m.Payload) }
-
-// SetSpans installs the replica's span store (nil disables tracing): its
-// region's shard, which the region's coordinator records into too.
-// Typically wired once at startup, before traffic.
-func (r *Replica) SetSpans(st *obs.SpanStore) {
-	r.exec(query(func(time.Time) { r.spans = st }))
+// NewReplica constructs a replica and joins it to cfg.Net.
+func NewReplica(cfg ReplicaConfig) *Replica {
+	r := newReplica(cfg)
+	r.exec("", start{})
+	return r
 }
 
-// NewReplica constructs and registers a replica on cfg.Net.
-func NewReplica(cfg ReplicaConfig) *Replica {
+// newReplica builds a replica's state without touching cfg.Net: a start
+// input joins it, and, with leases, starts the lease tick.
+func newReplica(cfg ReplicaConfig) *Replica {
 	if cfg.Seeds == nil {
 		cfg.Seeds = new(SeedImage)
 	}
 	r := &Replica{
 		cfg:     cfg,
-		clk:     cfg.Net.Clock(),
 		records: make(map[string]*record),
 		masters: make(map[string]*masterKey),
 		slot:    len(cfg.Peers) + 1,
@@ -218,20 +185,14 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.Leases != nil {
 		r.leases = make(map[simnet.Region]*leaseState)
 	}
+	r.bind(r, cfg.Net, cfg.Addr, cfg.WAL)
 	cfg.Seeds.attach(r)
-	cfg.Net.Register(cfg.Addr, r.recv)
-	if cfg.Leases != nil && len(cfg.Leases.Keyspaces) > 0 {
-		r.exec(query(r.startTick))
-	}
 	return r
 }
 
 // Close stops the replica's lease tick for good. The replica still answers
 // queries; the transport's own Close silences it on the network.
-func (r *Replica) Close() { r.exec(closeReplica{}) }
-
-// Region returns the replica's region.
-func (r *Replica) Region() simnet.Region { return r.cfg.Addr.Region }
+func (r *Replica) Close() { r.exec("", closeReplica{}) }
 
 // SeedInt seeds an integer value with integrity bounds in the replica's seed
 // image.
@@ -245,7 +206,7 @@ func (r *Replica) SeedInt(key string, value, lo, hi int64) {
 // no key.
 func (r *Replica) ReadLocal(key string) (Value, bool) {
 	q := localRead{key: key}
-	r.exec(&q)
+	r.exec("", &q)
 	return q.v, q.ok
 }
 
@@ -264,7 +225,7 @@ func (r *Replica) readLocal(key string) (Value, bool) {
 // retains. The multi-process harness compares these maps across nodes to
 // assert agreement (no dual decisions) after crash-restart cycles.
 func (r *Replica) Decisions() (m map[txn.ID]bool) {
-	r.exec(query(func(time.Time) { m = r.decided.toMap() }))
+	r.exec("", query(func(time.Time) { m = r.decided.toMap() }))
 	return m
 }
 
@@ -272,15 +233,9 @@ func (r *Replica) Decisions() (m map[txn.ID]bool) {
 // seeded keys it has not touched included. Used by anti-entropy checks and
 // the chaos soak's replay-equality audit.
 func (r *Replica) Snapshot() (m map[string]Value) {
-	r.exec(query(func(time.Time) { m = r.snapshot() }))
+	r.exec("", query(func(time.Time) { m = r.snapshot() }))
 	return m
 }
-
-// Crash simulates a process failure: the replica leaves the network and
-// loses all in-memory state (records, pendings, decisions, master roles).
-// Only the seed image and the WAL — the durable artifacts — survive for
-// Restore to rebuild from.
-func (r *Replica) Crash() { r.exec(crash{}) }
 
 func (r *Replica) crash() {
 	r.out.add(output{kind: outDeregister})
@@ -308,7 +263,7 @@ func (r *Replica) Restore() error {
 			return nil
 		})
 	}
-	r.exec(restore{entries})
+	r.exec("", restore{entries})
 	return nil
 }
 
@@ -347,16 +302,10 @@ func (r *Replica) restore(now time.Time, entries []Entry) {
 	r.RecoveryRuns++
 	r.crashed = false
 	r.spans.AddBatch(replaySpans)
-	r.out.add(output{kind: outRegister, msg: simnet.Handler(r.recv)})
+	r.out.add(output{kind: outRegister})
 	// The replay dropped any round in flight: claim again now, as
 	// construction does, not a tick later.
 	r.leasePass(now)
-}
-
-// Crashed reports whether the replica is currently down.
-func (r *Replica) Crashed() (down bool) {
-	r.exec(query(func(time.Time) { down = r.crashed }))
-	return down
 }
 
 // onPropose handles a fast-path proposal: validate each option against
@@ -459,10 +408,10 @@ func (r *Replica) onDecide(now time.Time, d decideMsg) {
 // HandlePropose feeds a fast-path proposal into the replica as if it had
 // arrived from coord (benchmarks drive the prepare path with it).
 func (r *Replica) HandlePropose(id txn.ID, coord simnet.Addr, ops []txn.Op) {
-	r.exec(proposeMsg{Txn: id, Coord: coord, Options: ops})
+	r.exec("", proposeMsg{Txn: id, Coord: coord, Options: ops})
 }
 
 // HandleDecide feeds a decision in as a coordinator's broadcast would.
 func (r *Replica) HandleDecide(id txn.ID, commit bool, ops []txn.Op) {
-	r.exec(decideMsg{Txn: id, Commit: commit, Options: ops})
+	r.exec("", decideMsg{Txn: id, Commit: commit, Options: ops})
 }

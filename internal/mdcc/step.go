@@ -11,6 +11,103 @@ import (
 	"planet/internal/vclock"
 )
 
+// actor is the executor Replica and Coordinator embed, with the state
+// both have. self is the embedding *Replica or *Coordinator, bound once.
+type actor struct {
+	net  Transport
+	addr simnet.Addr
+	clk  vclock.Clock // the network's clock
+	wal  *WAL         // where the step's WAL entries go (nil: it emits none)
+	self any
+
+	// mu guards the actor's state, the embedding actor's included; exec is
+	// the only function that takes it. out is the running step's buffer.
+	mu      sync.Mutex
+	out     *outBuf
+	crashed bool
+	spans   *obs.SpanStore // the region's span shard (nil = tracing off)
+}
+
+// The inputs both actors take, besides queries.
+type (
+	// start joins the actor to its transport: the last step of its
+	// construction, and a crashed coordinator's restart.
+	start struct{}
+	// crash is a process failure.
+	crash struct{}
+)
+
+// bind makes a the executor of self, the actor at addr on net. net is nil
+// for an actor the step tests build, which never runs exec.
+func (a *actor) bind(self any, net Transport, addr simnet.Addr, wal *WAL) {
+	a.self, a.net, a.addr, a.wal = self, net, addr, wal
+	if net != nil {
+		a.clk = net.Clock()
+	}
+}
+
+// exec runs one input through the actor's step and performs its outputs;
+// from is the sender's region of a delivered message, "" for a local
+// input. The step's WAL entries are appended before the lock is released,
+// so WAL order is apply order (two decides racing between apply and append
+// could otherwise log in the opposite order, and a replay of physical
+// writes would rebuild the wrong value); a traced entry's span times the
+// append itself. The other outputs follow the release, in emission order.
+func (a *actor) exec(from simnet.Region, in any) {
+	b := outBufs.Get().(*outBuf)
+	a.mu.Lock()
+	a.out = b
+	a.runStep(a.clk.Now(), from, in)
+	a.out = nil
+	for _, w := range b.wal {
+		t0 := a.clk.Now()
+		a.wal.Append(w.e)
+		if w.span > 0 {
+			sp := &b.spans[w.span-1]
+			sp.Start, sp.End = t0, a.clk.Now()
+		}
+	}
+	a.mu.Unlock()
+	b.perform(a)
+	outBufs.Put(b)
+}
+
+// runStep runs self's step on in. The calls are static, not through an
+// interface, so an input a caller hands exec can stay on its stack.
+func (a *actor) runStep(now time.Time, from simnet.Region, in any) {
+	switch s := a.self.(type) {
+	case *Replica:
+		s.step(now, from, in)
+	case *Coordinator:
+		s.step(now, from, in)
+	}
+}
+
+// recv is the actor's transport handler.
+func (a *actor) recv(m simnet.Message) { a.exec(m.From.Region, m.Payload) }
+
+// Region returns the actor's region.
+func (a *actor) Region() simnet.Region { return a.addr.Region }
+
+// SetSpans installs the actor's span store, its region's shard (nil
+// disables tracing). Typically wired once at startup, before traffic.
+func (a *actor) SetSpans(st *obs.SpanStore) {
+	a.exec("", query(func(time.Time) { a.spans = st }))
+}
+
+// Crash simulates a process failure: the actor leaves the network and
+// loses its in-memory state. A replica keeps only its seed image and WAL,
+// for Restore. A coordinator fails its in-flight transactions with
+// ErrCrashed and broadcasts no decide: their pendings at the replicas are
+// left for PendingTTL eviction, as a real crashed coordinator leaves them.
+func (a *actor) Crash() { a.exec("", crash{}) }
+
+// Crashed reports whether the actor is currently down.
+func (a *actor) Crashed() (down bool) {
+	a.exec("", query(func(time.Time) { down = a.crashed }))
+	return down
+}
+
 // outKind enumerates the effects a step can emit.
 type outKind uint8
 
@@ -22,7 +119,7 @@ const (
 	outProgress                  // sink.Progress(ev)
 	outDecided                   // sink.Decided(ev.Txn, ev.Accept, err)
 	outCall                      // fn(): a lease observer or a local waiter's wake-up
-	outRegister                  // join the transport with the handler in msg
+	outRegister                  // join the transport
 	outDeregister                // leave the transport
 	outSpans                     // the step's spans: into the store in msg, else reported to to
 )
@@ -110,8 +207,9 @@ func (b *outBuf) flushSpans(id txn.ID, to simnet.Addr, local *obs.SpanStore) {
 }
 
 // perform carries out the outputs other than WAL entries, in emission
-// order, as the actor at self on net, and empties the buffer.
-func (b *outBuf) perform(net Transport, self simnet.Addr, clk vclock.Clock) {
+// order, as a, and empties the buffer.
+func (b *outBuf) perform(a *actor) {
+	net, self := a.net, a.addr
 	for i := range b.outs {
 		switch o := &b.outs[i]; o.kind {
 		case outSend:
@@ -121,7 +219,7 @@ func (b *outBuf) perform(net Transport, self simnet.Addr, clk vclock.Clock) {
 				b.flush(net, self, i)
 			}
 		case outArm:
-			o.timer.arm(clk, o.d, o.fn)
+			o.timer.arm(a.clk, o.d, o.fn)
 		case outStop:
 			o.timer.stop()
 		case outProgress:
@@ -131,7 +229,7 @@ func (b *outBuf) perform(net Transport, self simnet.Addr, clk vclock.Clock) {
 		case outCall:
 			o.fn()
 		case outRegister:
-			net.Register(self, o.msg.(simnet.Handler))
+			net.Register(self, a.recv)
 		case outDeregister:
 			net.Deregister(self)
 		case outSpans:

@@ -19,8 +19,8 @@ import (
 // stepRegions names the three replicas of the step tests.
 var stepRegions = []simnet.Region{"a", "b", "c"}
 
-// stepNet is three replicas and one coordinator built without a transport.
-// Replica a masters every key.
+// stepNet is three replicas and one coordinator, built by the production
+// state constructors without a transport. Replica a masters every key.
 type stepNet struct {
 	reps  []*Replica
 	coord *Coordinator
@@ -30,40 +30,65 @@ type stepNet struct {
 	// line carries it.
 	calls []string
 	// log is every rendered line of every step, in order, each prefixed
-	// by its actor's region.
+	// by its actor's region, and after each step the digest of the stepped
+	// actor's state.
 	log []string
 }
 
-func newStepNet() *stepNet {
+// stepActor is how the step tests drive either actor: its step on an
+// output buffer of the test's own, and a digest of its state
+// (double_step_test.go).
+type stepActor interface {
+	Region() simnet.Region
+	stepInto(b *outBuf, now time.Time, from simnet.Region, in any)
+	digest() uint64
+}
+
+// stepInto runs the actor's step at now on in, a message from region from
+// ("" for a local input), with b as its output buffer, as exec would
+// without the lock.
+func (a *actor) stepInto(b *outBuf, now time.Time, from simnet.Region, in any) {
+	a.out = b
+	a.runStep(now, from, in)
+	a.out = nil
+}
+
+// buildStepNet builds the net's actors with newCoordinator and newReplica
+// and starts none of them. leases, when non-nil, gives each replica its
+// lease configuration.
+func buildStepNet(leases func(n *stepNet) *LeaseConfig) *stepNet {
 	peers := make([]simnet.Addr, len(stepRegions))
 	for i, reg := range stepRegions {
 		peers[i] = simnet.Addr{Region: reg, Name: "replica"}
 	}
-	n := &stepNet{now: time.Unix(1000, 0), coord: newStepCoordinator(peers)}
+	n := &stepNet{now: time.Unix(1000, 0)}
+	n.coord = newCoordinator(CoordinatorConfig{
+		Addr:          simnet.Addr{Region: "a", Name: "coord"},
+		Replicas:      peers,
+		MasterFor:     func(string) simnet.Addr { return peers[0] },
+		CommitTimeout: time.Second,
+	})
 	for _, p := range peers {
-		n.reps = append(n.reps, &Replica{
-			cfg:     ReplicaConfig{Addr: p, Peers: peers, WAL: NewWAL(nil), Seeds: new(SeedImage)},
-			records: make(map[string]*record),
-			masters: make(map[string]*masterKey),
-		})
+		cfg := ReplicaConfig{Addr: p, Peers: peers, WAL: NewWAL(nil)}
+		if leases != nil {
+			cfg.Leases = leases(n)
+		}
+		n.reps = append(n.reps, newReplica(cfg))
 	}
 	return n
 }
 
-// newStepCoordinator builds region a's coordinator over peers without a
-// transport; MasterFor names peers[0] for every key.
-func newStepCoordinator(peers []simnet.Addr) *Coordinator {
-	return &Coordinator{
-		cfg: CoordinatorConfig{
-			Addr:          simnet.Addr{Region: "a", Name: "coord"},
-			Replicas:      peers,
-			MasterFor:     func(string) simnet.Addr { return peers[0] },
-			CommitTimeout: time.Second,
-		},
-		active: make(map[txn.ID]*commitState),
-		peers:  make([]peerHealth, len(peers)),
+// start steps the start input at every actor, the coordinator first.
+func (n *stepNet) start() *stepNet {
+	n.run(n.coord, start{})
+	for _, r := range n.reps {
+		n.run(r, start{})
 	}
+	return n
 }
+
+// newStepNet is a started stepNet without leases.
+func newStepNet() *stepNet { return buildStepNet(nil).start() }
 
 // sent is one wire message a step's outputs put on the network, in the form
 // the transport would carry it.
@@ -80,28 +105,17 @@ type stepped struct {
 	wire  []sent
 }
 
-// run steps actor (a *Replica or the *Coordinator) on the local input in.
-func (n *stepNet) run(actor any, in any) stepped { return n.recv(actor, "", in) }
+// run steps a on the local input in.
+func (n *stepNet) run(a stepActor, in any) stepped { return n.recv(a, "", in) }
 
-// recv steps actor on in, a message from region from ("" for a local
-// input), and renders the outputs the way exec would perform them. A staged
-// group renders once, as the coalesced wire message flush would send, at its
+// recv steps a on in, a message from region from ("" for a local input),
+// and renders the outputs the way exec would perform them. A staged group
+// renders once, as the coalesced wire message flush would send, at its
 // first payload.
-func (n *stepNet) recv(actor any, from simnet.Region, in any) stepped {
+func (n *stepNet) recv(a stepActor, from simnet.Region, in any) stepped {
 	b := new(outBuf)
-	var self simnet.Region
-	switch a := actor.(type) {
-	case *Replica:
-		self = a.Region()
-		a.out = b
-		a.step(n.now, in)
-		a.out = nil
-	case *Coordinator:
-		self = a.Region()
-		a.out = b
-		a.step(n.now, from, in)
-		a.out = nil
-	}
+	a.stepInto(b, n.now, from, in)
+	self := a.Region()
 	var st stepped
 	for _, w := range b.wal {
 		if l := w.e.Lease; l != nil {
@@ -154,6 +168,7 @@ func (n *stepNet) recv(actor any, from simnet.Region, in any) stepped {
 	for _, l := range st.lines {
 		n.log = append(n.log, string(self)+": "+l)
 	}
+	n.log = append(n.log, fmt.Sprintf("%s: state %016x", self, a.digest()))
 	return st
 }
 
@@ -170,7 +185,7 @@ func (n *stepNet) deliver(st stepped) []stepped {
 	return out
 }
 
-func (n *stepNet) actor(a simnet.Addr) any {
+func (n *stepNet) actor(a simnet.Addr) stepActor {
 	if a == n.coord.cfg.Addr {
 		return n.coord
 	}
@@ -379,17 +394,21 @@ func TestStepCommitTimeout(t *testing.T) {
 	}
 }
 
-// leaseStepNet is newStepNet with every replica running the lease tick
-// for the one keyspace "a", started at n.now. a is the keyspace's
-// namesake; the term is 3s, so the tick runs every 1s and the takeover
-// stagger is 1.5s per rank.
+// oneLease configures the lease tick for the one keyspace "a". a is the
+// keyspace's namesake; the term is 3s, so the tick runs every 1s and the
+// takeover stagger is 1.5s per rank.
+func oneLease(*stepNet) *LeaseConfig {
+	return &LeaseConfig{Term: 3 * time.Second, Keyspaces: []simnet.Region{"a"},
+		KeyspaceOf: func(string) simnet.Region { return "a" }}
+}
+
+// leaseStepNet is newStepNet with every replica running oneLease's tick,
+// started at n.now.
 func leaseStepNet(t *testing.T) *stepNet {
-	n := newStepNet()
+	n := buildStepNet(oneLease)
+	n.run(n.coord, start{})
 	for _, r := range n.reps {
-		r.cfg.Leases = &LeaseConfig{Term: 3 * time.Second, Keyspaces: []simnet.Region{"a"},
-			KeyspaceOf: func(string) simnet.Region { return "a" }}
-		r.leases = make(map[simnet.Region]*leaseState)
-		expectLines(t, "start at "+string(r.Region()), n.run(r, query(r.startTick)), "arm tick 0s")
+		expectLines(t, "start at "+string(r.Region()), n.run(r, start{}), "register", "arm tick 0s")
 	}
 	return n
 }
@@ -500,11 +519,7 @@ func TestStepLeaseTick(t *testing.T) {
 // route. A view of another keyspace changes nothing, and a view older than
 // the one taken (performed late) is dropped.
 func TestStepLeaseRoute(t *testing.T) {
-	peers := make([]simnet.Addr, len(stepRegions))
-	for i, reg := range stepRegions {
-		peers[i] = simnet.Addr{Region: reg, Name: "replica"}
-	}
-	n := &stepNet{now: time.Unix(1000, 0), coord: newStepCoordinator(peers)}
+	n := newStepNet()
 	classic := func(id txn.ID) string {
 		t.Helper()
 		got := n.run(n.coord, submitInput(id, ModeClassic, "k"))
@@ -537,17 +552,16 @@ func TestStepLeaseRoute(t *testing.T) {
 // lapsed, epoch 2 to itself; the second step's view reaches the
 // coordinator first.
 func TestStepLeaseViewOrder(t *testing.T) {
-	n := leaseStepNet(t)
+	n := buildStepNet(func(n *stepNet) *LeaseConfig {
+		l := oneLease(n)
+		l.OnView = func(ks, holder simnet.Region, seq uint64) { n.run(n.coord, leaseView{ks, holder, seq}) }
+		return l
+	}).start()
 	b := n.reps[1]
-	b.cfg.Leases.OnView = func(ks, holder simnet.Region, seq uint64) {
-		n.run(n.coord, leaseView{ks, holder, seq})
-	}
 	// step runs b on in and returns the views its outputs would perform.
 	step := func(in any) []func() {
 		ob := new(outBuf)
-		b.out = ob
-		b.step(n.now, in)
-		b.out = nil
+		b.stepInto(ob, n.now, "", in)
 		var calls []func()
 		for _, o := range ob.outs {
 			if o.kind == outCall {

@@ -56,13 +56,13 @@ type syncCall struct {
 // and returns the number of records repaired.
 func (r *Replica) SyncFrom(peer simnet.Addr, timeout time.Duration) (int, error) {
 	c := syncCall{peer: peer, w: &syncWaiter{done: r.clk.NewEvent()}}
-	r.exec(&c)
+	r.exec("", &c)
 	ok := c.w.done.WaitTimeout(timeout)
 	c.retire = true
 	if !ok {
 		c.w = nil // the response, if any, came too late
 	}
-	r.exec(&c)
+	r.exec("", &c)
 	if !ok {
 		return 0, fmt.Errorf("mdcc: sync from %s: %w", peer, ErrTimeout)
 	}
@@ -90,7 +90,7 @@ func (r *Replica) syncCall(c *syncCall) {
 // is never fresher, so it builds no record.
 func (r *Replica) applySnapshot(records map[string]Value) int {
 	repaired := 0
-	for key, v := range records {
+	for key, v := range records { // order-free: each key is adopted alone; repaired counts
 		if v.Version == 0 {
 			continue
 		}

@@ -121,7 +121,7 @@ func TestLateVoteAfterTimeoutIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord.exec(timeout{id})
+	coord.exec("", timeout{id})
 	if sink.decided != 1 || sink.commit || !errors.Is(sink.err, ErrTimeout) {
 		t.Fatalf("after timeout: decided=%d commit=%v err=%v", sink.decided, sink.commit, sink.err)
 	}
@@ -132,10 +132,10 @@ func TestLateVoteAfterTimeoutIgnored(t *testing.T) {
 	// A full fast quorum of accepts straggles in after the timeout. None
 	// of it may flip the decision, reach the sink, or count as votes.
 	for _, r := range raceRegions {
-		coord.exec(voteBatchMsg{Txn: id, Region: r, Votes: []optionVote{{Key: "k", Accept: true}}})
+		coord.exec("", voteBatchMsg{Txn: id, Region: r, Votes: []optionVote{{Key: "k", Accept: true}}})
 	}
 	// And a second timeout firing (stopped-timer race) must be a no-op.
-	coord.exec(timeout{id})
+	coord.exec("", timeout{id})
 
 	if sink.decided != 1 {
 		t.Errorf("decided fired %d times, want exactly 1", sink.decided)
@@ -166,15 +166,15 @@ func TestLateVoteAfterDecisionIgnored(t *testing.T) {
 
 	// FastQuorum(5) = 4 accepts decide the transaction...
 	for _, r := range raceRegions[:4] {
-		coord.exec(voteBatchMsg{Txn: id, Region: r, Votes: []optionVote{{Key: "k", Accept: true}}})
+		coord.exec("", voteBatchMsg{Txn: id, Region: r, Votes: []optionVote{{Key: "k", Accept: true}}})
 	}
 	if sink.decided != 1 || !sink.commit {
 		t.Fatalf("after quorum: decided=%d commit=%v", sink.decided, sink.commit)
 	}
 	// ...so the fifth replica's reject arrives too late to matter.
-	coord.exec(voteBatchMsg{Txn: id, Region: raceRegions[4], Votes: []optionVote{{Key: "k", Reason: ReasonVersion}}})
+	coord.exec("", voteBatchMsg{Txn: id, Region: raceRegions[4], Votes: []optionVote{{Key: "k", Reason: ReasonVersion}}})
 	// As does a timeout racing the decision.
-	coord.exec(timeout{id})
+	coord.exec("", timeout{id})
 
 	if sink.decided != 1 || !sink.commit {
 		t.Errorf("late reject/timeout changed the outcome: decided=%d commit=%v err=%v",
@@ -197,7 +197,7 @@ func TestDuplicateVoteNotDoubleCounted(t *testing.T) {
 	// The same region votes three times (retransmission); only the first
 	// may count, so the transaction must remain undecided.
 	for i := 0; i < 3; i++ {
-		coord.exec(voteBatchMsg{Txn: id, Region: raceRegions[0], Votes: []optionVote{{Key: "k", Accept: true}}})
+		coord.exec("", voteBatchMsg{Txn: id, Region: raceRegions[0], Votes: []optionVote{{Key: "k", Accept: true}}})
 	}
 	if sink.decided != 0 {
 		t.Fatal("duplicate votes decided the transaction")
@@ -206,5 +206,5 @@ func TestDuplicateVoteNotDoubleCounted(t *testing.T) {
 		t.Errorf("observer counted %d votes for one region, want 1", got)
 	}
 	// Clean up: finish the transaction so no timer leaks (none armed).
-	coord.exec(timeout{id})
+	coord.exec("", timeout{id})
 }

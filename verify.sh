@@ -14,6 +14,9 @@ set -eux
 # the arm pool and the scheduler lean on it for copylocks/loopclosure checks).
 go vet ./...
 go build ./...
+# The root package's static checks ride along: TestNoDeadExports and
+# TestMapRangeOrder (no map-order range in internal/mdcc unless its keys are
+# sorted first or it is marked order-free) share one type-checked program.
 go test ./...
 # benchmark/ is its own module (replace planet => ../), so the three lines
 # above never compile it: without these an API deletion under internal/
@@ -50,13 +53,16 @@ GOMAXPROCS=4 go test -count=10 -run TestVirtualTimeDeterminism .
 # Every cluster.New runs on a virtual clock, so the protocol tests are
 # replayable too: two same-seed chaos soaks must write byte-identical WALs
 # at every replica, and two same-seed randomized safety rounds must give
-# identical per-transaction verdicts and final replica snapshots.
+# identical per-transaction verdicts and final replica snapshots. The soak
+# crashes a coordinator with transactions in flight (at least two), and its
+# decisions, the crash's aborts included, must come in the same order.
 go test -count=10 -run TestChaosSoakDeterminism ./internal/chaos/
 go test -count=10 -run TestRandomizedSafetyDeterminism ./internal/mdcc/
 # A step is a function: two copies of an actor in the same state, given the
-# same input, emit equal outputs — over every input kind the step tests
-# build, a coordinator crash with six transactions in flight and a restore
-# with several keyspaces (steps that range over maps sort first).
+# same input, emit equal outputs and reach equal state digests — over every
+# input kind the step tests build, the start input with and without leases,
+# a coordinator crash with six transactions in flight and a restore with
+# several keyspaces (steps that range over maps sort first).
 go test -count=10 -run TestDoubleStep ./internal/mdcc/
 # Run-queue order gate: everything that enters the virtual clock's run
 # queue — posts (a transaction's staged callbacks), Go spawns, AfterFunc(0)
