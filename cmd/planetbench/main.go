@@ -171,7 +171,7 @@ func runOpenLoop(quick bool, seed int64, scale float64) int {
 	rep, err := workload.Open{
 		Options: workload.Options{
 			DB:       db,
-			Template: workload.Buy{Products: workload.NewZipfFast("hot-", 1000, 1.2)},
+			Template: workload.Buy{Products: workload.NewZipf("hot-", 1000, 1.2)},
 			Seed:     seed + 7,
 		},
 		Phases: []workload.RatePhase{

@@ -48,7 +48,7 @@ var deadExportAllow = map[string]string{
 	"httpapi.Client.Attribution":     "multinet's attribution smoke test",
 	"latency.Recorder.Quantile":      "predictor tests read RTT windows",
 	"predictor.Predictor.AcceptProb": "core's likelihood determinism test probes it",
-	"obs.Counter.Add":                "registry tests; completes the counter API beside Inc",
+	"metrics.Counter.Add":            "registry tests; completes the counter API beside Inc",
 	"obs.Gauge.Add":                  "registry tests; completes the gauge API beside Set",
 }
 

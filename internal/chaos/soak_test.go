@@ -221,7 +221,7 @@ func runChaosSoak(t *testing.T, seed int64, opts soakOpts) (map[simnet.Region][]
 			// Commutative decrements: no read dependencies, so a crashed
 			// local replica cannot fail transaction *construction* — all
 			// failures flow through the commit pipeline under test.
-			Template:    workload.Buy{Products: workload.Zipf{Prefix: "p-", N: 32, S: 1.1}, Stock: 1 << 30},
+			Template:    workload.Buy{Products: workload.NewZipf("p-", 32, 1.1), Stock: 1 << 30},
 			SpeculateAt: 0.9,
 			Seed:        seed,
 		},

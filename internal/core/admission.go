@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"planet/internal/predictor"
+	"planet/internal/metrics"
 	"planet/internal/vclock"
 )
 
@@ -39,7 +39,7 @@ import (
 //
 // Determinism: the epoch timer chains on the cluster's clock, every
 // counter below is fed from handle code serialized on that same clock, and
-// the quantile sketches are insertion-order-free — so identically-seeded
+// the histograms' quantiles are insertion-order-free — so identically-seeded
 // virtual-time runs make identical decisions.
 type AdaptiveAdmission struct {
 	// Enabled turns the controller on.
@@ -116,7 +116,7 @@ type AdmissionState struct {
 }
 
 // admissionCtl is one region's controller. Hot-path reads (every Commit)
-// go through the published atomics; epoch bookkeeping and the sketches
+// go through the published atomics; epoch bookkeeping and the histograms
 // live behind mu.
 type admissionCtl struct {
 	cfg AdaptiveAdmission
@@ -134,8 +134,8 @@ type admissionCtl struct {
 	shed        float64
 	spec        float64
 	epochs      uint64
-	lat         *predictor.Sketch // commit latencies this epoch
-	priors      *predictor.Sketch // offered-load prior likelihoods this epoch
+	lat         *metrics.Histogram // commit latencies this epoch
+	priors      *metrics.Histogram // offered-load prior likelihoods this epoch
 }
 
 func newAdmissionCtl(clk vclock.Clock, cfg AdaptiveAdmission, static AdmissionPolicy) *admissionCtl {
@@ -143,8 +143,8 @@ func newAdmissionCtl(clk vclock.Clock, cfg AdaptiveAdmission, static AdmissionPo
 	c := &admissionCtl{
 		cfg:    cfg,
 		clk:    clk,
-		lat:    predictor.NewDurationSketch(time.Millisecond, 2*time.Minute, 64),
-		priors: predictor.NewUnitSketch(64),
+		lat:    metrics.NewHistogram(),
+		priors: metrics.NewHistogram(),
 	}
 	// Seed from the static policy so the first epochs behave like the
 	// baseline until real feedback arrives.
@@ -187,7 +187,7 @@ func (c *admissionCtl) specFloorVal() float64 {
 // offered distribution).
 func (c *admissionCtl) observePrior(p float64) {
 	c.mu.Lock()
-	c.priors.Observe(p)
+	c.priors.ObserveFloat(p)
 	c.mu.Unlock()
 }
 
@@ -206,7 +206,7 @@ func (c *admissionCtl) observeFinal(committed bool, d time.Duration) {
 	} else {
 		c.epAborted++
 	}
-	c.lat.ObserveDuration(d)
+	c.lat.Observe(d)
 	c.mu.Unlock()
 }
 
@@ -229,10 +229,7 @@ func (c *admissionCtl) step() {
 	com, ab, rej := c.epCommitted, c.epAborted, c.epRejected
 	c.epCommitted, c.epAborted, c.epRejected = 0, 0, 0
 	decided := com + ab
-	var p99 time.Duration
-	if c.lat.Count() > 0 {
-		p99 = c.lat.QuantileDuration(0.99)
-	}
+	p99 := c.lat.Quantile(0.99)
 	priorN := c.priors.Count()
 
 	mif := c.maxInFlight.Load()
@@ -267,7 +264,7 @@ func (c *admissionCtl) step() {
 	ml := 0.0
 	if shed > 0 {
 		if priorN >= uint64(c.cfg.MinDecided) {
-			ml = math.Min(c.priors.Quantile(shed), c.cfg.LikelihoodCeil)
+			ml = math.Min(c.priors.QuantileFloat(shed), c.cfg.LikelihoodCeil)
 		} else {
 			// Too few offers to re-derive the quantile; hold the bar.
 			ml = math.Min(math.Float64frombits(c.minLikelihood.Load()), c.cfg.LikelihoodCeil)

@@ -307,7 +307,7 @@ func (db *DB) RegionDegraded(r simnet.Region) bool {
 // all regions. Graceful shutdown drains on it.
 func (db *DB) InFlight() int64 {
 	var n int64
-	for _, c := range db.inFlight {
+	for _, c := range db.inFlight { // order-free: an integer sum
 		n += c.Load()
 	}
 	return n

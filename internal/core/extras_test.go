@@ -9,6 +9,7 @@ import (
 
 	"planet/internal/cluster"
 	planet "planet/internal/core"
+	"planet/internal/mdcc"
 	"planet/internal/regions"
 	"planet/internal/txn"
 	"planet/internal/vclock"
@@ -293,5 +294,38 @@ func TestOutcomeViaDoneChannel(t *testing.T) {
 	}
 	if o := h.Wait(); !o.Committed {
 		t.Errorf("read-only txn outcome %v", o)
+	}
+}
+
+// TestSubmitToCrashedCoordinator: a coordinator that is down refuses the
+// submit, so the transaction aborts with the coordinator's error without
+// ever entering commit processing — it neither speculates from its prior
+// nor apologizes.
+func TestSubmitToCrashedCoordinator(t *testing.T) {
+	db := openTestDB(t, planet.Config{}, cluster.Config{})
+	if err := db.Cluster().CrashCoordinator(regions.California); err != nil {
+		t.Fatal(err)
+	}
+	s := session(t, db, regions.California)
+	var speculated, apologized atomic.Int32
+	tx := s.Begin()
+	tx.Add("n", 1)
+	h, err := tx.Commit(planet.CommitOptions{
+		SpeculateAt:   0.5,
+		OnSpeculative: func(planet.Progress) { speculated.Add(1) },
+		OnApology:     func(txn.Outcome) { apologized.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := h.Wait()
+	if o.Committed || !errors.Is(o.Err, mdcc.ErrCrashed) || o.Speculated {
+		t.Fatalf("outcome %+v, want an abort with ErrCrashed and no speculation", o)
+	}
+	if n, m := speculated.Load(), apologized.Load(); n != 0 || m != 0 {
+		t.Errorf("OnSpeculative fired %d times, OnApology %d; want neither", n, m)
+	}
+	if st := db.Stats(); st.Aborted != 1 || st.Speculated != 0 || st.Apologies != 0 {
+		t.Errorf("stats %+v, want one abort, no speculation, no apology", st)
 	}
 }

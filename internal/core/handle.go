@@ -221,25 +221,11 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	db.inFlight[s.region].Add(1)
 	h.stage = txn.StageAccepted
 	db.inst.stage(txn.StageAccepted)
-	evs := [3]obs.Event{subEv, h.stamp(obs.Event{Kind: obs.EvAdmission, Accept: true, Likelihood: prior})}
-	nev := 2
+	admEv := h.stamp(obs.Event{Kind: obs.EvAdmission, Accept: true, Likelihood: prior})
 	h.enqueue(h.opts.OnAccept, h.progressLocked())
-
-	// The prior may already clear the speculation threshold — an
-	// uncontended transaction needs no votes to be a near-certain commit,
-	// so the speculative stage fires at submission.
-	if opts.SpeculateAt > 0 && prior >= opts.SpeculateAt {
-		h.speculated = true
-		h.stage = txn.StageSpeculative
-		db.speculated.Add(1)
-		db.inst.stage(txn.StageSpeculative)
-		evs[nev] = obs.Event{At: evs[1].At, Kind: obs.EvSpeculative, Likelihood: prior}
-		nev++
-		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
-	}
 	if h.span != 0 {
-		h.spans.Begin(h.id, h.start, evs[:nev]...)
-		h.spans.Add(h.newSpan(obs.StageAdmit, h.start, evs[1].At))
+		h.spans.Begin(h.id, h.start, subEv, admEv)
+		h.spans.Add(h.newSpan(obs.StageAdmit, h.start, admEv.At))
 	}
 
 	if opts.Deadline > 0 {
@@ -247,7 +233,9 @@ func (t *Txn) Commit(opts CommitOptions) (*Handle, error) {
 	}
 	preSubmit := s.db.clk.Now()
 	if err := s.coord.SubmitTraced(h.id, ops, db.cfg.Mode, (*handleSink)(h), h.span); err != nil {
-		// Unreachable for well-formed ops, but fail closed.
+		// A crashed coordinator refuses the submit. The transaction never
+		// entered commit processing, so it aborts with the error and,
+		// never having speculated, owes no apology.
 		db.inFlight[s.region].Add(-1)
 		h.finishLocked(false, err, true)
 		return h, nil
@@ -492,7 +480,18 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 	}
 	var evKind obs.EventKind
 	switch e.Kind {
-	case mdcc.KindSubmitted, mdcc.KindDecided:
+	case mdcc.KindSubmitted:
+		// The coordinator took the transaction, and the prior may already
+		// clear the speculation threshold: an uncontended transaction
+		// needs no votes to be a near-certain commit. A refused submit
+		// never gets here.
+		if h.opts.SpeculateAt > 0 && h.likelihood >= h.opts.SpeculateAt {
+			if ev := h.speculateLocked(h.stamp(obs.Event{})); h.span != 0 {
+				h.spans.Record(h.id, ev)
+			}
+		}
+		return
+	case mdcc.KindDecided:
 		return
 	case mdcc.KindVote:
 		tr := h.track(e.Key)
@@ -570,15 +569,10 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 	}
 
 	if !h.speculated && h.opts.SpeculateAt > 0 && h.likelihood >= h.opts.SpeculateAt {
-		h.speculated = true
-		h.stage = txn.StageSpeculative
-		h.db.speculated.Add(1)
-		h.db.inst.stage(txn.StageSpeculative)
-		if h.span != 0 {
-			evs[nev] = obs.Event{At: now, Kind: obs.EvSpeculative, Likelihood: h.likelihood}
+		if ev := h.speculateLocked(obs.Event{At: now}); h.span != 0 {
+			evs[nev] = ev
 			nev++
 		}
-		h.enqueue(h.opts.OnSpeculative, h.progressLocked())
 	}
 	if nev > 0 {
 		h.spans.Record(h.id, evs[:nev]...)
@@ -586,6 +580,18 @@ func (hs *handleSink) Progress(e mdcc.ProgressEvent) {
 	if h.opts.OnProgress != nil {
 		h.enqueue(h.opts.OnProgress, h.progressLocked())
 	}
+}
+
+// speculateLocked enters the speculative stage and returns its trace event,
+// ev with the kind and likelihood filled in. Caller holds h.mu.
+func (h *Handle) speculateLocked(ev obs.Event) obs.Event {
+	h.speculated = true
+	h.stage = txn.StageSpeculative
+	h.db.speculated.Add(1)
+	h.db.inst.stage(txn.StageSpeculative)
+	h.enqueue(h.opts.OnSpeculative, h.progressLocked())
+	ev.Kind, ev.Likelihood = obs.EvSpeculative, h.likelihood
+	return ev
 }
 
 // Decided implements mdcc.ProgressSink.

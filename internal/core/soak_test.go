@@ -38,7 +38,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 
 	const products, orders, stock = 64, 512, 1 << 30
 	tmpl := workload.Checkout{
-		Products: workload.Zipf{Prefix: "p-", N: products, S: 1.2},
+		Products: workload.NewZipf("p-", products, 1.2),
 		Orders:   workload.Uniform{Prefix: "o-", N: orders},
 		NItems:   2,
 		Stock:    stock,

@@ -87,7 +87,7 @@ func F9OpenLoopSurge(cfg Config) (Result, error) {
 		rep, err := workload.Open{
 			Options: workload.Options{
 				DB:       db,
-				Template: workload.ReadModifyWrite{Keys: workload.NewZipfFast("f9-", 600, 1.2)},
+				Template: workload.ReadModifyWrite{Keys: workload.NewZipf("f9-", 600, 1.2)},
 				Regions:  []simnet.Region{regions.California, regions.Ireland, regions.Singapore, regions.Tokyo},
 				Seed:     cfg.Seed + 89,
 			},

@@ -1,5 +1,6 @@
 // Package metrics provides the measurement primitives used by the PLANET
-// experiment harness: latency histograms with percentile queries, simple
+// experiment harness: the one bucketed histogram with quantile queries
+// (latencies, and the admission controller's likelihoods), simple
 // counters, and calibration (reliability) tables for the commit-likelihood
 // predictor.
 //
@@ -16,7 +17,9 @@ import (
 
 // Histogram records duration samples with logarithmically spaced buckets,
 // trading a bounded relative error (~5%) for O(1) recording and constant
-// memory. It keeps exact min/max and sum for means.
+// memory. It keeps exact min/max and sum for means. Values that are not
+// durations (a likelihood) go through ObserveFloat and QuantileFloat in base
+// units at the same nano-unit resolution: value v lands where v seconds do.
 //
 // Recording is lock-free and allocation-free: buckets, count, and sum are
 // atomics, and min/max are maintained with CAS loops that early-exit once
@@ -95,6 +98,23 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
+// ObserveFloat records a value in base units, rounded to 1e-9.
+func (h *Histogram) ObserveFloat(v float64) {
+	h.Observe(time.Duration(math.Round(v * float64(time.Second))))
+}
+
+// Reset clears every sample. It does not order itself against concurrent
+// Observe calls: a caller that resets while others record serializes them.
+func (h *Histogram) Reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sumNS.Store(0)
+	h.minNS.Store(math.MaxInt64)
+	h.maxNS.Store(0)
+}
+
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -106,6 +126,9 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return time.Duration(h.sumNS.Load() / int64(n))
 }
+
+// Sum returns the exact sum of all samples.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
 
 // Min returns the smallest recorded sample (0 when empty).
 func (h *Histogram) Min() time.Duration {
@@ -155,6 +178,9 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	}
 	return max
 }
+
+// QuantileFloat is Quantile in base units, for values ObserveFloat recorded.
+func (h *Histogram) QuantileFloat(p float64) float64 { return h.Quantile(p).Seconds() }
 
 // BucketCount is one cumulative histogram bucket: Count samples were at or
 // below UpperBound.

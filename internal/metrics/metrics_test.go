@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -11,8 +12,84 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 ||
+		h.Quantile(0.5) != 0 {
 		t.Error("empty histogram not zeroed")
+	}
+}
+
+// TestHistogramFloatEmpty: the float face of an empty histogram answers 0,
+// so a likelihood quantile read before any sample is the neutral value.
+func TestHistogramFloatEmpty(t *testing.T) {
+	if got := NewHistogram().QuantileFloat(0.9); got != 0 {
+		t.Fatalf("empty float quantile = %v", got)
+	}
+}
+
+// TestHistogramUnitQuantiles: likelihoods in [0, 1] go through the float
+// face into the duration buckets, and their quantiles hold the layout's
+// 5 % relative error.
+func TestHistogramUnitQuantiles(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 1000; i++ {
+		h.ObserveFloat(float64(i%100) / 100)
+	}
+	if h.Count() != 1000 {
+		t.Fatalf("count = %d", h.Count())
+	}
+	for _, tc := range []struct{ p, want float64 }{{0.10, 0.10}, {0.50, 0.50}, {0.95, 0.95}} {
+		if got := h.QuantileFloat(tc.p); math.Abs(got-tc.want) > 0.05*tc.want {
+			t.Errorf("QuantileFloat(%v) = %v, want %v within 5%%", tc.p, got, tc.want)
+		}
+	}
+	if got := h.QuantileFloat(1); got != 0.99 {
+		t.Errorf("QuantileFloat(1) = %v, want the exact max 0.99", got)
+	}
+}
+
+// TestHistogramReset: Reset clears count, sum, min and max, and the
+// histogram records and answers exactly as a new one afterwards.
+func TestHistogramReset(t *testing.T) {
+	h := NewHistogram()
+	for _, d := range []time.Duration{time.Millisecond, time.Second, time.Minute} {
+		h.Observe(d)
+	}
+	h.Reset()
+	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 ||
+		len(h.CumulativeBuckets()) != 0 {
+		t.Fatalf("after Reset: count %d sum %v min %v max %v", h.Count(), h.Sum(), h.Min(), h.Max())
+	}
+	h.Observe(42 * time.Millisecond)
+	h.Observe(44 * time.Millisecond)
+	if h.Count() != 2 || h.Sum() != 86*time.Millisecond || h.Min() != 42*time.Millisecond ||
+		h.Max() != 44*time.Millisecond || h.Quantile(0) != 42*time.Millisecond {
+		t.Errorf("after Reset and two samples: %+v sum %v", h.Summarize(), h.Sum())
+	}
+}
+
+// TestHistogramP99Outlier: 99 samples at 50ms and one at 10s. The p50 lands
+// within the layout's error of 50ms, the p99 never under-reports, the top
+// quantile is the exact outlier, and values outside the bucket range clamp
+// into the edge buckets while min and max stay exact.
+func TestHistogramP99Outlier(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 99; i++ {
+		h.Observe(50 * time.Millisecond)
+	}
+	h.Observe(10 * time.Second)
+	if p50 := h.Quantile(0.50); p50 < 47500*time.Microsecond || p50 > 52500*time.Microsecond {
+		t.Errorf("p50 = %v, want 50ms within 5%%", p50)
+	}
+	if p99 := h.Quantile(0.99); p99 < 50*time.Millisecond {
+		t.Errorf("p99 = %v under-reports", p99)
+	}
+	if top := h.Quantile(1); top != 10*time.Second {
+		t.Errorf("Quantile(1) = %v, want the 10s outlier", top)
+	}
+	h.Observe(0)
+	h.Observe(1000 * time.Hour)
+	if h.Min() != 0 || h.Max() != 1000*time.Hour || h.Quantile(1) != 1000*time.Hour {
+		t.Errorf("min %v max %v after out-of-range samples", h.Min(), h.Max())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"planet/internal/metrics"
 )
@@ -43,16 +42,7 @@ func (t metricType) String() string {
 }
 
 // Counter is a monotonically increasing series.
-type Counter struct{ c metrics.Counter }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.c.Inc() }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.c.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.c.Value() }
+type Counter = metrics.Counter
 
 // Gauge is a series that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
@@ -78,16 +68,7 @@ func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 // Histogram records duration samples; it exposes as a Prometheus histogram
 // (cumulative `_bucket{le="..."}` series + _sum + _count) in seconds.
-type Histogram struct{ h *metrics.Histogram }
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) { h.h.Observe(d) }
-
-// Summarize returns the underlying headline statistics.
-func (h *Histogram) Summarize() metrics.Summary { return h.h.Summarize() }
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.h.Count() }
+type Histogram = metrics.Histogram
 
 // series is one labeled instance within a family.
 type series struct {
@@ -233,7 +214,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	f := r.familyFor(name, help, typeHistogram, labels)
 	return f.seriesFor(labels, func() *series {
-		return &series{hist: &Histogram{h: metrics.NewHistogram()}}
+		return &series{hist: metrics.NewHistogram()}
 	}).hist
 }
 
@@ -359,7 +340,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		// Racy snapshot: a sample landing between reads can make the bucket
 		// cumulative exceed the count snapshot, so +Inf (which must equal
 		// _count) takes the larger of the two.
-		buckets := s.hist.h.CumulativeBuckets()
+		buckets := s.hist.CumulativeBuckets()
 		var cum uint64
 		for _, b := range buckets {
 			lbl := formatLabels(s.labels, fmt.Sprintf("le=\"%g\"", b.UpperBound.Seconds()))
@@ -368,8 +349,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 			}
 			cum = b.Count
 		}
-		sum := s.hist.Summarize()
-		count := sum.Count
+		count := s.hist.Count()
 		if count < cum {
 			count = cum
 		}
@@ -377,9 +357,8 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 			formatLabels(s.labels, `le="+Inf"`), count); err != nil {
 			return err
 		}
-		totalSec := sum.Mean.Seconds() * float64(sum.Count)
 		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", f.name,
-			formatLabels(s.labels, ""), totalSec); err != nil {
+			formatLabels(s.labels, ""), s.hist.Sum().Seconds()); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, formatLabels(s.labels, ""), count)

@@ -83,6 +83,23 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestHistogramSumExact: _sum is the exact total of the samples, not a
+// truncated mean times the count (1, 2 and 2 ms once read 0.004999998).
+func TestHistogramSumExact(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("planet_rt_seconds", "Round trips.")
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond} {
+		h.Observe(d)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "planet_rt_seconds_sum 0.005\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, b.String())
+	}
+}
+
 // TestHistogramExpositionParses round-trips the histogram exposition through
 // a strict text-format parser and checks the invariants a Prometheus scraper
 // relies on: bucket counts are cumulative and non-decreasing in le order, the

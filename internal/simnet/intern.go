@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -49,9 +50,7 @@ func Intern(b []byte) string {
 		return s
 	}
 	tab := make(map[string]string, len(old)+1)
-	for k, v := range old {
-		tab[k] = v
-	}
+	maps.Copy(tab, old)
 	tab[s] = s
 	internTab.Store(&tab)
 	return s

@@ -18,6 +18,7 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -113,7 +114,7 @@ func (m *Matrix) Link(from, to Region) latency.Dist {
 func (m *Matrix) Regions() []Region {
 	seen := make(map[Region]bool)
 	var out []Region
-	for k := range m.links {
+	for k := range m.links { // order-free: out is sorted before it returns
 		if !seen[k.from] {
 			seen[k.from] = true
 			out = append(out, k.from)
@@ -174,18 +175,10 @@ func (t *topology) clone() *topology {
 		cut:    make(map[linkKey]bool, len(t.cut)+1),
 		factor: make(map[linkKey]float64, len(t.factor)+1),
 	}
-	for k, v := range t.nodes {
-		c.nodes[k] = v
-	}
-	for k, v := range t.down {
-		c.down[k] = v
-	}
-	for k, v := range t.cut {
-		c.cut[k] = v
-	}
-	for k, v := range t.factor {
-		c.factor[k] = v
-	}
+	maps.Copy(c.nodes, t.nodes)
+	maps.Copy(c.down, t.down)
+	maps.Copy(c.cut, t.cut)
+	maps.Copy(c.factor, t.factor)
 	return c
 }
 

@@ -39,44 +39,21 @@ func (u Uniform) Keys() []string { return allKeys(u.Ranges()) }
 // Ranges implements KeyGen.
 func (u Uniform) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: u.Prefix, N: u.N}} }
 
-// Zipf draws from N keys with a Zipfian popularity skew (s > 1).
+// Zipf draws from n keys with a Zipfian popularity skew, P(k) ∝ (k+1)^-s,
+// from an alias table precomputed at construction, so Next is O(1) with
+// exactly two RNG draws and no per-draw sampler allocation. Build it once
+// and share it: the table is read-only after NewZipf, so one instance
+// serves every arrival goroutine of an open-loop run.
 type Zipf struct {
-	Prefix string
-	N      int
-	S      float64 // skew exponent, > 1
-}
-
-// Next implements KeyGen.
-func (z Zipf) Next(rng *rand.Rand) string {
-	s := z.S
-	if s <= 1 {
-		s = 1.01
-	}
-	zf := rand.NewZipf(rng, s, 1, uint64(z.N-1))
-	return keyspace.Key(z.Prefix, int(zf.Uint64()))
-}
-
-// Keys implements KeyGen.
-func (z Zipf) Keys() []string { return allKeys(z.Ranges()) }
-
-// Ranges implements KeyGen.
-func (z Zipf) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: z.Prefix, N: z.N}} }
-
-// ZipfFast draws from the same popularity law as Zipf — P(k) ∝ (k+1)^-s —
-// but from an alias table precomputed at construction, so Next is O(1)
-// with exactly two RNG draws and no per-draw sampler allocation. Build it
-// once and share it: the table is read-only after NewZipfFast, so one
-// instance serves every arrival goroutine of an open-loop run.
-type ZipfFast struct {
 	prefix string
 	n      int
 	prob   []float64
 	alias  []int32
 }
 
-// NewZipfFast precomputes the alias table (Vose's method) for n keys with
-// skew exponent s (values ≤ 1 are clamped like Zipf).
-func NewZipfFast(prefix string, n int, s float64) *ZipfFast {
+// NewZipf precomputes the alias table (Vose's method) for n keys with skew
+// exponent s (values ≤ 1 are clamped to 1.01).
+func NewZipf(prefix string, n int, s float64) *Zipf {
 	if n < 1 {
 		n = 1
 	}
@@ -121,11 +98,11 @@ func NewZipfFast(prefix string, n int, s float64) *ZipfFast {
 	for _, i := range small {
 		prob[i] = 1 // numerical leftovers; exact weight is ≈1
 	}
-	return &ZipfFast{prefix: prefix, n: n, prob: prob, alias: alias}
+	return &Zipf{prefix: prefix, n: n, prob: prob, alias: alias}
 }
 
 // Next implements KeyGen.
-func (z *ZipfFast) Next(rng *rand.Rand) string {
+func (z *Zipf) Next(rng *rand.Rand) string {
 	i := rng.Intn(z.n)
 	if rng.Float64() < z.prob[i] {
 		return keyspace.Key(z.prefix, i)
@@ -134,10 +111,10 @@ func (z *ZipfFast) Next(rng *rand.Rand) string {
 }
 
 // Keys implements KeyGen.
-func (z *ZipfFast) Keys() []string { return allKeys(z.Ranges()) }
+func (z *Zipf) Keys() []string { return allKeys(z.Ranges()) }
 
 // Ranges implements KeyGen.
-func (z *ZipfFast) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: z.prefix, N: z.n}} }
+func (z *Zipf) Ranges() []keyspace.Range { return []keyspace.Range{{Prefix: z.prefix, N: z.n}} }
 
 // Hotspot sends HotProb of the draws to a small hot set and the rest
 // uniformly to the cold set — the contention knob for experiments F5/F6.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -102,7 +103,7 @@ func TestOpenLoopMillion(t *testing.T) {
 	rep, err := Open{
 		Options: Options{
 			DB:       db,
-			Template: Buy{Products: NewZipfFast("hot-", 1000, 1.2)},
+			Template: Buy{Products: NewZipf("hot-", 1000, 1.2)},
 			Seed:     7,
 		},
 		Phases: []RatePhase{
@@ -182,7 +183,7 @@ func TestOpenLoopConservationChaos(t *testing.T) {
 	_, err := Open{
 		Options: Options{
 			DB:       db,
-			Template: Transfer{Accounts: NewZipfFast("acct-", 200, 1.3), Balance: 100},
+			Template: Transfer{Accounts: NewZipf("acct-", 200, 1.3), Balance: 100},
 			Seed:     11,
 		},
 		Phases: []RatePhase{
@@ -225,7 +226,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 		_, err := Open{
 			Options: Options{
 				DB:       db,
-				Template: Buy{Products: NewZipfFast("dp-", 100, 1.1)},
+				Template: Buy{Products: NewZipf("dp-", 100, 1.1)},
 				Seed:     13,
 			},
 			Phases: []RatePhase{
@@ -256,20 +257,25 @@ func TestOpenLoopDeterministic(t *testing.T) {
 	}
 }
 
-// TestZipfFastSkew checks the alias-table sampler reproduces the Zipfian
-// head weight the per-draw sampler has.
+// TestZipfFastSkew: the alias table draws P(k) ∝ (k+1)^-s, so the head
+// key takes its exact share, more than ten times the mean.
 func TestZipfFastSkew(t *testing.T) {
-	g := NewZipfFast("z-", 1000, 1.3)
+	const n, s, draws = 1000, 1.3, 20000
+	g := NewZipf("z-", n, s)
 	rng := rand.New(rand.NewSource(2))
 	counts := make(map[string]int)
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < draws; i++ {
 		counts[g.Next(rng)]++
 	}
-	head := counts[keyspace.Key("z-", 0)]
-	if head < 20000/1000*10 {
-		t.Errorf("zipf head key drawn %d times, not skewed", head)
+	var norm float64
+	for k := 1; k <= n; k++ {
+		norm += math.Pow(float64(k), -s)
 	}
-	if len(g.Keys()) != 1000 {
+	head, want := counts[keyspace.Key("z-", 0)], draws/norm
+	if head < draws/n*10 || math.Abs(float64(head)-want) > 0.05*want {
+		t.Errorf("zipf head key drawn %d times, want %.0f (±5%%)", head, want)
+	}
+	if len(g.Keys()) != n {
 		t.Errorf("Keys()=%d", len(g.Keys()))
 	}
 }

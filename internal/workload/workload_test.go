@@ -38,7 +38,7 @@ func TestUniformKeyGen(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	g := Zipf{Prefix: "z-", N: 1000, S: 1.3}
+	g := NewZipf("z-", 1000, 1.3)
 	rng := rand.New(rand.NewSource(2))
 	counts := make(map[string]int)
 	for i := 0; i < 20000; i++ {
@@ -52,7 +52,7 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestZipfDefaultsInvalidS(t *testing.T) {
-	g := Zipf{Prefix: "z-", N: 10, S: 0.5}
+	g := NewZipf("z-", 10, 0.5)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		if k := g.Next(rng); !strings.HasPrefix(k, "z-") {
@@ -94,7 +94,7 @@ func TestFixedKeyGen(t *testing.T) {
 func TestKeyGenClosedOverKeys(t *testing.T) {
 	gens := []KeyGen{
 		Uniform{Prefix: "p-", N: 17},
-		Zipf{Prefix: "p-", N: 17, S: 1.2},
+		NewZipf("p-", 17, 1.2),
 		Hotspot{Prefix: "p-", HotKeys: 3, ColdKeys: 14, HotProb: 0.5},
 		Fixed{List: []string{"x", "y", "z"}},
 	}
@@ -124,8 +124,7 @@ func TestKeyGenClosedOverKeys(t *testing.T) {
 func TestKeyRangesAreTheKeySpace(t *testing.T) {
 	gens := []KeyGen{
 		Uniform{Prefix: "u-", N: 37},
-		Zipf{Prefix: "z-", N: 50, S: 1.2},
-		NewZipfFast("zf-", 200, 1.1),
+		NewZipf("z-", 200, 1.1),
 		Hotspot{Prefix: "h-", HotKeys: 3, ColdKeys: 500, HotProb: 0.4},
 	}
 	for _, g := range gens {

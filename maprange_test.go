@@ -9,15 +9,24 @@ import (
 
 // TestMapRangeOrder fails on a range over a map in a non-test file of
 // internal/mdcc, whose actors must be functions of their state and input
-// (ROADMAP item 27): Go randomizes map order, so a loop that emits outputs,
-// numbers them or draws from a stream in map order makes two copies of an
-// actor in one state part ways. A map range passes when its body only
+// (ROADMAP item 27), or of internal/core and internal/simnet, which run on
+// the same deterministic virtual clock: Go randomizes map order, so a loop
+// that emits outputs, numbers them or draws from a stream in map order
+// makes two copies of an actor in one state, or two same-seed runs, part
+// ways. A map range passes when its body only
 // appends to a slice that the statement right after the loop sorts, or
 // when it carries a "// order-free: <reason>" comment on its line or on the
 // line above.
 func TestMapRangeOrder(t *testing.T) {
 	p := loadTyped(t)
-	tp := p.pkgs["planet/internal/mdcc"]
+	for _, path := range []string{"planet/internal/mdcc", "planet/internal/core", "planet/internal/simnet"} {
+		checkMapRanges(t, p, p.pkgs[path])
+	}
+}
+
+// checkMapRanges reports every unsorted, unmarked map range in tp's
+// non-test files.
+func checkMapRanges(t *testing.T, p *typedProgram, tp *typedPkg) {
 	for _, f := range tp.files {
 		marked := make(map[int]bool) // lines an order-free comment covers
 		for _, cg := range f.Comments {

@@ -15,8 +15,9 @@ set -eux
 go vet ./...
 go build ./...
 # The root package's static checks ride along: TestNoDeadExports and
-# TestMapRangeOrder (no map-order range in internal/mdcc unless its keys are
-# sorted first or it is marked order-free) share one type-checked program.
+# TestMapRangeOrder (no map-order range in internal/mdcc, internal/core or
+# internal/simnet unless its keys are sorted first or it is marked
+# order-free) share one type-checked program.
 go test ./...
 # benchmark/ is its own module (replace planet => ../), so the three lines
 # above never compile it: without these an API deletion under internal/
@@ -121,7 +122,7 @@ go test -count=1 -timeout 60s -run 'TestExperimentsRunClean|TestEvaluationShapes
 # with the conservation invariant (injected == committed + aborted +
 # rejected + in-flight) holding at every sample. Determinism: ten runs of
 # the admission-controller end-to-end test, each comparing two same-seed
-# runs bit-for-bit — the feedback loop (epoch ticks, sketch quantiles,
+# runs bit-for-bit — the feedback loop (epoch ticks, histogram quantiles,
 # published thresholds) is part of the deterministic simulation.
 go run ./cmd/planetbench -quick -openloop
 go test -count=10 -timeout 120s -run TestAdaptiveAdmissionDeterminism ./internal/core/
