@@ -75,9 +75,8 @@ func (r *Replica) Seeds() *SeedImage { return r.cfg.Seeds }
 
 // Len returns the number of logged entries.
 func (w *WAL) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.entries)
+	entries, _ := w.snapshot()
+	return len(entries)
 }
 
 // Addr returns the replica's network address.

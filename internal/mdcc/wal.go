@@ -49,12 +49,15 @@ type LeaseRecord struct {
 	Held     bool   `json:"held,omitempty"`
 }
 
-// WAL is the replica's write-ahead log of decisions. It always retains
-// entries in memory (for replay and tests) and, when constructed with a
-// sink, additionally streams them as JSON lines.
+// WAL is the replica's write-ahead log of decisions. A WAL opened on a file
+// (OpenWALFile) keeps no copy of its entries, so a node's memory does not
+// grow with the decisions it applies: Replay and Commits read the file back.
+// Any other WAL retains its entries in memory (for replay and tests) and,
+// when constructed with a sink, additionally streams them as JSON lines.
 type WAL struct {
 	mu      sync.Mutex
-	entries []Entry
+	entries []Entry  // the retained copy; never filled for a file WAL
+	file    *os.File // the sink of a file WAL, read back by Replay
 	sink    io.Writer
 	line    []byte // the sink line being encoded, reused under mu
 	err     error
@@ -74,7 +77,9 @@ func NewWAL(sink io.Writer) *WAL {
 func (w *WAL) Append(e Entry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.entries = append(w.entries, e)
+	if w.file == nil {
+		w.entries = append(w.entries, e)
+	}
 	if w.sink == nil || w.err != nil {
 		return
 	}
@@ -178,7 +183,7 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// OpenWALFile opens (creating if needed) a durable WAL at path, recovers the
+// OpenWALFile opens (creating if needed) a durable WAL at path, counts the
 // decodable prefix of any existing log, truncates away a torn tail so new
 // appends extend a clean stream, and returns a WAL ready for both Replay and
 // Append. It reports how many entries were recovered and whether the file
@@ -206,17 +211,36 @@ func OpenWALFile(path string) (w *WAL, recovered int, torn bool, err error) {
 		}
 	}
 	w = NewWAL(f)
-	w.entries = entries
+	w.file = f
 	return w, len(entries), torn, nil
+}
+
+// snapshot returns the entries appended so far: a copy of the retained
+// ones, or, for a file WAL, the file's records up to the append offset,
+// read without moving it.
+func (w *WAL) snapshot() ([]Entry, error) {
+	w.mu.Lock()
+	if w.file == nil {
+		defer w.mu.Unlock()
+		return append([]Entry(nil), w.entries...), nil
+	}
+	end, err := w.file.Seek(0, io.SeekCurrent)
+	w.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("mdcc: wal replay: %w", err)
+	}
+	entries, _, _ := readWAL(io.NewSectionReader(w.file, 0, end))
+	return entries, nil
 }
 
 // Replay invokes fn on every entry in append order. fn returning an error
 // stops the replay.
 func (w *WAL) Replay(fn func(Entry) error) error {
-	w.mu.Lock()
-	snapshot := append([]Entry(nil), w.entries...)
-	w.mu.Unlock()
-	for i, e := range snapshot {
+	entries, err := w.snapshot()
+	if err != nil {
+		return err
+	}
+	for i, e := range entries {
 		if err := fn(e); err != nil {
 			return fmt.Errorf("mdcc: wal replay stopped at entry %d: %w", i, err)
 		}
@@ -224,12 +248,12 @@ func (w *WAL) Replay(fn func(Entry) error) error {
 	return nil
 }
 
-// Commits returns the committed entries in order (tests, recovery checks).
+// Commits returns the committed entries in order (tests, recovery checks);
+// none when a file WAL cannot be read back.
 func (w *WAL) Commits() []Entry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []Entry
-	for _, e := range w.entries {
+	entries, _ := w.snapshot()
+	out := entries[:0]
+	for _, e := range entries {
 		if e.Commit {
 			out = append(out, e)
 		}

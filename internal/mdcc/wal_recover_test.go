@@ -192,6 +192,45 @@ func TestWALReopenAppendsOnAFreshLine(t *testing.T) {
 	})
 }
 
+// TestFileWALReadsBack: a file WAL keeps no copy of its entries; Replay and
+// Commits read the file, recovered records and new appends alike, and
+// leave the append offset where it was, so later appends extend the log.
+func TestFileWALReadsBack(t *testing.T) {
+	e := func(id txn.ID, commit bool) Entry {
+		return Entry{Txn: id, Commit: commit, Options: walOps(txn.Op{Kind: txn.OpAdd, Key: "n", Delta: 1})}
+	}
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	appendFile(t, path, e(1, true), e(2, false))
+	w, recovered, _, err := OpenWALFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if recovered != 2 {
+		t.Fatalf("recovered %d entries, want 2", recovered)
+	}
+	w.Append(e(3, true))
+	if got := w.Commits(); len(got) != 2 || got[0].Txn != 1 || got[1].Txn != 3 {
+		t.Fatalf("Commits = %+v, want txns 1 and 3", got)
+	}
+	w.Append(e(4, true))
+	var ids []txn.ID
+	if err := w.Replay(func(e Entry) error { ids = append(ids, e.Txn); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 4 || ids[0] != 1 || ids[3] != 4 {
+		t.Fatalf("Replay visited %v, want txns 1..4", ids)
+	}
+	if w.entries != nil {
+		t.Errorf("a file WAL retained %d entries in memory", len(w.entries))
+	}
+	w.Append(e(5, true))
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkLines(t, path, 5)
+}
+
 func TestWALClose(t *testing.T) {
 	mem := NewWAL(nil)
 	if err := mem.Close(); err != nil {

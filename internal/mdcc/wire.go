@@ -52,13 +52,17 @@ func (WireCodec) Decode(data []byte) (any, error) {
 	return decodeMessage(data)
 }
 
-// Deferrable reports whether m is bookkeeping no protocol step waits on — a
-// span report today — so a byte transport may hold it briefly and send it
-// with the next message to the same destination instead of on its own
-// (realnet does; simnet never asks).
+// Deferrable reports whether m is a message no step of its sender waits on
+// — a decide or a span report — so a byte transport may hold it briefly and
+// send it, in order, with the next message to the same destination instead
+// of on its own (realnet does; simnet never asks). A held decide delays
+// only the remote replica's apply.
 func (WireCodec) Deferrable(m any) bool {
-	_, ok := m.(spanReportMsg)
-	return ok
+	switch m.(type) {
+	case decideMsg, spanReportMsg:
+		return true
+	}
+	return false
 }
 
 // Wire tags, one per message type. The order is frozen: appending new types

@@ -95,6 +95,11 @@ type Network struct {
 // bindTries bounds how many port sets Start tries.
 const bindTries = 5
 
+// probeEvery spaces WaitReady's and WaitPeerState's probes. A planetd
+// comes up within a few milliseconds of its start on loopback, so a coarser
+// poll would make most of a fleet's boot time the poll's own sleep.
+const probeEvery = time.Millisecond
+
 // Start builds the deployment layout, launches one planetd per region, and
 // waits for every gateway to come up. A port another process took between
 // its reservation and a node's bind fails that node's start: the fleet is
@@ -319,7 +324,7 @@ func (n *Network) WaitReady(r simnet.Region) error {
 			return fmt.Errorf("multinet: node %s (%s) not ready within %v (log: %s)",
 				r, nd.HTTPAddr, n.cfg.ReadyTimeout, nd.LogPath)
 		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(probeEvery)
 	}
 }
 
@@ -342,7 +347,7 @@ func (n *Network) WaitPeerState(on, about simnet.Region, want string, timeout ti
 			return fmt.Errorf("multinet: %s sees peer %s as %q, wanted %q within %v",
 				on, about, last, want, timeout)
 		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(probeEvery)
 	}
 }
 

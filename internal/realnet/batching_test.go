@@ -255,8 +255,8 @@ func TestRealnetDeferredIdleLink(t *testing.T) {
 
 	start := time.Now()
 	a.Send(addrA, addrB, "defer:span")
-	if got := a.parked.Load(); got != 1 {
-		t.Fatalf("parked = %d right after a deferrable send, want 1", got)
+	if got := a.unsent.Load(); got != 1 {
+		t.Fatalf("unsent = %d right after a deferrable send, want 1", got)
 	}
 	if got := a.StatsSnapshot().Writes; got != writes {
 		t.Fatalf("a deferrable send wrote at once (%d -> %d writes)", writes, got)
@@ -268,7 +268,7 @@ func TestRealnetDeferredIdleLink(t *testing.T) {
 	if waited := time.Since(start); waited > 50*deferBound {
 		t.Fatalf("deferred frame took %v on an idle link (bound %v)", waited, deferBound)
 	}
-	waitFor(t, time.Second, "parked count to settle", func() bool { return a.parked.Load() == 0 })
+	waitFor(t, time.Second, "the outbox to drain", func() bool { return a.unsent.Load() == 0 })
 }
 
 // TestRealnetDeferredWindow parks frames across deferral windows on an
@@ -292,11 +292,12 @@ func TestRealnetDeferredWindow(t *testing.T) {
 			t.Fatalf("%s took %v on an idle link (bound %v)", payload, waited, deferBound)
 		}
 	}
-	waitFor(t, time.Second, "parked count to settle", func() bool { return a.parked.Load() == 0 })
+	waitFor(t, time.Second, "the outbox to drain", func() bool { return a.unsent.Load() == 0 })
 }
 
-// TestRealnetDeferredRidesAlong requires a parked frame to leave with the
-// next regular frame to the same peer: two frames, one write.
+// TestRealnetDeferredRidesAlong requires a deferred frame to leave with the
+// next regular frame to the same peer, ahead of it: two frames, one write,
+// in send order.
 func TestRealnetDeferredRidesAlong(t *testing.T) {
 	a, _, col, addrA, addrB := warmPair(t)
 	seen := 1
@@ -304,24 +305,48 @@ func TestRealnetDeferredRidesAlong(t *testing.T) {
 	// goroutine can miss it, so a few attempts are allowed.
 	for attempt := 0; attempt < 10; attempt++ {
 		before := a.StatsSnapshot()
-		a.Send(addrA, addrB, "defer:span")
-		a.Send(addrA, addrB, "vote")
+		a.Send(addrA, addrB, "defer:decide")
+		a.Send(addrA, addrB, "propose")
 		seen += 2
 		msgs := col.wait(t, seen, 5*time.Second)
-		waitFor(t, time.Second, "parked count to settle", func() bool { return a.parked.Load() == 0 })
+		if msgs[seen-2].Payload != "defer:decide" || msgs[seen-1].Payload != "propose" {
+			t.Fatalf("order: %v, %v", msgs[seen-2].Payload, msgs[seen-1].Payload)
+		}
+		waitFor(t, time.Second, "the outbox to drain", func() bool { return a.unsent.Load() == 0 })
 		after := a.StatsSnapshot()
 		if after.Sent-before.Sent != 2 {
 			t.Fatalf("sent %d frames, want 2", after.Sent-before.Sent)
 		}
 		if after.Writes-before.Writes == 1 {
-			// The regular frame leads, the parked one follows it.
-			if msgs[seen-2].Payload != "vote" || msgs[seen-1].Payload != "defer:span" {
-				t.Fatalf("order: %v, %v", msgs[seen-2].Payload, msgs[seen-1].Payload)
-			}
 			return
 		}
 	}
-	t.Fatal("a parked frame never shared a write with the next regular frame")
+	t.Fatal("a deferred frame never shared a write with the next regular frame")
+}
+
+// TestRealnetOutboxOrder has one sender mix deferrable and regular frames to
+// one peer, with pauses about as long as the deferral window so the window's
+// timer closes some windows mid-stream and the writer takes others: the
+// receiver must see every frame in send order.
+func TestRealnetOutboxOrder(t *testing.T) {
+	a, _, col, addrA, addrB := warmPair(t)
+	const frames = 400
+	for i := 0; i < frames; i++ {
+		payload := fmt.Sprintf("f%03d", i)
+		if i%3 != 0 {
+			payload = "defer:" + payload
+		}
+		a.Send(addrA, addrB, payload)
+		if i%17 == 0 {
+			time.Sleep(deferBound)
+		}
+	}
+	msgs := col.wait(t, frames+1, 10*time.Second)
+	for i, m := range msgs[1:] {
+		if got := strings.TrimPrefix(m.Payload.(string), "defer:"); got != fmt.Sprintf("f%03d", i) {
+			t.Fatalf("frame %d is %v", i, m.Payload)
+		}
+	}
 }
 
 // TestRealnetDeferredFlushedByClose parks a frame and closes the transport
@@ -330,8 +355,8 @@ func TestRealnetDeferredFlushedByClose(t *testing.T) {
 	a, _, col, addrA, addrB := warmPair(t)
 	a.Send(addrA, addrB, "defer:last-words")
 	a.Close()
-	if got := a.parked.Load(); got != 0 {
-		t.Fatalf("parked = %d after Close", got)
+	if got := a.unsent.Load(); got != 0 {
+		t.Fatalf("unsent = %d after Close", got)
 	}
 	msgs := col.wait(t, 2, 5*time.Second)
 	if msgs[1].Payload != "defer:last-words" {
@@ -348,8 +373,8 @@ func TestRealnetDeferredCountedByQuiesce(t *testing.T) {
 	if !a.Quiesce(5 * time.Second) {
 		t.Fatal("transport did not quiesce")
 	}
-	if got := a.parked.Load(); got != 0 {
-		t.Fatalf("Quiesce returned with %d frames parked", got)
+	if got := a.unsent.Load(); got != 0 {
+		t.Fatalf("Quiesce returned with %d frames unsent", got)
 	}
 	if got := a.StatsSnapshot().Sent; got != sent+1 {
 		t.Fatalf("Quiesce returned before the parked frame was written (sent %d -> %d)", sent, got)
@@ -381,12 +406,83 @@ func TestRealnetDeferredDroppedWhenDown(t *testing.T) {
 	a.Send(addrA, addrB, "defer:late")
 	total++
 	if !a.Quiesce(5 * time.Second) {
-		t.Fatalf("parked frames outlived a down peer (%d parked)", a.parked.Load())
+		t.Fatalf("deferred frames outlived a down peer (%d unsent)", a.unsent.Load())
 	}
 	waitFor(t, 5*time.Second, "every frame to be sent or dropped", func() bool {
 		st := a.StatsSnapshot()
 		return st.Sent-base.Sent+st.Dropped-base.Dropped == total
 	})
+}
+
+// TestRealnetOutboxDepthDrop stalls the writer in dial backoff with one
+// frame in hand, then overfills the outbox: frames beyond QueueDepth, of
+// either kind, are dropped and counted at the source, and Close drops what
+// the outbox still holds.
+func TestRealnetOutboxDepthDrop(t *testing.T) {
+	cfg := fastCfg("", map[simnet.Region]string{"b": reserveAddr(t)})
+	cfg.QueueDepth = 4
+	cfg.BackoffBase = time.Second
+	cfg.BackoffMax = time.Second
+	var dialFailed atomic.Bool
+	cfg.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "realnet: dial") {
+			dialFailed.Store(true)
+		}
+	}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrA := simnet.Addr{Region: "a", Name: "coord"}
+	addrB := simnet.Addr{Region: "b", Name: "replica"}
+	a.Send(addrA, addrB, "stalled")
+	waitFor(t, 5*time.Second, "a failed dial", dialFailed.Load)
+	for i := 0; i < cfg.QueueDepth+3; i++ {
+		payload := fmt.Sprintf("f%d", i)
+		if i%2 == 0 {
+			payload = "defer:" + payload
+		}
+		a.Send(addrA, addrB, payload)
+	}
+	if got := a.StatsSnapshot().Dropped; got != 3 {
+		t.Fatalf("dropped %d frames past a full outbox, want 3", got)
+	}
+	if got := a.unsent.Load(); got != int64(cfg.QueueDepth)+1 {
+		t.Fatalf("unsent = %d, want the outbox and the frame in hand", got)
+	}
+	a.Close()
+	if st := a.StatsSnapshot(); st.Dropped != uint64(cfg.QueueDepth)+4 || st.Sent != 0 {
+		t.Fatalf("after Close: sent %d, dropped %d; want every frame dropped", st.Sent, st.Dropped)
+	}
+}
+
+// TestRealnetDeferredDroppedByCut cuts the link while a deferred frame waits
+// in the outbox: the writer drops it, counted, instead of sending it.
+func TestRealnetDeferredDroppedByCut(t *testing.T) {
+	a, _, col, addrA, addrB := warmPair(t)
+	// The cut must land inside the frame's deferral window; a descheduled
+	// test goroutine can miss it, so a few attempts are allowed.
+	for attempt := 0; attempt < 10; attempt++ {
+		before := a.StatsSnapshot()
+		a.Send(addrA, addrB, "defer:decide")
+		a.CutPeer("b", true)
+		if !a.Quiesce(5 * time.Second) {
+			t.Fatalf("outbox not drained under a cut (%d unsent)", a.unsent.Load())
+		}
+		after := a.StatsSnapshot()
+		a.CutPeer("b", false)
+		if after.Sent == before.Sent {
+			if after.Dropped != before.Dropped+1 {
+				t.Fatalf("dropped %d -> %d, want the deferred frame", before.Dropped, after.Dropped)
+			}
+			if n := col.count(); n != 1+attempt {
+				t.Fatalf("receiver got %d frames, want %d", n, 1+attempt)
+			}
+			return
+		}
+		col.wait(t, 2+attempt, 5*time.Second)
+	}
+	t.Fatal("the cut never landed inside a deferral window")
 }
 
 // TestRealnetCloseDropsParkedForGonePeer: at Close, a frame parked on a
@@ -429,8 +525,8 @@ func TestRealnetDeferredAfterClose(t *testing.T) {
 	a.Close()
 	dropped := a.StatsSnapshot().Dropped
 	a.Send(addrA, addrB, "defer:too-late")
-	if got := a.parked.Load(); got != 0 {
-		t.Fatalf("parked = %d on a closed transport", got)
+	if got := a.unsent.Load(); got != 0 {
+		t.Fatalf("unsent = %d on a closed transport", got)
 	}
 	if got := a.StatsSnapshot().Dropped; got != dropped+1 {
 		t.Fatalf("dropped %d -> %d, want one more", dropped, got)

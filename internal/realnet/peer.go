@@ -10,35 +10,33 @@ import (
 )
 
 // dropAfter is the consecutive-failure count (dials and writes) at which a
-// writer abandons the batch in hand, with everything queued or parked
-// behind it, instead of retrying: the protocol is built on loss, and a long
-// outage must not replay stale traffic on reconnect. Until a dial or write
+// writer abandons the batch in hand, with everything in the outbox behind
+// it, instead of retrying: the protocol is built on loss, and a long outage
+// must not replay stale traffic on reconnect. Until a dial or write
 // succeeds again, every later batch gets one dial attempt.
 const dropAfter = 3
 
 // peer manages the outbound connection to one remote region: a bounded
-// frame queue, a writer goroutine that dials lazily and sends whatever is
-// queued with one write, and reconnect with jittered exponential backoff
-// mirroring internal/core/retry.go (base doubling per attempt to a cap,
-// jitter factor in [0.5, 1.5)).
+// outbox kept in send order, a writer goroutine that dials lazily and sends
+// what the outbox holds with one write, and reconnect with jittered
+// exponential backoff mirroring internal/core/retry.go (base doubling per
+// attempt to a cap, jitter factor in [0.5, 1.5)).
 type peer struct {
 	t      *Transport
 	region simnet.Region // remote region
 	addr   string        // TCP address
 
-	queue chan []byte // encoded frames awaiting write
-
-	// Deferrable frames park here until the writer next sends to this peer.
-	// The first frame parked outside a deferral window opens one: parkTimer
-	// is armed once for it, and when it fires, deferBound later, the window
-	// closes and wakes the writer through flush if frames are still parked.
-	// The writer taking frames leaves the window open. parkMu guards
-	// parked, parkTimer and inWindow.
-	parkMu    sync.Mutex
-	parked    [][]byte
-	parkTimer *time.Timer
-	inWindow  bool
-	flush     chan struct{} // capacity 1: parked frames are due
+	// mu guards outbox, timer and inWindow. A regular frame joins the
+	// outbox and wakes the writer; a deferrable one joins it without a
+	// wake-up, and the first outside a deferral window opens one: timer is
+	// armed once for it, and when it fires, deferBound later, the window
+	// closes and wakes the writer if frames are waiting. The writer taking
+	// frames leaves the window open.
+	mu       sync.Mutex
+	outbox   [][]byte // encoded frames awaiting write, in send order
+	timer    *time.Timer
+	inWindow bool
+	wake     chan struct{} // capacity 1: the outbox is due
 
 	// connMu guards conn so CutPeer/Close can sever a live connection from
 	// outside the writer goroutine.
@@ -49,125 +47,105 @@ type peer struct {
 	fails     int
 	connected bool // a dial has succeeded at least once
 	rng       *rand.Rand
-	batch     [][]byte    // scratch for gather
+	batch     [][]byte    // scratch for take
 	iov       net.Buffers // scratch for vectored writes
 }
 
-// enqueue hands a frame to the writer without ever blocking the sender: a
-// full queue (peer slower than the workload, or down with frames piling up)
-// drops the frame, exactly as a lossy WAN would.
-func (p *peer) enqueue(frame []byte) {
-	select {
-	case p.queue <- frame:
-	default:
-		p.t.stats.Dropped.Add(1)
-	}
-}
-
-// park holds a deferrable frame for the writer's next send to this peer,
-// opening a deferral window when none is open. Parked frames share the
-// queue's depth bound and its overflow policy.
-func (p *peer) park(frame []byte) {
-	select {
-	case <-p.t.done:
-		p.t.stats.Dropped.Add(1) // closed: no writer is left to flush it
-		return
-	default:
-	}
-	p.parkMu.Lock()
-	if len(p.parked) >= p.t.cfg.QueueDepth {
-		p.parkMu.Unlock()
+// push appends a frame to the outbox without ever blocking the sender: a
+// full outbox (peer slower than the workload, or down with frames piling
+// up) or a closed transport drops the frame, exactly as a lossy WAN would.
+// A deferrable frame waits for the writer's next send to this peer, at
+// most deferBound.
+func (p *peer) push(frame []byte, deferrable bool) {
+	p.mu.Lock()
+	if len(p.outbox) >= p.t.cfg.QueueDepth || p.t.isDone() {
+		p.mu.Unlock()
 		p.t.stats.Dropped.Add(1)
 		return
 	}
-	p.parked = append(p.parked, frame)
-	p.t.parked.Add(1)
-	if !p.inWindow {
+	p.outbox = append(p.outbox, frame)
+	p.t.unsent.Add(1)
+	if deferrable && !p.inWindow {
 		p.inWindow = true
-		if p.parkTimer == nil {
-			p.parkTimer = time.AfterFunc(deferBound, p.closeWindow)
+		if p.timer == nil {
+			p.timer = time.AfterFunc(deferBound, p.closeWindow)
 		} else {
-			p.parkTimer.Reset(deferBound)
+			p.timer.Reset(deferBound)
 		}
 	}
-	p.parkMu.Unlock()
+	p.mu.Unlock()
+	if !deferrable {
+		p.kick()
+	}
 }
 
-// closeWindow ends a deferral window: frames parked in it and not yet taken
-// are due now.
+// closeWindow ends a deferral window: frames still in the outbox are due.
 func (p *peer) closeWindow() {
-	p.parkMu.Lock()
+	p.mu.Lock()
 	p.inWindow = false
-	due := len(p.parked) > 0
-	p.parkMu.Unlock()
+	due := len(p.outbox) > 0
+	p.mu.Unlock()
 	if due {
 		p.kick()
 	}
 }
 
-// kick wakes the writer to flush parked frames.
+// kick wakes the writer to send what the outbox holds.
 func (p *peer) kick() {
 	select {
-	case p.flush <- struct{}{}:
+	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
-// takeParked appends the parked frames to dst for the writer (their count
-// is the growth of dst). The deferral window stays open: a frame parked in
-// it later still leaves by the time it closes.
-func (p *peer) takeParked(dst [][]byte) [][]byte {
-	p.parkMu.Lock()
-	defer p.parkMu.Unlock()
-	if len(p.parked) == 0 {
-		return dst
-	}
-	dst = append(dst, p.parked...)
-	clear(p.parked)
-	p.parked = p.parked[:0]
-	return dst
-}
-
-// gather collects what one writer wake-up sends: first (nil on a flush
-// wake-up), whatever else is already queued up to maxCoalesce frames, then
-// every parked frame. parked is how many of the trailing frames count toward
-// Transport.parked. The slice is the writer's scratch, valid until the next
-// gather.
-func (p *peer) gather(first []byte) (frames [][]byte, parked int) {
-	frames = p.batch[:0]
-	if first != nil {
-		frames = append(frames, first)
-	drain:
-		for len(frames) < maxCoalesce {
-			select {
-			case f := <-p.queue:
-				frames = append(frames, f)
-			default:
-				break drain
-			}
-		}
-	}
-	queued := len(frames)
-	frames = p.takeParked(frames)
+// take moves the oldest frames of the outbox, up to maxCoalesce, into the
+// writer's scratch and reports whether frames remain. The slice is valid
+// until the next take.
+func (p *peer) take() (frames [][]byte, more bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := min(len(p.outbox), maxCoalesce)
+	frames = append(p.batch[:0], p.outbox[:n]...)
+	rest := copy(p.outbox, p.outbox[n:])
+	clear(p.outbox[rest:])
+	p.outbox = p.outbox[:rest]
 	p.batch = frames
-	return frames, len(frames) - queued
+	return frames, rest > 0
 }
 
-// run is the writer loop: pull what is queued and write it, retrying with
-// backoff through transient failures.
+// dropOutbox drops (and counts) the frames in the outbox.
+func (p *peer) dropOutbox() {
+	p.mu.Lock()
+	n := len(p.outbox)
+	clear(p.outbox)
+	p.outbox = p.outbox[:0]
+	p.mu.Unlock()
+	if n > 0 {
+		p.t.stats.Dropped.Add(uint64(n))
+		p.t.unsent.Add(-int64(n))
+	}
+}
+
+// run is the writer loop: on each wake-up, write the oldest frames of the
+// outbox, retrying with backoff through transient failures; a batch cut at
+// maxCoalesce leaves the rest due. Frames left when the transport is done
+// are dropped.
 func (p *peer) run() {
 	defer p.t.wg.Done()
+	defer p.dropOutbox()
 	for {
-		var first []byte
 		select {
-		case first = <-p.queue:
-		case <-p.flush:
+		case <-p.wake:
 		case <-p.t.done:
 			return
 		}
-		if frames, parked := p.gather(first); len(frames) > 0 {
+		frames, more := p.take()
+		if len(frames) > 0 {
 			p.write(frames)
-			p.t.parked.Add(-int64(parked))
+			p.t.unsent.Add(-int64(len(frames)))
+		}
+		if more {
+			p.kick()
 		}
 	}
 }
@@ -177,15 +155,14 @@ func (p *peer) run() {
 // the socket took whole are not sent again (delivery stays at-most-once);
 // the rest are retried on a fresh connection. The batch is abandoned
 // (dropped, counted) after dropAfter consecutive failures, when the link is
-// administratively cut, or when Close finds no live connection; the queue
-// is drained along with it so a long outage doesn't replay stale protocol
+// administratively cut, or when Close finds no live connection; the outbox
+// is emptied along with it so a long outage doesn't replay stale protocol
 // traffic on reconnect.
 func (p *peer) write(frames [][]byte) {
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-p.t.done:
+		if p.t.isDone() {
+			p.t.stats.Dropped.Add(uint64(len(frames)))
 			return
-		default:
 		}
 		if p.t.isCut(p.region) {
 			p.t.stats.Dropped.Add(uint64(len(frames)))
@@ -253,27 +230,11 @@ func wholeFrames(frames [][]byte, n int64) int {
 	return whole
 }
 
-// abandon drops the frames in hand and everything queued or parked behind
+// abandon drops the frames in hand and everything in the outbox behind
 // them.
 func (p *peer) abandon(frames [][]byte) {
 	p.t.stats.Dropped.Add(uint64(len(frames)))
-	p.dropParked()
-	for {
-		select {
-		case <-p.queue:
-			p.t.stats.Dropped.Add(1)
-		default:
-			return
-		}
-	}
-}
-
-// dropParked drops (and counts) the frames parked on the peer.
-func (p *peer) dropParked() {
-	if parked := len(p.takeParked(nil)); parked > 0 {
-		p.t.stats.Dropped.Add(uint64(parked))
-		p.t.parked.Add(-int64(parked))
-	}
+	p.dropOutbox()
 }
 
 // dial attempts a connection; success resets the failure streak.

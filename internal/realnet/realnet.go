@@ -13,11 +13,12 @@
 // receives, the same on simnet and on TCP.
 //
 // Syscalls are the cost center on a loopback or LAN deployment, so both
-// directions batch: a peer's writer sends everything already queued with one
-// vectored write, inbound connections are read through a buffer that takes
-// as many frames per read as the kernel has, and frames whose payloads the
-// codec declares deferrable (see Deferrer) wait on the peer for the next
-// write to it — at most deferBound — instead of costing their own.
+// directions batch: a peer's writer sends what its outbox holds, in send
+// order, with one vectored write, inbound connections are read through a
+// buffer that takes as many frames per read as the kernel has, and frames
+// whose payloads the codec declares deferrable (see Deferrer) wait in the
+// outbox for the next write to the peer — at most deferBound — instead of
+// costing their own.
 //
 // Copies are the next cost, so neither direction makes one per frame: the
 // codec encodes each payload straight into its outbound frame, and an
@@ -59,10 +60,11 @@ type Codec interface {
 }
 
 // Deferrer is optionally implemented by a Codec. A payload it reports
-// deferrable is fire-and-forget bookkeeping nothing waits on: a frame made
-// only of such payloads is parked on its peer and leaves with the next write
-// to that peer, or after deferBound on an idle link, and on Quiesce and
-// Close. Nothing else about its delivery changes.
+// deferrable is a message no step of its sender waits on: a frame made only
+// of such payloads joins its peer's outbox without waking the writer, and
+// leaves, in send order, with the next write to that peer, or after
+// deferBound on an idle link, and on Quiesce and Close. Nothing else about
+// its delivery changes.
 type Deferrer interface {
 	Deferrable(m any) bool
 }
@@ -77,8 +79,8 @@ const (
 	maxCoalesce = 64
 	// readBufSize is each inbound connection's read buffer.
 	readBufSize = 32 << 10
-	// closeFlushBound is how long Close waits for parked frames to leave
-	// over live connections.
+	// closeFlushBound is how long Close waits for outboxes to leave over
+	// live connections.
 	closeFlushBound = 100 * time.Millisecond
 )
 
@@ -178,9 +180,9 @@ type Transport struct {
 	lbQueue   []localDelivery
 	lbClosed  bool
 	pendingLB atomic.Int64
-	// parked counts deferrable frames waiting on a peer or in its writer's
-	// hands: Quiesce and Close wait for it to reach zero.
-	parked atomic.Int64
+	// unsent counts frames in a peer's outbox or its writer's hands:
+	// Quiesce and Close wait for it to reach zero.
+	unsent atomic.Int64
 
 	stats Stats
 }
@@ -255,8 +257,7 @@ func New(cfg Config) (*Transport, error) {
 			t:      t,
 			region: region,
 			addr:   addr,
-			queue:  make(chan []byte, cfg.QueueDepth),
-			flush:  make(chan struct{}, 1),
+			wake:   make(chan struct{}, 1),
 			rng:    rand.New(rand.NewSource(seed)),
 		}
 		t.peers[region] = p
@@ -329,7 +330,7 @@ func (t *Transport) SendBatch(from, to simnet.Addr, payloads []any) {
 
 // route sends either a single payload (batch == nil) or a batch: local
 // destinations go through the loopback queue, remote ones are framed and
-// handed to the peer's writer. Both paths return without blocking.
+// join the peer's outbox. Both paths return without blocking.
 func (t *Transport) route(from, to simnet.Addr, payload any, batch []any) {
 	p, remote := t.peerFor(to.Region)
 	if !remote {
@@ -353,11 +354,7 @@ func (t *Transport) route(from, to simnet.Addr, payload any, batch []any) {
 		t.stats.Dropped.Add(1)
 		return
 	}
-	if t.canDefer(payloads) {
-		p.park(frame)
-		return
-	}
-	p.enqueue(frame)
+	p.push(frame, t.canDefer(payloads))
 }
 
 // canDefer reports whether every payload of a frame is deferrable.
@@ -627,28 +624,37 @@ func (t *Transport) RestoreListener() error {
 	return nil
 }
 
-// Quiesce waits until the loopback queue drains and every parked deferrable
-// frame has been written or dropped (it flushes them rather than sitting out
-// their bound), up to timeout. Other remote traffic cannot be quiesced — the
-// wire has no global view. Matches simnet.Network's signature so Cluster can
-// call either.
+// Quiesce waits until the loopback queue drains and every outbox has been
+// written or dropped (it flushes deferrable frames rather than sitting out
+// their bound), up to timeout. Frames already on the wire cannot be
+// quiesced — the wire has no global view. Matches simnet.Network's
+// signature so Cluster can call either.
 func (t *Transport) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	if t.parked.Load() != 0 {
-		t.mu.Lock()
-		for _, p := range t.peers {
-			p.kick()
-		}
-		t.mu.Unlock()
-	}
 	for {
-		if t.pendingLB.Load() == 0 && t.parked.Load() == 0 {
+		if t.unsent.Load() != 0 {
+			t.mu.Lock()
+			for _, p := range t.peers {
+				p.kick()
+			}
+			t.mu.Unlock()
+		} else if t.pendingLB.Load() == 0 {
 			return true
 		}
 		if time.Now().After(deadline) {
 			return false
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// isDone reports whether Close has stopped the writers.
+func (t *Transport) isDone() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -663,10 +669,9 @@ func (t *Transport) isClosing() bool {
 }
 
 // Close shuts the transport down: listener, inbound connections, peer
-// writers, and the loopback dispatcher. Parked deferrable frames leave
-// first over live connections (bounded by closeFlushBound); a peer with no
-// live connection drops its parked frames, and counts them, without a
-// dial. Idempotent.
+// writers, and the loopback dispatcher. Outboxes leave first over live
+// connections (bounded by closeFlushBound); a peer with no live connection
+// drops its outbox, and counts it, without a dial. Idempotent.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.isClosing() {
@@ -681,10 +686,10 @@ func (t *Transport) Close() {
 	t.mu.Unlock()
 	for _, p := range peers {
 		if p.currentConn() == nil {
-			p.dropParked()
+			p.dropOutbox()
 		}
 	}
-	if t.parked.Load() != 0 {
+	if t.unsent.Load() != 0 {
 		t.Quiesce(closeFlushBound)
 	}
 

@@ -38,8 +38,9 @@ func (testCodec) Decode(data []byte) (any, error) {
 	return nil, fmt.Errorf("testCodec: bad payload")
 }
 
-// Deferrable marks payloads prefixed "defer:" as fire-and-forget bookkeeping
-// (the role span reports play for mdcc.WireCodec).
+// Deferrable marks payloads prefixed "defer:" as messages no step of their
+// sender waits on (the role decides and span reports play for
+// mdcc.WireCodec).
 func (testCodec) Deferrable(m any) bool {
 	s, ok := m.(string)
 	return ok && strings.HasPrefix(s, "defer:")

@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
 	planet "planet/internal/core"
+	"planet/internal/mdcc"
 	"planet/internal/simnet"
 	"planet/internal/vclock"
 )
@@ -50,7 +52,11 @@ func (o *Options) validate() error {
 
 // Closed runs a closed-loop workload: Clients concurrent clients, each
 // submitting PerClient transactions back to back, waiting for the final
-// decision (not just speculation) before the next. Each client draws its keys
+// decision (not just speculation) before the next. A transaction its
+// coordinator's crash failed costs its client a commit timeout before the
+// next, as a request no process answers would: a crashed coordinator
+// refuses at once, and without the wait a client would spend its whole
+// budget at the crash instant. Each client draws its keys
 // from its own generator, recycled once the client ends, so a Template must
 // not keep the generator past Build.
 type Closed struct {
@@ -71,6 +77,7 @@ func (c Closed) Run() (*Report, error) {
 		c.PerClient = 1
 	}
 	clk := c.DB.Cluster().Clock()
+	crashWait := c.DB.Cluster().CommitTimeout()
 	report := NewReport()
 	start := clk.Now()
 
@@ -97,7 +104,9 @@ func (c Closed) Run() (*Report, error) {
 					errs <- fmt.Errorf("workload: commit: %w", err)
 					return
 				}
-				h.Wait()
+				if oc := h.Wait(); errors.Is(oc.Err, mdcc.ErrCrashed) {
+					clk.Sleep(crashWait)
+				}
 			}
 		})
 	}

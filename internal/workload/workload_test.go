@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +14,8 @@ import (
 	planet "planet/internal/core"
 	"planet/internal/keyspace"
 	"planet/internal/regions"
+	"planet/internal/simnet"
+	"planet/internal/vclock"
 )
 
 func TestUniformKeyGen(t *testing.T) {
@@ -220,6 +224,81 @@ func TestClosedDriver(t *testing.T) {
 	}
 	if rep.Elapsed <= 0 {
 		t.Error("elapsed not recorded")
+	}
+}
+
+// stampedTemplate records the clock time of every Build, that is, of every
+// transaction a client starts.
+type stampedTemplate struct {
+	Template
+	clk vclock.Clock
+	mu  sync.Mutex
+	at  []time.Time
+}
+
+func (s *stampedTemplate) Build(sess *planet.Session, rng *rand.Rand) (*planet.Txn, error) {
+	s.mu.Lock()
+	s.at = append(s.at, s.clk.Now())
+	s.mu.Unlock()
+	return s.Template.Build(sess, rng)
+}
+
+// TestClosedWaitsOutCrashedCoordinator crashes the coordinator of four
+// closed-loop clients mid-run and restarts it one and a half commit
+// timeouts later. A client whose transaction the crash failed waits a
+// commit timeout before its next, so the refusals spread over the outage
+// instead of spending every client's budget at the crash instant, and the
+// clients commit again once the coordinator is back.
+func TestClosedWaitsOutCrashedCoordinator(t *testing.T) {
+	const clients, perClient = 4, 20
+	db := testDB(t, planet.Config{})
+	c := db.Cluster()
+	clk := c.Clock()
+	region := c.Regions()[0]
+	tmpl := &stampedTemplate{Template: Buy{Products: Uniform{Prefix: "cr-", N: 1000}}, clk: clk}
+	var crashAt atomic.Int64
+	clk.Go(func() {
+		clk.Sleep(10 * time.Millisecond)
+		crashAt.Store(clk.Now().UnixNano())
+		if err := c.CrashCoordinator(region); err != nil {
+			t.Error(err)
+		}
+		clk.Sleep(c.CommitTimeout() * 3 / 2)
+		if err := c.RestartCoordinator(region); err != nil {
+			t.Error(err)
+		}
+	})
+	rep, err := Closed{
+		Options: Options{DB: db, Template: tmpl, Regions: []simnet.Region{region}, Seed: 11},
+		Clients: clients, PerClient: perClient,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashAt.Load() == 0 {
+		t.Fatal("the run ended before the crash")
+	}
+	atCrash, afterRestart := 0, 0
+	restart := time.Unix(0, crashAt.Load()).Add(c.CommitTimeout() * 3 / 2)
+	for _, at := range tmpl.at {
+		if at.UnixNano() == crashAt.Load() {
+			atCrash++
+		}
+		if !at.Before(restart) {
+			afterRestart++
+		}
+	}
+	t.Logf("%s; %d starts at the crash instant, %d after the restart", rep, atCrash, afterRestart)
+	if atCrash > clients {
+		t.Errorf("%d transactions started at the crash instant, want at most one per client", atCrash)
+	}
+	// Per client: the transaction in flight at the crash, and one refusal a
+	// commit timeout later, while the coordinator is still down.
+	if n := rep.Aborted.Load(); n > 2*clients {
+		t.Errorf("%d transactions aborted across the outage, want at most %d", n, 2*clients)
+	}
+	if afterRestart == 0 || rep.Committed.Load() == 0 {
+		t.Errorf("no transaction started after the restart (%d committed)", rep.Committed.Load())
 	}
 }
 

@@ -29,7 +29,9 @@ go test -race -short ./internal/core ./internal/mdcc ./internal/obs ./internal/c
 # the payload slice frame to frame: payloads from two sender goroutines,
 # below, at and above the buffer's size, must read back unchanged after
 # later frames have refilled it (and the fuzz seeds' straddling frames too).
-go test -race -count=10 -run 'TestRealnetReadBufferReuse|FuzzReadLoop' ./internal/realnet
+# A peer's outbox keeps send order: deferrable and regular frames from one
+# sender, with deferral windows closing mid-stream, arrive in send order.
+go test -race -count=10 -run 'TestRealnetReadBufferReuse|FuzzReadLoop|TestRealnetOutboxOrder' ./internal/realnet
 # Chaos soak gate: fault schedules (partition + crash/WAL-recovery +
 # latency spike) laid over a closed-loop workload on the cluster's virtual
 # clock must preserve the safety invariants under the race detector, both
